@@ -9,7 +9,6 @@ adjoint Lindblad-form generator.  Every perturbative path is checked
 against an embedded exact brute-force oracle.
 """
 
-from ._blockops import BACKEND
 from .spaces import (
     Constants,
     DensityMatrix,
@@ -85,3 +84,6 @@ from .markov import (
 from .presets import PRESETS, dephasing_bath, two_qubit
 
 __version__ = "0.1.0"
+
+# Every path is NumPy/SciPy; the name stays for provenance records.
+BACKEND = "python"

@@ -1,52 +1,42 @@
-"""Hot block-family kernels with backend selection at import time.
+"""Block-family layout and products.
 
-The compiled Cython core (`heisenbath._fastkernels`) is used when it built
-successfully; otherwise the NumPy fallback (`heisenbath._pykernels`) is
-selected.  Set ``HEISENBATH_NO_EXT=1`` to force the fallback, e.g. for the
-backend-equivalence tests and the benchmark.
-
-The compiled loops beat BLAS dispatch overhead only while the matrices are
-tiny; above a full-space side of ``_CUTOVER`` the BLAS route wins (see
-``benchmarks/bench_blockops.py``), so each call dispatches on size.
+A family is a complex array of shape ``(..., d_B, d_B, d_S, d_S)``;
+``fam[a, b]`` is the system-space block carrying bath indices ``(a, b)``.
+It is the same data as the full-space matrix
+``X[i * d_B + a, j * d_B + b] = fam[a, b][i, j]``; `fam_to_full` and
+`full_to_fam` are the only places that write this permutation, and any
+leading axes (orders, grid points) are carried along.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _pykernels
 
-_CUTOVER = 8  # full-space side d_S * d_B at/below which compiled loops win
+def fam_to_full(fam: np.ndarray) -> np.ndarray:
+    """Full-space matrices of a family (or a stack of families)."""
+    *lead, db, _, ds, _ = fam.shape
+    k = len(lead)
+    axes = tuple(range(k)) + (k + 2, k, k + 3, k + 1)
+    return fam.transpose(axes).reshape(*lead, ds * db, ds * db)
 
-if os.environ.get("HEISENBATH_NO_EXT"):
-    _fast = None
-else:
-    try:
-        from . import _fastkernels as _fast  # type: ignore[no-redef]
-    except ImportError:
-        _fast = None
 
-BACKEND: str = "python" if _fast is None else "cython"
+def full_to_fam(full: np.ndarray, ds: int, db: int) -> np.ndarray:
+    """Inverse of `fam_to_full`, as a contiguous array."""
+    lead = full.shape[:-2]
+    k = len(lead)
+    axes = tuple(range(k)) + (k + 1, k + 3, k, k + 2)
+    return np.ascontiguousarray(full.reshape(*lead, ds, db, ds, db).transpose(axes))
 
-if _fast is None:
-    fam_mul = _pykernels.fam_mul
-    fam_commutator = _pykernels.fam_commutator
-    kernel_stack_rhs = _pykernels.kernel_stack_rhs
-else:
 
-    def fam_mul(f, g):
-        impl = _fast if f.shape[0] * f.shape[2] <= _CUTOVER else _pykernels
-        return impl.fam_mul(f, g)
+def fam_mul(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Blockwise product ``out[a,b] = sum_g f[a,g] @ g[g,b]``.
 
-    def fam_commutator(h, o, scale):
-        impl = _fast if h.shape[0] * h.shape[2] <= _CUTOVER else _pykernels
-        return impl.fam_commutator(h, o, scale)
-
-    def kernel_stack_rhs(hi_eig, omega, t, stack):
-        impl = _fast if hi_eig.shape[0] * hi_eig.shape[2] <= _CUTOVER else _pykernels
-        return impl.kernel_stack_rhs(hi_eig, omega, t, stack)
+    Equals full-space matrix multiplication in the permuted layout, so a
+    single BLAS call does the work.
+    """
+    db, _, ds, _ = f.shape[-4:]
+    return full_to_fam(fam_to_full(f) @ fam_to_full(g), ds, db)
 
 
 def identity_family(ds: int, db: int) -> np.ndarray:

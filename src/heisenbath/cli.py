@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -64,20 +65,35 @@ class ExperimentConfig:
     npoint_factors: list = field(default_factory=list)
     markov: dict = field(default_factory=dict)
     validate: dict = field(default_factory=dict)
+    kernel_cap: int = 6
 
 
 def _fail(path: str, reason: str):
     raise ValidationError(f"{path}: {reason}")
 
 
+def parse_number(value, path: str, kind=float):
+    """A finite config scalar as ``kind`` (float or int), else a ParseError naming ``path``."""
+    if not isinstance(value, bool):
+        if kind is int and isinstance(value, int):
+            return value
+        try:
+            num = float(value)
+        except (TypeError, ValueError, OverflowError):
+            num = None
+        if num is not None and math.isfinite(num) and (kind is float or num.is_integer()):
+            return kind(num)
+    want = "an integer" if kind is int else "a finite number"
+    raise ParseError(f"{path}: expected {want}, got {value!r}")
+
+
 def _parse_entry(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
+    parts = [value, 0] if isinstance(value, (int, float)) else value
+    if isinstance(parts, (list, tuple)) and len(parts) == 2 and all(
+        isinstance(v, (int, float)) and math.isfinite(v) for v in parts
     ):
-        return complex(value[0], value[1])
-    _fail(path, f"expected a number or [re, im] pair, got {value!r}")
+        return complex(parts[0], parts[1])
+    _fail(path, f"expected a finite number or [re, im] pair, got {value!r}")
 
 
 def parse_matrix(rows, path: str) -> np.ndarray:
@@ -122,9 +138,9 @@ def _build_model(section, path: str):
             mats["hi"],
             mats["rho0"],
             mats["rho_b"],
-            hbar=float(section.get("hbar", 1.0)),
+            hbar=parse_number(section.get("hbar", 1.0), f"{path}.hbar"),
         )
-    except (DimensionError, InvalidDensityMatrix, NonHermitianInput) as exc:
+    except (DimensionError, InvalidDensityMatrix, NonHermitianInput, ValueError) as exc:
         _fail(path, str(exc))
     return model, {}
 
@@ -148,19 +164,20 @@ def load_config(path: str) -> ExperimentConfig:
     model, preset_obs = _build_model(raw.get("model", {}), "model")
 
     tr_raw = raw.get("truncation", {}) or {}
-    order = int(tr_raw.get("order", 2))
-    lam = float(tr_raw.get("lambda", model.constants.lam or 0.1))
+    order = parse_number(tr_raw.get("order", 2), "truncation.order", int)
+    lam = parse_number(tr_raw.get("lambda", model.constants.lam or 0.1), "truncation.lambda")
     truncation = SeriesTruncation(order, lam)
 
     grid_raw = raw.get("grid", {}) or {}
     if "points" in grid_raw:
         try:
-            grid = TimeGrid(np.asarray(grid_raw["points"], dtype=float))
+            points = [parse_number(t, f"grid.points[{k}]") for k, t in enumerate(grid_raw["points"])]
+            grid = TimeGrid(np.asarray(points, dtype=float))
         except ValueError as exc:
             _fail("grid.points", str(exc))
     else:
-        stop = float(grid_raw.get("stop", 1.0))
-        num = int(grid_raw.get("num", 11))
+        stop = parse_number(grid_raw.get("stop", 1.0), "grid.stop")
+        num = parse_number(grid_raw.get("num", 11), "grid.num", int)
         if stop <= 0 or num < 2:
             _fail("grid", f"need stop > 0 and num >= 2, got stop={stop}, num={num}")
         grid = TimeGrid.linspace(stop, num)
@@ -181,7 +198,7 @@ def load_config(path: str) -> ExperimentConfig:
             _fail(f"observables.{name}", f"matrix shape {mat.shape} does not match d_S={model.dim_system}")
         times = spec.get("times")
         if times is not None:
-            times = [float(t) for t in times]
+            times = [parse_number(t, f"observables.{name}.times[{k}]") for k, t in enumerate(times)]
             beyond = [t for t in times if t < 0 or t > grid.stop]
             if beyond:
                 _fail(f"observables.{name}.times", f"outside the grid [0, {grid.stop}]: {beyond}")
@@ -204,7 +221,7 @@ def load_config(path: str) -> ExperimentConfig:
             name = f.get("observable")
             if name not in observables:
                 _fail(f"npoint.factors[{k}].observable", f"unknown observable {name!r}")
-            npoint_factors.append((name, float(f.get("time", 0.0))))
+            npoint_factors.append((name, parse_number(f.get("time", 0.0), f"npoint.factors[{k}].time")))
 
     cfg = ExperimentConfig(
         model=model,
@@ -217,10 +234,15 @@ def load_config(path: str) -> ExperimentConfig:
         npoint_factors=npoint_factors,
         markov=raw.get("markov", {}) or {},
         validate=raw.get("validate", {}) or {},
+        kernel_cap=parse_number(raw.get("kernel_cap", 6), "kernel_cap", int),
     )
-    if truncation.order > int(raw.get("kernel_cap", 6)):
-        _fail("truncation.order", f"exceeds kernel cap {raw.get('kernel_cap', 6)}")
+    _check_kernel_cap(cfg)
     return cfg
+
+
+def _check_kernel_cap(cfg: ExperimentConfig) -> None:
+    if cfg.truncation.order > cfg.kernel_cap:
+        _fail("truncation.order", f"{cfg.truncation.order} exceeds kernel cap {cfg.kernel_cap}")
 
 
 # -- emission ------------------------------------------------------------------
@@ -324,17 +346,21 @@ def _run_image_exact(cfg: ExperimentConfig) -> list[dict]:
 def _markov_pipeline(cfg: ExperimentConfig):
     m = cfg.model
     dec = decompose_interaction(m.hi)
-    horizon = float(cfg.markov.get("horizon", max(cfg.grid.stop, 1.0)))
-    threshold = float(cfg.markov.get("decay_threshold", 0.025))
+
+    def param(key, default):
+        return parse_number(cfg.markov.get(key, default), f"markov.{key}")
+
+    horizon = param("horizon", max(cfg.grid.stop, 1.0))
+    threshold = param("decay_threshold", 0.025)
     report = check_markov_assumptions(m, dec, horizon, threshold)
     bd = bohr_decompose_all(dec, m.h0.mat, m.constants.hbar)
     sc = spectral_coefficients(
         m,
         dec,
         bd.frequencies,
-        horizon=float(cfg.markov.get("j_horizon", horizon)),
-        tol=float(cfg.markov.get("j_tolerance", 0.1)),
-        eta=float(cfg.markov.get("eta", 0.0)),
+        horizon=param("j_horizon", horizon),
+        tol=param("j_tolerance", 0.1),
+        eta=param("eta", 0.0),
     )
     return dec, report, bd, sc
 
@@ -389,9 +415,10 @@ def _run_markov_report(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
-    seed = int(cfg.validate.get("seed", 0))
-    d_s = int(cfg.validate.get("d_s", 2))
-    d_b = int(cfg.validate.get("d_b", 3))
+    seed, d_s, d_b = (
+        parse_number(cfg.validate.get(key, default), f"validate.{key}", int)
+        for key, default in (("seed", 0), ("d_s", 2), ("d_b", 3))
+    )
     rows = validation_suite(seed, d_s, d_b, order=cfg.truncation.order)
     ok = all(r["status"] == "pass" for r in rows)
     return rows, ok
@@ -426,11 +453,12 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "order", None) is not None:
         cfg.truncation = SeriesTruncation(args.order, cfg.truncation.lam)
     if getattr(args, "lam", None) is not None:
-        cfg.truncation = SeriesTruncation(cfg.truncation.order, args.lam)
+        cfg.truncation = SeriesTruncation(cfg.truncation.order, parse_number(args.lam, "--lambda"))
     if getattr(args, "output", None):
         cfg.output_path = args.output
     if getattr(args, "format", None):
         cfg.output_format = args.format
+    _check_kernel_cap(cfg)
     return cfg
 
 

@@ -3,17 +3,23 @@
 The interaction-picture Hamiltonian family is
 ``Htilde_ab(t) = U0(t) H_Iab U0(t)^dag exp(-i(E_a - E_b)t/hbar)`` with
 ``U0(t) = exp(-i H0 t / hbar)``.  The order-n kernel is the nested
-time-ordered integral of n such factors (latest time leftmost); it is
-computed here by integrating the equivalent recurrence
+time-ordered integral of n such factors (latest time leftmost),
 
-    d/dt Ktilde[n](t) = Htilde(t) . Ktilde[n-1](t),   Ktilde[n>=1](0) = 0,
+    Ktilde[n](t) = int_0^t Htilde(s) . Ktilde[n-1](s) ds,   Ktilde[0] = 1.
 
-which costs one coupled ODE solve instead of n-dimensional quadrature
-(quadrature survives only as a test oracle).  Kernels are stored per grid
-point; off-grid requests use the integrator's dense output.
+On the full space ``Htilde(t) = exp(-iFt) H_I exp(iFt)`` with the free
+generator ``F = (H0 + H_B)/hbar``, so ``E[n](t) = exp(iFt) Ktilde[n](t)``
+obeys the autonomous chain ``dE[n]/dt = iF E[n] + H_I E[n-1]``.  Its
+solution is the first block row ``R(t) = (E[0], ..., E[n_max])`` of
+``exp(tM)``, where ``M`` is block-bidiagonal with ``iF`` on the diagonal
+and ``H_I`` above it (Van Loan, IEEE TAC 23 (1978) 395).  ``M`` is
+defective, so ``expm`` computes it, once per distinct grid step; the row is
+propagated as ``R(t + dt) = R(t) exp(dt M)`` and an off-grid time is
+reached exactly from the grid point at or below it.  Nested quadrature
+survives only as a test oracle.
 
-The heavy lifting happens in the H0 eigenbasis, where applying ``U0`` is an
-elementwise phase; results are rotated back on access.
+All of this happens in the H0 eigenbasis, where ``F`` is diagonal; results
+are rotated back on access.
 """
 
 from __future__ import annotations
@@ -21,16 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from . import _blockops
-from .errors import IntegratorFailure, OrderExceedsKernels
+from .errors import OrderExceedsKernels
 from .images import ImageFamily, to_image_family
 from .model import ModelSpec
 from .spaces import Constants, OperatorMatrix, TimeGrid
-
-KERNEL_RTOL = 1e-12
-KERNEL_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,48 +82,48 @@ class KernelSet:
     kernels ``K[n]_ab(t) = exp(+i(E_a-E_b)t/hbar) U0^dag Ktilde U0``.
     """
 
-    def __init__(self, m: ModelSpec, n_max: int, grid: TimeGrid, sol, eig_grid: np.ndarray):
+    def __init__(self, m: ModelSpec, n_max: int, grid: TimeGrid):
         self.model = m
         self.orders = n_max
         self.grid = grid
         self.frame = frame_of(m)
-        self._sol = sol  # dense OdeSolution over [0, grid.stop], or None
-        self._eig_grid = eig_grid  # (n_max, n_t, dB, dB, dS, dS), H0 eigenbasis
         d_s, d_b = m.dim_system, m.dim_bath
         self.dim_system, self.dim_bath = d_s, d_b
         hbar = m.constants.hbar
-        hi_fam = to_image_family(m.hi).blocks
-        v = self.frame.v0
-        self._hi_fam = hi_fam
-        self._hi_eig = np.einsum("pi,abpq,qj->abij", v.conj(), hi_fam, v)
-        delta_b = (m.bath_energies[:, None] - m.bath_energies[None, :]) / hbar
-        delta_s = (self.frame.eps0[:, None] - self.frame.eps0[None, :]) / hbar
-        self._omega = delta_b[:, :, None, None] + delta_s[None, None, :, :]
-        self._delta_b = delta_b
+        self._hi_fam = to_image_family(m.hi).blocks
+        self._delta_b = (m.bath_energies[:, None] - m.bath_energies[None, :]) / hbar
+        # full-space eigenbasis of F: index i * d_B + a carries (eps0_i + E_a) / hbar
+        self._free = (self.frame.eps0[:, None] + m.bath_energies[None, :]).ravel() / hbar
+        self._v = np.kron(self.frame.v0, np.eye(d_b))
+        d = d_s * d_b
+        gen = np.kron(np.eye(n_max + 1), np.diag(1j * self._free))
+        gen[:-d, d:] += np.kron(np.eye(n_max), self._v.conj().T @ m.hi.mat @ self._v)
+        self._gen = gen
+        steps: dict[float, np.ndarray] = {}  # linspace grids have only a few distinct steps
+        row = np.eye(d, (n_max + 1) * d, dtype=complex)
+        rows = [row]
+        for dt in np.diff(grid.points).tolist():
+            if dt not in steps:
+                steps[dt] = expm(dt * gen)
+            row = row @ steps[dt]
+            rows.append(row)
+        self._rows = np.stack(rows)  # (n_t, d, (n_max + 1) d): R(t) at the grid points
         self._cache: dict[tuple[str, float], np.ndarray] = {}
 
     # -- raw stacks ---------------------------------------------------------
 
-    def _eig_stack(self, t: float) -> np.ndarray:
-        """Orders 1..n_max at time t, H0 eigenbasis.
-
-        Grid hits return the stored per-grid-point values; anything else
-        comes from the integrator's dense output.
-        """
-        shape = (self.orders,) + self._omega.shape
-        if self.orders == 0:
-            return np.zeros((0,) + self._omega.shape, dtype=complex)
-        if t == 0.0 or self._sol is None:
-            return np.zeros(shape, dtype=complex)
-        hits = np.flatnonzero(self.grid.points == t)
+    def _row(self, t: float) -> np.ndarray:
+        """``R(t)``: stored at grid points, one exact step away elsewhere."""
+        pts = self.grid.points
+        hits = np.flatnonzero(pts == t)
         if hits.size:
-            return self._eig_grid[:, hits[0]]
-        lo, hi = self._sol.t_min, self._sol.t_max
-        if not (lo - 1e-12 <= t <= hi * (1 + 1e-12) + 1e-12):
+            return self._rows[hits[0]]
+        if not (-1e-12 <= t <= self.grid.stop * (1 + 1e-12) + 1e-12):
             raise OrderExceedsKernels(
-                f"kernels were computed on [0, {hi!r}] but t={t!r} was requested"
+                f"kernels were computed on [0, {self.grid.stop!r}] but t={t!r} was requested"
             )
-        return self._sol(min(t, hi)).reshape(shape)
+        k = max(int(np.searchsorted(pts, t, side="right")) - 1, 0)
+        return self._rows[k] @ expm((t - pts[k]) * self._gen)
 
     def _stack(self, kind: str, t: float) -> np.ndarray:
         """Orders 0..n_max in the original basis; kind 'tilde' or 'heis'."""
@@ -128,11 +131,12 @@ class KernelSet:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        eig = self._eig_stack(t)
-        if kind == "heis":
-            eig = eig * np.exp(1j * self._omega * t)[None]
-        v = self.frame.v0
-        rotated = np.einsum("ip,nabpq,qj->nabij", v, eig, v.conj().T)
+        d = self.dim_system * self.dim_bath
+        e = self._row(t).reshape(d, self.orders + 1, d).transpose(1, 0, 2)[1:]
+        phase = np.exp(-1j * self._free * t)
+        # Ktilde[n] = exp(-iFt) E[n]; K[n] = exp(iFt) Ktilde[n] exp(-iFt) = E[n] exp(-iFt)
+        eig = phase[:, None] * e if kind == "tilde" else e * phase[None, :]
+        rotated = _blockops.full_to_fam(self._v @ eig @ self._v.conj().T, self.dim_system, self.dim_bath)
         out = np.concatenate(
             [_blockops.identity_family(self.dim_system, self.dim_bath)[None], rotated]
         )
@@ -181,53 +185,13 @@ class KernelSet:
         return ImageFamily(self.heis_stack(t)[n].copy(), t)
 
 
-def compute_kernels(
-    m: ModelSpec,
-    n_max: int = 4,
-    grid: TimeGrid = None,
-    rtol: float = KERNEL_RTOL,
-    atol: float = KERNEL_ATOL,
-) -> KernelSet:
-    """Integrate the kernel recurrence up to order ``n_max`` over ``grid``."""
+def compute_kernels(m: ModelSpec, n_max: int = 4, grid: TimeGrid = None) -> KernelSet:
+    """Kernels of orders 0..``n_max`` at every point of ``grid``."""
     if grid is None:
         raise ValueError("compute_kernels needs a TimeGrid")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    d_s, d_b = m.dim_system, m.dim_bath
-    fam_shape = (d_b, d_b, d_s, d_s)
-    if n_max == 0 or grid.stop == 0.0:
-        eig_grid = np.zeros((n_max, len(grid)) + fam_shape, dtype=complex)
-        return KernelSet(m, n_max, grid, None, eig_grid)
-
-    frame = frame_of(m)
-    hbar = m.constants.hbar
-    v = frame.v0
-    hi_fam = to_image_family(m.hi).blocks
-    hi_eig = np.ascontiguousarray(np.einsum("pi,abpq,qj->abij", v.conj(), hi_fam, v))
-    delta_b = (m.bath_energies[:, None] - m.bath_energies[None, :]) / hbar
-    delta_s = (frame.eps0[:, None] - frame.eps0[None, :]) / hbar
-    omega = np.ascontiguousarray(delta_b[:, :, None, None] + delta_s[None, None, :, :])
-
-    shape = (n_max,) + fam_shape
-
-    def rhs(t, y):
-        stack = np.ascontiguousarray(y.reshape(shape))
-        return _blockops.kernel_stack_rhs(hi_eig, omega, t, stack).ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, grid.stop),
-        np.zeros(int(np.prod(shape)), dtype=complex),
-        method="DOP853",
-        t_eval=grid.points,
-        dense_output=True,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise IntegratorFailure(f"kernel recurrence failed: {sol.message}")
-    eig_grid = np.ascontiguousarray(sol.y.T.reshape((len(grid),) + shape).transpose(1, 0, 2, 3, 4, 5))
-    return KernelSet(m, n_max, grid, sol.sol, eig_grid)
+    return KernelSet(m, n_max, grid)
 
 
 def dyson_propagator(ks: KernelSet, lam: float, order: int, t: float) -> ImageFamily:

@@ -21,10 +21,6 @@ class IndexOutOfRange(HeisenbathError):
     """Bath index outside [0, d_B)."""
 
 
-class IntegratorFailure(HeisenbathError):
-    """The adaptive ODE integrator failed (step-size underflow etc.)."""
-
-
 class OrderExceedsKernels(HeisenbathError):
     """A series operation requested an order beyond the computed kernels."""
 

@@ -1,10 +1,10 @@
-"""Image-operator families and the exact reduced Heisenberg equation.
+"""Image-operator families and their exact evolution.
 
 A full-space operator ``X`` is equivalent to the family of system-space
 blocks ``X_ab = T_a^dag X T_b`` indexed by bath states; the family of a
 product is the blockwise product, and contracting with the bath state
 recovers reduced operators.  Families are stored as arrays of shape
-``(d_B, d_B, d_S, d_S)``.
+``(d_B, d_B, d_S, d_S)``, in the layout of `heisenbath._blockops`.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import _blockops
-from .errors import DimensionError, IndexOutOfRange, IntegratorFailure
+from .errors import DimensionError, IndexOutOfRange
 from .model import ModelSpec
 from .oracle import total_hamiltonian
 from .spaces import (
@@ -27,9 +26,6 @@ from .spaces import (
     full_operator,
     system_operator,
 )
-
-ODE_RTOL = 1e-12
-ODE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,16 +79,13 @@ def to_image_family(x: OperatorMatrix, time: float = 0.0) -> ImageFamily:
     """All blocks ``T_a^dag x T_b`` of a full-space operator."""
     if x.tag.kind is not Space.FULL:
         raise DimensionError("to_image_family expects a full-space operator")
-    d_s, d_b = x.tag.dim_system, x.tag.dim_bath
-    blocks = x.mat.reshape(d_s, d_b, d_s, d_b).transpose(1, 3, 0, 2)
-    return ImageFamily(blocks, time)
+    return ImageFamily(_blockops.full_to_fam(x.mat, x.tag.dim_system, x.tag.dim_bath), time)
 
 
 def from_image_family(f: ImageFamily, tag_like: OperatorMatrix | ModelSpec | None = None) -> OperatorMatrix:
     """Reassemble ``sum_ab T_a blocks[a,b] T_b^dag`` (inverse of `to_image_family`)."""
-    d_b, d_s = f.dim_bath, f.dim_system
-    full = f.blocks.transpose(2, 0, 3, 1).reshape(d_s * d_b, d_s * d_b)
-    return full_operator(full, SpaceTag(Space.FULL, d_s, d_b))
+    tag = SpaceTag(Space.FULL, f.dim_system, f.dim_bath)
+    return full_operator(_blockops.fam_to_full(f.blocks), tag)
 
 
 def identity_family(d_s: int, d_b: int, time: float = 0.0) -> ImageFamily:
@@ -129,43 +122,20 @@ def contract_with_bath(f: ImageFamily, rho_b: DensityMatrix) -> OperatorMatrix:
     return system_operator(mat, SpaceTag(Space.SYSTEM, f.dim_system, f.dim_bath))
 
 
-def evolve_images_exact(
-    m: ModelSpec,
-    o0: OperatorMatrix,
-    grid: TimeGrid,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
-) -> list[ImageFamily]:
-    """Integrate the coupled block ODE ``dO_ab/dt = (i/hbar)(H_ag O_gb - O_ag H_gb)``.
+def evolve_images_exact(m: ModelSpec, o0: OperatorMatrix, grid: TimeGrid) -> list[ImageFamily]:
+    """Image families of ``exp(iHt/hbar) (o0 (x) 1) exp(-iHt/hbar)`` on a grid.
 
-    The image Hamiltonian family of ``H = H0 + H_B + lambda H_I`` is
-    time-independent; the initial family is ``o0 * delta_ab``.  Returns one
-    family per grid point.
+    They solve the coupled block equation
+    ``dO_ab/dt = (i/hbar) sum_g (H_ag O_gb - O_ag H_gb)`` from
+    ``O_ab(0) = o0 delta_ab``; since ``H = H0 + H_B + lambda H_I`` is
+    time-independent, one eigendecomposition gives every time exactly.
     """
+    o_full = _blockops.fam_to_full(initial_family(o0, m.dim_bath).blocks)
     h = total_hamiltonian(m)
     h.require_hermitian("total Hamiltonian")
-    h_fam = to_image_family(h).blocks
-    y0 = initial_family(o0, m.dim_bath).blocks
-    shape = y0.shape
-    scale = 1j / m.constants.hbar
-
-    def rhs(t, y):
-        fam = y.reshape(shape)
-        return _blockops.fam_commutator(h_fam, fam, scale).ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, grid.stop if grid.stop > 0 else 1e-30),
-        y0.ravel(),
-        method="DOP853",
-        t_eval=grid.points,
-        rtol=rtol,
-        atol=atol,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise IntegratorFailure(f"image evolution failed: {sol.message}")
-    return [
-        ImageFamily(np.ascontiguousarray(sol.y[:, k].reshape(shape)), float(t))
-        for k, t in enumerate(sol.t)
-    ]
+    evals, vecs = np.linalg.eigh(h.mat)
+    o_eig = vecs.conj().T @ o_full @ vecs
+    phases = np.exp(1j * np.outer(grid.points, evals) / m.constants.hbar)
+    evolved = vecs @ (o_eig * phases[:, :, None] * phases[:, None, :].conj()) @ vecs.conj().T
+    fams = _blockops.full_to_fam(evolved, m.dim_system, m.dim_bath)
+    return [ImageFamily(fam, float(t)) for fam, t in zip(fams, grid.points)]

@@ -14,14 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
 
-from .errors import (
-    DimensionError,
-    IntegratorFailure,
-    NonConvergent,
-    NonHermitianInput,
-)
+from .errors import DimensionError, NonConvergent, NonHermitianInput
 from .model import ModelSpec
 from .spaces import Constants, OperatorMatrix, Space, TimeGrid, herm_defect, HERM_TOL
 
@@ -119,6 +114,25 @@ def first_moment(m: ModelSpec, dec: InteractionDecomposition, i: int, t: float) 
     return complex(np.trace(s_i @ m.rho_b.mat))
 
 
+def _bath_factors(m: ModelSpec, dec: InteractionDecomposition) -> np.ndarray:
+    return np.array([s for _, s in dec.terms], dtype=complex).reshape(-1, m.dim_bath, m.dim_bath)
+
+
+def _correlation_weights(m: ModelSpec, dec: InteractionDecomposition) -> np.ndarray:
+    """``W[i, j, a, b, c] = S^i_ab S^j_bc rho_B[c, a]``, so that
+    ``<S~^i(t) S~^j(t - tau)>_B = sum_abc W exp(-i delta_ac t + i delta_bc tau)``."""
+    s = _bath_factors(m, dec)
+    return np.einsum("iab,jbc,ca->ijabc", s, s, m.rho_b.mat)
+
+
+def _correlations(m: ModelSpec, dec: InteractionDecomposition, t, tau) -> np.ndarray:
+    """`bath_correlation` on time grids: ``C[k, l, i, j]`` at ``(t[k], tau[l])``."""
+    delta = _bath_phases(m)
+    left = np.exp(-1j * np.multiply.outer(t, delta))
+    right = np.exp(1j * np.multiply.outer(tau, delta))
+    return np.einsum("ijabc,kac,lbc->klij", _correlation_weights(m, dec), left, right, optimize=True)
+
+
 @dataclass(frozen=True)
 class MarkovReport:
     """Quantified assumption defects; honest about finite-bath recurrences.
@@ -162,10 +176,11 @@ class MarkovReport:
         Four kernel-sandwich integrals enter the order-lambda^2 generator;
         each inherits (a) the correlation mass between the evaluation time
         and the J-integration horizon, (b) the stationarity defect
-        accumulated over the integration window, and (c) quadrature error.
-        A nonzero first moment feeds the order-lambda super-operators, with
-        the bath phase gradient controlling its time derivative.  A small
-        absolute floor covers kernel-ODE rounding.
+        accumulated over the integration window, and (c) an integration
+        allowance ``quad_tol``.  A nonzero first moment feeds the
+        order-lambda super-operators, with the bath phase gradient
+        controlling its time derivative.  A small absolute floor covers
+        kernel rounding.
         """
         lh = lam / hbar
         j_horizon = self.horizon if j_horizon is None else j_horizon
@@ -192,32 +207,22 @@ def check_markov_assumptions(
     n_tau: int = 401,
 ) -> MarkovReport:
     """Sample the three Markov assumptions and report their defects."""
-    n_terms = len(dec.terms)
     t_samples = np.linspace(0.0, horizon, n_time_samples)
     tau_fine = np.linspace(0.0, horizon, n_tau)
-
-    fm = tuple(
-        float(max(abs(first_moment(m, dec, i, t)) for t in t_samples)) for i in range(n_terms)
-    )
-
     tau_coarse = np.linspace(0.0, horizon, min(41, n_tau))
-    stat = 0.0
-    for i in range(n_terms):
-        for j in range(n_terms):
-            base = np.array([bath_correlation(m, dec, i, j, 0.0, tau) for tau in tau_coarse])
-            for t in t_samples[1:]:
-                probe = np.array([bath_correlation(m, dec, i, j, t, tau) for tau in tau_coarse])
-                stat = max(stat, float(np.max(np.abs(probe - base))))
+    delta = _bath_phases(m)
 
-    profile = np.zeros_like(tau_fine)
-    for i in range(n_terms):
-        for j in range(n_terms):
-            vals = np.array([bath_correlation(m, dec, i, j, 0.0, tau) for tau in tau_fine])
-            profile = np.maximum(profile, np.abs(vals))
+    twists = np.exp(-1j * np.multiply.outer(t_samples, delta))
+    moments = np.einsum("iab,ba,kab->ki", _bath_factors(m, dec), m.rho_b.mat, twists)
+    fm = tuple(float(x) for x in np.max(np.abs(moments), axis=0))
+
+    coarse = _correlations(m, dec, t_samples, tau_coarse)
+    stat = float(np.max(np.abs(coarse[1:] - coarse[:1]), initial=0.0))
+
+    profile = np.max(np.abs(_correlations(m, dec, [0.0], tau_fine)[0]), axis=(1, 2), initial=0.0)
     below = np.flatnonzero(profile < decay_threshold)
     decay_time = float(tau_fine[below[0]]) if below.size else None
 
-    delta = _bath_phases(m)
     report = MarkovReport(
         first_moment_by_term=fm,
         first_moment_max=max(fm) if fm else 0.0,
@@ -324,6 +329,14 @@ class SpectralCoefficients:
     converged: bool
 
 
+def _halfline_integrals(z: np.ndarray, upper: float) -> np.ndarray:
+    """``int_0^upper exp(z tau) dtau``: ``(exp(z upper) - 1) / z``, or ``upper`` at ``z = 0``."""
+    out = np.full(z.shape, upper, dtype=complex)
+    nz = z != 0
+    out[nz] = np.expm1(z[nz] * upper) / z[nz]
+    return out
+
+
 def spectral_coefficients(
     m: ModelSpec,
     dec: InteractionDecomposition,
@@ -332,46 +345,29 @@ def spectral_coefficients(
     tol: float = 1e-8,
     eta: float = 0.0,
     strict: bool = False,
-    quad_limit: int = 400,
 ) -> SpectralCoefficients:
     """``J^{ij}(w) = int_0^horizon exp(-i w tau - eta tau) <S~^i(0) S~^j(-tau)> dtau``.
 
-    Adaptive quadrature per (i, j, w); the convergence defect compares the
-    horizon against its half.  Finite baths are quasi-periodic, so a
-    non-decaying correlator is reported via ``converged=False`` (and
-    `NonConvergent` in strict mode) rather than silently averaged; the
-    exponential regulator ``eta`` documents the idealization when used.
+    A finite-bath correlator is the finite sum
+    ``sum_bc S^j_bc (rho_B S^i)_cb exp(i(E_b - E_c) tau / hbar)``, so each
+    term integrates in closed form (Breuer & Petruccione 2002, sec. 3.3).
+    The convergence defect compares the horizon against its half.  Finite
+    baths are quasi-periodic, so a non-decaying correlator is reported via
+    ``converged=False`` (and `NonConvergent` in strict mode) rather than
+    silently averaged; the exponential regulator ``eta`` documents the
+    idealization when used.
     """
-    n_terms = len(dec.terms)
+    weights = _correlation_weights(m, dec).sum(axis=2)  # [i, j, b, c] of exp(i delta_bc tau)
+    w = np.asarray(freqs, dtype=float)
+    z = 1j * _bath_phases(m)[:, :, None] - 1j * w - eta
+    full = np.einsum("ijbc,bcw->ijw", weights, _halfline_integrals(z, horizon))
+    half = np.einsum("ijbc,bcw->ijw", weights, _halfline_integrals(z, horizon / 2.0))
     jmap: dict = {}
     defects: dict = {}
-
-    def halfline(i: int, jj: int, w: float, upper: float) -> complex:
-        def f_re(tau):
-            c = bath_correlation(m, dec, i, jj, 0.0, tau)
-            ph = np.exp(-1j * w * tau - eta * tau)
-            return (ph * c).real
-
-        def f_im(tau):
-            c = bath_correlation(m, dec, i, jj, 0.0, tau)
-            ph = np.exp(-1j * w * tau - eta * tau)
-            return (ph * c).imag
-
-        re, _ = quad(f_re, 0.0, upper, limit=quad_limit, epsabs=1e-11, epsrel=1e-11)
-        im, _ = quad(f_im, 0.0, upper, limit=quad_limit, epsabs=1e-11, epsrel=1e-11)
-        return complex(re, im)
-
-    converged = True
-    for i in range(n_terms):
-        for jj in range(n_terms):
-            for w in freqs:
-                full = halfline(i, jj, w, horizon)
-                half = halfline(i, jj, w, horizon / 2.0)
-                jmap[(i, jj, float(w))] = full
-                d = abs(full - half)
-                defects[(i, jj, float(w))] = d
-                if d > tol:
-                    converged = False
+    for (i, jj, k), val in np.ndenumerate(full):
+        jmap[(i, jj, float(w[k]))] = complex(val)
+        defects[(i, jj, float(w[k]))] = float(abs(val - half[i, jj, k]))
+    converged = all(d <= tol for d in defects.values())
     if strict and not converged:
         worst = max(defects.values())
         raise NonConvergent(f"J integrals not converged in horizon (worst defect {worst:.3e})")
@@ -427,29 +423,20 @@ def evolve_lindblad(
     h0,
     constants: Constants,
     grid: TimeGrid,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
     strict_paper: bool = False,
 ) -> np.ndarray:
-    """Integrate the autonomous Lindblad-form generator over a grid.
+    """Evolve a one-point operator under the autonomous Lindblad-form generator.
 
-    Returns the stack of operator values, shape ``(n_t, d_S, d_S)``.
+    `lindblad_rhs` is linear in the operator, so its matrix ``G`` on
+    row-major vectorised operators is assembled once from the d_S^2 matrix
+    units, and each grid value is ``exp(t G) vec(o0)``.  Returns the stack of
+    operator values, shape ``(n_t, d_S, d_S)``.
     """
     o0 = o0.mat if isinstance(o0, OperatorMatrix) else np.asarray(o0, dtype=complex)
-    shape = o0.shape
-
-    def rhs(t, y):
-        return lindblad_rhs(y.reshape(shape), bd, sc, h0, constants, strict_paper).ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, grid.stop if grid.stop > 0 else 1e-30),
-        o0.astype(complex).ravel(),
-        method="DOP853",
-        t_eval=grid.points,
-        rtol=rtol,
-        atol=atol,
+    d = o0.shape[0]
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    gen = np.stack(
+        [lindblad_rhs(u, bd, sc, h0, constants, strict_paper).ravel() for u in units], axis=1
     )
-    if not sol.success:
-        raise IntegratorFailure(f"Lindblad evolution failed: {sol.message}")
-    return np.ascontiguousarray(sol.y.T.reshape(len(grid), *shape))
+    v0 = o0.astype(complex).ravel()
+    return np.stack([(expm(t * gen) @ v0).reshape(o0.shape) for t in grid.points])

@@ -134,7 +134,7 @@ def make_model(
         raise DimensionError(f"rho_B has shape {rho_b.shape}, expected {(d_b, d_b)}")
 
     for name, mat in (("H0", h0), ("H_B", hb), ("H_I", hi)):
-        if herm_defect(mat) > HERM_TOL:
+        if not herm_defect(mat) <= HERM_TOL:  # a NaN defect fails too
             raise NonHermitianInput(f"{name} is not hermitian (defect {herm_defect(mat):.2e})")
 
     energies, basis = _canonical_bath_eigenbasis(hb.copy(), HERM_TOL)

@@ -1,24 +1,13 @@
-"""Backend equivalence: compiled kernels against the NumPy fallback."""
-
-import os
-import subprocess
-import sys
+"""Block-family layout and products against explicit full-space matrices."""
 
 import numpy as np
-import pytest
 
-from heisenbath import _blockops, _pykernels
-
-try:
-    from heisenbath import _fastkernels
-except ImportError:
-    _fastkernels = None
-
-needs_ext = pytest.mark.skipif(_fastkernels is None, reason="compiled kernels not built")
+from heisenbath import _blockops
 
 
-def random_family(rng, db, ds):
-    return rng.normal(size=(db, db, ds, ds)) + 1j * rng.normal(size=(db, db, ds, ds))
+def random_family(rng, db, ds, lead=()):
+    shape = lead + (db, db, ds, ds)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def test_identity_family_layout():
@@ -29,63 +18,26 @@ def test_identity_family_layout():
             assert np.array_equal(fam[a, b], np.eye(2) if a == b else np.zeros((2, 2)))
 
 
-def test_python_fam_mul_matches_full_space_product():
+def test_fam_mul_matches_full_space_product():
     rng = np.random.default_rng(0)
     f, g = random_family(rng, 3, 2), random_family(rng, 3, 2)
-    out = _pykernels.fam_mul(f, g)
+    out = _blockops.fam_mul(f, g)
     full_f = f.transpose(2, 0, 3, 1).reshape(6, 6)
     full_g = g.transpose(2, 0, 3, 1).reshape(6, 6)
     expected = (full_f @ full_g).reshape(2, 3, 2, 3).transpose(1, 3, 0, 2)
     assert np.allclose(out, expected)
 
 
-@needs_ext
-@pytest.mark.parametrize("db,ds", [(1, 1), (1, 3), (2, 2), (3, 2), (4, 3), (8, 2)])
-def test_fam_mul_equivalence(db, ds):
-    rng = np.random.default_rng(db * 10 + ds)
-    f, g = random_family(rng, db, ds), random_family(rng, db, ds)
-    assert np.allclose(_fastkernels.fam_mul(f, g), _pykernels.fam_mul(f, g), atol=1e-13)
-
-
-@needs_ext
-@pytest.mark.parametrize("db,ds", [(2, 2), (3, 2), (4, 4)])
-def test_fam_commutator_equivalence(db, ds):
-    rng = np.random.default_rng(db * 7 + ds)
-    h, o = random_family(rng, db, ds), random_family(rng, db, ds)
-    scale = 0.3 - 1.7j
-    assert np.allclose(
-        _fastkernels.fam_commutator(h, o, scale),
-        _pykernels.fam_commutator(h, o, scale),
-        atol=1e-13,
-    )
-
-
-@needs_ext
-@pytest.mark.parametrize("orders", [1, 2, 4])
-def test_kernel_stack_rhs_equivalence(orders):
-    rng = np.random.default_rng(orders)
-    db, ds = 3, 2
-    hi = random_family(rng, db, ds)
-    omega = rng.normal(size=(db, db, ds, ds))
-    stack = np.stack([random_family(rng, db, ds) for _ in range(orders)])
-    a = _fastkernels.kernel_stack_rhs(hi, omega, 0.83, stack)
-    b = _pykernels.kernel_stack_rhs(hi, omega, 0.83, stack)
-    assert np.allclose(a, b, atol=1e-13)
-
-
-def test_env_var_forces_python_backend():
-    env = dict(os.environ, HEISENBATH_NO_EXT="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import heisenbath; print(heisenbath.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.stdout.strip() == "python"
-
-
-@needs_ext
-def test_default_backend_is_compiled():
-    if os.environ.get("HEISENBATH_NO_EXT"):
-        pytest.skip("fallback forced via HEISENBATH_NO_EXT")
-    assert _blockops.BACKEND == "cython"
+def test_layout_entries_and_leading_axes():
+    """``full[i * d_B + a, j * d_B + b] = fam[a, b][i, j]``, stacked or not."""
+    rng = np.random.default_rng(1)
+    ds, db = 2, 3
+    stack = random_family(rng, db, ds, lead=(4, 2))
+    full = _blockops.fam_to_full(stack)
+    assert full.shape == (4, 2, 6, 6)
+    for a in range(db):
+        for b in range(db):
+            for i in range(ds):
+                for j in range(ds):
+                    assert np.array_equal(full[..., i * db + a, j * db + b], stack[..., a, b, i, j])
+    assert np.array_equal(_blockops.full_to_fam(full, ds, db), stack)

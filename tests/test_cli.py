@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from heisenbath import cli
-from heisenbath.errors import IntegratorFailure, ParseError, ValidationError
+from heisenbath.errors import NonConvergent, ParseError, ValidationError
 
 
 def write_config(tmp_path, name="exp.yaml", **overrides):
@@ -25,6 +25,15 @@ def write_config(tmp_path, name="exp.yaml", **overrides):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+INLINE_QUBIT_PAIR = {
+    "h0": [[0, 0], [0, 1]],
+    "hb": [[0, 0], [0, 1]],
+    "hi": [[0] * 4 for _ in range(4)],
+    "rho0": [[0.5, 0], [0, 0.5]],
+    "rho_b": [[1, 0], [0, 0]],
+}
 
 
 def read_rows(path):
@@ -197,6 +206,22 @@ class TestRunModes:
         rows = read_rows(out)
         assert rows and all(r["status"] == "pass" for r in rows)
 
+    def test_validate_table_independent_of_thread_count(self, tmp_path, monkeypatch):
+        tables = []
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("HEISENBATH_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("HEISENBATH_THREADS", threads)
+            out = tmp_path / f"val_{threads}.csv"
+            path = write_config(
+                tmp_path, run="validate", validate={"seed": 42, "d_s": 2, "d_b": 3},
+                output={"path": str(out), "format": "csv"},
+            )
+            assert cli.main(["validate", str(path)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_output_directory_created(self, tmp_path):
         out = tmp_path / "nested" / "deep" / "out.csv"
         path = write_config(tmp_path, output={"path": str(out), "format": "csv"})
@@ -215,7 +240,7 @@ class TestExitCodes:
 
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path)
-        monkeypatch.setattr(cli, "run_experiment", lambda cfg: (_ for _ in ()).throw(IntegratorFailure("boom")))
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: (_ for _ in ()).throw(NonConvergent("boom")))
         assert cli.main(["run", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -236,6 +261,29 @@ class TestExitCodes:
         assert cli.main(["run", str(path), "--order", "1", "--lambda", "0.05",
                          "--output", str(out), "--format", "json"]) == 0
         assert out.exists()
+
+    def test_order_override_beyond_kernel_cap_is_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert cli.main(["run", str(path), "--order", "9"]) == 2
+        assert "truncation.order" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"truncation": {"order": "two", "lambda": 0.1}}, "truncation.order"),
+            ({"grid": {"stop": float("inf"), "num": 5}}, "grid.stop"),
+            ({"truncation": {"order": 2, "lambda": float("nan")}}, "truncation.lambda"),
+            ({"model": dict(INLINE_QUBIT_PAIR, hbar=-1)}, "hbar"),
+            ({"model": dict(INLINE_QUBIT_PAIR, hb=[[0, 0], [0, float("nan")]])}, "model.hb[1][1]"),
+        ],
+        ids=["order_word", "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan"],
+    )
+    def test_bad_scalar_is_2(self, tmp_path, capsys, overrides, field):
+        path = write_config(tmp_path, **overrides)
+        assert cli.main(["run", str(path)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_preset_list(self, capsys):
         assert cli.main(["preset", "list"]) == 0

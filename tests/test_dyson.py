@@ -83,17 +83,18 @@ class TestKernels:
 
     @pytest.mark.parametrize("seed", [2, 8])
     def test_second_order_against_nested_quadrature(self, seed):
-        """The ODE recurrence against a midpoint double integral, refined by
-        Richardson extrapolation until the O(dt^2) error is gone."""
+        """Kernels against a midpoint double integral, refined by Richardson
+        extrapolation until the O(dt^2) error is gone; ``t`` is the last
+        point of a uniform grid and an off-grid time of a non-uniform one."""
         m = _random_spec(seed)
         t = 0.8
-        ks = compute_kernels(m, 2, TimeGrid.linspace(t, 5))
+        grids = (TimeGrid.linspace(t, 5), TimeGrid(np.array([0.0, 0.05, 0.3, 0.65, 0.9, 1.4])))
         from heisenbath._blockops import fam_mul
 
         def midpoint_kernels(steps):
             dt = t / steps
             mids = (np.arange(steps) + 0.5) * dt
-            k1 = np.zeros_like(ks.tilde_at(1, t).blocks)
+            k1 = np.zeros((2, 2, 2, 2), dtype=complex)
             k2 = np.zeros_like(k1)
             running = np.zeros_like(k1)
             for s in mids:
@@ -107,8 +108,10 @@ class TestKernels:
         fine = midpoint_kernels(600)
         k1 = (4 * fine[0] - coarse[0]) / 3
         k2 = (4 * fine[1] - coarse[1]) / 3
-        assert np.max(np.abs(ks.tilde_at(1, t).blocks - k1)) < 1e-7
-        assert np.max(np.abs(ks.tilde_at(2, t).blocks - k2)) < 1e-7
+        for grid in grids:
+            ks = compute_kernels(m, 2, grid)
+            assert np.max(np.abs(ks.tilde_at(1, t).blocks - k1)) < 1e-7
+            assert np.max(np.abs(ks.tilde_at(2, t).blocks - k2)) < 1e-7
 
     def test_heis_tilde_phase_conversion_invertible(self):
         m = _random_spec(3)

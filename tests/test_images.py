@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import heisenbath as hb
+from heisenbath._blockops import fam_mul
 from heisenbath.errors import DimensionError
 from heisenbath.images import (
     ImageFamily,
@@ -17,7 +18,7 @@ from heisenbath.images import (
     to_image_family,
 )
 from heisenbath.model import make_model
-from heisenbath.oracle import heisenberg_evolve_exact
+from heisenbath.oracle import heisenberg_evolve_exact, total_hamiltonian
 from heisenbath.spaces import (
     DensityMatrix,
     TimeGrid,
@@ -151,6 +152,27 @@ class TestEvolveImagesExact:
         traj = evolve_images_exact(m, o, TimeGrid.linspace(2.0, 5))
         for fam in traj:
             assert np.max(np.abs(fam.blocks - initial_family(o, 3).blocks)) < 1e-10
+
+    def test_families_solve_the_block_heisenberg_equation(self):
+        """dO_ab/dt = (i/hbar) sum_g (H_ag O_gb - O_ag H_gb), by central difference."""
+        rng = np.random.default_rng(11)
+        m = make_model(
+            random_hermitian(rng, 2),
+            random_hermitian(rng, 3),
+            random_hermitian(rng, 6),
+            np.eye(2) / 2,
+            random_density(rng, 3),
+            lam=0.7,
+            hbar=1.3,
+        )
+        o = system_operator(random_hermitian(rng, 2), (2, 3))
+        h = to_image_family(total_hamiltonian(m)).blocks
+        t, dt = 0.9, 1e-4
+        lo, mid, hi = evolve_images_exact(m, o, TimeGrid(np.array([0.0, t - dt, t, t + dt])))[1:]
+        deriv = (hi.blocks - lo.blocks) / (2 * dt)
+        rhs = (1j / m.constants.hbar) * (fam_mul(h, mid.blocks) - fam_mul(mid.blocks, h))
+        assert np.max(np.abs(rhs)) > 0.1
+        assert np.max(np.abs(deriv - rhs)) < 1e-7
 
     def test_two_qubit_reproduces_exact_law(self):
         c, lam = 0.25, 0.5

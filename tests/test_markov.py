@@ -23,7 +23,7 @@ from heisenbath.markov import (
 from heisenbath.model import make_model
 from heisenbath.spaces import Constants, TimeGrid, full_operator
 from heisenbath.superop import SeriesTruncation, one_point_operator, one_point_rhs
-from helpers import random_hermitian
+from helpers import random_density, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -111,6 +111,35 @@ class TestMarkovAssumptions:
         rep = check_markov_assumptions(p.model, dec, 6.0, decay_threshold=0.025)
         assert rep.passes == {"first_moment": True, "stationarity": True, "decay": True}
         assert 3.0 < rep.decay_time < 5.0
+
+    def test_report_matches_pointwise_correlators(self):
+        """First moments, stationarity defect and decay profile against
+        `first_moment` and `bath_correlation` evaluated one time at a time."""
+        rng = np.random.default_rng(15)
+        m = make_model(
+            random_hermitian(rng, 2),
+            random_hermitian(rng, 3),
+            random_hermitian(rng, 6),
+            np.eye(2) / 2,
+            random_density(rng, 3),
+        )
+        dec = decompose_interaction(m.hi)
+        horizon, n = 3.0, len(dec.terms)
+        rep = check_markov_assumptions(m, dec, horizon, decay_threshold=0.1, n_tau=61)
+        ts, taus = np.linspace(0.0, horizon, 7), np.linspace(0.0, horizon, 41)
+        fm = [max(abs(first_moment(m, dec, i, t)) for t in ts) for i in range(n)]
+        stat = max(
+            abs(bath_correlation(m, dec, i, j, t, tau) - bath_correlation(m, dec, i, j, 0.0, tau))
+            for i in range(n) for j in range(n) for t in ts[1:] for tau in taus
+        )
+        profile = [
+            max(abs(bath_correlation(m, dec, i, j, 0.0, tau)) for i in range(n) for j in range(n))
+            for tau in rep.tau
+        ]
+        assert min(fm) > 1e-3 and stat > 1e-3
+        assert np.allclose(rep.first_moment_by_term, fm, rtol=0, atol=1e-13)
+        assert rep.stationarity_defect == pytest.approx(stat, abs=1e-13)
+        assert np.allclose(rep.corr_profile, profile, rtol=0, atol=1e-13)
 
     def test_first_moment_derivative_theorem(self):
         """Vanishing first moment forces its time derivative to vanish too."""
@@ -220,6 +249,39 @@ class TestSpectralCoefficients:
             analytic = c0 * eta / (eta**2 + (w - omega_b) ** 2)
             assert abs(sc.j[(0, 0, w)].real - analytic) < 1e-5
 
+    @pytest.mark.parametrize("eta,pick", [(0.3, "random"), (0.0, "bath_gap")])
+    def test_closed_form_matches_quadrature(self, eta, pick):
+        """Against adaptive quadrature of the sampled correlator; a frequency
+        equal to a bath gap makes some exponents exactly zero."""
+        from scipy.integrate import quad
+
+        rng = np.random.default_rng(12)
+        m = make_model(
+            random_hermitian(rng, 2),
+            np.diag([0.0, 0.7, 1.9]),
+            random_hermitian(rng, 6),
+            np.eye(2) / 2,
+            np.diag([0.5, 0.3, 0.2]),
+        )
+        dec = decompose_interaction(m.hi)
+        gap = float(m.bath_energies[2] - m.bath_energies[0])
+        freqs = [0.4, -1.1] if pick == "random" else [gap, 0.0]
+        horizon = 3.0
+        sc = spectral_coefficients(m, dec, freqs, horizon=horizon, eta=eta)
+        for i in range(len(dec.terms)):
+            for j in range(len(dec.terms)):
+                for w in freqs:
+
+                    def f(tau, part):
+                        c = bath_correlation(m, dec, i, j, 0.0, tau)
+                        return part(np.exp(-1j * w * tau - eta * tau) * c)
+
+                    ref = complex(
+                        quad(f, 0.0, horizon, args=(np.real,), epsabs=1e-13, epsrel=1e-13)[0],
+                        quad(f, 0.0, horizon, args=(np.imag,), epsabs=1e-13, epsrel=1e-13)[0],
+                    )
+                    assert abs(sc.j[(i, j, w)] - ref) < 1e-10
+
     def test_strict_mode_raises_on_nonconvergence(self):
         m = hb.two_qubit(0.25).model  # constant correlator never converges
         dec = decompose_interaction(m.hi)
@@ -295,6 +357,41 @@ class TestEvolveLindblad:
         traj = evolve_lindblad(SX, bd, sc, 0.5 * 1.3 * SZ, Constants(1.0, lam), grid)
         for t, val in zip(grid.points, traj):
             assert abs(val[0, 1]) == pytest.approx(np.exp(-gamma * t), abs=1e-9)
+
+
+    def test_matches_adaptive_integration_of_the_rhs(self):
+        """The exact exponential against DOP853 on `lindblad_rhs`, for a
+        random two-term coupling."""
+        from scipy.integrate import solve_ivp
+
+        rng = np.random.default_rng(13)
+        hi = sum(np.kron(random_hermitian(rng, 2), random_hermitian(rng, 3)) for _ in range(2))
+        m = make_model(
+            random_hermitian(rng, 2),
+            np.diag([0.0, 0.6, 1.7]),
+            hi,
+            np.eye(2) / 2,
+            np.diag([0.5, 0.3, 0.2]),
+            lam=0.2,
+        )
+        dec = decompose_interaction(m.hi)
+        bd = bohr_decompose_all(dec, m.h0.mat, m.constants.hbar)
+        sc = spectral_coefficients(m, dec, bd.frequencies, horizon=4.0, eta=0.5)
+        o0 = random_hermitian(rng, 2)
+        grid = TimeGrid.linspace(4.0, 9)
+        traj = evolve_lindblad(o0, bd, sc, m.h0.mat, m.constants, grid)
+        sol = solve_ivp(
+            lambda t, y: lindblad_rhs(y.reshape(2, 2), bd, sc, m.h0.mat, m.constants).ravel(),
+            (0.0, grid.stop),
+            o0.astype(complex).ravel(),
+            method="DOP853",
+            t_eval=grid.points,
+            rtol=1e-12,
+            atol=1e-12,
+        )
+        ref = sol.y.T.reshape(len(grid), 2, 2)
+        assert np.max(np.abs(traj - o0)) > 0.1
+        assert np.max(np.abs(traj - ref)) < 1e-9
 
 
 class TestGeneratorAgreement:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import heisenbath as hb
-from heisenbath.errors import DimensionError, IndexOutOfRange
+from heisenbath.errors import DimensionError, IndexOutOfRange, NonHermitianInput
 from heisenbath.images import ProjectionMap
 from heisenbath.model import make_model
 from heisenbath.oracle import (
@@ -209,6 +209,11 @@ class TestExpectation:
 
 
 class TestBasisNormalization:
+    def test_non_finite_hamiltonian_rejected(self):
+        hb_nan = np.diag([0.0, np.nan])
+        with pytest.raises(NonHermitianInput):
+            make_model(np.eye(2), hb_nan, np.zeros((4, 4)), np.eye(2) / 2, np.eye(2) / 2)
+
     def test_non_diagonal_bath_hamiltonian_is_rotated(self):
         """Physics is invariant under the loader's rotation to the H_B eigenbasis."""
         rng = np.random.default_rng(16)
