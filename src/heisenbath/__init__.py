@@ -78,6 +78,7 @@ from .markov import (
     check_markov_assumptions,
     decompose_interaction,
     evolve_lindblad,
+    lindblad_generator,
     lindblad_rhs,
     spectral_coefficients,
 )

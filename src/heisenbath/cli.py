@@ -87,6 +87,21 @@ def parse_number(value, path: str, kind=float):
     raise ParseError(f"{path}: expected {want}, got {value!r}")
 
 
+def _mapping(value, path: str) -> dict:
+    """A config section that must be a mapping; absent or null reads as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: expected a mapping, got {value!r}")
+    return value
+
+
+def _sequence(value, path: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{path}: expected a list, got {value!r}")
+    return list(value)
+
+
 def _parse_entry(value, path: str) -> complex:
     parts = [value, 0] if isinstance(value, (int, float)) else value
     if isinstance(parts, (list, tuple)) and len(parts) == 2 and all(
@@ -163,15 +178,18 @@ def load_config(path: str) -> ExperimentConfig:
 
     model, preset_obs = _build_model(raw.get("model", {}), "model")
 
-    tr_raw = raw.get("truncation", {}) or {}
+    tr_raw = _mapping(raw.get("truncation"), "truncation")
     order = parse_number(tr_raw.get("order", 2), "truncation.order", int)
     lam = parse_number(tr_raw.get("lambda", model.constants.lam or 0.1), "truncation.lambda")
     truncation = SeriesTruncation(order, lam)
 
-    grid_raw = raw.get("grid", {}) or {}
+    grid_raw = _mapping(raw.get("grid"), "grid")
     if "points" in grid_raw:
         try:
-            points = [parse_number(t, f"grid.points[{k}]") for k, t in enumerate(grid_raw["points"])]
+            points = [
+                parse_number(t, f"grid.points[{k}]")
+                for k, t in enumerate(_sequence(grid_raw["points"], "grid.points"))
+            ]
             grid = TimeGrid(np.asarray(points, dtype=float))
         except ValueError as exc:
             _fail("grid.points", str(exc))
@@ -183,11 +201,9 @@ def load_config(path: str) -> ExperimentConfig:
         grid = TimeGrid.linspace(stop, num)
 
     observables = {}
-    obs_raw = raw.get("observables", {}) or {}
-    if not isinstance(obs_raw, dict):
-        _fail("observables", "expected mapping of name -> spec")
+    obs_raw = _mapping(raw.get("observables"), "observables")
     for name, spec in obs_raw.items():
-        spec = spec or {}
+        spec = _mapping(spec, f"observables.{name}")
         if "matrix" in spec:
             mat = parse_matrix(spec["matrix"], f"observables.{name}.matrix")
         elif name in preset_obs:
@@ -198,7 +214,10 @@ def load_config(path: str) -> ExperimentConfig:
             _fail(f"observables.{name}", f"matrix shape {mat.shape} does not match d_S={model.dim_system}")
         times = spec.get("times")
         if times is not None:
-            times = [parse_number(t, f"observables.{name}.times[{k}]") for k, t in enumerate(times)]
+            times = [
+                parse_number(t, f"observables.{name}.times[{k}]")
+                for k, t in enumerate(_sequence(times, f"observables.{name}.times"))
+            ]
             beyond = [t for t in times if t < 0 or t > grid.stop]
             if beyond:
                 _fail(f"observables.{name}.times", f"outside the grid [0, {grid.stop}]: {beyond}")
@@ -206,7 +225,7 @@ def load_config(path: str) -> ExperimentConfig:
     if not observables and run in ("one_point", "n_point", "image_exact", "lindblad"):
         _fail("observables", "at least one observable is required for this run mode")
 
-    out_raw = raw.get("output", {}) or {}
+    out_raw = _mapping(raw.get("output"), "output")
     output_path = str(out_raw.get("path", "results.csv"))
     output_format = str(out_raw.get("format", "csv"))
     if output_format not in ("csv", "json"):
@@ -214,10 +233,11 @@ def load_config(path: str) -> ExperimentConfig:
 
     npoint_factors = []
     if run == "n_point":
-        factors = (raw.get("npoint") or {}).get("factors")
+        factors = _mapping(raw.get("npoint"), "npoint").get("factors")
         if not factors:
             _fail("npoint.factors", "n_point runs need a list of {observable, time} entries")
-        for k, f in enumerate(factors):
+        for k, f in enumerate(_sequence(factors, "npoint.factors")):
+            f = _mapping(f, f"npoint.factors[{k}]")
             name = f.get("observable")
             if name not in observables:
                 _fail(f"npoint.factors[{k}].observable", f"unknown observable {name!r}")
@@ -232,8 +252,8 @@ def load_config(path: str) -> ExperimentConfig:
         output_path=output_path,
         output_format=output_format,
         npoint_factors=npoint_factors,
-        markov=raw.get("markov", {}) or {},
-        validate=raw.get("validate", {}) or {},
+        markov=_mapping(raw.get("markov"), "markov"),
+        validate=_mapping(raw.get("validate"), "validate"),
         kernel_cap=parse_number(raw.get("kernel_cap", 6), "kernel_cap", int),
     )
     _check_kernel_cap(cfg)

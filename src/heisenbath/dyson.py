@@ -13,10 +13,13 @@ obeys the autonomous chain ``dE[n]/dt = iF E[n] + H_I E[n-1]``.  Its
 solution is the first block row ``R(t) = (E[0], ..., E[n_max])`` of
 ``exp(tM)``, where ``M`` is block-bidiagonal with ``iF`` on the diagonal
 and ``H_I`` above it (Van Loan, IEEE TAC 23 (1978) 395).  ``M`` is
-defective, so ``expm`` computes it, once per distinct grid step; the row is
-propagated as ``R(t + dt) = R(t) exp(dt M)`` and an off-grid time is
-reached exactly from the grid point at or below it.  Nested quadrature
-survives only as a test oracle.
+defective, so ``expm`` computes it; the row is propagated as
+``R(t + dt) = R(t) exp(dt M)`` and an off-grid time is reached exactly from
+the grid point at or below it.  A grid's steps share one ``S = exp(hM)`` at
+a median step ``h``: steps that differ from ``h`` only by rounding
+(``linspace``) use ``S + (dt - h) S M``, whose neglected term
+``O(((dt - h)|M|)^2)`` lies below double precision; any other step gets
+its own ``expm``.  Nested quadrature survives only as a test oracle.
 
 All of this happens in the H0 eigenbasis, where ``F`` is diagonal; results
 are rotated back on access.
@@ -70,8 +73,25 @@ def interaction_hamiltonian_images(m: ModelSpec, t: float) -> ImageFamily:
     hi_fam = to_image_family(m.hi).blocks
     delta = (m.bath_energies[:, None] - m.bath_energies[None, :]) / hbar
     phases = np.exp(-1j * delta * t)
-    blocks = np.einsum("ip,abpq,qj->abij", u, hi_fam, u.conj().T) * phases[:, :, None, None]
+    blocks = (u @ hi_fam @ u.conj().T) * phases[:, :, None, None]
     return ImageFamily(blocks, t)
+
+
+def _step_exponentials(gen: np.ndarray, steps: np.ndarray) -> list[np.ndarray]:
+    """``exp(dt * gen)`` for each step, sharing one ``expm`` among near-equal steps."""
+    if steps.size == 0:
+        return []
+    h = float(np.sort(steps)[steps.size // 2])
+    base = expm(h * gen)
+    near = np.abs(steps - h) * np.linalg.norm(gen, 1) <= np.sqrt(np.finfo(float).eps)
+    slope = base @ gen if np.any(near & (steps != h)) else None
+    cache: dict[float, np.ndarray] = {h: base}
+    out = []
+    for dt, first_order in zip(steps.tolist(), near.tolist()):
+        if dt not in cache:
+            cache[dt] = base + (dt - h) * slope if first_order else expm(dt * gen)
+        out.append(cache[dt])
+    return out
 
 
 class KernelSet:
@@ -99,21 +119,17 @@ class KernelSet:
         gen = np.kron(np.eye(n_max + 1), np.diag(1j * self._free))
         gen[:-d, d:] += np.kron(np.eye(n_max), self._v.conj().T @ m.hi.mat @ self._v)
         self._gen = gen
-        steps: dict[float, np.ndarray] = {}  # linspace grids have only a few distinct steps
-        row = np.eye(d, (n_max + 1) * d, dtype=complex)
-        rows = [row]
-        for dt in np.diff(grid.points).tolist():
-            if dt not in steps:
-                steps[dt] = expm(dt * gen)
-            row = row @ steps[dt]
-            rows.append(row)
-        self._rows = np.stack(rows)  # (n_t, d, (n_max + 1) d): R(t) at the grid points
+        # R(t) at the grid points, shape (n_t, d, (n_max + 1) d)
+        self._rows = np.empty((len(grid), d, (n_max + 1) * d), dtype=complex)
+        self._rows[0] = np.eye(d, (n_max + 1) * d)
+        for k, step in enumerate(_step_exponentials(gen, np.diff(grid.points)), start=1):
+            np.matmul(self._rows[k - 1], step, out=self._rows[k])
         self._cache: dict[tuple[str, float], np.ndarray] = {}
 
     # -- raw stacks ---------------------------------------------------------
 
     def _row(self, t: float) -> np.ndarray:
-        """``R(t)``: stored at grid points, one exact step away elsewhere."""
+        """``R(t)``: stored at grid points, one exact (cached) step away elsewhere."""
         pts = self.grid.points
         hits = np.flatnonzero(pts == t)
         if hits.size:
@@ -122,8 +138,29 @@ class KernelSet:
             raise OrderExceedsKernels(
                 f"kernels were computed on [0, {self.grid.stop!r}] but t={t!r} was requested"
             )
-        k = max(int(np.searchsorted(pts, t, side="right")) - 1, 0)
-        return self._rows[k] @ expm((t - pts[k]) * self._gen)
+        key = ("row", float(t))
+        hit = self._cache.get(key)
+        if hit is None:
+            k = max(int(np.searchsorted(pts, t, side="right")) - 1, 0)
+            hit = self._remember(key, self._rows[k] @ expm((t - pts[k]) * self._gen))
+        return hit
+
+    def _remember(self, key: tuple[str, float], value: np.ndarray) -> np.ndarray:
+        if len(self._cache) > 256:
+            self._cache.clear()
+        self._cache[key] = value
+        return value
+
+    def eigen_rows(self, times: np.ndarray) -> np.ndarray:
+        """``R(t) = (E[0], ..., E[n_max])`` at each time, shape ``(n_t, D, (n_max + 1) D)``.
+
+        Full-space blocks in the free eigenbasis, ``V = v0 (x) 1_B``, where
+        ``K[n](t) = V E[n](t) exp(-iFt) V^dag``.  The grid itself is served
+        without a copy.
+        """
+        if np.array_equal(times, self.grid.points):
+            return self._rows
+        return np.stack([self._row(float(t)) for t in times])
 
     def _stack(self, kind: str, t: float) -> np.ndarray:
         """Orders 0..n_max in the original basis; kind 'tilde' or 'heis'."""
@@ -140,10 +177,7 @@ class KernelSet:
         out = np.concatenate(
             [_blockops.identity_family(self.dim_system, self.dim_bath)[None], rotated]
         )
-        if len(self._cache) > 256:
-            self._cache.clear()
-        self._cache[key] = out
-        return out
+        return self._remember(key, out)
 
     def tilde_stack(self, t: float) -> np.ndarray:
         return self._stack("tilde", t)
@@ -167,8 +201,7 @@ class KernelSet:
         phase = 1j * self._delta_b[:, :, None, None]
         for n in range(1, self.orders + 1):
             out[n] = phase * heis[n] + _blockops.fam_mul(self._hi_fam, heis[n - 1])
-        self._cache[key] = out
-        return out
+        return self._remember(key, out)
 
     # -- per-order access ---------------------------------------------------
 

@@ -393,10 +393,11 @@ def lindblad_rhs(
     must be linear; for hermitian ``O`` this equals the literal adjoint).
     The default first term is the commutator: the bare product breaks
     identity fixity, and ``strict_paper=True`` restores it for comparison.
+    Leading axes of ``o_s`` are a stack of operators, each mapped alone.
     """
     o = o_s.mat if isinstance(o_s, OperatorMatrix) else np.asarray(o_s, dtype=complex)
     h0 = h0.mat if isinstance(h0, OperatorMatrix) else np.asarray(h0, dtype=complex)
-    if o.shape != h0.shape:
+    if o.shape[-2:] != h0.shape:
         raise DimensionError(f"operator shape {o.shape} vs H0 shape {h0.shape}")
     hbar, lam = constants.hbar, constants.lam
     if strict_paper:
@@ -416,6 +417,24 @@ def lindblad_rhs(
     return out
 
 
+def lindblad_generator(
+    bd: BohrDecomposition,
+    sc: SpectralCoefficients,
+    h0,
+    constants: Constants,
+    strict_paper: bool = False,
+) -> np.ndarray:
+    """Matrix ``G`` of the (linear) `lindblad_rhs` on row-major vectorised operators.
+
+    Column k is the RHS of the k-th matrix unit; all d_S^2 units go through
+    one stacked `lindblad_rhs` call.
+    """
+    h0 = h0.mat if isinstance(h0, OperatorMatrix) else np.asarray(h0, dtype=complex)
+    d = h0.shape[0]
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return lindblad_rhs(units, bd, sc, h0, constants, strict_paper).reshape(d * d, d * d).T
+
+
 def evolve_lindblad(
     o0,
     bd: BohrDecomposition,
@@ -428,15 +447,13 @@ def evolve_lindblad(
     """Evolve a one-point operator under the autonomous Lindblad-form generator.
 
     `lindblad_rhs` is linear in the operator, so its matrix ``G`` on
-    row-major vectorised operators is assembled once from the d_S^2 matrix
-    units, and each grid value is ``exp(t G) vec(o0)``.  Returns the stack of
+    row-major vectorised operators (`lindblad_generator`) is assembled once,
+    and each grid value is ``exp(t G) vec(o0)``.  Returns the stack of
     operator values, shape ``(n_t, d_S, d_S)``.
     """
     o0 = o0.mat if isinstance(o0, OperatorMatrix) else np.asarray(o0, dtype=complex)
-    d = o0.shape[0]
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    gen = np.stack(
-        [lindblad_rhs(u, bd, sc, h0, constants, strict_paper).ravel() for u in units], axis=1
-    )
+    gen = lindblad_generator(bd, sc, h0, constants, strict_paper)
+    if o0.ndim != 2 or o0.size != gen.shape[0]:
+        raise DimensionError(f"operator shape {o0.shape} does not match the {gen.shape[0]}-dim generator")
     v0 = o0.astype(complex).ravel()
     return np.stack([(expm(t * gen) @ v0).reshape(o0.shape) for t in grid.points])

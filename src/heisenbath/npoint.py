@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _blockops
 from .dyson import KernelSet, compute_kernels
 from .errors import OrderExceedsKernels
 from .images import ImageFamily
@@ -26,9 +27,11 @@ from .spaces import DensityMatrix, OperatorMatrix, Space, SpaceTag, TimeGrid, sy
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
+    chain_contract,
+    image_from_value,
     one_point_value,
-    star_of_observables,
     trajectory_value,
+    trivial_factor,
 )
 
 
@@ -115,12 +118,17 @@ def assemble_partition_term(
         )
     value = o_s_value.mat if isinstance(o_s_value, OperatorMatrix) else np.asarray(o_s_value, complex)
     kstack = ks.heis_stack(t)
-    rho = rho_b.mat
+    ds, db = ks.dim_system, ks.dim_bath
+
+    def word(n_i: int, m_i: int, core: np.ndarray) -> np.ndarray:
+        # full-space K[n_i] (core (x) 1_B) K[m_i]^dag, one GEMM
+        left = _blockops.system_lift(kstack[n_i : n_i + 1], core)
+        return _blockops.sandwich_sum(left, kstack[m_i : m_i + 1])
+
     core = value
     for n_i, m_i in p.pairs[:0:-1]:
-        core = np.einsum("agij,jk,bgmk,ba->im", kstack[n_i], core, kstack[m_i].conj(), rho)
-    n_1, m_1 = p.pairs[0]
-    blocks = np.einsum("agij,jk,bgmk->abim", kstack[n_1], core, kstack[m_1].conj())
+        core = _blockops.bath_trace(word(n_i, m_i, core), rho_b.mat, ds, db)
+    blocks = _blockops.full_to_fam(word(*p.pairs[0], core), ds, db)
     n_sum = sum(n for n, _ in p.pairs)
     m_sum = sum(m for _, m in p.pairs)
     hbar = ks.frame.constants.hbar
@@ -166,6 +174,13 @@ def _sys_tag(ks: KernelSet) -> SpaceTag:
     return SpaceTag(Space.SYSTEM, ks.dim_system, ks.dim_bath)
 
 
+def _lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix):
+    """One-point values and image families of ``(observable, time)`` legs, each computed once."""
+    values = [one_point_value(o, trunc, ks, rho_b, float(t)) for o, t in legs]
+    lifted = [image_from_value(v, trunc, ks, rho_b, float(t)) for v, (_, t) in zip(values, legs)]
+    return values, lifted
+
+
 def irreducible_2pt(
     m: ModelSpec,
     o1,
@@ -177,9 +192,9 @@ def irreducible_2pt(
 ) -> OperatorMatrix:
     """Second-order cumulant ``(O1(t1) O2(t2))_S - O1S(t1) O2S(t2)``."""
     ks = _ensure_kernels(m, trunc, (t1, t2), ks)
-    star = star_of_observables([(o1, t1), (o2, t2)], trunc, ks, m.rho_b)
-    prod = one_point_value(o1, trunc, ks, m.rho_b, t1) @ one_point_value(o2, trunc, ks, m.rho_b, t2)
-    return system_operator(star - prod, _sys_tag(ks))
+    values, lifted = _lift_legs(((o1, t1), (o2, t2)), trunc, ks, m.rho_b)
+    star = chain_contract(lifted, m.rho_b)
+    return system_operator(star - values[0] @ values[1], _sys_tag(ks))
 
 
 @dataclass(frozen=True)
@@ -225,15 +240,16 @@ def decompose_3pt(
     ks = _ensure_kernels(m, trunc, (t1, t2, t3), ks)
     rho_b = m.rho_b
     tag = _sys_tag(ks)
-    v1 = one_point_value(o1, trunc, ks, rho_b, t1)
-    v2 = one_point_value(o2, trunc, ks, rho_b, t2)
-    v3 = one_point_value(o3, trunc, ks, rho_b, t3)
-    disc = v1 @ v2 @ v3
+    # each factor is lifted once, as its image family and as its trivial family
+    legs = ((o1, t1), (o2, t2), (o3, t3))
+    values, lifted = _lift_legs(legs, trunc, ks, rho_b)
+    trivial = [trivial_factor(v, ks, float(t)) for v, (_, t) in zip(values, legs)]
+    disc = values[0] @ values[1] @ values[2]
 
-    star_all = star_of_observables([(o1, t1), (o2, t2), (o3, t3)], trunc, ks, rho_b)
-    star_12 = star_of_observables([(o1, t1), (o2, t2), (o3, t3, True)], trunc, ks, rho_b)
-    star_31 = star_of_observables([(o1, t1), (o2, t2, True), (o3, t3)], trunc, ks, rho_b)
-    star_23 = star_of_observables([(o1, t1, True), (o2, t2), (o3, t3)], trunc, ks, rho_b)
+    star_all = chain_contract(lifted, rho_b)
+    star_12 = chain_contract([lifted[0], lifted[1], trivial[2]], rho_b)
+    star_31 = chain_contract([lifted[0], trivial[1], lifted[2]], rho_b)
+    star_23 = chain_contract([trivial[0], lifted[1], lifted[2]], rho_b)
 
     w12 = star_12 - disc
     w31 = star_31 - disc

@@ -16,6 +16,21 @@ the discrepancy stays visible instead of silently resolved.
 Contractions with the bath state use ``rho_B[b, a]`` throughout, matching
 the reduced-operator definition; star products close the index chain with
 ``rho_B[a_{N+1}, a_1]``.
+
+Every sandwich is evaluated in full space, where the family blocks are the
+entries of ``D x D`` matrices (``D = d_S d_B``, layout of `_blockops`):
+
+    P[n] A = sum_r i^(n-2r) full(K[n-r]) (A (x) 1_B) full(K[r])^dag ,
+
+one right-multiplication of the kernel stack by ``A`` and one
+``(D, (n+1)D) @ ((n+1)D, D)`` GEMM.  With ``alpha_p = (i lam/hbar)^p`` and
+real ``lam``, ``(lam/hbar)^n i^(n-2r) = alpha_(n-r) conj(alpha_r)``, so the
+whole total-order one-point sum folds into
+
+    sum_n (lam/hbar)^n P[n] B = sum_p alpha_p K[p] (B (x) 1_B) C[N-p]^dag ,
+    C[m] = sum_(q<=m) alpha_q K[q] ,
+
+one GEMM per order stacked over a whole grid (`_one_point_values`).
 """
 
 from __future__ import annotations
@@ -24,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blockops
 from .dyson import KernelSet
 from .errors import DimensionError, OrderExceedsKernels
 from .images import ImageFamily
@@ -77,30 +93,27 @@ def _padded_powers(n: int) -> np.ndarray:
     return np.array([1j ** (n - 2 * r) for r in range(n + 1)])
 
 
+def _per_order(c: np.ndarray) -> np.ndarray:
+    # coefficients on the orders axis of a family stack (..., orders, d_B, d_B, d_S, d_S)
+    return c[:, None, None, None, None]
+
+
+def _P_full(n: int, a: np.ndarray, kstack: np.ndarray) -> np.ndarray:
+    """Dyson-derived order-n sandwich as a full-space matrix."""
+    lefts = _per_order(_padded_powers(n)) * _blockops.system_lift(kstack[n::-1], a)
+    return _blockops.sandwich_sum(lefts, kstack[: n + 1])
+
+
 def _apply_P_blocks(n: int, a: np.ndarray, kstack: np.ndarray) -> np.ndarray:
     """Dyson-derived order-n sandwich, returning family blocks."""
-    coeffs = _padded_powers(n)
-    db = kstack.shape[1]
-    ds = a.shape[0]
-    out = np.zeros((db, db, ds, ds), dtype=complex)
-    for r in range(n + 1):
-        out += coeffs[r] * np.einsum(
-            "agij,jk,bgmk->abim", kstack[n - r], a, kstack[r].conj()
-        )
-    return out
+    return _blockops.full_to_fam(_P_full(n, a, kstack), a.shape[0], kstack.shape[1])
 
 
 def _apply_P_blocks_printed(n: int, a: np.ndarray, kstack: np.ndarray) -> np.ndarray:
-    """The same sandwich with daggers on the left factors, as displayed."""
-    coeffs = _padded_powers(n)
-    db = kstack.shape[1]
-    ds = a.shape[0]
-    out = np.zeros((db, db, ds, ds), dtype=complex)
-    for r in range(n + 1):
-        out += coeffs[r] * np.einsum(
-            "gaji,jk,gbkm->abim", kstack[n - r].conj(), a, kstack[r]
-        )
-    return out
+    """The same sandwich with daggers on the left factors, as displayed:
+    ``sum_r i^(n-2r) K[n-r]^dag (A (x) 1_B) K[r]``, which is the Dyson-derived
+    form of the adjoint kernel families."""
+    return _apply_P_blocks(n, a, _blockops.fam_adjoint(kstack))
 
 
 def apply_P_ab(n: int, a, t: float, ks: KernelSet) -> ImageFamily:
@@ -112,8 +125,8 @@ def apply_P_ab(n: int, a, t: float, ks: KernelSet) -> ImageFamily:
 def apply_P_S(n: int, a, t: float, ks: KernelSet, rho_b: DensityMatrix) -> np.ndarray:
     """Bath-contracted order-n dressing ``(P[n] A)_ab rho_B[b, a]``."""
     _check_order(ks, n)
-    blocks = _apply_P_blocks(n, _obs_matrix(a), ks.heis_stack(t))
-    return np.einsum("abij,ba->ij", blocks, rho_b.mat)
+    full = _P_full(n, _obs_matrix(a), ks.heis_stack(t))
+    return _blockops.bath_trace(full, rho_b.mat, ks.dim_system, ks.dim_bath)
 
 
 def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
@@ -130,17 +143,49 @@ def free_evolved(o, ks: KernelSet, t: float) -> np.ndarray:
     return ks.frame.free_conjugate(_obs_matrix(o), t)
 
 
+def _one_point_values(
+    o: np.ndarray, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix, times: np.ndarray
+) -> np.ndarray:
+    """``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` at every time, shape ``(n_t, d_S, d_S)``.
+
+    The fused form ``sum_p alpha_p K[p] (B (x) 1_B) C[N-p]^dag`` of the module
+    docstring, evaluated in the free eigenbasis ``V = v0 (x) 1_B`` of the
+    kernel rows: with ``K[p] = V E[p] exp(-iFt) V^dag`` the free phases
+    cancel against ``B = U0^dag O U0``, so ``K[p] (B (x) 1_B) K[q]^dag =
+    V E[p] (o (x) 1_B) E[q]^dag V^dag`` with the time-independent
+    ``o = v0^dag O v0``, and ``V`` commutes with the bath contraction.  The
+    bath state is folded into the left factor, ``tr_B(L C^dag (1 (x) rho_B))
+    = sum_(b,z) [(1 (x) rho_B) L]_(i b, z) conj(C_(m b, z))``, so each order
+    is one GEMM stacked over all times with a ``d_S x d_S`` result; the
+    partial sums ``C[m]`` are accumulated alongside, and the temporaries
+    hold one order at a time.
+    """
+    _check_order(ks, trunc.order)
+    n = trunc.order
+    n_t = len(times)
+    ds, db = ks.dim_system, ks.dim_bath
+    d = ds * db
+    # alpha_p = (i lam/hbar)^p for p = 0..n, by exact repeated products
+    alpha = np.cumprod(np.r_[1.0, np.full(n, 1j * trunc.lam / ks.frame.constants.hbar)])
+    v0 = ks.frame.v0
+    o_eig = _blockops.fam_to_full(_trivial_blocks(v0.conj().T @ o @ v0, db))
+    rows = ks.eigen_rows(times).reshape(n_t, ds, db, ks.orders + 1, d)  # E[p] = rows[..., p, :]
+    out = np.zeros((n_t, ds, ds), dtype=complex)
+    partial = np.zeros((n_t, ds, db, d), dtype=complex)
+    left = np.empty((n_t * d, d), dtype=complex)
+    for p in range(n, -1, -1):
+        partial += alpha[n - p] * rows[..., n - p, :]  # now C[n - p]
+        # left = conj((1 (x) rho_B) alpha_p E[p] (o (x) 1_B)), conjugated in place so
+        # that C enters the product as a transposed view rather than a conjugated copy
+        np.matmul((rho_b.mat @ rows[..., p, :]).reshape(-1, d), alpha[p] * o_eig, out=left)
+        np.conjugate(left, out=left)
+        out += (left.reshape(n_t, ds, -1) @ partial.reshape(n_t, ds, -1).swapaxes(-1, -2)).conj()
+    return v0 @ out @ v0.conj().T
+
+
 def one_point_value(o, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix, t: float) -> np.ndarray:
     """Truncated one-point series ``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` at one time."""
-    _check_order(ks, trunc.order)
-    hbar = ks.frame.constants.hbar
-    b = free_evolved(o, ks, t)
-    kstack = ks.heis_stack(t)
-    out = np.zeros_like(b)
-    for n in range(trunc.order + 1):
-        blocks = _apply_P_blocks(n, b, kstack)
-        out += (trunc.lam / hbar) ** n * np.einsum("abij,ba->ij", blocks, rho_b.mat)
-    return out
+    return _one_point_values(_obs_matrix(o), trunc, ks, rho_b, np.array([float(t)]))[0]
 
 
 def one_point_operator(
@@ -153,7 +198,7 @@ def one_point_operator(
 ) -> OnePointTrajectory:
     """One-point operator trajectory over a grid at fixed truncation."""
     o_mat = _obs_matrix(o)
-    values = np.stack([one_point_value(o_mat, trunc, ks, rho_b, float(t)) for t in grid])
+    values = _one_point_values(o_mat, trunc, ks, rho_b, grid.points)
     return OnePointTrajectory(label, o_mat, grid, values, trunc)
 
 
@@ -172,23 +217,24 @@ def _inverted_series(
     ks: KernelSet,
     rho_b: DensityMatrix,
     t: float,
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """``inv[m] = (1 + sum lam^n P_S[n])^{-1} value`` truncated at order m, m = 0..order.
 
     Uses the recursion ``inv[m] = value - sum_{j=1}^m (lam/hbar)^j P_S[j] inv[m-j]``,
-    which resums the multinomial expansion with total-order truncation.
+    which resums the multinomial expansion with total-order truncation.  Also
+    returns the open-index sum ``sum_{j=1}^order (lam/hbar)^j P[j] inv[order-j]``
+    of the last step as a full-space matrix (zero at order 0): it is the
+    image family minus its order-zero term ``inv[order] delta_ab``.
     """
     hbar = ks.frame.constants.hbar
     kstack = ks.heis_stack(t)
-    rho = rho_b.mat
+    ds, db = ks.dim_system, ks.dim_bath
     inv = [value]
+    opened = np.zeros((ds * db, ds * db), dtype=complex)
     for m in range(1, order + 1):
-        acc = value.copy()
-        for j in range(1, m + 1):
-            blocks = _apply_P_blocks(j, inv[m - j], kstack)
-            acc -= (lam / hbar) ** j * np.einsum("abij,ba->ij", blocks, rho)
-        inv.append(acc)
-    return inv
+        opened = sum((lam / hbar) ** j * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
+        inv.append(value - _blockops.bath_trace(opened, rho_b.mat, ds, db))
+    return inv, opened
 
 
 def invert_one_point(
@@ -201,7 +247,7 @@ def invert_one_point(
     """Recover ``U0^dag O U0`` from a one-point value via the multinomial inverse."""
     _check_order(ks, trunc.order)
     value = _obs_matrix(o_s_value)
-    return _inverted_series(value, trunc.order, trunc.lam, ks, rho_b, t)[trunc.order]
+    return _inverted_series(value, trunc.order, trunc.lam, ks, rho_b, t)[0][trunc.order]
 
 
 def image_from_value(
@@ -218,14 +264,9 @@ def image_from_value(
     bath contraction holds only with total-order truncation.
     """
     _check_order(ks, trunc.order)
-    hbar = ks.frame.constants.hbar
-    inv = _inverted_series(value, trunc.order, trunc.lam, ks, rho_b, t)
-    kstack = ks.heis_stack(t)
-    db, ds = ks.dim_bath, ks.dim_system
-    out = np.zeros((db, db, ds, ds), dtype=complex)
-    for n in range(trunc.order + 1):
-        out += (trunc.lam / hbar) ** n * _apply_P_blocks(n, inv[trunc.order - n], kstack)
-    return ImageFamily(out, t)
+    inv, opened = _inverted_series(_obs_matrix(value), trunc.order, trunc.lam, ks, rho_b, t)
+    opened = _blockops.full_to_fam(opened, ks.dim_system, ks.dim_bath)
+    return ImageFamily(opened + _trivial_blocks(inv[-1], ks.dim_bath), t)
 
 
 def image_from_one_point(
@@ -252,22 +293,29 @@ def lifted_factor(
     """
     value = one_point_value(o, trunc, ks, rho_b, t)
     if trivial:
-        db = ks.dim_bath
-        blocks = np.zeros((db, db) + value.shape, dtype=complex)
-        idx = np.arange(db)
-        blocks[idx, idx] = value
-        return ImageFamily(blocks, t)
+        return trivial_factor(value, ks, t)
     return image_from_value(value, trunc, ks, rho_b, t)
+
+
+def _trivial_blocks(value: np.ndarray, db: int) -> np.ndarray:
+    """The family ``value delta_ab``."""
+    blocks = np.zeros((db, db) + value.shape, dtype=complex)
+    idx = np.arange(db)
+    blocks[idx, idx] = value
+    return blocks
+
+
+def trivial_factor(value: np.ndarray, ks: KernelSet, t: float) -> ImageFamily:
+    """A star-product factor entering as ``O_S(t) delta_ab`` (its trivial partition)."""
+    return ImageFamily(_trivial_blocks(value, ks.dim_bath), t)
 
 
 def chain_contract(families: list[ImageFamily], rho_b: DensityMatrix) -> np.ndarray:
     """Chain-compose families and close the index loop with ``rho_B[a_{N+1}, a_1]``."""
-    from . import _blockops
-
-    prod = families[0].blocks
+    prod = _blockops.fam_to_full(families[0].blocks)
     for f in families[1:]:
-        prod = _blockops.fam_mul(prod, f.blocks)
-    return np.einsum("abij,ba->ij", prod, rho_b.mat)
+        prod = prod @ _blockops.fam_to_full(f.blocks)
+    return _blockops.bath_trace(prod, rho_b.mat, families[0].dim_system, families[0].dim_bath)
 
 
 def star_product(
@@ -319,13 +367,11 @@ def _apply_DtP_S(
     Product rule over the two kernel slots of the order-n sandwich, with the
     time derivative taken covariantly (inside the ``U0 ... U0^dag`` frame).
     """
-    coeffs = _padded_powers(n)
-    out = np.zeros_like(a)
-    for r in range(n + 1):
-        left = np.einsum("agij,jk,bgmk,ba->im", cov_stack[n - r], a, kstack[r].conj(), rho)
-        right = np.einsum("agij,jk,bgmk,ba->im", kstack[n - r], a, cov_stack[r].conj(), rho)
-        out += coeffs[r] * (left + right)
-    return out
+    coeffs = _per_order(np.tile(_padded_powers(n), 2))
+    lefts = coeffs * _blockops.system_lift(np.concatenate([cov_stack[n::-1], kstack[n::-1]]), a)
+    rights = np.concatenate([kstack[: n + 1], cov_stack[: n + 1]])
+    full = _blockops.sandwich_sum(lefts, rights)
+    return _blockops.bath_trace(full, rho, a.shape[0], kstack.shape[1])
 
 
 def one_point_rhs(
@@ -344,7 +390,8 @@ def one_point_rhs(
     _check_order(ks, trunc.order)
     hbar = ks.frame.constants.hbar
     value = trajectory_value(o_s, ks, rho_b, t)
-    inv = _inverted_series(value, trunc.order, trunc.lam, ks, rho_b, t)
+    # the RHS needs inv[0..order-1] only: the last inversion step is never formed
+    inv, _ = _inverted_series(value, max(trunc.order - 1, 0), trunc.lam, ks, rho_b, t)
     kstack = ks.heis_stack(t)
     cov_stack = ks.cov_d_stack(t)
     h0 = ks.frame.h0_mat

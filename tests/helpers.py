@@ -11,3 +11,55 @@ def random_density(rng, n):
     rho = np.diag(w / w.sum()).astype(complex)
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q @ rho @ q.conj().T
+
+
+# -- einsum references for the GEMM series engine -------------------------------
+# Direct transcriptions of the sandwich formulas, kept only to check the
+# full-space GEMM implementations in `heisenbath.superop` and `heisenbath.npoint`.
+
+
+def einsum_P_blocks(n, a, kstack):
+    """Dyson-derived order-n sandwich ``sum_r i^(n-2r) sum_g K[n-r]_ag A (K[r]_bg)^dag``."""
+    return sum(
+        1j ** (n - 2 * r) * np.einsum("agij,jk,bgmk->abim", kstack[n - r], a, kstack[r].conj())
+        for r in range(n + 1)
+    )
+
+
+def einsum_P_blocks_printed(n, a, kstack):
+    """As-displayed order-n sandwich ``sum_r i^(n-2r) sum_g (K[n-r]_ga)^dag A K[r]_gb``."""
+    return sum(
+        1j ** (n - 2 * r) * np.einsum("gaji,jk,gbkm->abim", kstack[n - r].conj(), a, kstack[r])
+        for r in range(n + 1)
+    )
+
+
+def einsum_DtP_S(n, a, kstack, cov_stack, rho):
+    """Bath-contracted kernel-derivative super-operator, product rule over both slots."""
+    out = 0
+    for r in range(n + 1):
+        left = np.einsum("agij,jk,bgmk,ba->im", cov_stack[n - r], a, kstack[r].conj(), rho)
+        right = np.einsum("agij,jk,bgmk,ba->im", kstack[n - r], a, cov_stack[r].conj(), rho)
+        out = out + 1j ** (n - 2 * r) * (left + right)
+    return out
+
+
+def einsum_partition_term(pairs, value, kstack, rho, lam, hbar=1.0):
+    """Signed operator word of one even partition, bath indices of pair 1 open."""
+    core = value
+    for n_i, m_i in pairs[:0:-1]:
+        core = np.einsum("agij,jk,bgmk,ba->im", kstack[n_i], core, kstack[m_i].conj(), rho)
+    n_1, m_1 = pairs[0]
+    blocks = np.einsum("agij,jk,bgmk->abim", kstack[n_1], core, kstack[m_1].conj())
+    n_sum = sum(n for n, _ in pairs)
+    m_sum = sum(m for _, m in pairs)
+    total = n_sum + m_sum
+    return (-1) ** (len(pairs) - 1) * 1j ** (n_sum - m_sum) * (lam / hbar) ** total * blocks
+
+
+def einsum_one_point(b, kstack, rho, order, lam, hbar=1.0):
+    """``sum_n (lam/hbar)^n sum_ab (P[n] B)_ab rho_B[b, a]`` term by term."""
+    return sum(
+        (lam / hbar) ** n * np.einsum("abij,ba->ij", einsum_P_blocks(n, b, kstack), rho)
+        for n in range(order + 1)
+    )

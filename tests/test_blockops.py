@@ -41,3 +41,22 @@ def test_layout_entries_and_leading_axes():
                 for j in range(ds):
                     assert np.array_equal(full[..., i * db + a, j * db + b], stack[..., a, b, i, j])
     assert np.array_equal(_blockops.full_to_fam(full, ds, db), stack)
+
+
+def test_engine_products_match_explicit_full_space_matrices():
+    """`system_lift`, `sandwich_sum`, `bath_trace` and `fam_adjoint` against
+    the explicit ``D x D`` matrices they stand for."""
+    rng = np.random.default_rng(2)
+    ds, db, k = 2, 3, 4
+    lefts, rights = random_family(rng, db, ds, lead=(k,)), random_family(rng, db, ds, lead=(k,))
+    a = rng.normal(size=(ds, ds)) + 1j * rng.normal(size=(ds, ds))
+    rho = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
+    full_l, full_r = _blockops.fam_to_full(lefts), _blockops.fam_to_full(rights)
+    lifted = _blockops.fam_to_full(_blockops.system_lift(lefts, a))
+    assert np.allclose(lifted, full_l @ np.kron(a, np.eye(db)))
+    expected = sum(full_l[n] @ full_r[n].conj().T for n in range(k))
+    out = _blockops.sandwich_sum(lefts, rights)
+    assert np.allclose(out, expected)
+    reduced = np.trace((out @ np.kron(np.eye(ds), rho)).reshape(ds, db, ds, db), axis1=1, axis2=3)
+    assert np.allclose(_blockops.bath_trace(out, rho, ds, db), reduced)
+    assert np.allclose(_blockops.fam_to_full(_blockops.fam_adjoint(lefts)), full_l.conj().swapaxes(-1, -2))

@@ -285,6 +285,25 @@ class TestExitCodes:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"observables": {"s1x": 3}}, "observables.s1x"),
+            ({"observables": {"s1x": {"times": 0.5}}}, "observables.s1x.times"),
+            ({"run": "n_point", "npoint": {"factors": ["s1x"]}}, "npoint.factors[0]"),
+            ({"truncation": 3}, "truncation"),
+            ({"grid": [1, 2]}, "grid"),
+        ],
+        ids=["observable_scalar", "times_scalar", "factor_string", "truncation_scalar", "grid_list"],
+    )
+    def test_bad_section_shape_is_2(self, tmp_path, capsys, overrides, field):
+        path = write_config(tmp_path, **overrides)
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: expected a" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_preset_list(self, capsys):
         assert cli.main(["preset", "list"]) == 0
         out = capsys.readouterr().out.split()

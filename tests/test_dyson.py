@@ -128,6 +128,44 @@ class TestKernels:
                     back[a, b] = phase * (u0.conj().T @ tilde[a, b] @ u0)
             assert np.max(np.abs(back - heis)) < 1e-12
 
+    def test_shared_step_exponential_matches_per_step_expm(self, monkeypatch):
+        """Rounding-level step differences (linspace) share one expm; genuinely
+        different steps get their own.  Rows match per-step propagation."""
+        from scipy.linalg import expm
+
+        from heisenbath import dyson
+
+        calls = []
+        monkeypatch.setattr(dyson, "expm", lambda a: calls.append(1) or expm(a))
+        points = np.concatenate([np.linspace(0.0, 1.0, 41), [1.1, 1.35, 1.8]])
+        assert len(set(np.diff(points[:41]).tolist())) > 1  # ulp-level spread
+        ks = compute_kernels(_random_spec(7, 2, 3), 3, TimeGrid(points))
+        assert len(calls) == 4  # the median step, then 0.1, 0.25 and 0.45
+        row = np.eye(6, 24, dtype=complex)
+        for k, dt in enumerate(np.diff(points), start=1):
+            step = expm(dt * ks._gen)
+            row = row @ step
+            assert np.max(np.abs(ks._rows[k] - row)) <= 1e-13 * np.max(np.abs(row))
+
+    def test_first_order_step_correction(self, monkeypatch):
+        """Steps within sqrt(eps)/|M| of the shared one differ from it by a
+        first-order term far above rounding; the corrected step matches expm."""
+        from scipy.linalg import expm
+
+        from heisenbath import dyson
+
+        gen = compute_kernels(_random_spec(8, 2, 3), 2, TimeGrid.linspace(1.0, 2))._gen
+        h = 0.05
+        steps = h * (1.0 + np.array([0.0, 1e-9, -2e-9]) / (h * np.linalg.norm(gen, 1)))
+        calls = []
+        monkeypatch.setattr(dyson, "expm", lambda a: calls.append(1) or expm(a))
+        got = dyson._step_exponentials(gen, steps)
+        assert len(calls) == 1
+        for dt, step in zip(steps, got):
+            ref = expm(dt * gen)
+            assert np.max(np.abs(step - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(got[2] - got[0])) > 1e-10  # the correction is not rounding
+
     def test_time_outside_grid_rejected(self, two_qubit_quarter):
         _, ks = two_qubit_quarter
         with pytest.raises(OrderExceedsKernels):

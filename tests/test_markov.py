@@ -5,7 +5,7 @@ import pytest
 
 import heisenbath as hb
 from heisenbath.dyson import compute_kernels, frame_of
-from heisenbath.errors import NonConvergent, NonHermitianInput
+from heisenbath.errors import DimensionError, NonConvergent, NonHermitianInput
 from heisenbath.markov import (
     BohrDecomposition,
     SpectralCoefficients,
@@ -16,6 +16,7 @@ from heisenbath.markov import (
     decompose_interaction,
     evolve_lindblad,
     first_moment,
+    lindblad_generator,
     lindblad_rhs,
     reconstruct_bohr,
     spectral_coefficients,
@@ -392,6 +393,33 @@ class TestEvolveLindblad:
         ref = sol.y.T.reshape(len(grid), 2, 2)
         assert np.max(np.abs(traj - o0)) > 0.1
         assert np.max(np.abs(traj - ref)) < 1e-9
+
+
+    def test_wrong_operator_size_rejected(self):
+        bd = BohrDecomposition((0.0,), {(0, 0.0): SZ.copy()})
+        sc = SpectralCoefficients({(0, 0, 0.0): 0.05}, 10.0, 1e-8, 0.0, {(0, 0, 0.0): 0.0}, True)
+        with pytest.raises(DimensionError):
+            evolve_lindblad(np.eye(3), bd, sc, 0.5 * SZ, Constants(1.0, 0.3), TimeGrid.linspace(1.0, 3))
+
+    def test_generator_equals_column_by_column_assembly(self):
+        """One stacked `lindblad_rhs` call gives the same matrix as mapping
+        each matrix unit on its own."""
+        rng = np.random.default_rng(21)
+        hi = sum(np.kron(random_hermitian(rng, 3), random_hermitian(rng, 2)) for _ in range(3))
+        m = make_model(
+            random_hermitian(rng, 3), np.diag([0.0, 0.9]), hi, np.eye(3) / 3, np.diag([0.7, 0.3]), lam=0.2
+        )
+        dec = decompose_interaction(m.hi)
+        bd = bohr_decompose_all(dec, m.h0.mat, m.constants.hbar)
+        sc = spectral_coefficients(m, dec, bd.frequencies, horizon=4.0, eta=0.5)
+        for strict in (False, True):
+            gen = lindblad_generator(bd, sc, m.h0.mat, m.constants, strict)
+            cols = []
+            for k in range(9):
+                unit = np.zeros(9, dtype=complex)
+                unit[k] = 1.0
+                cols.append(lindblad_rhs(unit.reshape(3, 3), bd, sc, m.h0.mat, m.constants, strict).ravel())
+            assert np.max(np.abs(gen - np.stack(cols, axis=1))) <= 1e-15
 
 
 class TestGeneratorAgreement:

@@ -30,18 +30,34 @@ from heisenbath.superop import (
 LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
+def compositions(n, parts):
+    """Every tuple of ``parts`` non-negative integers summing to n, by stars
+    and bars: the bar positions are the (parts - 1)-subsets of n + parts - 1 slots."""
+    slots = n + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        yield tuple(edges[i + 1] - edges[i] - 1 for i in range(parts))
+
+
 def brute_force_partitions(n, k_max):
     """All tuples ((n1,m1),...) satisfying the slot conditions, by exhaustion."""
     out = set()
     for k in range(1, k_max + 1):
-        for flat in itertools.product(range(n + 1), repeat=2 * k):
+        for flat in compositions(n, 2 * k):
             pairs = tuple(zip(flat[::2], flat[1::2]))
-            if sum(flat) != n:
-                continue
             if any(a + b == 0 for a, b in pairs[1:]):
                 continue
             out.add(pairs)
     return out
+
+
+@pytest.mark.parametrize("n,parts", [(0, 1), (0, 4), (3, 2), (2, 6), (4, 4)])
+def test_compositions_are_every_tuple_with_the_sum(n, parts):
+    """Stars and bars against filtering the full product, at sizes where the product is small."""
+    every = [t for t in itertools.product(range(n + 1), repeat=parts) if sum(t) == n]
+    ours = list(compositions(n, parts))
+    assert len(ours) == len(set(ours))
+    assert set(ours) == set(every)
 
 
 class TestEnumeration:
