@@ -388,9 +388,11 @@ def _markov_pipeline(cfg: ExperimentConfig):
 def _run_lindblad(cfg: ExperimentConfig) -> list[dict]:
     m = cfg.model
     _, _, bd, sc = _markov_pipeline(cfg)
+    names = sorted(cfg.observables)
+    stack = np.stack([cfg.observables[name][0] for name in names])
+    trajectories = evolve_lindblad(stack, bd, sc, m.h0.mat, m.constants, cfg.grid)
     rows: list[dict] = []
-    for name, (mat, _) in sorted(cfg.observables.items()):
-        values = evolve_lindblad(mat, bd, sc, m.h0.mat, m.constants, cfg.grid)
+    for name, values in zip(names, trajectories):
         for t, val in zip(cfg.grid.points, values):
             _matrix_rows(rows, t, name, val)
     return rows

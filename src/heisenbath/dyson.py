@@ -19,7 +19,8 @@ the grid point at or below it.  A grid's steps share one ``S = exp(hM)`` at
 a median step ``h``: steps that differ from ``h`` only by rounding
 (``linspace``) use ``S + (dt - h) S M``, whose neglected term
 ``O(((dt - h)|M|)^2)`` lies below double precision; any other step gets
-its own ``expm``.  Nested quadrature survives only as a test oracle.
+its own ``expm`` (`propagate_rows`, which the Lindblad evolution shares).
+Nested quadrature survives only as a test oracle.
 
 All of this happens in the H0 eigenbasis, where ``F`` is diagonal; results
 are rotated back on access.
@@ -77,21 +78,30 @@ def interaction_hamiltonian_images(m: ModelSpec, t: float) -> ImageFamily:
     return ImageFamily(blocks, t)
 
 
-def _step_exponentials(gen: np.ndarray, steps: np.ndarray) -> list[np.ndarray]:
-    """``exp(dt * gen)`` for each step, sharing one ``expm`` among near-equal steps."""
+def propagate_rows(first: np.ndarray, gen: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``first @ exp((t - points[0]) gen)`` at every point, shape ``(n_t, *first.shape)``.
+
+    Propagated one step at a time, ``R[k] = R[k - 1] @ exp(dt_k gen)``.  The
+    steps share one ``expm`` at the median step ``h``: a step within
+    ``sqrt(eps) / |gen|_1`` of it (``linspace`` rounding) is
+    ``exp(h gen) + (dt - h) exp(h gen) gen``, whose neglected term lies
+    below double precision; any other step gets its own ``expm``.
+    """
+    rows = np.empty((len(points), *first.shape), dtype=complex)
+    rows[0] = first
+    steps = np.diff(points)
     if steps.size == 0:
-        return []
+        return rows
     h = float(np.sort(steps)[steps.size // 2])
     base = expm(h * gen)
     near = np.abs(steps - h) * np.linalg.norm(gen, 1) <= np.sqrt(np.finfo(float).eps)
     slope = base @ gen if np.any(near & (steps != h)) else None
     cache: dict[float, np.ndarray] = {h: base}
-    out = []
-    for dt, first_order in zip(steps.tolist(), near.tolist()):
+    for k, (dt, first_order) in enumerate(zip(steps.tolist(), near.tolist()), start=1):
         if dt not in cache:
             cache[dt] = base + (dt - h) * slope if first_order else expm(dt * gen)
-        out.append(cache[dt])
-    return out
+        np.matmul(rows[k - 1], cache[dt], out=rows[k])
+    return rows
 
 
 class KernelSet:
@@ -120,10 +130,7 @@ class KernelSet:
         gen[:-d, d:] += np.kron(np.eye(n_max), self._v.conj().T @ m.hi.mat @ self._v)
         self._gen = gen
         # R(t) at the grid points, shape (n_t, d, (n_max + 1) d)
-        self._rows = np.empty((len(grid), d, (n_max + 1) * d), dtype=complex)
-        self._rows[0] = np.eye(d, (n_max + 1) * d)
-        for k, step in enumerate(_step_exponentials(gen, np.diff(grid.points)), start=1):
-            np.matmul(self._rows[k - 1], step, out=self._rows[k])
+        self._rows = propagate_rows(np.eye(d, (n_max + 1) * d), gen, grid.points)
         self._cache: dict[tuple[str, float], np.ndarray] = {}
 
     # -- raw stacks ---------------------------------------------------------

@@ -11,11 +11,12 @@ interaction-picture bath factors are pure phase twists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
+from .dyson import propagate_rows
 from .errors import DimensionError, NonConvergent, NonHermitianInput
 from .model import ModelSpec
 from .spaces import Constants, OperatorMatrix, Space, TimeGrid, herm_defect, HERM_TOL
@@ -125,12 +126,26 @@ def _correlation_weights(m: ModelSpec, dec: InteractionDecomposition) -> np.ndar
     return np.einsum("iab,jbc,ca->ijabc", s, s, m.rho_b.mat)
 
 
+def _phase_table(sign: complex, times, delta: np.ndarray) -> np.ndarray:
+    """``exp(sign * t * delta)`` for every time, one complex exponential per
+    distinct gap (an evenly spaced spectrum repeats many)."""
+    gaps, where = np.unique(delta, return_inverse=True)
+    return np.exp(sign * np.multiply.outer(times, gaps))[..., where.reshape(delta.shape)]
+
+
 def _correlations(m: ModelSpec, dec: InteractionDecomposition, t, tau) -> np.ndarray:
-    """`bath_correlation` on time grids: ``C[k, l, i, j]`` at ``(t[k], tau[l])``."""
+    """`bath_correlation` on time grids: ``C[k, l, i, j]`` at ``(t[k], tau[l])``.
+
+    The left phases are contracted first, then all ``tau`` at once in one
+    matmul against the ``(n_tau, d_B^2)`` right phases.
+    """
     delta = _bath_phases(m)
-    left = np.exp(-1j * np.multiply.outer(t, delta))
-    right = np.exp(1j * np.multiply.outer(tau, delta))
-    return np.einsum("ijabc,kac,lbc->klij", _correlation_weights(m, dec), left, right, optimize=True)
+    left = _phase_table(-1j, t, delta)
+    right = _phase_table(1j, tau, delta)
+    w = _correlation_weights(m, dec)
+    n, d_b = w.shape[0], delta.shape[0]
+    inner = np.einsum("ijabc,kac->kbcij", w, left).reshape(len(left), d_b * d_b, n * n)
+    return (right.reshape(len(right), d_b * d_b) @ inner).reshape(len(left), len(right), n, n)
 
 
 @dataclass(frozen=True)
@@ -212,7 +227,7 @@ def check_markov_assumptions(
     tau_coarse = np.linspace(0.0, horizon, min(41, n_tau))
     delta = _bath_phases(m)
 
-    twists = np.exp(-1j * np.multiply.outer(t_samples, delta))
+    twists = _phase_table(-1j, t_samples, delta)
     moments = np.einsum("iab,ba,kab->ki", _bath_factors(m, dec), m.rho_b.mat, twists)
     fm = tuple(float(x) for x in np.max(np.abs(moments), axis=0))
 
@@ -271,8 +286,10 @@ def bohr_decomposition(r, h0, hbar: float = 1.0) -> list[tuple[float, np.ndarray
 
     Frequencies are eigenvalue differences of ``H0`` over hbar, merged when
     closer than ``1e-9 * max|eps|`` so eigensolver noise cannot split a
-    line; ``A_w`` collects the matrix elements on that line, expressed in
-    the original basis.
+    line; ``A_w`` collects the matrix elements whose nearest merged line is
+    ``w``, expressed in the original basis.  Each element lies on exactly
+    one line, so ``sum_w A_w = R`` even where frequencies chain within the
+    merge tolerance.
     """
     r = r.mat if isinstance(r, OperatorMatrix) else np.asarray(r, dtype=complex)
     h0 = h0.mat if isinstance(h0, OperatorMatrix) else np.asarray(h0, dtype=complex)
@@ -284,13 +301,11 @@ def bohr_decomposition(r, h0, hbar: float = 1.0) -> list[tuple[float, np.ndarray
     tol = 1e-9 * max(scale, 1e-3) / hbar
     omegas = (eps[None, :] - eps[:, None]) / hbar  # w(a, b) = (eps_b - eps_a)/hbar
     merged = _merge_frequencies(omegas.ravel(), tol)
+    line = np.argmin(np.abs(omegas[:, :, None] - merged), axis=2)
     out = []
     norm = max(1.0, float(np.linalg.norm(r)))
-    for w in merged:
-        mask = np.abs(omegas - w) <= tol
-        if not mask.any():
-            continue
-        a_w = v @ (r_eig * mask) @ v.conj().T
+    for k, w in enumerate(merged):
+        a_w = v @ (r_eig * (line == k)) @ v.conj().T
         if np.linalg.norm(a_w) > 1e-14 * norm:
             out.append((float(w), a_w))
     return out
@@ -377,6 +392,30 @@ def spectral_coefficients(
 # -- the Lindblad-form generator ----------------------------------------------
 
 
+def _collapsed_lines(bd: BohrDecomposition, sc: SpectralCoefficients) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(Gamma^j, B^j)`` for every coupling term ``j`` with a nonzero ``J^{ij}``.
+
+    ``B^j = sum_w' A^j_w'`` and ``Gamma^j = sum_(i, w) J^{ij}(w) A^{i dag}_w``:
+    ``J^{ij}(w)`` does not depend on ``w'``, so the double sum over Bohr
+    lines factors through ``B^j``.  Missing and zero ``J`` entries drop out.
+    """
+    sums: dict = {}
+    for (j, _), a in bd.coefficients.items():
+        sums[j] = sums[j] + a if j in sums else a
+    out = []
+    for j, b in sums.items():
+        gamma = None
+        for (i, w), a in bd.coefficients.items():
+            jw = sc.j.get((i, j, float(w)))
+            if jw is None or jw == 0:
+                continue
+            term = jw * a.conj().T
+            gamma = term if gamma is None else gamma + term
+        if gamma is not None:
+            out.append((gamma, b))
+    return out
+
+
 def lindblad_rhs(
     o_s,
     bd: BohrDecomposition,
@@ -391,6 +430,11 @@ def lindblad_rhs(
     {A^{i dag}_w A^j_{w'} O - A^{i dag}_w O A^j_{w'}} + h.c.`` with the
     conjugate terms taken linearly in ``O`` (the generator of an evolution
     must be linear; for hermitian ``O`` this equals the literal adjoint).
+    The sum over ``w'`` is collapsed into ``B^j = sum_w' A^j_w'`` and the
+    one over ``(i, w)`` into ``Gamma^j = sum J^{ij}(w) A^{i dag}_w``, so the
+    dissipator is ``sum_j Gamma^j B^j O - Gamma^j O B^j + O B^{j dag}
+    Gamma^{j dag} - B^{j dag} O Gamma^{j dag}``: a few products per
+    coupling term, however many Bohr lines there are.
     The default first term is the commutator: the bare product breaks
     identity fixity, and ``strict_paper=True`` restores it for comparison.
     Leading axes of ``o_s`` are a stack of operators, each mapped alone.
@@ -404,16 +448,14 @@ def lindblad_rhs(
         out = (1j / hbar) * (h0 @ o)
     else:
         out = (1j / hbar) * (h0 @ o - o @ h0)
+    lines = _collapsed_lines(bd, sc)
+    if not lines:
+        return out
     pref = (1j * lam / hbar) ** 2
-    items = list(bd.coefficients.items())
-    for (i, w), a_i in items:
-        a_i_dag = a_i.conj().T
-        for (jj, wp), a_j in items:
-            jw = sc.j.get((i, jj, float(w)))
-            if jw is None or jw == 0:
-                continue
-            out += pref * jw * (a_i_dag @ a_j @ o - a_i_dag @ o @ a_j)
-            out += pref * np.conj(jw) * (o @ a_j.conj().T @ a_i - a_j.conj().T @ o @ a_i)
+    drift = pref * sum(gamma @ b for gamma, b in lines)
+    out += drift @ o + o @ drift.conj().T
+    for gamma, b in lines:
+        out -= pref * (gamma @ o @ b + b.conj().T @ o @ gamma.conj().T)
     return out
 
 
@@ -444,16 +486,20 @@ def evolve_lindblad(
     grid: TimeGrid,
     strict_paper: bool = False,
 ) -> np.ndarray:
-    """Evolve a one-point operator under the autonomous Lindblad-form generator.
+    """Evolve one-point operators under the autonomous Lindblad-form generator.
 
     `lindblad_rhs` is linear in the operator, so its matrix ``G`` on
-    row-major vectorised operators (`lindblad_generator`) is assembled once,
-    and each grid value is ``exp(t G) vec(o0)``.  Returns the stack of
-    operator values, shape ``(n_t, d_S, d_S)``.
+    row-major vectorised operators (`lindblad_generator`) is assembled once.
+    The operators, as rows ``vec(o0)^T``, are propagated over the grid under
+    ``G^T`` with one step exponential shared by all steps
+    (`dyson.propagate_rows`), so each grid value is ``exp(t G) vec(o0)``.
+    ``o0`` is one operator or a stack ``(..., d_S, d_S)``; returns
+    ``(..., n_t, d_S, d_S)``.
     """
     o0 = o0.mat if isinstance(o0, OperatorMatrix) else np.asarray(o0, dtype=complex)
     gen = lindblad_generator(bd, sc, h0, constants, strict_paper)
-    if o0.ndim != 2 or o0.size != gen.shape[0]:
+    d = math.isqrt(gen.shape[0])
+    if o0.shape[-2:] != (d, d):
         raise DimensionError(f"operator shape {o0.shape} does not match the {gen.shape[0]}-dim generator")
-    v0 = o0.astype(complex).ravel()
-    return np.stack([(expm(t * gen) @ v0).reshape(o0.shape) for t in grid.points])
+    rows = propagate_rows(o0.reshape(-1, d * d), gen.T, grid.points)
+    return np.moveaxis(rows, 0, 1).reshape(*o0.shape[:-2], len(grid), d, d)

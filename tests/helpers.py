@@ -63,3 +63,27 @@ def einsum_one_point(b, kstack, rho, order, lam, hbar=1.0):
         (lam / hbar) ** n * np.einsum("abij,ba->ij", einsum_P_blocks(n, b, kstack), rho)
         for n in range(order + 1)
     )
+
+
+# -- line-pair reference for the collapsed Lindblad generator --------------------
+# The adjoint Lindblad RHS summed over every pair of Bohr lines, as written in
+# the paper, kept only to check the collapsed form in `heisenbath.markov`.
+
+
+def loop_lindblad_rhs(o, bd, sc, h0, constants, strict_paper=False):
+    """``(i/hbar)[H0, O] + (i lam/hbar)^2 sum_{(i,w),(j,w')} J^{ij}(w) {...} + h.c.``"""
+    o = np.asarray(o, dtype=complex)
+    h0 = np.asarray(h0, dtype=complex)
+    hbar, lam = constants.hbar, constants.lam
+    out = (1j / hbar) * (h0 @ o) if strict_paper else (1j / hbar) * (h0 @ o - o @ h0)
+    pref = (1j * lam / hbar) ** 2
+    items = list(bd.coefficients.items())
+    for (i, w), a_i in items:
+        a_i_dag = a_i.conj().T
+        for (jj, wp), a_j in items:
+            jw = sc.j.get((i, jj, float(w)))
+            if jw is None or jw == 0:
+                continue
+            out = out + pref * jw * (a_i_dag @ a_j @ o - a_i_dag @ o @ a_j)
+            out = out + pref * np.conj(jw) * (o @ a_j.conj().T @ a_i - a_j.conj().T @ o @ a_i)
+    return out

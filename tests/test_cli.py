@@ -1,6 +1,7 @@
 """Configuration loading, run modes, determinism and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import yaml
 
 from heisenbath import cli
 from heisenbath.errors import NonConvergent, ParseError, ValidationError
+from heisenbath.markov import evolve_lindblad
 
 
 def write_config(tmp_path, name="exp.yaml", **overrides):
@@ -168,7 +170,7 @@ class TestRunModes:
             "run": "lindblad",
             "truncation": {"order": 2, "lambda": 0.05},
             "grid": {"stop": 3.0, "num": 4},
-            "observables": {"sx": {}},
+            "observables": {"sz": {}, "sx": {}},
             "markov": {"horizon": 6.0, "j_horizon": 5.0},
             "output": {"path": str(out), "format": "csv"},
         }
@@ -176,7 +178,25 @@ class TestRunModes:
         path.write_text(yaml.safe_dump(cfg))
         assert cli.main(["run", str(path)]) == 0
         rows = read_rows(out)
-        assert len(rows) == 4 * 4
+        assert len(rows) == 2 * 4 * 4
+        # all observables go through one evolve_lindblad call; rows keep the
+        # per-observable order (name, then time, then matrix entry)
+        loaded = cli.load_config(path)
+        _, _, bd, sc = cli._markov_pipeline(loaded)
+        m = loaded.model
+        expected = [
+            (name, t, val)
+            for name in ("sx", "sz")
+            for t, val in zip(
+                loaded.grid.points,
+                evolve_lindblad(loaded.observables[name][0], bd, sc, m.h0.mat, m.constants, loaded.grid),
+            )
+        ]
+        for k, (name, t, val) in enumerate(expected):
+            for row in rows[4 * k : 4 * k + 4]:
+                assert row["observable"] == name and float(row["time"]) == pytest.approx(t, abs=1e-15)
+                entry = val[int(row["row"]), int(row["col"])]
+                assert abs(complex(float(row["re"]), float(row["im"])) - entry) <= 1e-12
 
     def test_markov_report_mode(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -311,10 +331,14 @@ class TestExitCodes:
 
 
 def test_cli_entry_point_runs():
+    # the child imports the package from the same source tree as this test
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "heisenbath.cli", "preset", "list"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "two_qubit" in proc.stdout

@@ -149,7 +149,8 @@ class TestKernels:
 
     def test_first_order_step_correction(self, monkeypatch):
         """Steps within sqrt(eps)/|M| of the shared one differ from it by a
-        first-order term far above rounding; the corrected step matches expm."""
+        first-order term far above rounding; rows propagated with the
+        corrected steps match per-step expm."""
         from scipy.linalg import expm
 
         from heisenbath import dyson
@@ -157,14 +158,19 @@ class TestKernels:
         gen = compute_kernels(_random_spec(8, 2, 3), 2, TimeGrid.linspace(1.0, 2))._gen
         h = 0.05
         steps = h * (1.0 + np.array([0.0, 1e-9, -2e-9]) / (h * np.linalg.norm(gen, 1)))
+        points = np.concatenate([[0.0], np.cumsum(steps)])
+        first = np.eye(gen.shape[0])[:6]
         calls = []
         monkeypatch.setattr(dyson, "expm", lambda a: calls.append(1) or expm(a))
-        got = dyson._step_exponentials(gen, steps)
+        got = dyson.propagate_rows(first, gen, points)
         assert len(calls) == 1
-        for dt, step in zip(steps, got):
-            ref = expm(dt * gen)
-            assert np.max(np.abs(step - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert np.max(np.abs(got[2] - got[0])) > 1e-10  # the correction is not rounding
+        assert np.array_equal(got[0], first)
+        ref = first.astype(complex)
+        for dt, row in zip(np.diff(points), got[1:]):
+            ref = ref @ expm(dt * gen)
+            assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+        uncorrected = got[2] @ expm(h * gen)
+        assert np.max(np.abs(got[3] - uncorrected)) > 1e-10  # the correction is not rounding
 
     def test_time_outside_grid_rejected(self, two_qubit_quarter):
         _, ks = two_qubit_quarter

@@ -1,5 +1,7 @@
 """Interaction decomposition, Markov assumptions, Bohr data, Lindblad generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,35 @@ from heisenbath.markov import (
 from heisenbath.model import make_model
 from heisenbath.spaces import Constants, TimeGrid, full_operator
 from heisenbath.superop import SeriesTruncation, one_point_operator, one_point_rhs
-from helpers import random_density, random_hermitian
+from helpers import loop_lindblad_rhs, random_density, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _markov_data(name):
+    """Model, Bohr data and J for the dephasing preset or a seeded random
+    (d_S, d_B) model with a generic H0 and hbar = 0.7."""
+    if name == "dephasing":
+        m = hb.dephasing_bath(lam=0.05).model
+        horizon, eta = 5.0, 0.0
+    else:
+        d_s, d_b = name
+        rng = np.random.default_rng(30 + 10 * d_s + d_b)
+        m = make_model(
+            random_hermitian(rng, d_s),
+            np.diag(np.linspace(0.0, 1.6, d_b)),
+            random_hermitian(rng, d_s * d_b),
+            np.eye(d_s) / d_s,
+            random_density(rng, d_b),
+            hbar=0.7,
+            lam=0.2,
+        )
+        horizon, eta = 4.0, 0.5
+    dec = decompose_interaction(m.hi)
+    bd = bohr_decompose_all(dec, m.h0.mat, m.constants.hbar)
+    sc = spectral_coefficients(m, dec, bd.frequencies, horizon=horizon, eta=eta)
+    return m, bd, sc
 
 
 class TestDecomposeInteraction:
@@ -190,6 +217,30 @@ class TestBohr:
             target = u @ r @ u.conj().T
             assert np.max(np.abs(reconstruct_bohr(bd, 0, t) - target)) < 1e-10
 
+    def test_chained_frequencies_partition_the_elements(self):
+        """Bohr frequencies 0.6e-9 apart chain within the merge tolerance
+        (1e-9); every matrix element still lands on exactly one line."""
+        rng = np.random.default_rng(16)
+        h0 = np.diag([0.0, 0.6e-9, 1.2e-9, 1.0])
+        r = random_hermitian(rng, 4)
+        comps = bohr_decomposition(r, h0)
+        assert len({w for w, _ in comps}) == len(comps)
+        assert np.max(np.abs(sum(a for _, a in comps) - r)) <= 1e-13
+
+    def test_chained_frequencies_reconstruct_free_evolution(self):
+        """With merged lines the reconstruction is off only by the merged
+        frequency spread: |w - w_line| t |R_ab| <= 1e-9 t max|R|."""
+        rng = np.random.default_rng(17)
+        h0 = np.diag([0.0, 0.6e-9, 1.2e-9, 1.0])
+        r = random_hermitian(rng, 4)
+        comps = bohr_decomposition(r, h0)
+        bd = BohrDecomposition(tuple(sorted(w for w, _ in comps)), {(0, w): a for w, a in comps})
+        for t in np.linspace(0.0, 2 * np.pi, 9):
+            u = np.diag(np.exp(-1j * np.diag(h0) * t))
+            target = u @ r @ u.conj().T
+            bound = 1e-13 + 1e-9 * t * np.max(np.abs(r))
+            assert np.max(np.abs(reconstruct_bohr(bd, 0, t) - target)) <= bound
+
     def test_hermitian_coupling_has_conjugate_lines(self):
         rng = np.random.default_rng(6)
         h0 = random_hermitian(rng, 3)
@@ -331,6 +382,27 @@ class TestLindbladRHS:
         coeff = out[0, 1]
         assert coeff == pytest.approx(1j * 1.3 - 4 * lam**2 * jval.real, abs=1e-14)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("name", ["dephasing", (2, 3), (3, 2)])
+    def test_collapsed_rhs_matches_line_pair_loop(self, name, strict):
+        """The O(terms) collapsed RHS against the O(lines^2) double sum, on a
+        stack of operators and with some J entries removed or zeroed."""
+        m, bd, sc = _markov_data(name)
+        d = m.dim_system
+        rng = np.random.default_rng(18)
+        ops = np.stack([random_hermitian(rng, d), rng.normal(size=(d, d)) + 0j, np.eye(d)])
+        keys = sorted(sc.j)
+        pruned = {k: 0.0 if n % 4 == 0 else sc.j[k] for n, k in enumerate(keys) if n % 3 != 1}
+        assert 0.0 in pruned.values() and (len(keys) == 1 or len(pruned) < len(keys))
+        if name != "dephasing":
+            assert len(bd.coefficients) > len({i for i, _ in bd.coefficients})  # several lines per term
+        for j in (sc.j, pruned):
+            coeffs = dataclasses.replace(sc, j=j)
+            got = lindblad_rhs(ops, bd, coeffs, m.h0.mat, m.constants, strict)
+            ref = np.stack([loop_lindblad_rhs(o, bd, coeffs, m.h0.mat, m.constants, strict) for o in ops])
+            assert got.shape == ops.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 class TestEvolveLindblad:
     def test_identity_stays_identity(self):
@@ -394,12 +466,43 @@ class TestEvolveLindblad:
         assert np.max(np.abs(traj - o0)) > 0.1
         assert np.max(np.abs(traj - ref)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "points",
+        [np.linspace(0.0, 4.0, 41), np.concatenate([np.linspace(0.0, 1.0, 11), [1.3, 1.35, 2.0, 2.9]])],
+        ids=["linspace", "nonuniform"],
+    )
+    @pytest.mark.parametrize("name", [(2, 3), (3, 2)])
+    def test_grid_propagation_matches_expm_per_time(self, name, points):
+        from scipy.linalg import expm
+
+        m, bd, sc = _markov_data(name)
+        d = m.dim_system
+        grid = TimeGrid(points)
+        o0 = random_hermitian(np.random.default_rng(19), d)
+        traj = evolve_lindblad(o0, bd, sc, m.h0.mat, m.constants, grid)
+        gen = lindblad_generator(bd, sc, m.h0.mat, m.constants)
+        ref = np.stack([(expm(t * gen) @ o0.ravel()).reshape(d, d) for t in points])
+        assert traj.shape == (len(grid), d, d)
+        assert np.max(np.abs(traj - o0)) > 0.1
+        assert np.max(np.abs(traj - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_stacked_operators_match_one_call_each(self):
+        m, bd, sc = _markov_data((3, 2))
+        rng = np.random.default_rng(20)
+        ops = np.stack([[random_hermitian(rng, 3) for _ in range(3)] for _ in range(2)])
+        grid = TimeGrid.linspace(3.0, 13)
+        got = evolve_lindblad(ops, bd, sc, m.h0.mat, m.constants, grid)
+        assert got.shape == (2, 3, len(grid), 3, 3)
+        for idx in np.ndindex(2, 3):
+            one = evolve_lindblad(ops[idx], bd, sc, m.h0.mat, m.constants, grid)
+            assert np.max(np.abs(got[idx] - one)) <= 1e-14 * np.max(np.abs(one))
 
     def test_wrong_operator_size_rejected(self):
         bd = BohrDecomposition((0.0,), {(0, 0.0): SZ.copy()})
         sc = SpectralCoefficients({(0, 0, 0.0): 0.05}, 10.0, 1e-8, 0.0, {(0, 0, 0.0): 0.0}, True)
-        with pytest.raises(DimensionError):
-            evolve_lindblad(np.eye(3), bd, sc, 0.5 * SZ, Constants(1.0, 0.3), TimeGrid.linspace(1.0, 3))
+        for shape in [(3, 3), (2, 3, 3), (4,), (2, 2, 1)]:
+            with pytest.raises(DimensionError):
+                evolve_lindblad(np.ones(shape), bd, sc, 0.5 * SZ, Constants(1.0, 0.3), TimeGrid.linspace(1.0, 3))
 
     def test_generator_equals_column_by_column_assembly(self):
         """One stacked `lindblad_rhs` call gives the same matrix as mapping
