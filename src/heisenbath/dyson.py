@@ -13,13 +13,19 @@ obeys the autonomous chain ``dE[n]/dt = iF E[n] + H_I E[n-1]``.  Its
 solution is the first block row ``R(t) = (E[0], ..., E[n_max])`` of
 ``exp(tM)``, where ``M`` is block-bidiagonal with ``iF`` on the diagonal
 and ``H_I`` above it (Van Loan, IEEE TAC 23 (1978) 395).  ``M`` is
-defective, so ``expm`` computes it; the row is propagated as
-``R(t + dt) = R(t) exp(dt M)`` and an off-grid time is reached exactly from
-the grid point at or below it.  A grid's steps share one ``S = exp(hM)`` at
-a median step ``h``: steps that differ from ``h`` only by rounding
-(``linspace``) use ``S + (dt - h) S M``, whose neglected term
-``O(((dt - h)|M|)^2)`` lies below double precision; any other step gets
-its own ``expm`` (`propagate_rows`, which the Lindblad evolution shares).
+block upper-triangular Toeplitz, and so is every power series in it: it is
+stored as its first block row ``(iF, H_I, 0, ...)``, and `toeplitz_expm`
+computes the exponential's first block row by Pade-13 scaling and squaring
+(Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179) with products that are
+truncated block convolutions.  The row is propagated as
+``R(t + dt) = R(t) exp(dt M)``, one GEMM against the step matrix assembled
+from its blocks, and an off-grid time is reached exactly from the grid
+point at or below it.  A grid's steps share one ``S = exp(hM)`` at a median
+step ``h``: steps that differ from ``h`` only by rounding (``linspace``)
+use ``S + (dt - h) S M``, whose neglected term ``O(((dt - h)|M|)^2)`` lies
+below double precision; any other step gets its own exponential
+(`propagate_rows`, which the Lindblad evolution shares with a one-block
+generator).
 Nested quadrature survives only as a test oracle.
 
 All of this happens in the H0 eigenbasis, where ``F`` is diagonal; results
@@ -28,10 +34,10 @@ are rotated back on access.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import _blockops
 from .errors import OrderExceedsKernels
@@ -78,14 +84,112 @@ def interaction_hamiltonian_images(m: ModelSpec, t: float) -> ImageFamily:
     return ImageFamily(blocks, t)
 
 
-def propagate_rows(first: np.ndarray, gen: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``first @ exp((t - points[0]) gen)`` at every point, shape ``(n_t, *first.shape)``.
+# Diagonal Pade approximants r_m = V^{-1} U of exp: numerator coefficients
+# b_0..b_m, and the largest |A|_1 at which r_m meets double precision without
+# scaling (Higham 2005, Table 2.3).
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    (
+        9,
+        2.097847961257068e0,
+        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    ),
+    (
+        13,
+        5.371920351148152e0,
+        (
+            64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+            129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+            1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+        ),
+    ),
+)
 
-    Propagated one step at a time, ``R[k] = R[k - 1] @ exp(dt_k gen)``.  The
-    steps share one ``expm`` at the median step ``h``: a step within
-    ``sqrt(eps) / |gen|_1`` of it (``linspace`` rounding) is
-    ``exp(h gen) + (dt - h) exp(h gen) gen``, whose neglected term lies
-    below double precision; any other step gets its own ``expm``.
+
+def toeplitz_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of block upper-triangular Toeplitz matrices, as first block rows.
+
+    ``(AB)_k = sum_{m <= k} A_m B_{k - m}``: one batched matmul per output block.
+    """
+    out = np.empty(a.shape, dtype=np.result_type(a, b))
+    for k in range(len(a)):
+        out[k] = np.matmul(a[: k + 1], b[k::-1]).sum(axis=0)
+    return out
+
+
+def toeplitz_dense(blocks: np.ndarray) -> np.ndarray:
+    """The ``(nD, nD)`` matrix whose first block row is ``blocks``, shape ``(n, D, D)``."""
+    n, d, _ = blocks.shape
+    r, c = np.triu_indices(n)
+    out = np.zeros((n, d, n, d), dtype=blocks.dtype)
+    out[r, :, c] = blocks[c - r]
+    return out.reshape(n * d, n * d)
+
+
+def toeplitz_norm1(blocks: np.ndarray) -> float:
+    """1-norm of `toeplitz_dense` (``blocks``): the largest column sum of ``sum_n |A_n|``."""
+    return float(np.abs(blocks).sum(axis=(0, 1)).max())
+
+
+def _toeplitz_solve(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``X`` with ``Q X = P`` by block forward substitution, one solve against ``Q_0`` per block."""
+    x = np.empty_like(p)
+    x[0] = np.linalg.solve(q[0], p[0])
+    for k in range(1, len(p)):
+        x[k] = np.linalg.solve(q[0], p[k] - np.matmul(q[1 : k + 1], x[k - 1 :: -1]).sum(axis=0))
+    return x
+
+
+def toeplitz_expm(blocks: np.ndarray) -> np.ndarray:
+    """First block row of ``exp(A)`` for block upper-triangular Toeplitz ``A``.
+
+    ``A`` is given by its first block row, shape ``(n, D, D)``; a dense matrix
+    is the case ``n = 1``.  Pade scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26 (2005) 1179, Algorithm 2.3): the lowest degree whose
+    bound admits ``|A|_1``, else degree 13 on ``A / 2^s`` squared ``s``
+    times.  Every product is a `toeplitz_mul`.
+    """
+    a = np.asarray(blocks, dtype=complex)
+    norm = toeplitz_norm1(a)
+    for m, theta, b in _PADE:
+        if norm <= theta:
+            break
+    s = 0 if norm <= theta else math.ceil(math.log2(norm / theta))
+    a = a / 2.0**s
+    eye = np.zeros_like(a)
+    eye[0] = np.eye(a.shape[1])
+    a2 = toeplitz_mul(a, a)
+    if m == 13:
+        a4 = toeplitz_mul(a2, a2)
+        a6 = toeplitz_mul(a4, a2)
+        odd = toeplitz_mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+        v = toeplitz_mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    else:
+        powers = [eye, a2]
+        while len(powers) <= m // 2:
+            powers.append(toeplitz_mul(powers[-1], a2))
+        odd = sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    u = toeplitz_mul(a, odd)
+    x = _toeplitz_solve(v - u, v + u)
+    for _ in range(s):
+        x = toeplitz_mul(x, x)
+    return x
+
+
+def propagate_rows(first: np.ndarray, gen: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``first @ exp((t - points[0]) G)`` at every point, shape ``(n_t, *first.shape)``.
+
+    ``G`` is block upper-triangular Toeplitz with first block row ``gen``,
+    shape ``(n, D, D)`` (a dense generator is one block).  Propagated one
+    step at a time, ``R[k] = R[k - 1] @ exp(dt_k G)``, each step one GEMM
+    against the step matrix assembled from its blocks.  The steps share one
+    `toeplitz_expm` at the median step ``h``: a step within
+    ``sqrt(eps) / |G|_1`` of it (``linspace`` rounding) is
+    ``exp(h G) + (dt - h) exp(h G) G``, whose neglected term lies below
+    double precision; any other step gets its own exponential.
     """
     rows = np.empty((len(points), *first.shape), dtype=complex)
     rows[0] = first
@@ -93,13 +197,14 @@ def propagate_rows(first: np.ndarray, gen: np.ndarray, points: np.ndarray) -> np
     if steps.size == 0:
         return rows
     h = float(np.sort(steps)[steps.size // 2])
-    base = expm(h * gen)
-    near = np.abs(steps - h) * np.linalg.norm(gen, 1) <= np.sqrt(np.finfo(float).eps)
-    slope = base @ gen if np.any(near & (steps != h)) else None
-    cache: dict[float, np.ndarray] = {h: base}
+    base = toeplitz_expm(h * gen)
+    near = np.abs(steps - h) * toeplitz_norm1(gen) <= np.sqrt(np.finfo(float).eps)
+    step = toeplitz_dense(base)
+    slope = toeplitz_dense(toeplitz_mul(base, gen)) if np.any(near & (steps != h)) else None
+    cache: dict[float, np.ndarray] = {h: step}
     for k, (dt, first_order) in enumerate(zip(steps.tolist(), near.tolist()), start=1):
         if dt not in cache:
-            cache[dt] = base + (dt - h) * slope if first_order else expm(dt * gen)
+            cache[dt] = step + (dt - h) * slope if first_order else toeplitz_dense(toeplitz_expm(dt * gen))
         np.matmul(rows[k - 1], cache[dt], out=rows[k])
     return rows
 
@@ -126,8 +231,11 @@ class KernelSet:
         self._free = (self.frame.eps0[:, None] + m.bath_energies[None, :]).ravel() / hbar
         self._v = np.kron(self.frame.v0, np.eye(d_b))
         d = d_s * d_b
-        gen = np.kron(np.eye(n_max + 1), np.diag(1j * self._free))
-        gen[:-d, d:] += np.kron(np.eye(n_max), self._v.conj().T @ m.hi.mat @ self._v)
+        # first block row of the Van Loan generator M: (iF, H_I, 0, ..., 0)
+        gen = np.zeros((n_max + 1, d, d), dtype=complex)
+        gen[0] = np.diag(1j * self._free)
+        if n_max:
+            gen[1] = self._v.conj().T @ m.hi.mat @ self._v
         self._gen = gen
         # R(t) at the grid points, shape (n_t, d, (n_max + 1) d)
         self._rows = propagate_rows(np.eye(d, (n_max + 1) * d), gen, grid.points)
@@ -149,7 +257,8 @@ class KernelSet:
         hit = self._cache.get(key)
         if hit is None:
             k = max(int(np.searchsorted(pts, t, side="right")) - 1, 0)
-            hit = self._remember(key, self._rows[k] @ expm((t - pts[k]) * self._gen))
+            step = toeplitz_dense(toeplitz_expm((t - pts[k]) * self._gen))
+            hit = self._remember(key, self._rows[k] @ step)
         return hit
 
     def _remember(self, key: tuple[str, float], value: np.ndarray) -> np.ndarray:

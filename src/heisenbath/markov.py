@@ -36,26 +36,25 @@ class InteractionDecomposition:
         return tuple(float(np.linalg.norm(r, 2)) for r, _ in self.terms)
 
     def reconstruct(self) -> np.ndarray:
-        return sum(np.kron(r, s) for r, s in self.terms)
+        """``sum_i R^i (x) S^i`` as one contraction over the terms."""
+        r = np.stack([r for r, _ in self.terms])
+        s = np.stack([s for _, s in self.terms])
+        (n, d_s, _), d_b = r.shape, s.shape[1]
+        prod = r.reshape(n, d_s * d_s).T @ s.reshape(n, d_b * d_b)
+        return prod.reshape(d_s, d_s, d_b, d_b).transpose(0, 2, 1, 3).reshape(d_s * d_b, d_s * d_b)
 
 
 def _hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of hermitian n x n matrices."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = np.zeros((n, n), dtype=complex)
-            s[i, j] = s[j, i] = 1.0 / np.sqrt(2)
-            basis.append(s)
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j] = -1j / np.sqrt(2)
-            a[j, i] = 1j / np.sqrt(2)
-            basis.append(a)
-    return np.stack(basis)
+    """Orthonormal (Frobenius) basis of hermitian n x n matrices: the diagonal
+    units, then for each pair ``i < j`` its symmetric and antisymmetric unit."""
+    i, j = np.triu_indices(n, 1)
+    sym = n + 2 * np.arange(i.size)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    basis[sym, i, j] = basis[sym, j, i] = 1.0 / np.sqrt(2)
+    basis[sym + 1, i, j] = -1j / np.sqrt(2)
+    basis[sym + 1, j, i] = 1j / np.sqrt(2)
+    return basis
 
 
 def decompose_interaction(hi: OperatorMatrix) -> InteractionDecomposition:
@@ -281,6 +280,28 @@ def _merge_frequencies(raw: np.ndarray, tol: float) -> np.ndarray:
     return np.array(merged)
 
 
+def _bohr_lines(rs: np.ndarray, h0, hbar: float) -> list[list[tuple[float, np.ndarray]]]:
+    """Bohr components of a stack of system operators ``(n, d_S, d_S)``.
+
+    One eigendecomposition of ``H0``, one stacked rotation into its
+    eigenbasis and one line mask serve every operator; see
+    `bohr_decomposition`.
+    """
+    h0 = h0.mat if isinstance(h0, OperatorMatrix) else np.asarray(h0, dtype=complex)
+    if herm_defect(h0) > HERM_TOL:
+        raise NonHermitianInput("H0 is not hermitian")
+    eps, v = np.linalg.eigh(h0)
+    r_eig = v.conj().T @ rs @ v
+    scale = float(np.max(np.abs(eps))) if eps.size else 0.0
+    tol = 1e-9 * max(scale, 1e-3) / hbar
+    omegas = (eps[None, :] - eps[:, None]) / hbar  # w(a, b) = (eps_b - eps_a)/hbar
+    merged = _merge_frequencies(omegas.ravel(), tol)
+    masks = np.argmin(np.abs(omegas[:, :, None] - merged), axis=2) == np.arange(len(merged))[:, None, None]
+    a_w = v @ (r_eig[:, None] * masks) @ v.conj().T  # (operator, line, d_S, d_S)
+    keep = np.linalg.norm(a_w, axis=(2, 3)) > 1e-14 * np.maximum(1.0, np.linalg.norm(rs, axis=(1, 2)))[:, None]
+    return [[(float(merged[k]), a_w[i, k]) for k in np.flatnonzero(keep[i])] for i in range(len(rs))]
+
+
 def bohr_decomposition(r, h0, hbar: float = 1.0) -> list[tuple[float, np.ndarray]]:
     """Bohr components of one system coupling operator.
 
@@ -292,35 +313,14 @@ def bohr_decomposition(r, h0, hbar: float = 1.0) -> list[tuple[float, np.ndarray
     merge tolerance.
     """
     r = r.mat if isinstance(r, OperatorMatrix) else np.asarray(r, dtype=complex)
-    h0 = h0.mat if isinstance(h0, OperatorMatrix) else np.asarray(h0, dtype=complex)
-    if herm_defect(h0) > HERM_TOL:
-        raise NonHermitianInput("H0 is not hermitian")
-    eps, v = np.linalg.eigh(h0)
-    r_eig = v.conj().T @ r @ v
-    scale = float(np.max(np.abs(eps))) if eps.size else 0.0
-    tol = 1e-9 * max(scale, 1e-3) / hbar
-    omegas = (eps[None, :] - eps[:, None]) / hbar  # w(a, b) = (eps_b - eps_a)/hbar
-    merged = _merge_frequencies(omegas.ravel(), tol)
-    line = np.argmin(np.abs(omegas[:, :, None] - merged), axis=2)
-    out = []
-    norm = max(1.0, float(np.linalg.norm(r)))
-    for k, w in enumerate(merged):
-        a_w = v @ (r_eig * (line == k)) @ v.conj().T
-        if np.linalg.norm(a_w) > 1e-14 * norm:
-            out.append((float(w), a_w))
-    return out
+    return _bohr_lines(r[None], h0, hbar)[0]
 
 
 def bohr_decompose_all(dec: InteractionDecomposition, h0, hbar: float = 1.0) -> BohrDecomposition:
     """Bohr decomposition of every system factor, on a shared frequency list."""
-    coefficients = {}
-    freqs: list[float] = []
-    for i in range(len(dec.terms)):
-        for w, a_w in bohr_decomposition(dec.terms[i][0], h0, hbar):
-            coefficients[(i, w)] = a_w
-            if not any(abs(w - f) < 1e-15 for f in freqs):
-                freqs.append(w)
-    return BohrDecomposition(tuple(sorted(freqs)), coefficients)
+    lines = _bohr_lines(np.array([r for r, _ in dec.terms], dtype=complex), h0, hbar)
+    coefficients = {(i, w): a_w for i, term in enumerate(lines) for w, a_w in term}
+    return BohrDecomposition(tuple(sorted({w for _, w in coefficients})), coefficients)
 
 
 def reconstruct_bohr(bd: BohrDecomposition, i: int, t: float) -> np.ndarray:
@@ -491,8 +491,8 @@ def evolve_lindblad(
     `lindblad_rhs` is linear in the operator, so its matrix ``G`` on
     row-major vectorised operators (`lindblad_generator`) is assembled once.
     The operators, as rows ``vec(o0)^T``, are propagated over the grid under
-    ``G^T`` with one step exponential shared by all steps
-    (`dyson.propagate_rows`), so each grid value is ``exp(t G) vec(o0)``.
+    ``G^T``, a one-block generator, with one step exponential shared by all
+    steps (`dyson.propagate_rows`), so each grid value is ``exp(t G) vec(o0)``.
     ``o0`` is one operator or a stack ``(..., d_S, d_S)``; returns
     ``(..., n_t, d_S, d_S)``.
     """
@@ -501,5 +501,5 @@ def evolve_lindblad(
     d = math.isqrt(gen.shape[0])
     if o0.shape[-2:] != (d, d):
         raise DimensionError(f"operator shape {o0.shape} does not match the {gen.shape[0]}-dim generator")
-    rows = propagate_rows(o0.reshape(-1, d * d), gen.T, grid.points)
+    rows = propagate_rows(o0.reshape(-1, d * d), gen.T[None], grid.points)
     return np.moveaxis(rows, 0, 1).reshape(*o0.shape[:-2], len(grid), d, d)

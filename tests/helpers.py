@@ -87,3 +87,26 @@ def loop_lindblad_rhs(o, bd, sc, h0, constants, strict_paper=False):
             out = out + pref * jw * (a_i_dag @ a_j @ o - a_i_dag @ o @ a_j)
             out = out + pref * np.conj(jw) * (o @ a_j.conj().T @ a_i - a_j.conj().T @ o @ a_i)
     return out
+
+
+# -- loop reference for the hermitian operator basis ------------------------------
+
+
+def loop_hermitian_basis(n):
+    """Orthonormal hermitian basis built element by element: diagonal units,
+    then the symmetric and antisymmetric unit of each pair ``i < j``."""
+    basis = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = np.zeros((n, n), dtype=complex)
+            s[i, j] = s[j, i] = 1.0 / np.sqrt(2)
+            basis.append(s)
+            a = np.zeros((n, n), dtype=complex)
+            a[i, j] = -1j / np.sqrt(2)
+            a[j, i] = 1j / np.sqrt(2)
+            basis.append(a)
+    return np.stack(basis)

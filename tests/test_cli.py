@@ -330,6 +330,52 @@ class TestExitCodes:
         assert out == ["dephasing_bath", "two_qubit"]
 
 
+# Every solve path and every shipped config, then the modules it loaded.
+SCIPY_FREE_RUNTIME = r"""
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+import heisenbath as hb
+from heisenbath import cli, markov
+
+preset = hb.two_qubit(0.25, lam=0.1)
+grid = hb.TimeGrid.linspace(2.0, 9)
+ks = hb.compute_kernels(preset.model, 3, grid)
+traj = hb.one_point_operator(preset.observables["s1x"], hb.SeriesTruncation(3, 0.1), ks, preset.model.rho_b, grid)
+assert np.all(np.isfinite(traj.values))
+
+m = hb.dephasing_bath(lam=0.05).model
+dec = hb.decompose_interaction(m.hi)
+bd = markov.bohr_decompose_all(dec, m.h0.mat, m.constants.hbar)
+sc = hb.spectral_coefficients(m, dec, bd.frequencies, horizon=5.0)
+sz = np.diag([1.0, -1.0]).astype(complex)
+assert np.all(np.isfinite(hb.evolve_lindblad(sz, bd, sc, m.h0.mat, m.constants, grid)))
+
+configs = sys.argv[1]
+with tempfile.TemporaryDirectory() as tmp:
+    for name in sorted(os.listdir(configs)):
+        code = cli.main(["run", os.path.join(configs, name), "--output", os.path.join(tmp, name + ".out")])
+        assert code == 0, (name, code)
+
+leaked = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not leaked, leaked
+"""
+
+
+def test_runtime_does_not_import_scipy():
+    """scipy is a test-only dependency: solving and every shipped config run without it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUNTIME, configs], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_cli_entry_point_runs():
     # the child imports the package from the same source tree as this test
     src = os.path.dirname(os.path.dirname(cli.__file__))

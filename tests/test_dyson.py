@@ -9,6 +9,10 @@ from heisenbath.dyson import (
     dyson_propagator,
     image_first_order,
     interaction_hamiltonian_images,
+    toeplitz_dense,
+    toeplitz_expm,
+    toeplitz_mul,
+    toeplitz_norm1,
 )
 from heisenbath.errors import OrderExceedsKernels
 from heisenbath.images import identity_family, to_image_family
@@ -129,21 +133,24 @@ class TestKernels:
             assert np.max(np.abs(back - heis)) < 1e-12
 
     def test_shared_step_exponential_matches_per_step_expm(self, monkeypatch):
-        """Rounding-level step differences (linspace) share one expm; genuinely
-        different steps get their own.  Rows match per-step propagation."""
+        """Rounding-level step differences (linspace) share one exponential;
+        genuinely different steps get their own.  Rows match per-step `expm`
+        propagation of the dense Van Loan generator."""
         from scipy.linalg import expm
 
         from heisenbath import dyson
 
         calls = []
-        monkeypatch.setattr(dyson, "expm", lambda a: calls.append(1) or expm(a))
+        exponential = dyson.toeplitz_expm
+        monkeypatch.setattr(dyson, "toeplitz_expm", lambda a: calls.append(1) or exponential(a))
         points = np.concatenate([np.linspace(0.0, 1.0, 41), [1.1, 1.35, 1.8]])
         assert len(set(np.diff(points[:41]).tolist())) > 1  # ulp-level spread
         ks = compute_kernels(_random_spec(7, 2, 3), 3, TimeGrid(points))
         assert len(calls) == 4  # the median step, then 0.1, 0.25 and 0.45
+        gen = toeplitz_dense(ks._gen)
         row = np.eye(6, 24, dtype=complex)
         for k, dt in enumerate(np.diff(points), start=1):
-            step = expm(dt * ks._gen)
+            step = expm(dt * gen)
             row = row @ step
             assert np.max(np.abs(ks._rows[k] - row)) <= 1e-13 * np.max(np.abs(row))
 
@@ -155,14 +162,16 @@ class TestKernels:
 
         from heisenbath import dyson
 
-        gen = compute_kernels(_random_spec(8, 2, 3), 2, TimeGrid.linspace(1.0, 2))._gen
+        blocks = compute_kernels(_random_spec(8, 2, 3), 2, TimeGrid.linspace(1.0, 2))._gen
+        gen = toeplitz_dense(blocks)
         h = 0.05
         steps = h * (1.0 + np.array([0.0, 1e-9, -2e-9]) / (h * np.linalg.norm(gen, 1)))
         points = np.concatenate([[0.0], np.cumsum(steps)])
         first = np.eye(gen.shape[0])[:6]
         calls = []
-        monkeypatch.setattr(dyson, "expm", lambda a: calls.append(1) or expm(a))
-        got = dyson.propagate_rows(first, gen, points)
+        exponential = dyson.toeplitz_expm
+        monkeypatch.setattr(dyson, "toeplitz_expm", lambda a: calls.append(1) or exponential(a))
+        got = dyson.propagate_rows(first, blocks, points)
         assert len(calls) == 1
         assert np.array_equal(got[0], first)
         ref = first.astype(complex)
@@ -181,6 +190,53 @@ class TestKernels:
         _, ks = two_qubit_quarter
         with pytest.raises(OrderExceedsKernels):
             ks.heis_at(4, 0.5)
+
+
+def _assert_matches_scipy_expm(blocks):
+    """First block row of `toeplitz_expm` against `scipy.linalg.expm` of the
+    dense matrix, to 1e-13 relative to the largest reference entry."""
+    from scipy.linalg import expm
+
+    n, d, _ = blocks.shape
+    ref = expm(toeplitz_dense(blocks))[:d].reshape(d, n, d).transpose(1, 0, 2)
+    got = toeplitz_expm(blocks)
+    assert got.shape == blocks.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestToeplitzExponential:
+    # |A|_1 at every Pade degree (3, 5, 7, 9, 13); above theta_13 = 5.37 it squares
+    NORMS = [1e-3, 0.2, 0.9, 2.0, 5.0, 12.0, 60.0]
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("order", range(5))
+    def test_van_loan_rows_match_scipy(self, order, norm):
+        gen = compute_kernels(_random_spec(9, 2, 3), order, TimeGrid.linspace(1.0, 2))._gen
+        assert gen.shape == (order + 1, 6, 6)
+        _assert_matches_scipy_expm(norm / toeplitz_norm1(gen) * gen)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_dense_nonnormal_matches_scipy(self, norm):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        assert np.max(np.abs(a @ a.conj().T - a.conj().T @ a)) > 1.0
+        _assert_matches_scipy_expm(norm / np.linalg.norm(a, 1) * a[None])
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 4.0, 15.0])
+    def test_jordan_block_matches_scipy(self, t):
+        jordan = -0.5 * np.eye(4) + np.eye(4, k=1)
+        _assert_matches_scipy_expm(t * jordan[None])
+
+    def test_zero_gives_identity_row(self):
+        got = toeplitz_expm(np.zeros((3, 4, 4)))
+        assert np.array_equal(got, np.stack([np.eye(4), np.zeros((4, 4)), np.zeros((4, 4))]))
+
+    def test_norm_and_product_match_dense(self):
+        rng = np.random.default_rng(11)
+        a, b = (rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3)) for _ in range(2))
+        dense = toeplitz_dense(toeplitz_mul(a, b))
+        assert np.max(np.abs(dense - toeplitz_dense(a) @ toeplitz_dense(b))) < 1e-14 * np.max(np.abs(dense))
+        assert np.isclose(toeplitz_norm1(a), np.linalg.norm(toeplitz_dense(a), 1), rtol=1e-15)
 
 
 class TestDysonPropagator:

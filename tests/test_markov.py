@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import heisenbath as hb
-from heisenbath.dyson import compute_kernels, frame_of
+from heisenbath.dyson import compute_kernels, frame_of, toeplitz_expm
 from heisenbath.errors import DimensionError, NonConvergent, NonHermitianInput
 from heisenbath.markov import (
     BohrDecomposition,
@@ -26,7 +26,7 @@ from heisenbath.markov import (
 from heisenbath.model import make_model
 from heisenbath.spaces import Constants, TimeGrid, full_operator
 from heisenbath.superop import SeriesTruncation, one_point_operator, one_point_rhs
-from helpers import loop_lindblad_rhs, random_density, random_hermitian
+from helpers import loop_hermitian_basis, loop_lindblad_rhs, random_density, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -91,6 +91,19 @@ class TestDecomposeInteraction:
         bad[0, 1] = 1.0
         with pytest.raises(NonHermitianInput):
             decompose_interaction(full_operator(bad, (2, 2)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_hermitian_basis_matches_loop_construction(self, n):
+        from heisenbath.markov import _hermitian_basis
+
+        assert np.array_equal(_hermitian_basis(n), loop_hermitian_basis(n))
+
+    def test_reconstruct_is_the_kron_sum(self):
+        rng = np.random.default_rng(21)
+        dec = decompose_interaction(full_operator(random_hermitian(rng, 12), (3, 4)))
+        ref = sum(np.kron(r, s) for r, s in dec.terms)
+        assert len(dec.terms) > 1
+        assert np.max(np.abs(dec.reconstruct() - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5])
     def test_two_qubit_weighted_factor_sum(self, c):
@@ -240,6 +253,32 @@ class TestBohr:
             target = u @ r @ u.conj().T
             bound = 1e-13 + 1e-9 * t * np.max(np.abs(r))
             assert np.max(np.abs(reconstruct_bohr(bd, 0, t) - target)) <= bound
+
+    @pytest.mark.parametrize("name", [(2, 3), (3, 2), "lines_differ"])
+    def test_all_terms_match_one_call_each(self, name):
+        """The stacked decomposition of every coupling term equals one
+        `bohr_decomposition` per term; the frequency list is their union.
+        In ``lines_differ`` the S_z term lies on the zero line only and the
+        S_x term on the two others only."""
+        if name == "lines_differ":
+            hi = 2.0 * np.kron(SZ, SX) + np.kron(SX, SZ)
+            m = make_model(np.diag([0.0, 1.0]), np.diag([0.0, 0.5]), hi, np.eye(2) / 2, np.eye(2) / 2)
+        else:
+            m = _markov_data(name)[0]
+        dec = decompose_interaction(m.hi)
+        bd = bohr_decompose_all(dec, m.h0.mat, m.constants.hbar)
+        expected = {
+            (i, w): a
+            for i, (r, _) in enumerate(dec.terms)
+            for w, a in bohr_decomposition(r, m.h0.mat, m.constants.hbar)
+        }
+        assert len(dec.terms) > 1
+        assert list(bd.coefficients) == list(expected)
+        for key, a in expected.items():
+            assert np.max(np.abs(bd.coefficients[key] - a)) <= 1e-15 * max(1.0, np.max(np.abs(a)))
+        assert bd.frequencies == tuple(sorted({w for _, w in expected}))
+        if name == "lines_differ":
+            assert sorted(expected) == [(0, 0.0), (1, -1.0), (1, 1.0)]
 
     def test_hermitian_coupling_has_conjugate_lines(self):
         rng = np.random.default_rng(6)
@@ -485,6 +524,18 @@ class TestEvolveLindblad:
         assert traj.shape == (len(grid), d, d)
         assert np.max(np.abs(traj - o0)) > 0.1
         assert np.max(np.abs(traj - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("name", ["dephasing", (2, 3), (3, 2)])
+    def test_step_exponential_matches_scipy(self, name):
+        """The one-block `toeplitz_expm` of the generator against `scipy.linalg.expm`."""
+        from scipy.linalg import expm
+
+        m, bd, sc = _markov_data(name)
+        gen = lindblad_generator(bd, sc, m.h0.mat, m.constants)
+        for t in (0.05, 1.0, 10.0):
+            ref = expm(t * gen)
+            got = toeplitz_expm(t * gen[None])[0]
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_stacked_operators_match_one_call_each(self):
         m, bd, sc = _markov_data((3, 2))
