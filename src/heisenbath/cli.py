@@ -30,6 +30,7 @@ from .errors import (
     DimensionError,
     HeisenbathError,
     InvalidDensityMatrix,
+    NonFiniteResult,
     NonHermitianInput,
     ParseError,
     ValidationError,
@@ -198,7 +199,10 @@ def load_config(path: str) -> ExperimentConfig:
         num = parse_number(grid_raw.get("num", 11), "grid.num", int)
         if stop <= 0 or num < 2:
             _fail("grid", f"need stop > 0 and num >= 2, got stop={stop}, num={num}")
-        grid = TimeGrid.linspace(stop, num)
+        try:
+            grid = TimeGrid.linspace(stop, num)
+        except ValueError as exc:  # stop too small to separate num points
+            _fail("grid", f"stop={stop}, num={num}: {exc}")
 
     observables = {}
     obs_raw = _mapping(raw.get("observables"), "observables")
@@ -418,7 +422,8 @@ def _run_markov_report(cfg: ExperimentConfig) -> list[dict]:
         {
             "check": "decay",
             "metric": "crossing_time",
-            "value": report.decay_time if report.decay_time is not None else float("nan"),
+            # no crossing within the horizon: the crossing time is beyond it
+            "value": report.decay_time if report.decay_time is not None else report.horizon,
             "threshold": report.decay_threshold,
             "status": "pass" if report.passes["decay"] else "fail",
         },
@@ -446,8 +451,19 @@ def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     return rows, ok
 
 
+def _check_finite(rows: list[dict]) -> None:
+    """Raise `NonFiniteResult` on the first row holding a NaN or an infinity."""
+    for row in rows:
+        if not all(math.isfinite(v) for v in row.values() if isinstance(v, float)):
+            raise NonFiniteResult(f"non-finite value in result row {row}; no output written")
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; writes the artifact and returns the exit status."""
+    """Execute one experiment; writes the artifact and returns the exit status.
+
+    Every row is checked for finite values before anything is written.
+    """
+    ok = True
     if cfg.run == "one_point":
         rows = _run_one_point(cfg)
     elif cfg.run == "n_point":
@@ -460,12 +476,11 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         rows = _run_markov_report(cfg)
     elif cfg.run == "validate":
         rows, ok = _run_validate(cfg)
-        write_rows(rows, cfg.output_path, cfg.output_format)
-        return 0 if ok else 4
     else:  # pragma: no cover - guarded by load_config
         raise ValidationError(f"run: unsupported mode {cfg.run!r}")
+    _check_finite(rows)
     write_rows(rows, cfg.output_path, cfg.output_format)
-    return 0
+    return 0 if ok else 4
 
 
 # -- argparse ------------------------------------------------------------------
@@ -525,7 +540,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (HeisenbathError, np.linalg.LinAlgError) as exc:
+    except (HeisenbathError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     if status == 0:

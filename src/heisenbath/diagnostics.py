@@ -10,9 +10,6 @@ decomposition sum) are asserted at rounding level instead.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .model import ModelSpec, make_model
@@ -33,13 +30,6 @@ from .superop import (
 )
 
 DEFAULT_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("HEISENBATH_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def random_model(seed: int, d_s: int, d_b: int, hbar: float = 1.0) -> tuple[ModelSpec, np.ndarray]:
@@ -65,14 +55,6 @@ def fit_slope(lams, errors) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _sweep(fn, lams):
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, lams))
-    return [fn(lam) for lam in lams]
-
-
 def one_point_errors(m: ModelSpec, obs, t: float, order: int, ks: KernelSet, lams) -> list[float]:
     o_op = system_operator(obs, (m.dim_system, m.dim_bath))
 
@@ -81,7 +63,7 @@ def one_point_errors(m: ModelSpec, obs, t: float, order: int, ks: KernelSet, lam
         ex = weighted_bath_trace(heisenberg_evolve_exact(m.with_coupling(lam), o_op, t), m.rho_b)
         return float(np.max(np.abs(val - ex.mat)))
 
-    return _sweep(err, lams)
+    return [err(lam) for lam in lams]
 
 
 def star_errors(m: ModelSpec, obs, times, order: int, ks: KernelSet, lams) -> list[float]:
@@ -92,7 +74,7 @@ def star_errors(m: ModelSpec, obs, times, order: int, ks: KernelSet, lams) -> li
         ex = npoint_reduced_exact(m.with_coupling(lam), [(o_op, t) for t in times])
         return float(np.max(np.abs(st - ex.mat)))
 
-    return _sweep(err, lams)
+    return [err(lam) for lam in lams]
 
 
 def image_errors(m: ModelSpec, obs, t: float, order: int, ks: KernelSet, lams) -> list[float]:
@@ -105,7 +87,7 @@ def image_errors(m: ModelSpec, obs, t: float, order: int, ks: KernelSet, lams) -
         exact = to_image_family(heisenberg_evolve_exact(m.with_coupling(lam), o_op, t))
         return float(np.max(np.abs(fam.blocks - exact.blocks)))
 
-    return _sweep(err, lams)
+    return [err(lam) for lam in lams]
 
 
 def roundtrip_errors(m: ModelSpec, obs, t: float, order: int, ks: KernelSet, lams) -> list[float]:
@@ -116,7 +98,7 @@ def roundtrip_errors(m: ModelSpec, obs, t: float, order: int, ks: KernelSet, lam
         free = ks.frame.free_conjugate(np.asarray(obs, dtype=complex), t)
         return float(np.max(np.abs(back - free)))
 
-    return _sweep(err, lams)
+    return [err(lam) for lam in lams]
 
 
 def cumulant2_errors(m: ModelSpec, obs, t1: float, t2: float, order: int, ks: KernelSet, lams) -> list[float]:
@@ -131,7 +113,7 @@ def cumulant2_errors(m: ModelSpec, obs, t1: float, t2: float, order: int, ks: Ke
         ex_2 = weighted_bath_trace(heisenberg_evolve_exact(ml, o_op, t2), m.rho_b).mat
         return float(np.max(np.abs(irr.mat - (ex_star - ex_1 @ ex_2))))
 
-    return _sweep(err, lams)
+    return [err(lam) for lam in lams]
 
 
 def rhs_fd_errors(m: ModelSpec, obs, t: float, order: int, ks: KernelSet, grid: TimeGrid, lams) -> list[float]:
@@ -145,7 +127,7 @@ def rhs_fd_errors(m: ModelSpec, obs, t: float, order: int, ks: KernelSet, grid: 
         minus = one_point_value(obs, trunc, ks, m.rho_b, t - step)
         return float(np.max(np.abs(rhs - (plus - minus) / (2 * step))))
 
-    return _sweep(err, lams)
+    return [err(lam) for lam in lams]
 
 
 def cancellation_defect(m: ModelSpec, obs, t: float, n_max: int, lam: float, ks: KernelSet) -> float:

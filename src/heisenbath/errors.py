@@ -25,6 +25,10 @@ class OrderExceedsKernels(HeisenbathError):
     """A series operation requested an order beyond the computed kernels."""
 
 
+class NonFiniteResult(HeisenbathError):
+    """A computed result holds NaN or infinity."""
+
+
 class NonConvergent(HeisenbathError):
     """A half-line integral did not converge within the requested horizon."""
 

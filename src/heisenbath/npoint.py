@@ -9,10 +9,23 @@ Summing all partitions reproduces the super-operator series term by term
 (two bookkeepings of the same expansion), and prefixing a (0, 0) pair flips
 the sign of a term's bath contraction, which is why only the trivial
 partition survives contraction.
+
+How the sum is evaluated: a partition's inner value (pairs 2..k wrapped
+innermost first, each contracted with ``rho_B`` and weighted by
+``-i^(n_i - m_i) (lam/hbar)^(n_i + m_i)``) depends only on its suffix, so
+each distinct suffix is wrapped once and reused by every partition that
+ends with it.  Pair 1's open word is linear in its core, so it runs once
+per distinct first pair, on the sum of the inner values of the partitions
+that start with it.  Up to order 0..4 that is 1, 5, 15, 43 and 130
+full-space sandwiches, against 1, 7, 36, 164 and 700 one partition at a
+time.  Suffixes are deliberately not merged by total order: that sum is
+the super-operator series inversion itself, and the partition sum would
+then no longer be an independent check of it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,6 +91,12 @@ def enumerate_even_partitions(n: int, k_max: int) -> list[EvenPartition]:
     """
     if n < 0 or k_max < 1:
         raise ValueError(f"need n >= 0 and k_max >= 1, got n={n}, k_max={k_max}")
+    return list(_partitions(n, k_max))
+
+
+@functools.cache
+def _partitions(n: int, k_max: int) -> tuple[EvenPartition, ...]:
+    """The enumeration behind `enumerate_even_partitions`, held per ``(n, k_max)``."""
     found: list[tuple[tuple[int, int], ...]] = []
 
     def extend(prefix: list[tuple[int, int]], remaining: int):
@@ -94,7 +113,49 @@ def enumerate_even_partitions(n: int, k_max: int) -> list[EvenPartition]:
                 prefix.pop()
 
     extend([], n)
-    return [EvenPartition(p) for p in sorted(found)]
+    return tuple(EvenPartition(p) for p in sorted(found))
+
+
+class _PartitionWords:
+    """Operator words of partitions at one time, each distinct inner chain evaluated once.
+
+    `inner` is the value of a suffix (pairs 2..k): the one-point value
+    wrapped innermost first with kernel slot ``n_i`` on the left and the
+    adjoint of slot ``m_i`` on the right, each pair contracted with
+    ``rho_B[b_i, a_i]`` and weighted by ``-i^(n_i - m_i) (lam/hbar)^(n_i + m_i)``.
+    It depends on nothing but the suffix, so it is held per suffix tuple
+    for the life of the object.  `open_word` applies pair 1, bath indices
+    open, in full space; it is linear in its core.
+    """
+
+    def __init__(
+        self, value: np.ndarray, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix, t: float
+    ):
+        self.kstack = ks.heis_stack(t)
+        self.rho = rho_b.mat
+        self.x = trunc.lam / ks.frame.constants.hbar
+        self.ds, self.db = ks.dim_system, ks.dim_bath
+        self.inner_values: dict[tuple[tuple[int, int], ...], np.ndarray] = {(): value}
+
+    def _weight(self, n_i: int, m_i: int) -> complex:
+        return 1j ** (n_i - m_i) * self.x ** (n_i + m_i)
+
+    def _sandwich(self, n_i: int, m_i: int, core: np.ndarray) -> np.ndarray:
+        # full-space K[n_i] (core (x) 1_B) K[m_i]^dag, one GEMM
+        left = _blockops.system_lift(self.kstack[n_i : n_i + 1], core)
+        return _blockops.sandwich_sum(left, self.kstack[m_i : m_i + 1])
+
+    def inner(self, suffix: tuple[tuple[int, int], ...]) -> np.ndarray:
+        hit = self.inner_values.get(suffix)
+        if hit is None:
+            (n_i, m_i), rest = suffix[0], suffix[1:]
+            core = -self._weight(n_i, m_i) * self.inner(rest)
+            hit = _blockops.bath_trace(self._sandwich(n_i, m_i, core), self.rho, self.ds, self.db)
+            self.inner_values[suffix] = hit
+        return hit
+
+    def open_word(self, pair: tuple[int, int], core: np.ndarray) -> np.ndarray:
+        return self._sandwich(*pair, self._weight(*pair) * core)
 
 
 def assemble_partition_term(
@@ -117,23 +178,9 @@ def assemble_partition_term(
             f"partition of order {p.total} exceeds computed kernel order {ks.orders}"
         )
     value = o_s_value.mat if isinstance(o_s_value, OperatorMatrix) else np.asarray(o_s_value, complex)
-    kstack = ks.heis_stack(t)
-    ds, db = ks.dim_system, ks.dim_bath
-
-    def word(n_i: int, m_i: int, core: np.ndarray) -> np.ndarray:
-        # full-space K[n_i] (core (x) 1_B) K[m_i]^dag, one GEMM
-        left = _blockops.system_lift(kstack[n_i : n_i + 1], core)
-        return _blockops.sandwich_sum(left, kstack[m_i : m_i + 1])
-
-    core = value
-    for n_i, m_i in p.pairs[:0:-1]:
-        core = _blockops.bath_trace(word(n_i, m_i, core), rho_b.mat, ds, db)
-    blocks = _blockops.full_to_fam(word(*p.pairs[0], core), ds, db)
-    n_sum = sum(n for n, _ in p.pairs)
-    m_sum = sum(m for _, m in p.pairs)
-    hbar = ks.frame.constants.hbar
-    coeff = (-1) ** (p.k - 1) * 1j ** (n_sum - m_sum) * (trunc.lam / hbar) ** p.total
-    return ImageFamily(coeff * blocks, t)
+    words = _PartitionWords(value, trunc, ks, rho_b, t)
+    full = words.open_word(p.pairs[0], words.inner(p.pairs[1:]))
+    return ImageFamily(_blockops.full_to_fam(full, words.ds, words.db), t)
 
 
 def expand_image_by_partitions(
@@ -146,18 +193,20 @@ def expand_image_by_partitions(
     """Image family as the partition sum over all orders n <= n_max.
 
     Same series as the super-operator route, different bookkeeping; the two
-    agree blockwise to rounding at equal order.
+    agree blockwise to rounding at equal order.  Each distinct suffix is
+    wrapped once, and pair 1's word runs once per distinct first pair, on
+    the sum of the inner values of the partitions that start with it.
     """
     if n_max > ks.orders:
         raise OrderExceedsKernels(f"n_max {n_max} exceeds computed kernel order {ks.orders}")
-    value = trajectory_value(o_s, ks, rho_b, t)
-    trunc = o_s.truncation
-    db, ds = ks.dim_bath, ks.dim_system
-    out = np.zeros((db, db, ds, ds), dtype=complex)
+    words = _PartitionWords(trajectory_value(o_s, ks, rho_b, t), o_s.truncation, ks, rho_b, t)
+    cores: dict[tuple[int, int], np.ndarray] = {}
     for n in range(n_max + 1):
-        for p in enumerate_even_partitions(n, n + 1):
-            out += assemble_partition_term(p, value, trunc, ks, rho_b, t).blocks
-    return ImageFamily(out, t)
+        for p in _partitions(n, n + 1):
+            first = p.pairs[0]
+            cores[first] = cores.get(first, 0) + words.inner(p.pairs[1:])
+    full = sum(words.open_word(pair, core) for pair, core in cores.items())
+    return ImageFamily(_blockops.full_to_fam(full, words.ds, words.db), t)
 
 
 def _ensure_kernels(

@@ -48,9 +48,9 @@ def einsum_partition_term(pairs, value, kstack, rho, lam, hbar=1.0):
     """Signed operator word of one even partition, bath indices of pair 1 open."""
     core = value
     for n_i, m_i in pairs[:0:-1]:
-        core = np.einsum("agij,jk,bgmk,ba->im", kstack[n_i], core, kstack[m_i].conj(), rho)
+        core = np.einsum("agij,jk,bgmk,ba->im", kstack[n_i], core, kstack[m_i].conj(), rho, optimize=True)
     n_1, m_1 = pairs[0]
-    blocks = np.einsum("agij,jk,bgmk->abim", kstack[n_1], core, kstack[m_1].conj())
+    blocks = np.einsum("agij,jk,bgmk->abim", kstack[n_1], core, kstack[m_1].conj(), optimize=True)
     n_sum = sum(n for n, _ in pairs)
     m_sum = sum(m for _, m in pairs)
     total = n_sum + m_sum

@@ -14,6 +14,9 @@ from heisenbath.errors import NonConvergent, ParseError, ValidationError
 from heisenbath.markov import evolve_lindblad
 
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
 def write_config(tmp_path, name="exp.yaml", **overrides):
     cfg = {
         "model": {"preset": "two_qubit", "c": 0.25},
@@ -226,22 +229,6 @@ class TestRunModes:
         rows = read_rows(out)
         assert rows and all(r["status"] == "pass" for r in rows)
 
-    def test_validate_table_independent_of_thread_count(self, tmp_path, monkeypatch):
-        tables = []
-        for threads in (None, "2"):
-            if threads is None:
-                monkeypatch.delenv("HEISENBATH_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("HEISENBATH_THREADS", threads)
-            out = tmp_path / f"val_{threads}.csv"
-            path = write_config(
-                tmp_path, run="validate", validate={"seed": 42, "d_s": 2, "d_b": 3},
-                output={"path": str(out), "format": "csv"},
-            )
-            assert cli.main(["validate", str(path)]) == 0
-            tables.append(out.read_bytes())
-        assert tables[0] == tables[1]
-
     def test_output_directory_created(self, tmp_path):
         out = tmp_path / "nested" / "deep" / "out.csv"
         path = write_config(tmp_path, output={"path": str(out), "format": "csv"})
@@ -263,6 +250,35 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_experiment", lambda cfg: (_ for _ in ()).throw(NonConvergent("boom")))
         assert cli.main(["run", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_result_is_3(self, tmp_path, capsys):
+        """lambda = 1e200 overflows the one-point series: exit 3, nothing written."""
+        with open(os.path.join(CONFIGS, "two_qubit_one_point.yaml")) as fh:
+            raw = yaml.safe_load(fh)
+        out = tmp_path / "overflow.csv"
+        raw["truncation"]["lambda"] = 1.0e200
+        raw["output"]["path"] = str(out)
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with np.errstate(all="ignore"):
+            assert cli.main(["run", str(path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_markov_report_without_decay_is_finite(self, tmp_path):
+        """A correlator that never falls below threshold reports the horizon and fails."""
+        out = tmp_path / "report.csv"
+        path = write_config(
+            tmp_path,
+            model={"preset": "dephasing_bath"},
+            run="markov_report",
+            observables={},
+            markov={"horizon": 0.01, "decay_threshold": 0.025},
+            output={"path": str(out), "format": "csv"},
+        )
+        assert cli.main(["run", str(path)]) == 0
+        decay = {r["check"]: r for r in read_rows(out)}["decay"]
+        assert decay["status"] == "fail" and float(decay["value"]) == 0.01
 
     def test_validation_defect_is_4(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "val.csv"
@@ -368,10 +384,9 @@ assert not leaked, leaked
 def test_runtime_does_not_import_scipy():
     """scipy is a test-only dependency: solving and every shipped config run without it."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_RUNTIME, configs], capture_output=True, text=True, env=env
+        [sys.executable, "-c", SCIPY_FREE_RUNTIME, CONFIGS], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
 

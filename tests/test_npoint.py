@@ -88,6 +88,16 @@ class TestEnumeration:
             EvenPartition(((-1, 2),))
 
 
+def test_enumeration_is_a_fresh_list_of_shared_partitions():
+    """Partitions are held once per (n, k_max); callers cannot mutate the held value."""
+    first = enumerate_even_partitions(3, 4)
+    first.clear()
+    second = enumerate_even_partitions(3, 4)
+    assert len(second) == len(brute_force_partitions(3, 4))
+    assert second is not enumerate_even_partitions(3, 4)
+    assert second[0] is enumerate_even_partitions(3, 4)[0]
+
+
 def test_multi_leg_partition_totals():
     from heisenbath.npoint import MultiLegPartition
 

@@ -2,15 +2,23 @@
 
 Sizes (d_S, d_B) = (2, 3), (3, 2) and (4, 8), orders 0-4, on and off the
 kernel grid; agreement is required to 1e-13 relative to the largest entry
-of the reference (kernel entries grow like (|H_I| t)^n / n!).
+of the reference (kernel entries grow like (|H_I| t)^n / n!).  The
+partition expansion is also held to its sandwich count: one per distinct
+suffix (inner chain) plus one per distinct first pair.
 """
 
 import numpy as np
 import pytest
 
+from heisenbath import _blockops
 from heisenbath.diagnostics import random_model
 from heisenbath.dyson import compute_kernels
-from heisenbath.npoint import assemble_partition_term, decompose_3pt, enumerate_even_partitions
+from heisenbath.npoint import (
+    assemble_partition_term,
+    decompose_3pt,
+    enumerate_even_partitions,
+    expand_image_by_partitions,
+)
 from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
     SeriesTruncation,
@@ -21,6 +29,7 @@ from heisenbath.superop import (
     one_point_operator,
     one_point_value,
     star_of_observables,
+    trajectory_value,
 )
 from helpers import (
     einsum_DtP_S,
@@ -73,6 +82,40 @@ def test_partition_terms_match_einsum(engine_model, n):
         out = assemble_partition_term(p, value, trunc, ks, m.rho_b, GRID_TIME).blocks
         ref = einsum_partition_term(p.pairs, value, kstack, m.rho_b.mat, LAM, hbar)
         assert _close(out, ref), p.pairs
+
+
+@pytest.mark.parametrize("t", [GRID_TIME, OFF_GRID_TIME])
+@pytest.mark.parametrize("order", ORDERS)
+def test_partition_expansion_matches_einsum_sum(engine_model, order, t):
+    """The shared-suffix expansion equals the per-partition einsum words, summed."""
+    m, obs, ks = engine_model
+    trunc = SeriesTruncation(order, LAM)
+    traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid, "obs")
+    value = trajectory_value(traj, ks, m.rho_b, t)
+    kstack = ks.heis_stack(t)
+    ref = sum(
+        einsum_partition_term(p.pairs, value, kstack, m.rho_b.mat, LAM, m.constants.hbar)
+        for n in range(order + 1)
+        for p in enumerate_even_partitions(n, n + 1)
+    )
+    assert _close(expand_image_by_partitions(traj, order, ks, m.rho_b, t).blocks, ref)
+
+
+# per-partition evaluation would take 1, 7, 36, 164 and 700 sandwiches
+@pytest.mark.parametrize("n_max,sandwiches", [(0, 1), (1, 5), (2, 15), (3, 43), (4, 130)])
+def test_partition_expansion_sandwich_count(engine_model, monkeypatch, n_max, sandwiches):
+    m, obs, ks = engine_model
+    traj = one_point_operator(obs, SeriesTruncation(n_max, LAM), ks, m.rho_b, ks.grid, "obs")
+    calls = []
+    real = _blockops.sandwich_sum
+
+    def counted(lefts, rights):
+        calls.append(len(lefts))
+        return real(lefts, rights)
+
+    monkeypatch.setattr(_blockops, "sandwich_sum", counted)
+    expand_image_by_partitions(traj, n_max, ks, m.rho_b, GRID_TIME)
+    assert calls == [1] * sandwiches
 
 
 @pytest.mark.parametrize("order", ORDERS)
