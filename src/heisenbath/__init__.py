@@ -27,6 +27,7 @@ from .spaces import (
 )
 from .model import ModelSpec, make_model
 from .oracle import (
+    evolve_exact,
     expectation,
     heisenberg_evolve_exact,
     image_extract_exact,
@@ -86,5 +87,5 @@ from .presets import PRESETS, dephasing_bath, two_qubit
 
 __version__ = "0.1.0"
 
-# Every path is NumPy/SciPy; the name stays for provenance records.
+# Every path is NumPy; the name stays for provenance records.
 BACKEND = "python"

@@ -46,11 +46,15 @@ def fam_mul(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return full_to_fam(fam_to_full(f) @ fam_to_full(g), ds, db)
 
 
-def identity_family(ds: int, db: int) -> np.ndarray:
-    """The family of the full identity: ``1_S * delta_{ab}``."""
-    out = np.zeros((db, db, ds, ds), dtype=complex)
+def delta_family(value: np.ndarray, db: int) -> np.ndarray:
+    """The family ``value delta_ab`` of the full-space operator ``value (x) 1_B``.
+
+    Leading axes of ``value`` (a stack of system operators) are carried.
+    """
+    *lead, ds, _ = value.shape
+    out = np.zeros((*lead, db, db, ds, ds), dtype=complex)
     idx = np.arange(db)
-    out[idx, idx] = np.eye(ds)
+    out[..., idx, idx, :, :] = value[..., None, :, :]
     return out
 
 

@@ -37,6 +37,8 @@ from .errors import (
 )
 from .images import contract_with_bath, evolve_images_exact
 from .markov import (
+    FIRST_MOMENT_THRESHOLD,
+    STATIONARITY_THRESHOLD,
     bohr_decompose_all,
     check_markov_assumptions,
     decompose_interaction,
@@ -409,14 +411,14 @@ def _run_markov_report(cfg: ExperimentConfig) -> list[dict]:
             "check": "first_moment",
             "metric": "max_abs",
             "value": report.first_moment_max,
-            "threshold": 1e-10,
+            "threshold": FIRST_MOMENT_THRESHOLD,
             "status": "pass" if report.passes["first_moment"] else "fail",
         },
         {
             "check": "stationarity",
             "metric": "max_abs_defect",
             "value": report.stationarity_defect,
-            "threshold": 1e-10,
+            "threshold": STATIONARITY_THRESHOLD,
             "status": "pass" if report.passes["stationarity"] else "fail",
         },
         {
@@ -458,10 +460,12 @@ def _check_finite(rows: list[dict]) -> None:
             raise NonFiniteResult(f"non-finite value in result row {row}; no output written")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes the artifact and returns the exit status.
 
-    Every row is checked for finite values before anything is written.
+    Every row is checked for finite values before anything is written, so a
+    NaN or overflow is reported once, as exit 3, not as numpy warnings first.
     """
     ok = True
     if cfg.run == "one_point":

@@ -43,7 +43,7 @@ from . import _blockops
 from .errors import OrderExceedsKernels
 from .images import ImageFamily, to_image_family
 from .model import ModelSpec
-from .spaces import Constants, OperatorMatrix, TimeGrid
+from .spaces import Constants, OperatorMatrix, TimeGrid, as_matrix
 
 
 @dataclass(frozen=True)
@@ -290,9 +290,7 @@ class KernelSet:
         # Ktilde[n] = exp(-iFt) E[n]; K[n] = exp(iFt) Ktilde[n] exp(-iFt) = E[n] exp(-iFt)
         eig = phase[:, None] * e if kind == "tilde" else e * phase[None, :]
         rotated = _blockops.full_to_fam(self._v @ eig @ self._v.conj().T, self.dim_system, self.dim_bath)
-        out = np.concatenate(
-            [_blockops.identity_family(self.dim_system, self.dim_bath)[None], rotated]
-        )
+        out = np.concatenate([_blockops.delta_family(np.eye(self.dim_system), self.dim_bath)[None], rotated])
         return self._remember(key, out)
 
     def tilde_stack(self, t: float) -> np.ndarray:
@@ -334,10 +332,8 @@ class KernelSet:
         return ImageFamily(self.heis_stack(t)[n].copy(), t)
 
 
-def compute_kernels(m: ModelSpec, n_max: int = 4, grid: TimeGrid = None) -> KernelSet:
+def compute_kernels(m: ModelSpec, n_max: int, grid: TimeGrid) -> KernelSet:
     """Kernels of orders 0..``n_max`` at every point of ``grid``."""
-    if grid is None:
-        raise ValueError("compute_kernels needs a TimeGrid")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     return KernelSet(m, n_max, grid)
@@ -363,10 +359,8 @@ def image_first_order(o: OperatorMatrix | np.ndarray, ks: KernelSet, lam: float,
     """
     if ks.orders < 1:
         raise OrderExceedsKernels("first-order images need kernels of order >= 1")
-    o_mat = o.mat if isinstance(o, OperatorMatrix) else np.asarray(o, dtype=complex)
+    o_mat = as_matrix(o)
     hbar = ks.frame.constants.hbar
     k1 = ks.tilde_stack(t)[1]
-    blocks = (1j * lam / hbar) * (k1 @ o_mat - o_mat @ k1)
-    idx = np.arange(ks.dim_bath)
-    blocks[idx, idx] += o_mat
+    blocks = _blockops.delta_family(o_mat, ks.dim_bath) + (1j * lam / hbar) * (k1 @ o_mat - o_mat @ k1)
     return ImageFamily(blocks, t)

@@ -16,7 +16,7 @@ import numpy as np
 from . import _blockops
 from .errors import DimensionError, IndexOutOfRange
 from .model import ModelSpec
-from .oracle import total_hamiltonian
+from .oracle import evolve_exact
 from .spaces import (
     DensityMatrix,
     OperatorMatrix,
@@ -89,18 +89,14 @@ def from_image_family(f: ImageFamily, tag_like: OperatorMatrix | ModelSpec | Non
 
 
 def identity_family(d_s: int, d_b: int, time: float = 0.0) -> ImageFamily:
-    return ImageFamily(_blockops.identity_family(d_s, d_b), time)
+    return ImageFamily(_blockops.delta_family(np.eye(d_s), d_b), time)
 
 
 def initial_family(o0: OperatorMatrix, d_b: int) -> ImageFamily:
     """``O * delta_ab``: the image family of a system observable at t = 0."""
     if o0.tag.kind is not Space.SYSTEM:
         raise DimensionError("initial observable must live on the system space")
-    d_s = o0.tag.dim_system
-    blocks = np.zeros((d_b, d_b, d_s, d_s), dtype=complex)
-    idx = np.arange(d_b)
-    blocks[idx, idx] = o0.mat
-    return ImageFamily(blocks, 0.0)
+    return ImageFamily(_blockops.delta_family(o0.mat, d_b), 0.0)
 
 
 def compose_images(f1: ImageFamily, f2: ImageFamily) -> ImageFamily:
@@ -128,14 +124,9 @@ def evolve_images_exact(m: ModelSpec, o0: OperatorMatrix, grid: TimeGrid) -> lis
     They solve the coupled block equation
     ``dO_ab/dt = (i/hbar) sum_g (H_ag O_gb - O_ag H_gb)`` from
     ``O_ab(0) = o0 delta_ab``; since ``H = H0 + H_B + lambda H_I`` is
-    time-independent, one eigendecomposition gives every time exactly.
+    time-independent, one eigendecomposition (`oracle.evolve_exact`) gives
+    every time exactly.
     """
-    o_full = _blockops.fam_to_full(initial_family(o0, m.dim_bath).blocks)
-    h = total_hamiltonian(m)
-    h.require_hermitian("total Hamiltonian")
-    evals, vecs = np.linalg.eigh(h.mat)
-    o_eig = vecs.conj().T @ o_full @ vecs
-    phases = np.exp(1j * np.outer(grid.points, evals) / m.constants.hbar)
-    evolved = vecs @ (o_eig * phases[:, :, None] * phases[:, None, :].conj()) @ vecs.conj().T
+    evolved = evolve_exact(m, [o0], grid.points)
     fams = _blockops.full_to_fam(evolved, m.dim_system, m.dim_bath)
     return [ImageFamily(fam, float(t)) for fam, t in zip(fams, grid.points)]

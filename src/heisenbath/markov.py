@@ -19,7 +19,7 @@ import numpy as np
 from .dyson import propagate_rows
 from .errors import DimensionError, NonConvergent, NonHermitianInput
 from .model import ModelSpec
-from .spaces import Constants, OperatorMatrix, Space, TimeGrid, herm_defect, HERM_TOL
+from .spaces import Constants, OperatorMatrix, Space, TimeGrid, as_matrix, herm_defect, HERM_TOL
 
 SCHMIDT_CUTOFF = 1e-12
 RECONSTRUCTION_TOL = 1e-10
@@ -210,18 +210,21 @@ class MarkovReport:
         return second + first + floor
 
 
+# pass thresholds of the first-moment and stationarity defects, sampled at N_TIME_SAMPLES times
+FIRST_MOMENT_THRESHOLD = 1e-10
+STATIONARITY_THRESHOLD = 1e-10
+N_TIME_SAMPLES = 7
+
+
 def check_markov_assumptions(
     m: ModelSpec,
     dec: InteractionDecomposition,
     horizon: float,
     decay_threshold: float,
-    first_moment_threshold: float = 1e-10,
-    stationarity_threshold: float = 1e-10,
-    n_time_samples: int = 7,
     n_tau: int = 401,
 ) -> MarkovReport:
     """Sample the three Markov assumptions and report their defects."""
-    t_samples = np.linspace(0.0, horizon, n_time_samples)
+    t_samples = np.linspace(0.0, horizon, N_TIME_SAMPLES)
     tau_fine = np.linspace(0.0, horizon, n_tau)
     tau_coarse = np.linspace(0.0, horizon, min(41, n_tau))
     delta = _bath_phases(m)
@@ -249,8 +252,8 @@ def check_markov_assumptions(
         r_norm_sum=float(sum(np.linalg.norm(r, 2) for r, _ in dec.terms)),
         bath_gap_max=float(np.max(np.abs(delta))),
         passes={
-            "first_moment": (max(fm) if fm else 0.0) <= first_moment_threshold,
-            "stationarity": stat <= stationarity_threshold,
+            "first_moment": (max(fm) if fm else 0.0) <= FIRST_MOMENT_THRESHOLD,
+            "stationarity": stat <= STATIONARITY_THRESHOLD,
             "decay": decay_time is not None,
         },
     )
@@ -287,7 +290,7 @@ def _bohr_lines(rs: np.ndarray, h0, hbar: float) -> list[list[tuple[float, np.nd
     eigenbasis and one line mask serve every operator; see
     `bohr_decomposition`.
     """
-    h0 = h0.mat if isinstance(h0, OperatorMatrix) else np.asarray(h0, dtype=complex)
+    h0 = as_matrix(h0)
     if herm_defect(h0) > HERM_TOL:
         raise NonHermitianInput("H0 is not hermitian")
     eps, v = np.linalg.eigh(h0)
@@ -312,7 +315,7 @@ def bohr_decomposition(r, h0, hbar: float = 1.0) -> list[tuple[float, np.ndarray
     one line, so ``sum_w A_w = R`` even where frequencies chain within the
     merge tolerance.
     """
-    r = r.mat if isinstance(r, OperatorMatrix) else np.asarray(r, dtype=complex)
+    r = as_matrix(r)
     return _bohr_lines(r[None], h0, hbar)[0]
 
 
@@ -439,8 +442,8 @@ def lindblad_rhs(
     identity fixity, and ``strict_paper=True`` restores it for comparison.
     Leading axes of ``o_s`` are a stack of operators, each mapped alone.
     """
-    o = o_s.mat if isinstance(o_s, OperatorMatrix) else np.asarray(o_s, dtype=complex)
-    h0 = h0.mat if isinstance(h0, OperatorMatrix) else np.asarray(h0, dtype=complex)
+    o = as_matrix(o_s)
+    h0 = as_matrix(h0)
     if o.shape[-2:] != h0.shape:
         raise DimensionError(f"operator shape {o.shape} vs H0 shape {h0.shape}")
     hbar, lam = constants.hbar, constants.lam
@@ -464,17 +467,16 @@ def lindblad_generator(
     sc: SpectralCoefficients,
     h0,
     constants: Constants,
-    strict_paper: bool = False,
 ) -> np.ndarray:
     """Matrix ``G`` of the (linear) `lindblad_rhs` on row-major vectorised operators.
 
     Column k is the RHS of the k-th matrix unit; all d_S^2 units go through
     one stacked `lindblad_rhs` call.
     """
-    h0 = h0.mat if isinstance(h0, OperatorMatrix) else np.asarray(h0, dtype=complex)
+    h0 = as_matrix(h0)
     d = h0.shape[0]
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return lindblad_rhs(units, bd, sc, h0, constants, strict_paper).reshape(d * d, d * d).T
+    return lindblad_rhs(units, bd, sc, h0, constants).reshape(d * d, d * d).T
 
 
 def evolve_lindblad(
@@ -484,7 +486,6 @@ def evolve_lindblad(
     h0,
     constants: Constants,
     grid: TimeGrid,
-    strict_paper: bool = False,
 ) -> np.ndarray:
     """Evolve one-point operators under the autonomous Lindblad-form generator.
 
@@ -496,8 +497,8 @@ def evolve_lindblad(
     ``o0`` is one operator or a stack ``(..., d_S, d_S)``; returns
     ``(..., n_t, d_S, d_S)``.
     """
-    o0 = o0.mat if isinstance(o0, OperatorMatrix) else np.asarray(o0, dtype=complex)
-    gen = lindblad_generator(bd, sc, h0, constants, strict_paper)
+    o0 = as_matrix(o0)
+    gen = lindblad_generator(bd, sc, h0, constants)
     d = math.isqrt(gen.shape[0])
     if o0.shape[-2:] != (d, d):
         raise DimensionError(f"operator shape {o0.shape} does not match the {gen.shape[0]}-dim generator")

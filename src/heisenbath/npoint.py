@@ -36,7 +36,7 @@ from .dyson import KernelSet, compute_kernels
 from .errors import OrderExceedsKernels
 from .images import ImageFamily
 from .model import ModelSpec
-from .spaces import DensityMatrix, OperatorMatrix, Space, SpaceTag, TimeGrid, system_operator
+from .spaces import DensityMatrix, OperatorMatrix, Space, SpaceTag, TimeGrid, as_matrix, system_operator
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
@@ -177,7 +177,7 @@ def assemble_partition_term(
         raise OrderExceedsKernels(
             f"partition of order {p.total} exceeds computed kernel order {ks.orders}"
         )
-    value = o_s_value.mat if isinstance(o_s_value, OperatorMatrix) else np.asarray(o_s_value, complex)
+    value = as_matrix(o_s_value)
     words = _PartitionWords(value, trunc, ks, rho_b, t)
     full = words.open_word(p.pairs[0], words.inner(p.pairs[1:]))
     return ImageFamily(_blockops.full_to_fam(full, words.ds, words.db), t)

@@ -90,6 +90,11 @@ class OperatorMatrix:
             raise NonHermitianInput(f"{what} is not hermitian (defect {herm_defect(self.mat):.2e})")
 
 
+def as_matrix(x) -> np.ndarray:
+    """The matrix of an `OperatorMatrix`, or any array-like as a complex array."""
+    return x.mat if isinstance(x, OperatorMatrix) else np.asarray(x, dtype=complex)
+
+
 def system_operator(entries, tag_or_dims) -> OperatorMatrix:
     return OperatorMatrix(_as_complex_matrix(entries), _retag(tag_or_dims, Space.SYSTEM))
 

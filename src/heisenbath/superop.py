@@ -43,7 +43,7 @@ from . import _blockops
 from .dyson import KernelSet
 from .errors import DimensionError, OrderExceedsKernels
 from .images import ImageFamily
-from .spaces import DensityMatrix, OperatorMatrix, Space, SpaceTag, TimeGrid, system_operator
+from .spaces import DensityMatrix, OperatorMatrix, Space, SpaceTag, TimeGrid, as_matrix, system_operator
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,9 @@ class OnePointTrajectory:
 
 
 def _obs_matrix(o) -> np.ndarray:
-    if isinstance(o, OperatorMatrix):
-        if o.tag.kind is not Space.SYSTEM:
-            raise DimensionError("observables must live on the system space")
-        return o.mat
-    return np.asarray(o, dtype=complex)
+    if isinstance(o, OperatorMatrix) and o.tag.kind is not Space.SYSTEM:
+        raise DimensionError("observables must live on the system space")
+    return as_matrix(o)
 
 
 def _system_tag(ks: KernelSet) -> SpaceTag:
@@ -168,7 +166,7 @@ def _one_point_values(
     # alpha_p = (i lam/hbar)^p for p = 0..n, by exact repeated products
     alpha = np.cumprod(np.r_[1.0, np.full(n, 1j * trunc.lam / ks.frame.constants.hbar)])
     v0 = ks.frame.v0
-    o_eig = _blockops.fam_to_full(_trivial_blocks(v0.conj().T @ o @ v0, db))
+    o_eig = _blockops.fam_to_full(_blockops.delta_family(v0.conj().T @ o @ v0, db))
     rows = ks.eigen_rows(times).reshape(n_t, ds, db, ks.orders + 1, d)  # E[p] = rows[..., p, :]
     out = np.zeros((n_t, ds, ds), dtype=complex)
     partial = np.zeros((n_t, ds, db, d), dtype=complex)
@@ -266,7 +264,7 @@ def image_from_value(
     _check_order(ks, trunc.order)
     inv, opened = _inverted_series(_obs_matrix(value), trunc.order, trunc.lam, ks, rho_b, t)
     opened = _blockops.full_to_fam(opened, ks.dim_system, ks.dim_bath)
-    return ImageFamily(opened + _trivial_blocks(inv[-1], ks.dim_bath), t)
+    return ImageFamily(opened + _blockops.delta_family(inv[-1], ks.dim_bath), t)
 
 
 def image_from_one_point(
@@ -283,31 +281,15 @@ def lifted_factor(
     ks: KernelSet,
     rho_b: DensityMatrix,
     t: float,
-    trivial: bool = False,
 ) -> ImageFamily:
-    """One star-product factor: the image family of the observable's one-point value.
-
-    With ``trivial=True`` the factor enters as ``O_S(t) delta_ab`` (its
-    partition restricted to the order-zero pair), which is how mixed
-    correlators with an already-reduced middle factor are assembled.
-    """
+    """One star-product factor: the image family of the observable's one-point value."""
     value = one_point_value(o, trunc, ks, rho_b, t)
-    if trivial:
-        return trivial_factor(value, ks, t)
     return image_from_value(value, trunc, ks, rho_b, t)
-
-
-def _trivial_blocks(value: np.ndarray, db: int) -> np.ndarray:
-    """The family ``value delta_ab``."""
-    blocks = np.zeros((db, db) + value.shape, dtype=complex)
-    idx = np.arange(db)
-    blocks[idx, idx] = value
-    return blocks
 
 
 def trivial_factor(value: np.ndarray, ks: KernelSet, t: float) -> ImageFamily:
     """A star-product factor entering as ``O_S(t) delta_ab`` (its trivial partition)."""
-    return ImageFamily(_trivial_blocks(value, ks.dim_bath), t)
+    return ImageFamily(_blockops.delta_family(value, ks.dim_bath), t)
 
 
 def chain_contract(families: list[ImageFamily], rho_b: DensityMatrix) -> np.ndarray:
@@ -346,12 +328,8 @@ def star_of_observables(
     rho_b: DensityMatrix,
 ) -> np.ndarray:
     """Star product straight from observables: ``entries`` is a sequence of
-    ``(observable, time)`` or ``(observable, time, trivial_flag)`` tuples."""
-    families = []
-    for entry in entries:
-        o, t, *rest = entry
-        trivial = bool(rest[0]) if rest else False
-        families.append(lifted_factor(o, trunc, ks, rho_b, float(t), trivial=trivial))
+    ``(observable, time)`` pairs."""
+    families = [lifted_factor(o, trunc, ks, rho_b, float(t)) for o, t in entries]
     return chain_contract(families, rho_b)
 
 

@@ -14,6 +14,7 @@ from heisenbath.diagnostics import (
     cumulant2_errors,
     decomposition_sum_defect,
     dual_bookkeeping_defect,
+    exact_sweep,
     fit_slope,
     one_point_errors,
     random_model,
@@ -90,9 +91,10 @@ def test_criterion_03_truncation_error_scaling(seed, d_b):
     """Order-2 one-point slope >= 2.8; order-1 star products slope >= 1.8."""
     m, obs = random_model(seed, 2, d_b)
     ks = compute_kernels(m, 2, TimeGrid.linspace(1.65, 7))
-    s1 = fit_slope(LAMBDAS, one_point_errors(m, obs, 1.1, 2, ks, LAMBDAS))
-    s2 = fit_slope(LAMBDAS, star_errors(m, obs, (0.6, 1.2), 1, ks, LAMBDAS))
-    s3 = fit_slope(LAMBDAS, star_errors(m, obs, (0.4, 0.9, 1.3), 1, ks, LAMBDAS))
+    s1 = fit_slope(LAMBDAS, one_point_errors(m, obs, 1.1, 2, ks, LAMBDAS, exact_sweep(m, obs, (1.1,), LAMBDAS)))
+    times2, times3 = (0.6, 1.2), (0.4, 0.9, 1.3)
+    s2 = fit_slope(LAMBDAS, star_errors(m, obs, times2, 1, ks, LAMBDAS, exact_sweep(m, obs, times2, LAMBDAS)))
+    s3 = fit_slope(LAMBDAS, star_errors(m, obs, times3, 1, ks, LAMBDAS, exact_sweep(m, obs, times3, LAMBDAS)))
     assert s1 >= 2.8
     assert s2 >= 1.8
     assert s3 >= 1.8
@@ -157,7 +159,8 @@ def test_criterion_07_cumulant_identities():
     sums = []
     for name, m, obs, t in _spec_pair():
         ks = compute_kernels(m, max(order, 2), TimeGrid.linspace(1.5 * t, 7))
-        errs = cumulant2_errors(m, obs, 0.5 * t, t, order, ks, LAMBDAS)
+        exact = exact_sweep(m, obs, (0.5 * t, t), LAMBDAS)
+        errs = cumulant2_errors(m, obs, 0.5 * t, t, order, ks, LAMBDAS, exact)
         slopes.append(fit_slope(LAMBDAS, errs))
         for n in range(order + 1):
             sums.append(decomposition_sum_defect(m, obs, (0.4 * t, 0.8 * t, t), n, 0.1, ks))

@@ -11,11 +11,13 @@ def random_family(rng, db, ds, lead=()):
 
 
 def test_identity_family_layout():
-    fam = _blockops.identity_family(2, 3)
+    fam = _blockops.delta_family(np.eye(2), 3)
     assert fam.shape == (3, 3, 2, 2)
     for a in range(3):
         for b in range(3):
             assert np.array_equal(fam[a, b], np.eye(2) if a == b else np.zeros((2, 2)))
+    value = random_family(np.random.default_rng(2), 1, 2)[0, 0]
+    assert np.array_equal(_blockops.fam_to_full(_blockops.delta_family(value, 3)), np.kron(value, np.eye(3)))
 
 
 def test_fam_mul_matches_full_space_product():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -252,7 +253,8 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_non_finite_result_is_3(self, tmp_path, capsys):
-        """lambda = 1e200 overflows the one-point series: exit 3, nothing written."""
+        """lambda = 1e200 overflows the one-point series: exit 3, nothing written,
+        and no numpy RuntimeWarning ahead of the one-line diagnosis."""
         with open(os.path.join(CONFIGS, "two_qubit_one_point.yaml")) as fh:
             raw = yaml.safe_load(fh)
         out = tmp_path / "overflow.csv"
@@ -260,8 +262,10 @@ class TestExitCodes:
         raw["output"]["path"] = str(out)
         path = tmp_path / "overflow.yaml"
         path.write_text(yaml.safe_dump(raw))
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert cli.main(["run", str(path)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 

@@ -566,14 +566,13 @@ class TestEvolveLindblad:
         dec = decompose_interaction(m.hi)
         bd = bohr_decompose_all(dec, m.h0.mat, m.constants.hbar)
         sc = spectral_coefficients(m, dec, bd.frequencies, horizon=4.0, eta=0.5)
-        for strict in (False, True):
-            gen = lindblad_generator(bd, sc, m.h0.mat, m.constants, strict)
-            cols = []
-            for k in range(9):
-                unit = np.zeros(9, dtype=complex)
-                unit[k] = 1.0
-                cols.append(lindblad_rhs(unit.reshape(3, 3), bd, sc, m.h0.mat, m.constants, strict).ravel())
-            assert np.max(np.abs(gen - np.stack(cols, axis=1))) <= 1e-15
+        gen = lindblad_generator(bd, sc, m.h0.mat, m.constants)
+        cols = []
+        for k in range(9):
+            unit = np.zeros(9, dtype=complex)
+            unit[k] = 1.0
+            cols.append(lindblad_rhs(unit.reshape(3, 3), bd, sc, m.h0.mat, m.constants).ravel())
+        assert np.max(np.abs(gen - np.stack(cols, axis=1))) <= 1e-15
 
 
 class TestGeneratorAgreement:

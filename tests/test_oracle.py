@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import heisenbath as hb
+from heisenbath.diagnostics import DEFAULT_LAMBDAS, validation_suite
 from heisenbath.errors import DimensionError, IndexOutOfRange, NonHermitianInput
-from heisenbath.images import ProjectionMap
+from heisenbath.images import ProjectionMap, evolve_images_exact
 from heisenbath.model import make_model
 from heisenbath.oracle import (
     expectation,
@@ -16,6 +17,7 @@ from heisenbath.oracle import (
 )
 from heisenbath.spaces import (
     DensityMatrix,
+    TimeGrid,
     bath_operator,
     full_operator,
     system_operator,
@@ -145,6 +147,50 @@ class TestNPointReduced:
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
             npoint_reduced_exact(_random_spec(10), [])
+
+
+class TestOneDiagonalisation:
+    """Every exact result diagonalises the total Hamiltonian once per coupled model."""
+
+    @staticmethod
+    def _count_full_eigh(monkeypatch, d):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a) == (d, d):
+                calls.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_validation_suite_once_per_coupling(self, monkeypatch):
+        calls = self._count_full_eigh(monkeypatch, 6)
+        validation_suite(3, 2, 3, order=2)
+        assert len(calls) == len(DEFAULT_LAMBDAS) == 4
+
+    def test_npoint_reduced_exact_once_for_all_factors(self, monkeypatch):
+        """Three factors with different observables: one eigh, and the same
+        product as evolving each factor on its own."""
+        m = _random_spec(12)
+        rng = np.random.default_rng(13)
+        ops = [(system_operator(random_hermitian(rng, 2), (2, 3)), t) for t in (0.3, 1.4, 0.8)]
+        expected = heisenberg_evolve_exact(m, *ops[0]).mat
+        for op in ops[1:]:
+            expected = expected @ heisenberg_evolve_exact(m, *op).mat
+        expected = weighted_bath_trace(full_operator(expected, (2, 3)), m.rho_b).mat
+        calls = self._count_full_eigh(monkeypatch, 6)
+        out = npoint_reduced_exact(m, ops).mat
+        assert len(calls) == 1
+        assert np.max(np.abs(out - expected)) < 1e-13
+
+    def test_evolve_images_exact_once_per_grid(self, monkeypatch):
+        m = _random_spec(14)
+        o = system_operator(random_hermitian(np.random.default_rng(15), 2), (2, 3))
+        calls = self._count_full_eigh(monkeypatch, 6)
+        assert len(evolve_images_exact(m, o, TimeGrid.linspace(2.0, 9))) == 9
+        assert len(calls) == 1
 
 
 class TestImageExtract:
