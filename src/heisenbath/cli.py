@@ -430,14 +430,15 @@ def _run_markov_report(cfg: ExperimentConfig) -> list[dict]:
             "status": "pass" if report.passes["decay"] else "fail",
         },
     ]
-    for (i, j, w), val in sorted(sc.j.items()):
+    for i, j, k in np.ndindex(sc.j.shape):
+        val = complex(sc.j[i, j, k])
         rows.append(
             {
-                "check": f"J[{i},{j}](omega={FLOAT_FMT % w})",
+                "check": f"J[{i},{j}](omega={FLOAT_FMT % sc.frequencies[k]})",
                 "metric": "re_im",
                 "value": val.real,
                 "threshold": val.imag,
-                "status": "converged" if sc.defects[(i, j, w)] <= sc.tolerance else "unconverged",
+                "status": "converged" if sc.defects[i, j, k] <= sc.tolerance else "unconverged",
             }
         )
     return rows

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blockops
-from .errors import OrderExceedsKernels
+from .errors import NonFiniteResult, OrderExceedsKernels
 from .images import ImageFamily, to_image_family
 from .model import ModelSpec
 from .spaces import Constants, OperatorMatrix, TimeGrid, as_matrix
@@ -149,10 +149,13 @@ def toeplitz_expm(blocks: np.ndarray) -> np.ndarray:
     is the case ``n = 1``.  Pade scaling and squaring (Higham, SIAM J. Matrix
     Anal. Appl. 26 (2005) 1179, Algorithm 2.3): the lowest degree whose
     bound admits ``|A|_1``, else degree 13 on ``A / 2^s`` squared ``s``
-    times.  Every product is a `toeplitz_mul`.
+    times.  Every product is a `toeplitz_mul`.  A NaN or infinite entry
+    raises `NonFiniteResult`.
     """
     a = np.asarray(blocks, dtype=complex)
     norm = toeplitz_norm1(a)
+    if not math.isfinite(norm):
+        raise NonFiniteResult(f"matrix exponential of a generator with 1-norm {norm}")
     for m, theta, b in _PADE:
         if norm <= theta:
             break
@@ -319,16 +322,17 @@ class KernelSet:
 
     # -- per-order access ---------------------------------------------------
 
-    def _check_order(self, n: int) -> None:
+    def check_order(self, n: int) -> None:
+        """Raise `OrderExceedsKernels` unless order ``n`` lies in ``0..orders``."""
         if n < 0 or n > self.orders:
-            raise OrderExceedsKernels(f"order {n} requested, kernels available up to {self.orders}")
+            raise OrderExceedsKernels(f"series order {n} exceeds computed kernel order {self.orders}")
 
     def tilde_at(self, n: int, t: float) -> ImageFamily:
-        self._check_order(n)
+        self.check_order(n)
         return ImageFamily(self.tilde_stack(t)[n].copy(), t)
 
     def heis_at(self, n: int, t: float) -> ImageFamily:
-        self._check_order(n)
+        self.check_order(n)
         return ImageFamily(self.heis_stack(t)[n].copy(), t)
 
 
@@ -341,8 +345,7 @@ def compute_kernels(m: ModelSpec, n_max: int, grid: TimeGrid) -> KernelSet:
 
 def dyson_propagator(ks: KernelSet, lam: float, order: int, t: float) -> ImageFamily:
     """Truncated evolution-operator family ``sum_n (-i lam/hbar)^n Ktilde[n](t)``."""
-    if order > ks.orders:
-        raise OrderExceedsKernels(f"order {order} requested, kernels available up to {ks.orders}")
+    ks.check_order(order)
     hbar = ks.frame.constants.hbar
     stack = ks.tilde_stack(t)
     out = np.zeros_like(stack[0])
@@ -357,8 +360,7 @@ def image_first_order(o: OperatorMatrix | np.ndarray, ks: KernelSet, lam: float,
     ``O delta_ab + (i lam/hbar) [Ktilde[1]_ab(t), O]``; the commutator with
     the time integral equals the integral of commutators.
     """
-    if ks.orders < 1:
-        raise OrderExceedsKernels("first-order images need kernels of order >= 1")
+    ks.check_order(1)
     o_mat = as_matrix(o)
     hbar = ks.frame.constants.hbar
     k1 = ks.tilde_stack(t)[1]

@@ -82,7 +82,7 @@ def to_image_family(x: OperatorMatrix, time: float = 0.0) -> ImageFamily:
     return ImageFamily(_blockops.full_to_fam(x.mat, x.tag.dim_system, x.tag.dim_bath), time)
 
 
-def from_image_family(f: ImageFamily, tag_like: OperatorMatrix | ModelSpec | None = None) -> OperatorMatrix:
+def from_image_family(f: ImageFamily) -> OperatorMatrix:
     """Reassemble ``sum_ab T_a blocks[a,b] T_b^dag`` (inverse of `to_image_family`)."""
     tag = SpaceTag(Space.FULL, f.dim_system, f.dim_bath)
     return full_operator(_blockops.fam_to_full(f.blocks), tag)

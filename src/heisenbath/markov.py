@@ -27,64 +27,71 @@ RECONSTRUCTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class InteractionDecomposition:
-    """``H_I = sum_i R^i (x) S^i`` with hermitian system/bath factors."""
+    """``H_I = sum_i R^i (x) S^i`` with hermitian factors stacked by term:
+    ``r`` of shape ``(n, d_S, d_S)`` and ``s`` of shape ``(n, d_B, d_B)``."""
 
-    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @property
-    def r_norms(self) -> tuple[float, ...]:
-        return tuple(float(np.linalg.norm(r, 2)) for r, _ in self.terms)
+    r: np.ndarray
+    s: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         """``sum_i R^i (x) S^i`` as one contraction over the terms."""
-        r = np.stack([r for r, _ in self.terms])
-        s = np.stack([s for _, s in self.terms])
-        (n, d_s, _), d_b = r.shape, s.shape[1]
-        prod = r.reshape(n, d_s * d_s).T @ s.reshape(n, d_b * d_b)
+        (n, d_s, _), d_b = self.r.shape, self.s.shape[1]
+        prod = self.r.reshape(n, d_s * d_s).T @ self.s.reshape(n, d_b * d_b)
         return prod.reshape(d_s, d_s, d_b, d_b).transpose(0, 2, 1, 3).reshape(d_s * d_b, d_s * d_b)
 
 
-def _hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of hermitian n x n matrices: the diagonal
-    units, then for each pair ``i < j`` its symmetric and antisymmetric unit."""
+def _hermitian_coords(x: np.ndarray) -> np.ndarray:
+    """Coordinates ``tr(F_a^dag X)`` of ``x`` (..., n, n) in the orthonormal
+    (Frobenius) hermitian basis ``F``: the diagonal units, then for each pair
+    ``i < j`` its symmetric and antisymmetric unit, so the coordinates are
+    ``X_ii``, ``(X_ij + X_ji)/sqrt2`` and ``i(X_ij - X_ji)/sqrt2``.  They
+    are real exactly when ``x`` is hermitian."""
+    n = x.shape[-1]
     i, j = np.triu_indices(n, 1)
-    sym = n + 2 * np.arange(i.size)
-    basis = np.zeros((n * n, n, n), dtype=complex)
-    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-    basis[sym, i, j] = basis[sym, j, i] = 1.0 / np.sqrt(2)
-    basis[sym + 1, i, j] = -1j / np.sqrt(2)
-    basis[sym + 1, j, i] = 1j / np.sqrt(2)
-    return basis
+    upper, lower = x[..., i, j], x[..., j, i]
+    out = np.empty((*x.shape[:-2], n * n), dtype=complex)
+    out[..., :n] = np.diagonal(x, axis1=-2, axis2=-1)
+    out[..., n::2] = (upper + lower) / np.sqrt(2)
+    out[..., n + 1 :: 2] = 1j * (upper - lower) / np.sqrt(2)
+    return out
+
+
+def _from_hermitian_coords(c: np.ndarray, n: int) -> np.ndarray:
+    """``sum_a c_a F_a`` for coordinates ``c`` (..., n^2): inverse of `_hermitian_coords`."""
+    i, j = np.triu_indices(n, 1)
+    sym, anti = c[..., n::2], c[..., n + 1 :: 2]
+    out = np.zeros((*c.shape[:-1], n, n), dtype=complex)
+    out[..., np.arange(n), np.arange(n)] = c[..., :n]
+    out[..., i, j] = (sym - 1j * anti) / np.sqrt(2)
+    out[..., j, i] = (sym + 1j * anti) / np.sqrt(2)
+    return out
 
 
 def decompose_interaction(hi: OperatorMatrix) -> InteractionDecomposition:
     """Operator-Schmidt decomposition of a hermitian full-space interaction.
 
-    The SVD runs over the real coefficient matrix of hermitian product
-    bases, so every returned factor is hermitian; singular values and the
-    reconstruction agree with the complex reshaping route.  Terms with
-    singular value below ``1e-12 * s_max`` are dropped.
+    The reduced SVD runs over the real coefficient matrix of ``H_I`` in the
+    hermitian product basis (`_hermitian_coords` on the system and on the
+    bath indices), so every returned factor is hermitian; singular values
+    and the reconstruction agree with the complex reshaping route.  Terms
+    with singular value below ``1e-12 * s_max`` are dropped.
     """
     if hi.tag.kind is not Space.FULL:
         raise DimensionError("decompose_interaction expects a full-space operator")
     if herm_defect(hi.mat) > HERM_TOL:
         raise NonHermitianInput("H_I is not hermitian")
     d_s, d_b = hi.tag.dim_system, hi.tag.dim_bath
-    f_sys = _hermitian_basis(d_s)
-    g_bath = _hermitian_basis(d_b)
     r4 = hi.mat.reshape(d_s, d_b, d_s, d_b).transpose(0, 2, 1, 3)
-    coeff = np.einsum("aij,ijkl,bkl->ab", f_sys.conj(), r4, g_bath.conj())
+    bath = _hermitian_coords(r4)  # (d_S, d_S, d_B^2)
+    coeff = _hermitian_coords(np.moveaxis(bath, -1, 0)).T  # (d_S^2, d_B^2)
     if np.max(np.abs(coeff.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeff))):
         raise NonHermitianInput("hermitian-basis coefficients came out complex")
-    u, s, vt = np.linalg.svd(coeff.real)
-    terms = []
-    for k, sk in enumerate(s):
-        if sk < SCHMIDT_CUTOFF * s[0]:
-            break
-        rk = np.sqrt(sk) * np.einsum("a,aij->ij", u[:, k], f_sys)
-        sk_mat = np.sqrt(sk) * np.einsum("b,bij->ij", vt[k], g_bath)
-        terms.append((rk, sk_mat))
-    dec = InteractionDecomposition(tuple(terms))
+    u, s, vt = np.linalg.svd(coeff.real, full_matrices=False)
+    n = np.count_nonzero(s >= SCHMIDT_CUTOFF * s[0])
+    root = np.sqrt(s[:n])[:, None, None]
+    dec = InteractionDecomposition(
+        root * _from_hermitian_coords(u[:, :n].T, d_s), root * _from_hermitian_coords(vt[:n], d_b)
+    )
     defect = np.linalg.norm(dec.reconstruct() - hi.mat) / max(1.0, np.linalg.norm(hi.mat))
     if defect > RECONSTRUCTION_TOL:
         raise DimensionError(f"Schmidt reconstruction defect {defect:.2e} exceeds tolerance")
@@ -102,27 +109,22 @@ def _bath_phases(m: ModelSpec) -> np.ndarray:
 def bath_correlation(m: ModelSpec, dec: InteractionDecomposition, i: int, j: int, t: float, tau: float) -> complex:
     """``<S~^i(t) S~^j(t - tau)>_B`` in the working bath basis."""
     delta = _bath_phases(m)
-    s_i = dec.terms[i][1] * np.exp(-1j * delta * t)
-    s_j = dec.terms[j][1] * np.exp(-1j * delta * (t - tau))
+    s_i = dec.s[i] * np.exp(-1j * delta * t)
+    s_j = dec.s[j] * np.exp(-1j * delta * (t - tau))
     return complex(np.trace(s_i @ s_j @ m.rho_b.mat))
 
 
 def first_moment(m: ModelSpec, dec: InteractionDecomposition, i: int, t: float) -> complex:
     """``tr_B{S~^i(t) rho_B}``: the order-lambda contraction that must vanish."""
     delta = _bath_phases(m)
-    s_i = dec.terms[i][1] * np.exp(-1j * delta * t)
+    s_i = dec.s[i] * np.exp(-1j * delta * t)
     return complex(np.trace(s_i @ m.rho_b.mat))
-
-
-def _bath_factors(m: ModelSpec, dec: InteractionDecomposition) -> np.ndarray:
-    return np.array([s for _, s in dec.terms], dtype=complex).reshape(-1, m.dim_bath, m.dim_bath)
 
 
 def _correlation_weights(m: ModelSpec, dec: InteractionDecomposition) -> np.ndarray:
     """``W[i, j, a, b, c] = S^i_ab S^j_bc rho_B[c, a]``, so that
     ``<S~^i(t) S~^j(t - tau)>_B = sum_abc W exp(-i delta_ac t + i delta_bc tau)``."""
-    s = _bath_factors(m, dec)
-    return np.einsum("iab,jbc,ca->ijabc", s, s, m.rho_b.mat)
+    return np.einsum("iab,jbc,ca->ijabc", dec.s, dec.s, m.rho_b.mat)
 
 
 def _phase_table(sign: complex, times, delta: np.ndarray) -> np.ndarray:
@@ -230,7 +232,7 @@ def check_markov_assumptions(
     delta = _bath_phases(m)
 
     twists = _phase_table(-1j, t_samples, delta)
-    moments = np.einsum("iab,ba,kab->ki", _bath_factors(m, dec), m.rho_b.mat, twists)
+    moments = np.einsum("iab,ba,kab->ki", dec.s, m.rho_b.mat, twists)
     fm = tuple(float(x) for x in np.max(np.abs(moments), axis=0))
 
     coarse = _correlations(m, dec, t_samples, tau_coarse)
@@ -249,7 +251,7 @@ def check_markov_assumptions(
         decay_time=decay_time,
         decay_threshold=decay_threshold,
         horizon=horizon,
-        r_norm_sum=float(sum(np.linalg.norm(r, 2) for r, _ in dec.terms)),
+        r_norm_sum=float(np.linalg.norm(dec.r, 2, axis=(1, 2)).sum()),
         bath_gap_max=float(np.max(np.abs(delta))),
         passes={
             "first_moment": (max(fm) if fm else 0.0) <= FIRST_MOMENT_THRESHOLD,
@@ -267,11 +269,13 @@ def check_markov_assumptions(
 class BohrDecomposition:
     """Fourier data of the freely evolved system coupling operators.
 
-    ``sum_w exp(i w t) A^i_w = U0(t) R^i U0(t)^dag`` for every term i.
+    ``frequencies`` (n_w,) ascending and ``components`` (n, n_w, d_S, d_S)
+    with ``sum_w exp(i w t) A^i_w = U0(t) R^i U0(t)^dag`` for every term i;
+    ``A^i_w`` is zero where term i has no line at ``w``.
     """
 
-    frequencies: tuple[float, ...]
-    coefficients: dict  # (term index, frequency) -> ndarray
+    frequencies: np.ndarray
+    components: np.ndarray
 
 
 def _merge_frequencies(raw: np.ndarray, tol: float) -> np.ndarray:
@@ -283,13 +287,21 @@ def _merge_frequencies(raw: np.ndarray, tol: float) -> np.ndarray:
     return np.array(merged)
 
 
-def _bohr_lines(rs: np.ndarray, h0, hbar: float) -> list[list[tuple[float, np.ndarray]]]:
-    """Bohr components of a stack of system operators ``(n, d_S, d_S)``.
+def bohr_decomposition(r, h0, hbar: float = 1.0) -> BohrDecomposition:
+    """Bohr components of one system operator or a stack ``(n, d_S, d_S)``.
 
-    One eigendecomposition of ``H0``, one stacked rotation into its
-    eigenbasis and one line mask serve every operator; see
-    `bohr_decomposition`.
+    Frequencies are eigenvalue differences of ``H0`` over hbar, merged when
+    closer than ``1e-9 * max|eps|`` so eigensolver noise cannot split a
+    line; ``A_w`` collects the matrix elements whose nearest merged line is
+    ``w``, expressed in the original basis.  Each element lies on exactly
+    one line, so ``sum_w A_w = R`` even where frequencies chain within the
+    merge tolerance.  One eigendecomposition of ``H0``, one stacked rotation
+    into its eigenbasis and one line mask serve every operator.  A line is
+    kept where some operator has a component above ``1e-14 max(1, |R|)``;
+    smaller components are zeroed.
     """
+    r = as_matrix(r)
+    rs = r[None] if r.ndim == 2 else r
     h0 = as_matrix(h0)
     if herm_defect(h0) > HERM_TOL:
         raise NonHermitianInput("H0 is not hermitian")
@@ -302,34 +314,18 @@ def _bohr_lines(rs: np.ndarray, h0, hbar: float) -> list[list[tuple[float, np.nd
     masks = np.argmin(np.abs(omegas[:, :, None] - merged), axis=2) == np.arange(len(merged))[:, None, None]
     a_w = v @ (r_eig[:, None] * masks) @ v.conj().T  # (operator, line, d_S, d_S)
     keep = np.linalg.norm(a_w, axis=(2, 3)) > 1e-14 * np.maximum(1.0, np.linalg.norm(rs, axis=(1, 2)))[:, None]
-    return [[(float(merged[k]), a_w[i, k]) for k in np.flatnonzero(keep[i])] for i in range(len(rs))]
-
-
-def bohr_decomposition(r, h0, hbar: float = 1.0) -> list[tuple[float, np.ndarray]]:
-    """Bohr components of one system coupling operator.
-
-    Frequencies are eigenvalue differences of ``H0`` over hbar, merged when
-    closer than ``1e-9 * max|eps|`` so eigensolver noise cannot split a
-    line; ``A_w`` collects the matrix elements whose nearest merged line is
-    ``w``, expressed in the original basis.  Each element lies on exactly
-    one line, so ``sum_w A_w = R`` even where frequencies chain within the
-    merge tolerance.
-    """
-    r = as_matrix(r)
-    return _bohr_lines(r[None], h0, hbar)[0]
+    lines = keep.any(axis=0)
+    return BohrDecomposition(merged[lines], (a_w * keep[:, :, None, None])[:, lines])
 
 
 def bohr_decompose_all(dec: InteractionDecomposition, h0, hbar: float = 1.0) -> BohrDecomposition:
     """Bohr decomposition of every system factor, on a shared frequency list."""
-    lines = _bohr_lines(np.array([r for r, _ in dec.terms], dtype=complex), h0, hbar)
-    coefficients = {(i, w): a_w for i, term in enumerate(lines) for w, a_w in term}
-    return BohrDecomposition(tuple(sorted({w for _, w in coefficients})), coefficients)
+    return bohr_decomposition(dec.r, h0, hbar)
 
 
 def reconstruct_bohr(bd: BohrDecomposition, i: int, t: float) -> np.ndarray:
     """``sum_w exp(i w t) A^i_w`` (should equal ``U0 R^i U0^dag``)."""
-    terms = [np.exp(1j * w * t) * a for (k, w), a in bd.coefficients.items() if k == i]
-    return sum(terms)
+    return np.tensordot(np.exp(1j * bd.frequencies * t), bd.components[i], axes=1)
 
 
 # -- spectral coefficients ----------------------------------------------------
@@ -337,20 +333,26 @@ def reconstruct_bohr(bd: BohrDecomposition, i: int, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralCoefficients:
-    """Half-line Fourier transforms ``J^{ij}(w)`` of the bath correlators."""
+    """Half-line Fourier transforms ``J^{ij}(w)`` of the bath correlators.
 
-    j: dict  # (i, j, w) -> complex
+    ``j[i, j, k]`` is ``J^{ij}(frequencies[k])`` and ``defects[i, j, k]``
+    its ``|J(horizon) - J(horizon/2)|``.
+    """
+
+    frequencies: np.ndarray
+    j: np.ndarray
+    defects: np.ndarray
     horizon: float
     tolerance: float
     eta: float
-    defects: dict  # (i, j, w) -> |J(horizon) - J(horizon/2)|
     converged: bool
 
 
 def _halfline_integrals(z: np.ndarray, upper: float) -> np.ndarray:
-    """``int_0^upper exp(z tau) dtau``: ``(exp(z upper) - 1) / z``, or ``upper`` at ``z = 0``."""
+    """``int_0^upper exp(z tau) dtau``: ``(exp(z upper) - 1) / z``, or ``upper``
+    at ``z = 0``, which includes a ``|z|`` below the smallest normal float."""
     out = np.full(z.shape, upper, dtype=complex)
-    nz = z != 0
+    nz = np.abs(z) >= np.finfo(float).tiny
     out[nz] = np.expm1(z[nz] * upper) / z[nz]
     return out
 
@@ -375,48 +377,19 @@ def spectral_coefficients(
     silently averaged; the exponential regulator ``eta`` documents the
     idealization when used.
     """
-    weights = _correlation_weights(m, dec).sum(axis=2)  # [i, j, b, c] of exp(i delta_bc tau)
+    weights = dec.s[None] * (m.rho_b.mat @ dec.s).transpose(0, 2, 1)[:, None]  # [i, j, b, c]
     w = np.asarray(freqs, dtype=float)
     z = 1j * _bath_phases(m)[:, :, None] - 1j * w - eta
     full = np.einsum("ijbc,bcw->ijw", weights, _halfline_integrals(z, horizon))
     half = np.einsum("ijbc,bcw->ijw", weights, _halfline_integrals(z, horizon / 2.0))
-    jmap: dict = {}
-    defects: dict = {}
-    for (i, jj, k), val in np.ndenumerate(full):
-        jmap[(i, jj, float(w[k]))] = complex(val)
-        defects[(i, jj, float(w[k]))] = float(abs(val - half[i, jj, k]))
-    converged = all(d <= tol for d in defects.values())
+    defects = np.abs(full - half)
+    converged = bool(np.all(defects <= tol))
     if strict and not converged:
-        worst = max(defects.values())
-        raise NonConvergent(f"J integrals not converged in horizon (worst defect {worst:.3e})")
-    return SpectralCoefficients(jmap, horizon, tol, eta, defects, converged)
+        raise NonConvergent(f"J integrals not converged in horizon (worst defect {np.max(defects):.3e})")
+    return SpectralCoefficients(w, full, defects, horizon, tol, eta, converged)
 
 
 # -- the Lindblad-form generator ----------------------------------------------
-
-
-def _collapsed_lines(bd: BohrDecomposition, sc: SpectralCoefficients) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(Gamma^j, B^j)`` for every coupling term ``j`` with a nonzero ``J^{ij}``.
-
-    ``B^j = sum_w' A^j_w'`` and ``Gamma^j = sum_(i, w) J^{ij}(w) A^{i dag}_w``:
-    ``J^{ij}(w)`` does not depend on ``w'``, so the double sum over Bohr
-    lines factors through ``B^j``.  Missing and zero ``J`` entries drop out.
-    """
-    sums: dict = {}
-    for (j, _), a in bd.coefficients.items():
-        sums[j] = sums[j] + a if j in sums else a
-    out = []
-    for j, b in sums.items():
-        gamma = None
-        for (i, w), a in bd.coefficients.items():
-            jw = sc.j.get((i, j, float(w)))
-            if jw is None or jw == 0:
-                continue
-            term = jw * a.conj().T
-            gamma = term if gamma is None else gamma + term
-        if gamma is not None:
-            out.append((gamma, b))
-    return out
 
 
 def lindblad_rhs(
@@ -433,11 +406,13 @@ def lindblad_rhs(
     {A^{i dag}_w A^j_{w'} O - A^{i dag}_w O A^j_{w'}} + h.c.`` with the
     conjugate terms taken linearly in ``O`` (the generator of an evolution
     must be linear; for hermitian ``O`` this equals the literal adjoint).
-    The sum over ``w'`` is collapsed into ``B^j = sum_w' A^j_w'`` and the
-    one over ``(i, w)`` into ``Gamma^j = sum J^{ij}(w) A^{i dag}_w``, so the
-    dissipator is ``sum_j Gamma^j B^j O - Gamma^j O B^j + O B^{j dag}
-    Gamma^{j dag} - B^{j dag} O Gamma^{j dag}``: a few products per
-    coupling term, however many Bohr lines there are.
+    ``J^{ij}(w)`` does not depend on ``w'``, so the sum over ``w'`` is
+    collapsed into ``B^j = sum_w' A^j_w'`` and the one over ``(i, w)`` into
+    ``Gamma^j = sum J^{ij}(w) A^{i dag}_w``, and the dissipator is
+    ``sum_j Gamma^j B^j O - Gamma^j O B^j + O B^{j dag} Gamma^{j dag} -
+    B^{j dag} O Gamma^{j dag}``: a few products per coupling term, however
+    many Bohr lines there are.  ``sc`` must hold ``J`` at the lines of
+    ``bd``; any other frequency list raises `DimensionError`.
     The default first term is the commutator: the bare product breaks
     identity fixity, and ``strict_paper=True`` restores it for comparison.
     Leading axes of ``o_s`` are a stack of operators, each mapped alone.
@@ -446,19 +421,24 @@ def lindblad_rhs(
     h0 = as_matrix(h0)
     if o.shape[-2:] != h0.shape:
         raise DimensionError(f"operator shape {o.shape} vs H0 shape {h0.shape}")
+    n, n_w = bd.components.shape[:2]
+    if sc.j.shape != (n, n, n_w) or not np.array_equal(sc.frequencies, bd.frequencies):
+        raise DimensionError(
+            f"J of shape {sc.j.shape} at frequencies {sc.frequencies} does not match "
+            f"{n} terms at the Bohr lines {bd.frequencies}"
+        )
     hbar, lam = constants.hbar, constants.lam
     if strict_paper:
         out = (1j / hbar) * (h0 @ o)
     else:
         out = (1j / hbar) * (h0 @ o - o @ h0)
-    lines = _collapsed_lines(bd, sc)
-    if not lines:
-        return out
+    b = bd.components.sum(axis=1)
+    gamma = np.einsum("ijw,iwba->jab", sc.j, bd.components.conj())
     pref = (1j * lam / hbar) ** 2
-    drift = pref * sum(gamma @ b for gamma, b in lines)
+    drift = pref * (gamma @ b).sum(axis=0)
     out += drift @ o + o @ drift.conj().T
-    for gamma, b in lines:
-        out -= pref * (gamma @ o @ b + b.conj().T @ o @ gamma.conj().T)
+    for gamma_j, b_j in zip(gamma, b):
+        out -= pref * (gamma_j @ o @ b_j + b_j.conj().T @ o @ gamma_j.conj().T)
     return out
 
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import _blockops
 from .dyson import KernelSet, compute_kernels
-from .errors import OrderExceedsKernels
 from .images import ImageFamily
 from .model import ModelSpec
 from .spaces import DensityMatrix, OperatorMatrix, Space, SpaceTag, TimeGrid, as_matrix, system_operator
@@ -173,10 +172,7 @@ def assemble_partition_term(
     right, contracting each inner pair with ``rho_B[b_i, a_i]``; pair 1 is
     left open.  Coefficient ``(-1)^(k-1) i^(sum n - sum m) (lam/hbar)^total``.
     """
-    if p.total > ks.orders:
-        raise OrderExceedsKernels(
-            f"partition of order {p.total} exceeds computed kernel order {ks.orders}"
-        )
+    ks.check_order(p.total)
     value = as_matrix(o_s_value)
     words = _PartitionWords(value, trunc, ks, rho_b, t)
     full = words.open_word(p.pairs[0], words.inner(p.pairs[1:]))
@@ -197,8 +193,7 @@ def expand_image_by_partitions(
     wrapped once, and pair 1's word runs once per distinct first pair, on
     the sum of the inner values of the partitions that start with it.
     """
-    if n_max > ks.orders:
-        raise OrderExceedsKernels(f"n_max {n_max} exceeds computed kernel order {ks.orders}")
+    ks.check_order(n_max)
     words = _PartitionWords(trajectory_value(o_s, ks, rho_b, t), o_s.truncation, ks, rho_b, t)
     cores: dict[tuple[int, int], np.ndarray] = {}
     for n in range(n_max + 1):

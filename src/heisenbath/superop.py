@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _blockops
 from .dyson import KernelSet
-from .errors import DimensionError, OrderExceedsKernels
+from .errors import DimensionError
 from .images import ImageFamily
 from .spaces import DensityMatrix, OperatorMatrix, Space, SpaceTag, TimeGrid, as_matrix, system_operator
 
@@ -79,13 +79,6 @@ def _system_tag(ks: KernelSet) -> SpaceTag:
     return SpaceTag(Space.SYSTEM, ks.dim_system, ks.dim_bath)
 
 
-def _check_order(ks: KernelSet, order: int) -> None:
-    if order > ks.orders:
-        raise OrderExceedsKernels(
-            f"series order {order} exceeds computed kernel order {ks.orders}"
-        )
-
-
 def _padded_powers(n: int) -> np.ndarray:
     # i^(n-2r) for r = 0..n
     return np.array([1j ** (n - 2 * r) for r in range(n + 1)])
@@ -116,13 +109,13 @@ def _apply_P_blocks_printed(n: int, a: np.ndarray, kstack: np.ndarray) -> np.nda
 
 def apply_P_ab(n: int, a, t: float, ks: KernelSet) -> ImageFamily:
     """Order-n super-operator dressing of a system operator, open bath indices."""
-    _check_order(ks, n)
+    ks.check_order(n)
     return ImageFamily(_apply_P_blocks(n, _obs_matrix(a), ks.heis_stack(t)), t)
 
 
 def apply_P_S(n: int, a, t: float, ks: KernelSet, rho_b: DensityMatrix) -> np.ndarray:
     """Bath-contracted order-n dressing ``(P[n] A)_ab rho_B[b, a]``."""
-    _check_order(ks, n)
+    ks.check_order(n)
     full = _P_full(n, _obs_matrix(a), ks.heis_stack(t))
     return _blockops.bath_trace(full, rho_b.mat, ks.dim_system, ks.dim_bath)
 
@@ -158,7 +151,7 @@ def _one_point_values(
     partial sums ``C[m]`` are accumulated alongside, and the temporaries
     hold one order at a time.
     """
-    _check_order(ks, trunc.order)
+    ks.check_order(trunc.order)
     n = trunc.order
     n_t = len(times)
     ds, db = ks.dim_system, ks.dim_bath
@@ -243,7 +236,7 @@ def invert_one_point(
     t: float,
 ) -> np.ndarray:
     """Recover ``U0^dag O U0`` from a one-point value via the multinomial inverse."""
-    _check_order(ks, trunc.order)
+    ks.check_order(trunc.order)
     value = _obs_matrix(o_s_value)
     return _inverted_series(value, trunc.order, trunc.lam, ks, rho_b, t)[0][trunc.order]
 
@@ -261,7 +254,7 @@ def image_from_value(
     the order-by-order cancellation that returns the one-point value under
     bath contraction holds only with total-order truncation.
     """
-    _check_order(ks, trunc.order)
+    ks.check_order(trunc.order)
     inv, opened = _inverted_series(_obs_matrix(value), trunc.order, trunc.lam, ks, rho_b, t)
     opened = _blockops.full_to_fam(opened, ks.dim_system, ks.dim_bath)
     return ImageFamily(opened + _blockops.delta_family(inv[-1], ks.dim_bath), t)
@@ -365,7 +358,7 @@ def one_point_rhs(
     kernel derivatives come from the recurrence, so no differencing enters.
     """
     trunc = o_s.truncation
-    _check_order(ks, trunc.order)
+    ks.check_order(trunc.order)
     hbar = ks.frame.constants.hbar
     value = trajectory_value(o_s, ks, rho_b, t)
     # the RHS needs inv[0..order-1] only: the last inversion step is never formed

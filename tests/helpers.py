@@ -71,19 +71,20 @@ def einsum_one_point(b, kstack, rho, order, lam, hbar=1.0):
 
 
 def loop_lindblad_rhs(o, bd, sc, h0, constants, strict_paper=False):
-    """``(i/hbar)[H0, O] + (i lam/hbar)^2 sum_{(i,w),(j,w')} J^{ij}(w) {...} + h.c.``"""
+    """``(i/hbar)[H0, O] + (i lam/hbar)^2 sum_{(i,w),(j,w')} J^{ij}(w) {...} + h.c.``,
+    one term per pair of (term, line) entries of ``bd.components``."""
     o = np.asarray(o, dtype=complex)
     h0 = np.asarray(h0, dtype=complex)
     hbar, lam = constants.hbar, constants.lam
     out = (1j / hbar) * (h0 @ o) if strict_paper else (1j / hbar) * (h0 @ o - o @ h0)
     pref = (1j * lam / hbar) ** 2
-    items = list(bd.coefficients.items())
-    for (i, w), a_i in items:
+    n, n_w = bd.components.shape[:2]
+    for i, k in np.ndindex(n, n_w):
+        a_i = bd.components[i, k]
         a_i_dag = a_i.conj().T
-        for (jj, wp), a_j in items:
-            jw = sc.j.get((i, jj, float(w)))
-            if jw is None or jw == 0:
-                continue
+        for jj, kp in np.ndindex(n, n_w):
+            a_j = bd.components[jj, kp]
+            jw = sc.j[i, jj, k]
             out = out + pref * jw * (a_i_dag @ a_j @ o - a_i_dag @ o @ a_j)
             out = out + pref * np.conj(jw) * (o @ a_j.conj().T @ a_i - a_j.conj().T @ o @ a_i)
     return out

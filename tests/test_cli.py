@@ -269,6 +269,29 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eta", [5e-324, -1e300])
+    def test_extreme_eta_in_lindblad_mode(self, tmp_path, capsys, eta):
+        """A subnormal regulator is the eta = 0 run, exit 0 with the same rows;
+        -1e300 overflows the J integrals, exit 3 with no file.  Both once
+        escaped from `toeplitz_expm` as a traceback."""
+        with open(os.path.join(CONFIGS, "dephasing_lindblad.yaml")) as fh:
+            raw = yaml.safe_load(fh)
+        outs = {}
+        for value in (0.0, eta):
+            outs[value] = tmp_path / f"eta{value}.csv"
+            raw["markov"]["eta"] = value
+            raw["output"]["path"] = str(outs[value])
+            path = tmp_path / "eta.yaml"
+            path.write_text(yaml.safe_dump(raw))
+            code = cli.main(["run", str(path)])
+        if eta > 0:
+            assert code == 0
+            assert outs[eta].read_text() == outs[0.0].read_text()
+        else:
+            assert code == 3
+            assert "numerical failure" in capsys.readouterr().err
+            assert not outs[eta].exists()
+
     def test_markov_report_without_decay_is_finite(self, tmp_path):
         """A correlator that never falls below threshold reports the horizon and fails."""
         out = tmp_path / "report.csv"

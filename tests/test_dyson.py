@@ -14,7 +14,7 @@ from heisenbath.dyson import (
     toeplitz_mul,
     toeplitz_norm1,
 )
-from heisenbath.errors import OrderExceedsKernels
+from heisenbath.errors import NonFiniteResult, OrderExceedsKernels
 from heisenbath.images import identity_family, to_image_family
 from heisenbath.model import make_model
 from heisenbath.spaces import TimeGrid, matrix_exponential_unitary
@@ -230,6 +230,13 @@ class TestToeplitzExponential:
     def test_zero_gives_identity_row(self):
         got = toeplitz_expm(np.zeros((3, 4, 4)))
         assert np.array_equal(got, np.stack([np.eye(4), np.zeros((4, 4)), np.zeros((4, 4))]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(np.inf, np.nan)])
+    def test_non_finite_generator_raises(self, bad):
+        blocks = np.zeros((2, 3, 3), dtype=complex)
+        blocks[1, 0, 2] = bad
+        with pytest.raises(NonFiniteResult):
+            toeplitz_expm(blocks)
 
     def test_norm_and_product_match_dense(self):
         rng = np.random.default_rng(11)

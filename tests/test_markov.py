@@ -1,6 +1,7 @@
 """Interaction decomposition, Markov assumptions, Bohr data, Lindblad generator."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,27 +58,32 @@ def _markov_data(name):
     return m, bd, sc
 
 
+def _one_line(jval):
+    """Bohr data of one S_z coupling term on the zero line, with ``J = jval``."""
+    bd = BohrDecomposition(np.array([0.0]), SZ[None, None].copy())
+    j = np.full((1, 1, 1), jval, dtype=complex)
+    return bd, SpectralCoefficients(bd.frequencies, j, np.zeros((1, 1, 1)), 10.0, 1e-8, 0.0, True)
+
+
 class TestDecomposeInteraction:
     def test_rank_one(self):
         rng = np.random.default_rng(0)
         a, b = random_hermitian(rng, 2), random_hermitian(rng, 3)
         dec = decompose_interaction(full_operator(np.kron(a, b), (2, 3)))
-        assert len(dec.terms) == 1
-        r, s = dec.terms[0]
-        assert np.allclose(np.kron(r, s), np.kron(a, b), atol=1e-12)
+        assert dec.r.shape == (1, 2, 2) and dec.s.shape == (1, 3, 3)
+        assert np.allclose(np.kron(dec.r[0], dec.s[0]), np.kron(a, b), atol=1e-12)
 
     def test_two_qubit_three_terms(self):
         m = hb.two_qubit(0.25).model
         dec = decompose_interaction(m.hi)
-        assert len(dec.terms) == 3
+        assert len(dec.r) == len(dec.s) == 3
         assert np.max(np.abs(dec.reconstruct() - m.hi.mat)) < 1e-12
 
     def test_factors_are_hermitian(self):
         rng = np.random.default_rng(1)
         dec = decompose_interaction(full_operator(random_hermitian(rng, 6), (2, 3)))
-        for r, s in dec.terms:
-            assert np.max(np.abs(r - r.conj().T)) < 1e-12
-            assert np.max(np.abs(s - s.conj().T)) < 1e-12
+        for factors in (dec.r, dec.s):
+            assert np.max(np.abs(factors - factors.conj().transpose(0, 2, 1))) < 1e-12
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(2)
@@ -94,15 +100,46 @@ class TestDecomposeInteraction:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_hermitian_basis_matches_loop_construction(self, n):
-        from heisenbath.markov import _hermitian_basis
+        """The coordinate maps against the basis built element by element:
+        the coordinates of X are ``tr(F_a^dag X)``, the inverse is
+        ``sum_a c_a F_a``, and hermitian X has real coordinates."""
+        from heisenbath.markov import _from_hermitian_coords, _hermitian_coords
 
-        assert np.array_equal(_hermitian_basis(n), loop_hermitian_basis(n))
+        basis = loop_hermitian_basis(n)
+        rng = np.random.default_rng(22 + n)
+        x = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        coords = _hermitian_coords(x)
+        assert coords.shape == (3, n * n)
+        assert np.max(np.abs(coords - np.einsum("aij,kij->ka", basis.conj(), x))) <= 1e-15
+        c = rng.normal(size=(3, n * n))
+        assert np.max(np.abs(_from_hermitian_coords(c, n) - np.einsum("ka,aij->kij", c, basis))) <= 1e-15
+        h = x + x.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(_hermitian_coords(h).imag)) <= 1e-15
+        assert np.max(np.abs(_from_hermitian_coords(_hermitian_coords(h).real, n) - h)) <= 1e-14
+
+    def test_no_basis_tensor_at_d_b_32(self):
+        """At (d_S, d_B) = (2, 32) the decomposition reads coordinates in
+        place, with no (d^2, d, d) basis or d^4 coefficient contraction; it
+        reconstructs H_I with hermitian factors."""
+        rng = np.random.default_rng(23)
+        hi = full_operator(random_hermitian(rng, 64), (2, 32))
+        tracemalloc.start()
+        try:
+            dec = decompose_interaction(hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert dec.r.shape == (4, 2, 2) and dec.s.shape == (4, 32, 32)
+        assert np.linalg.norm(dec.reconstruct() - hi.mat) <= 1e-12 * np.linalg.norm(hi.mat)
+        for factors in (dec.r, dec.s):
+            assert np.max(np.abs(factors - factors.conj().transpose(0, 2, 1))) <= 1e-14
 
     def test_reconstruct_is_the_kron_sum(self):
         rng = np.random.default_rng(21)
         dec = decompose_interaction(full_operator(random_hermitian(rng, 12), (3, 4)))
-        ref = sum(np.kron(r, s) for r, s in dec.terms)
-        assert len(dec.terms) > 1
+        ref = sum(np.kron(r, s) for r, s in zip(dec.r, dec.s))
+        assert len(dec.r) > 1
         assert np.max(np.abs(dec.reconstruct() - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5])
@@ -111,7 +148,7 @@ class TestDecomposeInteraction:
         which is invariant under the SVD's rotation freedom."""
         m = hb.two_qubit(c).model
         dec = decompose_interaction(m.hi)
-        acc = sum(np.trace(s @ m.rho_b.mat) * r for r, s in dec.terms)
+        acc = sum(np.trace(s @ m.rho_b.mat) * r for r, s in zip(dec.r, dec.s))
         expected = (1 - 2 * c) / 2 * 0.5 * SZ
         assert np.max(np.abs(acc - expected)) < 1e-12
 
@@ -165,7 +202,7 @@ class TestMarkovAssumptions:
             random_density(rng, 3),
         )
         dec = decompose_interaction(m.hi)
-        horizon, n = 3.0, len(dec.terms)
+        horizon, n = 3.0, len(dec.r)
         rep = check_markov_assumptions(m, dec, horizon, decay_threshold=0.1, n_tau=61)
         ts, taus = np.linspace(0.0, horizon, 7), np.linspace(0.0, horizon, 41)
         fm = [max(abs(first_moment(m, dec, i, t)) for t in ts) for i in range(n)]
@@ -196,22 +233,17 @@ class TestBohr:
     def test_trivial_h0(self):
         rng = np.random.default_rng(4)
         r = random_hermitian(rng, 2)
-        comps = bohr_decomposition(r, np.zeros((2, 2)))
-        assert len(comps) == 1
-        w, a = comps[0]
-        assert w == 0.0
-        assert np.allclose(a, r)
+        bd = bohr_decomposition(r, np.zeros((2, 2)))
+        assert bd.frequencies.tolist() == [0.0]
+        assert bd.components.shape == (1, 1, 2, 2)
+        assert np.allclose(bd.components[0, 0], r)
 
     def test_two_level_splitting(self):
         delta = 1.7
-        comps = bohr_decomposition(SX, np.diag([0.0, delta]))
-        freqs = sorted(w for w, _ in comps)
-        assert np.allclose(freqs, [-delta, delta])
-        for w, a in comps:
-            if w > 0:
-                assert np.allclose(a, [[0, 1], [0, 0]])  # raising part: e^{i delta t}|0><1|
-            else:
-                assert np.allclose(a, [[0, 0], [1, 0]])
+        bd = bohr_decomposition(SX, np.diag([0.0, delta]))
+        assert np.allclose(bd.frequencies, [-delta, delta])
+        assert np.allclose(bd.components[0, 1], [[0, 1], [0, 0]])  # raising part: e^{i delta t}|0><1|
+        assert np.allclose(bd.components[0, 0], [[0, 0], [1, 0]])
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(5)
@@ -219,10 +251,7 @@ class TestBohr:
         r = random_hermitian(rng, 3)
         m = make_model(h0, np.zeros((2, 2)), np.zeros((6, 6)), np.eye(3) / 3, np.eye(2) / 2)
         fr = frame_of(m)
-        comps = bohr_decomposition(r, h0)
-        bd = BohrDecomposition(
-            tuple(sorted(w for w, _ in comps)), {(0, w): a for w, a in comps}
-        )
+        bd = bohr_decomposition(r, h0)
         eps = np.linalg.eigvalsh(h0)
         w_min = min(abs(a - b) for i, a in enumerate(eps) for b in eps[i + 1 :])
         for t in np.linspace(0, 2 * np.pi / w_min, 10):
@@ -236,9 +265,9 @@ class TestBohr:
         rng = np.random.default_rng(16)
         h0 = np.diag([0.0, 0.6e-9, 1.2e-9, 1.0])
         r = random_hermitian(rng, 4)
-        comps = bohr_decomposition(r, h0)
-        assert len({w for w, _ in comps}) == len(comps)
-        assert np.max(np.abs(sum(a for _, a in comps) - r)) <= 1e-13
+        bd = bohr_decomposition(r, h0)
+        assert np.all(np.diff(bd.frequencies) > 0)
+        assert np.max(np.abs(bd.components[0].sum(axis=0) - r)) <= 1e-13
 
     def test_chained_frequencies_reconstruct_free_evolution(self):
         """With merged lines the reconstruction is off only by the merged
@@ -246,8 +275,7 @@ class TestBohr:
         rng = np.random.default_rng(17)
         h0 = np.diag([0.0, 0.6e-9, 1.2e-9, 1.0])
         r = random_hermitian(rng, 4)
-        comps = bohr_decomposition(r, h0)
-        bd = BohrDecomposition(tuple(sorted(w for w, _ in comps)), {(0, w): a for w, a in comps})
+        bd = bohr_decomposition(r, h0)
         for t in np.linspace(0.0, 2 * np.pi, 9):
             u = np.diag(np.exp(-1j * np.diag(h0) * t))
             target = u @ r @ u.conj().T
@@ -257,9 +285,9 @@ class TestBohr:
     @pytest.mark.parametrize("name", [(2, 3), (3, 2), "lines_differ"])
     def test_all_terms_match_one_call_each(self, name):
         """The stacked decomposition of every coupling term equals one
-        `bohr_decomposition` per term; the frequency list is their union.
-        In ``lines_differ`` the S_z term lies on the zero line only and the
-        S_x term on the two others only."""
+        `bohr_decomposition` per term, zero on the lines a term lacks; the
+        frequency list is their union.  In ``lines_differ`` the S_z term
+        lies on the zero line only and the S_x term on the two others only."""
         if name == "lines_differ":
             hi = 2.0 * np.kron(SZ, SX) + np.kron(SX, SZ)
             m = make_model(np.diag([0.0, 1.0]), np.diag([0.0, 0.5]), hi, np.eye(2) / 2, np.eye(2) / 2)
@@ -267,27 +295,31 @@ class TestBohr:
             m = _markov_data(name)[0]
         dec = decompose_interaction(m.hi)
         bd = bohr_decompose_all(dec, m.h0.mat, m.constants.hbar)
-        expected = {
-            (i, w): a
-            for i, (r, _) in enumerate(dec.terms)
-            for w, a in bohr_decomposition(r, m.h0.mat, m.constants.hbar)
-        }
-        assert len(dec.terms) > 1
-        assert list(bd.coefficients) == list(expected)
-        for key, a in expected.items():
-            assert np.max(np.abs(bd.coefficients[key] - a)) <= 1e-15 * max(1.0, np.max(np.abs(a)))
-        assert bd.frequencies == tuple(sorted({w for _, w in expected}))
+        assert len(dec.r) > 1
+        assert bd.components.shape == (len(dec.r), len(bd.frequencies), *dec.r.shape[1:])
+        union = set()
+        for i, r in enumerate(dec.r):
+            one = bohr_decomposition(r, m.h0.mat, m.constants.hbar)
+            at = np.searchsorted(bd.frequencies, one.frequencies)
+            assert np.array_equal(bd.frequencies[at], one.frequencies)
+            a = one.components[0]
+            assert np.max(np.abs(bd.components[i, at] - a)) <= 1e-15 * max(1.0, np.max(np.abs(a)))
+            assert not np.any(np.delete(bd.components[i], at, axis=0))
+            union |= set(one.frequencies.tolist())
+        assert bd.frequencies.tolist() == sorted(union)
         if name == "lines_differ":
-            assert sorted(expected) == [(0, 0.0), (1, -1.0), (1, 1.0)]
+            assert bd.frequencies.tolist() == [-1.0, 0.0, 1.0]
+            on_line = np.linalg.norm(bd.components, axis=(2, 3)) > 0
+            assert on_line.tolist() == [[False, True, False], [True, False, True]]
 
     def test_hermitian_coupling_has_conjugate_lines(self):
         rng = np.random.default_rng(6)
         h0 = random_hermitian(rng, 3)
         r = random_hermitian(rng, 3)
-        comps = dict(bohr_decomposition(r, h0))
-        for w, a in comps.items():
-            partner = comps[min(comps, key=lambda x: abs(x + w))]
-            assert np.max(np.abs(a.conj().T - partner)) < 1e-10
+        bd = bohr_decomposition(r, h0)
+        for k, w in enumerate(bd.frequencies):
+            partner = bd.components[0, np.argmin(np.abs(bd.frequencies + w))]
+            assert np.max(np.abs(bd.components[0, k].conj().T - partner)) < 1e-10
 
 
 class TestSpectralCoefficients:
@@ -312,7 +344,7 @@ class TestSpectralCoefficients:
         dec = decompose_interaction(m.hi)
         assert abs(bath_correlation(m, dec, 0, 0, 0.0, 1.3)) < 1e-14
         sc = spectral_coefficients(m, dec, [0.0], horizon=10.0, tol=1e-8)
-        assert abs(sc.j[(0, 0, 0.0)]) < 1e-10
+        assert abs(sc.j[0, 0, 0]) < 1e-10
         assert sc.converged
 
     @pytest.mark.parametrize("eta", [0.5, 0.25])
@@ -325,9 +357,10 @@ class TestSpectralCoefficients:
         # here C(tau) = c0 * exp(+i omega_b tau), i.e. Omega = -omega_b
         horizon = 60.0 / eta
         sc = spectral_coefficients(m, dec, [0.4, -0.8], horizon=horizon, tol=1e-6, eta=eta)
-        for w in (0.4, -0.8):
+        assert sc.j.shape == sc.defects.shape == (1, 1, 2)
+        for k, w in enumerate((0.4, -0.8)):
             expected = c0 / (eta + 1j * (w - omega_b))
-            assert abs(sc.j[(0, 0, w)] - expected) < 1e-6
+            assert abs(sc.j[0, 0, k] - expected) < 1e-6
 
     def test_eta_to_zero_limit_real_part(self):
         omega_b = 1.9
@@ -338,7 +371,7 @@ class TestSpectralCoefficients:
         for eta in (0.4, 0.2, 0.1):
             sc = spectral_coefficients(m, dec, [w], horizon=80.0 / eta, tol=1e-5, eta=eta)
             analytic = c0 * eta / (eta**2 + (w - omega_b) ** 2)
-            assert abs(sc.j[(0, 0, w)].real - analytic) < 1e-5
+            assert abs(sc.j[0, 0, 0].real - analytic) < 1e-5
 
     @pytest.mark.parametrize("eta,pick", [(0.3, "random"), (0.0, "bath_gap")])
     def test_closed_form_matches_quadrature(self, eta, pick):
@@ -359,9 +392,9 @@ class TestSpectralCoefficients:
         freqs = [0.4, -1.1] if pick == "random" else [gap, 0.0]
         horizon = 3.0
         sc = spectral_coefficients(m, dec, freqs, horizon=horizon, eta=eta)
-        for i in range(len(dec.terms)):
-            for j in range(len(dec.terms)):
-                for w in freqs:
+        for i in range(len(dec.r)):
+            for j in range(len(dec.r)):
+                for k, w in enumerate(freqs):
 
                     def f(tau, part):
                         c = bath_correlation(m, dec, i, j, 0.0, tau)
@@ -371,7 +404,7 @@ class TestSpectralCoefficients:
                         quad(f, 0.0, horizon, args=(np.real,), epsabs=1e-13, epsrel=1e-13)[0],
                         quad(f, 0.0, horizon, args=(np.imag,), epsabs=1e-13, epsrel=1e-13)[0],
                     )
-                    assert abs(sc.j[(i, j, w)] - ref) < 1e-10
+                    assert abs(sc.j[i, j, k] - ref) < 1e-10
 
     def test_strict_mode_raises_on_nonconvergence(self):
         m = hb.two_qubit(0.25).model  # constant correlator never converges
@@ -382,10 +415,7 @@ class TestSpectralCoefficients:
 
 class TestLindbladRHS:
     def _artificial(self, jval, delta=1.3):
-        bd = BohrDecomposition((0.0,), {(0, 0.0): SZ.copy()})
-        sc = SpectralCoefficients({(0, 0, 0.0): jval}, 10.0, 1e-8, 0.0, {(0, 0, 0.0): 0.0}, True)
-        h0 = 0.5 * delta * SZ
-        return bd, sc, h0
+        return (*_one_line(jval), 0.5 * delta * SZ)
 
     def test_identity_is_fixed_point(self):
         bd, sc, h0 = self._artificial(0.05 + 0.02j)
@@ -425,17 +455,18 @@ class TestLindbladRHS:
     @pytest.mark.parametrize("name", ["dephasing", (2, 3), (3, 2)])
     def test_collapsed_rhs_matches_line_pair_loop(self, name, strict):
         """The O(terms) collapsed RHS against the O(lines^2) double sum, on a
-        stack of operators and with some J entries removed or zeroed."""
+        stack of operators and with some J entries zeroed."""
         m, bd, sc = _markov_data(name)
         d = m.dim_system
         rng = np.random.default_rng(18)
         ops = np.stack([random_hermitian(rng, d), rng.normal(size=(d, d)) + 0j, np.eye(d)])
-        keys = sorted(sc.j)
-        pruned = {k: 0.0 if n % 4 == 0 else sc.j[k] for n, k in enumerate(keys) if n % 3 != 1}
-        assert 0.0 in pruned.values() and (len(keys) == 1 or len(pruned) < len(keys))
+        zeroed = sc.j.copy()
+        zeroed.flat[::4] = 0.0
+        assert np.all(sc.j != 0) and np.any(zeroed == 0)
         if name != "dephasing":
-            assert len(bd.coefficients) > len({i for i, _ in bd.coefficients})  # several lines per term
-        for j in (sc.j, pruned):
+            lines = np.count_nonzero(np.linalg.norm(bd.components, axis=(2, 3)), axis=1)
+            assert np.all(lines > 1)  # several lines per term
+        for j in (sc.j, zeroed):
             coeffs = dataclasses.replace(sc, j=j)
             got = lindblad_rhs(ops, bd, coeffs, m.h0.mat, m.constants, strict)
             ref = np.stack([loop_lindblad_rhs(o, bd, coeffs, m.h0.mat, m.constants, strict) for o in ops])
@@ -443,17 +474,27 @@ class TestLindbladRHS:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+    @pytest.mark.parametrize("name", ["dephasing", (2, 3)])
+    def test_frequency_mismatch_raises(self, name):
+        """J at frequencies 1e-12 off the Bohr lines, or at fewer of them,
+        is refused rather than matched up loosely."""
+        m, bd, sc = _markov_data(name)
+        dec = decompose_interaction(m.hi)
+        for freqs in (bd.frequencies + 1e-12, bd.frequencies[:-1]):
+            other = spectral_coefficients(m, dec, freqs, horizon=sc.horizon, eta=sc.eta)
+            with pytest.raises(DimensionError):
+                lindblad_rhs(np.eye(m.dim_system), bd, other, m.h0.mat, m.constants)
+
+
 class TestEvolveLindblad:
     def test_identity_stays_identity(self):
-        bd = BohrDecomposition((0.0,), {(0, 0.0): SZ.copy()})
-        sc = SpectralCoefficients({(0, 0, 0.0): 0.05 + 0.02j}, 10.0, 1e-8, 0.0, {(0, 0, 0.0): 0.0}, True)
+        bd, sc = _one_line(0.05 + 0.02j)
         traj = evolve_lindblad(np.eye(2), bd, sc, 0.5 * SZ, Constants(1.0, 0.3), TimeGrid.linspace(4.0, 9))
         assert np.max(np.abs(traj - np.eye(2))) < 1e-10
 
     def test_zero_j_is_phase_rotation(self):
         delta = 1.3
-        bd = BohrDecomposition((0.0,), {(0, 0.0): SZ.copy()})
-        sc = SpectralCoefficients({(0, 0, 0.0): 0.0}, 10.0, 1e-8, 0.0, {(0, 0, 0.0): 0.0}, True)
+        bd, sc = _one_line(0.0)
         grid = TimeGrid.linspace(3.0, 7)
         traj = evolve_lindblad(SX, bd, sc, 0.5 * delta * SZ, Constants(1.0, 0.3), grid)
         for t, val in zip(grid.points, traj):
@@ -463,8 +504,7 @@ class TestEvolveLindblad:
         jval = 0.05 + 0.02j
         lam = 0.3
         gamma = 4 * lam**2 * jval.real
-        bd = BohrDecomposition((0.0,), {(0, 0.0): SZ.copy()})
-        sc = SpectralCoefficients({(0, 0, 0.0): jval}, 10.0, 1e-8, 0.0, {(0, 0, 0.0): 0.0}, True)
+        bd, sc = _one_line(jval)
         grid = TimeGrid.linspace(5.0, 11)
         traj = evolve_lindblad(SX, bd, sc, 0.5 * 1.3 * SZ, Constants(1.0, lam), grid)
         for t, val in zip(grid.points, traj):
@@ -549,8 +589,7 @@ class TestEvolveLindblad:
             assert np.max(np.abs(got[idx] - one)) <= 1e-14 * np.max(np.abs(one))
 
     def test_wrong_operator_size_rejected(self):
-        bd = BohrDecomposition((0.0,), {(0, 0.0): SZ.copy()})
-        sc = SpectralCoefficients({(0, 0, 0.0): 0.05}, 10.0, 1e-8, 0.0, {(0, 0, 0.0): 0.0}, True)
+        bd, sc = _one_line(0.05)
         for shape in [(3, 3), (2, 3, 3), (4,), (2, 2, 1)]:
             with pytest.raises(DimensionError):
                 evolve_lindblad(np.ones(shape), bd, sc, 0.5 * SZ, Constants(1.0, 0.3), TimeGrid.linspace(1.0, 3))
