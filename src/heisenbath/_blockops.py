@@ -90,7 +90,11 @@ def bath_trace(full: np.ndarray, rho: np.ndarray, ds: int, db: int) -> np.ndarra
     """Reduced operator ``sum_ab X[i * d_B + a, m * d_B + b] rho_B[b, a]`` of full-space ``X``.
 
     Leading axes are carried; this is ``sum_ab fam[a, b] rho_B[b, a]`` of
-    the family of ``X``.
+    the family of ``X``.  Written as the transpose, reshape and `np.dot` that
+    ``np.tensordot(x, rho, ([-3, -1], [1, 0]))`` performs, without its
+    argument handling; a `matmul` could take another BLAS path.
     """
-    x = full.reshape(*full.shape[:-2], ds, db, ds, db)
-    return np.tensordot(x, rho, axes=([-3, -1], [1, 0]))
+    lead = full.shape[:-2]
+    k = len(lead)
+    x = full.reshape(*lead, ds, db, ds, db).transpose(*range(k), k, k + 2, k + 1, k + 3)
+    return np.dot(x.reshape(-1, db * db), rho.T.reshape(-1, 1)).reshape(*lead, ds, ds)

@@ -8,12 +8,16 @@ failure, 4 validation defect exceeded.
 
 Operator trajectories are emitted as long-format rows
 ``(time, observable, row, col, re, im)``; floats are written with 17
-significant digits so identical runs produce byte-identical files.
+significant digits so identical runs produce byte-identical files.  CSV
+fields are quoted where they need it: a label holding a comma, such as the
+``J[i,j](omega=...)`` checks of a Markov report, is one quoted field.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -283,13 +287,13 @@ def _format_value(v):
 def write_rows(rows: list[dict], path: str, fmt: str) -> None:
     """Write rows atomically (temp file + rename), deterministically formatted."""
     if fmt == "csv":
+        buf = io.StringIO()
         if rows:
             keys = list(rows[0].keys())
-            lines = [",".join(keys)]
-            lines += [",".join(_format_value(r[k]) for k in keys) for r in rows]
-        else:
-            lines = []
-        payload = "\n".join(lines) + "\n"
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(keys)
+            writer.writerows([_format_value(r[k]) for k in keys] for r in rows)
+        payload = buf.getvalue() or "\n"
     else:
         canon = [
             {k: (_format_value(v) if isinstance(v, float) else v) for k, v in r.items()}
@@ -445,11 +449,13 @@ def _run_markov_report(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
-    seed, d_s, d_b = (
-        parse_number(cfg.validate.get(key, default), f"validate.{key}", int)
-        for key, default in (("seed", 0), ("d_s", 2), ("d_b", 3))
-    )
-    rows = validation_suite(seed, d_s, d_b, order=cfg.truncation.order)
+    params = []
+    for key, default, low in (("seed", 0, 0), ("d_s", 2, 1), ("d_b", 3, 1)):
+        value = parse_number(cfg.validate.get(key, default), f"validate.{key}", int)
+        if value < low:
+            _fail(f"validate.{key}", f"must be >= {low}, got {value}")
+        params.append(value)
+    rows = validation_suite(*params, order=cfg.truncation.order)
     ok = all(r["status"] == "pass" for r in rows)
     return rows, ok
 

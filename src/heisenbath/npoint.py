@@ -237,8 +237,12 @@ def irreducible_2pt(
     """Second-order cumulant ``(O1(t1) O2(t2))_S - O1S(t1) O2S(t2)``."""
     ks = _ensure_kernels(m, trunc, (t1, t2), ks)
     values, lifted = _lift_legs(((o1, t1), (o2, t2)), trunc, ks, m.rho_b)
-    star = chain_contract(lifted, m.rho_b)
-    return system_operator(star - values[0] @ values[1], _sys_tag(ks))
+    return system_operator(_cumulant_2pt(values, lifted, m.rho_b), _sys_tag(ks))
+
+
+def _cumulant_2pt(values, lifted, rho_b: DensityMatrix) -> np.ndarray:
+    """``(O1 O2)_S - O1S O2S`` from two lifted legs (one-point values and image families)."""
+    return chain_contract(lifted, rho_b) - values[0] @ values[1]
 
 
 @dataclass(frozen=True)
@@ -282,12 +286,18 @@ def decompose_3pt(
     sum to the full star product identically.
     """
     ks = _ensure_kernels(m, trunc, (t1, t2, t3), ks)
-    rho_b = m.rho_b
+    values, lifted = _lift_legs(((o1, t1), (o2, t2), (o3, t3)), trunc, ks, m.rho_b)
+    return _decompose_3pt(values, lifted, ks, m.rho_b)
+
+
+def _decompose_3pt(values, lifted, ks: KernelSet, rho_b: DensityMatrix) -> ThreePointDecomposition:
+    """The decomposition of `decompose_3pt` from three lifted legs.
+
+    Each leg enters once as its image family and once as its trivial family
+    ``O_S(t) delta_ab``.
+    """
     tag = _sys_tag(ks)
-    # each factor is lifted once, as its image family and as its trivial family
-    legs = ((o1, t1), (o2, t2), (o3, t3))
-    values, lifted = _lift_legs(legs, trunc, ks, rho_b)
-    trivial = [trivial_factor(v, ks, float(t)) for v, (_, t) in zip(values, legs)]
+    trivial = [trivial_factor(v, ks, f.time) for v, f in zip(values, lifted)]
     disc = values[0] @ values[1] @ values[2]
 
     star_all = chain_contract(lifted, rho_b)

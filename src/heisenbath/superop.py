@@ -157,7 +157,7 @@ def _one_point_values(
     ds, db = ks.dim_system, ks.dim_bath
     d = ds * db
     # alpha_p = (i lam/hbar)^p for p = 0..n, by exact repeated products
-    alpha = np.cumprod(np.r_[1.0, np.full(n, 1j * trunc.lam / ks.frame.constants.hbar)])
+    alpha = np.cumprod(np.concatenate(([1.0], np.full(n, 1j * trunc.lam / ks.frame.constants.hbar))))
     v0 = ks.frame.v0
     o_eig = _blockops.fam_to_full(_blockops.delta_family(v0.conj().T @ o @ v0, db))
     rows = ks.eigen_rows(times).reshape(n_t, ds, db, ks.orders + 1, d)  # E[p] = rows[..., p, :]
@@ -195,7 +195,7 @@ def one_point_operator(
 
 def trajectory_value(o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatrix, t: float) -> np.ndarray:
     """Value of a trajectory at time t (grid hit or recomputed from kernels)."""
-    hits = np.flatnonzero(np.isclose(o_s.grid.points, t, rtol=0.0, atol=1e-14))
+    hits = np.flatnonzero(np.abs(o_s.grid.points - t) <= 1e-14)
     if hits.size:
         return o_s.values[hits[0]]
     return one_point_value(o_s.observable, o_s.truncation, ks, rho_b, t)

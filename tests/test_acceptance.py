@@ -10,6 +10,7 @@ import pytest
 
 import heisenbath as hb
 from heisenbath.diagnostics import (
+    SeriesResults,
     cancellation_defect,
     cumulant2_errors,
     decomposition_sum_defect,
@@ -91,10 +92,11 @@ def test_criterion_03_truncation_error_scaling(seed, d_b):
     """Order-2 one-point slope >= 2.8; order-1 star products slope >= 1.8."""
     m, obs = random_model(seed, 2, d_b)
     ks = compute_kernels(m, 2, TimeGrid.linspace(1.65, 7))
-    s1 = fit_slope(LAMBDAS, one_point_errors(m, obs, 1.1, 2, ks, LAMBDAS, exact_sweep(m, obs, (1.1,), LAMBDAS)))
+    series = SeriesResults(m, obs, ks)
+    s1 = fit_slope(LAMBDAS, one_point_errors(series, 1.1, 2, LAMBDAS, exact_sweep(m, obs, (1.1,), LAMBDAS)))
     times2, times3 = (0.6, 1.2), (0.4, 0.9, 1.3)
-    s2 = fit_slope(LAMBDAS, star_errors(m, obs, times2, 1, ks, LAMBDAS, exact_sweep(m, obs, times2, LAMBDAS)))
-    s3 = fit_slope(LAMBDAS, star_errors(m, obs, times3, 1, ks, LAMBDAS, exact_sweep(m, obs, times3, LAMBDAS)))
+    s2 = fit_slope(LAMBDAS, star_errors(series, times2, 1, LAMBDAS, exact_sweep(m, obs, times2, LAMBDAS)))
+    s3 = fit_slope(LAMBDAS, star_errors(series, times3, 1, LAMBDAS, exact_sweep(m, obs, times3, LAMBDAS)))
     assert s1 >= 2.8
     assert s2 >= 1.8
     assert s3 >= 1.8
@@ -133,9 +135,9 @@ def test_criterion_05_cancellation_property():
     """Bath contraction of the partition expansion returns O_S within 1e-12, n <= 3."""
     worst = 0.0
     for name, m, obs, t in _spec_pair():
-        ks = compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7))
+        series = SeriesResults(m, obs, compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7)))
         for n in range(4):
-            worst = max(worst, cancellation_defect(m, obs, t, n, 0.1, ks))
+            worst = max(worst, cancellation_defect(series, t, n, 0.1))
     assert worst < 1e-12
     report(5, f"max contraction defect {worst:.2e} < 1e-12 for n <= 3, both specs")
 
@@ -144,9 +146,9 @@ def test_criterion_06_dual_bookkeeping():
     """Partition-sum image equals super-operator-series image within 1e-12, n <= 3."""
     worst = 0.0
     for name, m, obs, t in _spec_pair():
-        ks = compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7))
+        series = SeriesResults(m, obs, compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7)))
         for n in range(4):
-            worst = max(worst, dual_bookkeeping_defect(m, obs, t, n, 0.1, ks))
+            worst = max(worst, dual_bookkeeping_defect(series, t, n, 0.1))
     assert worst < 1e-12
     report(6, f"max blockwise gap {worst:.2e} < 1e-12 for n <= 3, both specs")
 
@@ -158,12 +160,12 @@ def test_criterion_07_cumulant_identities():
     slopes = []
     sums = []
     for name, m, obs, t in _spec_pair():
-        ks = compute_kernels(m, max(order, 2), TimeGrid.linspace(1.5 * t, 7))
+        series = SeriesResults(m, obs, compute_kernels(m, max(order, 2), TimeGrid.linspace(1.5 * t, 7)))
         exact = exact_sweep(m, obs, (0.5 * t, t), LAMBDAS)
-        errs = cumulant2_errors(m, obs, 0.5 * t, t, order, ks, LAMBDAS, exact)
+        errs = cumulant2_errors(series, 0.5 * t, t, order, LAMBDAS, exact)
         slopes.append(fit_slope(LAMBDAS, errs))
         for n in range(order + 1):
-            sums.append(decomposition_sum_defect(m, obs, (0.4 * t, 0.8 * t, t), n, 0.1, ks))
+            sums.append(decomposition_sum_defect(series, (0.4 * t, 0.8 * t, t), n, 0.1))
     assert min(slopes) >= order + 0.8
     assert max(sums) < 1e-12
     report(
@@ -262,9 +264,8 @@ def test_criterion_10_local_rhs_consistency():
     within max(1e-6, C lam^(order+1)) on the two-qubit and a random spec."""
     order = 2
     for name, m, obs, t in _spec_pair():
-        grid = TimeGrid.linspace(1.5 * t, 7)
-        ks = compute_kernels(m, order, grid)
-        errs = rhs_fd_errors(m, obs, t, order, ks, grid, LAMBDAS)
+        series = SeriesResults(m, obs, compute_kernels(m, order, TimeGrid.linspace(1.5 * t, 7)))
+        errs = rhs_fd_errors(series, t, order, LAMBDAS)
         c_fit = errs[0] / LAMBDAS[0] ** (order + 1)
         for lam, err in zip(LAMBDAS, errs):
             assert err <= max(1e-6, 2.0 * c_fit * lam ** (order + 1))

@@ -1,5 +1,6 @@
 """Configuration loading, run modes, determinism and exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -43,9 +44,8 @@ INLINE_QUBIT_PAIR = {
 
 
 def read_rows(path):
-    lines = path.read_text().strip().splitlines()
-    keys = lines[0].split(",")
-    return [dict(zip(keys, line.split(","))) for line in lines[1:]]
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestLoadConfig:
@@ -220,6 +220,32 @@ class TestRunModes:
         assert by_check["stationarity"]["status"] == "pass"
         assert by_check["decay"]["status"] == "pass"
 
+    def test_markov_report_csv_reads_back(self, tmp_path):
+        """Every CSV row has exactly the header's fields, the comma in a J label
+        included, and J's value and threshold equal the JSON run's."""
+        outs = {}
+        for fmt in ("csv", "json"):
+            outs[fmt] = tmp_path / f"report.{fmt}"
+            path = write_config(
+                tmp_path,
+                model={"preset": "dephasing_bath"},
+                run="markov_report",
+                observables={},
+                markov={"horizon": 6.0, "j_horizon": 5.0, "decay_threshold": 0.025},
+                output={"path": str(outs[fmt]), "format": fmt},
+            )
+            assert cli.main(["run", str(path)]) == 0
+        with open(outs["csv"], newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["check", "metric", "value", "threshold", "status"]
+        assert all(None not in r and None not in r.values() for r in rows)
+        j_json = {r["check"]: r for r in json.loads(outs["json"].read_text()) if r["check"].startswith("J[")}
+        j_csv = {r["check"]: r for r in rows if r["check"].startswith("J[")}
+        assert j_csv and j_csv.keys() == j_json.keys()
+        for check, row in j_csv.items():
+            assert (row["value"], row["threshold"]) == (j_json[check]["value"], j_json[check]["threshold"])
+
     def test_validate_mode_passes(self, tmp_path):
         out = tmp_path / "val.csv"
         path = write_config(
@@ -339,8 +365,14 @@ class TestExitCodes:
             ({"truncation": {"order": 2, "lambda": float("nan")}}, "truncation.lambda"),
             ({"model": dict(INLINE_QUBIT_PAIR, hbar=-1)}, "hbar"),
             ({"model": dict(INLINE_QUBIT_PAIR, hb=[[0, 0], [0, float("nan")]])}, "model.hb[1][1]"),
+            ({"run": "validate", "validate": {"seed": -1}}, "validate.seed"),
+            ({"run": "validate", "validate": {"d_s": 0}}, "validate.d_s"),
+            ({"run": "validate", "validate": {"d_b": 0}}, "validate.d_b"),
         ],
-        ids=["order_word", "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan"],
+        ids=[
+            "order_word", "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan",
+            "validate_seed_negative", "validate_d_s_zero", "validate_d_b_zero",
+        ],
     )
     def test_bad_scalar_is_2(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, **overrides)
