@@ -56,6 +56,7 @@ from .superop import SeriesTruncation, one_point_operator, star_product, traject
 
 RUN_MODES = ("one_point", "n_point", "image_exact", "lindblad", "markov_report", "validate")
 FLOAT_FMT = "%.17g"
+KERNEL_CAP = 6  # highest truncation order a run may ask for
 
 
 @dataclass
@@ -72,7 +73,6 @@ class ExperimentConfig:
     npoint_factors: list = field(default_factory=list)
     markov: dict = field(default_factory=dict)
     validate: dict = field(default_factory=dict)
-    kernel_cap: int = 6
 
 
 def _fail(path: str, reason: str):
@@ -264,15 +264,14 @@ def load_config(path: str) -> ExperimentConfig:
         npoint_factors=npoint_factors,
         markov=_mapping(raw.get("markov"), "markov"),
         validate=_mapping(raw.get("validate"), "validate"),
-        kernel_cap=parse_number(raw.get("kernel_cap", 6), "kernel_cap", int),
     )
     _check_kernel_cap(cfg)
     return cfg
 
 
 def _check_kernel_cap(cfg: ExperimentConfig) -> None:
-    if cfg.truncation.order > cfg.kernel_cap:
-        _fail("truncation.order", f"{cfg.truncation.order} exceeds kernel cap {cfg.kernel_cap}")
+    if cfg.truncation.order > KERNEL_CAP:
+        _fail("truncation.order", f"{cfg.truncation.order} exceeds kernel cap {KERNEL_CAP}")
 
 
 # -- emission ------------------------------------------------------------------
@@ -448,7 +447,7 @@ def _run_markov_report(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
+def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     params = []
     for key, default, low in (("seed", 0, 0), ("d_s", 2, 1), ("d_b", 3, 1)):
         value = parse_number(cfg.validate.get(key, default), f"validate.{key}", int)
@@ -456,8 +455,14 @@ def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
             _fail(f"validate.{key}", f"must be >= {low}, got {value}")
         params.append(value)
     rows = validation_suite(*params, order=cfg.truncation.order)
-    ok = all(r["status"] == "pass" for r in rows)
-    return rows, ok
+    return rows, [r for r in rows if r["status"] != "pass"]
+
+
+def _describe_failure(row: dict) -> str:
+    """``cumulant2_order2 slope 3.62 < 3.8``: a failing row with its value and threshold."""
+    if "slope" in row["metric"]:
+        return f"{row['check']} slope {row['value']:.3g} < {row['threshold']:.3g}"
+    return f"{row['check']} defect {row['value']:.3g} > {row['threshold']:.3g}"
 
 
 def _check_finite(rows: list[dict]) -> None:
@@ -473,8 +478,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     Every row is checked for finite values before anything is written, so a
     NaN or overflow is reported once, as exit 3, not as numpy warnings first.
+    A validation table with failing rows is written and names them on
+    stderr, as exit 4.
     """
-    ok = True
+    failing: list[dict] = []
     if cfg.run == "one_point":
         rows = _run_one_point(cfg)
     elif cfg.run == "n_point":
@@ -486,12 +493,16 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     elif cfg.run == "markov_report":
         rows = _run_markov_report(cfg)
     elif cfg.run == "validate":
-        rows, ok = _run_validate(cfg)
+        rows, failing = _run_validate(cfg)
     else:  # pragma: no cover - guarded by load_config
         raise ValidationError(f"run: unsupported mode {cfg.run!r}")
     _check_finite(rows)
     write_rows(rows, cfg.output_path, cfg.output_format)
-    return 0 if ok else 4
+    if failing:
+        detail = "; ".join(_describe_failure(r) for r in failing)
+        print(f"validation defects exceeded thresholds: {detail}", file=sys.stderr)
+        return 4
+    return 0
 
 
 # -- argparse ------------------------------------------------------------------
@@ -556,8 +567,6 @@ def main(argv=None) -> int:
         return 3
     if status == 0:
         print(f"wrote {cfg.output_path}")
-    elif status == 4:
-        print("validation defects exceeded thresholds", file=sys.stderr)
     return status
 
 

@@ -9,11 +9,11 @@ decomposition sum) are asserted at rounding level instead.
 
 The rows of one suite read their series quantities from one `SeriesResults`
 built from the suite's model, observable and kernels.  It lifts every
-distinct ``(order, lam, t)`` once (one-point value, then the image family of
-the series inversion), builds every one-point trajectory over the kernel
-grid once and expands every partition sum once; the one-point, image,
-roundtrip, star, cumulant, bookkeeping and decomposition rows all read these
-results.  The cumulant and decomposition arithmetic is `npoint`'s, applied
+distinct ``(order, lam, t)`` once (one-point value, then its series
+inversion and the image family of it), builds every one-point trajectory
+over the kernel grid once and expands every partition sum once; the
+one-point, image, roundtrip, star, cumulant, bookkeeping and decomposition
+rows all read these results.  The cumulant and decomposition arithmetic is `npoint`'s, applied
 to the shared legs.  The object lives for one suite call and holds no state
 beyond it.
 """
@@ -34,9 +34,8 @@ from .spaces import TimeGrid, full_operator, system_operator, weighted_bath_trac
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
+    _lift_value,
     chain_contract,
-    image_from_value,
-    invert_one_point,
     one_point_operator,
     one_point_rhs,
     one_point_value,
@@ -95,15 +94,23 @@ class SeriesResults:
         self._trajectories: dict = {}
         self._partitions: dict = {}
 
-    def lift(self, order: int, lam: float, t: float) -> tuple[np.ndarray, ImageFamily]:
-        """One-point value at ``t`` and the image family the series inversion lifts it to."""
+    def _lift(self, order: int, lam: float, t: float) -> tuple[np.ndarray, np.ndarray, ImageFamily]:
         t = float(t)
         key = (order, lam, t)
         if key not in self._lifts:
             trunc = SeriesTruncation(order, lam)
             value = one_point_value(self.obs, trunc, self.ks, self.m.rho_b, t)
-            self._lifts[key] = value, image_from_value(value, trunc, self.ks, self.m.rho_b, t)
+            self._lifts[key] = (value, *_lift_value(value, trunc, self.ks, self.m.rho_b, t))
         return self._lifts[key]
+
+    def lift(self, order: int, lam: float, t: float) -> tuple[np.ndarray, ImageFamily]:
+        """One-point value at ``t`` and the image family the series inversion lifts it to."""
+        value, _, family = self._lift(order, lam, t)
+        return value, family
+
+    def inverse(self, order: int, lam: float, t: float) -> np.ndarray:
+        """``inv[order]``: the series inversion of the one-point value, taken by the same lift."""
+        return self._lift(order, lam, t)[1]
 
     def trajectory(self, order: int, lam: float) -> OnePointTrajectory:
         """One-point operator over the kernel grid."""
@@ -145,22 +152,17 @@ def star_errors(series: SeriesResults, times, order: int, lams, exact) -> list[f
 
 
 def image_errors(series: SeriesResults, t: float, order: int, lams, exact) -> list[float]:
-    m = series.m
-
     def err(lam: float, x: np.ndarray) -> float:
         _, fam = series.lift(order, lam, t)
-        return float(np.max(np.abs(fam.blocks - _blockops.full_to_fam(x[0], m.dim_system, m.dim_bath))))
+        return float(np.max(np.abs(fam.matrix - x[0])))
 
     return [err(lam, x) for lam, x in zip(lams, exact)]
 
 
 def roundtrip_errors(series: SeriesResults, t: float, order: int, lams) -> list[float]:
-    ks = series.ks
-
     def err(lam: float) -> float:
-        val, _ = series.lift(order, lam, t)
-        back = invert_one_point(val, SeriesTruncation(order, lam), ks, series.m.rho_b, t)
-        free = ks.frame.free_conjugate(np.asarray(series.obs, dtype=complex), t)
+        back = series.inverse(order, lam, t)
+        free = series.ks.frame.free_conjugate(np.asarray(series.obs, dtype=complex), t)
         return float(np.max(np.abs(back - free)))
 
     return [err(lam) for lam in lams]
@@ -194,7 +196,7 @@ def rhs_fd_errors(series: SeriesResults, t: float, order: int, lams) -> list[flo
 
 def cancellation_defect(series: SeriesResults, t: float, n_max: int, lam: float) -> float:
     fam = series.partitions(n_max, lam, t)
-    back = np.einsum("abij,ba->ij", fam.blocks, series.m.rho_b.mat)
+    back = _blockops.bath_trace(fam.matrix, series.m.rho_b.mat)
     value = trajectory_value(series.trajectory(n_max, lam), series.ks, series.m.rho_b, t)
     return float(np.max(np.abs(back - value)))
 
@@ -202,7 +204,7 @@ def cancellation_defect(series: SeriesResults, t: float, n_max: int, lam: float)
 def dual_bookkeeping_defect(series: SeriesResults, t: float, n_max: int, lam: float) -> float:
     by_parts = series.partitions(n_max, lam, t)
     _, by_series = series.lift(n_max, lam, t)
-    return float(np.max(np.abs(by_parts.blocks - by_series.blocks)))
+    return float(np.max(np.abs(by_parts.matrix - by_series.matrix)))
 
 
 def decomposition_sum_defect(series: SeriesResults, times, order: int, lam: float) -> float:

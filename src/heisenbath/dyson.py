@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _blockops
 from .errors import NonFiniteResult, OrderExceedsKernels
-from .images import ImageFamily, to_image_family
+from .images import ImageFamily
 from .model import ModelSpec
 from .spaces import Constants, OperatorMatrix, TimeGrid, as_matrix
 
@@ -74,14 +74,10 @@ def frame_of(m: ModelSpec) -> InteractionFrame:
 
 def interaction_hamiltonian_images(m: ModelSpec, t: float) -> ImageFamily:
     """The family ``Htilde_ab(t)``; at ``t = 0`` these are the Schrodinger images."""
-    fr = frame_of(m)
-    hbar = m.constants.hbar
-    u = fr.u0(t)
-    hi_fam = to_image_family(m.hi).blocks
-    delta = (m.bath_energies[:, None] - m.bath_energies[None, :]) / hbar
-    phases = np.exp(-1j * delta * t)
-    blocks = (u @ hi_fam @ u.conj().T) * phases[:, :, None, None]
-    return ImageFamily(blocks, t)
+    u = _blockops.kron_identity(frame_of(m).u0(t), m.dim_bath)
+    delta = (m.bath_energies[:, None] - m.bath_energies[None, :]) / m.constants.hbar
+    phases = np.tile(np.exp(-1j * delta * t), (m.dim_system, m.dim_system))
+    return ImageFamily((u @ m.hi.mat @ u.conj().T) * phases, m.dim_bath, t)
 
 
 # Diagonal Pade approximants r_m = V^{-1} U of exp: numerator coefficients
@@ -215,9 +211,11 @@ def propagate_rows(first: np.ndarray, gen: np.ndarray, points: np.ndarray) -> np
 class KernelSet:
     """Time-ordered kernels of all orders up to ``orders`` on a grid.
 
-    ``tilde_at(n, t)`` returns interaction-picture blocks ``Ktilde[n]_ab(t)``
-    in the original basis; ``heis_at(n, t)`` returns the Heisenberg-frame
-    kernels ``K[n]_ab(t) = exp(+i(E_a-E_b)t/hbar) U0^dag Ktilde U0``.
+    ``tilde_at(n, t)`` returns the interaction-picture family
+    ``Ktilde[n](t)`` in the original basis; ``heis_at(n, t)`` returns the
+    Heisenberg-frame kernels ``K[n]_ab(t) = exp(+i(E_a-E_b)t/hbar) U0^dag Ktilde U0``.
+    The stacks behind them hold orders ``0..n_max`` as full-space matrices,
+    shape ``(n_max + 1, D, D)``, with order 0 the identity.
     """
 
     def __init__(self, m: ModelSpec, n_max: int, grid: TimeGrid):
@@ -228,8 +226,9 @@ class KernelSet:
         d_s, d_b = m.dim_system, m.dim_bath
         self.dim_system, self.dim_bath = d_s, d_b
         hbar = m.constants.hbar
-        self._hi_fam = to_image_family(m.hi).blocks
-        self._delta_b = (m.bath_energies[:, None] - m.bath_energies[None, :]) / hbar
+        # (i/hbar)(E_a - E_b) at every full-space entry (i a, j b)
+        delta_b = (m.bath_energies[:, None] - m.bath_energies[None, :]) / hbar
+        self._bath_phase = np.tile(1j * delta_b, (d_s, d_s))
         # full-space eigenbasis of F: index i * d_B + a carries (eps0_i + E_a) / hbar
         self._free = (self.frame.eps0[:, None] + m.bath_energies[None, :]).ravel() / hbar
         self._v = np.kron(self.frame.v0, np.eye(d_b))
@@ -292,8 +291,7 @@ class KernelSet:
         phase = np.exp(-1j * self._free * t)
         # Ktilde[n] = exp(-iFt) E[n]; K[n] = exp(iFt) Ktilde[n] exp(-iFt) = E[n] exp(-iFt)
         eig = phase[:, None] * e if kind == "tilde" else e * phase[None, :]
-        rotated = _blockops.full_to_fam(self._v @ eig @ self._v.conj().T, self.dim_system, self.dim_bath)
-        out = np.concatenate([_blockops.delta_family(np.eye(self.dim_system), self.dim_bath)[None], rotated])
+        out = np.concatenate([np.eye(d, dtype=complex)[None], self._v @ eig @ self._v.conj().T])
         return self._remember(key, out)
 
     def tilde_stack(self, t: float) -> np.ndarray:
@@ -305,9 +303,9 @@ class KernelSet:
     def cov_d_stack(self, t: float) -> np.ndarray:
         """Covariant kernel derivatives ``U0^dag d/dt[U0 K[n] U0^dag] U0``.
 
-        From the recurrence these are known without differencing:
-        ``(i/hbar)(E_a - E_b) K[n]_ab + sum_g H_Iag K[n-1]_gb``; order 0
-        vanishes identically.
+        From the recurrence these are known without differencing: in full
+        space ``(i/hbar)(E_a - E_b) o K[n] + H_I K[n-1]``, the phase taken
+        entrywise at bath indices ``(a, b)``; order 0 vanishes identically.
         """
         key = ("cov", float(t))
         hit = self._cache.get(key)
@@ -315,9 +313,8 @@ class KernelSet:
             return hit
         heis = self.heis_stack(t)
         out = np.zeros_like(heis)
-        phase = 1j * self._delta_b[:, :, None, None]
         for n in range(1, self.orders + 1):
-            out[n] = phase * heis[n] + _blockops.fam_mul(self._hi_fam, heis[n - 1])
+            out[n] = self._bath_phase * heis[n] + self.model.hi.mat @ heis[n - 1]
         return self._remember(key, out)
 
     # -- per-order access ---------------------------------------------------
@@ -329,11 +326,11 @@ class KernelSet:
 
     def tilde_at(self, n: int, t: float) -> ImageFamily:
         self.check_order(n)
-        return ImageFamily(self.tilde_stack(t)[n].copy(), t)
+        return ImageFamily(self.tilde_stack(t)[n].copy(), self.dim_bath, t)
 
     def heis_at(self, n: int, t: float) -> ImageFamily:
         self.check_order(n)
-        return ImageFamily(self.heis_stack(t)[n].copy(), t)
+        return ImageFamily(self.heis_stack(t)[n].copy(), self.dim_bath, t)
 
 
 def compute_kernels(m: ModelSpec, n_max: int, grid: TimeGrid) -> KernelSet:
@@ -351,7 +348,7 @@ def dyson_propagator(ks: KernelSet, lam: float, order: int, t: float) -> ImageFa
     out = np.zeros_like(stack[0])
     for n in range(order + 1):
         out += (-1j * lam / hbar) ** n * stack[n]
-    return ImageFamily(out, t)
+    return ImageFamily(out, ks.dim_bath, t)
 
 
 def image_first_order(o: OperatorMatrix | np.ndarray, ks: KernelSet, lam: float, t: float) -> ImageFamily:
@@ -361,8 +358,7 @@ def image_first_order(o: OperatorMatrix | np.ndarray, ks: KernelSet, lam: float,
     the time integral equals the integral of commutators.
     """
     ks.check_order(1)
-    o_mat = as_matrix(o)
+    o_full = _blockops.kron_identity(as_matrix(o), ks.dim_bath)
     hbar = ks.frame.constants.hbar
     k1 = ks.tilde_stack(t)[1]
-    blocks = _blockops.delta_family(o_mat, ks.dim_bath) + (1j * lam / hbar) * (k1 @ o_mat - o_mat @ k1)
-    return ImageFamily(blocks, t)
+    return ImageFamily(o_full + (1j * lam / hbar) * (k1 @ o_full - o_full @ k1), ks.dim_bath, t)

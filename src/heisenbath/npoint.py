@@ -133,7 +133,6 @@ class _PartitionWords:
         self.kstack = ks.heis_stack(t)
         self.rho = rho_b.mat
         self.x = trunc.lam / ks.frame.constants.hbar
-        self.ds, self.db = ks.dim_system, ks.dim_bath
         self.inner_values: dict[tuple[tuple[int, int], ...], np.ndarray] = {(): value}
 
     def _weight(self, n_i: int, m_i: int) -> complex:
@@ -149,7 +148,7 @@ class _PartitionWords:
         if hit is None:
             (n_i, m_i), rest = suffix[0], suffix[1:]
             core = -self._weight(n_i, m_i) * self.inner(rest)
-            hit = _blockops.bath_trace(self._sandwich(n_i, m_i, core), self.rho, self.ds, self.db)
+            hit = _blockops.bath_trace(self._sandwich(n_i, m_i, core), self.rho)
             self.inner_values[suffix] = hit
         return hit
 
@@ -175,8 +174,7 @@ def assemble_partition_term(
     ks.check_order(p.total)
     value = as_matrix(o_s_value)
     words = _PartitionWords(value, trunc, ks, rho_b, t)
-    full = words.open_word(p.pairs[0], words.inner(p.pairs[1:]))
-    return ImageFamily(_blockops.full_to_fam(full, words.ds, words.db), t)
+    return ImageFamily(words.open_word(p.pairs[0], words.inner(p.pairs[1:])), ks.dim_bath, t)
 
 
 def expand_image_by_partitions(
@@ -201,7 +199,7 @@ def expand_image_by_partitions(
             first = p.pairs[0]
             cores[first] = cores.get(first, 0) + words.inner(p.pairs[1:])
     full = sum(words.open_word(pair, core) for pair, core in cores.items())
-    return ImageFamily(_blockops.full_to_fam(full, words.ds, words.db), t)
+    return ImageFamily(full, ks.dim_bath, t)
 
 
 def _ensure_kernels(

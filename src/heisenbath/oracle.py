@@ -57,7 +57,7 @@ def evolve_exact(m: ModelSpec, observables: Sequence[OperatorMatrix], times) -> 
     d = h.mat.shape[0]
     scaled = vecs * np.exp(-1j * evals * np.asarray(times, dtype=float)[:, None] / m.constants.hbar)[:, None, :]
     u = (scaled.reshape(-1, d) @ vecs.conj().T).reshape(-1, d, d)
-    o_full = _blockops.fam_to_full(_blockops.delta_family(np.stack([o.mat for o in observables]), m.dim_bath))
+    o_full = _blockops.kron_identity(np.stack([o.mat for o in observables]), m.dim_bath)
     # a contiguous adjoint keeps the batched product on BLAS
     return (np.conj(u.swapaxes(-1, -2), order="C") @ o_full) @ u
 

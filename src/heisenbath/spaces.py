@@ -221,7 +221,13 @@ def partial_trace_bath(x: OperatorMatrix) -> OperatorMatrix:
 def weighted_bath_trace(x: OperatorMatrix, rho_b: DensityMatrix) -> OperatorMatrix:
     """Bath-state-weighted trace ``tr_B{x (1 (x) rho_B)}``.
 
-    Elementwise this is ``sum_{ab} x[(i,a),(j,b)] rho_B[b,a]``.
+    Elementwise this is ``sum_{ab} x[(i,a),(j,b)] rho_B[b,a]``.  The series
+    engine contracts with `heisenbath._blockops.bath_trace`, which differs
+    from this einsum only by rounding (about 1e-15).  The exact oracle keeps
+    this form on purpose: the validation suite's smallest errors (the
+    order-2 cumulant at lambda = 1e-4) sit at the double-precision floor, so
+    the rounding of the exact references sets the slopes fitted there, and
+    changing the contraction moves them.
     """
     if x.tag.kind is not Space.FULL:
         raise DimensionError("weighted_bath_trace expects a full-space operator")

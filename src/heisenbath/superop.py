@@ -17,10 +17,10 @@ Contractions with the bath state use ``rho_B[b, a]`` throughout, matching
 the reduced-operator definition; star products close the index chain with
 ``rho_B[a_{N+1}, a_1]``.
 
-Every sandwich is evaluated in full space, where the family blocks are the
-entries of ``D x D`` matrices (``D = d_S d_B``, layout of `_blockops`):
+Families and kernel stacks are full-space ``D x D`` matrices (``D = d_S d_B``,
+blocks as in `_blockops`), so every sandwich is a full-space product:
 
-    P[n] A = sum_r i^(n-2r) full(K[n-r]) (A (x) 1_B) full(K[r])^dag ,
+    P[n] A = sum_r i^(n-2r) K[n-r] (A (x) 1_B) K[r]^dag ,
 
 one right-multiplication of the kernel stack by ``A`` and one
 ``(D, (n+1)D) @ ((n+1)D, D)`` GEMM.  With ``alpha_p = (i lam/hbar)^p`` and
@@ -85,48 +85,38 @@ def _padded_powers(n: int) -> np.ndarray:
 
 
 def _per_order(c: np.ndarray) -> np.ndarray:
-    # coefficients on the orders axis of a family stack (..., orders, d_B, d_B, d_S, d_S)
-    return c[:, None, None, None, None]
+    # coefficients on the orders axis of a kernel stack (orders, D, D)
+    return c[:, None, None]
 
 
 def _P_full(n: int, a: np.ndarray, kstack: np.ndarray) -> np.ndarray:
-    """Dyson-derived order-n sandwich as a full-space matrix."""
+    """Dyson-derived order-n sandwich as a full-space matrix.
+
+    With the adjoint stack ``kstack.conj().swapaxes(-1, -2)`` it is the
+    sandwich as displayed, ``sum_r i^(n-2r) K[n-r]^dag (A (x) 1_B) K[r]``.
+    """
     lefts = _per_order(_padded_powers(n)) * _blockops.system_lift(kstack[n::-1], a)
     return _blockops.sandwich_sum(lefts, kstack[: n + 1])
-
-
-def _apply_P_blocks(n: int, a: np.ndarray, kstack: np.ndarray) -> np.ndarray:
-    """Dyson-derived order-n sandwich, returning family blocks."""
-    return _blockops.full_to_fam(_P_full(n, a, kstack), a.shape[0], kstack.shape[1])
-
-
-def _apply_P_blocks_printed(n: int, a: np.ndarray, kstack: np.ndarray) -> np.ndarray:
-    """The same sandwich with daggers on the left factors, as displayed:
-    ``sum_r i^(n-2r) K[n-r]^dag (A (x) 1_B) K[r]``, which is the Dyson-derived
-    form of the adjoint kernel families."""
-    return _apply_P_blocks(n, a, _blockops.fam_adjoint(kstack))
 
 
 def apply_P_ab(n: int, a, t: float, ks: KernelSet) -> ImageFamily:
     """Order-n super-operator dressing of a system operator, open bath indices."""
     ks.check_order(n)
-    return ImageFamily(_apply_P_blocks(n, _obs_matrix(a), ks.heis_stack(t)), t)
+    return ImageFamily(_P_full(n, _obs_matrix(a), ks.heis_stack(t)), ks.dim_bath, t)
 
 
 def apply_P_S(n: int, a, t: float, ks: KernelSet, rho_b: DensityMatrix) -> np.ndarray:
     """Bath-contracted order-n dressing ``(P[n] A)_ab rho_B[b, a]``."""
     ks.check_order(n)
-    full = _P_full(n, _obs_matrix(a), ks.heis_stack(t))
-    return _blockops.bath_trace(full, rho_b.mat, ks.dim_system, ks.dim_bath)
+    return _blockops.bath_trace(_P_full(n, _obs_matrix(a), ks.heis_stack(t)), rho_b.mat)
 
 
 def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
     """Max-norm gap between the Dyson-derived and as-displayed order-n sandwiches."""
     kstack = ks.heis_stack(t)
     a = _obs_matrix(a)
-    return float(
-        np.max(np.abs(_apply_P_blocks(n, a, kstack) - _apply_P_blocks_printed(n, a, kstack)))
-    )
+    printed = _P_full(n, a, kstack.conj().swapaxes(-1, -2))
+    return float(np.max(np.abs(_P_full(n, a, kstack) - printed)))
 
 
 def free_evolved(o, ks: KernelSet, t: float) -> np.ndarray:
@@ -159,7 +149,7 @@ def _one_point_values(
     # alpha_p = (i lam/hbar)^p for p = 0..n, by exact repeated products
     alpha = np.cumprod(np.concatenate(([1.0], np.full(n, 1j * trunc.lam / ks.frame.constants.hbar))))
     v0 = ks.frame.v0
-    o_eig = _blockops.fam_to_full(_blockops.delta_family(v0.conj().T @ o @ v0, db))
+    o_eig = _blockops.kron_identity(v0.conj().T @ o @ v0, db)
     rows = ks.eigen_rows(times).reshape(n_t, ds, db, ks.orders + 1, d)  # E[p] = rows[..., p, :]
     out = np.zeros((n_t, ds, ds), dtype=complex)
     partial = np.zeros((n_t, ds, db, d), dtype=complex)
@@ -215,16 +205,15 @@ def _inverted_series(
     which resums the multinomial expansion with total-order truncation.  Also
     returns the open-index sum ``sum_{j=1}^order (lam/hbar)^j P[j] inv[order-j]``
     of the last step as a full-space matrix (zero at order 0): it is the
-    image family minus its order-zero term ``inv[order] delta_ab``.
+    image family minus its order-zero term ``inv[order] (x) 1_B``.
     """
     hbar = ks.frame.constants.hbar
     kstack = ks.heis_stack(t)
-    ds, db = ks.dim_system, ks.dim_bath
     inv = [value]
-    opened = np.zeros((ds * db, ds * db), dtype=complex)
+    opened = np.zeros_like(kstack[0])
     for m in range(1, order + 1):
         opened = sum((lam / hbar) ** j * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
-        inv.append(value - _blockops.bath_trace(opened, rho_b.mat, ds, db))
+        inv.append(value - _blockops.bath_trace(opened, rho_b.mat))
     return inv, opened
 
 
@@ -241,6 +230,20 @@ def invert_one_point(
     return _inverted_series(value, trunc.order, trunc.lam, ks, rho_b, t)[0][trunc.order]
 
 
+def _lift_value(
+    value: np.ndarray,
+    trunc: SeriesTruncation,
+    ks: KernelSet,
+    rho_b: DensityMatrix,
+    t: float,
+) -> tuple[np.ndarray, ImageFamily]:
+    """The series inversion ``inv[order]`` of a one-point value and its image family."""
+    ks.check_order(trunc.order)
+    inv, opened = _inverted_series(_obs_matrix(value), trunc.order, trunc.lam, ks, rho_b, t)
+    family = ImageFamily(opened + _blockops.kron_identity(inv[-1], ks.dim_bath), ks.dim_bath, t)
+    return inv[-1], family
+
+
 def image_from_value(
     value: np.ndarray,
     trunc: SeriesTruncation,
@@ -254,10 +257,7 @@ def image_from_value(
     the order-by-order cancellation that returns the one-point value under
     bath contraction holds only with total-order truncation.
     """
-    ks.check_order(trunc.order)
-    inv, opened = _inverted_series(_obs_matrix(value), trunc.order, trunc.lam, ks, rho_b, t)
-    opened = _blockops.full_to_fam(opened, ks.dim_system, ks.dim_bath)
-    return ImageFamily(opened + _blockops.delta_family(inv[-1], ks.dim_bath), t)
+    return _lift_value(value, trunc, ks, rho_b, t)[1]
 
 
 def image_from_one_point(
@@ -282,15 +282,15 @@ def lifted_factor(
 
 def trivial_factor(value: np.ndarray, ks: KernelSet, t: float) -> ImageFamily:
     """A star-product factor entering as ``O_S(t) delta_ab`` (its trivial partition)."""
-    return ImageFamily(_blockops.delta_family(value, ks.dim_bath), t)
+    return ImageFamily(_blockops.kron_identity(value, ks.dim_bath), ks.dim_bath, t)
 
 
 def chain_contract(families: list[ImageFamily], rho_b: DensityMatrix) -> np.ndarray:
     """Chain-compose families and close the index loop with ``rho_B[a_{N+1}, a_1]``."""
-    prod = _blockops.fam_to_full(families[0].blocks)
+    prod = families[0].matrix
     for f in families[1:]:
-        prod = prod @ _blockops.fam_to_full(f.blocks)
-    return _blockops.bath_trace(prod, rho_b.mat, families[0].dim_system, families[0].dim_bath)
+        prod = prod @ f.matrix
+    return _blockops.bath_trace(prod, rho_b.mat)
 
 
 def star_product(
@@ -341,8 +341,7 @@ def _apply_DtP_S(
     coeffs = _per_order(np.tile(_padded_powers(n), 2))
     lefts = coeffs * _blockops.system_lift(np.concatenate([cov_stack[n::-1], kstack[n::-1]]), a)
     rights = np.concatenate([kstack[: n + 1], cov_stack[: n + 1]])
-    full = _blockops.sandwich_sum(lefts, rights)
-    return _blockops.bath_trace(full, rho, a.shape[0], kstack.shape[1])
+    return _blockops.bath_trace(_blockops.sandwich_sum(lefts, rights), rho)
 
 
 def one_point_rhs(

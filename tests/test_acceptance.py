@@ -111,9 +111,8 @@ def test_criterion_04_kernel_regression(c):
     rho = preset.model.rho_b.mat
     worst = 0.0
     for t in (0.3, 0.7, 1.1, 1.6, 2.0):
-        stack = ks.heis_stack(t)
-        k1s = np.einsum("abij,ba->ij", stack[1], rho)
-        k2s = np.einsum("abij,ba->ij", stack[2], rho)
+        k1s = np.einsum("abij,ba->ij", ks.heis_at(1, t).blocks, rho)
+        k2s = np.einsum("abij,ba->ij", ks.heis_at(2, t).blocks, rho)
         exp1 = (1 - 2 * c) * t / 4 * np.diag([1.0, -1.0])
         exp2 = t**2 / 32 * np.diag([1 + 4 * c, 5 - 4 * c])
         worst = max(worst, np.max(np.abs(k1s - exp1)) / max(np.linalg.norm(exp1), 1e-30))

@@ -344,6 +344,29 @@ class TestExitCodes:
         assert "defects exceeded" in capsys.readouterr().err
         assert out.exists()
 
+    def test_validation_defect_names_failing_rows(self, tmp_path, monkeypatch, capsys):
+        """Exit 4 names each failing row with its value and threshold; the table is unchanged."""
+        out = tmp_path / "val.csv"
+        path = write_config(
+            tmp_path, run="validate", output={"path": str(out), "format": "csv"}
+        )
+        rows = [
+            {"check": "one_point_order2", "metric": "loglog_slope", "value": 3.01, "threshold": 2.8,
+             "status": "pass"},
+            {"check": "cumulant2_order2", "metric": "loglog_slope", "value": 3.62, "threshold": 3.8,
+             "status": "fail"},
+            {"check": "cancellation_n1", "metric": "max_abs_defect", "value": 2.5e-12, "threshold": 1e-12,
+             "status": "fail"},
+        ]
+        monkeypatch.setattr(cli, "validation_suite", lambda *a, **k: rows)
+        assert cli.main(["validate", str(path)]) == 4
+        err = capsys.readouterr().err.strip()
+        assert err == (
+            "validation defects exceeded thresholds: "
+            "cumulant2_order2 slope 3.62 < 3.8; cancellation_n1 defect 2.5e-12 > 1e-12"
+        )
+        assert [r["check"] for r in read_rows(out)] == [r["check"] for r in rows]
+
     def test_cli_overrides(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "alt.json"

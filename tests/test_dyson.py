@@ -93,17 +93,16 @@ class TestKernels:
         m = _random_spec(seed)
         t = 0.8
         grids = (TimeGrid.linspace(t, 5), TimeGrid(np.array([0.0, 0.05, 0.3, 0.65, 0.9, 1.4])))
-        from heisenbath._blockops import fam_mul
 
         def midpoint_kernels(steps):
             dt = t / steps
             mids = (np.arange(steps) + 0.5) * dt
-            k1 = np.zeros((2, 2, 2, 2), dtype=complex)
+            k1 = np.zeros((4, 4), dtype=complex)
             k2 = np.zeros_like(k1)
             running = np.zeros_like(k1)
             for s in mids:
-                h = interaction_hamiltonian_images(m, s).blocks
-                k2 += fam_mul(h, running + 0.5 * dt * h) * dt
+                h = interaction_hamiltonian_images(m, s).matrix
+                k2 += (h @ (running + 0.5 * dt * h)) * dt
                 k1 += h * dt
                 running += h * dt
             return k1, k2
@@ -114,8 +113,16 @@ class TestKernels:
         k2 = (4 * fine[1] - coarse[1]) / 3
         for grid in grids:
             ks = compute_kernels(m, 2, grid)
-            assert np.max(np.abs(ks.tilde_at(1, t).blocks - k1)) < 1e-7
-            assert np.max(np.abs(ks.tilde_at(2, t).blocks - k2)) < 1e-7
+            assert np.max(np.abs(ks.tilde_at(1, t).matrix - k1)) < 1e-7
+            assert np.max(np.abs(ks.tilde_at(2, t).matrix - k2)) < 1e-7
+
+    def test_stacks_are_full_space_with_identity_order_zero(self):
+        ks = compute_kernels(_random_spec(4), 2, TimeGrid.linspace(1.0, 3))
+        heis, tilde, cov = ks.heis_stack(0.7), ks.tilde_stack(0.7), ks.cov_d_stack(0.7)
+        assert heis.shape == tilde.shape == cov.shape == (3, 4, 4)
+        assert np.array_equal(heis[0], np.eye(4)) and np.array_equal(tilde[0], np.eye(4))
+        assert not np.any(cov[0])
+        assert np.array_equal(ks.heis_at(2, 0.7).matrix, heis[2])
 
     def test_heis_tilde_phase_conversion_invertible(self):
         m = _random_spec(3)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import heisenbath as hb
-from heisenbath._blockops import fam_mul
 from heisenbath.errors import DimensionError
 from heisenbath.images import (
     ImageFamily,
@@ -79,6 +78,16 @@ class TestToFromFamily:
         fam = to_image_family(preset.model.hi)
         assert np.allclose(from_image_family(fam).mat, preset.model.hi.mat)
 
+    def test_family_is_one_matrix_with_a_block_view(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        fam = ImageFamily(x, 3, 0.5)
+        assert fam.matrix.shape == (6, 6) and (fam.dim_system, fam.dim_bath) == (2, 3)
+        assert fam.blocks.shape == (3, 3, 2, 2) and np.shares_memory(fam.blocks, fam.matrix)
+        assert np.array_equal(fam.block(2, 1), x[2::3, 1::3])
+        with pytest.raises(DimensionError):
+            ImageFamily(x, 4)
+
 
 class TestCompose:
     def test_identity_family_is_neutral(self):
@@ -130,14 +139,14 @@ class TestContract:
 
     def test_random_index_sum(self):
         rng = np.random.default_rng(7)
-        blocks = rng.normal(size=(3, 3, 2, 2)) + 1j * rng.normal(size=(3, 3, 2, 2))
+        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         rho_m = random_density(rng, 3)
         rho = DensityMatrix(bath_operator(rho_m, (2, 3)))
-        out = contract_with_bath(ImageFamily(blocks), rho).mat
+        out = contract_with_bath(ImageFamily(x, 3), rho).mat
         brute = np.zeros((2, 2), dtype=complex)
         for a in range(3):
             for b in range(3):
-                brute += blocks[a, b] * rho_m[b, a]
+                brute += x[a::3, b::3] * rho_m[b, a]
         assert np.allclose(out, brute)
 
 
@@ -166,11 +175,11 @@ class TestEvolveImagesExact:
             hbar=1.3,
         )
         o = system_operator(random_hermitian(rng, 2), (2, 3))
-        h = to_image_family(total_hamiltonian(m)).blocks
+        h = to_image_family(total_hamiltonian(m)).matrix
         t, dt = 0.9, 1e-4
         lo, mid, hi = evolve_images_exact(m, o, TimeGrid(np.array([0.0, t - dt, t, t + dt])))[1:]
-        deriv = (hi.blocks - lo.blocks) / (2 * dt)
-        rhs = (1j / m.constants.hbar) * (fam_mul(h, mid.blocks) - fam_mul(mid.blocks, h))
+        deriv = (hi.matrix - lo.matrix) / (2 * dt)
+        rhs = (1j / m.constants.hbar) * (h @ mid.matrix - mid.matrix @ h)
         assert np.max(np.abs(rhs)) > 0.1
         assert np.max(np.abs(deriv - rhs)) < 1e-7
 

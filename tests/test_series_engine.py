@@ -23,8 +23,7 @@ from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
     SeriesTruncation,
     _apply_DtP_S,
-    _apply_P_blocks,
-    _apply_P_blocks_printed,
+    _P_full,
     free_evolved,
     one_point_operator,
     one_point_value,
@@ -53,6 +52,11 @@ def engine_model(request):
     return m, obs, ks
 
 
+def _blocks(ks, stack):
+    """Block view ``(..., d_B, d_B, d_S, d_S)`` of full-space matrices, as the einsum references read them."""
+    return _blockops.block_view(stack, ks.dim_bath)
+
+
 def _close(out, ref):
     scale = max(1.0, float(np.max(np.abs(ref))))
     return float(np.max(np.abs(out - ref))) <= 1e-13 * scale
@@ -63,12 +67,14 @@ def _close(out, ref):
 def test_sandwiches_match_einsum(engine_model, n, t):
     m, obs, ks = engine_model
     kstack = ks.heis_stack(t)
+    fams = _blocks(ks, kstack)
     a = free_evolved(obs, ks, t)
-    assert _close(_apply_P_blocks(n, a, kstack), einsum_P_blocks(n, a, kstack))
-    assert _close(_apply_P_blocks_printed(n, a, kstack), einsum_P_blocks_printed(n, a, kstack))
+    assert _close(_blocks(ks, _P_full(n, a, kstack)), einsum_P_blocks(n, a, fams))
+    printed = _P_full(n, a, kstack.conj().swapaxes(-1, -2))
+    assert _close(_blocks(ks, printed), einsum_P_blocks_printed(n, a, fams))
     cov = ks.cov_d_stack(t)
     rho = m.rho_b.mat
-    assert _close(_apply_DtP_S(n, a, kstack, cov, rho), einsum_DtP_S(n, a, kstack, cov, rho))
+    assert _close(_apply_DtP_S(n, a, kstack, cov, rho), einsum_DtP_S(n, a, fams, _blocks(ks, cov), rho))
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -76,7 +82,7 @@ def test_partition_terms_match_einsum(engine_model, n):
     m, obs, ks = engine_model
     hbar = m.constants.hbar
     trunc = SeriesTruncation(4, LAM)
-    kstack = ks.heis_stack(GRID_TIME)
+    kstack = _blocks(ks, ks.heis_stack(GRID_TIME))
     value = one_point_value(obs, trunc, ks, m.rho_b, GRID_TIME)
     for p in enumerate_even_partitions(n, n + 1):
         out = assemble_partition_term(p, value, trunc, ks, m.rho_b, GRID_TIME).blocks
@@ -92,7 +98,7 @@ def test_partition_expansion_matches_einsum_sum(engine_model, order, t):
     trunc = SeriesTruncation(order, LAM)
     traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid, "obs")
     value = trajectory_value(traj, ks, m.rho_b, t)
-    kstack = ks.heis_stack(t)
+    kstack = _blocks(ks, ks.heis_stack(t))
     ref = sum(
         einsum_partition_term(p.pairs, value, kstack, m.rho_b.mat, LAM, m.constants.hbar)
         for n in range(order + 1)
@@ -126,13 +132,13 @@ def test_batched_one_point_matches_per_time_and_einsum(engine_model, order):
     traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid, "obs")
     for k, t in enumerate(ks.grid.points):
         single = one_point_value(obs, trunc, ks, m.rho_b, float(t))
-        ref = einsum_one_point(free_evolved(obs, ks, t), ks.heis_stack(t), m.rho_b.mat, order, LAM, hbar)
+        kstack = _blocks(ks, ks.heis_stack(t))
+        ref = einsum_one_point(free_evolved(obs, ks, t), kstack, m.rho_b.mat, order, LAM, hbar)
         assert _close(traj.values[k], single)
         assert _close(traj.values[k], ref)
     off = one_point_value(obs, trunc, ks, m.rho_b, OFF_GRID_TIME)
-    ref = einsum_one_point(
-        free_evolved(obs, ks, OFF_GRID_TIME), ks.heis_stack(OFF_GRID_TIME), m.rho_b.mat, order, LAM, hbar
-    )
+    kstack = _blocks(ks, ks.heis_stack(OFF_GRID_TIME))
+    ref = einsum_one_point(free_evolved(obs, ks, OFF_GRID_TIME), kstack, m.rho_b.mat, order, LAM, hbar)
     assert _close(off, ref)
 
 

@@ -61,9 +61,9 @@ class TestApplyP:
         t = 1.4
         s1x = preset.observables["s1x"]
         rho = preset.model.rho_b.mat
-        stack = ks.heis_stack(t)
-        k2s = np.einsum("abij,ba->ij", stack[2], rho)
-        cross = np.einsum("gaji,jk,gbkm,ba->im", stack[1].conj(), s1x, stack[1], rho)
+        k1, k2 = ks.heis_at(1, t).blocks, ks.heis_at(2, t).blocks
+        k2s = np.einsum("abij,ba->ij", k2, rho)
+        cross = np.einsum("gaji,jk,gbkm,ba->im", k1.conj(), s1x, k1, rho)
         bracket = -(k2s.conj().T @ s1x + s1x @ k2s - cross)
         out = apply_P_S(2, s1x, t, ks, preset.model.rho_b)
         assert np.max(np.abs(out - bracket)) < 1e-12
@@ -74,7 +74,7 @@ class TestApplyP:
         t = 0.9
         s1x = preset.observables["s1x"]
         rho = preset.model.rho_b.mat
-        k1s = np.einsum("abij,ba->ij", ks.heis_stack(t)[1], rho)
+        k1s = np.einsum("abij,ba->ij", ks.heis_at(1, t).blocks, rho)
         out = apply_P_S(1, s1x, t, ks, preset.model.rho_b)
         assert np.allclose(out, 1j * (k1s @ s1x - s1x @ k1s), atol=1e-13)
 
@@ -113,16 +113,16 @@ class TestSandwichConvention:
         assert defect > 1e-3  # genuinely different sandwiches
 
         hbar = 1.0
-        from heisenbath.superop import _apply_P_blocks, _apply_P_blocks_printed
+        from heisenbath.superop import _P_full
 
         stack = ks.heis_stack(t)
         b = free_evolved(obs, ks, t)
         exact = to_image_family(
             heisenberg_evolve_exact(m.with_coupling(lam), system_operator(obs, (2, 3)), t)
-        ).blocks
+        ).matrix
         errs = {}
-        for name, apply_fn in (("derived", _apply_P_blocks), ("printed", _apply_P_blocks_printed)):
-            fam = sum((lam / hbar) ** n * apply_fn(n, b, stack) for n in range(order + 1))
+        for name, kstack in (("derived", stack), ("printed", stack.conj().swapaxes(-1, -2))):
+            fam = sum((lam / hbar) ** n * _P_full(n, b, kstack) for n in range(order + 1))
             errs[name] = np.max(np.abs(fam - exact))
         print(
             f"order-2 image error vs oracle: derived={errs['derived']:.3e} "
