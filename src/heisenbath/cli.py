@@ -251,7 +251,10 @@ def load_config(path: str) -> ExperimentConfig:
             name = f.get("observable")
             if name not in observables:
                 _fail(f"npoint.factors[{k}].observable", f"unknown observable {name!r}")
-            npoint_factors.append((name, parse_number(f.get("time", 0.0), f"npoint.factors[{k}].time")))
+            t = parse_number(f.get("time", 0.0), f"npoint.factors[{k}].time")
+            if t < 0:
+                _fail(f"npoint.factors[{k}].time", f"negative time {t}; the grid starts at 0")
+            npoint_factors.append((name, t))
 
     cfg = ExperimentConfig(
         model=model,

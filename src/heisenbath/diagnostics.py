@@ -30,7 +30,7 @@ from .oracle import evolve_exact
 from .dyson import KernelSet, compute_kernels
 from .images import ImageFamily
 from .npoint import _cumulant_2pt, _decompose_3pt, expand_image_by_partitions
-from .spaces import TimeGrid, full_operator, system_operator, weighted_bath_trace
+from .spaces import TimeGrid, system_operator
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
@@ -132,7 +132,7 @@ class SeriesResults:
 
 
 def _reduced(m: ModelSpec, full: np.ndarray) -> np.ndarray:
-    return weighted_bath_trace(full_operator(full, m.hi.tag), m.rho_b).mat
+    return _blockops.bath_trace(full, m.rho_b.mat)
 
 
 def one_point_errors(series: SeriesResults, t: float, order: int, lams, exact) -> list[float]:

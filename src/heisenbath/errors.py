@@ -29,10 +29,6 @@ class NonFiniteResult(HeisenbathError):
     """A computed result holds NaN or infinity."""
 
 
-class NonConvergent(HeisenbathError):
-    """A half-line integral did not converge within the requested horizon."""
-
-
 class ParseError(HeisenbathError):
     """Experiment configuration file could not be parsed."""
 

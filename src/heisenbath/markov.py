@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyson import propagate_rows
-from .errors import DimensionError, NonConvergent, NonHermitianInput
+from .errors import DimensionError, NonHermitianInput
 from .model import ModelSpec
 from .spaces import Constants, OperatorMatrix, Space, TimeGrid, as_matrix, herm_defect, HERM_TOL
 
@@ -121,32 +121,35 @@ def first_moment(m: ModelSpec, dec: InteractionDecomposition, i: int, t: float) 
     return complex(np.trace(s_i @ m.rho_b.mat))
 
 
-def _correlation_weights(m: ModelSpec, dec: InteractionDecomposition) -> np.ndarray:
-    """``W[i, j, a, b, c] = S^i_ab S^j_bc rho_B[c, a]``, so that
-    ``<S~^i(t) S~^j(t - tau)>_B = sum_abc W exp(-i delta_ac t + i delta_bc tau)``."""
-    return np.einsum("iab,jbc,ca->ijabc", dec.s, dec.s, m.rho_b.mat)
+def correlation_table(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``W[..., i, j, b, c] = S^j_bc (rho S^i)_cb`` for factors ``s`` ``(n, d_B, d_B)``
+    and bath states ``rho`` ``(..., d_B, d_B)``.
+
+    Against ``rho_B`` this is the weight table of ``J``; against the twisted
+    state ``rho_t`` of `_twisted_states` it gives the correlators at time t:
+    ``<S~^i(t) S~^j(t - tau)>_B = sum_bc W_t[i, j, b, c] exp(i delta_bc tau)``.
+    """
+    return s * np.swapaxes(rho[..., None, :, :] @ s, -1, -2)[..., :, None, :, :]
 
 
-def _phase_table(sign: complex, times, delta: np.ndarray) -> np.ndarray:
-    """``exp(sign * t * delta)`` for every time, one complex exponential per
-    distinct gap (an evenly spaced spectrum repeats many)."""
-    gaps, where = np.unique(delta, return_inverse=True)
-    return np.exp(sign * np.multiply.outer(times, gaps))[..., where.reshape(delta.shape)]
+def _twisted_states(m: ModelSpec, t) -> np.ndarray:
+    """``rho_t[c, a] = rho_B[c, a] exp(-i delta_ac t)`` for every time, ``(n_t, d_B, d_B)``:
+    both interaction-picture phases at time t on the state, which keeps the
+    diagonal of ``rho_B`` exactly.  ``tr(S^i rho_t)`` is the first moment."""
+    return m.rho_b.mat * np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), _bath_phases(m)))
 
 
 def _correlations(m: ModelSpec, dec: InteractionDecomposition, t, tau) -> np.ndarray:
-    """`bath_correlation` on time grids: ``C[k, l, i, j]`` at ``(t[k], tau[l])``.
+    """`bath_correlation` on time grids: ``C[k, i, j, l]`` at ``(t[k], tau[l])``.
 
-    The left phases are contracted first, then all ``tau`` at once in one
-    matmul against the ``(n_tau, d_B^2)`` right phases.
+    One `correlation_table` per time sample, against its twisted state.  The
+    tau phase factorizes over the levels, ``exp(i delta_bc tau) = v_b conj(v_c)``
+    with ``v = exp(i E tau / hbar)``, so the tau grid enters as one product
+    with the ``(d_B, n_tau)`` matrix ``conj(v)`` and a contraction with ``v``.
     """
-    delta = _bath_phases(m)
-    left = _phase_table(-1j, t, delta)
-    right = _phase_table(1j, tau, delta)
-    w = _correlation_weights(m, dec)
-    n, d_b = w.shape[0], delta.shape[0]
-    inner = np.einsum("ijabc,kac->kbcij", w, left).reshape(len(left), d_b * d_b, n * n)
-    return (right.reshape(len(right), d_b * d_b) @ inner).reshape(len(left), len(right), n, n)
+    w = correlation_table(dec.s, _twisted_states(m, t))
+    v = np.exp(1j * np.multiply.outer(m.bath_energies / m.constants.hbar, np.asarray(tau, dtype=float)))
+    return np.einsum("...bl,bl->...l", w @ v.conj(), v)
 
 
 @dataclass(frozen=True)
@@ -185,15 +188,14 @@ class MarkovReport:
         lam: float,
         hbar: float,
         j_horizon: float | None = None,
-        quad_tol: float = 1e-9,
     ) -> float:
         """Bound on ``|lindblad_rhs - one_point_rhs(order 2)|`` at time ``t_eval``.
 
         Four kernel-sandwich integrals enter the order-lambda^2 generator;
         each inherits (a) the correlation mass between the evaluation time
-        and the J-integration horizon, (b) the stationarity defect
-        accumulated over the integration window, and (c) an integration
-        allowance ``quad_tol``.  A nonzero first moment feeds the
+        and the J-integration horizon and (b) the stationarity defect
+        accumulated over the integration window; J itself is exact (closed
+        form).  A nonzero first moment feeds the
         order-lambda super-operators, with the bath phase gradient
         controlling its time derivative.  A small absolute floor covers
         kernel rounding.
@@ -203,7 +205,7 @@ class MarkovReport:
         window = max(t_eval, j_horizon)
         mismatch = self.tail_mass(min(t_eval, j_horizon), max(t_eval, j_horizon))
         second = 4.0 * lh**2 * self.r_norm_sum**2 * o_norm * (
-            mismatch + self.stationarity_defect * window + quad_tol
+            mismatch + self.stationarity_defect * window
         )
         first = 2.0 * lh * self.r_norm_sum * o_norm * self.first_moment_max * (
             1.0 + self.bath_gap_max * window
@@ -212,10 +214,12 @@ class MarkovReport:
         return second + first + floor
 
 
-# pass thresholds of the first-moment and stationarity defects, sampled at N_TIME_SAMPLES times
+# pass thresholds of the first-moment and stationarity defects, sampled at
+# N_TIME_SAMPLES times; the decay profile takes N_TAU lags
 FIRST_MOMENT_THRESHOLD = 1e-10
 STATIONARITY_THRESHOLD = 1e-10
 N_TIME_SAMPLES = 7
+N_TAU = 401
 
 
 def check_markov_assumptions(
@@ -223,22 +227,24 @@ def check_markov_assumptions(
     dec: InteractionDecomposition,
     horizon: float,
     decay_threshold: float,
-    n_tau: int = 401,
 ) -> MarkovReport:
-    """Sample the three Markov assumptions and report their defects."""
-    t_samples = np.linspace(0.0, horizon, N_TIME_SAMPLES)
-    tau_fine = np.linspace(0.0, horizon, n_tau)
-    tau_coarse = np.linspace(0.0, horizon, min(41, n_tau))
-    delta = _bath_phases(m)
+    """Sample the three Markov assumptions and report their defects.
 
-    twists = _phase_table(-1j, t_samples, delta)
-    moments = np.einsum("iab,ba,kab->ki", dec.s, m.rho_b.mat, twists)
+    First moments and stationarity at N_TIME_SAMPLES times (41 lags), the
+    decay profile at N_TAU lags; every correlator comes from one
+    ``(n, n, d_B, d_B)`` table per time sample (`_correlations`).
+    """
+    t_samples = np.linspace(0.0, horizon, N_TIME_SAMPLES)
+    tau_fine = np.linspace(0.0, horizon, N_TAU)
+    tau_coarse = np.linspace(0.0, horizon, 41)
+
+    moments = np.einsum("kca,iac->ki", _twisted_states(m, t_samples), dec.s)
     fm = tuple(float(x) for x in np.max(np.abs(moments), axis=0))
 
     coarse = _correlations(m, dec, t_samples, tau_coarse)
     stat = float(np.max(np.abs(coarse[1:] - coarse[:1]), initial=0.0))
 
-    profile = np.max(np.abs(_correlations(m, dec, [0.0], tau_fine)[0]), axis=(1, 2), initial=0.0)
+    profile = np.max(np.abs(_correlations(m, dec, [0.0], tau_fine)[0]), axis=(0, 1), initial=0.0)
     below = np.flatnonzero(profile < decay_threshold)
     decay_time = float(tau_fine[below[0]]) if below.size else None
 
@@ -252,7 +258,7 @@ def check_markov_assumptions(
         decay_threshold=decay_threshold,
         horizon=horizon,
         r_norm_sum=float(np.linalg.norm(dec.r, 2, axis=(1, 2)).sum()),
-        bath_gap_max=float(np.max(np.abs(delta))),
+        bath_gap_max=float(np.max(np.abs(_bath_phases(m)))),
         passes={
             "first_moment": (max(fm) if fm else 0.0) <= FIRST_MOMENT_THRESHOLD,
             "stationarity": stat <= STATIONARITY_THRESHOLD,
@@ -364,7 +370,6 @@ def spectral_coefficients(
     horizon: float,
     tol: float = 1e-8,
     eta: float = 0.0,
-    strict: bool = False,
 ) -> SpectralCoefficients:
     """``J^{ij}(w) = int_0^horizon exp(-i w tau - eta tau) <S~^i(0) S~^j(-tau)> dtau``.
 
@@ -373,20 +378,16 @@ def spectral_coefficients(
     term integrates in closed form (Breuer & Petruccione 2002, sec. 3.3).
     The convergence defect compares the horizon against its half.  Finite
     baths are quasi-periodic, so a non-decaying correlator is reported via
-    ``converged=False`` (and `NonConvergent` in strict mode) rather than
-    silently averaged; the exponential regulator ``eta`` documents the
+    ``converged=False`` rather than silently averaged; the exponential regulator ``eta`` documents the
     idealization when used.
     """
-    weights = dec.s[None] * (m.rho_b.mat @ dec.s).transpose(0, 2, 1)[:, None]  # [i, j, b, c]
+    weights = correlation_table(dec.s, m.rho_b.mat)
     w = np.asarray(freqs, dtype=float)
     z = 1j * _bath_phases(m)[:, :, None] - 1j * w - eta
     full = np.einsum("ijbc,bcw->ijw", weights, _halfline_integrals(z, horizon))
     half = np.einsum("ijbc,bcw->ijw", weights, _halfline_integrals(z, horizon / 2.0))
     defects = np.abs(full - half)
-    converged = bool(np.all(defects <= tol))
-    if strict and not converged:
-        raise NonConvergent(f"J integrals not converged in horizon (worst defect {np.max(defects):.3e})")
-    return SpectralCoefficients(w, full, defects, horizon, tol, eta, converged)
+    return SpectralCoefficients(w, full, defects, horizon, tol, eta, bool(np.all(defects <= tol)))
 
 
 # -- the Lindblad-form generator ----------------------------------------------

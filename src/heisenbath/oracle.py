@@ -81,11 +81,10 @@ def image_extract_exact(x: OperatorMatrix, alpha: int, beta: int) -> OperatorMat
     """Image block ``T_alpha^dag x T_beta``: ``result[i,j] = x[(i,a),(j,b)]``."""
     if x.tag.kind is not Space.FULL:
         raise DimensionError("image extraction expects a full-space operator")
-    d_s, d_b = x.tag.dim_system, x.tag.dim_bath
+    d_b = x.tag.dim_bath
     if not (0 <= alpha < d_b and 0 <= beta < d_b):
         raise IndexOutOfRange(f"bath indices ({alpha}, {beta}) outside [0, {d_b})")
-    blocks = x.mat.reshape(d_s, d_b, d_s, d_b)
-    return system_operator(blocks[:, alpha, :, beta], x.tag)
+    return system_operator(_blockops.block_view(x.mat, d_b)[alpha, beta], x.tag)
 
 
 def expectation(o_s: OperatorMatrix, rho0: DensityMatrix) -> complex:

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from heisenbath import cli
-from heisenbath.errors import NonConvergent, ParseError, ValidationError
+from heisenbath.errors import NonFiniteResult, ParseError, ValidationError
 from heisenbath.markov import evolve_lindblad
 
 
@@ -274,7 +274,7 @@ class TestExitCodes:
 
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path)
-        monkeypatch.setattr(cli, "run_experiment", lambda cfg: (_ for _ in ()).throw(NonConvergent("boom")))
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: (_ for _ in ()).throw(NonFiniteResult("boom")))
         assert cli.main(["run", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -391,10 +391,15 @@ class TestExitCodes:
             ({"run": "validate", "validate": {"seed": -1}}, "validate.seed"),
             ({"run": "validate", "validate": {"d_s": 0}}, "validate.d_s"),
             ({"run": "validate", "validate": {"d_b": 0}}, "validate.d_b"),
+            (
+                {"run": "n_point", "npoint": {"factors": [{"observable": "s1x", "time": 0.5},
+                                                          {"observable": "s1x", "time": -0.4}]}},
+                "npoint.factors[1].time",
+            ),
         ],
         ids=[
             "order_word", "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan",
-            "validate_seed_negative", "validate_d_s_zero", "validate_d_b_zero",
+            "validate_seed_negative", "validate_d_s_zero", "validate_d_b_zero", "factor_time_negative",
         ],
     )
     def test_bad_scalar_is_2(self, tmp_path, capsys, overrides, field):
