@@ -9,7 +9,10 @@ The series engine evaluates sandwiches ``sum_k L_k (A (x) 1_B) R_k^dag`` as
 GEMMs: a system operator acts as ``A (x) 1_B`` (`kron_identity`), which on
 the right of ``X`` multiplies every block by ``A`` (`system_lift`); the k
 terms are then one ``(D, kD) @ (kD, D)`` product (`sandwich_sum`), and
-`bath_trace` contracts the result with the bath state.
+`bath_trace` contracts the result with the bath state.  All three carry
+leading axes, such as the coupling axis of a coupling sweep; `system_lift`
+and `sandwich_sum` give each leading index the GEMM a lone operator would
+get.
 """
 
 from __future__ import annotations
@@ -38,25 +41,32 @@ def system_lift(stack: np.ndarray, a: np.ndarray) -> np.ndarray:
 
     Every block ``X_ab`` times the system operator ``a``: the stack is
     copied once into block layout, whose last axis is the column system
-    index, so the product is one ``(rows, d_S) @ (d_S, d_S)`` GEMM.
+    index, so the product is one ``(rows, d_S) @ (d_S, d_S)`` GEMM.  Leading
+    axes of ``a`` (one operator per coupling, ``(..., d_S, d_S)``) lead the
+    result, ``(..., k, D, D)``: the stack is laid out once and multiplied by
+    each operator, one GEMM of the same shape apiece.
     """
     k, d, _ = stack.shape
-    ds = a.shape[0]
+    *lead, ds, _ = a.shape
     db = d // ds
-    # (k, i, a, j, b) -> (k, a, b, i, j) and back
+    n = len(lead)
+    # (k, i, a, j, b) -> (..., k, a, b, i, j) and back
     lifted = stack.reshape(k, ds, db, ds, db).transpose(0, 2, 4, 1, 3).reshape(-1, ds) @ a
-    return lifted.reshape(k, db, db, ds, ds).transpose(0, 3, 1, 4, 2).reshape(k, d, d)
+    back = (*range(n), n, n + 3, n + 1, n + 4, n + 2)
+    return lifted.reshape(*lead, k, db, db, ds, ds).transpose(back).reshape(*lead, k, d, d)
 
 
 def sandwich_sum(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """``sum_k L_k R_k^dag`` of matrix stacks ``(k, D, D)``.
+    """``sum_k L_k R_k^dag`` of matrix stacks ``(..., k, D, D)`` and ``(k, D, D)``.
 
     Each operand is laid out once as the ``(D, kD)`` matrix
     ``[X_0 | ... | X_(k-1)]``, so the sum is a single
-    ``(D, kD) @ (kD, D)`` product.
+    ``(D, kD) @ (kD, D)`` product per leading index of ``lefts``, all
+    against the one laid-out ``rights``.
     """
-    k, d, _ = lefts.shape
-    left = lefts.transpose(1, 0, 2).reshape(d, k * d)
+    *lead, k, d, _ = lefts.shape
+    n = len(lead)
+    left = lefts.transpose(*range(n), n + 1, n, n + 2).reshape(*lead, d, k * d)
     right = np.conj(rights.transpose(1, 0, 2), order="C").reshape(d, k * d)
     return left @ right.T
 

@@ -8,14 +8,18 @@ order slip through.  Identity-type checks (cancellation, dual bookkeeping,
 decomposition sum) are asserted at rounding level instead.
 
 The rows of one suite read their series quantities from one `SeriesResults`
-built from the suite's model, observable and kernels.  It lifts every
-distinct ``(order, lam, t)`` once (one-point value, then its series
-inversion and the image family of it), builds every one-point trajectory
-over the kernel grid once and expands every partition sum once; the
-one-point, image, roundtrip, star, cumulant, bookkeeping and decomposition
-rows all read these results.  The cumulant and decomposition arithmetic is `npoint`'s, applied
-to the shared legs.  The object lives for one suite call and holds no state
-beyond it.
+built from the suite's model, observable, kernels and coupling sweep.  The
+series engine carries a leading coupling axis, so the object lifts every
+distinct ``(order, t)`` once for all couplings of the sweep (one-point
+values, then their series inversions and image families), builds each
+order's one-point trajectories over the kernel grid in one call and
+expands every partition sum once; the one-point, image, roundtrip, star,
+cumulant, bookkeeping and decomposition rows all read these results, and
+the local-RHS row evaluates its RHS and its ``t +- step`` values for the
+whole sweep in one call each.  Every coupling gets the bits the
+one-coupling functions of `superop` give it.  The cumulant and
+decomposition arithmetic is `npoint`'s, applied to the shared legs.  The
+object lives for one suite call and holds no state beyond it.
 """
 
 from __future__ import annotations
@@ -34,15 +38,16 @@ from .spaces import TimeGrid, system_operator
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
-    _lift_value,
+    _grid_index,
+    _lift_values,
+    _obs_matrix,
+    _one_point_rhs,
+    _one_point_values,
     chain_contract,
-    one_point_operator,
-    one_point_rhs,
-    one_point_value,
-    trajectory_value,
 )
 
 DEFAULT_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
+DEFECT_LAMBDA = 0.1  # the coupling of the rounding-level identity rows
 
 
 def random_model(seed: int, d_s: int, d_b: int, hbar: float = 1.0) -> tuple[ModelSpec, np.ndarray]:
@@ -80,47 +85,72 @@ def exact_sweep(m: ModelSpec, obs, times, lams) -> list[np.ndarray]:
 
 
 class SeriesResults:
-    """Series quantities of one model, observable and kernel set, each computed once.
+    """Series quantities of one model, observable and kernel set over a coupling sweep.
 
-    Each method computes its result on first request and returns the same
-    arrays to every later one, so callers must not write into them.  The
-    arithmetic is the series layer's, so a row reads the same bits from a
-    shared object as from a fresh one.
+    ``lams`` is the sweep.  Every result holds all of its couplings, computed
+    by one call of the series engine: lifts are keyed by ``(order, t)``,
+    trajectories by order.  Each method computes its result on first request
+    and returns the same arrays to every later one, so callers must not
+    write into them.  The arithmetic of each coupling is the series layer's,
+    so a row reads the same bits from a shared object as from a fresh one,
+    and from a sweep as from its couplings one at a time.
     """
 
-    def __init__(self, m: ModelSpec, obs, ks: KernelSet):
-        self.m, self.obs, self.ks = m, obs, ks
+    def __init__(self, m: ModelSpec, obs, ks: KernelSet, lams=DEFAULT_LAMBDAS):
+        self.m, self.obs, self.ks = m, _obs_matrix(obs), ks
+        self.lams = tuple(dict.fromkeys(float(lam) for lam in lams))
         self._lifts: dict = {}
         self._trajectories: dict = {}
         self._partitions: dict = {}
 
-    def _lift(self, order: int, lam: float, t: float) -> tuple[np.ndarray, np.ndarray, ImageFamily]:
+    def column(self, lam: float) -> int:
+        """Position of ``lam`` on the coupling axis of the sweep."""
+        if lam not in self.lams:
+            raise KeyError(f"coupling {lam!r} is not in the sweep {self.lams}")
+        return self.lams.index(lam)
+
+    def _lift(self, order: int, t: float) -> tuple[np.ndarray, np.ndarray, list[ImageFamily]]:
         t = float(t)
-        key = (order, lam, t)
+        key = (order, t)
         if key not in self._lifts:
-            trunc = SeriesTruncation(order, lam)
-            value = one_point_value(self.obs, trunc, self.ks, self.m.rho_b, t)
-            self._lifts[key] = (value, *_lift_value(value, trunc, self.ks, self.m.rho_b, t))
+            ks, rho_b = self.ks, self.m.rho_b
+            values = _one_point_values(self.obs, order, self.lams, ks, rho_b, np.array([t]))[:, 0]
+            inverses, families = _lift_values(values, order, self.lams, ks, rho_b, t)
+            self._lifts[key] = (values, inverses, [ImageFamily(f, ks.dim_bath, t) for f in families])
         return self._lifts[key]
 
     def lift(self, order: int, lam: float, t: float) -> tuple[np.ndarray, ImageFamily]:
         """One-point value at ``t`` and the image family the series inversion lifts it to."""
-        value, _, family = self._lift(order, lam, t)
-        return value, family
+        values, _, families = self._lift(order, t)
+        k = self.column(lam)
+        return values[k], families[k]
 
     def inverse(self, order: int, lam: float, t: float) -> np.ndarray:
         """``inv[order]``: the series inversion of the one-point value, taken by the same lift."""
-        return self._lift(order, lam, t)[1]
+        return self._lift(order, t)[1][self.column(lam)]
+
+    def _trajectory_set(self, order: int) -> tuple[np.ndarray, list[OnePointTrajectory]]:
+        if order not in self._trajectories:
+            ks = self.ks
+            values = _one_point_values(self.obs, order, self.lams, ks, self.m.rho_b, ks.grid.points)
+            trajectories = [
+                OnePointTrajectory("obs", self.obs, ks.grid, v, SeriesTruncation(order, lam))
+                for lam, v in zip(self.lams, values)
+            ]
+            self._trajectories[order] = (values, trajectories)
+        return self._trajectories[order]
 
     def trajectory(self, order: int, lam: float) -> OnePointTrajectory:
         """One-point operator over the kernel grid."""
-        key = (order, lam)
-        if key not in self._trajectories:
-            trunc = SeriesTruncation(order, lam)
-            self._trajectories[key] = one_point_operator(
-                self.obs, trunc, self.ks, self.m.rho_b, self.ks.grid, "obs"
-            )
-        return self._trajectories[key]
+        return self._trajectory_set(order)[1][self.column(lam)]
+
+    def values(self, order: int, t: float) -> np.ndarray:
+        """One-point values at ``t`` of every coupling, ``(n_lam, d_S, d_S)``, read as
+        `trajectory_value` reads them: the trajectory's grid row, else the lift's value."""
+        k = _grid_index(self.ks.grid, t)
+        if k is None:
+            return self._lift(order, t)[0]
+        return self._trajectory_set(order)[0][:, k]
 
     def partitions(self, n_max: int, lam: float, t: float) -> ImageFamily:
         """Partition-sum image family at ``t`` of the order-``n_max`` trajectory."""
@@ -183,21 +213,17 @@ def cumulant2_errors(series: SeriesResults, t1: float, t2: float, order: int, la
 def rhs_fd_errors(series: SeriesResults, t: float, order: int, lams) -> list[float]:
     ks, rho_b = series.ks, series.m.rho_b
     step = 1e-5 * max(1.0, t)
-
-    def err(lam: float) -> float:
-        trunc = SeriesTruncation(order, lam)
-        rhs = one_point_rhs(series.trajectory(order, lam), t, ks, rho_b).mat
-        plus = one_point_value(series.obs, trunc, ks, rho_b, t + step)
-        minus = one_point_value(series.obs, trunc, ks, rho_b, t - step)
-        return float(np.max(np.abs(rhs - (plus - minus) / (2 * step))))
-
-    return [err(lam) for lam in lams]
+    rhs = _one_point_rhs(series.values(order, t), order, series.lams, ks, rho_b, t)
+    times = np.array([t + step, t - step])
+    plus, minus = _one_point_values(series.obs, order, series.lams, ks, rho_b, times).swapaxes(0, 1)
+    fd = (plus - minus) / (2 * step)
+    return [float(np.max(np.abs(rhs[k] - fd[k]))) for k in map(series.column, lams)]
 
 
 def cancellation_defect(series: SeriesResults, t: float, n_max: int, lam: float) -> float:
     fam = series.partitions(n_max, lam, t)
     back = _blockops.bath_trace(fam.matrix, series.m.rho_b.mat)
-    value = trajectory_value(series.trajectory(n_max, lam), series.ks, series.m.rho_b, t)
+    value = series.values(n_max, t)[series.column(lam)]
     return float(np.max(np.abs(back - value)))
 
 
@@ -225,7 +251,7 @@ def validation_suite(
     m, obs = random_model(seed, d_s, d_b)
     grid = TimeGrid.linspace(1.5 * t, 7)
     ks = compute_kernels(m, max(order, 3), grid)
-    series = SeriesResults(m, obs, ks)
+    series = SeriesResults(m, obs, ks, (*lams, DEFECT_LAMBDA))
     t1, t2, t3 = 0.4 * t, 0.8 * t, t
     exact = exact_sweep(m, obs, (t1, t2, t3), lams)
     at_t = [x[2:] for x in exact]
@@ -263,9 +289,10 @@ def validation_suite(
     slope_row(f"cumulant2_order{order}", cumulant2_errors(series, t1, t2, order, lams, at_t1_t2), order + 0.8)
 
     for n in range(order + 2):
-        defect_row(f"cancellation_n{n}", cancellation_defect(series, t, n, 0.1), 1e-12)
-        defect_row(f"dual_bookkeeping_n{n}", dual_bookkeeping_defect(series, t, n, 0.1), 1e-12)
-    defect_row("decompose_3pt_sum", decomposition_sum_defect(series, (t1, t2, t3), order, 0.1), 1e-12)
+        defect_row(f"cancellation_n{n}", cancellation_defect(series, t, n, DEFECT_LAMBDA), 1e-12)
+        defect_row(f"dual_bookkeeping_n{n}", dual_bookkeeping_defect(series, t, n, DEFECT_LAMBDA), 1e-12)
+    triple = decomposition_sum_defect(series, (t1, t2, t3), order, DEFECT_LAMBDA)
+    defect_row("decompose_3pt_sum", triple, 1e-12)
 
     fd_errs = rhs_fd_errors(series, t, order, lams)
     c_fit = max(e / lam ** (order + 1) for e, lam in zip(fd_errs[:2], lams[:2]))

@@ -31,6 +31,13 @@ whole total-order one-point sum folds into
     C[m] = sum_(q<=m) alpha_q K[q] ,
 
 one GEMM per order stacked over a whole grid (`_one_point_values`).
+
+The engine (`_one_point_values`, `_inverted_series`, `_lift_values`,
+`_one_point_rhs`) takes a sequence of couplings and returns one result per
+coupling on a leading axis; the public functions are that engine called
+with the one coupling of their truncation.  Each coupling's arithmetic is
+the same either way, so a sweep returns the bits of its couplings one at a
+time; the weights ``(lam/hbar)^j`` are Python-float powers for that reason.
 """
 
 from __future__ import annotations
@@ -124,10 +131,19 @@ def free_evolved(o, ks: KernelSet, t: float) -> np.ndarray:
     return ks.frame.free_conjugate(_obs_matrix(o), t)
 
 
+def _weights(lams, j: int, hbar: float) -> np.ndarray:
+    """``(lam/hbar)^j`` per coupling, shape ``(n_lam, 1, 1)``.
+
+    Each weight is a Python-float power: numpy's array ``**`` rounds a few
+    per cent of them differently in the last bit once ``j >= 3``.
+    """
+    return np.array([(lam / hbar) ** j for lam in lams])[:, None, None]
+
+
 def _one_point_values(
-    o: np.ndarray, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix, times: np.ndarray
+    o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, times: np.ndarray
 ) -> np.ndarray:
-    """``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` at every time, shape ``(n_t, d_S, d_S)``.
+    """``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` per coupling and time, shape ``(n_lam, n_t, d_S, d_S)``.
 
     The fused form ``sum_p alpha_p K[p] (B (x) 1_B) C[N-p]^dag`` of the module
     docstring, evaluated in the free eigenbasis ``V = v0 (x) 1_B`` of the
@@ -137,36 +153,38 @@ def _one_point_values(
     ``o = v0^dag O v0``, and ``V`` commutes with the bath contraction.  The
     bath state is folded into the left factor, ``tr_B(L C^dag (1 (x) rho_B))
     = sum_(b,z) [(1 (x) rho_B) L]_(i b, z) conj(C_(m b, z))``, so each order
-    is one GEMM stacked over all times with a ``d_S x d_S`` result; the
-    partial sums ``C[m]`` are accumulated alongside, and the temporaries
-    hold one order at a time.
+    is one GEMM per coupling stacked over all times with a ``d_S x d_S``
+    result; the partial sums ``C[m]`` are accumulated alongside, and the
+    temporaries hold one order at a time.  The rows ``(1 (x) rho_B) E[p]``
+    do not depend on the coupling and are formed once for the sweep.
     """
-    ks.check_order(trunc.order)
-    n = trunc.order
-    n_t = len(times)
+    ks.check_order(order)
+    n = order
+    n_t, n_lam = len(times), len(lams)
     ds, db = ks.dim_system, ks.dim_bath
     d = ds * db
+    hbar = ks.frame.constants.hbar
     # alpha_p = (i lam/hbar)^p for p = 0..n, by exact repeated products
-    alpha = np.cumprod(np.concatenate(([1.0], np.full(n, 1j * trunc.lam / ks.frame.constants.hbar))))
+    alpha = np.stack([np.cumprod(np.concatenate(([1.0], np.full(n, 1j * lam / hbar)))) for lam in lams])
     v0 = ks.frame.v0
     o_eig = _blockops.kron_identity(v0.conj().T @ o @ v0, db)
     rows = ks.eigen_rows(times).reshape(n_t, ds, db, ks.orders + 1, d)  # E[p] = rows[..., p, :]
-    out = np.zeros((n_t, ds, ds), dtype=complex)
-    partial = np.zeros((n_t, ds, db, d), dtype=complex)
-    left = np.empty((n_t * d, d), dtype=complex)
+    out = np.zeros((n_lam, n_t, ds, ds), dtype=complex)
+    partial = np.zeros((n_lam, n_t, ds, db, d), dtype=complex)
+    left = np.empty((n_lam, n_t * d, d), dtype=complex)
     for p in range(n, -1, -1):
-        partial += alpha[n - p] * rows[..., n - p, :]  # now C[n - p]
+        partial += alpha[:, n - p, None, None, None, None] * rows[..., n - p, :]  # now C[n - p]
         # left = conj((1 (x) rho_B) alpha_p E[p] (o (x) 1_B)), conjugated in place so
         # that C enters the product as a transposed view rather than a conjugated copy
-        np.matmul((rho_b.mat @ rows[..., p, :]).reshape(-1, d), alpha[p] * o_eig, out=left)
+        np.matmul((rho_b.mat @ rows[..., p, :]).reshape(-1, d), alpha[:, p, None, None] * o_eig, out=left)
         np.conjugate(left, out=left)
-        out += (left.reshape(n_t, ds, -1) @ partial.reshape(n_t, ds, -1).swapaxes(-1, -2)).conj()
+        out += (left.reshape(n_lam, n_t, ds, -1) @ partial.reshape(n_lam, n_t, ds, -1).swapaxes(-1, -2)).conj()
     return v0 @ out @ v0.conj().T
 
 
 def one_point_value(o, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix, t: float) -> np.ndarray:
     """Truncated one-point series ``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` at one time."""
-    return _one_point_values(_obs_matrix(o), trunc, ks, rho_b, np.array([float(t)]))[0]
+    return _one_point_values(_obs_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, np.array([float(t)]))[0, 0]
 
 
 def one_point_operator(
@@ -179,41 +197,49 @@ def one_point_operator(
 ) -> OnePointTrajectory:
     """One-point operator trajectory over a grid at fixed truncation."""
     o_mat = _obs_matrix(o)
-    values = _one_point_values(o_mat, trunc, ks, rho_b, grid.points)
+    values = _one_point_values(o_mat, trunc.order, (trunc.lam,), ks, rho_b, grid.points)[0]
     return OnePointTrajectory(label, o_mat, grid, values, trunc)
+
+
+def _grid_index(grid: TimeGrid, t: float) -> int | None:
+    """Index of the grid point within 1e-14 of ``t``, or None off the grid."""
+    hits = np.flatnonzero(np.abs(grid.points - t) <= 1e-14)
+    return int(hits[0]) if hits.size else None
 
 
 def trajectory_value(o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatrix, t: float) -> np.ndarray:
     """Value of a trajectory at time t (grid hit or recomputed from kernels)."""
-    hits = np.flatnonzero(np.abs(o_s.grid.points - t) <= 1e-14)
-    if hits.size:
-        return o_s.values[hits[0]]
+    k = _grid_index(o_s.grid, t)
+    if k is not None:
+        return o_s.values[k]
     return one_point_value(o_s.observable, o_s.truncation, ks, rho_b, t)
 
 
 def _inverted_series(
-    value: np.ndarray,
+    values: np.ndarray,
     order: int,
-    lam: float,
+    lams,
     ks: KernelSet,
     rho_b: DensityMatrix,
     t: float,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """``inv[m] = (1 + sum lam^n P_S[n])^{-1} value`` truncated at order m, m = 0..order.
 
-    Uses the recursion ``inv[m] = value - sum_{j=1}^m (lam/hbar)^j P_S[j] inv[m-j]``,
-    which resums the multinomial expansion with total-order truncation.  Also
-    returns the open-index sum ``sum_{j=1}^order (lam/hbar)^j P[j] inv[order-j]``
-    of the last step as a full-space matrix (zero at order 0): it is the
-    image family minus its order-zero term ``inv[order] (x) 1_B``.
+    ``values`` holds one one-point value per coupling, ``(n_lam, d_S, d_S)``,
+    and so does each ``inv[m]``.  Uses the recursion ``inv[m] = value -
+    sum_{j=1}^m (lam/hbar)^j P_S[j] inv[m-j]``, which resums the multinomial
+    expansion with total-order truncation.  Also returns the open-index sum
+    ``sum_{j=1}^order (lam/hbar)^j P[j] inv[order-j]`` of the last step as
+    full-space matrices ``(n_lam, D, D)`` (zero at order 0): it is the image
+    family minus its order-zero term ``inv[order] (x) 1_B``.
     """
     hbar = ks.frame.constants.hbar
     kstack = ks.heis_stack(t)
-    inv = [value]
-    opened = np.zeros_like(kstack[0])
+    inv = [values]
+    opened = np.zeros((len(lams), *kstack.shape[1:]), dtype=complex)
     for m in range(1, order + 1):
-        opened = sum((lam / hbar) ** j * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
-        inv.append(value - _blockops.bath_trace(opened, rho_b.mat))
+        opened = sum(_weights(lams, j, hbar) * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
+        inv.append(values - _blockops.bath_trace(opened, rho_b.mat))
     return inv, opened
 
 
@@ -226,22 +252,23 @@ def invert_one_point(
 ) -> np.ndarray:
     """Recover ``U0^dag O U0`` from a one-point value via the multinomial inverse."""
     ks.check_order(trunc.order)
-    value = _obs_matrix(o_s_value)
-    return _inverted_series(value, trunc.order, trunc.lam, ks, rho_b, t)[0][trunc.order]
+    value = _obs_matrix(o_s_value)[None]
+    return _inverted_series(value, trunc.order, (trunc.lam,), ks, rho_b, t)[0][trunc.order][0]
 
 
-def _lift_value(
-    value: np.ndarray,
-    trunc: SeriesTruncation,
+def _lift_values(
+    values: np.ndarray,
+    order: int,
+    lams,
     ks: KernelSet,
     rho_b: DensityMatrix,
     t: float,
-) -> tuple[np.ndarray, ImageFamily]:
-    """The series inversion ``inv[order]`` of a one-point value and its image family."""
-    ks.check_order(trunc.order)
-    inv, opened = _inverted_series(_obs_matrix(value), trunc.order, trunc.lam, ks, rho_b, t)
-    family = ImageFamily(opened + _blockops.kron_identity(inv[-1], ks.dim_bath), ks.dim_bath, t)
-    return inv[-1], family
+) -> tuple[np.ndarray, np.ndarray]:
+    """The series inversions ``inv[order]`` of one-point values, one per coupling,
+    and their image families as full-space matrices ``(n_lam, D, D)``."""
+    ks.check_order(order)
+    inv, opened = _inverted_series(values, order, lams, ks, rho_b, t)
+    return inv[-1], opened + _blockops.kron_identity(inv[-1], ks.dim_bath)
 
 
 def image_from_value(
@@ -257,7 +284,8 @@ def image_from_value(
     the order-by-order cancellation that returns the one-point value under
     bath contraction holds only with total-order truncation.
     """
-    return _lift_value(value, trunc, ks, rho_b, t)[1]
+    _, families = _lift_values(_obs_matrix(value)[None], trunc.order, (trunc.lam,), ks, rho_b, t)
+    return ImageFamily(families[0], ks.dim_bath, t)
 
 
 def image_from_one_point(
@@ -344,6 +372,28 @@ def _apply_DtP_S(
     return _blockops.bath_trace(_blockops.sandwich_sum(lefts, rights), rho)
 
 
+def _one_point_rhs(
+    values: np.ndarray,
+    order: int,
+    lams,
+    ks: KernelSet,
+    rho_b: DensityMatrix,
+    t: float,
+) -> np.ndarray:
+    """`one_point_rhs` at one-point values ``(n_lam, d_S, d_S)``, one per coupling."""
+    ks.check_order(order)
+    hbar = ks.frame.constants.hbar
+    # the RHS needs inv[0..order-1] only: the last inversion step is never formed
+    inv, _ = _inverted_series(values, max(order - 1, 0), lams, ks, rho_b, t)
+    kstack = ks.heis_stack(t)
+    cov_stack = ks.cov_d_stack(t)
+    h0 = ks.frame.h0_mat
+    out = (1j / hbar) * (h0 @ values - values @ h0)
+    for n in range(1, order + 1):
+        out += _weights(lams, n, hbar) * _apply_DtP_S(n, inv[order - n], kstack, cov_stack, rho_b.mat)
+    return out
+
+
 def one_point_rhs(
     o_s: OnePointTrajectory,
     t: float,
@@ -357,17 +407,6 @@ def one_point_rhs(
     kernel derivatives come from the recurrence, so no differencing enters.
     """
     trunc = o_s.truncation
-    ks.check_order(trunc.order)
-    hbar = ks.frame.constants.hbar
     value = trajectory_value(o_s, ks, rho_b, t)
-    # the RHS needs inv[0..order-1] only: the last inversion step is never formed
-    inv, _ = _inverted_series(value, max(trunc.order - 1, 0), trunc.lam, ks, rho_b, t)
-    kstack = ks.heis_stack(t)
-    cov_stack = ks.cov_d_stack(t)
-    h0 = ks.frame.h0_mat
-    out = (1j / hbar) * (h0 @ value - value @ h0)
-    for n in range(1, trunc.order + 1):
-        out += (trunc.lam / hbar) ** n * _apply_DtP_S(
-            n, inv[trunc.order - n], kstack, cov_stack, rho_b.mat
-        )
+    out = _one_point_rhs(value[None], trunc.order, (trunc.lam,), ks, rho_b, t)[0]
     return system_operator(out, _system_tag(ks))

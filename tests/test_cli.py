@@ -272,6 +272,15 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         assert cli.main(["run", "/nonexistent/x.yaml"]) == 2
 
+    def test_unparsable_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("run: [unclosed\n")
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"could not parse {path}" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.yaml"]
+
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path)
         monkeypatch.setattr(cli, "run_experiment", lambda cfg: (_ for _ in ()).throw(NonFiniteResult("boom")))
@@ -391,6 +400,7 @@ class TestExitCodes:
             ({"run": "validate", "validate": {"seed": -1}}, "validate.seed"),
             ({"run": "validate", "validate": {"d_s": 0}}, "validate.d_s"),
             ({"run": "validate", "validate": {"d_b": 0}}, "validate.d_b"),
+            ({"run": "validate", "validate": {"d_s": 10_000_000_000}}, "validate.d_s * validate.d_b"),
             (
                 {"run": "n_point", "npoint": {"factors": [{"observable": "s1x", "time": 0.5},
                                                           {"observable": "s1x", "time": -0.4}]}},
@@ -399,7 +409,8 @@ class TestExitCodes:
         ],
         ids=[
             "order_word", "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan",
-            "validate_seed_negative", "validate_d_s_zero", "validate_d_b_zero", "factor_time_negative",
+            "validate_seed_negative", "validate_d_s_zero", "validate_d_b_zero", "validate_dims_over_cap",
+            "factor_time_negative",
         ],
     )
     def test_bad_scalar_is_2(self, tmp_path, capsys, overrides, field):

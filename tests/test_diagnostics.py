@@ -26,14 +26,14 @@ from heisenbath.dyson import compute_kernels
 from heisenbath.spaces import TimeGrid
 
 
-def _count_calls(monkeypatch, name):
-    """Record ``(order, lam, t)`` of every call to the superop function ``name``."""
+def _record(monkeypatch, name, key):
+    """Record ``key(*args)`` of every call to the superop function ``name``, wherever it is bound."""
     calls = []
     original = getattr(superop, name)
 
-    def counted(o, trunc, ks, rho_b, t):
-        calls.append((trunc.order, trunc.lam, float(t)))
-        return original(o, trunc, ks, rho_b, t)
+    def counted(*args):
+        calls.append(key(*args))
+        return original(*args)
 
     for module in (superop, npoint, diagnostics):
         if hasattr(module, name):
@@ -42,15 +42,22 @@ def _count_calls(monkeypatch, name):
 
 
 def test_validation_suite_lifts_each_point_once(monkeypatch):
-    """No ``(order, lam, t)`` reaches the one-point series or its inversion twice:
-    the roundtrip row reads the inversion the shared lift already ran."""
-    lifts = _count_calls(monkeypatch, "_lift_value")
-    values = _count_calls(monkeypatch, "one_point_value")
-    inversions = _count_calls(monkeypatch, "invert_one_point")
+    """Each ``(order, t)`` is lifted once, with every coupling of the sweep in
+    that one call, and so is each one-point series evaluation; no
+    one-coupling one-point value is left in a suite, and the roundtrip row
+    reads the inversion the shared lift already ran."""
+    lifts = _record(monkeypatch, "_lift_values", lambda v, order, lams, ks, rho_b, t: (order, float(t), lams))
+    values = _record(
+        monkeypatch, "_one_point_values", lambda o, order, lams, ks, rho_b, times: (order, tuple(times), lams)
+    )
+    singles = _record(monkeypatch, "one_point_value", lambda o, trunc, ks, rho_b, t: (trunc.order, trunc.lam, t))
+    inversions = _record(monkeypatch, "invert_one_point", lambda v, trunc, ks, rho_b, t: (trunc.order, trunc.lam, t))
     validation_suite(3, 2, 3, order=2)
     for calls in (lifts, values):
         repeated = {k: n for k, n in collections.Counter(calls).items() if n > 1}
         assert calls and not repeated
+        assert {lams for *_, lams in calls} == {DEFAULT_LAMBDAS}
+    assert not singles
     assert not inversions
 
 

@@ -4,7 +4,8 @@ Sizes (d_S, d_B) = (2, 3), (3, 2) and (4, 8), orders 0-4, on and off the
 kernel grid; agreement is required to 1e-13 relative to the largest entry
 of the reference (kernel entries grow like (|H_I| t)^n / n!).  The
 partition expansion is also held to its sandwich count: one per distinct
-suffix (inner chain) plus one per distinct first pair.
+suffix (inner chain) plus one per distinct first pair.  The engine's
+coupling axis is held to the public one-coupling functions bit for bit.
 """
 
 import numpy as np
@@ -23,9 +24,16 @@ from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
     SeriesTruncation,
     _apply_DtP_S,
+    _inverted_series,
+    _lift_values,
+    _one_point_rhs,
+    _one_point_values,
     _P_full,
     free_evolved,
+    image_from_value,
+    invert_one_point,
     one_point_operator,
+    one_point_rhs,
     one_point_value,
     star_of_observables,
     trajectory_value,
@@ -151,3 +159,59 @@ def test_decompose_total_matches_star(engine_model, order):
     star = star_of_observables([(obs, t) for t in times], trunc, ks, m.rho_b)
     assert _close(dec.total, star)
 
+
+
+# a coupling sweep with a zero and a negative coupling; (2, 2) joins the engine sizes.
+# numpy's array power rounds (0.3)^4 and (1e-3/0.7)^4 differently from Python's.
+SWEEP = (0.1, 0.0, -0.03, 1e-3, 0.3)
+SWEEP_SIZES = ((2, 2, 1.0), *SIZES)
+
+
+def _written_out_inverse(value, order, lam, ks, rho_b, t):
+    """``inv[order]`` by the recursion for one coupling, weights ``(lam/hbar)^j`` as Python floats."""
+    hbar = ks.frame.constants.hbar
+    kstack = ks.heis_stack(t)
+    inv = [value]
+    for m in range(1, order + 1):
+        opened = sum((lam / hbar) ** j * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
+        inv.append(value - _blockops.bath_trace(opened, rho_b.mat))
+    return inv[-1]
+
+
+@pytest.fixture(scope="module", params=SWEEP_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+def sweep_model(request):
+    d_s, d_b, hbar = request.param
+    m, obs = random_model(5 + d_s * d_b, d_s, d_b, hbar=hbar)
+    ks = compute_kernels(m, 4, TimeGrid.linspace(1.5, 7))
+    return m, obs, ks
+
+
+@pytest.mark.parametrize("t", [GRID_TIME, OFF_GRID_TIME])
+@pytest.mark.parametrize("order", ORDERS)
+def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
+    """Every coupling of a sweep gets, bit for bit, what the public functions
+    return for it alone: one-point values (at one time, at a pair of times
+    and over the grid), inversions, image families and the local RHS.  The
+    inversion also equals its recursion written out for one coupling."""
+    m, obs, ks = sweep_model
+    rho_b = m.rho_b
+    values = _one_point_values(obs, order, SWEEP, ks, rho_b, np.array([t]))[:, 0]
+    pair_times = np.array([t + 1e-5, t - 1e-5])
+    pair = _one_point_values(obs, order, SWEEP, ks, rho_b, pair_times)
+    grid_values = _one_point_values(obs, order, SWEEP, ks, rho_b, ks.grid.points)
+    inverses, families = _lift_values(values, order, SWEEP, ks, rho_b, t)
+    all_inverses = _inverted_series(values, order, SWEEP, ks, rho_b, t)[0]
+    trajs = [one_point_operator(obs, SeriesTruncation(order, lam), ks, rho_b, ks.grid) for lam in SWEEP]
+    at_t = np.stack([trajectory_value(traj, ks, rho_b, t) for traj in trajs])
+    rhs = _one_point_rhs(at_t, order, SWEEP, ks, rho_b, t)
+    for k, lam in enumerate(SWEEP):
+        trunc = SeriesTruncation(order, lam)
+        assert np.array_equal(values[k], one_point_value(obs, trunc, ks, rho_b, t))
+        for value, s in zip(pair[k], pair_times):
+            assert np.array_equal(value, one_point_value(obs, trunc, ks, rho_b, s))
+        assert np.array_equal(grid_values[k], trajs[k].values)
+        assert np.array_equal(inverses[k], invert_one_point(values[k], trunc, ks, rho_b, t))
+        assert np.array_equal(all_inverses[order][k], inverses[k])
+        assert np.array_equal(inverses[k], _written_out_inverse(values[k], order, lam, ks, rho_b, t))
+        assert np.array_equal(families[k], image_from_value(values[k], trunc, ks, rho_b, t).matrix)
+        assert np.array_equal(rhs[k], one_point_rhs(trajs[k], t, ks, rho_b).mat)
