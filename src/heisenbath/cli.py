@@ -21,6 +21,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -94,7 +95,7 @@ def parse_number(value, path: str, kind=float):
         if num is not None and math.isfinite(num) and (kind is float or num.is_integer()):
             return kind(num)
     want = "an integer" if kind is int else "a finite number"
-    raise ParseError(f"{path}: expected {want}, got {value!r}")
+    raise ParseError(f"{path}: expected {want}, got {reprlib.repr(value)}")
 
 
 def _mapping(value, path: str) -> dict:
@@ -102,13 +103,13 @@ def _mapping(value, path: str) -> dict:
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ParseError(f"{path}: expected a mapping, got {value!r}")
+        raise ParseError(f"{path}: expected a mapping, got {reprlib.repr(value)}")
     return value
 
 
 def _sequence(value, path: str) -> list:
     if not isinstance(value, (list, tuple)):
-        raise ParseError(f"{path}: expected a list, got {value!r}")
+        raise ParseError(f"{path}: expected a list, got {reprlib.repr(value)}")
     return list(value)
 
 
@@ -118,7 +119,7 @@ def _parse_entry(value, path: str) -> complex:
         isinstance(v, (int, float)) and math.isfinite(v) for v in parts
     ):
         return complex(parts[0], parts[1])
-    _fail(path, f"expected a finite number or [re, im] pair, got {value!r}")
+    _fail(path, f"expected a finite number or [re, im] pair, got {reprlib.repr(value)}")
 
 
 def parse_matrix(rows, path: str) -> np.ndarray:
@@ -139,12 +140,12 @@ def _build_model(section, path: str):
     if "preset" in section:
         name = section["preset"]
         if name not in PRESETS:
-            _fail(f"{path}.preset", f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+            _fail(f"{path}.preset", f"unknown preset {reprlib.repr(name)}; available: {sorted(PRESETS)}")
         params = {k: v for k, v in section.items() if k != "preset"}
         try:
             preset = PRESETS[name](**params)
         except TypeError as exc:
-            _fail(f"{path}.preset", f"bad parameters for {name!r}: {exc}")
+            _fail(f"{path}.preset", f"bad parameters for {reprlib.repr(name)}: {exc}")
         except ValueError as exc:
             _fail(f"{path}.preset", str(exc))
         return preset.model, dict(preset.observables)
@@ -177,14 +178,14 @@ def load_config(path: str) -> ExperimentConfig:
             raw = yaml.load(fh, Loader=YAML_LOADER)
     except FileNotFoundError as exc:
         raise ParseError(f"config file not found: {path}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # a deep nesting overflows the parser
         raise ParseError(f"could not parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a mapping")
 
     run = raw.get("run")
     if run not in RUN_MODES:
-        _fail("run", f"must be one of {RUN_MODES}, got {run!r}")
+        _fail("run", f"must be one of {RUN_MODES}, got {reprlib.repr(run)}")
 
     model, preset_obs = _build_model(raw.get("model", {}), "model")
 
@@ -242,7 +243,7 @@ def load_config(path: str) -> ExperimentConfig:
     output_path = str(out_raw.get("path", "results.csv"))
     output_format = str(out_raw.get("format", "csv"))
     if output_format not in ("csv", "json"):
-        _fail("output.format", f"must be csv or json, got {output_format!r}")
+        _fail("output.format", f"must be csv or json, got {reprlib.repr(output_format)}")
 
     npoint_factors = []
     if run == "n_point":
@@ -253,7 +254,7 @@ def load_config(path: str) -> ExperimentConfig:
             f = _mapping(f, f"npoint.factors[{k}]")
             name = f.get("observable")
             if name not in observables:
-                _fail(f"npoint.factors[{k}].observable", f"unknown observable {name!r}")
+                _fail(f"npoint.factors[{k}].observable", f"unknown observable {reprlib.repr(name)}")
             t = parse_number(f.get("time", 0.0), f"npoint.factors[{k}].time")
             if t < 0:
                 _fail(f"npoint.factors[{k}].time", f"negative time {t}; the grid starts at 0")
@@ -504,7 +505,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     elif cfg.run == "validate":
         rows, failing = _run_validate(cfg)
     else:  # pragma: no cover - guarded by load_config
-        raise ValidationError(f"run: unsupported mode {cfg.run!r}")
+        raise ValidationError(f"run: unsupported mode {reprlib.repr(cfg.run)}")
     _check_finite(rows)
     write_rows(rows, cfg.output_path, cfg.output_format)
     if failing:

@@ -33,13 +33,12 @@ from .model import ModelSpec, make_model
 from .oracle import evolve_exact
 from .dyson import KernelSet, compute_kernels
 from .images import ImageFamily
-from .npoint import _cumulant_2pt, _decompose_3pt, expand_image_by_partitions
+from .npoint import _PartitionWords, _cumulant_2pt, _decompose_3pt
 from .spaces import TimeGrid, system_operator
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
-    _grid_index,
-    _lift_values,
+    _lift_observable,
     _obs_matrix,
     _one_point_rhs,
     _one_point_values,
@@ -89,16 +88,18 @@ class SeriesResults:
 
     ``lams`` is the sweep.  Every result holds all of its couplings, computed
     by one call of the series engine: lifts are keyed by ``(order, t)``,
-    trajectories by order.  Each method computes its result on first request
-    and returns the same arrays to every later one, so callers must not
-    write into them.  The arithmetic of each coupling is the series layer's,
-    so a row reads the same bits from a shared object as from a fresh one,
-    and from a sweep as from its couplings one at a time.
+    trajectories by order, and each time's kernel row is fetched once.  Each
+    method computes its result on first request and returns the same arrays
+    to every later one, so callers must not write into them.  The arithmetic
+    of each coupling is the series layer's, so a row reads the same bits
+    from a shared object as from a fresh one, and from a sweep as from its
+    couplings one at a time.
     """
 
     def __init__(self, m: ModelSpec, obs, ks: KernelSet, lams=DEFAULT_LAMBDAS):
         self.m, self.obs, self.ks = m, _obs_matrix(obs), ks
         self.lams = tuple(dict.fromkeys(float(lam) for lam in lams))
+        self.row = functools.cache(ks.row)  # the kernel row at a time
         self._lifts: dict = {}
         self._trajectories: dict = {}
         self._partitions: dict = {}
@@ -113,9 +114,8 @@ class SeriesResults:
         t = float(t)
         key = (order, t)
         if key not in self._lifts:
-            ks, rho_b = self.ks, self.m.rho_b
-            values = _one_point_values(self.obs, order, self.lams, ks, rho_b, np.array([t]))[:, 0]
-            inverses, families = _lift_values(values, order, self.lams, ks, rho_b, t)
+            ks = self.ks
+            values, inverses, families = _lift_observable(self.obs, order, self.lams, ks, self.m.rho_b, self.row(t))
             self._lifts[key] = (values, inverses, [ImageFamily(f, ks.dim_bath, t) for f in families])
         return self._lifts[key]
 
@@ -132,7 +132,7 @@ class SeriesResults:
     def _trajectory_set(self, order: int) -> tuple[np.ndarray, list[OnePointTrajectory]]:
         if order not in self._trajectories:
             ks = self.ks
-            values = _one_point_values(self.obs, order, self.lams, ks, self.m.rho_b, ks.grid.points)
+            values = _one_point_values(self.obs, order, self.lams, ks, self.m.rho_b, ks.eigen_rows(ks.grid.points))
             trajectories = [
                 OnePointTrajectory("obs", self.obs, ks.grid, v, SeriesTruncation(order, lam))
                 for lam, v in zip(self.lams, values)
@@ -147,7 +147,7 @@ class SeriesResults:
     def values(self, order: int, t: float) -> np.ndarray:
         """One-point values at ``t`` of every coupling, ``(n_lam, d_S, d_S)``, read as
         `trajectory_value` reads them: the trajectory's grid row, else the lift's value."""
-        k = _grid_index(self.ks.grid, t)
+        k = self.ks.grid.index(t)
         if k is None:
             return self._lift(order, t)[0]
         return self._trajectory_set(order)[0][:, k]
@@ -156,8 +156,9 @@ class SeriesResults:
         """Partition-sum image family at ``t`` of the order-``n_max`` trajectory."""
         key = (n_max, lam, t)
         if key not in self._partitions:
-            traj = self.trajectory(n_max, lam)
-            self._partitions[key] = expand_image_by_partitions(traj, n_max, self.ks, self.m.rho_b, t)
+            value = self.values(n_max, t)[self.column(lam)]
+            words = _PartitionWords(value, SeriesTruncation(n_max, lam), self.ks, self.m.rho_b, self.row(t))
+            self._partitions[key] = ImageFamily(words.image(n_max), self.ks.dim_bath, t)
         return self._partitions[key]
 
 
@@ -213,9 +214,9 @@ def cumulant2_errors(series: SeriesResults, t1: float, t2: float, order: int, la
 def rhs_fd_errors(series: SeriesResults, t: float, order: int, lams) -> list[float]:
     ks, rho_b = series.ks, series.m.rho_b
     step = 1e-5 * max(1.0, t)
-    rhs = _one_point_rhs(series.values(order, t), order, series.lams, ks, rho_b, t)
-    times = np.array([t + step, t - step])
-    plus, minus = _one_point_values(series.obs, order, series.lams, ks, rho_b, times).swapaxes(0, 1)
+    rhs = _one_point_rhs(series.values(order, t), order, series.lams, ks, rho_b, series.row(t))
+    rows = ks.eigen_rows(np.array([t + step, t - step]))
+    plus, minus = _one_point_values(series.obs, order, series.lams, ks, rho_b, rows).swapaxes(0, 1)
     fd = (plus - minus) / (2 * step)
     return [float(np.max(np.abs(rhs[k] - fd[k]))) for k in map(series.column, lams)]
 

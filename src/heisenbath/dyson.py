@@ -28,8 +28,8 @@ below double precision; any other step gets its own exponential
 generator).
 Nested quadrature survives only as a test oracle.
 
-All of this happens in the H0 eigenbasis, where ``F`` is diagonal; results
-are rotated back on access.
+All of this happens in the H0 eigenbasis, where ``F`` is diagonal, and so does
+the series engine (`KernelSet.frame_stack`); `InteractionFrame` rotates in and out.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class InteractionFrame:
     v0: np.ndarray  # H0 eigenvectors, columns
     bath_energies: np.ndarray
     constants: Constants
-    h0_mat: np.ndarray
 
     def u0(self, t: float) -> np.ndarray:
         """``exp(-i H0 t / hbar)``; ``u0(0)`` is the identity."""
@@ -63,13 +62,29 @@ class InteractionFrame:
     def free_conjugate(self, o: np.ndarray, t: float) -> np.ndarray:
         """Free Heisenberg evolution ``U0(t)^dag o U0(t)``."""
         phases = np.exp(1j * self.eps0 * t / self.constants.hbar)
-        inner = (self.v0.conj().T @ o @ self.v0) * np.outer(phases, phases.conj())
-        return self.v0 @ inner @ self.v0.conj().T
+        return self.leave(self.enter(o) * np.outer(phases, phases.conj()))
+
+    def enter(self, a: np.ndarray) -> np.ndarray:
+        """System operators ``(..., d_S, d_S)`` in the H0 eigenbasis, ``v0^dag a v0``."""
+        return self.v0.conj().T @ a @ self.v0
+
+    def leave(self, y: np.ndarray) -> np.ndarray:
+        """System operators ``(..., d_S, d_S)`` back from the H0 eigenbasis, ``v0 y v0^dag``."""
+        return self.v0 @ y @ self.v0.conj().T
+
+    def leave_open(self, x: np.ndarray) -> np.ndarray:
+        """Full-space matrices ``(..., D, D)`` back from the H0 eigenbasis,
+        ``(v0 (x) 1_B) x (v0 (x) 1_B)^dag``: ``v0 X_ab v0^dag`` for every bath
+        block, two GEMMs of ``d_S D^2`` work in block layout."""
+        *lead, d, _ = x.shape
+        ds = self.v0.shape[0]
+        rows = (self.v0 @ x.reshape(*lead, ds, -1)).reshape(*lead, d, ds, d // ds)
+        return (self.v0.conj() @ rows).reshape(*lead, d, d)
 
 
 def frame_of(m: ModelSpec) -> InteractionFrame:
     eps0, v0 = np.linalg.eigh(m.h0.mat)
-    return InteractionFrame(eps0, v0, m.bath_energies, m.constants, m.h0.mat.copy())
+    return InteractionFrame(eps0, v0, m.bath_energies, m.constants)
 
 
 def interaction_hamiltonian_images(m: ModelSpec, t: float) -> ImageFamily:
@@ -211,7 +226,9 @@ def propagate_rows(first: np.ndarray, gen: np.ndarray, points: np.ndarray) -> np
 class KernelSet:
     """Time-ordered kernels of all orders up to ``orders`` on a grid.
 
-    ``tilde_at(n, t)`` returns the interaction-picture family
+    It holds the rows ``R(t) = (E[0], ..., E[n_max])`` at the grid points
+    and does not change after construction; every stack is computed from a
+    row on request.  ``tilde_at(n, t)`` returns the interaction-picture family
     ``Ktilde[n](t)`` in the original basis; ``heis_at(n, t)`` returns the
     Heisenberg-frame kernels ``K[n]_ab(t) = exp(+i(E_a-E_b)t/hbar) U0^dag Ktilde U0``.
     The stacks behind them hold orders ``0..n_max`` as full-space matrices,
@@ -230,92 +247,70 @@ class KernelSet:
         delta_b = (m.bath_energies[:, None] - m.bath_energies[None, :]) / hbar
         self._bath_phase = np.tile(1j * delta_b, (d_s, d_s))
         # full-space eigenbasis of F: index i * d_B + a carries (eps0_i + E_a) / hbar
-        self._free = (self.frame.eps0[:, None] + m.bath_energies[None, :]).ravel() / hbar
-        self._v = np.kron(self.frame.v0, np.eye(d_b))
+        free = (self.frame.eps0[:, None] + m.bath_energies[None, :]).ravel() / hbar
         d = d_s * d_b
         # first block row of the Van Loan generator M: (iF, H_I, 0, ..., 0)
         gen = np.zeros((n_max + 1, d, d), dtype=complex)
-        gen[0] = np.diag(1j * self._free)
+        gen[0] = np.diag(1j * free)
         if n_max:
-            gen[1] = self._v.conj().T @ m.hi.mat @ self._v
+            v = np.kron(self.frame.v0, np.eye(d_b))
+            gen[1] = v.conj().T @ m.hi.mat @ v
         self._gen = gen
         # R(t) at the grid points, shape (n_t, d, (n_max + 1) d)
         self._rows = propagate_rows(np.eye(d, (n_max + 1) * d), gen, grid.points)
-        self._cache: dict[tuple[str, float], np.ndarray] = {}
+        self._rows.flags.writeable = False
 
-    # -- raw stacks ---------------------------------------------------------
+    # -- rows and stacks ----------------------------------------------------
 
-    def _row(self, t: float) -> np.ndarray:
-        """``R(t)``: stored at grid points, one exact (cached) step away elsewhere."""
-        pts = self.grid.points
-        hits = np.flatnonzero(pts == t)
-        if hits.size:
-            return self._rows[hits[0]]
+    def row(self, t: float) -> np.ndarray:
+        """``R(t)``: stored at grid points, one exact step from the point below elsewhere."""
+        k = self.grid.index(t)
+        if k is not None:
+            return self._rows[k]
         if not (-1e-12 <= t <= self.grid.stop * (1 + 1e-12) + 1e-12):
             raise OrderExceedsKernels(
                 f"kernels were computed on [0, {self.grid.stop!r}] but t={t!r} was requested"
             )
-        key = ("row", float(t))
-        hit = self._cache.get(key)
-        if hit is None:
-            k = max(int(np.searchsorted(pts, t, side="right")) - 1, 0)
-            step = toeplitz_dense(toeplitz_expm((t - pts[k]) * self._gen))
-            hit = self._remember(key, self._rows[k] @ step)
-        return hit
-
-    def _remember(self, key: tuple[str, float], value: np.ndarray) -> np.ndarray:
-        if len(self._cache) > 256:
-            self._cache.clear()
-        self._cache[key] = value
-        return value
+        pts = self.grid.points
+        k = max(int(np.searchsorted(pts, t, side="right")) - 1, 0)
+        return self._rows[k] @ toeplitz_dense(toeplitz_expm((t - pts[k]) * self._gen))
 
     def eigen_rows(self, times: np.ndarray) -> np.ndarray:
-        """``R(t) = (E[0], ..., E[n_max])`` at each time, shape ``(n_t, D, (n_max + 1) D)``.
-
-        Full-space blocks in the free eigenbasis, ``V = v0 (x) 1_B``, where
-        ``K[n](t) = V E[n](t) exp(-iFt) V^dag``.  The grid itself is served
-        without a copy.
-        """
+        """`row` at each time, ``(n_t, D, (n_max + 1) D)``; the grid is served without a copy."""
         if np.array_equal(times, self.grid.points):
             return self._rows
-        return np.stack([self._row(float(t)) for t in times])
+        return np.stack([self.row(float(t)) for t in times])
 
-    def _stack(self, kind: str, t: float) -> np.ndarray:
-        """Orders 0..n_max in the original basis; kind 'tilde' or 'heis'."""
-        key = (kind, float(t))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def frame_stack(self, row: np.ndarray) -> np.ndarray:
+        """The kernels in the H0 eigenbasis, ``S[n] = E[n] E[0]^-1 = V^dag K[n] V``
+        with ``V = v0 (x) 1_B`` and ``E[0] = exp(iFt)`` diagonal; ``S[0] = 1``."""
         d = self.dim_system * self.dim_bath
-        e = self._row(t).reshape(d, self.orders + 1, d).transpose(1, 0, 2)[1:]
-        phase = np.exp(-1j * self._free * t)
-        # Ktilde[n] = exp(-iFt) E[n]; K[n] = exp(iFt) Ktilde[n] exp(-iFt) = E[n] exp(-iFt)
-        eig = phase[:, None] * e if kind == "tilde" else e * phase[None, :]
-        out = np.concatenate([np.eye(d, dtype=complex)[None], self._v @ eig @ self._v.conj().T])
-        return self._remember(key, out)
+        out = np.empty((self.orders + 1, d, d), dtype=complex)
+        np.divide(row.reshape(d, self.orders + 1, d).transpose(1, 0, 2), np.diagonal(row), out=out)
+        out[0] = np.eye(d)
+        return out
 
-    def tilde_stack(self, t: float) -> np.ndarray:
-        return self._stack("tilde", t)
+    def frame_derivative(self, stack: np.ndarray) -> np.ndarray:
+        """Covariant derivatives ``U0^dag d/dt[U0 K[n] U0^dag] U0`` of a `frame_stack`, in its basis:
+        ``(i/hbar)(E_a - E_b) o S[n] + (V^dag H_I V) S[n-1]`` from the recurrence, the phase
+        taken entrywise at bath indices ``(a, b)``; order 0 vanishes identically."""
+        out = np.zeros_like(stack)
+        out[1:] = self._bath_phase * stack[1:] + self._gen[1:2] @ stack[:-1]  # no H_I term at n_max = 0
+        return out
 
     def heis_stack(self, t: float) -> np.ndarray:
-        return self._stack("heis", t)
+        """``K[n](t)`` in the original basis, n = 0..n_max."""
+        out = self.frame_stack(self.row(t))
+        out[1:] = self.frame.leave_open(out[1:])
+        return out
 
-    def cov_d_stack(self, t: float) -> np.ndarray:
-        """Covariant kernel derivatives ``U0^dag d/dt[U0 K[n] U0^dag] U0``.
-
-        From the recurrence these are known without differencing: in full
-        space ``(i/hbar)(E_a - E_b) o K[n] + H_I K[n-1]``, the phase taken
-        entrywise at bath indices ``(a, b)``; order 0 vanishes identically.
-        """
-        key = ("cov", float(t))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        heis = self.heis_stack(t)
-        out = np.zeros_like(heis)
-        for n in range(1, self.orders + 1):
-            out[n] = self._bath_phase * heis[n] + self.model.hi.mat @ heis[n - 1]
-        return self._remember(key, out)
+    def tilde_stack(self, t: float) -> np.ndarray:
+        """``Ktilde[n](t) = V E[0]^-1 E[n] V^dag`` in the original basis, n = 0..n_max."""
+        row = self.row(t)
+        e0 = np.diagonal(row)  # E[0], diagonal
+        out = self.frame_stack(row)
+        out[1:] = self.frame.leave_open(out[1:] * e0 / e0[:, None])
+        return out
 
     # -- per-order access ---------------------------------------------------
 
@@ -326,11 +321,11 @@ class KernelSet:
 
     def tilde_at(self, n: int, t: float) -> ImageFamily:
         self.check_order(n)
-        return ImageFamily(self.tilde_stack(t)[n].copy(), self.dim_bath, t)
+        return ImageFamily(self.tilde_stack(t)[n], self.dim_bath, t)
 
     def heis_at(self, n: int, t: float) -> ImageFamily:
         self.check_order(n)
-        return ImageFamily(self.heis_stack(t)[n].copy(), self.dim_bath, t)
+        return ImageFamily(self.heis_stack(t)[n], self.dim_bath, t)
 
 
 def compute_kernels(m: ModelSpec, n_max: int, grid: TimeGrid) -> KernelSet:

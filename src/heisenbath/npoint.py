@@ -20,7 +20,9 @@ that start with it.  Up to order 0..4 that is 1, 5, 15, 43 and 130
 full-space sandwiches, against 1, 7, 36, 164 and 700 one partition at a
 time.  Suffixes are deliberately not merged by total order: that sum is
 the super-operator series inversion itself, and the partition sum would
-then no longer be an independent check of it.
+then no longer be an independent check of it.  The words are formed on
+the kernels in the H0 eigenbasis (`KernelSet.frame_stack`), and an image
+leaves that basis once.
 """
 
 from __future__ import annotations
@@ -35,14 +37,14 @@ from . import _blockops
 from .dyson import KernelSet, compute_kernels
 from .images import ImageFamily
 from .model import ModelSpec
-from .spaces import DensityMatrix, OperatorMatrix, Space, SpaceTag, TimeGrid, as_matrix, system_operator
+from .spaces import DensityMatrix, OperatorMatrix, TimeGrid, as_matrix, system_operator
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
+    _lift_legs,
+    _system_tag,
+    _value_and_row,
     chain_contract,
-    image_from_value,
-    one_point_value,
-    trajectory_value,
     trivial_factor,
 )
 
@@ -128,12 +130,13 @@ class _PartitionWords:
     """
 
     def __init__(
-        self, value: np.ndarray, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix, t: float
+        self, value: np.ndarray, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix, row: np.ndarray
     ):
-        self.kstack = ks.heis_stack(t)
+        self.frame = ks.frame
+        self.kstack = ks.frame_stack(row)
         self.rho = rho_b.mat
         self.x = trunc.lam / ks.frame.constants.hbar
-        self.inner_values: dict[tuple[tuple[int, int], ...], np.ndarray] = {(): value}
+        self.inner_values: dict[tuple[tuple[int, int], ...], np.ndarray] = {(): ks.frame.enter(value)}
 
     def _weight(self, n_i: int, m_i: int) -> complex:
         return 1j ** (n_i - m_i) * self.x ** (n_i + m_i)
@@ -155,6 +158,15 @@ class _PartitionWords:
     def open_word(self, pair: tuple[int, int], core: np.ndarray) -> np.ndarray:
         return self._sandwich(*pair, self._weight(*pair) * core)
 
+    def image(self, n_max: int) -> np.ndarray:
+        """The partition sum over all orders ``n <= n_max``, out of the frame."""
+        cores: dict[tuple[int, int], np.ndarray] = {}
+        for n in range(n_max + 1):
+            for p in _partitions(n, n + 1):
+                first = p.pairs[0]
+                cores[first] = cores.get(first, 0) + self.inner(p.pairs[1:])
+        return self.frame.leave_open(sum(self.open_word(pair, core) for pair, core in cores.items()))
+
 
 def assemble_partition_term(
     p: EvenPartition,
@@ -172,9 +184,9 @@ def assemble_partition_term(
     left open.  Coefficient ``(-1)^(k-1) i^(sum n - sum m) (lam/hbar)^total``.
     """
     ks.check_order(p.total)
-    value = as_matrix(o_s_value)
-    words = _PartitionWords(value, trunc, ks, rho_b, t)
-    return ImageFamily(words.open_word(p.pairs[0], words.inner(p.pairs[1:])), ks.dim_bath, t)
+    words = _PartitionWords(as_matrix(o_s_value), trunc, ks, rho_b, ks.row(t))
+    word = words.open_word(p.pairs[0], words.inner(p.pairs[1:]))
+    return ImageFamily(ks.frame.leave_open(word), ks.dim_bath, t)
 
 
 def expand_image_by_partitions(
@@ -192,14 +204,9 @@ def expand_image_by_partitions(
     the sum of the inner values of the partitions that start with it.
     """
     ks.check_order(n_max)
-    words = _PartitionWords(trajectory_value(o_s, ks, rho_b, t), o_s.truncation, ks, rho_b, t)
-    cores: dict[tuple[int, int], np.ndarray] = {}
-    for n in range(n_max + 1):
-        for p in _partitions(n, n + 1):
-            first = p.pairs[0]
-            cores[first] = cores.get(first, 0) + words.inner(p.pairs[1:])
-    full = sum(words.open_word(pair, core) for pair, core in cores.items())
-    return ImageFamily(full, ks.dim_bath, t)
+    value, row = _value_and_row(o_s, ks, rho_b, t)
+    words = _PartitionWords(value, o_s.truncation, ks, rho_b, row)
+    return ImageFamily(words.image(n_max), ks.dim_bath, t)
 
 
 def _ensure_kernels(
@@ -210,17 +217,6 @@ def _ensure_kernels(
     stop = max(float(t) for t in times)
     grid = TimeGrid(np.array([0.0, stop]) if stop > 0 else np.array([0.0]))
     return compute_kernels(m, trunc.order, grid)
-
-
-def _sys_tag(ks: KernelSet) -> SpaceTag:
-    return SpaceTag(Space.SYSTEM, ks.dim_system, ks.dim_bath)
-
-
-def _lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix):
-    """One-point values and image families of ``(observable, time)`` legs, each computed once."""
-    values = [one_point_value(o, trunc, ks, rho_b, float(t)) for o, t in legs]
-    lifted = [image_from_value(v, trunc, ks, rho_b, float(t)) for v, (_, t) in zip(values, legs)]
-    return values, lifted
 
 
 def irreducible_2pt(
@@ -235,7 +231,7 @@ def irreducible_2pt(
     """Second-order cumulant ``(O1(t1) O2(t2))_S - O1S(t1) O2S(t2)``."""
     ks = _ensure_kernels(m, trunc, (t1, t2), ks)
     values, lifted = _lift_legs(((o1, t1), (o2, t2)), trunc, ks, m.rho_b)
-    return system_operator(_cumulant_2pt(values, lifted, m.rho_b), _sys_tag(ks))
+    return system_operator(_cumulant_2pt(values, lifted, m.rho_b), _system_tag(ks))
 
 
 def _cumulant_2pt(values, lifted, rho_b: DensityMatrix) -> np.ndarray:
@@ -294,7 +290,7 @@ def _decompose_3pt(values, lifted, ks: KernelSet, rho_b: DensityMatrix) -> Three
     Each leg enters once as its image family and once as its trivial family
     ``O_S(t) delta_ab``.
     """
-    tag = _sys_tag(ks)
+    tag = _system_tag(ks)
     trivial = [trivial_factor(v, ks, f.time) for v, f in zip(values, lifted)]
     disc = values[0] @ values[1] @ values[2]
 

@@ -8,6 +8,7 @@ contraction in the package relies on this flattening.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -184,6 +185,12 @@ class TimeGrid:
     @property
     def stop(self) -> float:
         return float(self.points[-1])
+
+    def index(self, t: float) -> int | None:
+        """Index of the grid point within 1e-14 of ``t``, or None off the grid."""
+        points = self.points.tolist()
+        k = bisect.bisect_left(points, t - 1e-14)  # the first point that can lie within
+        return k if k < len(points) and points[k] - t <= 1e-14 else None
 
     def __len__(self) -> int:
         return self.points.size

@@ -23,19 +23,21 @@ blocks as in `_blockops`), so every sandwich is a full-space product:
     P[n] A = sum_r i^(n-2r) K[n-r] (A (x) 1_B) K[r]^dag ,
 
 one right-multiplication of the kernel stack by ``A`` and one
-``(D, (n+1)D) @ ((n+1)D, D)`` GEMM.  With ``alpha_p = (i lam/hbar)^p`` and
-real ``lam``, ``(lam/hbar)^n i^(n-2r) = alpha_(n-r) conj(alpha_r)``, so the
-whole total-order one-point sum folds into
+``(D, (n+1)D) @ ((n+1)D, D)`` GEMM, on the kernels in the H0 eigenbasis
+(`KernelSet.frame_stack`).  With ``alpha_p = (i lam/hbar)^p`` and real
+``lam``, ``(lam/hbar)^n i^(n-2r) = alpha_(n-r) conj(alpha_r)``, so the whole
+total-order one-point sum folds into
 
     sum_n (lam/hbar)^n P[n] B = sum_p alpha_p K[p] (B (x) 1_B) C[N-p]^dag ,
     C[m] = sum_(q<=m) alpha_q K[q] ,
 
 one GEMM per order stacked over a whole grid (`_one_point_values`).
 
-The engine (`_one_point_values`, `_inverted_series`, `_lift_values`,
-`_one_point_rhs`) takes a sequence of couplings and returns one result per
-coupling on a leading axis; the public functions are that engine called
-with the one coupling of their truncation.  Each coupling's arithmetic is
+The engine (`_one_point_values`, `_lift_observable`, `_lift_values`,
+`_one_point_rhs`) takes a sequence of couplings and the kernel rows of its
+times, and returns one result per coupling on a leading axis; the public
+functions are that engine called with the one coupling of their truncation
+and the row of their time, fetched once.  Each coupling's arithmetic is
 the same either way, so a sweep returns the bits of its couplings one at a
 time; the weights ``(lam/hbar)^j`` are Python-float powers for that reason.
 """
@@ -91,39 +93,38 @@ def _padded_powers(n: int) -> np.ndarray:
     return np.array([1j ** (n - 2 * r) for r in range(n + 1)])
 
 
-def _per_order(c: np.ndarray) -> np.ndarray:
-    # coefficients on the orders axis of a kernel stack (orders, D, D)
-    return c[:, None, None]
-
-
 def _P_full(n: int, a: np.ndarray, kstack: np.ndarray) -> np.ndarray:
     """Dyson-derived order-n sandwich as a full-space matrix.
 
     With the adjoint stack ``kstack.conj().swapaxes(-1, -2)`` it is the
     sandwich as displayed, ``sum_r i^(n-2r) K[n-r]^dag (A (x) 1_B) K[r]``.
     """
-    lefts = _per_order(_padded_powers(n)) * _blockops.system_lift(kstack[n::-1], a)
+    lefts = _padded_powers(n)[:, None, None] * _blockops.system_lift(kstack[n::-1], a)
     return _blockops.sandwich_sum(lefts, kstack[: n + 1])
+
+
+def _P_frame(n: int, a, t: float, ks: KernelSet) -> tuple[np.ndarray, np.ndarray]:
+    """The order-n sandwich of a system operator in the kernel frame, and the frame stack."""
+    ks.check_order(n)
+    kstack = ks.frame_stack(ks.row(t))
+    return _P_full(n, ks.frame.enter(_obs_matrix(a)), kstack), kstack
 
 
 def apply_P_ab(n: int, a, t: float, ks: KernelSet) -> ImageFamily:
     """Order-n super-operator dressing of a system operator, open bath indices."""
-    ks.check_order(n)
-    return ImageFamily(_P_full(n, _obs_matrix(a), ks.heis_stack(t)), ks.dim_bath, t)
+    return ImageFamily(ks.frame.leave_open(_P_frame(n, a, t, ks)[0]), ks.dim_bath, t)
 
 
 def apply_P_S(n: int, a, t: float, ks: KernelSet, rho_b: DensityMatrix) -> np.ndarray:
     """Bath-contracted order-n dressing ``(P[n] A)_ab rho_B[b, a]``."""
-    ks.check_order(n)
-    return _blockops.bath_trace(_P_full(n, _obs_matrix(a), ks.heis_stack(t)), rho_b.mat)
+    return ks.frame.leave(_blockops.bath_trace(_P_frame(n, a, t, ks)[0], rho_b.mat))
 
 
 def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
     """Max-norm gap between the Dyson-derived and as-displayed order-n sandwiches."""
-    kstack = ks.heis_stack(t)
-    a = _obs_matrix(a)
-    printed = _P_full(n, a, kstack.conj().swapaxes(-1, -2))
-    return float(np.max(np.abs(_P_full(n, a, kstack) - printed)))
+    derived, kstack = _P_frame(n, a, t, ks)
+    printed = _P_full(n, ks.frame.enter(_obs_matrix(a)), kstack.conj().swapaxes(-1, -2))
+    return float(np.max(np.abs(ks.frame.leave_open(derived - printed))))
 
 
 def free_evolved(o, ks: KernelSet, t: float) -> np.ndarray:
@@ -141,13 +142,14 @@ def _weights(lams, j: int, hbar: float) -> np.ndarray:
 
 
 def _one_point_values(
-    o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, times: np.ndarray
+    o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, rows: np.ndarray
 ) -> np.ndarray:
     """``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` per coupling and time, shape ``(n_lam, n_t, d_S, d_S)``.
 
-    The fused form ``sum_p alpha_p K[p] (B (x) 1_B) C[N-p]^dag`` of the module
+    ``rows`` are the kernel rows of the times (`KernelSet.eigen_rows`).  The
+    fused form ``sum_p alpha_p K[p] (B (x) 1_B) C[N-p]^dag`` of the module
     docstring, evaluated in the free eigenbasis ``V = v0 (x) 1_B`` of the
-    kernel rows: with ``K[p] = V E[p] exp(-iFt) V^dag`` the free phases
+    rows: with ``K[p] = V E[p] exp(-iFt) V^dag`` the free phases
     cancel against ``B = U0^dag O U0``, so ``K[p] (B (x) 1_B) K[q]^dag =
     V E[p] (o (x) 1_B) E[q]^dag V^dag`` with the time-independent
     ``o = v0^dag O v0``, and ``V`` commutes with the bath contraction.  The
@@ -160,15 +162,14 @@ def _one_point_values(
     """
     ks.check_order(order)
     n = order
-    n_t, n_lam = len(times), len(lams)
+    n_t, n_lam = len(rows), len(lams)
     ds, db = ks.dim_system, ks.dim_bath
     d = ds * db
     hbar = ks.frame.constants.hbar
     # alpha_p = (i lam/hbar)^p for p = 0..n, by exact repeated products
     alpha = np.stack([np.cumprod(np.concatenate(([1.0], np.full(n, 1j * lam / hbar)))) for lam in lams])
-    v0 = ks.frame.v0
-    o_eig = _blockops.kron_identity(v0.conj().T @ o @ v0, db)
-    rows = ks.eigen_rows(times).reshape(n_t, ds, db, ks.orders + 1, d)  # E[p] = rows[..., p, :]
+    o_eig = _blockops.kron_identity(ks.frame.enter(o), db)
+    rows = rows.reshape(n_t, ds, db, ks.orders + 1, d)  # E[p] = rows[..., p, :]
     out = np.zeros((n_lam, n_t, ds, ds), dtype=complex)
     partial = np.zeros((n_lam, n_t, ds, db, d), dtype=complex)
     left = np.empty((n_lam, n_t * d, d), dtype=complex)
@@ -179,12 +180,12 @@ def _one_point_values(
         np.matmul((rho_b.mat @ rows[..., p, :]).reshape(-1, d), alpha[:, p, None, None] * o_eig, out=left)
         np.conjugate(left, out=left)
         out += (left.reshape(n_lam, n_t, ds, -1) @ partial.reshape(n_lam, n_t, ds, -1).swapaxes(-1, -2)).conj()
-    return v0 @ out @ v0.conj().T
+    return ks.frame.leave(out)
 
 
 def one_point_value(o, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix, t: float) -> np.ndarray:
     """Truncated one-point series ``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` at one time."""
-    return _one_point_values(_obs_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, np.array([float(t)]))[0, 0]
+    return _one_point_values(_obs_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])[0, 0]
 
 
 def one_point_operator(
@@ -197,50 +198,69 @@ def one_point_operator(
 ) -> OnePointTrajectory:
     """One-point operator trajectory over a grid at fixed truncation."""
     o_mat = _obs_matrix(o)
-    values = _one_point_values(o_mat, trunc.order, (trunc.lam,), ks, rho_b, grid.points)[0]
+    values = _one_point_values(o_mat, trunc.order, (trunc.lam,), ks, rho_b, ks.eigen_rows(grid.points))[0]
     return OnePointTrajectory(label, o_mat, grid, values, trunc)
 
 
-def _grid_index(grid: TimeGrid, t: float) -> int | None:
-    """Index of the grid point within 1e-14 of ``t``, or None off the grid."""
-    hits = np.flatnonzero(np.abs(grid.points - t) <= 1e-14)
-    return int(hits[0]) if hits.size else None
+def _value_and_row(o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatrix, t: float):
+    """A trajectory's value at ``t`` (its grid row, else recomputed) and the kernel row at ``t``."""
+    row, k, trunc = ks.row(t), o_s.grid.index(t), o_s.truncation
+    if k is None:
+        return _one_point_values(o_s.observable, trunc.order, (trunc.lam,), ks, rho_b, row[None])[0, 0], row
+    return o_s.values[k], row
 
 
 def trajectory_value(o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatrix, t: float) -> np.ndarray:
     """Value of a trajectory at time t (grid hit or recomputed from kernels)."""
-    k = _grid_index(o_s.grid, t)
-    if k is not None:
-        return o_s.values[k]
-    return one_point_value(o_s.observable, o_s.truncation, ks, rho_b, t)
+    return _value_and_row(o_s, ks, rho_b, t)[0]
 
 
 def _inverted_series(
-    values: np.ndarray,
-    order: int,
-    lams,
-    ks: KernelSet,
-    rho_b: DensityMatrix,
-    t: float,
-) -> tuple[list[np.ndarray], np.ndarray]:
+    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, kstack: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """``inv[m] = (1 + sum lam^n P_S[n])^{-1} value`` truncated at order m, m = 0..order.
 
-    ``values`` holds one one-point value per coupling, ``(n_lam, d_S, d_S)``,
-    and so does each ``inv[m]``.  Uses the recursion ``inv[m] = value -
+    ``values`` holds one one-point value per coupling, ``(n_lam, d_S, d_S)``;
+    the recursion runs in the frame of ``kstack`` (`KernelSet.frame_stack`),
+    and each ``inv[m]`` is returned there.  Uses ``inv[m] = value -
     sum_{j=1}^m (lam/hbar)^j P_S[j] inv[m-j]``, which resums the multinomial
     expansion with total-order truncation.  Also returns the open-index sum
     ``sum_{j=1}^order (lam/hbar)^j P[j] inv[order-j]`` of the last step as
-    full-space matrices ``(n_lam, D, D)`` (zero at order 0): it is the image
-    family minus its order-zero term ``inv[order] (x) 1_B``.
+    full-space matrices ``(n_lam, D, D)``, which is the image family minus its
+    order-zero term ``inv[order] (x) 1_B``, and its bath contraction (both
+    zero at order 0).
     """
     hbar = ks.frame.constants.hbar
-    kstack = ks.heis_stack(t)
-    inv = [values]
+    entered = ks.frame.enter(values)
+    inv = [entered]
     opened = np.zeros((len(lams), *kstack.shape[1:]), dtype=complex)
+    traced = np.zeros(entered.shape, dtype=complex)
     for m in range(1, order + 1):
         opened = sum(_weights(lams, j, hbar) * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
-        inv.append(values - _blockops.bath_trace(opened, rho_b.mat))
-    return inv, opened
+        traced = _blockops.bath_trace(opened, rho_b.mat)
+        inv.append(entered - traced)
+    return inv, opened, traced
+
+
+def _lift_values(
+    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The series inversions ``inv[order]`` of one-point values, one per coupling,
+    and their image families ``(n_lam, D, D)``, from the kernel row at their time.
+    Only the corrections to the order-zero term leave the frame."""
+    ks.check_order(order)
+    _, opened, traced = _inverted_series(values, order, lams, ks, rho_b, ks.frame_stack(row))
+    inverses = values - ks.frame.leave(traced)
+    return inverses, ks.frame.leave_open(opened) + _blockops.kron_identity(inverses, ks.dim_bath)
+
+
+def _lift_observable(
+    o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-point values of an observable from the kernel row at their time, one per
+    coupling, with their inversions and image families (`_lift_values`)."""
+    values = _one_point_values(o, order, lams, ks, rho_b, row[None])[:, 0]
+    return (values, *_lift_values(values, order, lams, ks, rho_b, row))
 
 
 def invert_one_point(
@@ -251,24 +271,7 @@ def invert_one_point(
     t: float,
 ) -> np.ndarray:
     """Recover ``U0^dag O U0`` from a one-point value via the multinomial inverse."""
-    ks.check_order(trunc.order)
-    value = _obs_matrix(o_s_value)[None]
-    return _inverted_series(value, trunc.order, (trunc.lam,), ks, rho_b, t)[0][trunc.order][0]
-
-
-def _lift_values(
-    values: np.ndarray,
-    order: int,
-    lams,
-    ks: KernelSet,
-    rho_b: DensityMatrix,
-    t: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The series inversions ``inv[order]`` of one-point values, one per coupling,
-    and their image families as full-space matrices ``(n_lam, D, D)``."""
-    ks.check_order(order)
-    inv, opened = _inverted_series(values, order, lams, ks, rho_b, t)
-    return inv[-1], opened + _blockops.kron_identity(inv[-1], ks.dim_bath)
+    return _lift_values(_obs_matrix(o_s_value)[None], trunc.order, (trunc.lam,), ks, rho_b, ks.row(t))[0][0]
 
 
 def image_from_value(
@@ -284,7 +287,7 @@ def image_from_value(
     the order-by-order cancellation that returns the one-point value under
     bath contraction holds only with total-order truncation.
     """
-    _, families = _lift_values(_obs_matrix(value)[None], trunc.order, (trunc.lam,), ks, rho_b, t)
+    _, families = _lift_values(_obs_matrix(value)[None], trunc.order, (trunc.lam,), ks, rho_b, ks.row(t))
     return ImageFamily(families[0], ks.dim_bath, t)
 
 
@@ -292,20 +295,20 @@ def image_from_one_point(
     o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatrix, t: float
 ) -> ImageFamily:
     """Image family of a one-point trajectory at time t."""
-    value = trajectory_value(o_s, ks, rho_b, t)
-    return image_from_value(value, o_s.truncation, ks, rho_b, t)
+    value, row = _value_and_row(o_s, ks, rho_b, t)
+    _, families = _lift_values(value[None], o_s.truncation.order, (o_s.truncation.lam,), ks, rho_b, row)
+    return ImageFamily(families[0], ks.dim_bath, t)
 
 
-def lifted_factor(
-    o,
-    trunc: SeriesTruncation,
-    ks: KernelSet,
-    rho_b: DensityMatrix,
-    t: float,
-) -> ImageFamily:
-    """One star-product factor: the image family of the observable's one-point value."""
-    value = one_point_value(o, trunc, ks, rho_b, t)
-    return image_from_value(value, trunc, ks, rho_b, t)
+def _lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix):
+    """One-point values and image families of ``(observable, time)`` legs, each leg's
+    kernel row fetched once."""
+    values, families = [], []
+    for o, t in legs:
+        value, _, family = _lift_observable(_obs_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t)))
+        values.append(value[0])
+        families.append(ImageFamily(family[0], ks.dim_bath, float(t)))
+    return values, families
 
 
 def trivial_factor(value: np.ndarray, ks: KernelSet, t: float) -> ImageFamily:
@@ -350,8 +353,7 @@ def star_of_observables(
 ) -> np.ndarray:
     """Star product straight from observables: ``entries`` is a sequence of
     ``(observable, time)`` pairs."""
-    families = [lifted_factor(o, trunc, ks, rho_b, float(t)) for o, t in entries]
-    return chain_contract(families, rho_b)
+    return chain_contract(_lift_legs(entries, trunc, ks, rho_b)[1], rho_b)
 
 
 def _apply_DtP_S(
@@ -366,32 +368,28 @@ def _apply_DtP_S(
     Product rule over the two kernel slots of the order-n sandwich, with the
     time derivative taken covariantly (inside the ``U0 ... U0^dag`` frame).
     """
-    coeffs = _per_order(np.tile(_padded_powers(n), 2))
+    coeffs = np.tile(_padded_powers(n), 2)[:, None, None]
     lefts = coeffs * _blockops.system_lift(np.concatenate([cov_stack[n::-1], kstack[n::-1]]), a)
     rights = np.concatenate([kstack[: n + 1], cov_stack[: n + 1]])
     return _blockops.bath_trace(_blockops.sandwich_sum(lefts, rights), rho)
 
 
 def _one_point_rhs(
-    values: np.ndarray,
-    order: int,
-    lams,
-    ks: KernelSet,
-    rho_b: DensityMatrix,
-    t: float,
+    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, row: np.ndarray
 ) -> np.ndarray:
-    """`one_point_rhs` at one-point values ``(n_lam, d_S, d_S)``, one per coupling."""
+    """`one_point_rhs` at one-point values ``(n_lam, d_S, d_S)``, one per coupling,
+    from the kernel row at their time."""
     ks.check_order(order)
     hbar = ks.frame.constants.hbar
+    kstack = ks.frame_stack(row)
     # the RHS needs inv[0..order-1] only: the last inversion step is never formed
-    inv, _ = _inverted_series(values, max(order - 1, 0), lams, ks, rho_b, t)
-    kstack = ks.heis_stack(t)
-    cov_stack = ks.cov_d_stack(t)
-    h0 = ks.frame.h0_mat
-    out = (1j / hbar) * (h0 @ values - values @ h0)
+    inv = _inverted_series(values, max(order - 1, 0), lams, ks, rho_b, kstack)[0]
+    cov_stack = ks.frame_derivative(kstack)
+    dressed = np.zeros(values.shape, dtype=complex)
     for n in range(1, order + 1):
-        out += _weights(lams, n, hbar) * _apply_DtP_S(n, inv[order - n], kstack, cov_stack, rho_b.mat)
-    return out
+        dressed += _weights(lams, n, hbar) * _apply_DtP_S(n, inv[order - n], kstack, cov_stack, rho_b.mat)
+    h0 = ks.model.h0.mat
+    return (1j / hbar) * (h0 @ values - values @ h0) + ks.frame.leave(dressed)
 
 
 def one_point_rhs(
@@ -407,6 +405,6 @@ def one_point_rhs(
     kernel derivatives come from the recurrence, so no differencing enters.
     """
     trunc = o_s.truncation
-    value = trajectory_value(o_s, ks, rho_b, t)
-    out = _one_point_rhs(value[None], trunc.order, (trunc.lam,), ks, rho_b, t)[0]
+    value, row = _value_and_row(o_s, ks, rho_b, t)
+    out = _one_point_rhs(value[None], trunc.order, (trunc.lam,), ks, rho_b, row)[0]
     return system_operator(out, _system_tag(ks))

@@ -272,14 +272,26 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         assert cli.main(["run", "/nonexistent/x.yaml"]) == 2
 
-    def test_unparsable_file_is_2(self, tmp_path, capsys):
-        path = tmp_path / "broken.yaml"
-        path.write_text("run: [unclosed\n")
-        assert cli.main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 2
-        err = capsys.readouterr().err
-        assert f"could not parse {path}" in err
-        assert "Traceback" not in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.yaml"]
+    def test_unparsable_file_is_2(self, tmp_path, monkeypatch, capsys):
+        """An unclosed list, and a 3000-deep list under both loaders: the
+        pure-Python parser overflows on it, and the C parser's value used to
+        overflow the repr of the error message."""
+        deep = "run: " + "[" * 3000 + "]" * 3000 + "\n"
+        cases = [("unclosed", "run: [unclosed\n", cli.YAML_LOADER, "could not parse {path}")]
+        cases.append(("deep-python", deep, yaml.SafeLoader, "could not parse {path}"))
+        if yaml.__with_libyaml__:
+            cases.append(("deep-c", deep, yaml.CSafeLoader, "run: must be one of"))
+        for name, text, loader, message in cases:
+            monkeypatch.setattr(cli, "YAML_LOADER", loader)
+            folder = tmp_path / name
+            folder.mkdir()
+            path = folder / "broken.yaml"
+            path.write_text(text)
+            assert cli.main(["run", str(path), "--output", str(folder / "out.csv")]) == 2, name
+            err = capsys.readouterr().err
+            assert message.format(path=path) in err, name
+            assert "Traceback" not in err, name
+            assert sorted(p.name for p in folder.iterdir()) == ["broken.yaml"], name
 
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path)

@@ -4,7 +4,7 @@ import collections
 
 import pytest
 
-from heisenbath import diagnostics, npoint, superop
+from heisenbath import diagnostics, dyson, npoint, superop
 from heisenbath.diagnostics import (
     DEFAULT_LAMBDAS,
     SeriesResults,
@@ -44,21 +44,39 @@ def _record(monkeypatch, name, key):
 def test_validation_suite_lifts_each_point_once(monkeypatch):
     """Each ``(order, t)`` is lifted once, with every coupling of the sweep in
     that one call, and so is each one-point series evaluation; no
-    one-coupling one-point value is left in a suite, and the roundtrip row
-    reads the inversion the shared lift already ran."""
-    lifts = _record(monkeypatch, "_lift_values", lambda v, order, lams, ks, rho_b, t: (order, float(t), lams))
+    one-coupling one-point value is left in a suite, the roundtrip row
+    reads the inversion the shared lift already ran, and the kernel row of
+    each time is fetched once.  The engine takes kernel rows, so a call is
+    keyed by the bytes of its rows: equal bytes mean the same time."""
+    lifts = _record(
+        monkeypatch, "_lift_observable", lambda o, order, lams, ks, rho_b, row: (order, row.tobytes(), lams)
+    )
     values = _record(
-        monkeypatch, "_one_point_values", lambda o, order, lams, ks, rho_b, times: (order, tuple(times), lams)
+        monkeypatch, "_one_point_values", lambda o, order, lams, ks, rho_b, rows: (order, rows.tobytes(), lams)
     )
     singles = _record(monkeypatch, "one_point_value", lambda o, trunc, ks, rho_b, t: (trunc.order, trunc.lam, t))
     inversions = _record(monkeypatch, "invert_one_point", lambda v, trunc, ks, rho_b, t: (trunc.order, trunc.lam, t))
+    rows = []
+    fetch = dyson.KernelSet.row
+    monkeypatch.setattr(dyson.KernelSet, "row", lambda ks, t: rows.append(float(t)) or fetch(ks, t))
     validation_suite(3, 2, 3, order=2)
     for calls in (lifts, values):
         repeated = {k: n for k, n in collections.Counter(calls).items() if n > 1}
         assert calls and not repeated
         assert {lams for *_, lams in calls} == {DEFAULT_LAMBDAS}
+    assert rows and len(rows) == len(set(rows))
     assert not singles
     assert not inversions
+
+
+def test_validation_suite_makes_five_exponentials(monkeypatch):
+    """The shared step, then one exact step to each off-grid time of a (2, 3)
+    order-2 suite: t1, t2 and the local-RHS row's t +- step."""
+    calls = []
+    real = dyson.toeplitz_expm
+    monkeypatch.setattr(dyson, "toeplitz_expm", lambda a: calls.append(1) or real(a))
+    validation_suite(3, 2, 3, order=2)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("seed,d_s,d_b", [(3, 2, 3), (5, 3, 2)])
@@ -94,7 +112,7 @@ def test_suite_rows_equal_unshared_helpers(seed, d_s, d_b):
 # The suites closest to a slope threshold, found by running seeds 0-1199 at
 # each dims and taking, per slope row, the suite of smallest margin
 # (value - threshold): 1172 one_point 0.105, 165 roundtrip 0.137,
-# 1049 cumulant 0.138, 220 image 0.143, 642 star_n3 0.178, 476 star_n2 0.181.
+# 1049 cumulant 0.167, 220 image 0.143, 642 star_n3 0.178, 476 star_n2 0.181.
 NEAR_THRESHOLD_SEEDS = {(2, 2): (165, 1049, 642, 476), (2, 3): (1172,), (3, 2): (220,)}
 
 

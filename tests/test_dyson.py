@@ -118,7 +118,8 @@ class TestKernels:
 
     def test_stacks_are_full_space_with_identity_order_zero(self):
         ks = compute_kernels(_random_spec(4), 2, TimeGrid.linspace(1.0, 3))
-        heis, tilde, cov = ks.heis_stack(0.7), ks.tilde_stack(0.7), ks.cov_d_stack(0.7)
+        heis, tilde = ks.heis_stack(0.7), ks.tilde_stack(0.7)
+        cov = ks.frame_derivative(ks.frame_stack(ks.row(0.7)))
         assert heis.shape == tilde.shape == cov.shape == (3, 4, 4)
         assert np.array_equal(heis[0], np.eye(4)) and np.array_equal(tilde[0], np.eye(4))
         assert not np.any(cov[0])

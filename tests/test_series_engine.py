@@ -8,11 +8,13 @@ suffix (inner chain) plus one per distinct first pair.  The engine's
 coupling axis is held to the public one-coupling functions bit for bit.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
-from heisenbath import _blockops
-from heisenbath.diagnostics import random_model
+from heisenbath import _blockops, dyson
+from heisenbath.diagnostics import SeriesResults, random_model, rhs_fd_errors
 from heisenbath.dyson import compute_kernels
 from heisenbath.npoint import (
     assemble_partition_term,
@@ -24,18 +26,20 @@ from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
     SeriesTruncation,
     _apply_DtP_S,
-    _inverted_series,
+    _lift_observable,
     _lift_values,
     _one_point_rhs,
     _one_point_values,
     _P_full,
     free_evolved,
+    image_from_one_point,
     image_from_value,
     invert_one_point,
     one_point_operator,
     one_point_rhs,
     one_point_value,
     star_of_observables,
+    star_product,
     trajectory_value,
 )
 from helpers import (
@@ -73,16 +77,24 @@ def _close(out, ref):
 @pytest.mark.parametrize("t", [GRID_TIME, OFF_GRID_TIME])
 @pytest.mark.parametrize("n", ORDERS)
 def test_sandwiches_match_einsum(engine_model, n, t):
+    """The sandwiches in the kernel frame, rotated out, against the einsum
+    references on the original-basis kernels; the covariant derivatives of
+    the reference come from the recurrence in the original basis."""
     m, obs, ks = engine_model
-    kstack = ks.heis_stack(t)
-    fams = _blocks(ks, kstack)
+    heis = ks.heis_stack(t)
+    fams = _blocks(ks, heis)
+    e = m.bath_energies / m.constants.hbar
+    cov = np.zeros_like(heis)
+    cov[1:] = np.tile(1j * (e[:, None] - e[None, :]), (ks.dim_system,) * 2) * heis[1:] + m.hi.mat @ heis[:-1]
     a = free_evolved(obs, ks, t)
-    assert _close(_blocks(ks, _P_full(n, a, kstack)), einsum_P_blocks(n, a, fams))
-    printed = _P_full(n, a, kstack.conj().swapaxes(-1, -2))
+    frame, kstack = ks.frame, ks.frame_stack(ks.row(t))
+    derived = frame.leave_open(_P_full(n, frame.enter(a), kstack))
+    assert _close(_blocks(ks, derived), einsum_P_blocks(n, a, fams))
+    printed = frame.leave_open(_P_full(n, frame.enter(a), kstack.conj().swapaxes(-1, -2)))
     assert _close(_blocks(ks, printed), einsum_P_blocks_printed(n, a, fams))
-    cov = ks.cov_d_stack(t)
     rho = m.rho_b.mat
-    assert _close(_apply_DtP_S(n, a, kstack, cov, rho), einsum_DtP_S(n, a, fams, _blocks(ks, cov), rho))
+    dressed = frame.leave(_apply_DtP_S(n, frame.enter(a), kstack, ks.frame_derivative(kstack), rho))
+    assert _close(dressed, einsum_DtP_S(n, a, fams, _blocks(ks, cov), rho))
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -168,14 +180,16 @@ SWEEP_SIZES = ((2, 2, 1.0), *SIZES)
 
 
 def _written_out_inverse(value, order, lam, ks, rho_b, t):
-    """``inv[order]`` by the recursion for one coupling, weights ``(lam/hbar)^j`` as Python floats."""
+    """``inv[order]`` by the recursion for one coupling in the kernel frame, weights
+    ``(lam/hbar)^j`` as Python floats; only the correction leaves the frame."""
     hbar = ks.frame.constants.hbar
-    kstack = ks.heis_stack(t)
-    inv = [value]
+    kstack = ks.frame_stack(ks.row(t))
+    entered = ks.frame.enter(value)
+    inv, opened = [entered], np.zeros_like(kstack[0])
     for m in range(1, order + 1):
         opened = sum((lam / hbar) ** j * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
-        inv.append(value - _blockops.bath_trace(opened, rho_b.mat))
-    return inv[-1]
+        inv.append(entered - _blockops.bath_trace(opened, rho_b.mat))
+    return value - ks.frame.leave(_blockops.bath_trace(opened, rho_b.mat))
 
 
 @pytest.fixture(scope="module", params=SWEEP_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
@@ -195,15 +209,16 @@ def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
     inversion also equals its recursion written out for one coupling."""
     m, obs, ks = sweep_model
     rho_b = m.rho_b
-    values = _one_point_values(obs, order, SWEEP, ks, rho_b, np.array([t]))[:, 0]
+    row = ks.row(t)
+    values, inverses, families = _lift_observable(obs, order, SWEEP, ks, rho_b, row)
     pair_times = np.array([t + 1e-5, t - 1e-5])
-    pair = _one_point_values(obs, order, SWEEP, ks, rho_b, pair_times)
-    grid_values = _one_point_values(obs, order, SWEEP, ks, rho_b, ks.grid.points)
-    inverses, families = _lift_values(values, order, SWEEP, ks, rho_b, t)
-    all_inverses = _inverted_series(values, order, SWEEP, ks, rho_b, t)[0]
+    pair = _one_point_values(obs, order, SWEEP, ks, rho_b, ks.eigen_rows(pair_times))
+    grid_values = _one_point_values(obs, order, SWEEP, ks, rho_b, ks.eigen_rows(ks.grid.points))
+    from_values = _lift_values(values, order, SWEEP, ks, rho_b, row)
+    assert np.array_equal(from_values[0], inverses) and np.array_equal(from_values[1], families)
     trajs = [one_point_operator(obs, SeriesTruncation(order, lam), ks, rho_b, ks.grid) for lam in SWEEP]
     at_t = np.stack([trajectory_value(traj, ks, rho_b, t) for traj in trajs])
-    rhs = _one_point_rhs(at_t, order, SWEEP, ks, rho_b, t)
+    rhs = _one_point_rhs(at_t, order, SWEEP, ks, rho_b, row)
     for k, lam in enumerate(SWEEP):
         trunc = SeriesTruncation(order, lam)
         assert np.array_equal(values[k], one_point_value(obs, trunc, ks, rho_b, t))
@@ -211,7 +226,69 @@ def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
             assert np.array_equal(value, one_point_value(obs, trunc, ks, rho_b, s))
         assert np.array_equal(grid_values[k], trajs[k].values)
         assert np.array_equal(inverses[k], invert_one_point(values[k], trunc, ks, rho_b, t))
-        assert np.array_equal(all_inverses[order][k], inverses[k])
         assert np.array_equal(inverses[k], _written_out_inverse(values[k], order, lam, ks, rho_b, t))
         assert np.array_equal(families[k], image_from_value(values[k], trunc, ks, rho_b, t).matrix)
         assert np.array_equal(rhs[k], one_point_rhs(trajs[k], t, ks, rho_b).mat)
+
+
+@pytest.fixture
+def exponentials(monkeypatch):
+    """The `toeplitz_expm` calls made while the test runs."""
+    calls = []
+    real = dyson.toeplitz_expm
+    monkeypatch.setattr(dyson, "toeplitz_expm", lambda a: calls.append(1) or real(a))
+    return calls
+
+
+def test_time_within_rounding_of_a_grid_point_reads_its_row(exponentials):
+    """``linspace(1.65, 7)`` holds 1.0999999999999999, not 1.1: both are the
+    grid row, with the bits of the grid time and no exponential."""
+    m, obs = random_model(3, 2, 3)
+    ks = compute_kernels(m, 3, TimeGrid.linspace(1.65, 7))
+    grid_t = float(ks.grid.points[4])
+    assert grid_t != 1.1 and ks.grid.index(1.1) == 4 and ks.grid.index(1.1 + 1e-13) is None
+    exponentials.clear()
+    trunc = SeriesTruncation(2, 0.1)
+    value = one_point_value(obs, trunc, ks, m.rho_b, 1.1)
+    family = image_from_value(value, trunc, ks, m.rho_b, 1.1)
+    assert not exponentials
+    assert np.array_equal(value, one_point_value(obs, trunc, ks, m.rho_b, grid_t))
+    assert np.array_equal(family.matrix, image_from_value(value, trunc, ks, m.rho_b, grid_t).matrix)
+
+
+def test_kernel_set_is_read_only():
+    """A suite's shared results and public calls at off-grid times leave every
+    attribute of the kernel set the same object with the same bytes."""
+    m, obs = random_model(3, 2, 3)
+    ks = compute_kernels(m, 3, TimeGrid.linspace(1.65, 7))
+    before = {k: (v, pickle.dumps(v)) for k, v in vars(ks).items()}
+    series = SeriesResults(m, obs, ks)
+    for t in (0.44, 0.88, 1.1):
+        series.lift(2, 0.01, t)
+    series.partitions(2, 0.1, 1.1)
+    rhs_fd_errors(series, 1.1, 2, (0.1, 0.01))
+    trunc = SeriesTruncation(2, 0.1)
+    traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid)
+    star_product([(traj, 0.3), (traj, 0.7)], ks, m.rho_b)
+    star_of_observables([(obs, 0.3), (obs, 0.7)], trunc, ks, m.rho_b)
+    ks.heis_stack(0.3), ks.tilde_stack(0.7), ks.heis_at(1, 0.3)
+    after = vars(ks)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v and pickle.dumps(after[k]) == b for k, (v, b) in before.items())
+    assert not ks.eigen_rows(ks.grid.points).flags.writeable
+
+
+def test_series_solve_on_grid_times_makes_one_exponential(exponentials):
+    """A (4, 8) order-3 solve whose times all lie on the kernel grid: the
+    shared step exponential is the only one."""
+    m, obs = random_model(1, 4, 8)
+    grid = TimeGrid.linspace(2.0, 41)
+    trunc = SeriesTruncation(3, 0.01)
+    ks = compute_kernels(m, trunc.order, grid)
+    traj = one_point_operator(obs, trunc, ks, m.rho_b, grid)
+    for t in (0.5, 1.0, 2.0):
+        image_from_one_point(traj, ks, m.rho_b, t)
+    star_product([(traj, t) for t in (2.0, 1.0, 0.5)], ks, m.rho_b)
+    expand_image_by_partitions(traj, trunc.order, ks, m.rho_b, 1.0)
+    decompose_3pt(m, obs, obs, obs, 1.0, 0.5, 0.25, trunc, ks=ks)
+    assert len(exponentials) == 1
