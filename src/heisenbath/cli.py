@@ -55,10 +55,10 @@ from .presets import PRESETS
 from .spaces import TimeGrid, herm_defect, system_operator
 from .superop import SeriesTruncation, one_point_operator, star_product, trajectory_value
 
-RUN_MODES = ("one_point", "n_point", "image_exact", "lindblad", "markov_report", "validate")
 FLOAT_FMT = "%.17g"
 KERNEL_CAP = 6  # highest truncation order a run may ask for
 VALIDATE_DIM_CAP = 512  # largest full-space dimension d_s * d_b a validate run may ask for
+INLINE_COUPLING = 0.1  # coupling of an inline model whose config names none
 # libyaml's parser where PyYAML was built with it, about 6x faster on a config
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
@@ -75,8 +75,8 @@ class ExperimentConfig:
     output_path: str
     output_format: str
     npoint_factors: list = field(default_factory=list)
-    markov: dict = field(default_factory=dict)
-    validate: dict = field(default_factory=dict)
+    markov: dict = field(default_factory=dict)  # parsed settings of a lindblad or markov_report run
+    validate: dict = field(default_factory=dict)  # seed, d_s and d_b of a validate run
 
 
 def _fail(path: str, reason: str):
@@ -142,6 +142,8 @@ def _build_model(section, path: str):
         if name not in PRESETS:
             _fail(f"{path}.preset", f"unknown preset {reprlib.repr(name)}; available: {sorted(PRESETS)}")
         params = {k: v for k, v in section.items() if k != "preset"}
+        if "lam" in params:
+            params["lam"] = parse_number(params["lam"], f"{path}.lam")
         try:
             preset = PRESETS[name](**params)
         except TypeError as exc:
@@ -165,14 +167,21 @@ def _build_model(section, path: str):
             mats["rho0"],
             mats["rho_b"],
             hbar=parse_number(section.get("hbar", 1.0), f"{path}.hbar"),
+            lam=INLINE_COUPLING,
         )
     except (DimensionError, InvalidDensityMatrix, NonHermitianInput, ValueError) as exc:
         _fail(path, str(exc))
     return model, {}
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate an experiment file, naming the offending field on failure."""
+def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
+    """Parse and validate an experiment file, naming the offending field on failure.
+
+    ``flags`` maps a dotted field name to a command-line value that replaces
+    it (``{"truncation.order": 3}``) before any field is checked.  The
+    coupling is ``truncation.lambda``, else the model's own; the model and
+    ``truncation.lam`` both carry it.
+    """
     try:
         with open(path) as fh:
             raw = yaml.load(fh, Loader=YAML_LOADER)
@@ -182,6 +191,12 @@ def load_config(path: str) -> ExperimentConfig:
         raise ParseError(f"could not parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a mapping")
+    for key, value in (flags or {}).items():
+        section, _, name = key.rpartition(".")
+        if section:
+            raw[section] = {**_mapping(raw.get(section), section), name: value}
+        else:
+            raw[name] = value
 
     run = raw.get("run")
     if run not in RUN_MODES:
@@ -191,7 +206,10 @@ def load_config(path: str) -> ExperimentConfig:
 
     tr_raw = _mapping(raw.get("truncation"), "truncation")
     order = parse_number(tr_raw.get("order", 2), "truncation.order", int)
-    lam = parse_number(tr_raw.get("lambda", model.constants.lam or 0.1), "truncation.lambda")
+    if not 0 <= order <= KERNEL_CAP:
+        _fail("truncation.order", f"must lie in [0, {KERNEL_CAP}] (the kernel cap), got {order}")
+    lam = parse_number(tr_raw.get("lambda", model.constants.lam), "truncation.lambda")
+    model = model.with_coupling(lam)
     truncation = SeriesTruncation(order, lam)
 
     grid_raw = _mapping(raw.get("grid"), "grid")
@@ -241,6 +259,8 @@ def load_config(path: str) -> ExperimentConfig:
 
     out_raw = _mapping(raw.get("output"), "output")
     output_path = str(out_raw.get("path", "results.csv"))
+    if not output_path:
+        _fail("output.path", "must be a non-empty path")
     output_format = str(out_raw.get("format", "csv"))
     if output_format not in ("csv", "json"):
         _fail("output.format", f"must be csv or json, got {reprlib.repr(output_format)}")
@@ -260,7 +280,25 @@ def load_config(path: str) -> ExperimentConfig:
                 _fail(f"npoint.factors[{k}].time", f"negative time {t}; the grid starts at 0")
             npoint_factors.append((name, t))
 
-    cfg = ExperimentConfig(
+    markov = {}
+    if run in ("lindblad", "markov_report"):
+        mk_raw = _mapping(raw.get("markov"), "markov")
+        horizon = parse_number(mk_raw.get("horizon", max(grid.stop, 1.0)), "markov.horizon")
+        defaults = {"horizon": horizon, "decay_threshold": 0.025, "j_horizon": horizon, "j_tolerance": 0.1, "eta": 0.0}
+        markov = {key: parse_number(mk_raw.get(key, d), f"markov.{key}") for key, d in defaults.items()}
+
+    validate = {}
+    if run == "validate":
+        va_raw = _mapping(raw.get("validate"), "validate")
+        for key, default, low in (("seed", 0, 0), ("d_s", 2, 1), ("d_b", 3, 1)):
+            validate[key] = parse_number(va_raw.get(key, default), f"validate.{key}", int)
+            if validate[key] < low:
+                _fail(f"validate.{key}", f"must be >= {low}, got {validate[key]}")
+        d_s, d_b = validate["d_s"], validate["d_b"]
+        if d_s * d_b > VALIDATE_DIM_CAP:
+            _fail("validate.d_s * validate.d_b", f"{d_s} * {d_b} exceeds the full-space cap {VALIDATE_DIM_CAP}")
+
+    return ExperimentConfig(
         model=model,
         run=run,
         observables=observables,
@@ -269,16 +307,9 @@ def load_config(path: str) -> ExperimentConfig:
         output_path=output_path,
         output_format=output_format,
         npoint_factors=npoint_factors,
-        markov=_mapping(raw.get("markov"), "markov"),
-        validate=_mapping(raw.get("validate"), "validate"),
+        markov=markov,
+        validate=validate,
     )
-    _check_kernel_cap(cfg)
-    return cfg
-
-
-def _check_kernel_cap(cfg: ExperimentConfig) -> None:
-    if cfg.truncation.order > KERNEL_CAP:
-        _fail("truncation.order", f"{cfg.truncation.order} exceeds kernel cap {KERNEL_CAP}")
 
 
 # -- emission ------------------------------------------------------------------
@@ -381,22 +412,12 @@ def _run_image_exact(cfg: ExperimentConfig) -> list[dict]:
 
 def _markov_pipeline(cfg: ExperimentConfig):
     m = cfg.model
+    p = cfg.markov
     dec = decompose_interaction(m.hi)
-
-    def param(key, default):
-        return parse_number(cfg.markov.get(key, default), f"markov.{key}")
-
-    horizon = param("horizon", max(cfg.grid.stop, 1.0))
-    threshold = param("decay_threshold", 0.025)
-    report = check_markov_assumptions(m, dec, horizon, threshold)
+    report = check_markov_assumptions(m, dec, p["horizon"], p["decay_threshold"])
     bd = bohr_decompose_all(dec, m.h0.mat, m.constants.hbar)
     sc = spectral_coefficients(
-        m,
-        dec,
-        bd.frequencies,
-        horizon=param("j_horizon", horizon),
-        tol=param("j_tolerance", 0.1),
-        eta=param("eta", 0.0),
+        m, dec, bd.frequencies, horizon=p["j_horizon"], tol=p["j_tolerance"], eta=p["eta"]
     )
     return dec, report, bd, sc
 
@@ -454,18 +475,19 @@ def _run_markov_report(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _run_validate(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
-    params = []
-    for key, default, low in (("seed", 0, 0), ("d_s", 2, 1), ("d_b", 3, 1)):
-        value = parse_number(cfg.validate.get(key, default), f"validate.{key}", int)
-        if value < low:
-            _fail(f"validate.{key}", f"must be >= {low}, got {value}")
-        params.append(value)
-    _, d_s, d_b = params
-    if d_s * d_b > VALIDATE_DIM_CAP:
-        _fail("validate.d_s * validate.d_b", f"{d_s} * {d_b} exceeds the full-space cap {VALIDATE_DIM_CAP}")
-    rows = validation_suite(*params, order=cfg.truncation.order)
-    return rows, [r for r in rows if r["status"] != "pass"]
+def _run_validate(cfg: ExperimentConfig) -> list[dict]:
+    return validation_suite(**cfg.validate, order=cfg.truncation.order)
+
+
+RUNNERS = {
+    "one_point": _run_one_point,
+    "n_point": _run_n_point,
+    "image_exact": _run_image_exact,
+    "lindblad": _run_lindblad,
+    "markov_report": _run_markov_report,
+    "validate": _run_validate,
+}
+RUN_MODES = tuple(RUNNERS)
 
 
 def _describe_failure(row: dict) -> str:
@@ -491,21 +513,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     A validation table with failing rows is written and names them on
     stderr, as exit 4.
     """
-    failing: list[dict] = []
-    if cfg.run == "one_point":
-        rows = _run_one_point(cfg)
-    elif cfg.run == "n_point":
-        rows = _run_n_point(cfg)
-    elif cfg.run == "image_exact":
-        rows = _run_image_exact(cfg)
-    elif cfg.run == "lindblad":
-        rows = _run_lindblad(cfg)
-    elif cfg.run == "markov_report":
-        rows = _run_markov_report(cfg)
-    elif cfg.run == "validate":
-        rows, failing = _run_validate(cfg)
-    else:  # pragma: no cover - guarded by load_config
-        raise ValidationError(f"run: unsupported mode {reprlib.repr(cfg.run)}")
+    rows = RUNNERS[cfg.run](cfg)
+    failing = [r for r in rows if r["status"] != "pass"] if cfg.run == "validate" else []
     _check_finite(rows)
     write_rows(rows, cfg.output_path, cfg.output_format)
     if failing:
@@ -516,19 +525,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 
 # -- argparse ------------------------------------------------------------------
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "order", None) is not None:
-        cfg.truncation = SeriesTruncation(args.order, cfg.truncation.lam)
-    if getattr(args, "lam", None) is not None:
-        cfg.truncation = SeriesTruncation(cfg.truncation.order, parse_number(args.lam, "--lambda"))
-    if getattr(args, "output", None):
-        cfg.output_path = args.output
-    if getattr(args, "format", None):
-        cfg.output_format = args.format
-    _check_kernel_cap(cfg)
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -561,13 +557,16 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
+    flags = {
+        "run": "validate" if args.command == "validate" else None,
+        "truncation.order": getattr(args, "order", None),
+        "truncation.lambda": getattr(args, "lam", None),
+        "validate.seed": getattr(args, "seed", None),
+        "output.path": args.output,
+        "output.format": args.format,
+    }
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
-        if args.command == "validate":
-            cfg.run = "validate"
-            if args.seed is not None:
-                cfg.validate["seed"] = args.seed
+        cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
         status = run_experiment(cfg)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

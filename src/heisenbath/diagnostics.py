@@ -11,9 +11,8 @@ The rows of one suite read their series quantities from one `SeriesResults`
 built from the suite's model, observable, kernels and coupling sweep.  The
 series engine carries a leading coupling axis, so the object lifts every
 distinct ``(order, t)`` once for all couplings of the sweep (one-point
-values, then their series inversions and image families), builds each
-order's one-point trajectories over the kernel grid in one call and
-expands every partition sum once; the one-point, image, roundtrip, star,
+values, then their series inversions and image families) and expands
+every partition sum once; the one-point, image, roundtrip, star,
 cumulant, bookkeeping and decomposition rows all read these results, and
 the local-RHS row evaluates its RHS and its ``t +- step`` values for the
 whole sweep in one call each.  Every coupling gets the bits the
@@ -36,7 +35,6 @@ from .images import ImageFamily
 from .npoint import _PartitionWords, _cumulant_2pt, _decompose_3pt
 from .spaces import TimeGrid, system_operator
 from .superop import (
-    OnePointTrajectory,
     SeriesTruncation,
     _lift_observable,
     _obs_matrix,
@@ -87,10 +85,10 @@ class SeriesResults:
     """Series quantities of one model, observable and kernel set over a coupling sweep.
 
     ``lams`` is the sweep.  Every result holds all of its couplings, computed
-    by one call of the series engine: lifts are keyed by ``(order, t)``,
-    trajectories by order, and each time's kernel row is fetched once.  Each
-    method computes its result on first request and returns the same arrays
-    to every later one, so callers must not write into them.  The arithmetic
+    by one call of the series engine: lifts are keyed by ``(order, t)``, and
+    each time's kernel row is fetched once.  Each method computes its result
+    on first request and returns the same arrays to every later one, so
+    callers must not write into them.  The arithmetic
     of each coupling is the series layer's, so a row reads the same bits
     from a shared object as from a fresh one, and from a sweep as from its
     couplings one at a time.
@@ -101,7 +99,6 @@ class SeriesResults:
         self.lams = tuple(dict.fromkeys(float(lam) for lam in lams))
         self.row = functools.cache(ks.row)  # the kernel row at a time
         self._lifts: dict = {}
-        self._trajectories: dict = {}
         self._partitions: dict = {}
 
     def column(self, lam: float) -> int:
@@ -129,28 +126,9 @@ class SeriesResults:
         """``inv[order]``: the series inversion of the one-point value, taken by the same lift."""
         return self._lift(order, t)[1][self.column(lam)]
 
-    def _trajectory_set(self, order: int) -> tuple[np.ndarray, list[OnePointTrajectory]]:
-        if order not in self._trajectories:
-            ks = self.ks
-            values = _one_point_values(self.obs, order, self.lams, ks, self.m.rho_b, ks.eigen_rows(ks.grid.points))
-            trajectories = [
-                OnePointTrajectory("obs", self.obs, ks.grid, v, SeriesTruncation(order, lam))
-                for lam, v in zip(self.lams, values)
-            ]
-            self._trajectories[order] = (values, trajectories)
-        return self._trajectories[order]
-
-    def trajectory(self, order: int, lam: float) -> OnePointTrajectory:
-        """One-point operator over the kernel grid."""
-        return self._trajectory_set(order)[1][self.column(lam)]
-
     def values(self, order: int, t: float) -> np.ndarray:
-        """One-point values at ``t`` of every coupling, ``(n_lam, d_S, d_S)``, read as
-        `trajectory_value` reads them: the trajectory's grid row, else the lift's value."""
-        k = self.ks.grid.index(t)
-        if k is None:
-            return self._lift(order, t)[0]
-        return self._trajectory_set(order)[0][:, k]
+        """One-point values at ``t`` of every coupling, ``(n_lam, d_S, d_S)``."""
+        return self._lift(order, t)[0]
 
     def partitions(self, n_max: int, lam: float, t: float) -> ImageFamily:
         """Partition-sum image family at ``t`` of the order-``n_max`` trajectory."""

@@ -25,7 +25,6 @@ from .errors import (
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-UNITARY_TOL = 1e-9
 
 
 class Space(Enum):

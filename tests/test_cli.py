@@ -13,7 +13,10 @@ import yaml
 
 from heisenbath import cli
 from heisenbath.errors import NonFiniteResult, ParseError, ValidationError
+from heisenbath.images import contract_with_bath, evolve_images_exact
 from heisenbath.markov import evolve_lindblad
+from heisenbath.model import make_model
+from heisenbath.spaces import TimeGrid, system_operator
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -41,6 +44,15 @@ INLINE_QUBIT_PAIR = {
     "rho0": [[0.5, 0], [0, 0.5]],
     "rho_b": [[1, 0], [0, 0]],
 }
+
+
+# the qubit pair with an exchange coupling and a mixed bath state, so its
+# dynamics depend on the coupling
+INLINE_EXCHANGE = dict(
+    INLINE_QUBIT_PAIR,
+    hi=[[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]],
+    rho_b=[[0.6, 0], [0, 0.4]],
+)
 
 
 def read_rows(path):
@@ -202,6 +214,53 @@ class TestRunModes:
                 entry = val[int(row["row"]), int(row["col"])]
                 assert abs(complex(float(row["re"]), float(row["im"])) - entry) <= 1e-12
 
+    def test_coupling_reaches_every_run_mode(self, tmp_path):
+        """One coupling per run: an inline model's exact reduced images are
+        those of the model at `truncation.lambda`, its Lindblad evolution
+        follows `--lambda`, and `--lambda` on the dephasing config writes that
+        config's bytes at the flag's coupling (preset `lam` and `lambda` both)."""
+        sx = [[0, 1], [1, 0]]
+        path = write_config(
+            tmp_path, model=INLINE_EXCHANGE, run="image_exact", truncation={"order": 2, "lambda": 0.5},
+            grid={"stop": 1.0, "num": 3}, observables={"o": {"matrix": sx}},
+        )
+        assert cli.main(["run", str(path)]) == 0
+        written = {
+            (float(r["time"]), int(r["row"]), int(r["col"])): complex(float(r["re"]), float(r["im"]))
+            for r in read_rows(tmp_path / "out.csv") if r["observable"] == "o_S"
+        }
+        m = make_model(*(np.array(INLINE_EXCHANGE[k], dtype=complex) for k in ("h0", "hb", "hi", "rho0", "rho_b")))
+        o_op = system_operator(np.array(sx, dtype=complex), (2, 2))
+        grid = TimeGrid.linspace(1.0, 3)
+        expected, free = (
+            {(fam.time, i, j): v for fam in evolve_images_exact(m.with_coupling(lam), o_op, grid)
+             for (i, j), v in np.ndenumerate(contract_with_bath(fam, m.rho_b).mat)}
+            for lam in (0.5, 0.0)
+        )
+        assert written == expected and written != free
+
+        outs = [tmp_path / f"lind{k}.csv" for k in range(2)]
+        path = write_config(
+            tmp_path, model=INLINE_EXCHANGE, run="lindblad", truncation={"order": 2, "lambda": 0.5},
+            grid={"stop": 2.0, "num": 3}, observables={"o": {"matrix": sx}}, markov={"horizon": 4.0},
+        )
+        assert cli.main(["run", str(path), "--output", str(outs[0])]) == 0
+        assert cli.main(["run", str(path), "--output", str(outs[1]), "--lambda", "0.2"]) == 0
+        assert outs[0].read_bytes() != outs[1].read_bytes()
+
+        with open(os.path.join(CONFIGS, "dephasing_lindblad.yaml")) as fh:
+            raw = yaml.safe_load(fh)
+        base = tmp_path / "base.csv"
+        assert cli.main(["run", os.path.join(CONFIGS, "dephasing_lindblad.yaml"), "--output", str(base)]) == 0
+        flagged = tmp_path / "flagged.csv"
+        assert cli.main(["run", os.path.join(CONFIGS, "dephasing_lindblad.yaml"),
+                         "--lambda", "0.2", "--output", str(flagged)]) == 0
+        raw["model"]["lam"] = raw["truncation"]["lambda"] = 0.2
+        raw["output"]["path"] = str(tmp_path / "edited.csv")
+        (tmp_path / "edited.yaml").write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(tmp_path / "edited.yaml")]) == 0
+        assert flagged.read_bytes() == (tmp_path / "edited.csv").read_bytes() != base.read_bytes()
+
     def test_markov_report_mode(self, tmp_path):
         out = tmp_path / "report.csv"
         cfg = {
@@ -261,6 +320,10 @@ class TestRunModes:
         path = write_config(tmp_path, output={"path": str(out), "format": "csv"})
         assert cli.main(["run", str(path)]) == 0
         assert out.exists()
+
+
+# a lindblad run on the dephasing preset, with the preset's observable
+DEPHASING_LINDBLAD = {"run": "lindblad", "observables": {"sz": {}}}
 
 
 class TestExitCodes:
@@ -396,15 +459,21 @@ class TestExitCodes:
         assert out.exists()
 
     def test_order_override_beyond_kernel_cap_is_2(self, tmp_path, capsys):
+        """An order flag outside [0, KERNEL_CAP] fails as `truncation.order` would."""
         path = write_config(tmp_path)
-        assert cli.main(["run", str(path), "--order", "9"]) == 2
-        assert "truncation.order" in capsys.readouterr().err
-        assert not (tmp_path / "out.csv").exists()
+        for order in ("9", "-1"):
+            assert cli.main(["run", str(path), "--order", order]) == 2
+            err = capsys.readouterr().err
+            assert "truncation.order" in err and "Traceback" not in err
+            assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
         "overrides,field",
         [
             ({"truncation": {"order": "two", "lambda": 0.1}}, "truncation.order"),
+            ({"truncation": {"order": -1, "lambda": 0.1}}, "truncation.order"),
+            (dict(DEPHASING_LINDBLAD, model={"preset": "dephasing_bath", "lam": "abc"}), "model.lam"),
+            (dict(DEPHASING_LINDBLAD, model={"preset": "dephasing_bath", "lam": float("nan")}), "model.lam"),
             ({"grid": {"stop": float("inf"), "num": 5}}, "grid.stop"),
             ({"truncation": {"order": 2, "lambda": float("nan")}}, "truncation.lambda"),
             ({"model": dict(INLINE_QUBIT_PAIR, hbar=-1)}, "hbar"),
@@ -420,7 +489,7 @@ class TestExitCodes:
             ),
         ],
         ids=[
-            "order_word", "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan",
+            "order_word", "order_negative", "preset_lam_word", "preset_lam_nan", "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan",
             "validate_seed_negative", "validate_d_s_zero", "validate_d_b_zero", "validate_dims_over_cap",
             "factor_time_negative",
         ],

@@ -73,11 +73,12 @@ def _assert_contract(code: int, err: str, rows: list[dict] | None, finite: tuple
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    order=st.integers(min_value=0, max_value=4),
+    order=st.integers(min_value=-2, max_value=4),
     lam=numbers,
     stop=numbers,
     num=st.integers(min_value=-1, max_value=20),
 )
+@example(order=-1, lam=0.1, stop=1.0, num=3)
 @example(order=2, lam=1.0e200, stop=5.0, num=11)
 @example(order=4, lam=-0.3, stop=2.0, num=20)
 @example(order=0, lam=0.0, stop=1.0, num=2)
@@ -85,6 +86,8 @@ def _assert_contract(code: int, err: str, rows: list[dict] | None, finite: tuple
 def test_exit_code_contract(config, order, lam, stop, num):
     code, err, rows = _run(config, truncation={"order": order, "lambda": lam}, grid={"stop": stop, "num": num})
     _assert_contract(code, err, rows, ("time", "re", "im"))
+    if order < 0:
+        assert code == 2 and "truncation.order" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -95,11 +98,22 @@ def test_exit_code_contract(config, order, lam, stop, num):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(horizon=numbers, j_horizon=numbers, decay_threshold=numbers, j_tolerance=numbers, eta=numbers)
-@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=5e-324)
-@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=-1e300)
-def test_markov_exit_code_contract(mode, horizon, j_horizon, decay_threshold, j_tolerance, eta):
-    """The Markov run modes on the dephasing config with fuzzed `markov` settings."""
+@given(
+    horizon=numbers,
+    j_horizon=numbers,
+    decay_threshold=numbers,
+    j_tolerance=numbers,
+    eta=numbers,
+    lam=numbers | st.text(max_size=3),
+)
+@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=5e-324, lam=0.05)
+@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=-1e300, lam=0.05)
+@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=0.0, lam="abc")
+@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=0.0, lam=math.nan)
+def test_markov_exit_code_contract(mode, horizon, j_horizon, decay_threshold, j_tolerance, eta, lam):
+    """The Markov run modes on the dephasing config with fuzzed `markov` settings
+    and a fuzzed preset coupling ``lam`` (the config's `truncation.lambda` is
+    dropped, so the preset's is the run's)."""
     markov = {
         "horizon": horizon,
         "j_horizon": j_horizon,
@@ -107,7 +121,8 @@ def test_markov_exit_code_contract(mode, horizon, j_horizon, decay_threshold, j_
         "j_tolerance": j_tolerance,
         "eta": eta,
     }
-    code, err, rows = _run("dephasing_lindblad.yaml", run=mode, markov=markov)
+    model = {"preset": "dephasing_bath", "lam": lam}
+    code, err, rows = _run("dephasing_lindblad.yaml", run=mode, markov=markov, model=model, truncation={"order": 2})
     _assert_contract(code, err, rows, ("value", "threshold") if mode == "markov_report" else ("time", "re", "im"))
 
 
