@@ -17,30 +17,21 @@ from .spaces import (
     SpaceTag,
     TimeGrid,
     bath_operator,
-    commutator,
     full_operator,
-    matrix_exponential_unitary,
-    partial_trace_bath,
     system_operator,
-    tensor_product,
     weighted_bath_trace,
 )
 from .model import ModelSpec, make_model
 from .oracle import (
     evolve_exact,
-    expectation,
     heisenberg_evolve_exact,
-    image_extract_exact,
     npoint_reduced_exact,
     total_hamiltonian,
 )
 from .images import (
     ImageFamily,
-    ProjectionMap,
-    compose_images,
     contract_with_bath,
     evolve_images_exact,
-    from_image_family,
     to_image_family,
 )
 from .dyson import (

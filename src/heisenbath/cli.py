@@ -141,9 +141,7 @@ def _build_model(section, path: str):
         name = section["preset"]
         if name not in PRESETS:
             _fail(f"{path}.preset", f"unknown preset {reprlib.repr(name)}; available: {sorted(PRESETS)}")
-        params = {k: v for k, v in section.items() if k != "preset"}
-        if "lam" in params:
-            params["lam"] = parse_number(params["lam"], f"{path}.lam")
+        params = {k: parse_number(v, f"{path}.{k}") for k, v in section.items() if k != "preset"}
         try:
             preset = PRESETS[name](**params)
         except TypeError as exc:
@@ -382,7 +380,7 @@ def _run_one_point(cfg: ExperimentConfig) -> list[dict]:
 def _run_n_point(cfg: ExperimentConfig) -> list[dict]:
     times = [t for _, t in cfg.npoint_factors]
     stop = max(max(times), cfg.grid.stop)
-    grid = cfg.grid if cfg.grid.stop >= max(times) else TimeGrid.linspace(stop, len(cfg.grid))
+    grid = cfg.grid if cfg.grid.stop >= max(times) else TimeGrid.linspace(stop, max(len(cfg.grid), 2))
     ks = compute_kernels(cfg.model, cfg.truncation.order, grid)
     trajs = {
         name: one_point_operator(mat, cfg.truncation, ks, cfg.model.rho_b, grid, name)

@@ -23,7 +23,6 @@ from .spaces import (
     Space,
     SpaceTag,
     TimeGrid,
-    full_operator,
     system_operator,
 )
 
@@ -62,59 +61,11 @@ class ImageFamily:
         return self.blocks[alpha, beta]
 
 
-@dataclass(frozen=True)
-class ProjectionMap:
-    """``T_alpha = sum_i |i alpha><i|`` embedding the system at bath state alpha."""
-
-    alpha: int
-    dim_system: int
-    dim_bath: int
-
-    def __post_init__(self):
-        if not 0 <= self.alpha < self.dim_bath:
-            raise IndexOutOfRange(f"alpha={self.alpha} outside [0, {self.dim_bath})")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        t = np.zeros((self.dim_system * self.dim_bath, self.dim_system), dtype=complex)
-        for i in range(self.dim_system):
-            t[i * self.dim_bath + self.alpha, i] = 1.0
-        return t
-
-
 def to_image_family(x: OperatorMatrix, time: float = 0.0) -> ImageFamily:
     """All blocks ``T_a^dag x T_b`` of a full-space operator."""
     if x.tag.kind is not Space.FULL:
         raise DimensionError("to_image_family expects a full-space operator")
     return ImageFamily(x.mat, x.tag.dim_bath, time)
-
-
-def from_image_family(f: ImageFamily) -> OperatorMatrix:
-    """The full-space operator ``sum_ab T_a blocks[a,b] T_b^dag`` (inverse of `to_image_family`)."""
-    tag = SpaceTag(Space.FULL, f.dim_system, f.dim_bath)
-    return full_operator(f.matrix, tag)
-
-
-def identity_family(d_s: int, d_b: int, time: float = 0.0) -> ImageFamily:
-    return ImageFamily(np.eye(d_s * d_b), d_b, time)
-
-
-def initial_family(o0: OperatorMatrix, d_b: int) -> ImageFamily:
-    """``O * delta_ab``: the image family of a system observable at t = 0."""
-    if o0.tag.kind is not Space.SYSTEM:
-        raise DimensionError("initial observable must live on the system space")
-    return ImageFamily(_blockops.kron_identity(o0.mat, d_b), d_b, 0.0)
-
-
-def compose_images(f1: ImageFamily, f2: ImageFamily) -> ImageFamily:
-    """Blockwise product ``out[a,b] = sum_g f1[a,g] f2[g,b]``.
-
-    This is the full-space product exactly (no approximation), which is how
-    N-point image operators are built from 1-point ones.
-    """
-    if f1.blocks.shape != f2.blocks.shape:
-        raise DimensionError(f"family shapes differ: {f1.blocks.shape} vs {f2.blocks.shape}")
-    return ImageFamily(f1.matrix @ f2.matrix, f2.dim_bath, f2.time)
 
 
 def contract_with_bath(f: ImageFamily, rho_b: DensityMatrix) -> OperatorMatrix:

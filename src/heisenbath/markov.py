@@ -329,11 +329,6 @@ def bohr_decompose_all(dec: InteractionDecomposition, h0, hbar: float = 1.0) -> 
     return bohr_decomposition(dec.r, h0, hbar)
 
 
-def reconstruct_bohr(bd: BohrDecomposition, i: int, t: float) -> np.ndarray:
-    """``sum_w exp(i w t) A^i_w`` (should equal ``U0 R^i U0^dag``)."""
-    return np.tensordot(np.exp(1j * bd.frequencies * t), bd.components[i], axes=1)
-
-
 # -- spectral coefficients ----------------------------------------------------
 
 

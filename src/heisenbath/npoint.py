@@ -68,21 +68,6 @@ class EvenPartition:
     def total(self) -> int:
         return sum(n + m for n, m in self.pairs)
 
-    @property
-    def k(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class MultiLegPartition:
-    """One EvenPartition per correlator factor."""
-
-    legs: tuple[EvenPartition, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(leg.total for leg in self.legs)
-
 
 def enumerate_even_partitions(n: int, k_max: int) -> list[EvenPartition]:
     """All partitions of n with 1 <= k <= k_max pairs, in lexicographic order.

@@ -15,14 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from . import _blockops
-from .errors import DimensionError, IndexOutOfRange
+from .errors import DimensionError, NonHermitianInput
 from .model import ModelSpec
 from .spaces import (
-    DensityMatrix,
+    HERM_TOL,
     OperatorMatrix,
     Space,
     full_operator,
-    system_operator,
+    herm_defect,
     weighted_bath_trace,
 )
 
@@ -51,10 +51,11 @@ def evolve_exact(m: ModelSpec, observables: Sequence[OperatorMatrix], times) -> 
     """
     if any(o.tag.kind is not Space.SYSTEM for o in observables):
         raise DimensionError("initial observable must live on the system space")
-    h = total_hamiltonian(m)
-    h.require_hermitian("total Hamiltonian")
-    evals, vecs = np.linalg.eigh(h.mat)
-    d = h.mat.shape[0]
+    h = total_hamiltonian(m).mat
+    if not herm_defect(h) <= HERM_TOL:  # a NaN defect fails too
+        raise NonHermitianInput(f"total Hamiltonian is not hermitian (defect {herm_defect(h):.2e})")
+    evals, vecs = np.linalg.eigh(h)
+    d = h.shape[0]
     scaled = vecs * np.exp(-1j * evals * np.asarray(times, dtype=float)[:, None] / m.constants.hbar)[:, None, :]
     u = (scaled.reshape(-1, d) @ vecs.conj().T).reshape(-1, d, d)
     o_full = _blockops.kron_identity(np.stack([o.mat for o in observables]), m.dim_bath)
@@ -75,22 +76,3 @@ def npoint_reduced_exact(
         raise DimensionError("npoint_reduced_exact needs at least one operator")
     prod = functools.reduce(np.matmul, evolve_exact(m, [o for o, _ in ops], [t for _, t in ops]))
     return weighted_bath_trace(full_operator(prod, m.hi.tag), m.rho_b)
-
-
-def image_extract_exact(x: OperatorMatrix, alpha: int, beta: int) -> OperatorMatrix:
-    """Image block ``T_alpha^dag x T_beta``: ``result[i,j] = x[(i,a),(j,b)]``."""
-    if x.tag.kind is not Space.FULL:
-        raise DimensionError("image extraction expects a full-space operator")
-    d_b = x.tag.dim_bath
-    if not (0 <= alpha < d_b and 0 <= beta < d_b):
-        raise IndexOutOfRange(f"bath indices ({alpha}, {beta}) outside [0, {d_b})")
-    return system_operator(_blockops.block_view(x.mat, d_b)[alpha, beta], x.tag)
-
-
-def expectation(o_s: OperatorMatrix, rho0: DensityMatrix) -> complex:
-    """``tr(o_s rho0)`` on the system space."""
-    if o_s.tag.kind is not Space.SYSTEM or rho0.tag.kind is not Space.SYSTEM:
-        raise DimensionError("expectation expects system-space operands")
-    if o_s.tag.dim_system != rho0.tag.dim_system:
-        raise DimensionError("system dimensions differ")
-    return complex(np.trace(o_s.mat @ rho0.mat))

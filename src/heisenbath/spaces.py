@@ -1,4 +1,4 @@
-"""Foundational linear algebra on system, bath and combined Hilbert spaces.
+"""Tagged operators, density matrices, constants, time grids and the tagged bath trace.
 
 Index convention (fixed globally, asserted in the test suite): the combined
 space is spanned by ``|i alpha>`` with ``i`` a system index and ``alpha`` a
@@ -15,11 +15,7 @@ from enum import Enum
 import numpy as np
 
 from ._blockops import bath_trace
-from .errors import (
-    DimensionError,
-    InvalidDensityMatrix,
-    NonHermitianInput,
-)
+from .errors import DimensionError, InvalidDensityMatrix
 
 # Tolerances, relative to the matrix norm (double precision, dims <= ~64).
 HERM_TOL = 1e-10
@@ -81,14 +77,6 @@ class OperatorMatrix:
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return herm_defect(self.mat) <= HERM_TOL
-
-    def require_hermitian(self, what: str = "operator") -> None:
-        if not self.is_hermitian:
-            raise NonHermitianInput(f"{what} is not hermitian (defect {herm_defect(self.mat):.2e})")
 
 
 def as_matrix(x) -> np.ndarray:
@@ -198,32 +186,6 @@ class TimeGrid:
         return iter(self.points)
 
 
-def _check_same_tag(a: OperatorMatrix, b: OperatorMatrix) -> None:
-    if a.tag != b.tag:
-        raise DimensionError(f"tags differ: {a.tag} vs {b.tag}")
-
-
-def tensor_product(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Kronecker product of a system and a bath operator on the full space.
-
-    ``(a (x) b)[(i, alpha), (j, beta)] = a[i, j] * b[alpha, beta]`` under the
-    ``row = i * d_B + alpha`` convention, which is exactly ``np.kron``.
-    """
-    if a.tag.kind is not Space.SYSTEM or b.tag.kind is not Space.BATH:
-        raise DimensionError("tensor_product expects (system, bath) operands")
-    if (a.tag.dim_system, a.tag.dim_bath) != (b.tag.dim_system, b.tag.dim_bath):
-        raise DimensionError("operands carry different global dimensions")
-    return full_operator(np.kron(a.mat, b.mat), a.tag)
-
-
-def partial_trace_bath(x: OperatorMatrix) -> OperatorMatrix:
-    """Unweighted bath trace: ``result[i, j] = sum_alpha x[(i,a),(j,a)]``,
-    `bath_trace` against the identity."""
-    if x.tag.kind is not Space.FULL:
-        raise DimensionError("partial_trace_bath expects a full-space operator")
-    return system_operator(bath_trace(x.mat, np.eye(x.tag.dim_bath)), x.tag)
-
-
 def weighted_bath_trace(x: OperatorMatrix, rho_b: DensityMatrix) -> OperatorMatrix:
     """Bath-state-weighted trace ``tr_B{x (1 (x) rho_B)}``.
 
@@ -236,21 +198,3 @@ def weighted_bath_trace(x: OperatorMatrix, rho_b: DensityMatrix) -> OperatorMatr
     if rho_b.tag.kind is not Space.BATH or rho_b.tag.dim_bath != x.tag.dim_bath:
         raise DimensionError("rho_b must be a bath density matrix of matching dimension")
     return system_operator(bath_trace(x.mat, rho_b.mat), x.tag)
-
-
-def matrix_exponential_unitary(h: OperatorMatrix, t: float, hbar: float = 1.0) -> OperatorMatrix:
-    """``exp(-i h t / hbar)`` for hermitian ``h`` via eigendecomposition.
-
-    The eigendecomposition route is unconditionally stable and unitary up to
-    rounding, unlike scaling-and-squaring on a skew-hermitian argument.
-    """
-    h.require_hermitian("matrix_exponential_unitary input")
-    evals, vecs = np.linalg.eigh(h.mat)
-    phases = np.exp(-1j * evals * t / hbar)
-    return OperatorMatrix((vecs * phases) @ vecs.conj().T, h.tag)
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """``a b - b a`` for operators on the same space."""
-    _check_same_tag(a, b)
-    return OperatorMatrix(a.mat @ b.mat - b.mat @ a.mat, a.tag)

@@ -127,11 +127,6 @@ def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
     return float(np.max(np.abs(ks.frame.leave_open(derived - printed))))
 
 
-def free_evolved(o, ks: KernelSet, t: float) -> np.ndarray:
-    """Free Heisenberg conjugation ``U0(t)^dag O U0(t)``."""
-    return ks.frame.free_conjugate(_obs_matrix(o), t)
-
-
 def _weights(lams, j: int, hbar: float) -> np.ndarray:
     """``(lam/hbar)^j`` per coupling, shape ``(n_lam, 1, 1)``.
 

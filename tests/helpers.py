@@ -13,6 +13,14 @@ def random_density(rng, n):
     return q @ rho @ q.conj().T
 
 
+def projection(alpha, d_s, d_b):
+    """``T_alpha = sum_i |i alpha><i|``, embedding the system at bath state alpha:
+    the reference for the block convention ``X_ab = T_a^dag X T_b``."""
+    t = np.zeros((d_s * d_b, d_s), dtype=complex)
+    t[np.arange(d_s) * d_b + alpha, np.arange(d_s)] = 1.0
+    return t
+
+
 # -- einsum references for the GEMM series engine -------------------------------
 # Direct transcriptions of the sandwich formulas, kept only to check the
 # full-space GEMM implementations in `heisenbath.superop` and `heisenbath.npoint`.

@@ -172,6 +172,20 @@ class TestRunModes:
         assert len(rows) == 4
         assert rows[0]["observable"] == "star:s1x@0.5*s1x@1.1000000000000001"
 
+    def test_n_point_on_a_one_point_grid(self, tmp_path):
+        """Factors beyond a grid of the one point 0 extend it to [0, max time]:
+        the bytes of the same run on the grid [0, 0.9]."""
+        with open(os.path.join(CONFIGS, "two_qubit_two_point.yaml")) as fh:
+            raw = yaml.safe_load(fh)
+        written = []
+        for points in ([0.0], [0.0, 0.9]):
+            out = tmp_path / f"{len(points)}.csv"
+            path = tmp_path / f"{len(points)}.yaml"
+            path.write_text(yaml.safe_dump(dict(raw, grid={"points": points}, output={"path": str(out)})))
+            assert cli.main(["run", str(path)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_image_exact_mode(self, tmp_path):
         path = write_config(tmp_path, run="image_exact", grid={"stop": 1.0, "num": 3})
         assert cli.main(["run", str(path)]) == 0
@@ -474,6 +488,9 @@ class TestExitCodes:
             ({"truncation": {"order": -1, "lambda": 0.1}}, "truncation.order"),
             (dict(DEPHASING_LINDBLAD, model={"preset": "dephasing_bath", "lam": "abc"}), "model.lam"),
             (dict(DEPHASING_LINDBLAD, model={"preset": "dephasing_bath", "lam": float("nan")}), "model.lam"),
+            (dict(DEPHASING_LINDBLAD, model={"preset": "dephasing_bath", "splitting": float("inf")}), "model.splitting"),
+            (dict(DEPHASING_LINDBLAD, model={"preset": "dephasing_bath", "hbar": float("nan")}), "model.hbar"),
+            (dict(DEPHASING_LINDBLAD, model={"preset": "dephasing_bath", "splitting": "abc"}), "model.splitting"),
             ({"grid": {"stop": float("inf"), "num": 5}}, "grid.stop"),
             ({"truncation": {"order": 2, "lambda": float("nan")}}, "truncation.lambda"),
             ({"model": dict(INLINE_QUBIT_PAIR, hbar=-1)}, "hbar"),
@@ -489,7 +506,9 @@ class TestExitCodes:
             ),
         ],
         ids=[
-            "order_word", "order_negative", "preset_lam_word", "preset_lam_nan", "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan",
+            "order_word", "order_negative", "preset_lam_word", "preset_lam_nan",
+            "preset_splitting_inf", "preset_hbar_nan", "preset_splitting_word",
+            "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan",
             "validate_seed_negative", "validate_d_s_zero", "validate_d_b_zero", "validate_dims_over_cap",
             "factor_time_negative",
         ],

@@ -105,15 +105,20 @@ def test_exit_code_contract(config, order, lam, stop, num):
     j_tolerance=numbers,
     eta=numbers,
     lam=numbers | st.text(max_size=3),
+    hbar=numbers,
+    splitting=numbers,
 )
-@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=5e-324, lam=0.05)
-@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=-1e300, lam=0.05)
-@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=0.0, lam="abc")
-@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=0.0, lam=math.nan)
-def test_markov_exit_code_contract(mode, horizon, j_horizon, decay_threshold, j_tolerance, eta, lam):
+@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=5e-324, lam=0.05, hbar=1.0, splitting=1.3)
+@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=-1e300, lam=0.05, hbar=1.0, splitting=1.3)
+@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=0.0, lam="abc", hbar=1.0, splitting=1.3)
+@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=0.0, lam=math.nan, hbar=1.0, splitting=1.3)
+@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=0.0, lam=0.05, hbar=1.0, splitting=math.inf)
+@example(horizon=6.0, j_horizon=5.0, decay_threshold=0.025, j_tolerance=0.1, eta=0.0, lam=0.05, hbar=math.nan, splitting=1.3)
+def test_markov_exit_code_contract(mode, horizon, j_horizon, decay_threshold, j_tolerance, eta, lam, hbar, splitting):
     """The Markov run modes on the dephasing config with fuzzed `markov` settings
-    and a fuzzed preset coupling ``lam`` (the config's `truncation.lambda` is
-    dropped, so the preset's is the run's)."""
+    and fuzzed preset parameters ``lam``, ``hbar`` and ``splitting`` (the
+    config's `truncation.lambda` is dropped, so the preset's coupling is the
+    run's)."""
     markov = {
         "horizon": horizon,
         "j_horizon": j_horizon,
@@ -121,7 +126,7 @@ def test_markov_exit_code_contract(mode, horizon, j_horizon, decay_threshold, j_
         "j_tolerance": j_tolerance,
         "eta": eta,
     }
-    model = {"preset": "dephasing_bath", "lam": lam}
+    model = {"preset": "dephasing_bath", "lam": lam, "hbar": hbar, "splitting": splitting}
     code, err, rows = _run("dephasing_lindblad.yaml", run=mode, markov=markov, model=model, truncation={"order": 2})
     _assert_contract(code, err, rows, ("value", "threshold") if mode == "markov_report" else ("time", "re", "im"))
 

@@ -1,4 +1,4 @@
-"""Image families: extraction, reassembly, composition, exact block evolution."""
+"""Image families: extraction, the block view, bath contraction, exact block evolution."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,8 @@ import heisenbath as hb
 from heisenbath.errors import DimensionError
 from heisenbath.images import (
     ImageFamily,
-    ProjectionMap,
-    compose_images,
     contract_with_bath,
     evolve_images_exact,
-    from_image_family,
-    identity_family,
-    initial_family,
     to_image_family,
 )
 from heisenbath.model import make_model
@@ -25,12 +20,12 @@ from heisenbath.spaces import (
     full_operator,
     system_operator,
 )
-from helpers import random_hermitian, random_density
+from helpers import projection, random_hermitian, random_density
 
 
 def test_projection_map_identities():
     d_s, d_b = 2, 3
-    ts = [ProjectionMap(a, d_s, d_b).matrix for a in range(d_b)]
+    ts = [projection(a, d_s, d_b) for a in range(d_b)]
     for a in range(d_b):
         for b in range(d_b):
             expected = np.eye(d_s) if a == b else np.zeros((d_s, d_s))
@@ -67,17 +62,6 @@ class TestToFromFamily:
                     for j in range(2):
                         assert fam.block(a, b)[i, j] == x[i * 3 + a, j * 3 + b]
 
-    def test_roundtrip(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        op = full_operator(x, (2, 3))
-        assert np.array_equal(from_image_family(to_image_family(op)).mat, x)
-
-    def test_two_qubit_reassembly(self):
-        preset = hb.two_qubit(0.1)
-        fam = to_image_family(preset.model.hi)
-        assert np.allclose(from_image_family(fam).mat, preset.model.hi.mat)
-
     def test_family_is_one_matrix_with_a_block_view(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -89,44 +73,12 @@ class TestToFromFamily:
             ImageFamily(x, 4)
 
 
-class TestCompose:
-    def test_identity_family_is_neutral(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        fam = to_image_family(full_operator(x, (2, 3)))
-        out = compose_images(fam, identity_family(2, 3))
-        assert np.allclose(out.blocks, fam.blocks)
-
-    def test_system_only_operators_multiply(self):
-        rng = np.random.default_rng(4)
-        a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
-        fa = to_image_family(full_operator(np.kron(a, np.eye(3)), (2, 3)))
-        fb = to_image_family(full_operator(np.kron(b, np.eye(3)), (2, 3)))
-        out = compose_images(fa, fb)
-        expected = to_image_family(full_operator(np.kron(a @ b, np.eye(3)), (2, 3)))
-        assert np.allclose(out.blocks, expected.blocks)
-
-    def test_mirrors_full_space_product(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        y = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        out = compose_images(
-            to_image_family(full_operator(x, (2, 3))), to_image_family(full_operator(y, (2, 3)))
-        )
-        expected = to_image_family(full_operator(x @ y, (2, 3)))
-        assert np.allclose(out.blocks, expected.blocks, atol=1e-13)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            compose_images(identity_family(2, 3), identity_family(2, 2))
-
-
 class TestContract:
     def test_diagonal_family_gives_operator_back(self):
         rng = np.random.default_rng(6)
         o = random_hermitian(rng, 2)
         rho = DensityMatrix(bath_operator(random_density(rng, 3), (2, 3)))
-        fam = initial_family(system_operator(o, (2, 3)), 3)
+        fam = ImageFamily(np.kron(o, np.eye(3)), 3)
         assert np.allclose(contract_with_bath(fam, rho).mat, o)
 
     def test_two_qubit_first_kernel_contraction(self, two_qubit_quarter):
@@ -160,7 +112,7 @@ class TestEvolveImagesExact:
         o = system_operator(random_hermitian(rng, 2), (2, 3))
         traj = evolve_images_exact(m, o, TimeGrid.linspace(2.0, 5))
         for fam in traj:
-            assert np.max(np.abs(fam.blocks - initial_family(o, 3).blocks)) < 1e-10
+            assert np.max(np.abs(fam.blocks - ImageFamily(np.kron(o.mat, np.eye(3)), 3).blocks)) < 1e-10
 
     def test_families_solve_the_block_heisenberg_equation(self):
         """dO_ab/dt = (i/hbar) sum_g (H_ag O_gb - O_ag H_gb), by central difference."""

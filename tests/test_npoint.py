@@ -98,20 +98,6 @@ def test_enumeration_is_a_fresh_list_of_shared_partitions():
     assert second[0] is enumerate_even_partitions(3, 4)[0]
 
 
-def test_multi_leg_partition_totals():
-    from heisenbath.npoint import MultiLegPartition
-
-    legs = (
-        EvenPartition(((0, 0), (1, 0))),
-        EvenPartition(((0, 1),)),
-        EvenPartition(((0, 0),)),
-    )
-    mlp = MultiLegPartition(legs)
-    assert mlp.total == 2
-    with pytest.raises(ValueError):
-        MultiLegPartition((EvenPartition(((0, 0), (0, 0))),))
-
-
 class TestAssembleTerm:
     def test_trivial_partition_is_open_delta(self, random_model_2x3):
         m, obs, ks = random_model_2x3
@@ -226,9 +212,7 @@ class TestDecompose3pt:
         dec = decompose_3pt(m, obs, obs, obs, 0.3, 0.7, 1.2, SeriesTruncation(2, 0.0), ks=ks)
         for part in (dec.wired_12, dec.wired_31, dec.wired_23, dec.irreducible):
             assert np.max(np.abs(part.mat)) < 1e-12
-        from heisenbath.superop import free_evolved
-
-        free = [free_evolved(obs, ks, t) for t in (0.3, 0.7, 1.2)]
+        free = [ks.frame.free_conjugate(obs, t) for t in (0.3, 0.7, 1.2)]
         assert np.allclose(dec.disconnected.mat, free[0] @ free[1] @ free[2], atol=1e-12)
 
     @pytest.mark.parametrize("order", [0, 1, 2])

@@ -2,16 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import heisenbath as hb
 from heisenbath.diagnostics import DEFAULT_LAMBDAS, validation_suite
 from heisenbath.errors import DimensionError, IndexOutOfRange, NonHermitianInput
-from heisenbath.images import ProjectionMap, evolve_images_exact
+from heisenbath.images import evolve_images_exact, to_image_family
 from heisenbath.model import make_model
 from heisenbath.oracle import (
-    expectation,
     heisenberg_evolve_exact,
-    image_extract_exact,
     npoint_reduced_exact,
     total_hamiltonian,
 )
@@ -23,7 +22,7 @@ from heisenbath.spaces import (
     system_operator,
     weighted_bath_trace,
 )
-from helpers import random_hermitian, random_density
+from helpers import projection, random_hermitian, random_density
 
 
 def _random_spec(seed, d_s=2, d_b=3, lam=0.7):
@@ -101,13 +100,11 @@ class TestHeisenbergEvolve:
 
     def test_group_law(self):
         m = _random_spec(6)
-        h = total_hamiltonian(m)
-        from heisenbath.spaces import matrix_exponential_unitary
-
+        h = total_hamiltonian(m).mat
         t1, t2 = 0.7, 1.9
-        u12 = matrix_exponential_unitary(h, t1 + t2).mat
-        u1 = matrix_exponential_unitary(h, t1).mat
-        u2 = matrix_exponential_unitary(h, t2).mat
+        u12 = scipy.linalg.expm(-1j * h * (t1 + t2))
+        u1 = scipy.linalg.expm(-1j * h * t1)
+        u2 = scipy.linalg.expm(-1j * h * t2)
         assert np.max(np.abs(u12 - u1 @ u2)) < 1e-10
 
 
@@ -200,25 +197,25 @@ class TestImageExtract:
         x = full_operator(np.kron(o, np.eye(3)), (2, 3))
         for a in range(3):
             for b in range(3):
-                block = image_extract_exact(x, a, b).mat
+                block = to_image_family(x).block(a, b)
                 assert np.allclose(block, o if a == b else 0)
 
     def test_identity(self):
         x = full_operator(np.eye(6), (2, 3))
-        assert np.allclose(image_extract_exact(x, 1, 1).mat, np.eye(2))
-        assert np.allclose(image_extract_exact(x, 0, 2).mat, 0)
+        assert np.allclose(to_image_family(x).block(1, 1), np.eye(2))
+        assert np.allclose(to_image_family(x).block(0, 2), 0)
 
     def test_random_entry_picking(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        block = image_extract_exact(full_operator(x, (2, 3)), 1, 2).mat
+        block = to_image_family(full_operator(x, (2, 3))).block(1, 2)
         for i in range(2):
             for j in range(2):
                 assert block[i, j] == x[i * 3 + 1, j * 3 + 2]
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            image_extract_exact(full_operator(np.eye(6), (2, 3)), 0, 3)
+            to_image_family(full_operator(np.eye(6), (2, 3))).block(0, 3)
 
     def test_projection_completeness(self):
         """sum_ab T_a (T_a^dag X T_b) T_b^dag reassembles X exactly."""
@@ -227,31 +224,11 @@ class TestImageExtract:
         xf = full_operator(x, (2, 3))
         acc = np.zeros_like(x)
         for a in range(3):
-            ta = ProjectionMap(a, 2, 3).matrix
+            ta = projection(a, 2, 3)
             for b in range(3):
-                tb = ProjectionMap(b, 2, 3).matrix
-                acc += ta @ image_extract_exact(xf, a, b).mat @ tb.conj().T
+                tb = projection(b, 2, 3)
+                acc += ta @ to_image_family(xf).block(a, b) @ tb.conj().T
         assert np.array_equal(acc, x)
-
-
-class TestExpectation:
-    def test_identity(self):
-        rng = np.random.default_rng(14)
-        rho = DensityMatrix(system_operator(random_density(rng, 2), (2, 2)))
-        assert expectation(system_operator(np.eye(2), (2, 2)), rho) == pytest.approx(1.0)
-
-    def test_sigma_z_ground(self):
-        rho = DensityMatrix(system_operator(np.diag([1.0, 0.0]), (2, 2)))
-        out = expectation(system_operator(np.diag([1.0, -1.0]), (2, 2)), rho)
-        assert out == pytest.approx(1.0)
-
-    def test_random_trace(self):
-        rng = np.random.default_rng(15)
-        o = random_hermitian(rng, 3)
-        rho_m = random_density(rng, 3)
-        rho = DensityMatrix(system_operator(rho_m, (3, 2)))
-        out = expectation(system_operator(o, (3, 2)), rho)
-        assert out == pytest.approx(complex(np.trace(o @ rho_m)))
 
 
 class TestBasisNormalization:
@@ -259,6 +236,12 @@ class TestBasisNormalization:
         hb_nan = np.diag([0.0, np.nan])
         with pytest.raises(NonHermitianInput):
             make_model(np.eye(2), hb_nan, np.zeros((4, 4)), np.eye(2) / 2, np.eye(2) / 2)
+
+    def test_non_finite_coupling_rejected(self):
+        """The exact evolution checks the total Hamiltonian, where a NaN coupling first appears."""
+        m = hb.two_qubit(0.25).model.with_coupling(np.nan)
+        with pytest.raises(NonHermitianInput, match="total Hamiltonian"):
+            heisenberg_evolve_exact(m, system_operator(np.eye(2), (2, 2)), 0.5)
 
     def test_non_diagonal_bath_hamiltonian_is_rotated(self):
         """Physics is invariant under the loader's rotation to the H_B eigenbasis."""

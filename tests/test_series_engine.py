@@ -31,7 +31,6 @@ from heisenbath.superop import (
     _one_point_rhs,
     _one_point_values,
     _P_full,
-    free_evolved,
     image_from_one_point,
     image_from_value,
     invert_one_point,
@@ -86,7 +85,7 @@ def test_sandwiches_match_einsum(engine_model, n, t):
     e = m.bath_energies / m.constants.hbar
     cov = np.zeros_like(heis)
     cov[1:] = np.tile(1j * (e[:, None] - e[None, :]), (ks.dim_system,) * 2) * heis[1:] + m.hi.mat @ heis[:-1]
-    a = free_evolved(obs, ks, t)
+    a = ks.frame.free_conjugate(obs, t)
     frame, kstack = ks.frame, ks.frame_stack(ks.row(t))
     derived = frame.leave_open(_P_full(n, frame.enter(a), kstack))
     assert _close(_blocks(ks, derived), einsum_P_blocks(n, a, fams))
@@ -153,12 +152,12 @@ def test_batched_one_point_matches_per_time_and_einsum(engine_model, order):
     for k, t in enumerate(ks.grid.points):
         single = one_point_value(obs, trunc, ks, m.rho_b, float(t))
         kstack = _blocks(ks, ks.heis_stack(t))
-        ref = einsum_one_point(free_evolved(obs, ks, t), kstack, m.rho_b.mat, order, LAM, hbar)
+        ref = einsum_one_point(ks.frame.free_conjugate(obs, t), kstack, m.rho_b.mat, order, LAM, hbar)
         assert _close(traj.values[k], single)
         assert _close(traj.values[k], ref)
     off = one_point_value(obs, trunc, ks, m.rho_b, OFF_GRID_TIME)
     kstack = _blocks(ks, ks.heis_stack(OFF_GRID_TIME))
-    ref = einsum_one_point(free_evolved(obs, ks, OFF_GRID_TIME), kstack, m.rho_b.mat, order, LAM, hbar)
+    ref = einsum_one_point(ks.frame.free_conjugate(obs, OFF_GRID_TIME), kstack, m.rho_b.mat, order, LAM, hbar)
     assert _close(off, ref)
 
 

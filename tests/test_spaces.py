@@ -1,31 +1,20 @@
-"""Tensor products, traces, exponentials and the global index convention."""
+"""The global index convention, the tagged bath trace and the validation of
+tagged operators, density matrices, constants and time grids."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from heisenbath.errors import DimensionError, InvalidDensityMatrix, NonHermitianInput
+from heisenbath.errors import DimensionError, InvalidDensityMatrix
 from heisenbath.spaces import (
     Constants,
     DensityMatrix,
-    OperatorMatrix,
-    Space,
-    SpaceTag,
     TimeGrid,
     bath_operator,
-    commutator,
     full_operator,
-    matrix_exponential_unitary,
-    partial_trace_bath,
     system_operator,
-    tensor_product,
     weighted_bath_trace,
 )
-from helpers import random_hermitian, random_density
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+from helpers import random_density
 
 
 def test_index_convention():
@@ -33,7 +22,7 @@ def test_index_convention():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    full = tensor_product(system_operator(a, (2, 3)), bath_operator(b, (2, 3)))
+    full = full_operator(np.kron(a, b), (2, 3))
     d_b = 3
     for i in range(2):
         for j in range(2):
@@ -42,67 +31,13 @@ def test_index_convention():
                     assert full.mat[i * d_b + al, j * d_b + be] == pytest.approx(a[i, j] * b[al, be])
 
 
-class TestTensorProduct:
-    def test_identity(self):
-        out = tensor_product(system_operator(np.eye(2), (2, 2)), bath_operator(np.eye(2), (2, 2)))
-        assert np.array_equal(out.mat, np.eye(4))
-
-    def test_sigma_x_block_form(self):
-        out = tensor_product(system_operator(SX, (2, 2)), bath_operator(np.eye(2), (2, 2)))
-        expected = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
-        assert np.allclose(out.mat, expected)
-
-    def test_random_against_double_loop(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        out = tensor_product(system_operator(a, (2, 3)), bath_operator(b, (2, 3))).mat
-        brute = np.zeros((6, 6), dtype=complex)
-        for i in range(2):
-            for al in range(3):
-                for j in range(2):
-                    for be in range(3):
-                        brute[i * 3 + al, j * 3 + be] = a[i, j] * b[al, be]
-        assert np.allclose(out, brute)
-
-    def test_tag_mismatch(self):
-        with pytest.raises(DimensionError):
-            tensor_product(system_operator(np.eye(2), (2, 2)), system_operator(np.eye(2), (2, 2)))
-        with pytest.raises(DimensionError):
-            tensor_product(system_operator(np.eye(2), (2, 2)), bath_operator(np.eye(3), (2, 3)))
-
-
-class TestPartialTrace:
-    def test_identity(self):
-        out = partial_trace_bath(full_operator(np.eye(6), (2, 3)))
-        assert np.allclose(out.mat, 3 * np.eye(2))
-
-    def test_factorized(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        full = tensor_product(system_operator(a, (2, 3)), bath_operator(b, (2, 3)))
-        assert np.allclose(partial_trace_bath(full).mat, np.trace(b) * a)
-
-    def test_random_against_index_loop(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        out = partial_trace_bath(full_operator(x, (2, 3))).mat
-        brute = np.zeros((2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for al in range(3):
-                    brute[i, j] += x[i * 3 + al, j * 3 + al]
-        assert np.allclose(out, brute)
-
-
 class TestWeightedBathTrace:
     def test_factorized(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho = DensityMatrix(bath_operator(random_density(rng, 3), (2, 3)))
-        full = tensor_product(system_operator(a, (2, 3)), bath_operator(b, (2, 3)))
+        full = full_operator(np.kron(a, b), (2, 3))
         out = weighted_bath_trace(full, rho).mat
         assert np.allclose(out, np.trace(b @ rho.mat) * a)
 
@@ -136,51 +71,6 @@ class TestWeightedBathTrace:
             + 2.5 * weighted_bath_trace(full_operator(y, (2, 3)), rho).mat
         )
         assert np.allclose(lhs, rhs, atol=1e-14)
-
-
-class TestMatrixExponential:
-    def test_zero(self):
-        out = matrix_exponential_unitary(system_operator(np.zeros((2, 2)), (2, 2)), 1.3)
-        assert np.allclose(out.mat, np.eye(2))
-
-    def test_diagonal(self):
-        e = np.array([0.5, -1.7])
-        out = matrix_exponential_unitary(system_operator(np.diag(e), (2, 2)), 0.9, hbar=2.0)
-        assert np.allclose(out.mat, np.diag(np.exp(-1j * e * 0.9 / 2.0)))
-
-    def test_random_against_scipy(self):
-        rng = np.random.default_rng(12)
-        h = random_hermitian(rng, 4)
-        out = matrix_exponential_unitary(OperatorMatrix(h, SpaceTag(Space.FULL, 2, 2)), 0.37)
-        assert np.allclose(out.mat, scipy.linalg.expm(-1j * h * 0.37), atol=1e-12)
-
-    def test_unitarity_roundtrip(self):
-        rng = np.random.default_rng(13)
-        h = system_operator(random_hermitian(rng, 3), (3, 2))
-        fwd = matrix_exponential_unitary(h, 2.1).mat
-        bwd = matrix_exponential_unitary(h, -2.1).mat
-        assert np.max(np.abs(fwd @ bwd - np.eye(3))) < 1e-8
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
-            matrix_exponential_unitary(system_operator([[0, 1], [0, 0]], (2, 2)), 1.0)
-
-
-class TestCommutator:
-    def test_self(self):
-        a = system_operator(SX, (2, 2))
-        assert np.allclose(commutator(a, a).mat, 0)
-
-    def test_pauli_algebra(self):
-        out = commutator(system_operator(SX, (2, 2)), system_operator(SY, (2, 2)))
-        assert np.allclose(out.mat, 2j * SZ)
-
-    def test_random(self):
-        rng = np.random.default_rng(14)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        out = commutator(system_operator(a, (3, 2)), system_operator(b, (3, 2)))
-        assert np.allclose(out.mat, a @ b - b @ a)
 
 
 class TestValidation:

@@ -7,14 +7,13 @@ import heisenbath as hb
 from heisenbath.diagnostics import fit_slope
 from heisenbath.errors import DimensionError, OrderExceedsKernels
 from heisenbath.dyson import compute_kernels
-from heisenbath.images import contract_with_bath, identity_family, to_image_family
+from heisenbath.images import ImageFamily, contract_with_bath, to_image_family
 from heisenbath.oracle import heisenberg_evolve_exact, npoint_reduced_exact
 from heisenbath.spaces import TimeGrid, system_operator, weighted_bath_trace
 from heisenbath.superop import (
     SeriesTruncation,
     apply_P_S,
     apply_P_ab,
-    free_evolved,
     image_from_value,
     invert_one_point,
     one_point_operator,
@@ -36,7 +35,7 @@ class TestApplyP:
         rng = np.random.default_rng(0)
         a = random_hermitian(rng, 2)
         fam = apply_P_ab(0, a, 0.9, ks)
-        expected = identity_family(2, 2).blocks * 0
+        expected = ImageFamily(np.eye(4), 2).blocks * 0
         idx = np.arange(2)
         expected[idx, idx] = a
         assert np.allclose(fam.blocks, expected)
@@ -116,7 +115,7 @@ class TestSandwichConvention:
         from heisenbath.superop import _P_full
 
         stack = ks.heis_stack(t)
-        b = free_evolved(obs, ks, t)
+        b = ks.frame.free_conjugate(obs, t)
         exact = to_image_family(
             heisenberg_evolve_exact(m.with_coupling(lam), system_operator(obs, (2, 3)), t)
         ).matrix
@@ -136,7 +135,7 @@ class TestOnePoint:
         m, obs, ks = random_model_2x3
         t = 1.2
         val = one_point_value(obs, SeriesTruncation(2, 0.0), ks, m.rho_b, t)
-        assert np.allclose(val, free_evolved(obs, ks, t), atol=1e-13)
+        assert np.allclose(val, ks.frame.free_conjugate(obs, t), atol=1e-13)
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5])
     def test_two_qubit_second_order_closed_form(self, c):
@@ -195,7 +194,7 @@ class TestInversion:
             trunc = SeriesTruncation(2, lam)
             val = one_point_value(obs, trunc, ks, m.rho_b, t)
             back = invert_one_point(val, trunc, ks, m.rho_b, t)
-            errs.append(np.max(np.abs(back - free_evolved(obs, ks, t))))
+            errs.append(np.max(np.abs(back - ks.frame.free_conjugate(obs, t))))
         assert fit_slope(LAMBDAS, errs) >= 2.8
 
     def test_two_qubit_roundtrip_returns_observable(self, two_qubit_quarter):
@@ -216,7 +215,7 @@ class TestImageFromOnePoint:
         trunc = SeriesTruncation(2, 0.0)
         val = one_point_value(obs, trunc, ks, m.rho_b, t)
         fam = image_from_value(val, trunc, ks, m.rho_b, t)
-        free = free_evolved(obs, ks, t)
+        free = ks.frame.free_conjugate(obs, t)
         for a in range(3):
             for b in range(3):
                 assert np.allclose(fam.blocks[a, b], free if a == b else 0, atol=1e-13)
