@@ -53,7 +53,7 @@ from .markov import (
 from .model import ModelSpec, make_model
 from .presets import PRESETS
 from .spaces import TimeGrid, herm_defect, system_operator
-from .superop import SeriesTruncation, one_point_operator, star_product, trajectory_value
+from .superop import SeriesTruncation, one_point_operator, star_of_observables, trajectory_value
 
 FLOAT_FMT = "%.17g"
 KERNEL_CAP = 6  # highest truncation order a run may ask for
@@ -61,6 +61,19 @@ VALIDATE_DIM_CAP = 512  # largest full-space dimension d_s * d_b a validate run 
 INLINE_COUPLING = 0.1  # coupling of an inline model whose config names none
 # libyaml's parser where PyYAML was built with it, about 6x faster on a config
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# the fields each config section allows; any other key is a config error naming it
+FIELDS = {
+    "": ("model", "run", "truncation", "grid", "observables", "output", "npoint", "markov", "validate"),
+    "model": ("h0", "hb", "hi", "rho0", "rho_b", "hbar"),  # an inline model; a preset takes its own parameters
+    "truncation": ("order", "lambda"),
+    "grid": ("points", "stop", "num"),
+    "observables.<name>": ("matrix", "times"),
+    "output": ("path", "format"),
+    "npoint": ("factors",),
+    "npoint.factors[k]": ("observable", "time"),
+    "markov": ("horizon", "decay_threshold", "j_horizon", "j_tolerance", "eta"),
+    "validate": ("seed", "d_s", "d_b"),
+}
 
 
 @dataclass
@@ -98,12 +111,16 @@ def parse_number(value, path: str, kind=float):
     raise ParseError(f"{path}: expected {want}, got {reprlib.repr(value)}")
 
 
-def _mapping(value, path: str) -> dict:
-    """A config section that must be a mapping; absent or null reads as empty."""
+def _mapping(value, path: str, fields: tuple[str, ...] | None) -> dict:
+    """A config section that must be a mapping of the given ``fields`` (None: any
+    names); absent or null reads as empty."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ParseError(f"{path}: expected a mapping, got {reprlib.repr(value)}")
+    for key in value:
+        if fields is not None and key not in fields:
+            _fail(f"{path}.{key}" if path else str(key), f"unknown field; expected one of {list(fields)}")
     return value
 
 
@@ -135,9 +152,7 @@ def parse_matrix(rows, path: str) -> np.ndarray:
 
 
 def _build_model(section, path: str):
-    if not isinstance(section, dict):
-        _fail(path, "expected a mapping")
-    if "preset" in section:
+    if isinstance(section, dict) and "preset" in section:
         name = section["preset"]
         if name not in PRESETS:
             _fail(f"{path}.preset", f"unknown preset {reprlib.repr(name)}; available: {sorted(PRESETS)}")
@@ -149,6 +164,7 @@ def _build_model(section, path: str):
         except ValueError as exc:
             _fail(f"{path}.preset", str(exc))
         return preset.model, dict(preset.observables)
+    section = _mapping(section, path, FIELDS["model"])
     required = ("h0", "hb", "hi", "rho0", "rho_b")
     missing = [k for k in required if k not in section]
     if missing:
@@ -183,8 +199,8 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
     try:
         with open(path) as fh:
             raw = yaml.load(fh, Loader=YAML_LOADER)
-    except FileNotFoundError as exc:
-        raise ParseError(f"config file not found: {path}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParseError(f"could not read config file {path}: {exc.strerror}") from exc
     except (yaml.YAMLError, RecursionError) as exc:  # a deep nesting overflows the parser
         raise ParseError(f"could not parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -192,9 +208,10 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
     for key, value in (flags or {}).items():
         section, _, name = key.rpartition(".")
         if section:
-            raw[section] = {**_mapping(raw.get(section), section), name: value}
+            raw[section] = {**_mapping(raw.get(section), section, FIELDS[section]), name: value}
         else:
             raw[name] = value
+    _mapping(raw, "", FIELDS[""])
 
     run = raw.get("run")
     if run not in RUN_MODES:
@@ -202,7 +219,7 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
 
     model, preset_obs = _build_model(raw.get("model", {}), "model")
 
-    tr_raw = _mapping(raw.get("truncation"), "truncation")
+    tr_raw = _mapping(raw.get("truncation"), "truncation", FIELDS["truncation"])
     order = parse_number(tr_raw.get("order", 2), "truncation.order", int)
     if not 0 <= order <= KERNEL_CAP:
         _fail("truncation.order", f"must lie in [0, {KERNEL_CAP}] (the kernel cap), got {order}")
@@ -210,7 +227,7 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
     model = model.with_coupling(lam)
     truncation = SeriesTruncation(order, lam)
 
-    grid_raw = _mapping(raw.get("grid"), "grid")
+    grid_raw = _mapping(raw.get("grid"), "grid", FIELDS["grid"])
     if "points" in grid_raw:
         try:
             points = [
@@ -231,9 +248,9 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
             _fail("grid", f"stop={stop}, num={num}: {exc}")
 
     observables = {}
-    obs_raw = _mapping(raw.get("observables"), "observables")
+    obs_raw = _mapping(raw.get("observables"), "observables", None)
     for name, spec in obs_raw.items():
-        spec = _mapping(spec, f"observables.{name}")
+        spec = _mapping(spec, f"observables.{name}", FIELDS["observables.<name>"])
         if "matrix" in spec:
             mat = parse_matrix(spec["matrix"], f"observables.{name}.matrix")
         elif name in preset_obs:
@@ -248,14 +265,14 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
                 parse_number(t, f"observables.{name}.times[{k}]")
                 for k, t in enumerate(_sequence(times, f"observables.{name}.times"))
             ]
-            beyond = [t for t in times if t < 0 or t > grid.stop]
-            if beyond:
-                _fail(f"observables.{name}.times", f"outside the grid [0, {grid.stop}]: {beyond}")
+            negative = [t for t in times if t < 0]
+            if negative:
+                _fail(f"observables.{name}.times", f"negative times {negative}; the grid starts at 0")
         observables[name] = (mat, times)
     if not observables and run in ("one_point", "n_point", "image_exact", "lindblad"):
         _fail("observables", "at least one observable is required for this run mode")
 
-    out_raw = _mapping(raw.get("output"), "output")
+    out_raw = _mapping(raw.get("output"), "output", FIELDS["output"])
     output_path = str(out_raw.get("path", "results.csv"))
     if not output_path:
         _fail("output.path", "must be a non-empty path")
@@ -265,11 +282,11 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
 
     npoint_factors = []
     if run == "n_point":
-        factors = _mapping(raw.get("npoint"), "npoint").get("factors")
+        factors = _mapping(raw.get("npoint"), "npoint", FIELDS["npoint"]).get("factors")
         if not factors:
             _fail("npoint.factors", "n_point runs need a list of {observable, time} entries")
         for k, f in enumerate(_sequence(factors, "npoint.factors")):
-            f = _mapping(f, f"npoint.factors[{k}]")
+            f = _mapping(f, f"npoint.factors[{k}]", FIELDS["npoint.factors[k]"])
             name = f.get("observable")
             if name not in observables:
                 _fail(f"npoint.factors[{k}].observable", f"unknown observable {reprlib.repr(name)}")
@@ -280,14 +297,14 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
 
     markov = {}
     if run in ("lindblad", "markov_report"):
-        mk_raw = _mapping(raw.get("markov"), "markov")
+        mk_raw = _mapping(raw.get("markov"), "markov", FIELDS["markov"])
         horizon = parse_number(mk_raw.get("horizon", max(grid.stop, 1.0)), "markov.horizon")
         defaults = {"horizon": horizon, "decay_threshold": 0.025, "j_horizon": horizon, "j_tolerance": 0.1, "eta": 0.0}
         markov = {key: parse_number(mk_raw.get(key, d), f"markov.{key}") for key, d in defaults.items()}
 
     validate = {}
     if run == "validate":
-        va_raw = _mapping(raw.get("validate"), "validate")
+        va_raw = _mapping(raw.get("validate"), "validate", FIELDS["validate"])
         for key, default, low in (("seed", 0, 0), ("d_s", 2, 1), ("d_b", 3, 1)):
             validate[key] = parse_number(va_raw.get(key, default), f"validate.{key}", int)
             if validate[key] < low:
@@ -378,19 +395,12 @@ def _run_one_point(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_n_point(cfg: ExperimentConfig) -> list[dict]:
-    times = [t for _, t in cfg.npoint_factors]
-    stop = max(max(times), cfg.grid.stop)
-    grid = cfg.grid if cfg.grid.stop >= max(times) else TimeGrid.linspace(stop, max(len(cfg.grid), 2))
-    ks = compute_kernels(cfg.model, cfg.truncation.order, grid)
-    trajs = {
-        name: one_point_operator(mat, cfg.truncation, ks, cfg.model.rho_b, grid, name)
-        for name, (mat, _) in cfg.observables.items()
-    }
-    factors = [(trajs[name], t) for name, t in cfg.npoint_factors]
-    star = star_product(factors, ks, cfg.model.rho_b)
+    ks = compute_kernels(cfg.model, cfg.truncation.order, cfg.grid)
+    legs = [(cfg.observables[name][0], t) for name, t in cfg.npoint_factors]
+    star = star_of_observables(legs, cfg.truncation, ks, cfg.model.rho_b)
     label = "star:" + "*".join(f"{name}@{FLOAT_FMT % t}" for name, t in cfg.npoint_factors)
     rows: list[dict] = []
-    _matrix_rows(rows, max(times), label, star.mat)
+    _matrix_rows(rows, max(t for _, t in legs), label, star)
     return rows
 
 
@@ -514,7 +524,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     rows = RUNNERS[cfg.run](cfg)
     failing = [r for r in rows if r["status"] != "pass"] if cfg.run == "validate" else []
     _check_finite(rows)
-    write_rows(rows, cfg.output_path, cfg.output_format)
+    try:
+        write_rows(rows, cfg.output_path, cfg.output_format)
+    except OSError as exc:  # a directory, or a path under a regular file
+        _fail("output.path", f"could not write {cfg.output_path}: {exc.strerror}")
     if failing:
         detail = "; ".join(_describe_failure(r) for r in failing)
         print(f"validation defects exceeded thresholds: {detail}", file=sys.stderr)
@@ -571,6 +584,9 @@ def main(argv=None) -> int:
         return 2
     except (HeisenbathError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
     if status == 0:
         print(f"wrote {cfg.output_path}")

@@ -19,13 +19,13 @@ computes the exponential's first block row by Pade-13 scaling and squaring
 (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179) with products that are
 truncated block convolutions.  The row is propagated as
 ``R(t + dt) = R(t) exp(dt M)``, one GEMM against the step matrix assembled
-from its blocks, and an off-grid time is reached exactly from the grid
-point at or below it.  A grid's steps share one ``S = exp(hM)`` at a median
-step ``h``: steps that differ from ``h`` only by rounding (``linspace``)
-use ``S + (dt - h) S M``, whose neglected term ``O(((dt - h)|M|)^2)`` lies
-below double precision; any other step gets its own exponential
-(`propagate_rows`, which the Lindblad evolution shares with a one-block
-generator).
+from its blocks, and an off-grid time, past the last point included, is
+reached exactly from the grid point below it.  A grid's steps share one
+``S = exp(hM)`` at a median step ``h``: steps that differ from ``h`` only by
+rounding (``linspace``) use ``S + (dt - h) S M``, whose neglected term
+``O(((dt - h)|M|)^2)`` lies below double precision; any other step gets its
+own exponential (`propagate_rows`, which the Lindblad evolution shares with
+a one-block generator).
 Nested quadrature survives only as a test oracle.
 
 All of this happens in the H0 eigenbasis, where ``F`` is diagonal, and so does
@@ -224,11 +224,12 @@ def propagate_rows(first: np.ndarray, gen: np.ndarray, points: np.ndarray) -> np
 
 
 class KernelSet:
-    """Time-ordered kernels of all orders up to ``orders`` on a grid.
+    """Time-ordered kernels of all orders up to ``orders`` at every ``t >= 0``.
 
     It holds the rows ``R(t) = (E[0], ..., E[n_max])`` at the grid points
-    and does not change after construction; every stack is computed from a
-    row on request.  ``tilde_at(n, t)`` returns the interaction-picture family
+    and does not change after construction; `row` reaches an off-grid time,
+    the last point included, and every stack is computed from a row on
+    request.  ``tilde_at(n, t)`` returns the interaction-picture family
     ``Ktilde[n](t)`` in the original basis; ``heis_at(n, t)`` returns the
     Heisenberg-frame kernels ``K[n]_ab(t) = exp(+i(E_a-E_b)t/hbar) U0^dag Ktilde U0``.
     The stacks behind them hold orders ``0..n_max`` as full-space matrices,
@@ -263,14 +264,13 @@ class KernelSet:
     # -- rows and stacks ----------------------------------------------------
 
     def row(self, t: float) -> np.ndarray:
-        """``R(t)``: stored at grid points, one exact step from the point below elsewhere."""
+        """``R(t)`` at any ``t >= 0``: stored at grid points, one exact step from the
+        grid point below at an off-grid time, the last point included."""
         k = self.grid.index(t)
         if k is not None:
             return self._rows[k]
-        if not (-1e-12 <= t <= self.grid.stop * (1 + 1e-12) + 1e-12):
-            raise OrderExceedsKernels(
-                f"kernels were computed on [0, {self.grid.stop!r}] but t={t!r} was requested"
-            )
+        if not t >= -1e-12:  # NaN included
+            raise OrderExceedsKernels(f"kernels start at t = 0 but t={t!r} was requested")
         pts = self.grid.points
         k = max(int(np.searchsorted(pts, t, side="right")) - 1, 0)
         return self._rows[k] @ toeplitz_dense(toeplitz_expm((t - pts[k]) * self._gen))
@@ -329,7 +329,8 @@ class KernelSet:
 
 
 def compute_kernels(m: ModelSpec, n_max: int, grid: TimeGrid) -> KernelSet:
-    """Kernels of orders 0..``n_max`` at every point of ``grid``."""
+    """Kernels of orders 0..``n_max``, stored at every point of ``grid`` and
+    reached at any other ``t >= 0`` by `KernelSet.row`."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     return KernelSet(m, n_max, grid)

@@ -29,15 +29,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import _blockops
-from .dyson import KernelSet, compute_kernels
+from .dyson import KernelSet
 from .images import ImageFamily
 from .model import ModelSpec
-from .spaces import DensityMatrix, OperatorMatrix, TimeGrid, as_matrix, system_operator
+from .spaces import DensityMatrix, OperatorMatrix, as_matrix, system_operator
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
@@ -194,16 +193,6 @@ def expand_image_by_partitions(
     return ImageFamily(words.image(n_max), ks.dim_bath, t)
 
 
-def _ensure_kernels(
-    m: ModelSpec, trunc: SeriesTruncation, times: Sequence[float], ks: KernelSet | None
-) -> KernelSet:
-    if ks is not None:
-        return ks
-    stop = max(float(t) for t in times)
-    grid = TimeGrid(np.array([0.0, stop]) if stop > 0 else np.array([0.0]))
-    return compute_kernels(m, trunc.order, grid)
-
-
 def irreducible_2pt(
     m: ModelSpec,
     o1,
@@ -211,10 +200,9 @@ def irreducible_2pt(
     t1: float,
     t2: float,
     trunc: SeriesTruncation,
-    ks: KernelSet | None = None,
+    ks: KernelSet,
 ) -> OperatorMatrix:
     """Second-order cumulant ``(O1(t1) O2(t2))_S - O1S(t1) O2S(t2)``."""
-    ks = _ensure_kernels(m, trunc, (t1, t2), ks)
     values, lifted = _lift_legs(((o1, t1), (o2, t2)), trunc, ks, m.rho_b)
     return system_operator(_cumulant_2pt(values, lifted, m.rho_b), _system_tag(ks))
 
@@ -254,7 +242,7 @@ def decompose_3pt(
     t2: float,
     t3: float,
     trunc: SeriesTruncation,
-    ks: KernelSet | None = None,
+    ks: KernelSet,
 ) -> ThreePointDecomposition:
     """Disconnected, pairwise-wired and irreducible parts of a 3-point operator.
 
@@ -264,7 +252,6 @@ def decompose_3pt(
     The irreducible part is the third-order cumulant, so the five components
     sum to the full star product identically.
     """
-    ks = _ensure_kernels(m, trunc, (t1, t2, t3), ks)
     values, lifted = _lift_legs(((o1, t1), (o2, t2), (o3, t3)), trunc, ks, m.rho_b)
     return _decompose_3pt(values, lifted, ks, m.rho_b)
 

@@ -12,11 +12,13 @@ import pytest
 import yaml
 
 from heisenbath import cli
+from heisenbath.dyson import compute_kernels
 from heisenbath.errors import NonFiniteResult, ParseError, ValidationError
 from heisenbath.images import contract_with_bath, evolve_images_exact
 from heisenbath.markov import evolve_lindblad
 from heisenbath.model import make_model
 from heisenbath.spaces import TimeGrid, system_operator
+from heisenbath.superop import one_point_value, star_of_observables
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -185,6 +187,33 @@ class TestRunModes:
             assert cli.main(["run", str(path)]) == 0
             written.append(out.read_bytes())
         assert written[0] == written[1]
+
+    def test_n_point_factor_past_the_stop_reads_its_grid(self, tmp_path):
+        """A factor at 0.9 on the grid [0, 0.1, 0.5] is read from that grid's kernels."""
+        factors = [{"observable": "s1x", "time": 0.9}, {"observable": "s1x", "time": 0.4}]
+        path = write_config(tmp_path, run="n_point", grid={"points": [0, 0.1, 0.5]}, npoint={"factors": factors})
+        assert cli.main(["run", str(path)]) == 0
+        cfg = cli.load_config(str(path))
+        ks = compute_kernels(cfg.model, cfg.truncation.order, cfg.grid)
+        s1x = cfg.observables["s1x"][0]
+        star = star_of_observables([(s1x, 0.9), (s1x, 0.4)], cfg.truncation, ks, cfg.model.rho_b)
+        rows = read_rows(tmp_path / "out.csv")
+        assert len(rows) == 4
+        for r in rows:
+            assert complex(float(r["re"]), float(r["im"])) == star[int(r["row"]), int(r["col"])]
+
+    def test_one_point_times_between_on_and_past_the_grid(self, tmp_path):
+        """``times`` on the grid [0, 1]: 0.33 between its points, 1.0 on its stop
+        and 1.4 past it; each row is `one_point_value` at its time."""
+        path = write_config(tmp_path, grid={"stop": 1.0, "num": 2}, observables={"s1x": {"times": [0.33, 1.0, 1.4]}})
+        assert cli.main(["run", str(path)]) == 0
+        cfg = cli.load_config(str(path))
+        ks = compute_kernels(cfg.model, cfg.truncation.order, cfg.grid)
+        rows = read_rows(tmp_path / "out.csv")
+        assert [float(r["time"]) for r in rows[::4]] == [0.33, 1.0, 1.4]
+        for r in rows:
+            value = one_point_value(cfg.observables["s1x"][0], cfg.truncation, ks, cfg.model.rho_b, float(r["time"]))
+            assert complex(float(r["re"]), float(r["im"])) == value[int(r["row"]), int(r["col"])]
 
     def test_image_exact_mode(self, tmp_path):
         path = write_config(tmp_path, run="image_exact", grid={"stop": 1.0, "num": 3})
@@ -504,13 +533,33 @@ class TestExitCodes:
                                                           {"observable": "s1x", "time": -0.4}]}},
                 "npoint.factors[1].time",
             ),
+            ({"observables": {"s1x": {"times": [0.5, -0.4]}}}, "observables.s1x.times"),
+            ({"truncation": {"ordr": 5}}, "truncation.ordr"),
+            ({"bogus": 1}, "bogus"),
+            ({"model": dict(INLINE_EXCHANGE, lam=0.3), "observables": {"o": {"matrix": [[1, 0], [0, -1]]}}}, "model.lam"),
+            ({"observables": {"o": {"matrix": []}}}, "observables.o.matrix"),
+            ({"observables": {"o": {"matrix": [[1, 2]]}}}, "observables.o.matrix"),
+            ({"model": {"preset": "two_qubit", "foo": 1}}, "model.preset"),
+            ({"model": {"preset": "two_qubit", "c": 2}}, "model.preset"),
+            ({"model": {"h0": INLINE_QUBIT_PAIR["h0"]}}, "model"),
+            ({"grid": {"points": [0, 0]}}, "grid.points"),
+            ({"grid": {"points": [1, 2]}}, "grid.points"),
+            ({"observables": {"zz": {}}}, "observables.zz"),
+            ({"output": {"path": ""}}, "output.path"),
+            ({"output": {"format": "JSON"}}, "output.format"),
+            ({"run": "n_point"}, "npoint.factors"),
+            ({"run": "n_point", "npoint": {"factors": [{"observable": "zz", "time": 0.5}]}}, "npoint.factors[0].observable"),
         ],
         ids=[
             "order_word", "order_negative", "preset_lam_word", "preset_lam_nan",
             "preset_splitting_inf", "preset_hbar_nan", "preset_splitting_word",
             "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan",
             "validate_seed_negative", "validate_d_s_zero", "validate_d_b_zero", "validate_dims_over_cap",
-            "factor_time_negative",
+            "factor_time_negative", "times_negative", "truncation_unknown_key", "top_level_unknown_key",
+            "inline_model_unknown_key", "matrix_empty", "matrix_not_square", "preset_unknown_parameter",
+            "preset_c_out_of_range", "inline_model_incomplete", "points_repeated", "points_not_from_zero",
+            "observable_without_matrix", "output_path_empty", "output_format_upper", "npoint_missing",
+            "factor_unknown_observable",
         ],
     )
     def test_bad_scalar_is_2(self, tmp_path, capsys, overrides, field):
@@ -527,8 +576,9 @@ class TestExitCodes:
             ({"run": "n_point", "npoint": {"factors": ["s1x"]}}, "npoint.factors[0]"),
             ({"truncation": 3}, "truncation"),
             ({"grid": [1, 2]}, "grid"),
+            ({"model": 3}, "model"),
         ],
-        ids=["observable_scalar", "times_scalar", "factor_string", "truncation_scalar", "grid_list"],
+        ids=["observable_scalar", "times_scalar", "factor_string", "truncation_scalar", "grid_list", "model_scalar"],
     )
     def test_bad_section_shape_is_2(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, **overrides)
@@ -536,6 +586,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{field}: expected a" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("case", ["config_directory", "config_list", "output_directory", "output_under_file"])
+    def test_file_system_error_is_2(self, tmp_path, capsys, case):
+        """A config path that is a directory or holds a YAML list, and an
+        ``output.path`` that is a directory or lies under a regular file: exit 2
+        naming the path or the field, no traceback and no file left behind."""
+        folder, plain = tmp_path / "folder", tmp_path / "plain.yaml"
+        folder.mkdir()
+        plain.write_text("- 1\n")  # a regular file, and a config whose top level is a list
+        outputs = {"output_directory": folder, "output_under_file": plain / "out.csv"}
+        if case in outputs:
+            config, field = write_config(tmp_path, output={"path": str(outputs[case])}), "output.path"
+        else:
+            config = field = str(folder if case == "config_directory" else plain)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_out_of_memory_is_3(self, tmp_path, capsys):
+        """A grid of 10^15 points asks numpy for 7 PiB, which it refuses at
+        once: exit 3, no traceback and no file."""
+        path = write_config(tmp_path, grid={"stop": 1.0, "num": 10**15})
+        assert cli.main(["run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: out of memory" in err and "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
 
     def test_preset_list(self, capsys):

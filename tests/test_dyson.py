@@ -190,10 +190,16 @@ class TestKernels:
         uncorrected = got[2] @ expm(h * gen)
         assert np.max(np.abs(got[3] - uncorrected)) > 1e-10  # the correction is not rounding
 
-    def test_time_outside_grid_rejected(self, two_qubit_quarter):
-        _, ks = two_qubit_quarter
-        with pytest.raises(OrderExceedsKernels):
-            ks.tilde_at(1, 5.0)
+    def test_time_past_the_stop_steps_from_the_last_row(self):
+        """A time past the grid's stop is the row of the grid extended to it,
+        bit for bit; a negative or NaN time still has no kernels."""
+        m = _random_spec(9, 2, 3)
+        ks = compute_kernels(m, 3, TimeGrid(np.array([0.0, 0.5, 1.0])))
+        extended = compute_kernels(m, 3, TimeGrid(np.array([0.0, 0.5, 1.0, 1.3])))
+        assert np.array_equal(ks.row(1.3), extended.row(1.3))
+        for t in (-0.1, float("nan")):
+            with pytest.raises(OrderExceedsKernels):
+                ks.row(t)
 
     def test_order_beyond_cap_rejected(self, two_qubit_quarter):
         _, ks = two_qubit_quarter

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-import heisenbath as hb
 from heisenbath.diagnostics import fit_slope
 from heisenbath.images import contract_with_bath
 from heisenbath.npoint import (
@@ -196,14 +195,6 @@ class TestIrreducible2pt:
             ex2 = weighted_bath_trace(heisenberg_evolve_exact(ml, o_op, t2), m.rho_b).mat
             errs.append(np.max(np.abs(pert - (ex12 - ex1 @ ex2))))
         assert fit_slope(LAMBDAS, errs) >= 2.8
-
-    def test_builds_own_kernels_when_missing(self):
-        preset = hb.two_qubit(0.25)
-        out = irreducible_2pt(
-            preset.model, preset.observables["s1x"], preset.observables["s1x"], 0.3, 0.7,
-            SeriesTruncation(1, 0.1),
-        )
-        assert out.mat.shape == (2, 2)
 
 
 class TestDecompose3pt:
