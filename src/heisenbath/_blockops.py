@@ -10,9 +10,12 @@ GEMMs: a system operator acts as ``A (x) 1_B`` (`kron_identity`), which on
 the right of ``X`` multiplies every block by ``A`` (`system_lift`); the k
 terms are then one ``(D, kD) @ (kD, D)`` product (`sandwich_sum`), and
 `bath_trace` contracts the result with the bath state.  All three carry
-leading axes, such as the coupling axis of a coupling sweep; `system_lift`
-and `sandwich_sum` give each leading index the GEMM a lone operator would
-get.
+leading axes, broadcast against each other: the coupling axis of a
+coupling sweep, the leg axis of a lift at several times (one kernel stack
+per leg), the suffixes of one length in a partition sum.  `system_lift`
+and `sandwich_sum` give each leading index the GEMM a lone operator and
+lone stack would get, so a batched call returns the bits of its lone
+calls.
 """
 
 from __future__ import annotations
@@ -37,38 +40,41 @@ def kron_identity(value: np.ndarray, db: int) -> np.ndarray:
 
 
 def system_lift(stack: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``X (A (x) 1_B)`` for every matrix ``X`` of a stack ``(k, D, D)``.
+    """``X (A (x) 1_B)`` for every matrix ``X`` of stacks ``(..., k, D, D)``.
 
-    Every block ``X_ab`` times the system operator ``a``: the stack is
+    Every block ``X_ab`` times the system operator ``a``: each stack is
     copied once into block layout, whose last axis is the column system
-    index, so the product is one ``(rows, d_S) @ (d_S, d_S)`` GEMM.  Leading
-    axes of ``a`` (one operator per coupling, ``(..., d_S, d_S)``) lead the
-    result, ``(..., k, D, D)``: the stack is laid out once and multiplied by
-    each operator, one GEMM of the same shape apiece.
+    index, so the product is one ``(rows, d_S) @ (d_S, d_S)`` GEMM per
+    stack and operator.  The leading axes of the stack and of ``a``
+    (``(..., d_S, d_S)``: one operator per coupling, say) broadcast and lead
+    the result, ``(..., k, D, D)``; a stack shared by several operators is
+    laid out once.
     """
-    k, d, _ = stack.shape
-    *lead, ds, _ = a.shape
+    *slead, k, d, _ = stack.shape
+    *alead, ds, _ = a.shape
     db = d // ds
-    n = len(lead)
-    # (k, i, a, j, b) -> (..., k, a, b, i, j) and back
-    lifted = stack.reshape(k, ds, db, ds, db).transpose(0, 2, 4, 1, 3).reshape(-1, ds) @ a
+    lead = np.broadcast_shapes(tuple(slead), tuple(alead))
+    n, s = len(lead), len(slead)
+    # (..., k, i, a, j, b) -> (..., k, a, b, i, j) and back
+    laid = stack.reshape(*slead, k, ds, db, ds, db).transpose(*range(s), s, s + 2, s + 4, s + 1, s + 3)
+    lifted = laid.reshape(*slead, -1, ds) @ a
     back = (*range(n), n, n + 3, n + 1, n + 4, n + 2)
     return lifted.reshape(*lead, k, db, db, ds, ds).transpose(back).reshape(*lead, k, d, d)
 
 
 def sandwich_sum(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """``sum_k L_k R_k^dag`` of matrix stacks ``(..., k, D, D)`` and ``(k, D, D)``.
+    """``sum_k L_k R_k^dag`` of matrix stacks ``(..., k, D, D)``, leading axes broadcast.
 
     Each operand is laid out once as the ``(D, kD)`` matrix
     ``[X_0 | ... | X_(k-1)]``, so the sum is a single
-    ``(D, kD) @ (kD, D)`` product per leading index of ``lefts``, all
-    against the one laid-out ``rights``.
+    ``(D, kD) @ (kD, D)`` product per leading index; ``rights`` with fewer
+    leading axes is laid out once for all of them.
     """
     *lead, k, d, _ = lefts.shape
     n = len(lead)
     left = lefts.transpose(*range(n), n + 1, n, n + 2).reshape(*lead, d, k * d)
-    right = np.conj(rights.transpose(1, 0, 2), order="C").reshape(d, k * d)
-    return left @ right.T
+    right = np.conj(rights.swapaxes(-3, -2), order="C").reshape(*rights.shape[:-3], d, k * d)
+    return left @ right.swapaxes(-1, -2)
 
 
 def bath_trace(full: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -77,7 +83,10 @@ def bath_trace(full: np.ndarray, rho: np.ndarray) -> np.ndarray:
     Leading axes are carried; this is ``sum_ab X_ab rho_B[b, a]`` over the
     blocks of ``X``.  Written as the transpose, reshape and `np.dot` that
     ``np.tensordot(x, rho, ([-3, -1], [1, 0]))`` performs, without its
-    argument handling; a `matmul` could take another BLAS path.
+    argument handling; a `matmul` could take another BLAS path.  Every
+    entry is one row of a single matrix-vector product, so a stack gets the
+    bits of its matrices one at a time, except at ``d_S = 1``: there a lone
+    matrix is a single row, which numpy sends to a dot product instead.
     """
     db = rho.shape[0]
     *lead, d, _ = full.shape

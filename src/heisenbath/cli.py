@@ -304,14 +304,19 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
 
     validate = {}
     if run == "validate":
+        # an error that cannot scale with the coupling has no slope to fit: a
+        # one-dimensional system makes every series exact, and at order 0 the
+        # series inversion is the identity, so their errors sit at rounding
         va_raw = _mapping(raw.get("validate"), "validate", FIELDS["validate"])
-        for key, default, low in (("seed", 0, 0), ("d_s", 2, 1), ("d_b", 3, 1)):
+        for key, default, low in (("seed", 0, 0), ("d_s", 2, 2), ("d_b", 3, 1)):
             validate[key] = parse_number(va_raw.get(key, default), f"validate.{key}", int)
             if validate[key] < low:
                 _fail(f"validate.{key}", f"must be >= {low}, got {validate[key]}")
         d_s, d_b = validate["d_s"], validate["d_b"]
         if d_s * d_b > VALIDATE_DIM_CAP:
             _fail("validate.d_s * validate.d_b", f"{d_s} * {d_b} exceeds the full-space cap {VALIDATE_DIM_CAP}")
+        if order < 1:
+            _fail("truncation.order", f"a validate run needs order >= 1, got {order}")
 
     return ExperimentConfig(
         model=model,

@@ -8,17 +8,20 @@ order slip through.  Identity-type checks (cancellation, dual bookkeeping,
 decomposition sum) are asserted at rounding level instead.
 
 The rows of one suite read their series quantities from one `SeriesResults`
-built from the suite's model, observable, kernels and coupling sweep.  The
-series engine carries a leading coupling axis, so the object lifts every
-distinct ``(order, t)`` once for all couplings of the sweep (one-point
-values, then their series inversions and image families) and expands
-every partition sum once; the one-point, image, roundtrip, star,
-cumulant, bookkeeping and decomposition rows all read these results, and
-the local-RHS row evaluates its RHS and its ``t +- step`` values for the
-whole sweep in one call each.  Every coupling gets the bits the
-one-coupling functions of `superop` give it.  The cumulant and
-decomposition arithmetic is `npoint`'s, applied to the shared legs.  The
-object lives for one suite call and holds no state beyond it.
+built from the suite's model, observable, kernels, coupling sweep and
+times.  The series engine carries a leading coupling axis and a leading
+leg axis, so the object lifts every suite time ``(t1, t2, t)`` of an order
+in one call for all couplings of the sweep (one-point values, then their
+series inversions and image families) and expands every partition sum
+once, each suffix length of it in one batched call; the one-point, image,
+roundtrip, star, cumulant, bookkeeping and decomposition rows all read
+these results, and the local-RHS row evaluates its RHS and its ``t +-
+step`` values for the whole sweep in one call each.  The exact references
+come from one `evolve_exact` call for the whole sweep (`exact_sweep`).
+Every coupling and time gets the bits the one-coupling, one-time functions
+of `superop` give it.  The cumulant and decomposition arithmetic is
+`npoint`'s, applied to the shared legs.  The object lives for one suite
+call and holds no state beyond it.
 """
 
 from __future__ import annotations
@@ -64,39 +67,44 @@ def random_model(seed: int, d_s: int, d_b: int, hbar: float = 1.0) -> tuple[Mode
 
 
 def fit_slope(lams, errors) -> float:
-    """Least-squares slope of log10(error) against log10(lambda)."""
+    """Least-squares slope of log10(error) against log10(lambda), in closed form:
+    ``sum (x - mean x)(y - mean y) / sum (x - mean x)^2``."""
     x = np.log10(np.asarray(lams, dtype=float))
     y = np.log10(np.maximum(np.asarray(errors, dtype=float), 1e-300))
-    return float(np.polyfit(x, y, 1)[0])
+    dx = x - x.mean()
+    return float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
 
 
-def exact_sweep(m: ModelSpec, obs, times, lams) -> list[np.ndarray]:
-    """Exact full-space ``O(t)`` at ``times`` for each coupling in ``lams``.
+def exact_sweep(m: ModelSpec, obs, times, lams) -> np.ndarray:
+    """Exact full-space ``O(t)`` at ``times`` for each coupling in ``lams``,
+    shape ``(len(lams), len(times), D, D)``.
 
-    One `evolve_exact` call, so one eigendecomposition, per coupling; each
-    entry has shape ``(len(times), D, D)``.  The ``exact`` argument of an
-    ``*_errors`` helper is this sweep at the helper's own times.
+    One `evolve_exact` call for the whole sweep: one free Hamiltonian and one
+    batched eigendecomposition.  The ``exact`` argument of an ``*_errors``
+    helper is this sweep at the helper's own times.
     """
-    o_op = system_operator(obs, (m.dim_system, m.dim_bath))
-    return [evolve_exact(m.with_coupling(lam), [o_op], times) for lam in lams]
+    return evolve_exact(m, [system_operator(obs, (m.dim_system, m.dim_bath))], times, lams)
 
 
 class SeriesResults:
     """Series quantities of one model, observable and kernel set over a coupling sweep.
 
-    ``lams`` is the sweep.  Every result holds all of its couplings, computed
-    by one call of the series engine: lifts are keyed by ``(order, t)``, and
-    each time's kernel row is fetched once.  Each method computes its result
-    on first request and returns the same arrays to every later one, so
-    callers must not write into them.  The arithmetic
-    of each coupling is the series layer's, so a row reads the same bits
-    from a shared object as from a fresh one, and from a sweep as from its
-    couplings one at a time.
+    ``lams`` is the sweep and ``times`` the times lifted together.  Every
+    result holds all of its couplings, computed by one call of the series
+    engine: lifts are keyed by ``(order, t)``, a lift at one of ``times``
+    lifts all of them at that order (a leg each), and each time's kernel
+    row is fetched once.  Each method computes its result on first request
+    and returns the same arrays to every later one, so callers must not
+    write into them.  The arithmetic of each coupling and leg is the series
+    layer's, so a row reads the same bits from a shared object as from a
+    fresh one, from a sweep as from its couplings one at a time, and from
+    several legs as from each time alone.
     """
 
-    def __init__(self, m: ModelSpec, obs, ks: KernelSet, lams=DEFAULT_LAMBDAS):
+    def __init__(self, m: ModelSpec, obs, ks: KernelSet, lams=DEFAULT_LAMBDAS, times=()):
         self.m, self.obs, self.ks = m, _obs_matrix(obs), ks
         self.lams = tuple(dict.fromkeys(float(lam) for lam in lams))
+        self.times = tuple(dict.fromkeys(float(t) for t in times))
         self.row = functools.cache(ks.row)  # the kernel row at a time
         self._lifts: dict = {}
         self._partitions: dict = {}
@@ -109,12 +117,13 @@ class SeriesResults:
 
     def _lift(self, order: int, t: float) -> tuple[np.ndarray, np.ndarray, list[ImageFamily]]:
         t = float(t)
-        key = (order, t)
-        if key not in self._lifts:
-            ks = self.ks
-            values, inverses, families = _lift_observable(self.obs, order, self.lams, ks, self.m.rho_b, self.row(t))
-            self._lifts[key] = (values, inverses, [ImageFamily(f, ks.dim_bath, t) for f in families])
-        return self._lifts[key]
+        if (order, t) not in self._lifts:
+            legs = self.times if t in self.times else (t,)
+            rows = np.stack([self.row(s) for s in legs])
+            lifted = _lift_observable(self.obs, order, self.lams, self.ks, self.m.rho_b, rows)
+            for s, values, inverses, families in zip(legs, *lifted):
+                self._lifts[order, s] = (values, inverses, [ImageFamily(f, self.ks.dim_bath, s) for f in families])
+        return self._lifts[order, t]
 
     def lift(self, order: int, lam: float, t: float) -> tuple[np.ndarray, ImageFamily]:
         """One-point value at ``t`` and the image family the series inversion lifts it to."""
@@ -230,8 +239,8 @@ def validation_suite(
     m, obs = random_model(seed, d_s, d_b)
     grid = TimeGrid.linspace(1.5 * t, 7)
     ks = compute_kernels(m, max(order, 3), grid)
-    series = SeriesResults(m, obs, ks, (*lams, DEFECT_LAMBDA))
     t1, t2, t3 = 0.4 * t, 0.8 * t, t
+    series = SeriesResults(m, obs, ks, (*lams, DEFECT_LAMBDA), (t1, t2, t3))
     exact = exact_sweep(m, obs, (t1, t2, t3), lams)
     at_t = [x[2:] for x in exact]
     at_t1_t2 = [x[:2] for x in exact]

@@ -283,11 +283,13 @@ class KernelSet:
 
     def frame_stack(self, row: np.ndarray) -> np.ndarray:
         """The kernels in the H0 eigenbasis, ``S[n] = E[n] E[0]^-1 = V^dag K[n] V``
-        with ``V = v0 (x) 1_B`` and ``E[0] = exp(iFt)`` diagonal; ``S[0] = 1``."""
-        d = self.dim_system * self.dim_bath
-        out = np.empty((self.orders + 1, d, d), dtype=complex)
-        np.divide(row.reshape(d, self.orders + 1, d).transpose(1, 0, 2), np.diagonal(row), out=out)
-        out[0] = np.eye(d)
+        with ``V = v0 (x) 1_B`` and ``E[0] = exp(iFt)`` diagonal; ``S[0] = 1``.
+        Rows ``(..., D, (n_max + 1) D)`` give stacks ``(..., n_max + 1, D, D)``."""
+        *lead, d, _ = row.shape
+        out = np.empty((*lead, self.orders + 1, d, d), dtype=complex)
+        e0 = np.diagonal(row, axis1=-2, axis2=-1)[..., None, None, :]
+        np.divide(row.reshape(*lead, d, self.orders + 1, d).swapaxes(-3, -2), e0, out=out)
+        out[..., 0, :, :] = np.eye(d)
         return out
 
     def frame_derivative(self, stack: np.ndarray) -> np.ndarray:

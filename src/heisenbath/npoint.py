@@ -18,7 +18,11 @@ ends with it.  Pair 1's open word is linear in its core, so it runs once
 per distinct first pair, on the sum of the inner values of the partitions
 that start with it.  Up to order 0..4 that is 1, 5, 15, 43 and 130
 full-space sandwiches, against 1, 7, 36, 164 and 700 one partition at a
-time.  Suffixes are deliberately not merged by total order: that sum is
+time.  The sandwiches are batched, never merged: all suffixes of one
+length are wrapped in one batched sandwich and one `bath_trace`, and the
+open words of all first pairs in one more, so a sum through order n makes
+n + 1 calls, and each suffix and word keeps the bits of its lone
+sandwich.  Suffixes are deliberately not merged by total order: that sum is
 the super-operator series inversion itself, and the partition sum would
 then no longer be an independent check of it.  The words are formed on
 the kernels in the H0 eigenbasis (`KernelSet.frame_stack`), and an image
@@ -104,13 +108,16 @@ def _partitions(n: int, k_max: int) -> tuple[EvenPartition, ...]:
 class _PartitionWords:
     """Operator words of partitions at one time, each distinct inner chain evaluated once.
 
-    `inner` is the value of a suffix (pairs 2..k): the one-point value
-    wrapped innermost first with kernel slot ``n_i`` on the left and the
-    adjoint of slot ``m_i`` on the right, each pair contracted with
-    ``rho_B[b_i, a_i]`` and weighted by ``-i^(n_i - m_i) (lam/hbar)^(n_i + m_i)``.
-    It depends on nothing but the suffix, so it is held per suffix tuple
-    for the life of the object.  `open_word` applies pair 1, bath indices
-    open, in full space; it is linear in its core.
+    The inner value of a suffix (pairs 2..k) is the one-point value wrapped
+    innermost first with kernel slot ``n_i`` on the left and the adjoint of
+    slot ``m_i`` on the right, each pair contracted with ``rho_B[b_i, a_i]``
+    and weighted by ``-i^(n_i - m_i) (lam/hbar)^(n_i + m_i)``.  It depends on
+    nothing but the suffix, so it is held per suffix tuple for the life of
+    the object.  `wrap` forms the missing suffixes one length at a time,
+    each length in one batched sandwich and one `bath_trace`; `open_words`
+    applies pair 1, bath indices open, in full space, to every given first
+    pair in one batched sandwich.  Each suffix and word gets the bits of its
+    lone sandwich.
     """
 
     def __init__(
@@ -122,34 +129,49 @@ class _PartitionWords:
         self.x = trunc.lam / ks.frame.constants.hbar
         self.inner_values: dict[tuple[tuple[int, int], ...], np.ndarray] = {(): ks.frame.enter(value)}
 
-    def _weight(self, n_i: int, m_i: int) -> complex:
-        return 1j ** (n_i - m_i) * self.x ** (n_i + m_i)
+    def _weights(self, pairs) -> np.ndarray:
+        return np.array([1j ** (n_i - m_i) * self.x ** (n_i + m_i) for n_i, m_i in pairs])[:, None, None]
 
-    def _sandwich(self, n_i: int, m_i: int, core: np.ndarray) -> np.ndarray:
-        # full-space K[n_i] (core (x) 1_B) K[m_i]^dag, one GEMM
-        left = _blockops.system_lift(self.kstack[n_i : n_i + 1], core)
-        return _blockops.sandwich_sum(left, self.kstack[m_i : m_i + 1])
+    def _sandwiches(self, pairs, cores: np.ndarray) -> np.ndarray:
+        # full-space K[n_i] (core_i (x) 1_B) K[m_i]^dag for every pair, one GEMM apiece
+        n, m = np.array(pairs).T
+        return _blockops.sandwich_sum(_blockops.system_lift(self.kstack[n, None], cores), self.kstack[m, None])
 
-    def inner(self, suffix: tuple[tuple[int, int], ...]) -> np.ndarray:
-        hit = self.inner_values.get(suffix)
-        if hit is None:
-            (n_i, m_i), rest = suffix[0], suffix[1:]
-            core = -self._weight(n_i, m_i) * self.inner(rest)
-            hit = _blockops.bath_trace(self._sandwich(n_i, m_i, core), self.rho)
-            self.inner_values[suffix] = hit
-        return hit
+    def wrap(self, suffixes) -> list[np.ndarray]:
+        """The inner values of ``suffixes``, forming each missing suffix and the
+        missing suffixes it ends with, shortest first."""
+        levels: dict[int, dict] = {}
+        for suffix in suffixes:
+            while suffix not in self.inner_values and suffix not in levels.get(len(suffix), ()):
+                levels.setdefault(len(suffix), {})[suffix] = None
+                suffix = suffix[1:]
+        for length in sorted(levels):
+            todo = list(levels[length])
+            firsts = [suffix[0] for suffix in todo]
+            cores = -self._weights(firsts) * np.stack([self.inner_values[suffix[1:]] for suffix in todo])
+            self.inner_values.update(zip(todo, _blockops.bath_trace(self._sandwiches(firsts, cores), self.rho)))
+        return [self.inner_values[suffix] for suffix in suffixes]
 
-    def open_word(self, pair: tuple[int, int], core: np.ndarray) -> np.ndarray:
-        return self._sandwich(*pair, self._weight(*pair) * core)
+    def open_words(self, pairs, cores: np.ndarray) -> np.ndarray:
+        """Pair 1's word ``(n_1, m_1)`` on each core ``(n_pairs, d_S, d_S)``, in the frame."""
+        return self._sandwiches(pairs, self._weights(pairs) * cores)
 
     def image(self, n_max: int) -> np.ndarray:
-        """The partition sum over all orders ``n <= n_max``, out of the frame."""
-        cores: dict[tuple[int, int], np.ndarray] = {}
+        """The partition sum over all orders ``n <= n_max``, out of the frame.
+
+        The core of each first pair sums the inner values of the partitions
+        that start with it, in partition order, and the words are summed in
+        order of first appearance.
+        """
+        follow: dict[tuple[int, int], list] = {}
         for n in range(n_max + 1):
             for p in _partitions(n, n + 1):
-                first = p.pairs[0]
-                cores[first] = cores.get(first, 0) + self.inner(p.pairs[1:])
-        return self.frame.leave_open(sum(self.open_word(pair, core) for pair, core in cores.items()))
+                follow.setdefault(p.pairs[0], []).append(p.pairs[1:])
+        inner = np.stack(self.wrap([suffix for suffixes in follow.values() for suffix in suffixes]))
+        ends = np.cumsum([len(suffixes) for suffixes in follow.values()]).tolist()
+        # with d_S >= 2 a reduction over the leading axis adds its terms in order (`np.add.reduceat` does not)
+        cores = np.stack([np.add.reduce(inner[a:b]) for a, b in zip([0, *ends], ends)])
+        return self.frame.leave_open(np.add.reduce(self.open_words(list(follow), cores)))
 
 
 def assemble_partition_term(
@@ -169,7 +191,7 @@ def assemble_partition_term(
     """
     ks.check_order(p.total)
     words = _PartitionWords(as_matrix(o_s_value), trunc, ks, rho_b, ks.row(t))
-    word = words.open_word(p.pairs[0], words.inner(p.pairs[1:]))
+    word = words.open_words([p.pairs[0]], np.stack(words.wrap([p.pairs[1:]])))[0]
     return ImageFamily(ks.frame.leave_open(word), ks.dim_bath, t)
 
 

@@ -4,7 +4,8 @@ Everything here is computed by full-space eigendecomposition, with no
 approximation of any kind: these functions are the ground truth that every
 perturbative module is tested against.  `evolve_exact` is the package's one
 diagonalisation of the total Hamiltonian; every other exact result (single
-times, grids, N-point products, the validation references) is one call to it.
+times, grids, N-point products, the validation references) is one call to it,
+and a coupling sweep is one call with one batched eigendecomposition.
 """
 
 from __future__ import annotations
@@ -27,18 +28,17 @@ from .spaces import (
 )
 
 
+def _free_hamiltonian(m: ModelSpec) -> np.ndarray:
+    """The coupling-free part ``H0 (x) 1 + 1 (x) H_B`` on the full space."""
+    return np.kron(m.h0.mat, np.eye(m.dim_bath)) + np.kron(np.eye(m.dim_system), m.hb.mat)
+
+
 def total_hamiltonian(m: ModelSpec) -> OperatorMatrix:
     """``H0 (x) 1 + 1 (x) H_B + lambda * H_I`` on the full space."""
-    d_s, d_b = m.dim_system, m.dim_bath
-    mat = (
-        np.kron(m.h0.mat, np.eye(d_b))
-        + np.kron(np.eye(d_s), m.hb.mat)
-        + m.constants.lam * m.hi.mat
-    )
-    return full_operator(mat, m.hi.tag)
+    return full_operator(_free_hamiltonian(m) + m.constants.lam * m.hi.mat, m.hi.tag)
 
 
-def evolve_exact(m: ModelSpec, observables: Sequence[OperatorMatrix], times) -> np.ndarray:
+def evolve_exact(m: ModelSpec, observables: Sequence[OperatorMatrix], times, lams=None) -> np.ndarray:
     """``U(t)^dag (o (x) 1_B) U(t)`` at every time, shape ``(n_t, D, D)``.
 
     ``observables`` holds one system observable per time, or one for all
@@ -48,19 +48,29 @@ def evolve_exact(m: ModelSpec, observables: Sequence[OperatorMatrix], times) -> 
     The full ``o (x) 1_B`` and this order fix the rounding of every exact
     reference; a cheaper form changes it, and with it the validation slopes
     whose smallest errors sit at the rounding floor.
+
+    With a coupling sweep ``lams`` in place of the model's own coupling the
+    result gains a leading coupling axis, ``(n_lam, n_t, D, D)``: the free
+    part of ``H`` is built once, each coupling's ``H`` is checked for
+    hermiticity, and one batched eigendecomposition serves them all.  Each
+    coupling gets the bits of a lone call on ``m.with_coupling(lam)``.
     """
     if any(o.tag.kind is not Space.SYSTEM for o in observables):
         raise DimensionError("initial observable must live on the system space")
-    h = total_hamiltonian(m).mat
-    if not herm_defect(h) <= HERM_TOL:  # a NaN defect fails too
-        raise NonHermitianInput(f"total Hamiltonian is not hermitian (defect {herm_defect(h):.2e})")
+    sweep = [m.constants.lam] if lams is None else lams
+    h = _free_hamiltonian(m) + np.asarray(sweep, dtype=float)[:, None, None] * m.hi.mat
+    for defect in map(herm_defect, h):
+        if not defect <= HERM_TOL:  # a NaN defect fails too
+            raise NonHermitianInput(f"total Hamiltonian is not hermitian (defect {defect:.2e})")
     evals, vecs = np.linalg.eigh(h)
-    d = h.shape[0]
-    scaled = vecs * np.exp(-1j * evals * np.asarray(times, dtype=float)[:, None] / m.constants.hbar)[:, None, :]
-    u = (scaled.reshape(-1, d) @ vecs.conj().T).reshape(-1, d, d)
+    n_lam, d, _ = h.shape
+    phases = np.exp(-1j * evals[:, None, :] * np.asarray(times, dtype=float)[:, None] / m.constants.hbar)
+    scaled = vecs[:, None] * phases[..., None, :]
+    u = (scaled.reshape(n_lam, -1, d) @ vecs.conj().swapaxes(-1, -2)).reshape(n_lam, -1, d, d)
     o_full = _blockops.kron_identity(np.stack([o.mat for o in observables]), m.dim_bath)
     # a contiguous adjoint keeps the batched product on BLAS
-    return (np.conj(u.swapaxes(-1, -2), order="C") @ o_full) @ u
+    out = (np.conj(u.swapaxes(-1, -2), order="C") @ o_full) @ u
+    return out[0] if lams is None else out
 
 
 def heisenberg_evolve_exact(m: ModelSpec, o0: OperatorMatrix, t: float) -> OperatorMatrix:

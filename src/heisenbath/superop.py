@@ -35,11 +35,15 @@ one GEMM per order stacked over a whole grid (`_one_point_values`).
 
 The engine (`_one_point_values`, `_lift_observable`, `_lift_values`,
 `_one_point_rhs`) takes a sequence of couplings and the kernel rows of its
-times, and returns one result per coupling on a leading axis; the public
-functions are that engine called with the one coupling of their truncation
-and the row of their time, fetched once.  Each coupling's arithmetic is
-the same either way, so a sweep returns the bits of its couplings one at a
-time; the weights ``(lam/hbar)^j`` are Python-float powers for that reason.
+times, and returns one result per coupling on a leading axis.  The lifts
+(`_lift_observable`, `_lift_values`, `_inverted_series`) also take several
+times at once: a leading leg axis, one kernel row and so one frame stack
+per leg, so a caller that holds several times (the validation suite) lifts
+them all in one call.  The public functions are that engine called with
+the one coupling of their truncation and the row of their one time,
+fetched once.  Each item's arithmetic is the same either way, so a batch
+returns the bits of its items one at a time; the weights ``(lam/hbar)^j``
+are Python-float powers for that reason.
 """
 
 from __future__ import annotations
@@ -98,9 +102,11 @@ def _P_full(n: int, a: np.ndarray, kstack: np.ndarray) -> np.ndarray:
 
     With the adjoint stack ``kstack.conj().swapaxes(-1, -2)`` it is the
     sandwich as displayed, ``sum_r i^(n-2r) K[n-r]^dag (A (x) 1_B) K[r]``.
+    The leading axes of ``kstack`` ``(..., n_max + 1, D, D)`` and ``a``
+    ``(..., d_S, d_S)`` broadcast.
     """
-    lefts = _padded_powers(n)[:, None, None] * _blockops.system_lift(kstack[n::-1], a)
-    return _blockops.sandwich_sum(lefts, kstack[: n + 1])
+    lefts = _padded_powers(n)[:, None, None] * _blockops.system_lift(kstack[..., n::-1, :, :], a)
+    return _blockops.sandwich_sum(lefts, kstack[..., : n + 1, :, :])
 
 
 def _P_frame(n: int, a, t: float, ks: KernelSet) -> tuple[np.ndarray, np.ndarray]:
@@ -211,51 +217,57 @@ def trajectory_value(o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatri
 
 
 def _inverted_series(
-    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, kstack: np.ndarray
+    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, kstacks: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """``inv[m] = (1 + sum lam^n P_S[n])^{-1} value`` truncated at order m, m = 0..order.
 
-    ``values`` holds one one-point value per coupling, ``(n_lam, d_S, d_S)``;
-    the recursion runs in the frame of ``kstack`` (`KernelSet.frame_stack`),
-    and each ``inv[m]`` is returned there.  Uses ``inv[m] = value -
-    sum_{j=1}^m (lam/hbar)^j P_S[j] inv[m-j]``, which resums the multinomial
-    expansion with total-order truncation.  Also returns the open-index sum
-    ``sum_{j=1}^order (lam/hbar)^j P[j] inv[order-j]`` of the last step as
-    full-space matrices ``(n_lam, D, D)``, which is the image family minus its
-    order-zero term ``inv[order] (x) 1_B``, and its bath contraction (both
-    zero at order 0).
+    ``values`` holds one one-point value per leg and coupling,
+    ``(n_leg, n_lam, d_S, d_S)``, and ``kstacks`` the frame stack of each
+    leg's time (`KernelSet.frame_stack`), ``(n_leg, n_max + 1, D, D)``; the
+    recursion runs in that frame, and each ``inv[m]`` is returned there.
+    Uses ``inv[m] = value - sum_{j=1}^m (lam/hbar)^j P_S[j] inv[m-j]``, which
+    resums the multinomial expansion with total-order truncation.  Also
+    returns the open-index sum ``sum_{j=1}^order (lam/hbar)^j P[j]
+    inv[order-j]`` of the last step as full-space matrices
+    ``(n_leg, n_lam, D, D)``, which is the image family minus its order-zero
+    term ``inv[order] (x) 1_B``, and its bath contraction (both zero at
+    order 0).
     """
     hbar = ks.frame.constants.hbar
     entered = ks.frame.enter(values)
+    kstacks = kstacks[:, None]  # each leg's stack serves all of its couplings
     inv = [entered]
-    opened = np.zeros((len(lams), *kstack.shape[1:]), dtype=complex)
+    opened = np.zeros((*values.shape[:-2], *kstacks.shape[-2:]), dtype=complex)
     traced = np.zeros(entered.shape, dtype=complex)
     for m in range(1, order + 1):
-        opened = sum(_weights(lams, j, hbar) * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
+        opened = sum(_weights(lams, j, hbar) * _P_full(j, inv[m - j], kstacks) for j in range(1, m + 1))
         traced = _blockops.bath_trace(opened, rho_b.mat)
         inv.append(entered - traced)
     return inv, opened, traced
 
 
 def _lift_values(
-    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, row: np.ndarray
+    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The series inversions ``inv[order]`` of one-point values, one per coupling,
-    and their image families ``(n_lam, D, D)``, from the kernel row at their time.
-    Only the corrections to the order-zero term leave the frame."""
+    """The series inversions ``inv[order]`` of one-point values ``(n_leg, n_lam,
+    d_S, d_S)``, one per leg and coupling, and their image families ``(n_leg,
+    n_lam, D, D)``, from the kernel rows of the legs' times ``(n_leg, D,
+    (n_max + 1) D)``.  Only the corrections to the order-zero term leave the
+    frame."""
     ks.check_order(order)
-    _, opened, traced = _inverted_series(values, order, lams, ks, rho_b, ks.frame_stack(row))
+    _, opened, traced = _inverted_series(values, order, lams, ks, rho_b, ks.frame_stack(rows))
     inverses = values - ks.frame.leave(traced)
     return inverses, ks.frame.leave_open(opened) + _blockops.kron_identity(inverses, ks.dim_bath)
 
 
 def _lift_observable(
-    o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, row: np.ndarray
+    o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-point values of an observable from the kernel row at their time, one per
-    coupling, with their inversions and image families (`_lift_values`)."""
-    values = _one_point_values(o, order, lams, ks, rho_b, row[None])[:, 0]
-    return (values, *_lift_values(values, order, lams, ks, rho_b, row))
+    """One-point values of an observable from the kernel rows of the legs' times,
+    ``(n_leg, n_lam, d_S, d_S)``, with their inversions and image families
+    (`_lift_values`)."""
+    values = _one_point_values(o, order, lams, ks, rho_b, rows).swapaxes(0, 1)
+    return (values, *_lift_values(values, order, lams, ks, rho_b, rows))
 
 
 def invert_one_point(
@@ -266,7 +278,8 @@ def invert_one_point(
     t: float,
 ) -> np.ndarray:
     """Recover ``U0^dag O U0`` from a one-point value via the multinomial inverse."""
-    return _lift_values(_obs_matrix(o_s_value)[None], trunc.order, (trunc.lam,), ks, rho_b, ks.row(t))[0][0]
+    value = _obs_matrix(o_s_value)[None, None]
+    return _lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])[0][0, 0]
 
 
 def image_from_value(
@@ -282,8 +295,9 @@ def image_from_value(
     the order-by-order cancellation that returns the one-point value under
     bath contraction holds only with total-order truncation.
     """
-    _, families = _lift_values(_obs_matrix(value)[None], trunc.order, (trunc.lam,), ks, rho_b, ks.row(t))
-    return ImageFamily(families[0], ks.dim_bath, t)
+    value = _obs_matrix(value)[None, None]
+    _, families = _lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])
+    return ImageFamily(families[0, 0], ks.dim_bath, t)
 
 
 def image_from_one_point(
@@ -291,18 +305,20 @@ def image_from_one_point(
 ) -> ImageFamily:
     """Image family of a one-point trajectory at time t."""
     value, row = _value_and_row(o_s, ks, rho_b, t)
-    _, families = _lift_values(value[None], o_s.truncation.order, (o_s.truncation.lam,), ks, rho_b, row)
-    return ImageFamily(families[0], ks.dim_bath, t)
+    trunc = o_s.truncation
+    _, families = _lift_values(value[None, None], trunc.order, (trunc.lam,), ks, rho_b, row[None])
+    return ImageFamily(families[0, 0], ks.dim_bath, t)
 
 
 def _lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix):
-    """One-point values and image families of ``(observable, time)`` legs, each leg's
-    kernel row fetched once."""
+    """One-point values and image families of ``(observable, time)`` legs, each leg
+    lifted alone from its kernel row, fetched once."""
     values, families = [], []
     for o, t in legs:
-        value, _, family = _lift_observable(_obs_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t)))
-        values.append(value[0])
-        families.append(ImageFamily(family[0], ks.dim_bath, float(t)))
+        row = ks.row(float(t))[None]
+        value, _, family = _lift_observable(_obs_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, row)
+        values.append(value[0, 0])
+        families.append(ImageFamily(family[0, 0], ks.dim_bath, float(t)))
     return values, families
 
 
@@ -378,11 +394,11 @@ def _one_point_rhs(
     hbar = ks.frame.constants.hbar
     kstack = ks.frame_stack(row)
     # the RHS needs inv[0..order-1] only: the last inversion step is never formed
-    inv = _inverted_series(values, max(order - 1, 0), lams, ks, rho_b, kstack)[0]
+    inv = _inverted_series(values[None], max(order - 1, 0), lams, ks, rho_b, kstack[None])[0]
     cov_stack = ks.frame_derivative(kstack)
     dressed = np.zeros(values.shape, dtype=complex)
     for n in range(1, order + 1):
-        dressed += _weights(lams, n, hbar) * _apply_DtP_S(n, inv[order - n], kstack, cov_stack, rho_b.mat)
+        dressed += _weights(lams, n, hbar) * _apply_DtP_S(n, inv[order - n][0], kstack, cov_stack, rho_b.mat)
     h0 = ks.model.h0.mat
     return (1j / hbar) * (h0 @ values - values @ h0) + ks.frame.leave(dressed)
 

@@ -73,6 +73,38 @@ def einsum_one_point(b, kstack, rho, order, lam, hbar=1.0):
     )
 
 
+def recursive_partition_image(value, n_max, lam, ks, rho, t):
+    """The partition sum of `heisenbath.npoint.expand_image_by_partitions` with
+    every suffix wrapped by its own sandwich, recursively, and every first
+    pair's word formed alone: the per-suffix evaluation that the batched one
+    must reproduce bit for bit."""
+    from heisenbath import _blockops
+    from heisenbath.npoint import enumerate_even_partitions
+
+    kstack = ks.frame_stack(ks.row(t))
+    x = lam / ks.frame.constants.hbar
+    inner = {(): ks.frame.enter(value)}
+
+    def weight(n_i, m_i):
+        return 1j ** (n_i - m_i) * x ** (n_i + m_i)
+
+    def sandwich(n_i, m_i, core):
+        left = _blockops.system_lift(kstack[n_i : n_i + 1], core)
+        return _blockops.sandwich_sum(left, kstack[m_i : m_i + 1])
+
+    def wrap(suffix):
+        if suffix not in inner:
+            (n_i, m_i), rest = suffix[0], suffix[1:]
+            inner[suffix] = _blockops.bath_trace(sandwich(n_i, m_i, -weight(n_i, m_i) * wrap(rest)), rho)
+        return inner[suffix]
+
+    cores = {}
+    for n in range(n_max + 1):
+        for p in enumerate_even_partitions(n, n + 1):
+            cores[p.pairs[0]] = cores.get(p.pairs[0], 0) + wrap(p.pairs[1:])
+    return ks.frame.leave_open(sum(sandwich(*pair, weight(*pair) * core) for pair, core in cores.items()))
+
+
 # -- line-pair reference for the collapsed Lindblad generator --------------------
 # The adjoint Lindblad RHS summed over every pair of Bohr lines, as written in
 # the paper, kept only to check the collapsed form in `heisenbath.markov`.

@@ -67,3 +67,31 @@ def test_engine_products_match_explicit_full_space_matrices():
     assert stacked.shape == (k, ds, ds)
     for n in range(k):
         assert np.allclose(stacked[n], _blockops.bath_trace(lefts[n], rho))
+
+
+@pytest.mark.parametrize("ds,db", [(2, 2), (2, 3), (3, 2), (4, 8)])
+def test_batched_calls_equal_lone_calls(ds, db):
+    """Stacks with a leading axis (one per leg or partition suffix) against
+    operators with one or two leading axes (legs, then couplings): every
+    index gets the bits of its lone `system_lift`, `sandwich_sum` and
+    `bath_trace`."""
+    rng = np.random.default_rng(ds * 10 + db + 7)
+    d, k, legs, lams = ds * db, 3, 4, 2
+    stacks = random_stack(rng, (legs, k, d, d))
+    rights = random_stack(rng, (legs, k, d, d))
+    per_leg = random_stack(rng, (legs, ds, ds))
+    per_leg_and_coupling = random_stack(rng, (legs, lams, ds, ds))
+    rho = random_stack(rng, (db, db))
+    lifted = _blockops.system_lift(stacks, per_leg)
+    summed = _blockops.sandwich_sum(lifted, rights)
+    traced = _blockops.bath_trace(summed, rho)
+    swept = _blockops.sandwich_sum(_blockops.system_lift(stacks[:, None], per_leg_and_coupling), rights[:, None])
+    assert lifted.shape == (legs, k, d, d) and swept.shape == (legs, lams, d, d)
+    for n in range(legs):
+        lone = _blockops.system_lift(stacks[n], per_leg[n])
+        assert np.array_equal(lifted[n], lone)
+        assert np.array_equal(summed[n], _blockops.sandwich_sum(lone, rights[n]))
+        assert np.array_equal(traced[n], _blockops.bath_trace(summed[n], rho))
+        for j in range(lams):
+            lone = _blockops.system_lift(stacks[n], per_leg_and_coupling[n, j])
+            assert np.array_equal(swept[n, j], _blockops.sandwich_sum(lone, rights[n]))

@@ -146,11 +146,14 @@ def test_markov_exit_code_contract(mode, horizon, j_horizon, decay_threshold, j_
 )
 @example(seed=-1, d_s=2, d_b=3, order=2)
 @example(seed=42, d_s=0, d_b=3, order=2)
+@example(seed=3, d_s=1, d_b=3, order=2)
+@example(seed=3, d_s=2, d_b=3, order=0)
 def test_validate_exit_code_contract(seed, d_s, d_b, order):
     """The validate mode with a fuzzed `validate` section and truncation order.
 
-    d_S = 1 or order 0 may exit 4 on slope fits at the rounding floor, and
-    order 3 exits 3 (the suite's kernels stop at order 3); neither is 1.
+    d_S < 2 and order 0 are configuration errors (their errors sit at
+    rounding for every coupling, so no slope can be fitted), and order 3
+    exits 3 (the suite's kernels stop at order 3); none of them is 1.
     """
     code, err, rows = _run(
         "validate_random.yaml",
@@ -158,8 +161,10 @@ def test_validate_exit_code_contract(seed, d_s, d_b, order):
         validate={"seed": seed, "d_s": d_s, "d_b": d_b},
     )
     _assert_contract(code, err, rows, ("value", "threshold"))
-    if seed < 0 or min(d_s, d_b) < 1:
+    if seed < 0 or d_s < 2 or d_b < 1:
         assert code == 2 and "validate." in err
+    elif order == 0:
+        assert code == 2 and "truncation.order" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,6 +4,8 @@ import collections
 
 import pytest
 
+import numpy as np
+
 from heisenbath import diagnostics, dyson, npoint, superop
 from heisenbath.diagnostics import (
     DEFAULT_LAMBDAS,
@@ -77,6 +79,32 @@ def test_validation_suite_makes_five_exponentials(monkeypatch):
     monkeypatch.setattr(dyson, "toeplitz_expm", lambda a: calls.append(1) or real(a))
     validation_suite(3, 2, 3, order=2)
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_suite_times_lift_in_one_call(monkeypatch, order):
+    """A lift at any of the suite times (t1, t2, t) lifts all three in one
+    engine call, and each time's value, inversion and family equal the lone
+    `_lift_observable` at that time bit for bit."""
+    m, obs = random_model(4, 3, 2)
+    ks = compute_kernels(m, 3, TimeGrid.linspace(1.65, 7))
+    times = (0.44, 0.88, 1.1)
+    calls = _record(monkeypatch, "_lift_observable", lambda o, order, lams, ks, rho_b, rows: len(rows))
+    series = SeriesResults(m, obs, ks, DEFAULT_LAMBDAS, times)
+    lifted = [(series.values(order, t), series.inverse(order, 0.01, t), series.lift(order, 0.01, t)[1]) for t in times]
+    assert calls == [3]
+    for t, (values, inverse, family) in zip(times, lifted):
+        lone = [x[0] for x in superop._lift_observable(series.obs, order, series.lams, ks, m.rho_b, ks.row(t)[None])]
+        assert np.array_equal(values, lone[0])
+        assert np.array_equal(inverse, lone[1][series.column(0.01)])
+        assert np.array_equal(family.matrix, lone[2][series.column(0.01)]) and family.time == t
+
+
+def test_column_outside_the_sweep_rejected():
+    m, obs = random_model(4, 2, 2)
+    series = SeriesResults(m, obs, compute_kernels(m, 1, TimeGrid.linspace(1.0, 3)), (0.1, 0.01))
+    with pytest.raises(KeyError, match="not in the sweep"):
+        series.column(0.5)
 
 
 @pytest.mark.parametrize("seed,d_s,d_b", [(3, 2, 3), (5, 3, 2)])

@@ -59,6 +59,11 @@ class TestInteractionImages:
 
 
 class TestKernels:
+    def test_negative_order_rejected(self, two_qubit_quarter):
+        preset, _ = two_qubit_quarter
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            compute_kernels(preset.model, -1, TimeGrid.linspace(1.0, 3))
+
     def test_order_zero_is_identity_family(self, two_qubit_quarter):
         _, ks = two_qubit_quarter
         for t in (0.0, 0.4, 1.9):

@@ -85,6 +85,13 @@ class TestEnumeration:
             EvenPartition(((1, 0), (0, 0)))
         with pytest.raises(ValueError):
             EvenPartition(((-1, 2),))
+        with pytest.raises(ValueError, match="at least one pair"):
+            EvenPartition(())
+
+    @pytest.mark.parametrize("n,k_max", [(-1, 1), (2, 0)])
+    def test_invalid_enumeration_rejected(self, n, k_max):
+        with pytest.raises(ValueError, match="need n >= 0 and k_max >= 1"):
+            enumerate_even_partitions(n, k_max)
 
 
 def test_enumeration_is_a_fresh_list_of_shared_partitions():

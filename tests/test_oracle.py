@@ -10,6 +10,7 @@ from heisenbath.errors import DimensionError, IndexOutOfRange, NonHermitianInput
 from heisenbath.images import evolve_images_exact, to_image_family
 from heisenbath.model import make_model
 from heisenbath.oracle import (
+    evolve_exact,
     heisenberg_evolve_exact,
     npoint_reduced_exact,
     total_hamiltonian,
@@ -147,16 +148,18 @@ class TestNPointReduced:
 
 
 class TestOneDiagonalisation:
-    """Every exact result diagonalises the total Hamiltonian once per coupled model."""
+    """Every exact result diagonalises the total Hamiltonian once per coupled model,
+    and a coupling sweep diagonalises all of its models in one batched call."""
 
     @staticmethod
     def _count_full_eigh(monkeypatch, d):
+        """The number of ``d x d`` matrices in each `np.linalg.eigh` call on them."""
         calls = []
         eigh = np.linalg.eigh
 
         def counted(a, *args, **kwargs):
-            if np.shape(a) == (d, d):
-                calls.append(a)
+            if np.shape(a)[-2:] == (d, d):
+                calls.append(int(np.prod(np.shape(a)[:-2])))
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -165,7 +168,7 @@ class TestOneDiagonalisation:
     def test_validation_suite_once_per_coupling(self, monkeypatch):
         calls = self._count_full_eigh(monkeypatch, 6)
         validation_suite(3, 2, 3, order=2)
-        assert len(calls) == len(DEFAULT_LAMBDAS) == 4
+        assert calls == [len(DEFAULT_LAMBDAS)] == [4]
 
     def test_npoint_reduced_exact_once_for_all_factors(self, monkeypatch):
         """Three factors with different observables: one eigh, and the same
@@ -179,15 +182,34 @@ class TestOneDiagonalisation:
         expected = weighted_bath_trace(full_operator(expected, (2, 3)), m.rho_b).mat
         calls = self._count_full_eigh(monkeypatch, 6)
         out = npoint_reduced_exact(m, ops).mat
-        assert len(calls) == 1
+        assert calls == [1]
         assert np.max(np.abs(out - expected)) < 1e-13
+
+    def test_coupling_sweep_equals_one_call_per_coupling(self, monkeypatch):
+        """A sweep with a zero and a negative coupling, one observable per time:
+        one batched eigh, and every coupling bit for bit its lone call."""
+        m = _random_spec(18, d_s=3, d_b=2)
+        rng = np.random.default_rng(19)
+        obs = [system_operator(random_hermitian(rng, 3), (3, 2)) for _ in range(3)]
+        times, lams = (0.0, 0.44, 1.7), (0.1, 0.0, -0.03, 1e-4)
+        calls = self._count_full_eigh(monkeypatch, 6)
+        swept = evolve_exact(m, obs, times, lams)
+        assert calls == [4] and swept.shape == (4, 3, 6, 6)
+        for k, lam in enumerate(lams):
+            assert np.array_equal(swept[k], evolve_exact(m.with_coupling(lam), obs, times))
+
+    def test_coupling_sweep_checks_each_coupling(self):
+        m = _random_spec(20)
+        o = system_operator(np.eye(2), (2, 3))
+        with pytest.raises(NonHermitianInput, match="total Hamiltonian"):
+            evolve_exact(m, [o], (0.5,), (0.1, np.nan))
 
     def test_evolve_images_exact_once_per_grid(self, monkeypatch):
         m = _random_spec(14)
         o = system_operator(random_hermitian(np.random.default_rng(15), 2), (2, 3))
         calls = self._count_full_eigh(monkeypatch, 6)
         assert len(evolve_images_exact(m, o, TimeGrid.linspace(2.0, 9))) == 9
-        assert len(calls) == 1
+        assert calls == [1]
 
 
 class TestImageExtract:

@@ -4,7 +4,8 @@ Sizes (d_S, d_B) = (2, 3), (3, 2) and (4, 8), orders 0-4, on and off the
 kernel grid; agreement is required to 1e-13 relative to the largest entry
 of the reference (kernel entries grow like (|H_I| t)^n / n!).  The
 partition expansion is also held to its sandwich count: one per distinct
-suffix (inner chain) plus one per distinct first pair.  The engine's
+suffix (inner chain) plus one per distinct first pair, batched one call per
+suffix length, and bit for bit to the per-suffix evaluation.  The engine's
 coupling axis is held to the public one-coupling functions bit for bit.
 """
 
@@ -47,6 +48,7 @@ from helpers import (
     einsum_P_blocks,
     einsum_P_blocks_printed,
     einsum_partition_term,
+    recursive_partition_image,
 )
 
 SIZES = ((2, 3, 1.0), (3, 2, 0.7), (4, 8, 1.0))  # (d_S, d_B, hbar)
@@ -129,6 +131,8 @@ def test_partition_expansion_matches_einsum_sum(engine_model, order, t):
 # per-partition evaluation would take 1, 7, 36, 164 and 700 sandwiches
 @pytest.mark.parametrize("n_max,sandwiches", [(0, 1), (1, 5), (2, 15), (3, 43), (4, 130)])
 def test_partition_expansion_sandwich_count(engine_model, monkeypatch, n_max, sandwiches):
+    """One batched `sandwich_sum` per suffix length 1..n_max and one for the open
+    words; their batch sizes add up to the distinct suffixes and first pairs."""
     m, obs, ks = engine_model
     traj = one_point_operator(obs, SeriesTruncation(n_max, LAM), ks, m.rho_b, ks.grid, "obs")
     calls = []
@@ -140,7 +144,22 @@ def test_partition_expansion_sandwich_count(engine_model, monkeypatch, n_max, sa
 
     monkeypatch.setattr(_blockops, "sandwich_sum", counted)
     expand_image_by_partitions(traj, n_max, ks, m.rho_b, GRID_TIME)
-    assert calls == [1] * sandwiches
+    assert len(calls) == n_max + 1 and sum(calls) == sandwiches
+
+
+@pytest.mark.parametrize("t", [GRID_TIME, OFF_GRID_TIME])
+@pytest.mark.parametrize("n_max", ORDERS)
+def test_batched_partition_sum_equals_per_suffix_evaluation(engine_model, monkeypatch, n_max, t):
+    """Each suffix length in one `sandwich_sum` call, and the sum bit for bit
+    the one `recursive_partition_image` forms one sandwich at a time."""
+    m, obs, ks = engine_model
+    traj = one_point_operator(obs, SeriesTruncation(n_max, LAM), ks, m.rho_b, ks.grid, "obs")
+    expected = recursive_partition_image(trajectory_value(traj, ks, m.rho_b, t), n_max, LAM, ks, m.rho_b.mat, t)
+    calls = []
+    real = _blockops.sandwich_sum
+    monkeypatch.setattr(_blockops, "sandwich_sum", lambda lefts, rights: calls.append(1) or real(lefts, rights))
+    assert np.array_equal(expand_image_by_partitions(traj, n_max, ks, m.rho_b, t).matrix, expected)
+    assert len(calls) == n_max + 1
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -209,12 +228,12 @@ def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
     m, obs, ks = sweep_model
     rho_b = m.rho_b
     row = ks.row(t)
-    values, inverses, families = _lift_observable(obs, order, SWEEP, ks, rho_b, row)
+    values, inverses, families = (x[0] for x in _lift_observable(obs, order, SWEEP, ks, rho_b, row[None]))
     pair_times = np.array([t + 1e-5, t - 1e-5])
     pair = _one_point_values(obs, order, SWEEP, ks, rho_b, ks.eigen_rows(pair_times))
     grid_values = _one_point_values(obs, order, SWEEP, ks, rho_b, ks.eigen_rows(ks.grid.points))
-    from_values = _lift_values(values, order, SWEEP, ks, rho_b, row)
-    assert np.array_equal(from_values[0], inverses) and np.array_equal(from_values[1], families)
+    from_values = _lift_values(values[None], order, SWEEP, ks, rho_b, row[None])
+    assert np.array_equal(from_values[0][0], inverses) and np.array_equal(from_values[1][0], families)
     trajs = [one_point_operator(obs, SeriesTruncation(order, lam), ks, rho_b, ks.grid) for lam in SWEEP]
     at_t = np.stack([trajectory_value(traj, ks, rho_b, t) for traj in trajs])
     rhs = _one_point_rhs(at_t, order, SWEEP, ks, rho_b, row)

@@ -99,5 +99,9 @@ class TestValidation:
             TimeGrid(np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.2, 0.2]))
+        with pytest.raises(ValueError, match="non-empty 1-D sequence"):
+            TimeGrid(np.array([]))
+        with pytest.raises(ValueError, match="non-empty 1-D sequence"):
+            TimeGrid(np.array([[0.0, 0.5]]))
         grid = TimeGrid.linspace(1.0, 5)
         assert len(grid) == 5 and grid.stop == 1.0

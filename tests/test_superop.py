@@ -289,6 +289,16 @@ class TestStarProduct:
         with pytest.raises(DimensionError):
             star_product([(t1, 0.5), (t2, 0.9)], ks, m.rho_b)
 
+    def test_no_factor_rejected(self, random_model_2x3):
+        m, _, ks = random_model_2x3
+        with pytest.raises(DimensionError, match="at least one factor"):
+            star_product([], ks, m.rho_b)
+
+
+def test_negative_truncation_order_rejected():
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        SeriesTruncation(-1, 0.1)
+
 
 class TestOnePointRHS:
     def test_zero_coupling_free_heisenberg(self, random_model_2x3):
