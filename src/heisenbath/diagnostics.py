@@ -8,20 +8,17 @@ order slip through.  Identity-type checks (cancellation, dual bookkeeping,
 decomposition sum) are asserted at rounding level instead.
 
 The rows of one suite read their series quantities from one `SeriesResults`
-built from the suite's model, observable, kernels, coupling sweep and
-times.  The series engine carries a leading coupling axis and a leading
-leg axis, so the object lifts every suite time ``(t1, t2, t)`` of an order
-in one call for all couplings of the sweep (one-point values, then their
-series inversions and image families) and expands every partition sum
-once, each suffix length of it in one batched call; the one-point, image,
-roundtrip, star, cumulant, bookkeeping and decomposition rows all read
-these results, and the local-RHS row evaluates its RHS and its ``t +-
-step`` values for the whole sweep in one call each.  The exact references
-come from one `evolve_exact` call for the whole sweep (`exact_sweep`).
-Every coupling and time gets the bits the one-coupling, one-time functions
-of `superop` give it.  The cumulant and decomposition arithmetic is
-`npoint`'s, applied to the shared legs.  The object lives for one suite
-call and holds no state beyond it.
+(model, observable, kernels, coupling sweep and times), which lives for one
+suite call.  Between the layers a family is its matrix: the object lifts
+every suite time ``(t1, t2, t)`` of an order in one engine call for the
+whole sweep, and returns one-point values, inversions and image-family
+matrices with a leading coupling axis; each partition sum is expanded once.
+The exact references are one `evolve_exact` call for the sweep
+(`exact_sweep`, ``(n_lam, n_t, D, D)``).  So each ``*_errors`` row is one
+array expression over the sweep, series legs against exact legs through the
+same `chain_contract` and `npoint` cumulant arithmetic, closed by one
+max-abs per coupling.  Every coupling and time gets the bits the
+one-coupling, one-time functions of `superop` give it.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from . import _blockops
 from .model import ModelSpec, make_model
 from .oracle import evolve_exact
 from .dyson import KernelSet, compute_kernels
-from .images import ImageFamily
 from .npoint import _PartitionWords, _cumulant_2pt, _decompose_3pt
 from .spaces import TimeGrid, system_operator
 from .superop import (
@@ -81,7 +77,8 @@ def exact_sweep(m: ModelSpec, obs, times, lams) -> np.ndarray:
 
     One `evolve_exact` call for the whole sweep: one free Hamiltonian and one
     batched eigendecomposition.  The ``exact`` argument of an ``*_errors``
-    helper is this sweep at the helper's own times.
+    helper is this array at the helper's own times, a slice such as
+    ``exact[:, 2:]`` of the suite's sweep.
     """
     return evolve_exact(m, [system_operator(obs, (m.dim_system, m.dim_bath))], times, lams)
 
@@ -89,16 +86,14 @@ def exact_sweep(m: ModelSpec, obs, times, lams) -> np.ndarray:
 class SeriesResults:
     """Series quantities of one model, observable and kernel set over a coupling sweep.
 
-    ``lams`` is the sweep and ``times`` the times lifted together.  Every
-    result holds all of its couplings, computed by one call of the series
-    engine: lifts are keyed by ``(order, t)``, a lift at one of ``times``
-    lifts all of them at that order (a leg each), and each time's kernel
-    row is fetched once.  Each method computes its result on first request
-    and returns the same arrays to every later one, so callers must not
-    write into them.  The arithmetic of each coupling and leg is the series
-    layer's, so a row reads the same bits from a shared object as from a
-    fresh one, from a sweep as from its couplings one at a time, and from
-    several legs as from each time alone.
+    ``lams`` is the sweep and ``times`` the times lifted together.  A lift
+    holds every coupling on a leading axis (`columns` gives positions on
+    it); a lift at one of ``times`` lifts all of them at that order in one
+    engine call, and each time's kernel row is fetched once.  Results are
+    computed on first request and shared, so callers must not write into
+    them.  A row reads the same bits from a shared object as from a fresh
+    one, from a sweep as from its couplings one at a time, and from several
+    legs as from each time alone.
     """
 
     def __init__(self, m: ModelSpec, obs, ks: KernelSet, lams=DEFAULT_LAMBDAS, times=()):
@@ -115,116 +110,97 @@ class SeriesResults:
             raise KeyError(f"coupling {lam!r} is not in the sweep {self.lams}")
         return self.lams.index(lam)
 
-    def _lift(self, order: int, t: float) -> tuple[np.ndarray, np.ndarray, list[ImageFamily]]:
+    def columns(self, lams) -> list[int]:
+        """Positions of ``lams`` on the coupling axis of the sweep."""
+        return [self.column(lam) for lam in lams]
+
+    def lift(self, order: int, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One-point values at ``t`` ``(n_lam, d_S, d_S)``, their series inversions
+        ``inv[order]`` (same shape) and the image-family matrices the inversions
+        lift them to ``(n_lam, D, D)``, for every coupling of the sweep."""
         t = float(t)
         if (order, t) not in self._lifts:
             legs = self.times if t in self.times else (t,)
             rows = np.stack([self.row(s) for s in legs])
             lifted = _lift_observable(self.obs, order, self.lams, self.ks, self.m.rho_b, rows)
-            for s, values, inverses, families in zip(legs, *lifted):
-                self._lifts[order, s] = (values, inverses, [ImageFamily(f, self.ks.dim_bath, s) for f in families])
+            for s, *leg in zip(legs, *lifted):
+                self._lifts[order, s] = tuple(leg)
         return self._lifts[order, t]
 
-    def lift(self, order: int, lam: float, t: float) -> tuple[np.ndarray, ImageFamily]:
-        """One-point value at ``t`` and the image family the series inversion lifts it to."""
-        values, _, families = self._lift(order, t)
-        k = self.column(lam)
-        return values[k], families[k]
-
-    def inverse(self, order: int, lam: float, t: float) -> np.ndarray:
-        """``inv[order]``: the series inversion of the one-point value, taken by the same lift."""
-        return self._lift(order, t)[1][self.column(lam)]
-
-    def values(self, order: int, t: float) -> np.ndarray:
-        """One-point values at ``t`` of every coupling, ``(n_lam, d_S, d_S)``."""
-        return self._lift(order, t)[0]
-
-    def partitions(self, n_max: int, lam: float, t: float) -> ImageFamily:
-        """Partition-sum image family at ``t`` of the order-``n_max`` trajectory."""
+    def partitions(self, n_max: int, lam: float, t: float) -> np.ndarray:
+        """Partition-sum image-family matrix ``(D, D)`` at ``t`` of the order-``n_max`` trajectory."""
         key = (n_max, lam, t)
         if key not in self._partitions:
-            value = self.values(n_max, t)[self.column(lam)]
+            value = self.lift(n_max, t)[0][self.column(lam)]
             words = _PartitionWords(value, SeriesTruncation(n_max, lam), self.ks, self.m.rho_b, self.row(t))
-            self._partitions[key] = ImageFamily(words.image(n_max), self.ks.dim_bath, t)
+            self._partitions[key] = words.image(n_max)
         return self._partitions[key]
 
 
-def _reduced(m: ModelSpec, full: np.ndarray) -> np.ndarray:
-    return _blockops.bath_trace(full, m.rho_b.mat)
+def _legs(series: SeriesResults, order: int, times, lams) -> tuple[np.ndarray, np.ndarray]:
+    """One-point values ``(n_t, n_lam, d_S, d_S)`` and image-family matrices
+    ``(n_t, n_lam, D, D)`` at ``times`` and the couplings ``lams``."""
+    k = series.columns(lams)
+    values, _, mats = zip(*(series.lift(order, t) for t in times))
+    return np.stack(values)[:, k], np.stack(mats)[:, k]
+
+
+def _max_abs(x: np.ndarray):
+    """Largest entry modulus of each matrix of ``x`` ``(..., m, n)``, as Python floats."""
+    return np.max(np.abs(x), axis=(-2, -1)).tolist()
 
 
 def one_point_errors(series: SeriesResults, t: float, order: int, lams, exact) -> list[float]:
-    def err(lam: float, x: np.ndarray) -> float:
-        val, _ = series.lift(order, lam, t)
-        return float(np.max(np.abs(val - _reduced(series.m, x[0]))))
-
-    return [err(lam, x) for lam, x in zip(lams, exact)]
+    values, _ = _legs(series, order, (t,), lams)
+    return _max_abs(values[0] - _blockops.bath_trace(exact[:, 0], series.m.rho_b.mat))
 
 
 def star_errors(series: SeriesResults, times, order: int, lams, exact) -> list[float]:
-    def err(lam: float, x: np.ndarray) -> float:
-        st = chain_contract([series.lift(order, lam, t)[1] for t in times], series.m.rho_b)
-        return float(np.max(np.abs(st - _reduced(series.m, functools.reduce(np.matmul, x)))))
-
-    return [err(lam, x) for lam, x in zip(lams, exact)]
+    _, mats = _legs(series, order, times, lams)
+    rho_b = series.m.rho_b
+    return _max_abs(chain_contract(mats, rho_b) - chain_contract(exact.swapaxes(0, 1), rho_b))
 
 
 def image_errors(series: SeriesResults, t: float, order: int, lams, exact) -> list[float]:
-    def err(lam: float, x: np.ndarray) -> float:
-        _, fam = series.lift(order, lam, t)
-        return float(np.max(np.abs(fam.matrix - x[0])))
-
-    return [err(lam, x) for lam, x in zip(lams, exact)]
+    _, mats = _legs(series, order, (t,), lams)
+    return _max_abs(mats[0] - exact[:, 0])
 
 
 def roundtrip_errors(series: SeriesResults, t: float, order: int, lams) -> list[float]:
-    def err(lam: float) -> float:
-        back = series.inverse(order, lam, t)
-        free = series.ks.frame.free_conjugate(np.asarray(series.obs, dtype=complex), t)
-        return float(np.max(np.abs(back - free)))
-
-    return [err(lam) for lam in lams]
+    free = series.ks.frame.free_conjugate(np.asarray(series.obs, dtype=complex), t)
+    return _max_abs(series.lift(order, t)[1][series.columns(lams)] - free)
 
 
 def cumulant2_errors(series: SeriesResults, t1: float, t2: float, order: int, lams, exact) -> list[float]:
-    m = series.m
-
-    def err(lam: float, x: np.ndarray) -> float:
-        values, lifted = zip(*(series.lift(order, lam, t) for t in (t1, t2)))
-        irr = _cumulant_2pt(values, lifted, m.rho_b)
-        ex_1, ex_2 = _reduced(m, x[0]), _reduced(m, x[1])
-        return float(np.max(np.abs(irr - (_reduced(m, x[0] @ x[1]) - ex_1 @ ex_2))))
-
-    return [err(lam, x) for lam, x in zip(lams, exact)]
+    values, mats = _legs(series, order, (t1, t2), lams)
+    rho_b, legs = series.m.rho_b, exact.swapaxes(0, 1)
+    exact_cumulant = _cumulant_2pt(_blockops.bath_trace(legs, rho_b.mat), legs, rho_b)
+    return _max_abs(_cumulant_2pt(values, mats, rho_b) - exact_cumulant)
 
 
 def rhs_fd_errors(series: SeriesResults, t: float, order: int, lams) -> list[float]:
     ks, rho_b = series.ks, series.m.rho_b
     step = 1e-5 * max(1.0, t)
-    rhs = _one_point_rhs(series.values(order, t), order, series.lams, ks, rho_b, series.row(t))
+    rhs = _one_point_rhs(series.lift(order, t)[0], order, series.lams, ks, rho_b, series.row(t))
     rows = ks.eigen_rows(np.array([t + step, t - step]))
     plus, minus = _one_point_values(series.obs, order, series.lams, ks, rho_b, rows).swapaxes(0, 1)
-    fd = (plus - minus) / (2 * step)
-    return [float(np.max(np.abs(rhs[k] - fd[k]))) for k in map(series.column, lams)]
+    k = series.columns(lams)
+    return _max_abs(rhs[k] - ((plus - minus) / (2 * step))[k])
 
 
 def cancellation_defect(series: SeriesResults, t: float, n_max: int, lam: float) -> float:
-    fam = series.partitions(n_max, lam, t)
-    back = _blockops.bath_trace(fam.matrix, series.m.rho_b.mat)
-    value = series.values(n_max, t)[series.column(lam)]
-    return float(np.max(np.abs(back - value)))
+    back = _blockops.bath_trace(series.partitions(n_max, lam, t), series.m.rho_b.mat)
+    return _max_abs(back - series.lift(n_max, t)[0][series.column(lam)])
 
 
 def dual_bookkeeping_defect(series: SeriesResults, t: float, n_max: int, lam: float) -> float:
-    by_parts = series.partitions(n_max, lam, t)
-    _, by_series = series.lift(n_max, lam, t)
-    return float(np.max(np.abs(by_parts.matrix - by_series.matrix)))
+    return _max_abs(series.partitions(n_max, lam, t) - series.lift(n_max, t)[2][series.column(lam)])
 
 
 def decomposition_sum_defect(series: SeriesResults, times, order: int, lam: float) -> float:
-    values, lifted = zip(*(series.lift(order, lam, t) for t in times))
-    dec = _decompose_3pt(values, lifted, series.ks, series.m.rho_b)
-    return float(np.max(np.abs(dec.total - chain_contract(lifted, series.m.rho_b))))
+    values, mats = _legs(series, order, times, (lam,))
+    parts = _decompose_3pt(values, mats, series.m.rho_b)
+    return _max_abs(sum(parts) - chain_contract(mats, series.m.rho_b))[0]
 
 
 def validation_suite(
@@ -242,8 +218,7 @@ def validation_suite(
     t1, t2, t3 = 0.4 * t, 0.8 * t, t
     series = SeriesResults(m, obs, ks, (*lams, DEFECT_LAMBDA), (t1, t2, t3))
     exact = exact_sweep(m, obs, (t1, t2, t3), lams)
-    at_t = [x[2:] for x in exact]
-    at_t1_t2 = [x[:2] for x in exact]
+    at_t, at_t1_t2 = exact[:, 2:], exact[:, :2]
     rows: list[dict] = []
 
     def slope_row(check: str, errors: list[float], threshold: float):

@@ -394,7 +394,6 @@ def lindblad_rhs(
     sc: SpectralCoefficients,
     h0,
     constants: Constants,
-    strict_paper: bool = False,
 ) -> np.ndarray:
     """Adjoint Lindblad-form RHS for a one-point operator.
 
@@ -409,8 +408,8 @@ def lindblad_rhs(
     B^{j dag} O Gamma^{j dag}``: a few products per coupling term, however
     many Bohr lines there are.  ``sc`` must hold ``J`` at the lines of
     ``bd``; any other frequency list raises `DimensionError`.
-    The default first term is the commutator: the bare product breaks
-    identity fixity, and ``strict_paper=True`` restores it for comparison.
+    The first term is the commutator: the paper's bare product ``H0 O``
+    breaks identity fixity (`tests/helpers.loop_lindblad_rhs` keeps it).
     Leading axes of ``o_s`` are a stack of operators, each mapped alone.
     """
     o = as_matrix(o_s)
@@ -424,10 +423,7 @@ def lindblad_rhs(
             f"{n} terms at the Bohr lines {bd.frequencies}"
         )
     hbar, lam = constants.hbar, constants.lam
-    if strict_paper:
-        out = (1j / hbar) * (h0 @ o)
-    else:
-        out = (1j / hbar) * (h0 @ o - o @ h0)
+    out = (1j / hbar) * (h0 @ o - o @ h0)
     b = bd.components.sum(axis=1)
     gamma = np.einsum("ijw,iwba->jab", sc.j, bd.components.conj())
     pref = (1j * lam / hbar) ** 2

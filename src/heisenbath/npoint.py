@@ -27,6 +27,11 @@ the super-operator series inversion itself, and the partition sum would
 then no longer be an independent check of it.  The words are formed on
 the kernels in the H0 eigenbasis (`KernelSet.frame_stack`), and an image
 leaves that basis once.
+
+The cumulant arithmetic (`_cumulant_2pt`, `_decompose_3pt`) takes legs as
+arrays, one-point values ``(n_leg, ..., d_S, d_S)`` and image-family
+matrices ``(n_leg, ..., D, D)``, and returns arrays; the public
+`irreducible_2pt` and `decompose_3pt` wrap them as operators.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .superop import (
     _system_tag,
     _value_and_row,
     chain_contract,
-    trivial_factor,
 )
 
 
@@ -230,7 +234,7 @@ def irreducible_2pt(
 
 
 def _cumulant_2pt(values, lifted, rho_b: DensityMatrix) -> np.ndarray:
-    """``(O1 O2)_S - O1S O2S`` from two lifted legs (one-point values and image families)."""
+    """``(O1 O2)_S - O1S O2S`` from two legs."""
     return chain_contract(lifted, rho_b) - values[0] @ values[1]
 
 
@@ -275,32 +279,16 @@ def decompose_3pt(
     sum to the full star product identically.
     """
     values, lifted = _lift_legs(((o1, t1), (o2, t2), (o3, t3)), trunc, ks, m.rho_b)
-    return _decompose_3pt(values, lifted, ks, m.rho_b)
-
-
-def _decompose_3pt(values, lifted, ks: KernelSet, rho_b: DensityMatrix) -> ThreePointDecomposition:
-    """The decomposition of `decompose_3pt` from three lifted legs.
-
-    Each leg enters once as its image family and once as its trivial family
-    ``O_S(t) delta_ab``.
-    """
     tag = _system_tag(ks)
-    trivial = [trivial_factor(v, ks, f.time) for v, f in zip(values, lifted)]
+    return ThreePointDecomposition(*(system_operator(x, tag) for x in _decompose_3pt(values, lifted, m.rho_b)))
+
+
+def _decompose_3pt(values: np.ndarray, lifted: np.ndarray, rho_b: DensityMatrix) -> tuple[np.ndarray, ...]:
+    """The disconnected, wired 12, 31, 23 and irreducible parts of `decompose_3pt`
+    from three legs, each entering once as its image family and once as its
+    trivial family ``O_S(t) delta_ab``."""
+    trivial = _blockops.kron_identity(values, rho_b.tag.dim_bath)
     disc = values[0] @ values[1] @ values[2]
-
-    star_all = chain_contract(lifted, rho_b)
-    star_12 = chain_contract([lifted[0], lifted[1], trivial[2]], rho_b)
-    star_31 = chain_contract([lifted[0], trivial[1], lifted[2]], rho_b)
-    star_23 = chain_contract([trivial[0], lifted[1], lifted[2]], rho_b)
-
-    w12 = star_12 - disc
-    w31 = star_31 - disc
-    w23 = star_23 - disc
-    irr = star_all - disc - w12 - w31 - w23
-    return ThreePointDecomposition(
-        disconnected=system_operator(disc, tag),
-        wired_12=system_operator(w12, tag),
-        wired_31=system_operator(w31, tag),
-        wired_23=system_operator(w23, tag),
-        irreducible=system_operator(irr, tag),
-    )
+    # the star product with leg k trivial, k = 2, 1, 0: wired 12, 31 and 23
+    wired = [chain_contract([*lifted[:k], trivial[k], *lifted[k + 1 :]], rho_b) - disc for k in (2, 1, 0)]
+    return disc, *wired, chain_contract(lifted, rho_b) - disc - wired[0] - wired[1] - wired[2]

@@ -164,6 +164,7 @@ class TimeGrid:
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_floats", tuple(pts.tolist()))  # what `index` bisects, converted once
 
     @classmethod
     def linspace(cls, stop: float, num: int) -> "TimeGrid":
@@ -175,7 +176,7 @@ class TimeGrid:
 
     def index(self, t: float) -> int | None:
         """Index of the grid point within 1e-14 of ``t``, or None off the grid."""
-        points = self.points.tolist()
+        points = self._floats
         k = bisect.bisect_left(points, t - 1e-14)  # the first point that can lie within
         return k if k < len(points) and points[k] - t <= 1e-14 else None
 

@@ -43,11 +43,15 @@ them all in one call.  The public functions are that engine called with
 the one coupling of their truncation and the row of their one time,
 fetched once.  Each item's arithmetic is the same either way, so a batch
 returns the bits of its items one at a time; the weights ``(lam/hbar)^j``
-are Python-float powers for that reason.
+are Python-float powers for that reason.  Between these layers a family is
+its ``(..., D, D)`` matrix, leading coupling or leg axes included:
+`chain_contract` takes factors whose leading axes broadcast, and
+`ImageFamily` wraps only what a public function returns.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,6 +274,14 @@ def _lift_observable(
     return (values, *_lift_values(values, order, lams, ks, rho_b, rows))
 
 
+def _lift_one(value: np.ndarray, row: np.ndarray, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix):
+    """`_lift_values` of one one-point value ``(d_S, d_S)`` at the coupling of
+    ``trunc``, from the kernel row of its time: the inversion ``inv[order]``
+    and the image-family matrix ``(D, D)``."""
+    inverses, mats = _lift_values(value[None, None], trunc.order, (trunc.lam,), ks, rho_b, row[None])
+    return inverses[0, 0], mats[0, 0]
+
+
 def invert_one_point(
     o_s_value,
     trunc: SeriesTruncation,
@@ -278,8 +290,7 @@ def invert_one_point(
     t: float,
 ) -> np.ndarray:
     """Recover ``U0^dag O U0`` from a one-point value via the multinomial inverse."""
-    value = _obs_matrix(o_s_value)[None, None]
-    return _lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])[0][0, 0]
+    return _lift_one(_obs_matrix(o_s_value), ks.row(t), trunc, ks, rho_b)[0]
 
 
 def image_from_value(
@@ -295,44 +306,34 @@ def image_from_value(
     the order-by-order cancellation that returns the one-point value under
     bath contraction holds only with total-order truncation.
     """
-    value = _obs_matrix(value)[None, None]
-    _, families = _lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])
-    return ImageFamily(families[0, 0], ks.dim_bath, t)
+    return ImageFamily(_lift_one(_obs_matrix(value), ks.row(t), trunc, ks, rho_b)[1], ks.dim_bath, t)
 
 
 def image_from_one_point(
     o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatrix, t: float
 ) -> ImageFamily:
     """Image family of a one-point trajectory at time t."""
-    value, row = _value_and_row(o_s, ks, rho_b, t)
-    trunc = o_s.truncation
-    _, families = _lift_values(value[None, None], trunc.order, (trunc.lam,), ks, rho_b, row[None])
-    return ImageFamily(families[0, 0], ks.dim_bath, t)
+    return ImageFamily(_lift_one(*_value_and_row(o_s, ks, rho_b, t), o_s.truncation, ks, rho_b)[1], ks.dim_bath, t)
 
 
 def _lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix):
-    """One-point values and image families of ``(observable, time)`` legs, each leg
-    lifted alone from its kernel row, fetched once."""
-    values, families = [], []
-    for o, t in legs:
-        row = ks.row(float(t))[None]
-        value, _, family = _lift_observable(_obs_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, row)
-        values.append(value[0, 0])
-        families.append(ImageFamily(family[0, 0], ks.dim_bath, float(t)))
-    return values, families
+    """One-point values ``(n_leg, d_S, d_S)`` and image-family matrices ``(n_leg, D, D)``
+    of ``(observable, time)`` legs, each leg lifted alone from its kernel row, fetched once."""
+    lifts = [
+        _lift_observable(_obs_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])
+        for o, t in legs
+    ]
+    return np.stack([values[0, 0] for values, _, _ in lifts]), np.stack([mats[0, 0] for _, _, mats in lifts])
 
 
-def trivial_factor(value: np.ndarray, ks: KernelSet, t: float) -> ImageFamily:
-    """A star-product factor entering as ``O_S(t) delta_ab`` (its trivial partition)."""
-    return ImageFamily(_blockops.kron_identity(value, ks.dim_bath), ks.dim_bath, t)
+def chain_contract(mats, rho_b: DensityMatrix) -> np.ndarray:
+    """Chain-compose family matrices and close the index loop with ``rho_B[a_{N+1}, a_1]``.
 
-
-def chain_contract(families: list[ImageFamily], rho_b: DensityMatrix) -> np.ndarray:
-    """Chain-compose families and close the index loop with ``rho_B[a_{N+1}, a_1]``."""
-    prod = families[0].matrix
-    for f in families[1:]:
-        prod = prod @ f.matrix
-    return _blockops.bath_trace(prod, rho_b.mat)
+    ``mats`` is a sequence (or an array with the factor axis first) of
+    matrices ``(..., D, D)`` whose leading axes broadcast; the product runs
+    left to right, and each leading index gets the bits of its lone chain.
+    """
+    return _blockops.bath_trace(functools.reduce(np.matmul, mats), rho_b.mat)
 
 
 def star_product(
@@ -352,8 +353,8 @@ def star_product(
     truncs = {(f.truncation.order, f.truncation.lam) for f, _ in factors}
     if len(truncs) > 1:
         raise DimensionError(f"star_product factors disagree on truncation: {truncs}")
-    families = [image_from_one_point(f, ks, rho_b, float(t)) for f, t in factors]
-    return system_operator(chain_contract(families, rho_b), _system_tag(ks))
+    mats = [_lift_one(*_value_and_row(f, ks, rho_b, float(t)), f.truncation, ks, rho_b)[1] for f, t in factors]
+    return system_operator(chain_contract(mats, rho_b), _system_tag(ks))
 
 
 def star_of_observables(

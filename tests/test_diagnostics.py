@@ -26,6 +26,7 @@ from heisenbath.diagnostics import (
 )
 from heisenbath.dyson import compute_kernels
 from heisenbath.spaces import TimeGrid
+from helpers import loop_validation_errors
 
 
 def _record(monkeypatch, name, key):
@@ -91,13 +92,13 @@ def test_suite_times_lift_in_one_call(monkeypatch, order):
     times = (0.44, 0.88, 1.1)
     calls = _record(monkeypatch, "_lift_observable", lambda o, order, lams, ks, rho_b, rows: len(rows))
     series = SeriesResults(m, obs, ks, DEFAULT_LAMBDAS, times)
-    lifted = [(series.values(order, t), series.inverse(order, 0.01, t), series.lift(order, 0.01, t)[1]) for t in times]
+    lifted = [series.lift(order, t) for t in times]
     assert calls == [3]
-    for t, (values, inverse, family) in zip(times, lifted):
+    for t, (values, inverses, families) in zip(times, lifted):
         lone = [x[0] for x in superop._lift_observable(series.obs, order, series.lams, ks, m.rho_b, ks.row(t)[None])]
         assert np.array_equal(values, lone[0])
-        assert np.array_equal(inverse, lone[1][series.column(0.01)])
-        assert np.array_equal(family.matrix, lone[2][series.column(0.01)]) and family.time == t
+        assert np.array_equal(inverses, lone[1])
+        assert np.array_equal(families, lone[2])
 
 
 def test_column_outside_the_sweep_rejected():
@@ -120,7 +121,7 @@ def test_suite_rows_equal_unshared_helpers(seed, d_s, d_b):
 
     t1, t2 = 0.4 * t, 0.8 * t
     exact = exact_sweep(m, obs, (t1, t2, t), lams)
-    at_t, at_t1_t2 = [x[2:] for x in exact], [x[:2] for x in exact]
+    at_t, at_t1_t2 = exact[:, 2:], exact[:, :2]
     expected = {
         "one_point_order2": fit_slope(lams, one_point_errors(fresh(), t, order, lams, at_t)),
         "star_n2_order1": fit_slope(lams, star_errors(fresh(), (t1, t2), 1, lams, at_t1_t2)),
@@ -135,6 +136,32 @@ def test_suite_rows_equal_unshared_helpers(seed, d_s, d_b):
         expected[f"cancellation_n{n}"] = cancellation_defect(fresh(), t, n, 0.1)
         expected[f"dual_bookkeeping_n{n}"] = dual_bookkeeping_defect(fresh(), t, n, 0.1)
     assert {r["check"]: r["value"] for r in rows} == expected
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("seed,d_s,d_b", [(3, 2, 3), (5, 3, 2)])
+def test_helpers_equal_per_coupling_loops(seed, d_s, d_b, order):
+    """Each error helper's array over the sweep, and each defect, equals the
+    per-coupling loop of `helpers.loop_validation_errors` bit for bit."""
+    t, lams = 1.1, DEFAULT_LAMBDAS
+    times = t1, t2, _ = (0.4 * t, 0.8 * t, t)
+    m, obs = random_model(seed, d_s, d_b)
+    series = SeriesResults(m, obs, compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7)), lams, times)
+    exact = exact_sweep(m, obs, times, lams)
+    got = {
+        "one_point": one_point_errors(series, t, order, lams, exact[:, 2:]),
+        "star_n2": star_errors(series, (t1, t2), order, lams, exact[:, :2]),
+        "star_n3": star_errors(series, times, order, lams, exact),
+        "image": image_errors(series, t, order, lams, exact[:, 2:]),
+        "roundtrip": roundtrip_errors(series, t, order, lams),
+        "cumulant2": cumulant2_errors(series, t1, t2, order, lams, exact[:, :2]),
+        "rhs_fd": rhs_fd_errors(series, t, order, lams),
+        "decompose_3pt_sum": decomposition_sum_defect(series, times, order, 0.1),
+    }
+    for n in range(order + 2):
+        got[f"cancellation_n{n}"] = cancellation_defect(series, t, n, 0.1)
+        got[f"dual_bookkeeping_n{n}"] = dual_bookkeeping_defect(series, t, n, 0.1)
+    assert got == loop_validation_errors(series, times, order, lams, exact, 0.1)
 
 
 # The suites closest to a slope threshold, found by running seeds 0-1199 at

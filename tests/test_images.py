@@ -74,6 +74,14 @@ class TestToFromFamily:
 
 
 class TestContract:
+    def test_mismatched_inputs_rejected(self):
+        rng = np.random.default_rng(13)
+        with pytest.raises(DimensionError, match="full-space"):
+            to_image_family(system_operator(np.eye(2), (2, 3)))
+        rho = DensityMatrix(bath_operator(random_density(rng, 2), (2, 2)))
+        with pytest.raises(DimensionError, match="bath dimensions differ"):
+            contract_with_bath(ImageFamily(np.eye(6), 3), rho)
+
     def test_diagonal_family_gives_operator_back(self):
         rng = np.random.default_rng(6)
         o = random_hermitian(rng, 2)

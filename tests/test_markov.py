@@ -99,6 +99,10 @@ class TestDecomposeInteraction:
         with pytest.raises(NonHermitianInput):
             decompose_interaction(full_operator(bad, (2, 2)))
 
+    def test_rejects_system_operator(self):
+        with pytest.raises(DimensionError, match="full-space"):
+            decompose_interaction(hb.system_operator(np.eye(2), (2, 2)))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_hermitian_basis_matches_loop_construction(self, n):
         """The coordinate maps against the basis built element by element:
@@ -366,6 +370,11 @@ class TestBohr:
             assert np.max(np.abs(bd.components[0, k].conj().T - partner)) < 1e-10
 
 
+    def test_rejects_non_hermitian_h0(self):
+        with pytest.raises(NonHermitianInput, match="H0"):
+            bohr_decomposition(SX, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 class TestSpectralCoefficients:
     def _two_level_bath(self, omega_b, rho00=1.0):
         return make_model(
@@ -476,8 +485,13 @@ class TestLindbladRHS:
 
     def test_strict_paper_form_breaks_identity_fixity(self):
         bd, sc, h0 = self._artificial(0.05 + 0.02j)
-        out = lindblad_rhs(np.eye(2), bd, sc, h0, Constants(1.0, 0.3), strict_paper=True)
+        out = loop_lindblad_rhs(np.eye(2), bd, sc, h0, Constants(1.0, 0.3), strict_paper=True)
         assert np.max(np.abs(out)) > 0.1  # bare H0 O term survives
+
+    def test_operator_shape_must_match_h0(self):
+        bd, sc, h0 = self._artificial(0.05 + 0.02j)
+        with pytest.raises(DimensionError, match="H0 shape"):
+            lindblad_rhs(np.eye(3), bd, sc, h0, Constants(1.0, 0.3))
 
     def test_dephasing_rate_by_hand(self):
         """For sigma_z dephasing the coherence decays at 4 (lam/hbar)^2 Re J(0)."""
@@ -493,7 +507,8 @@ class TestLindbladRHS:
     @pytest.mark.parametrize("name", ["dephasing", (2, 3), (3, 2)])
     def test_collapsed_rhs_matches_line_pair_loop(self, name, strict):
         """The O(terms) collapsed RHS against the O(lines^2) double sum, on a
-        stack of operators and with some J entries zeroed."""
+        stack of operators and with some J entries zeroed; against the
+        paper's bare ``H0 O`` first term once ``(i/hbar) O H0`` is added back."""
         m, bd, sc = _markov_data(name)
         d = m.dim_system
         rng = np.random.default_rng(18)
@@ -506,7 +521,9 @@ class TestLindbladRHS:
             assert np.all(lines > 1)  # several lines per term
         for j in (sc.j, zeroed):
             coeffs = dataclasses.replace(sc, j=j)
-            got = lindblad_rhs(ops, bd, coeffs, m.h0.mat, m.constants, strict)
+            got = lindblad_rhs(ops, bd, coeffs, m.h0.mat, m.constants)
+            if strict:
+                got = got + (1j / m.constants.hbar) * ops @ m.h0.mat
             ref = np.stack([loop_lindblad_rhs(o, bd, coeffs, m.h0.mat, m.constants, strict) for o in ops])
             assert got.shape == ops.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

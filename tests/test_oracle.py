@@ -38,6 +38,20 @@ def _random_spec(seed, d_s=2, d_b=3, lam=0.7):
     )
 
 
+@pytest.mark.parametrize("d_0,d_b,field", [(3, 3, "rho0"), (2, 2, "rho_B")])
+def test_make_model_rejects_state_shapes(d_0, d_b, field):
+    """A (d_S, d_B) = (2, 3) model with a state of the wrong side."""
+    rng = np.random.default_rng(22)
+    with pytest.raises(DimensionError, match=f"{field} has shape"):
+        make_model(
+            random_hermitian(rng, 2),
+            random_hermitian(rng, 3),
+            random_hermitian(rng, 6),
+            np.eye(d_0) / d_0,
+            np.eye(d_b) / d_b,
+        )
+
+
 class TestTotalHamiltonian:
     def test_decoupled(self):
         m = _random_spec(0, lam=0.0)
@@ -197,6 +211,11 @@ class TestOneDiagonalisation:
         assert calls == [4] and swept.shape == (4, 3, 6, 6)
         for k, lam in enumerate(lams):
             assert np.array_equal(swept[k], evolve_exact(m.with_coupling(lam), obs, times))
+
+    def test_bath_observable_rejected(self):
+        m = _random_spec(21)
+        with pytest.raises(DimensionError, match="system space"):
+            evolve_exact(m, [bath_operator(np.eye(3), (2, 3))], (0.5,))
 
     def test_coupling_sweep_checks_each_coupling(self):
         m = _random_spec(20)

@@ -282,7 +282,7 @@ def test_kernel_set_is_read_only():
     before = {k: (v, pickle.dumps(v)) for k, v in vars(ks).items()}
     series = SeriesResults(m, obs, ks)
     for t in (0.44, 0.88, 1.1):
-        series.lift(2, 0.01, t)
+        series.lift(2, t)
     series.partitions(2, 0.1, 1.1)
     rhs_fd_errors(series, 1.1, 2, (0.1, 0.01))
     trunc = SeriesTruncation(2, 0.1)

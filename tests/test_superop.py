@@ -14,6 +14,7 @@ from heisenbath.superop import (
     SeriesTruncation,
     apply_P_S,
     apply_P_ab,
+    chain_contract,
     image_from_value,
     invert_one_point,
     one_point_operator,
@@ -293,6 +294,27 @@ class TestStarProduct:
         m, _, ks = random_model_2x3
         with pytest.raises(DimensionError, match="at least one factor"):
             star_product([], ks, m.rho_b)
+
+
+def test_chain_contract_of_stacks_equals_its_slices(random_model_2x3):
+    """Factors ``(n_lam, D, D)``, one of them shared ``(D, D)``, give each
+    slice the bits of its own chain."""
+    m, _, _ = random_model_2x3
+    rng = np.random.default_rng(23)
+    stacks = [rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6)) for _ in range(2)]
+    shared = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    factors = [stacks[0], shared, stacks[1]]
+    got = chain_contract(factors, m.rho_b)
+    assert got.shape == (4, 2, 2)
+    for k in range(4):
+        assert np.array_equal(got[k], chain_contract([stacks[0][k], shared, stacks[1][k]], m.rho_b))
+    assert np.array_equal(chain_contract(np.stack(stacks), m.rho_b), chain_contract(stacks, m.rho_b))
+
+
+def test_bath_observable_rejected(random_model_2x3):
+    m, _, ks = random_model_2x3
+    with pytest.raises(DimensionError, match="system space"):
+        one_point_value(hb.bath_operator(np.eye(3), (2, 3)), SeriesTruncation(1, 0.1), ks, m.rho_b, 0.5)
 
 
 def test_negative_truncation_order_rejected():
