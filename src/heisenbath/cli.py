@@ -6,6 +6,13 @@ file; ``heisenbath preset list`` shows the shipped models;
 defect suite.  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure, 4 validation defect exceeded.
 
+Every section a config holds is parsed and checked whatever the run mode;
+a mode only states what it requires: ``n_point`` needs ``npoint.factors``,
+``one_point``, ``n_point``, ``image_exact`` and ``lindblad`` need an
+observable, and ``validate`` needs ``truncation.order >= 1``.  The scalar
+fields of ``grid``, ``markov`` and ``validate`` are each one
+``(name, default, kind, bound)`` row read by `_scalars`.
+
 Operator trajectories are emitted as long-format rows
 ``(time, observable, row, col, re, im)``; floats are written with 17
 significant digits so identical runs produce byte-identical files.  CSV
@@ -24,7 +31,7 @@ import os
 import reprlib
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -43,6 +50,7 @@ from .errors import (
 from .images import contract_with_bath, evolve_images_exact
 from .markov import (
     FIRST_MOMENT_THRESHOLD,
+    J_TOLERANCE,
     STATIONARITY_THRESHOLD,
     bohr_decompose_all,
     check_markov_assumptions,
@@ -87,9 +95,9 @@ class ExperimentConfig:
     grid: TimeGrid
     output_path: str
     output_format: str
-    npoint_factors: list = field(default_factory=list)
-    markov: dict = field(default_factory=dict)  # parsed settings of a lindblad or markov_report run
-    validate: dict = field(default_factory=dict)  # seed, d_s and d_b of a validate run
+    npoint_factors: list  # (observable name, time) per factor
+    markov: dict  # horizon, decay_threshold, j_horizon, j_tolerance and eta
+    validate: dict  # seed, d_s and d_b
 
 
 def _fail(path: str, reason: str):
@@ -109,6 +117,28 @@ def parse_number(value, path: str, kind=float):
             return kind(num)
     want = "an integer" if kind is int else "a finite number"
     raise ParseError(f"{path}: expected {want}, got {reprlib.repr(value)}")
+
+
+def _bounded(value, path: str, kind, bound):
+    """`parse_number`, then ``bound``: ``(">", low)`` or ``(">=", low)``; a value
+    outside it is a ValidationError naming ``path``."""
+    num = parse_number(value, path, kind)
+    if bound and not (num > bound[1] if bound[0] == ">" else num >= bound[1]):
+        _fail(path, f"must be {bound[0]} {bound[1]}, got {num}")
+    return num
+
+
+def _scalars(section: dict, path: str, specs) -> dict:
+    """Each ``(name, default, kind, bound)`` field of a section, by `_bounded`."""
+    return {
+        name: _bounded(section.get(name, default), f"{path}.{name}", kind, bound)
+        for name, default, kind, bound in specs
+    }
+
+
+def _numbers(value, path: str, bound=None) -> list:
+    """A config list of numbers, each by `_bounded` under ``path[k]``."""
+    return [_bounded(v, f"{path}[{k}]", float, bound) for k, v in enumerate(_sequence(value, path))]
 
 
 def _mapping(value, path: str, fields: tuple[str, ...] | None) -> dict:
@@ -230,18 +260,12 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
     grid_raw = _mapping(raw.get("grid"), "grid", FIELDS["grid"])
     if "points" in grid_raw:
         try:
-            points = [
-                parse_number(t, f"grid.points[{k}]")
-                for k, t in enumerate(_sequence(grid_raw["points"], "grid.points"))
-            ]
-            grid = TimeGrid(np.asarray(points, dtype=float))
+            grid = TimeGrid(np.asarray(_numbers(grid_raw["points"], "grid.points"), dtype=float))
         except ValueError as exc:
             _fail("grid.points", str(exc))
     else:
-        stop = parse_number(grid_raw.get("stop", 1.0), "grid.stop")
-        num = parse_number(grid_raw.get("num", 11), "grid.num", int)
-        if stop <= 0 or num < 2:
-            _fail("grid", f"need stop > 0 and num >= 2, got stop={stop}, num={num}")
+        specs = (("stop", 1.0, float, (">", 0)), ("num", 11, int, (">=", 2)))
+        stop, num = _scalars(grid_raw, "grid", specs).values()
         try:
             grid = TimeGrid.linspace(stop, num)
         except ValueError as exc:  # stop too small to separate num points
@@ -261,13 +285,7 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
             _fail(f"observables.{name}", f"matrix shape {mat.shape} does not match d_S={model.dim_system}")
         times = spec.get("times")
         if times is not None:
-            times = [
-                parse_number(t, f"observables.{name}.times[{k}]")
-                for k, t in enumerate(_sequence(times, f"observables.{name}.times"))
-            ]
-            negative = [t for t in times if t < 0]
-            if negative:
-                _fail(f"observables.{name}.times", f"negative times {negative}; the grid starts at 0")
+            times = _numbers(times, f"observables.{name}.times", (">=", 0))
         observables[name] = (mat, times)
     if not observables and run in ("one_point", "n_point", "image_exact", "lindblad"):
         _fail("observables", "at least one observable is required for this run mode")
@@ -281,42 +299,38 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
         _fail("output.format", f"must be csv or json, got {reprlib.repr(output_format)}")
 
     npoint_factors = []
-    if run == "n_point":
-        factors = _mapping(raw.get("npoint"), "npoint", FIELDS["npoint"]).get("factors")
-        if not factors:
-            _fail("npoint.factors", "n_point runs need a list of {observable, time} entries")
-        for k, f in enumerate(_sequence(factors, "npoint.factors")):
-            f = _mapping(f, f"npoint.factors[{k}]", FIELDS["npoint.factors[k]"])
-            name = f.get("observable")
-            if name not in observables:
-                _fail(f"npoint.factors[{k}].observable", f"unknown observable {reprlib.repr(name)}")
-            t = parse_number(f.get("time", 0.0), f"npoint.factors[{k}].time")
-            if t < 0:
-                _fail(f"npoint.factors[{k}].time", f"negative time {t}; the grid starts at 0")
-            npoint_factors.append((name, t))
+    factors = _mapping(raw.get("npoint"), "npoint", FIELDS["npoint"]).get("factors")
+    if not factors and run == "n_point":
+        _fail("npoint.factors", "n_point runs need a list of {observable, time} entries")
+    for k, f in enumerate([] if factors is None else _sequence(factors, "npoint.factors")):
+        f = _mapping(f, f"npoint.factors[{k}]", FIELDS["npoint.factors[k]"])
+        name = f.get("observable")
+        if name not in observables:
+            _fail(f"npoint.factors[{k}].observable", f"unknown observable {reprlib.repr(name)}")
+        time = _bounded(f.get("time", 0.0), f"npoint.factors[{k}].time", float, (">=", 0))
+        npoint_factors.append((name, time))
 
-    markov = {}
-    if run in ("lindblad", "markov_report"):
-        mk_raw = _mapping(raw.get("markov"), "markov", FIELDS["markov"])
-        horizon = parse_number(mk_raw.get("horizon", max(grid.stop, 1.0)), "markov.horizon")
-        defaults = {"horizon": horizon, "decay_threshold": 0.025, "j_horizon": horizon, "j_tolerance": 0.1, "eta": 0.0}
-        markov = {key: parse_number(mk_raw.get(key, d), f"markov.{key}") for key, d in defaults.items()}
+    mk_raw = _mapping(raw.get("markov"), "markov", FIELDS["markov"])
+    horizon = mk_raw.get("horizon", max(grid.stop, 1.0))
+    markov = _scalars(mk_raw, "markov", (
+        ("horizon", horizon, float, (">", 0)),
+        ("decay_threshold", 0.025, float, (">", 0)),
+        ("j_horizon", horizon, float, (">", 0)),
+        ("j_tolerance", J_TOLERANCE, float, (">=", 0)),
+        ("eta", 0.0, float, None),  # over a finite horizon any finite regulator defines J
+    ))
 
-    validate = {}
-    if run == "validate":
-        # an error that cannot scale with the coupling has no slope to fit: a
-        # one-dimensional system makes every series exact, and at order 0 the
-        # series inversion is the identity, so their errors sit at rounding
-        va_raw = _mapping(raw.get("validate"), "validate", FIELDS["validate"])
-        for key, default, low in (("seed", 0, 0), ("d_s", 2, 2), ("d_b", 3, 1)):
-            validate[key] = parse_number(va_raw.get(key, default), f"validate.{key}", int)
-            if validate[key] < low:
-                _fail(f"validate.{key}", f"must be >= {low}, got {validate[key]}")
-        d_s, d_b = validate["d_s"], validate["d_b"]
-        if d_s * d_b > VALIDATE_DIM_CAP:
-            _fail("validate.d_s * validate.d_b", f"{d_s} * {d_b} exceeds the full-space cap {VALIDATE_DIM_CAP}")
-        if order < 1:
-            _fail("truncation.order", f"a validate run needs order >= 1, got {order}")
+    # an error that cannot scale with the coupling has no slope to fit: a
+    # one-dimensional system makes every series exact, and at order 0 the
+    # series inversion is the identity, so their errors sit at rounding
+    va_raw = _mapping(raw.get("validate"), "validate", FIELDS["validate"])
+    specs = (("seed", 0, int, (">=", 0)), ("d_s", 2, int, (">=", 2)), ("d_b", 3, int, (">=", 1)))
+    validate = _scalars(va_raw, "validate", specs)
+    d_s, d_b = validate["d_s"], validate["d_b"]
+    if d_s * d_b > VALIDATE_DIM_CAP:
+        _fail("validate.d_s * validate.d_b", f"{d_s} * {d_b} exceeds the full-space cap {VALIDATE_DIM_CAP}")
+    if run == "validate" and order < 1:
+        _fail("truncation.order", f"a validate run needs order >= 1, got {order}")
 
     return ExperimentConfig(
         model=model,
@@ -427,17 +441,16 @@ def _markov_pipeline(cfg: ExperimentConfig):
     m = cfg.model
     p = cfg.markov
     dec = decompose_interaction(m.hi)
-    report = check_markov_assumptions(m, dec, p["horizon"], p["decay_threshold"])
     bd = bohr_decompose_all(dec, m.h0.mat, m.constants.hbar)
     sc = spectral_coefficients(
         m, dec, bd.frequencies, horizon=p["j_horizon"], tol=p["j_tolerance"], eta=p["eta"]
     )
-    return dec, report, bd, sc
+    return dec, bd, sc
 
 
 def _run_lindblad(cfg: ExperimentConfig) -> list[dict]:
     m = cfg.model
-    _, _, bd, sc = _markov_pipeline(cfg)
+    _, bd, sc = _markov_pipeline(cfg)
     names = sorted(cfg.observables)
     stack = np.stack([cfg.observables[name][0] for name in names])
     trajectories = evolve_lindblad(stack, bd, sc, m.h0.mat, m.constants, cfg.grid)
@@ -449,30 +462,19 @@ def _run_lindblad(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_markov_report(cfg: ExperimentConfig) -> list[dict]:
-    _, report, bd, sc = _markov_pipeline(cfg)
+    dec, _, sc = _markov_pipeline(cfg)
+    report = check_markov_assumptions(cfg.model, dec, cfg.markov["horizon"], cfg.markov["decay_threshold"])
+    # no decay crossing within the horizon: the crossing time is beyond it
+    crossing = report.decay_time if report.decay_time is not None else report.horizon
+    assumptions = (
+        ("first_moment", "max_abs", report.first_moment_max, FIRST_MOMENT_THRESHOLD),
+        ("stationarity", "max_abs_defect", report.stationarity_defect, STATIONARITY_THRESHOLD),
+        ("decay", "crossing_time", crossing, report.decay_threshold),
+    )
     rows = [
-        {
-            "check": "first_moment",
-            "metric": "max_abs",
-            "value": report.first_moment_max,
-            "threshold": FIRST_MOMENT_THRESHOLD,
-            "status": "pass" if report.passes["first_moment"] else "fail",
-        },
-        {
-            "check": "stationarity",
-            "metric": "max_abs_defect",
-            "value": report.stationarity_defect,
-            "threshold": STATIONARITY_THRESHOLD,
-            "status": "pass" if report.passes["stationarity"] else "fail",
-        },
-        {
-            "check": "decay",
-            "metric": "crossing_time",
-            # no crossing within the horizon: the crossing time is beyond it
-            "value": report.decay_time if report.decay_time is not None else report.horizon,
-            "threshold": report.decay_threshold,
-            "status": "pass" if report.passes["decay"] else "fail",
-        },
+        {"check": check, "metric": metric, "value": value, "threshold": threshold,
+         "status": "pass" if report.passes[check] else "fail"}
+        for check, metric, value, threshold in assumptions
     ]
     for i, j, k in np.ndindex(sc.j.shape):
         val = complex(sc.j[i, j, k])
@@ -543,30 +545,32 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 # -- argparse ------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heisenbath",
         description="Heisenberg-picture open-system experiments with exact-oracle validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)  # what run and validate share
+    config.add_argument("config")
+    config.add_argument("--output", default=None, help="override output path")
+    config.add_argument("--format", choices=("csv", "json"), default=None)
 
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("config")
+    p_run = sub.add_parser("run", parents=[config], help="run an experiment config")
     p_run.add_argument("--order", type=int, default=None, help="override truncation order")
     p_run.add_argument("--lambda", dest="lam", type=float, default=None, help="override coupling")
-    p_run.add_argument("--output", default=None, help="override output path")
-    p_run.add_argument("--format", choices=("csv", "json"), default=None)
-
     p_preset = sub.add_parser("preset", help="inspect shipped presets")
     p_preset.add_argument("action", choices=("list",))
-
-    p_val = sub.add_parser("validate", help="run the perturbative-vs-oracle defect suite")
-    p_val.add_argument("config")
+    p_val = sub.add_parser("validate", parents=[config], help="run the perturbative-vs-oracle defect suite")
     p_val.add_argument("--seed", type=int, default=None, help="override random seed")
-    p_val.add_argument("--output", default=None)
-    p_val.add_argument("--format", choices=("csv", "json"), default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = PARSER.parse_args(argv)
 
     if args.command == "preset":
         for name in sorted(PRESETS):

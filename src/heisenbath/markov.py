@@ -332,6 +332,11 @@ def bohr_decompose_all(dec: InteractionDecomposition, h0, hbar: float = 1.0) -> 
 # -- spectral coefficients ----------------------------------------------------
 
 
+# largest convergence defect |J(horizon) - J(horizon/2)| at which a J entry
+# counts as converged, unless the caller passes its own
+J_TOLERANCE = 0.1
+
+
 @dataclass(frozen=True)
 class SpectralCoefficients:
     """Half-line Fourier transforms ``J^{ij}(w)`` of the bath correlators.
@@ -363,7 +368,7 @@ def spectral_coefficients(
     dec: InteractionDecomposition,
     freqs,
     horizon: float,
-    tol: float = 1e-8,
+    tol: float = J_TOLERANCE,
     eta: float = 0.0,
 ) -> SpectralCoefficients:
     """``J^{ij}(w) = int_0^horizon exp(-i w tau - eta tau) <S~^i(0) S~^j(-tau)> dtau``.

@@ -215,6 +215,20 @@ class TestRunModes:
             value = one_point_value(cfg.observables["s1x"][0], cfg.truncation, ks, cfg.model.rho_b, float(r["time"]))
             assert complex(float(r["re"]), float(r["im"])) == value[int(r["row"]), int(r["col"])]
 
+    def test_sections_a_mode_does_not_read_change_no_byte(self, tmp_path):
+        """Valid `markov`, `validate` and `npoint` sections on a one_point run are
+        checked, and the run writes the bytes it writes without them."""
+        unread = {
+            "markov": {"horizon": 3.0, "j_horizon": 2.0, "decay_threshold": 0.1, "j_tolerance": 0.0, "eta": -0.5},
+            "validate": {"seed": 4, "d_s": 3, "d_b": 2},
+            "npoint": {"factors": [{"observable": "s1x", "time": 0.5}, {"observable": "s1x", "time": 2.5}]},
+        }
+        written = []
+        for sections in ({}, unread):
+            assert cli.main(["run", str(write_config(tmp_path, **sections))]) == 0
+            written.append((tmp_path / "out.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_image_exact_mode(self, tmp_path):
         path = write_config(tmp_path, run="image_exact", grid={"stop": 1.0, "num": 3})
         assert cli.main(["run", str(path)]) == 0
@@ -241,7 +255,7 @@ class TestRunModes:
         # all observables go through one evolve_lindblad call; rows keep the
         # per-observable order (name, then time, then matrix entry)
         loaded = cli.load_config(path)
-        _, _, bd, sc = cli._markov_pipeline(loaded)
+        _, bd, sc = cli._markov_pipeline(loaded)
         m = loaded.model
         expected = [
             (name, t, val)
@@ -367,6 +381,7 @@ class TestRunModes:
 
 # a lindblad run on the dephasing preset, with the preset's observable
 DEPHASING_LINDBLAD = {"run": "lindblad", "observables": {"sz": {}}}
+DEPHASING_REPORT = dict(DEPHASING_LINDBLAD, run="markov_report", model={"preset": "dephasing_bath"})
 
 
 class TestExitCodes:
@@ -551,6 +566,20 @@ class TestExitCodes:
             ({"output": {"format": "JSON"}}, "output.format"),
             ({"run": "n_point"}, "npoint.factors"),
             ({"run": "n_point", "npoint": {"factors": [{"observable": "zz", "time": 0.5}]}}, "npoint.factors[0].observable"),
+            # a section is checked in every run mode, also one that does not read it
+            ({"markov": {"bogus": 1}}, "markov.bogus"),
+            ({"markov": {"horizon": -5}}, "markov.horizon"),
+            ({"npoint": {"extra": 1}}, "npoint.extra"),
+            ({"npoint": {"factors": [{"observable": "zz", "time": 0.5}]}}, "npoint.factors[0].observable"),
+            ({"npoint": {"factors": [{"observable": "s1x", "time": -1}]}}, "npoint.factors[0].time"),
+            ({"validate": {"seed": -3}}, "validate.seed"),
+            ({"validate": {"nonsense": True}}, "validate.nonsense"),
+            (dict(DEPHASING_REPORT, markov={"horizon": 0}), "markov.horizon"),
+            (dict(DEPHASING_REPORT, markov={"horizon": -5}), "markov.horizon"),
+            (dict(DEPHASING_REPORT, markov={"j_horizon": -1}), "markov.j_horizon"),
+            (dict(DEPHASING_REPORT, markov={"decay_threshold": -1}), "markov.decay_threshold"),
+            (dict(DEPHASING_REPORT, markov={"j_tolerance": -1}), "markov.j_tolerance"),
+            (dict(DEPHASING_REPORT, run="lindblad", markov={"horizon": 0}), "markov.horizon"),
         ],
         ids=[
             "order_word", "order_negative", "preset_lam_word", "preset_lam_nan",
@@ -563,6 +592,11 @@ class TestExitCodes:
             "preset_c_out_of_range", "inline_model_incomplete", "points_repeated", "points_not_from_zero",
             "observable_without_matrix", "output_path_empty", "output_format_upper", "npoint_missing",
             "factor_unknown_observable",
+            "one_point_markov_unknown_key", "one_point_markov_horizon_negative", "one_point_npoint_unknown_key",
+            "one_point_factor_unknown_observable", "one_point_factor_time_negative",
+            "one_point_validate_seed_negative", "one_point_validate_unknown_key",
+            "report_horizon_zero", "report_horizon_negative", "report_j_horizon_negative",
+            "report_decay_threshold_negative", "report_j_tolerance_negative", "lindblad_horizon_zero",
         ],
     )
     def test_bad_scalar_is_2(self, tmp_path, capsys, overrides, field):

@@ -10,6 +10,7 @@ import heisenbath as hb
 from heisenbath.dyson import compute_kernels, frame_of, toeplitz_expm
 from heisenbath.errors import DimensionError, NonHermitianInput
 from heisenbath.markov import (
+    J_TOLERANCE,
     N_TAU,
     BohrDecomposition,
     SpectralCoefficients,
@@ -399,6 +400,15 @@ class TestSpectralCoefficients:
         sc = spectral_coefficients(m, dec, [0.0], horizon=10.0, tol=1e-8)
         assert abs(sc.j[0, 0, 0]) < 1e-10
         assert sc.converged
+
+    def test_default_tolerance_is_j_tolerance(self):
+        """Without ``tol`` the convergence test uses `J_TOLERANCE`, the default
+        of the CLI's ``markov.j_tolerance`` too."""
+        m = hb.dephasing_bath(lam=0.05).model
+        dec = decompose_interaction(m.hi)
+        sc = spectral_coefficients(m, dec, [0.0, 1.3], horizon=5.0)
+        assert sc.tolerance == J_TOLERANCE
+        assert sc.converged == bool(np.all(sc.defects <= J_TOLERANCE))
 
     @pytest.mark.parametrize("eta", [0.5, 0.25])
     def test_single_mode_analytic(self, eta):
