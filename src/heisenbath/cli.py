@@ -11,7 +11,9 @@ a mode only states what it requires: ``n_point`` needs ``npoint.factors``,
 ``one_point``, ``n_point``, ``image_exact`` and ``lindblad`` need an
 observable, and ``validate`` needs ``truncation.order >= 1``.  The scalar
 fields of ``grid``, ``markov`` and ``validate`` are each one
-``(name, default, kind, bound)`` row read by `_scalars`.
+``(name, default, kind, bound)`` row of a module table (`GRID_SCALARS`,
+`MARKOV_SCALARS`, `VALIDATE_SCALARS`) read by `_scalars`, and `FIELDS`
+reads those sections' field names off the same rows.
 
 Operator trajectories are emitted as long-format rows
 ``(time, observable, row, col, re, im)``; floats are written with 17
@@ -69,18 +71,31 @@ VALIDATE_DIM_CAP = 512  # largest full-space dimension d_s * d_b a validate run 
 INLINE_COUPLING = 0.1  # coupling of an inline model whose config names none
 # libyaml's parser where PyYAML was built with it, about 6x faster on a config
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# the scalar fields of a section, each one (name, default, kind, bound) row read by `_scalars`
+GRID_SCALARS = (("stop", 1.0, float, (">", 0)), ("num", 11, int, (">=", 2)))  # unless grid.points is given
+MARKOV_SCALARS = (
+    ("horizon", None, float, (">", 0)),  # default max(grid.stop, 1), given at parse time
+    ("decay_threshold", 0.025, float, (">", 0)),
+    ("j_horizon", None, float, (">", 0)),  # default the horizon, given at parse time
+    ("j_tolerance", J_TOLERANCE, float, (">=", 0)),
+    ("eta", 0.0, float, None),  # over a finite horizon any finite regulator defines J
+)
+# an error that cannot scale with the coupling has no slope to fit: a
+# one-dimensional system makes every series exact, and at order 0 the
+# series inversion is the identity, so their errors sit at rounding
+VALIDATE_SCALARS = (("seed", 0, int, (">=", 0)), ("d_s", 2, int, (">=", 2)), ("d_b", 3, int, (">=", 1)))
 # the fields each config section allows; any other key is a config error naming it
 FIELDS = {
     "": ("model", "run", "truncation", "grid", "observables", "output", "npoint", "markov", "validate"),
     "model": ("h0", "hb", "hi", "rho0", "rho_b", "hbar"),  # an inline model; a preset takes its own parameters
     "truncation": ("order", "lambda"),
-    "grid": ("points", "stop", "num"),
+    "grid": ("points", *(row[0] for row in GRID_SCALARS)),
     "observables.<name>": ("matrix", "times"),
     "output": ("path", "format"),
     "npoint": ("factors",),
     "npoint.factors[k]": ("observable", "time"),
-    "markov": ("horizon", "decay_threshold", "j_horizon", "j_tolerance", "eta"),
-    "validate": ("seed", "d_s", "d_b"),
+    "markov": tuple(row[0] for row in MARKOV_SCALARS),
+    "validate": tuple(row[0] for row in VALIDATE_SCALARS),
 }
 
 
@@ -128,10 +143,11 @@ def _bounded(value, path: str, kind, bound):
     return num
 
 
-def _scalars(section: dict, path: str, specs) -> dict:
-    """Each ``(name, default, kind, bound)`` field of a section, by `_bounded`."""
+def _scalars(section: dict, path: str, specs, **defaults) -> dict:
+    """Each ``(name, default, kind, bound)`` field of a section, by `_bounded`;
+    a keyword in ``defaults`` replaces a row's default."""
     return {
-        name: _bounded(section.get(name, default), f"{path}.{name}", kind, bound)
+        name: _bounded(section.get(name, defaults.get(name, default)), f"{path}.{name}", kind, bound)
         for name, default, kind, bound in specs
     }
 
@@ -264,8 +280,7 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
         except ValueError as exc:
             _fail("grid.points", str(exc))
     else:
-        specs = (("stop", 1.0, float, (">", 0)), ("num", 11, int, (">=", 2)))
-        stop, num = _scalars(grid_raw, "grid", specs).values()
+        stop, num = _scalars(grid_raw, "grid", GRID_SCALARS).values()
         try:
             grid = TimeGrid.linspace(stop, num)
         except ValueError as exc:  # stop too small to separate num points
@@ -312,20 +327,10 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
 
     mk_raw = _mapping(raw.get("markov"), "markov", FIELDS["markov"])
     horizon = mk_raw.get("horizon", max(grid.stop, 1.0))
-    markov = _scalars(mk_raw, "markov", (
-        ("horizon", horizon, float, (">", 0)),
-        ("decay_threshold", 0.025, float, (">", 0)),
-        ("j_horizon", horizon, float, (">", 0)),
-        ("j_tolerance", J_TOLERANCE, float, (">=", 0)),
-        ("eta", 0.0, float, None),  # over a finite horizon any finite regulator defines J
-    ))
+    markov = _scalars(mk_raw, "markov", MARKOV_SCALARS, horizon=horizon, j_horizon=horizon)
 
-    # an error that cannot scale with the coupling has no slope to fit: a
-    # one-dimensional system makes every series exact, and at order 0 the
-    # series inversion is the identity, so their errors sit at rounding
     va_raw = _mapping(raw.get("validate"), "validate", FIELDS["validate"])
-    specs = (("seed", 0, int, (">=", 0)), ("d_s", 2, int, (">=", 2)), ("d_b", 3, int, (">=", 1)))
-    validate = _scalars(va_raw, "validate", specs)
+    validate = _scalars(va_raw, "validate", VALIDATE_SCALARS)
     d_s, d_b = validate["d_s"], validate["d_b"]
     if d_s * d_b > VALIDATE_DIM_CAP:
         _fail("validate.d_s * validate.d_b", f"{d_s} * {d_b} exceeds the full-space cap {VALIDATE_DIM_CAP}")

@@ -13,12 +13,14 @@ suite call.  Between the layers a family is its matrix: the object lifts
 every suite time ``(t1, t2, t)`` of an order in one engine call for the
 whole sweep, and returns one-point values, inversions and image-family
 matrices with a leading coupling axis; each partition sum is expanded once.
-The exact references are one `evolve_exact` call for the sweep
-(`exact_sweep`, ``(n_lam, n_t, D, D)``).  So each ``*_errors`` row is one
-array expression over the sweep, series legs against exact legs through the
-same `chain_contract` and `npoint` cumulant arithmetic, closed by one
-max-abs per coupling.  Every coupling and time gets the bits the
-one-coupling, one-time functions of `superop` give it.
+The exact references are one `evolve_exact` call for the sweep,
+``evolve_exact(m, [obs], times, lams)`` of shape ``(n_lam, n_t, D, D)``;
+the ``exact`` argument of an ``*_errors`` helper is that array at the
+helper's own times, a slice such as ``exact[:, 2:]``.  So each
+``*_errors`` row is one array expression over the sweep, series legs
+against exact legs through the same `chain_contract` and `npoint` cumulant
+arithmetic, closed by one max-abs per coupling.  Every coupling and time
+gets the bits the one-coupling, one-time functions of `superop` give it.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from .model import ModelSpec, make_model
 from .oracle import evolve_exact
 from .dyson import KernelSet, compute_kernels
 from .npoint import _PartitionWords, _cumulant_2pt, _decompose_3pt
-from .spaces import TimeGrid, system_operator
+from .spaces import TimeGrid, system_matrix
 from .superop import (
     SeriesTruncation,
     _lift_observable,
-    _obs_matrix,
     _one_point_rhs,
     _one_point_values,
     chain_contract,
@@ -71,18 +72,6 @@ def fit_slope(lams, errors) -> float:
     return float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
 
 
-def exact_sweep(m: ModelSpec, obs, times, lams) -> np.ndarray:
-    """Exact full-space ``O(t)`` at ``times`` for each coupling in ``lams``,
-    shape ``(len(lams), len(times), D, D)``.
-
-    One `evolve_exact` call for the whole sweep: one free Hamiltonian and one
-    batched eigendecomposition.  The ``exact`` argument of an ``*_errors``
-    helper is this array at the helper's own times, a slice such as
-    ``exact[:, 2:]`` of the suite's sweep.
-    """
-    return evolve_exact(m, [system_operator(obs, (m.dim_system, m.dim_bath))], times, lams)
-
-
 class SeriesResults:
     """Series quantities of one model, observable and kernel set over a coupling sweep.
 
@@ -97,7 +86,7 @@ class SeriesResults:
     """
 
     def __init__(self, m: ModelSpec, obs, ks: KernelSet, lams=DEFAULT_LAMBDAS, times=()):
-        self.m, self.obs, self.ks = m, _obs_matrix(obs), ks
+        self.m, self.obs, self.ks = m, system_matrix(obs), ks
         self.lams = tuple(dict.fromkeys(float(lam) for lam in lams))
         self.times = tuple(dict.fromkeys(float(t) for t in times))
         self.row = functools.cache(ks.row)  # the kernel row at a time
@@ -217,7 +206,7 @@ def validation_suite(
     ks = compute_kernels(m, max(order, 3), grid)
     t1, t2, t3 = 0.4 * t, 0.8 * t, t
     series = SeriesResults(m, obs, ks, (*lams, DEFECT_LAMBDA), (t1, t2, t3))
-    exact = exact_sweep(m, obs, (t1, t2, t3), lams)
+    exact = evolve_exact(m, [obs], (t1, t2, t3), lams)
     at_t, at_t1_t2 = exact[:, 2:], exact[:, :2]
     rows: list[dict] = []
 

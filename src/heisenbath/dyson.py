@@ -90,8 +90,7 @@ def frame_of(m: ModelSpec) -> InteractionFrame:
 def interaction_hamiltonian_images(m: ModelSpec, t: float) -> ImageFamily:
     """The family ``Htilde_ab(t)``; at ``t = 0`` these are the Schrodinger images."""
     u = _blockops.kron_identity(frame_of(m).u0(t), m.dim_bath)
-    delta = (m.bath_energies[:, None] - m.bath_energies[None, :]) / m.constants.hbar
-    phases = np.tile(np.exp(-1j * delta * t), (m.dim_system, m.dim_system))
+    phases = np.tile(np.exp(-1j * m.bath_gaps * t), (m.dim_system, m.dim_system))
     return ImageFamily((u @ m.hi.mat @ u.conj().T) * phases, m.dim_bath, t)
 
 
@@ -229,11 +228,11 @@ class KernelSet:
     It holds the rows ``R(t) = (E[0], ..., E[n_max])`` at the grid points
     and does not change after construction; `row` reaches an off-grid time,
     the last point included, and every stack is computed from a row on
-    request.  ``tilde_at(n, t)`` returns the interaction-picture family
-    ``Ktilde[n](t)`` in the original basis; ``heis_at(n, t)`` returns the
-    Heisenberg-frame kernels ``K[n]_ab(t) = exp(+i(E_a-E_b)t/hbar) U0^dag Ktilde U0``.
-    The stacks behind them hold orders ``0..n_max`` as full-space matrices,
-    shape ``(n_max + 1, D, D)``, with order 0 the identity.
+    request.  ``tilde_stack(t)[n]`` is the interaction-picture family
+    ``Ktilde[n](t)`` in the original basis and ``heis_stack(t)[n]`` the
+    Heisenberg-frame kernels ``K[n]_ab(t) = exp(+i(E_a-E_b)t/hbar) U0^dag Ktilde U0``;
+    each stack holds orders ``0..n_max`` as full-space matrices, shape
+    ``(n_max + 1, D, D)``, with order 0 the identity.
     """
 
     def __init__(self, m: ModelSpec, n_max: int, grid: TimeGrid):
@@ -245,8 +244,7 @@ class KernelSet:
         self.dim_system, self.dim_bath = d_s, d_b
         hbar = m.constants.hbar
         # (i/hbar)(E_a - E_b) at every full-space entry (i a, j b)
-        delta_b = (m.bath_energies[:, None] - m.bath_energies[None, :]) / hbar
-        self._bath_phase = np.tile(1j * delta_b, (d_s, d_s))
+        self._bath_phase = np.tile(1j * m.bath_gaps, (d_s, d_s))
         # full-space eigenbasis of F: index i * d_B + a carries (eps0_i + E_a) / hbar
         free = (self.frame.eps0[:, None] + m.bath_energies[None, :]).ravel() / hbar
         d = d_s * d_b
@@ -314,20 +312,10 @@ class KernelSet:
         out[1:] = self.frame.leave_open(out[1:] * e0 / e0[:, None])
         return out
 
-    # -- per-order access ---------------------------------------------------
-
     def check_order(self, n: int) -> None:
         """Raise `OrderExceedsKernels` unless order ``n`` lies in ``0..orders``."""
         if n < 0 or n > self.orders:
             raise OrderExceedsKernels(f"series order {n} exceeds computed kernel order {self.orders}")
-
-    def tilde_at(self, n: int, t: float) -> ImageFamily:
-        self.check_order(n)
-        return ImageFamily(self.tilde_stack(t)[n], self.dim_bath, t)
-
-    def heis_at(self, n: int, t: float) -> ImageFamily:
-        self.check_order(n)
-        return ImageFamily(self.heis_stack(t)[n], self.dim_bath, t)
 
 
 def compute_kernels(m: ModelSpec, n_max: int, grid: TimeGrid) -> KernelSet:

@@ -101,14 +101,9 @@ def decompose_interaction(hi: OperatorMatrix) -> InteractionDecomposition:
 # -- bath correlation functions ----------------------------------------------
 
 
-def _bath_phases(m: ModelSpec) -> np.ndarray:
-    e = m.bath_energies
-    return (e[:, None] - e[None, :]) / m.constants.hbar
-
-
 def bath_correlation(m: ModelSpec, dec: InteractionDecomposition, i: int, j: int, t: float, tau: float) -> complex:
     """``<S~^i(t) S~^j(t - tau)>_B`` in the working bath basis."""
-    delta = _bath_phases(m)
+    delta = m.bath_gaps
     s_i = dec.s[i] * np.exp(-1j * delta * t)
     s_j = dec.s[j] * np.exp(-1j * delta * (t - tau))
     return complex(np.trace(s_i @ s_j @ m.rho_b.mat))
@@ -116,8 +111,7 @@ def bath_correlation(m: ModelSpec, dec: InteractionDecomposition, i: int, j: int
 
 def first_moment(m: ModelSpec, dec: InteractionDecomposition, i: int, t: float) -> complex:
     """``tr_B{S~^i(t) rho_B}``: the order-lambda contraction that must vanish."""
-    delta = _bath_phases(m)
-    s_i = dec.s[i] * np.exp(-1j * delta * t)
+    s_i = dec.s[i] * np.exp(-1j * m.bath_gaps * t)
     return complex(np.trace(s_i @ m.rho_b.mat))
 
 
@@ -136,7 +130,7 @@ def _twisted_states(m: ModelSpec, t) -> np.ndarray:
     """``rho_t[c, a] = rho_B[c, a] exp(-i delta_ac t)`` for every time, ``(n_t, d_B, d_B)``:
     both interaction-picture phases at time t on the state, which keeps the
     diagonal of ``rho_B`` exactly.  ``tr(S^i rho_t)`` is the first moment."""
-    return m.rho_b.mat * np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), _bath_phases(m)))
+    return m.rho_b.mat * np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), m.bath_gaps))
 
 
 def _correlations(m: ModelSpec, dec: InteractionDecomposition, t, tau) -> np.ndarray:
@@ -258,7 +252,7 @@ def check_markov_assumptions(
         decay_threshold=decay_threshold,
         horizon=horizon,
         r_norm_sum=float(np.linalg.norm(dec.r, 2, axis=(1, 2)).sum()),
-        bath_gap_max=float(np.max(np.abs(_bath_phases(m)))),
+        bath_gap_max=float(np.max(np.abs(m.bath_gaps))),
         passes={
             "first_moment": (max(fm) if fm else 0.0) <= FIRST_MOMENT_THRESHOLD,
             "stationarity": stat <= STATIONARITY_THRESHOLD,
@@ -383,7 +377,7 @@ def spectral_coefficients(
     """
     weights = correlation_table(dec.s, m.rho_b.mat)
     w = np.asarray(freqs, dtype=float)
-    z = 1j * _bath_phases(m)[:, :, None] - 1j * w - eta
+    z = 1j * m.bath_gaps[:, :, None] - 1j * w - eta
     full = np.einsum("ijbc,bcw->ijw", weights, _halfline_integrals(z, horizon))
     half = np.einsum("ijbc,bcw->ijw", weights, _halfline_integrals(z, horizon / 2.0))
     defects = np.abs(full - half)

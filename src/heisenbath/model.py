@@ -51,6 +51,12 @@ class ModelSpec:
     def dim_bath(self) -> int:
         return self.hb.tag.dim_bath
 
+    @property
+    def bath_gaps(self) -> np.ndarray:
+        """The bath Bohr frequencies ``(E_a - E_b) / hbar``, shape ``(d_B, d_B)``."""
+        e = self.bath_energies
+        return (e[:, None] - e[None, :]) / self.constants.hbar
+
     def with_coupling(self, lam: float) -> "ModelSpec":
         """Same model at a different coupling strength."""
         return ModelSpec(
@@ -137,14 +143,12 @@ def make_model(
         if not herm_defect(mat) <= HERM_TOL:  # a NaN defect fails too
             raise NonHermitianInput(f"{name} is not hermitian (defect {herm_defect(mat):.2e})")
 
-    energies, basis = _canonical_bath_eigenbasis(hb.copy(), HERM_TOL)
     off_diag = hb - np.diag(np.diag(hb))
-    already_diagonal = np.linalg.norm(off_diag) <= HERM_TOL * max(1.0, np.linalg.norm(hb))
-    if already_diagonal:
+    if np.linalg.norm(off_diag) <= HERM_TOL * max(1.0, np.linalg.norm(hb)):
         # keep the caller's ordering when H_B is already diagonal
         energies = np.diag(hb).real.copy()
-        basis = np.eye(d_b, dtype=complex)
     else:
+        energies, basis = _canonical_bath_eigenbasis(hb.copy(), HERM_TOL)
         rot_full = np.kron(np.eye(d_s), basis)
         hi = rot_full.conj().T @ hi @ rot_full
         rho_b = basis.conj().T @ rho_b @ basis

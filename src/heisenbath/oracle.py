@@ -21,9 +21,9 @@ from .model import ModelSpec
 from .spaces import (
     HERM_TOL,
     OperatorMatrix,
-    Space,
     full_operator,
     herm_defect,
+    system_matrix,
     weighted_bath_trace,
 )
 
@@ -38,13 +38,15 @@ def total_hamiltonian(m: ModelSpec) -> OperatorMatrix:
     return full_operator(_free_hamiltonian(m) + m.constants.lam * m.hi.mat, m.hi.tag)
 
 
-def evolve_exact(m: ModelSpec, observables: Sequence[OperatorMatrix], times, lams=None) -> np.ndarray:
+def evolve_exact(m: ModelSpec, observables, times, lams=None) -> np.ndarray:
     """``U(t)^dag (o (x) 1_B) U(t)`` at every time, shape ``(n_t, D, D)``.
 
     ``observables`` holds one system observable per time, or one for all
-    times.  ``U(t) = exp(-iHt/hbar)``: one eigendecomposition ``H = V
-    diag(E) V^dag`` serves every time, ``U = (V exp(-iEt/hbar)) V^dag`` is
-    one GEMM over all times, and ``(U^dag (o (x) 1_B)) U`` two batched GEMMs.
+    times: a ``(d_S, d_S)`` array or a system-tagged `OperatorMatrix`; any
+    other shape or a bath or full-space operator raises `DimensionError`.
+    ``U(t) = exp(-iHt/hbar)``: one eigendecomposition ``H = V diag(E)
+    V^dag`` serves every time, ``U = (V exp(-iEt/hbar)) V^dag`` is one GEMM
+    over all times, and ``(U^dag (o (x) 1_B)) U`` two batched GEMMs.
     The full ``o (x) 1_B`` and this order fix the rounding of every exact
     reference; a cheaper form changes it, and with it the validation slopes
     whose smallest errors sit at the rounding floor.
@@ -55,8 +57,9 @@ def evolve_exact(m: ModelSpec, observables: Sequence[OperatorMatrix], times, lam
     hermiticity, and one batched eigendecomposition serves them all.  Each
     coupling gets the bits of a lone call on ``m.with_coupling(lam)``.
     """
-    if any(o.tag.kind is not Space.SYSTEM for o in observables):
-        raise DimensionError("initial observable must live on the system space")
+    mats = [system_matrix(o) for o in observables]
+    if any(o.shape != (m.dim_system, m.dim_system) for o in mats):
+        raise DimensionError(f"observables must have shape {(m.dim_system, m.dim_system)}")
     sweep = [m.constants.lam] if lams is None else lams
     h = _free_hamiltonian(m) + np.asarray(sweep, dtype=float)[:, None, None] * m.hi.mat
     for defect in map(herm_defect, h):
@@ -67,7 +70,7 @@ def evolve_exact(m: ModelSpec, observables: Sequence[OperatorMatrix], times, lam
     phases = np.exp(-1j * evals[:, None, :] * np.asarray(times, dtype=float)[:, None] / m.constants.hbar)
     scaled = vecs[:, None] * phases[..., None, :]
     u = (scaled.reshape(n_lam, -1, d) @ vecs.conj().swapaxes(-1, -2)).reshape(n_lam, -1, d, d)
-    o_full = _blockops.kron_identity(np.stack([o.mat for o in observables]), m.dim_bath)
+    o_full = _blockops.kron_identity(np.stack(mats), m.dim_bath)
     # a contiguous adjoint keeps the batched product on BLAS
     out = (np.conj(u.swapaxes(-1, -2), order="C") @ o_full) @ u
     return out[0] if lams is None else out

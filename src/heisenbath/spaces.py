@@ -84,6 +84,14 @@ def as_matrix(x) -> np.ndarray:
     return x.mat if isinstance(x, OperatorMatrix) else np.asarray(x, dtype=complex)
 
 
+def system_matrix(o) -> np.ndarray:
+    """`as_matrix` of a system observable: an array, or an `OperatorMatrix` tagged
+    for the system space; a bath or full-space operator raises `DimensionError`."""
+    if isinstance(o, OperatorMatrix) and o.tag.kind is not Space.SYSTEM:
+        raise DimensionError("observables must live on the system space")
+    return as_matrix(o)
+
+
 def system_operator(entries, tag_or_dims) -> OperatorMatrix:
     return OperatorMatrix(_as_complex_matrix(entries), _retag(tag_or_dims, Space.SYSTEM))
 

@@ -41,7 +41,9 @@ times at once: a leading leg axis, one kernel row and so one frame stack
 per leg, so a caller that holds several times (the validation suite) lifts
 them all in one call.  The public functions are that engine called with
 the one coupling of their truncation and the row of their one time,
-fetched once.  Each item's arithmetic is the same either way, so a batch
+fetched once: `invert_one_point`, `image_from_value` and
+`image_from_one_point` are `_lift_values` of one leg, and `star_product`
+chains the `image_from_one_point` of each factor.  Each item's arithmetic is the same either way, so a batch
 returns the bits of its items one at a time; the weights ``(lam/hbar)^j``
 are Python-float powers for that reason.  Between these layers a family is
 its ``(..., D, D)`` matrix, leading coupling or leg axes included:
@@ -60,7 +62,7 @@ from . import _blockops
 from .dyson import KernelSet
 from .errors import DimensionError
 from .images import ImageFamily
-from .spaces import DensityMatrix, OperatorMatrix, Space, SpaceTag, TimeGrid, as_matrix, system_operator
+from .spaces import DensityMatrix, OperatorMatrix, Space, SpaceTag, TimeGrid, system_matrix, system_operator
 
 
 @dataclass(frozen=True)
@@ -84,12 +86,6 @@ class OnePointTrajectory:
     grid: TimeGrid
     values: np.ndarray  # (n_t, d_S, d_S)
     truncation: SeriesTruncation
-
-
-def _obs_matrix(o) -> np.ndarray:
-    if isinstance(o, OperatorMatrix) and o.tag.kind is not Space.SYSTEM:
-        raise DimensionError("observables must live on the system space")
-    return as_matrix(o)
 
 
 def _system_tag(ks: KernelSet) -> SpaceTag:
@@ -117,7 +113,7 @@ def _P_frame(n: int, a, t: float, ks: KernelSet) -> tuple[np.ndarray, np.ndarray
     """The order-n sandwich of a system operator in the kernel frame, and the frame stack."""
     ks.check_order(n)
     kstack = ks.frame_stack(ks.row(t))
-    return _P_full(n, ks.frame.enter(_obs_matrix(a)), kstack), kstack
+    return _P_full(n, ks.frame.enter(system_matrix(a)), kstack), kstack
 
 
 def apply_P_ab(n: int, a, t: float, ks: KernelSet) -> ImageFamily:
@@ -133,7 +129,7 @@ def apply_P_S(n: int, a, t: float, ks: KernelSet, rho_b: DensityMatrix) -> np.nd
 def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
     """Max-norm gap between the Dyson-derived and as-displayed order-n sandwiches."""
     derived, kstack = _P_frame(n, a, t, ks)
-    printed = _P_full(n, ks.frame.enter(_obs_matrix(a)), kstack.conj().swapaxes(-1, -2))
+    printed = _P_full(n, ks.frame.enter(system_matrix(a)), kstack.conj().swapaxes(-1, -2))
     return float(np.max(np.abs(ks.frame.leave_open(derived - printed))))
 
 
@@ -190,7 +186,7 @@ def _one_point_values(
 
 def one_point_value(o, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix, t: float) -> np.ndarray:
     """Truncated one-point series ``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` at one time."""
-    return _one_point_values(_obs_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])[0, 0]
+    return _one_point_values(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])[0, 0]
 
 
 def one_point_operator(
@@ -202,7 +198,7 @@ def one_point_operator(
     label: str = "O",
 ) -> OnePointTrajectory:
     """One-point operator trajectory over a grid at fixed truncation."""
-    o_mat = _obs_matrix(o)
+    o_mat = system_matrix(o)
     values = _one_point_values(o_mat, trunc.order, (trunc.lam,), ks, rho_b, ks.eigen_rows(grid.points))[0]
     return OnePointTrajectory(label, o_mat, grid, values, trunc)
 
@@ -274,14 +270,6 @@ def _lift_observable(
     return (values, *_lift_values(values, order, lams, ks, rho_b, rows))
 
 
-def _lift_one(value: np.ndarray, row: np.ndarray, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix):
-    """`_lift_values` of one one-point value ``(d_S, d_S)`` at the coupling of
-    ``trunc``, from the kernel row of its time: the inversion ``inv[order]``
-    and the image-family matrix ``(D, D)``."""
-    inverses, mats = _lift_values(value[None, None], trunc.order, (trunc.lam,), ks, rho_b, row[None])
-    return inverses[0, 0], mats[0, 0]
-
-
 def invert_one_point(
     o_s_value,
     trunc: SeriesTruncation,
@@ -290,7 +278,8 @@ def invert_one_point(
     t: float,
 ) -> np.ndarray:
     """Recover ``U0^dag O U0`` from a one-point value via the multinomial inverse."""
-    return _lift_one(_obs_matrix(o_s_value), ks.row(t), trunc, ks, rho_b)[0]
+    value = system_matrix(o_s_value)[None, None]
+    return _lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])[0][0, 0]
 
 
 def image_from_value(
@@ -306,21 +295,26 @@ def image_from_value(
     the order-by-order cancellation that returns the one-point value under
     bath contraction holds only with total-order truncation.
     """
-    return ImageFamily(_lift_one(_obs_matrix(value), ks.row(t), trunc, ks, rho_b)[1], ks.dim_bath, t)
+    value = system_matrix(value)[None, None]
+    mats = _lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])[1]
+    return ImageFamily(mats[0, 0], ks.dim_bath, t)
 
 
 def image_from_one_point(
     o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatrix, t: float
 ) -> ImageFamily:
     """Image family of a one-point trajectory at time t."""
-    return ImageFamily(_lift_one(*_value_and_row(o_s, ks, rho_b, t), o_s.truncation, ks, rho_b)[1], ks.dim_bath, t)
+    value, row = _value_and_row(o_s, ks, rho_b, t)
+    trunc = o_s.truncation
+    mats = _lift_values(value[None, None], trunc.order, (trunc.lam,), ks, rho_b, row[None])[1]
+    return ImageFamily(mats[0, 0], ks.dim_bath, t)
 
 
 def _lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix):
     """One-point values ``(n_leg, d_S, d_S)`` and image-family matrices ``(n_leg, D, D)``
     of ``(observable, time)`` legs, each leg lifted alone from its kernel row, fetched once."""
     lifts = [
-        _lift_observable(_obs_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])
+        _lift_observable(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])
         for o, t in legs
     ]
     return np.stack([values[0, 0] for values, _, _ in lifts]), np.stack([mats[0, 0] for _, _, mats in lifts])
@@ -353,7 +347,7 @@ def star_product(
     truncs = {(f.truncation.order, f.truncation.lam) for f, _ in factors}
     if len(truncs) > 1:
         raise DimensionError(f"star_product factors disagree on truncation: {truncs}")
-    mats = [_lift_one(*_value_and_row(f, ks, rho_b, float(t)), f.truncation, ks, rho_b)[1] for f, t in factors]
+    mats = [image_from_one_point(f, ks, rho_b, float(t)).matrix for f, t in factors]
     return system_operator(chain_contract(mats, rho_b), _system_tag(ks))
 
 

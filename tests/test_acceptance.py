@@ -15,7 +15,6 @@ from heisenbath.diagnostics import (
     cumulant2_errors,
     decomposition_sum_defect,
     dual_bookkeeping_defect,
-    exact_sweep,
     fit_slope,
     one_point_errors,
     random_model,
@@ -23,7 +22,7 @@ from heisenbath.diagnostics import (
     star_errors,
 )
 from heisenbath.dyson import compute_kernels
-from heisenbath.images import contract_with_bath, evolve_images_exact
+from heisenbath.images import ImageFamily, contract_with_bath, evolve_images_exact
 from heisenbath.markov import (
     bohr_decompose_all,
     check_markov_assumptions,
@@ -31,7 +30,7 @@ from heisenbath.markov import (
     lindblad_rhs,
     spectral_coefficients,
 )
-from heisenbath.oracle import npoint_reduced_exact
+from heisenbath.oracle import evolve_exact, npoint_reduced_exact
 from heisenbath.spaces import TimeGrid, system_operator
 from heisenbath.superop import (
     SeriesTruncation,
@@ -93,10 +92,10 @@ def test_criterion_03_truncation_error_scaling(seed, d_b):
     m, obs = random_model(seed, 2, d_b)
     ks = compute_kernels(m, 2, TimeGrid.linspace(1.65, 7))
     series = SeriesResults(m, obs, ks)
-    s1 = fit_slope(LAMBDAS, one_point_errors(series, 1.1, 2, LAMBDAS, exact_sweep(m, obs, (1.1,), LAMBDAS)))
+    s1 = fit_slope(LAMBDAS, one_point_errors(series, 1.1, 2, LAMBDAS, evolve_exact(m, [obs], (1.1,), LAMBDAS)))
     times2, times3 = (0.6, 1.2), (0.4, 0.9, 1.3)
-    s2 = fit_slope(LAMBDAS, star_errors(series, times2, 1, LAMBDAS, exact_sweep(m, obs, times2, LAMBDAS)))
-    s3 = fit_slope(LAMBDAS, star_errors(series, times3, 1, LAMBDAS, exact_sweep(m, obs, times3, LAMBDAS)))
+    s2 = fit_slope(LAMBDAS, star_errors(series, times2, 1, LAMBDAS, evolve_exact(m, [obs], times2, LAMBDAS)))
+    s3 = fit_slope(LAMBDAS, star_errors(series, times3, 1, LAMBDAS, evolve_exact(m, [obs], times3, LAMBDAS)))
     assert s1 >= 2.8
     assert s2 >= 1.8
     assert s3 >= 1.8
@@ -111,8 +110,8 @@ def test_criterion_04_kernel_regression(c):
     rho = preset.model.rho_b.mat
     worst = 0.0
     for t in (0.3, 0.7, 1.1, 1.6, 2.0):
-        k1s = np.einsum("abij,ba->ij", ks.heis_at(1, t).blocks, rho)
-        k2s = np.einsum("abij,ba->ij", ks.heis_at(2, t).blocks, rho)
+        k1s = np.einsum("abij,ba->ij", ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks, rho)
+        k2s = np.einsum("abij,ba->ij", ImageFamily(ks.heis_stack(t)[2], ks.dim_bath).blocks, rho)
         exp1 = (1 - 2 * c) * t / 4 * np.diag([1.0, -1.0])
         exp2 = t**2 / 32 * np.diag([1 + 4 * c, 5 - 4 * c])
         worst = max(worst, np.max(np.abs(k1s - exp1)) / max(np.linalg.norm(exp1), 1e-30))
@@ -160,7 +159,7 @@ def test_criterion_07_cumulant_identities():
     sums = []
     for name, m, obs, t in _spec_pair():
         series = SeriesResults(m, obs, compute_kernels(m, max(order, 2), TimeGrid.linspace(1.5 * t, 7)))
-        exact = exact_sweep(m, obs, (0.5 * t, t), LAMBDAS)
+        exact = evolve_exact(m, [obs], (0.5 * t, t), LAMBDAS)
         errs = cumulant2_errors(series, 0.5 * t, t, order, LAMBDAS, exact)
         slopes.append(fit_slope(LAMBDAS, errs))
         for n in range(order + 1):

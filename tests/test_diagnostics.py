@@ -14,7 +14,6 @@ from heisenbath.diagnostics import (
     cumulant2_errors,
     decomposition_sum_defect,
     dual_bookkeeping_defect,
-    exact_sweep,
     fit_slope,
     image_errors,
     one_point_errors,
@@ -25,6 +24,7 @@ from heisenbath.diagnostics import (
     validation_suite,
 )
 from heisenbath.dyson import compute_kernels
+from heisenbath.oracle import evolve_exact
 from heisenbath.spaces import TimeGrid
 from helpers import loop_validation_errors
 
@@ -120,7 +120,7 @@ def test_suite_rows_equal_unshared_helpers(seed, d_s, d_b):
         return SeriesResults(m, obs, ks)
 
     t1, t2 = 0.4 * t, 0.8 * t
-    exact = exact_sweep(m, obs, (t1, t2, t), lams)
+    exact = evolve_exact(m, [obs], (t1, t2, t), lams)
     at_t, at_t1_t2 = exact[:, 2:], exact[:, :2]
     expected = {
         "one_point_order2": fit_slope(lams, one_point_errors(fresh(), t, order, lams, at_t)),
@@ -147,7 +147,7 @@ def test_helpers_equal_per_coupling_loops(seed, d_s, d_b, order):
     times = t1, t2, _ = (0.4 * t, 0.8 * t, t)
     m, obs = random_model(seed, d_s, d_b)
     series = SeriesResults(m, obs, compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7)), lams, times)
-    exact = exact_sweep(m, obs, times, lams)
+    exact = evolve_exact(m, [obs], times, lams)
     got = {
         "one_point": one_point_errors(series, t, order, lams, exact[:, 2:]),
         "star_n2": star_errors(series, (t1, t2), order, lams, exact[:, :2]),

@@ -67,25 +67,26 @@ class TestKernels:
     def test_order_zero_is_identity_family(self, two_qubit_quarter):
         _, ks = two_qubit_quarter
         for t in (0.0, 0.4, 1.9):
-            assert np.allclose(ks.tilde_at(0, t).blocks, ImageFamily(np.eye(4), 2).blocks)
+            tilde = ImageFamily(ks.tilde_stack(t)[0], ks.dim_bath)
+            assert np.allclose(tilde.blocks, ImageFamily(np.eye(4), 2).blocks)
 
     def test_higher_orders_vanish_at_zero(self, two_qubit_quarter):
         _, ks = two_qubit_quarter
         for n in (1, 2, 3):
-            assert np.max(np.abs(ks.tilde_at(n, 0.0).blocks)) == 0.0
+            assert np.max(np.abs(ImageFamily(ks.tilde_stack(0.0)[n], ks.dim_bath).blocks)) == 0.0
 
     def test_two_qubit_first_order(self, two_qubit_quarter):
         """Constant interaction images integrate to H_Iab * t."""
         preset, ks = two_qubit_quarter
         t = 1.1
         hi_fam = to_image_family(preset.model.hi)
-        k1 = ks.heis_at(1, t)
+        k1 = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath)
         assert np.max(np.abs(k1.blocks - hi_fam.blocks * t)) < 1e-11
 
     def test_two_qubit_second_order(self, two_qubit_quarter):
         _, ks = two_qubit_quarter
         t = 1.6
-        k2 = ks.heis_at(2, t)
+        k2 = ImageFamily(ks.heis_stack(t)[2], ks.dim_bath)
         assert np.max(np.abs(k2.block(0, 0) - t**2 / 32 * np.diag([1, 5]))) < 1e-11
         assert np.max(np.abs(k2.block(0, 1) - t**2 / 8 * np.array([[0, 0], [-1, 0]]))) < 1e-11
         assert np.max(np.abs(k2.block(1, 0) - t**2 / 8 * np.array([[0, -1], [0, 0]]))) < 1e-11
@@ -119,8 +120,8 @@ class TestKernels:
         k2 = (4 * fine[1] - coarse[1]) / 3
         for grid in grids:
             ks = compute_kernels(m, 2, grid)
-            assert np.max(np.abs(ks.tilde_at(1, t).matrix - k1)) < 1e-7
-            assert np.max(np.abs(ks.tilde_at(2, t).matrix - k2)) < 1e-7
+            assert np.max(np.abs(ks.tilde_stack(t)[1] - k1)) < 1e-7
+            assert np.max(np.abs(ks.tilde_stack(t)[2] - k2)) < 1e-7
 
     def test_stacks_are_full_space_with_identity_order_zero(self):
         ks = compute_kernels(_random_spec(4), 2, TimeGrid.linspace(1.0, 3))
@@ -129,7 +130,7 @@ class TestKernels:
         assert heis.shape == tilde.shape == cov.shape == (3, 4, 4)
         assert np.array_equal(heis[0], np.eye(4)) and np.array_equal(tilde[0], np.eye(4))
         assert not np.any(cov[0])
-        assert np.array_equal(ks.heis_at(2, 0.7).matrix, heis[2])
+        assert np.array_equal(ks.heis_stack(0.7)[2], heis[2])
 
     def test_heis_tilde_phase_conversion_invertible(self):
         m = _random_spec(3)
@@ -137,8 +138,8 @@ class TestKernels:
         ks = compute_kernels(m, 2, TimeGrid.linspace(t, 4))
         u0 = scipy.linalg.expm(-1j * m.h0.mat * t)
         for n in (1, 2):
-            tilde = ks.tilde_at(n, t).blocks
-            heis = ks.heis_at(n, t).blocks
+            tilde = ImageFamily(ks.tilde_stack(t)[n], ks.dim_bath).blocks
+            heis = ImageFamily(ks.heis_stack(t)[n], ks.dim_bath).blocks
             back = np.empty_like(heis)
             for a in range(2):
                 for b in range(2):
@@ -209,7 +210,7 @@ class TestKernels:
     def test_order_beyond_cap_rejected(self, two_qubit_quarter):
         _, ks = two_qubit_quarter
         with pytest.raises(OrderExceedsKernels):
-            ks.heis_at(4, 0.5)
+            ks.check_order(4)
 
 
 def _assert_matches_scipy_expm(blocks):

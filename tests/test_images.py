@@ -93,7 +93,7 @@ class TestContract:
         """K_S^(1)(t) = (1 - 2c) (hbar^2 t / 4) diag(1, -1)."""
         preset, ks = two_qubit_quarter
         t, c = 1.3, 0.25
-        fam = ks.heis_at(1, t)
+        fam = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath)
         out = contract_with_bath(fam, preset.model.rho_b).mat
         assert np.max(np.abs(out - (1 - 2 * c) * t / 4 * np.diag([1, -1]))) < 1e-12
 

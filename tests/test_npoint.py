@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heisenbath.diagnostics import fit_slope
-from heisenbath.images import contract_with_bath
+from heisenbath.images import ImageFamily, contract_with_bath
 from heisenbath.npoint import (
     EvenPartition,
     assemble_partition_term,
@@ -121,7 +121,7 @@ class TestAssembleTerm:
         trunc = SeriesTruncation(2, lam)
         val = one_point_value(obs, trunc, ks, m.rho_b, t)
         fam = assemble_partition_term(EvenPartition(((1, 0),)), val, trunc, ks, m.rho_b, t)
-        k1 = ks.heis_at(1, t).blocks
+        k1 = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks
         expected = 1j * lam * np.einsum("abij,jk->abik", k1, val)
         assert np.allclose(fam.blocks, expected, atol=1e-13)
 

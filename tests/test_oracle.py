@@ -217,6 +217,16 @@ class TestOneDiagonalisation:
         with pytest.raises(DimensionError, match="system space"):
             evolve_exact(m, [bath_operator(np.eye(3), (2, 3))], (0.5,))
 
+    def test_array_observable_equals_tagged(self):
+        """A plain array is the same observable as its system-tagged operator, bit for
+        bit; an array of another shape is refused."""
+        m = _random_spec(22)
+        o = random_hermitian(np.random.default_rng(23), 2)
+        times = (0.0, 0.6, 1.3)
+        assert np.array_equal(evolve_exact(m, [o], times), evolve_exact(m, [system_operator(o, (2, 3))], times))
+        with pytest.raises(DimensionError, match="shape"):
+            evolve_exact(m, [np.eye(3)], times)
+
     def test_coupling_sweep_checks_each_coupling(self):
         m = _random_spec(20)
         o = system_operator(np.eye(2), (2, 3))
@@ -308,6 +318,23 @@ class TestBasisNormalization:
             DensityMatrix(bath_operator(rho_b_raw, (2, 3))),
         ).mat
         assert np.max(np.abs(reduced - raw_reduced)) < 1e-11
+
+    def test_diagonal_bath_hamiltonian_is_kept_without_eigendecomposition(self, monkeypatch):
+        """A diagonal H_B keeps the caller's order and basis, and is never diagonalised;
+        `bath_gaps` are its level differences over hbar."""
+        from heisenbath import model
+
+        def refuse(*args):
+            raise AssertionError("a diagonal H_B was diagonalised")
+
+        monkeypatch.setattr(model, "_canonical_bath_eigenbasis", refuse)
+        rng = np.random.default_rng(24)
+        hi_raw, rho_b_raw = random_hermitian(rng, 6), random_density(rng, 3)
+        energies = np.array([2.0, 0.5, 1.0])
+        m = make_model(np.eye(2), np.diag(energies), hi_raw, np.eye(2) / 2, rho_b_raw, hbar=1.3)
+        assert np.array_equal(m.bath_energies, energies)
+        assert np.array_equal(m.hi.mat, hi_raw) and np.array_equal(m.rho_b.mat, rho_b_raw)
+        assert np.array_equal(m.bath_gaps, (energies[:, None] - energies[None, :]) / 1.3)
 
     def test_degenerate_bath_is_deterministic(self):
         rng = np.random.default_rng(17)

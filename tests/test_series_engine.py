@@ -289,7 +289,7 @@ def test_kernel_set_is_read_only():
     traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid)
     star_product([(traj, 0.3), (traj, 0.7)], ks, m.rho_b)
     star_of_observables([(obs, 0.3), (obs, 0.7)], trunc, ks, m.rho_b)
-    ks.heis_stack(0.3), ks.tilde_stack(0.7), ks.heis_at(1, 0.3)
+    ks.heis_stack(0.3), ks.tilde_stack(0.7)
     after = vars(ks)
     assert after.keys() == before.keys()
     assert all(after[k] is v and pickle.dumps(after[k]) == b for k, (v, b) in before.items())

@@ -47,7 +47,7 @@ class TestApplyP:
         rng = np.random.default_rng(1)
         a = random_hermitian(rng, 2)
         t = 1.3
-        k1 = ks.heis_at(1, t).blocks
+        k1 = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks
         fam = apply_P_ab(1, a, t, ks).blocks
         for al in range(2):
             for be in range(2):
@@ -61,7 +61,8 @@ class TestApplyP:
         t = 1.4
         s1x = preset.observables["s1x"]
         rho = preset.model.rho_b.mat
-        k1, k2 = ks.heis_at(1, t).blocks, ks.heis_at(2, t).blocks
+        k1 = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks
+        k2 = ImageFamily(ks.heis_stack(t)[2], ks.dim_bath).blocks
         k2s = np.einsum("abij,ba->ij", k2, rho)
         cross = np.einsum("gaji,jk,gbkm,ba->im", k1.conj(), s1x, k1, rho)
         bracket = -(k2s.conj().T @ s1x + s1x @ k2s - cross)
@@ -74,7 +75,7 @@ class TestApplyP:
         t = 0.9
         s1x = preset.observables["s1x"]
         rho = preset.model.rho_b.mat
-        k1s = np.einsum("abij,ba->ij", ks.heis_at(1, t).blocks, rho)
+        k1s = np.einsum("abij,ba->ij", ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks, rho)
         out = apply_P_S(1, s1x, t, ks, preset.model.rho_b)
         assert np.allclose(out, 1j * (k1s @ s1x - s1x @ k1s), atol=1e-13)
 
