@@ -11,12 +11,10 @@ against an embedded exact brute-force oracle.
 
 from .spaces import (
     Constants,
-    DensityMatrix,
     OperatorMatrix,
     Space,
     SpaceTag,
     TimeGrid,
-    bath_operator,
     full_operator,
     system_operator,
     weighted_bath_trace,

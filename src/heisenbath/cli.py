@@ -62,7 +62,7 @@ from .markov import (
 )
 from .model import ModelSpec, make_model
 from .presets import PRESETS
-from .spaces import TimeGrid, herm_defect, system_operator
+from .spaces import TimeGrid, check_density, herm_defect, system_operator
 from .superop import SeriesTruncation, one_point_operator, star_of_observables, trajectory_value
 
 FLOAT_FMT = "%.17g"
@@ -219,6 +219,11 @@ def _build_model(section, path: str):
     for k in ("h0", "hb", "hi"):
         if herm_defect(mats[k]) > 1e-10:
             _fail(f"{path}.{k}", "not hermitian")
+    for k in ("rho0", "rho_b"):
+        try:
+            check_density(mats[k], f"{path}.{k}")
+        except InvalidDensityMatrix as exc:
+            raise ValidationError(str(exc)) from None
     try:
         model = make_model(
             mats["h0"],
@@ -437,8 +442,7 @@ def _run_image_exact(cfg: ExperimentConfig) -> list[dict]:
             for a in range(fam.dim_bath):
                 for b in range(fam.dim_bath):
                     _matrix_rows(rows, fam.time, f"{name}[{a}][{b}]", fam.block(a, b))
-            reduced = contract_with_bath(fam, cfg.model.rho_b)
-            _matrix_rows(rows, fam.time, f"{name}_S", reduced.mat)
+            _matrix_rows(rows, fam.time, f"{name}_S", contract_with_bath(fam, cfg.model.rho_b))
     return rows
 
 

@@ -17,10 +17,12 @@ The exact references are one `evolve_exact` call for the sweep,
 ``evolve_exact(m, [obs], times, lams)`` of shape ``(n_lam, n_t, D, D)``;
 the ``exact`` argument of an ``*_errors`` helper is that array at the
 helper's own times, a slice such as ``exact[:, 2:]``.  So each
-``*_errors`` row is one array expression over the sweep, series legs
-against exact legs through the same `chain_contract` and `npoint` cumulant
-arithmetic, closed by one max-abs per coupling.  Every coupling and time
-gets the bits the one-coupling, one-time functions of `superop` give it.
+``*_errors`` row is one array expression over the sweep, closed by one
+max-abs per coupling.  The series legs chain through `chain_contract` and
+the `npoint` cumulant arithmetic, the exact legs through the oracle's own
+`reduced_product`, so a fault in the series chain cannot cancel.  Every
+coupling and time gets the bits the one-coupling, one-time functions of
+`superop` give it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import _blockops
 from .model import ModelSpec, make_model
-from .oracle import evolve_exact
+from .oracle import evolve_exact, reduced_product
 from .dyson import KernelSet, compute_kernels
 from .npoint import _PartitionWords, _cumulant_2pt, _decompose_3pt
 from .spaces import TimeGrid, system_matrix
@@ -141,13 +143,13 @@ def _max_abs(x: np.ndarray):
 
 def one_point_errors(series: SeriesResults, t: float, order: int, lams, exact) -> list[float]:
     values, _ = _legs(series, order, (t,), lams)
-    return _max_abs(values[0] - _blockops.bath_trace(exact[:, 0], series.m.rho_b.mat))
+    return _max_abs(values[0] - _blockops.bath_trace(exact[:, 0], series.m.rho_b))
 
 
 def star_errors(series: SeriesResults, times, order: int, lams, exact) -> list[float]:
     _, mats = _legs(series, order, times, lams)
     rho_b = series.m.rho_b
-    return _max_abs(chain_contract(mats, rho_b) - chain_contract(exact.swapaxes(0, 1), rho_b))
+    return _max_abs(chain_contract(mats, rho_b) - reduced_product(exact.swapaxes(0, 1), rho_b))
 
 
 def image_errors(series: SeriesResults, t: float, order: int, lams, exact) -> list[float]:
@@ -163,7 +165,8 @@ def roundtrip_errors(series: SeriesResults, t: float, order: int, lams) -> list[
 def cumulant2_errors(series: SeriesResults, t1: float, t2: float, order: int, lams, exact) -> list[float]:
     values, mats = _legs(series, order, (t1, t2), lams)
     rho_b, legs = series.m.rho_b, exact.swapaxes(0, 1)
-    exact_cumulant = _cumulant_2pt(_blockops.bath_trace(legs, rho_b.mat), legs, rho_b)
+    reduced = _blockops.bath_trace(legs, rho_b)
+    exact_cumulant = reduced_product(legs, rho_b) - reduced[0] @ reduced[1]
     return _max_abs(_cumulant_2pt(values, mats, rho_b) - exact_cumulant)
 
 
@@ -178,7 +181,7 @@ def rhs_fd_errors(series: SeriesResults, t: float, order: int, lams) -> list[flo
 
 
 def cancellation_defect(series: SeriesResults, t: float, n_max: int, lam: float) -> float:
-    back = _blockops.bath_trace(series.partitions(n_max, lam, t), series.m.rho_b.mat)
+    back = _blockops.bath_trace(series.partitions(n_max, lam, t), series.m.rho_b)
     return _max_abs(back - series.lift(n_max, t)[0][series.column(lam)])
 
 

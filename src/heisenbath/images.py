@@ -17,14 +17,7 @@ from . import _blockops
 from .errors import DimensionError, IndexOutOfRange
 from .model import ModelSpec
 from .oracle import evolve_exact
-from .spaces import (
-    DensityMatrix,
-    OperatorMatrix,
-    Space,
-    SpaceTag,
-    TimeGrid,
-    system_operator,
-)
+from .spaces import OperatorMatrix, Space, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -68,12 +61,11 @@ def to_image_family(x: OperatorMatrix, time: float = 0.0) -> ImageFamily:
     return ImageFamily(x.mat, x.tag.dim_bath, time)
 
 
-def contract_with_bath(f: ImageFamily, rho_b: DensityMatrix) -> OperatorMatrix:
+def contract_with_bath(f: ImageFamily, rho_b: np.ndarray) -> np.ndarray:
     """Reduced operator ``sum_ab blocks[a,b] rho_B[b,a]``."""
-    if rho_b.tag.dim_bath != f.dim_bath:
+    if np.shape(rho_b) != (f.dim_bath, f.dim_bath):
         raise DimensionError("bath dimensions differ")
-    mat = _blockops.bath_trace(f.matrix, rho_b.mat)
-    return system_operator(mat, SpaceTag(Space.SYSTEM, f.dim_system, f.dim_bath))
+    return _blockops.bath_trace(f.matrix, rho_b)
 
 
 def evolve_images_exact(m: ModelSpec, o0: OperatorMatrix, grid: TimeGrid) -> list[ImageFamily]:

@@ -106,13 +106,13 @@ def bath_correlation(m: ModelSpec, dec: InteractionDecomposition, i: int, j: int
     delta = m.bath_gaps
     s_i = dec.s[i] * np.exp(-1j * delta * t)
     s_j = dec.s[j] * np.exp(-1j * delta * (t - tau))
-    return complex(np.trace(s_i @ s_j @ m.rho_b.mat))
+    return complex(np.trace(s_i @ s_j @ m.rho_b))
 
 
 def first_moment(m: ModelSpec, dec: InteractionDecomposition, i: int, t: float) -> complex:
     """``tr_B{S~^i(t) rho_B}``: the order-lambda contraction that must vanish."""
     s_i = dec.s[i] * np.exp(-1j * m.bath_gaps * t)
-    return complex(np.trace(s_i @ m.rho_b.mat))
+    return complex(np.trace(s_i @ m.rho_b))
 
 
 def correlation_table(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -130,7 +130,7 @@ def _twisted_states(m: ModelSpec, t) -> np.ndarray:
     """``rho_t[c, a] = rho_B[c, a] exp(-i delta_ac t)`` for every time, ``(n_t, d_B, d_B)``:
     both interaction-picture phases at time t on the state, which keeps the
     diagonal of ``rho_B`` exactly.  ``tr(S^i rho_t)`` is the first moment."""
-    return m.rho_b.mat * np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), m.bath_gaps))
+    return m.rho_b * np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), m.bath_gaps))
 
 
 def _correlations(m: ModelSpec, dec: InteractionDecomposition, t, tau) -> np.ndarray:
@@ -375,7 +375,7 @@ def spectral_coefficients(
     ``converged=False`` rather than silently averaged; the exponential regulator ``eta`` documents the
     idealization when used.
     """
-    weights = correlation_table(dec.s, m.rho_b.mat)
+    weights = correlation_table(dec.s, m.rho_b)
     w = np.asarray(freqs, dtype=float)
     z = 1j * m.bath_gaps[:, :, None] - 1j * w - eta
     full = np.einsum("ijbc,bcw->ijw", weights, _halfline_integrals(z, horizon))

@@ -15,13 +15,11 @@ import numpy as np
 from .errors import DimensionError, NonHermitianInput
 from .spaces import (
     Constants,
-    DensityMatrix,
     OperatorMatrix,
-    Space,
-    SpaceTag,
-    bath_operator,
+    check_density,
     full_operator,
     herm_defect,
+    read_only,
     system_operator,
     HERM_TOL,
 )
@@ -32,15 +30,16 @@ class ModelSpec:
     """System (x) bath model ``H = H0 + H_B + lambda * H_I`` with initial states.
 
     ``hb`` is diagonal and ``bath_energies`` holds its diagonal; ``hi`` and
-    ``rho_b`` are expressed in the same (eigen)basis.
+    ``rho_b`` are expressed in the same (eigen)basis.  ``hb``, ``rho0`` and
+    ``rho_b`` are read-only complex arrays, the states checked by `make_model`.
     """
 
     h0: OperatorMatrix
-    hb: OperatorMatrix
+    hb: np.ndarray
     hi: OperatorMatrix
     constants: Constants
-    rho0: DensityMatrix
-    rho_b: DensityMatrix
+    rho0: np.ndarray
+    rho_b: np.ndarray
     bath_energies: np.ndarray
 
     @property
@@ -49,7 +48,7 @@ class ModelSpec:
 
     @property
     def dim_bath(self) -> int:
-        return self.hb.tag.dim_bath
+        return len(self.bath_energies)
 
     @property
     def bath_gaps(self) -> np.ndarray:
@@ -117,7 +116,8 @@ def make_model(
         System, bath and interaction Hamiltonians (``hi`` on the full space,
         row convention ``i * d_B + alpha``).  All must be hermitian.
     rho0, rho_b:
-        System and bath density matrices.
+        System and bath density matrices: hermitian, of unit trace and
+        positive semi-definite, else `InvalidDensityMatrix` names the one at fault.
     hbar, lam:
         Planck constant (kept explicit; unit bugs surface as hbar-power
         mismatches) and coupling strength.
@@ -153,13 +153,15 @@ def make_model(
         hi = rot_full.conj().T @ hi @ rot_full
         rho_b = basis.conj().T @ rho_b @ basis
 
-    tag = SpaceTag(Space.FULL, d_s, d_b)
+    h0, hi = system_operator(h0, (d_s, d_b)), full_operator(hi, (d_s, d_b))
+    check_density(rho0, "rho0")
+    check_density(rho_b, "rho_b")
     return ModelSpec(
-        h0=system_operator(h0, tag),
-        hb=bath_operator(np.diag(energies), tag),
-        hi=full_operator(hi, tag),
+        h0=h0,
+        hb=read_only(np.diag(energies).astype(complex)),
+        hi=hi,
         constants=Constants(hbar=hbar, lam=lam),
-        rho0=DensityMatrix(system_operator(rho0, tag)),
-        rho_b=DensityMatrix(bath_operator(rho_b, tag)),
+        rho0=read_only(rho0),
+        rho_b=read_only(rho_b),
         bath_energies=energies,
     )

@@ -31,7 +31,7 @@ leaves that basis once.
 The cumulant arithmetic (`_cumulant_2pt`, `_decompose_3pt`) takes legs as
 arrays, one-point values ``(n_leg, ..., d_S, d_S)`` and image-family
 matrices ``(n_leg, ..., D, D)``, and returns arrays; the public
-`irreducible_2pt` and `decompose_3pt` wrap them as operators.
+`irreducible_2pt` and `decompose_3pt` call it on the lifted legs of their times.
 """
 
 from __future__ import annotations
@@ -45,12 +45,11 @@ from . import _blockops
 from .dyson import KernelSet
 from .images import ImageFamily
 from .model import ModelSpec
-from .spaces import DensityMatrix, OperatorMatrix, as_matrix, system_operator
+from .spaces import as_matrix
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
     _lift_legs,
-    _system_tag,
     _value_and_row,
     chain_contract,
 )
@@ -125,11 +124,11 @@ class _PartitionWords:
     """
 
     def __init__(
-        self, value: np.ndarray, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix, row: np.ndarray
+        self, value: np.ndarray, trunc: SeriesTruncation, ks: KernelSet, rho_b: np.ndarray, row: np.ndarray
     ):
         self.frame = ks.frame
         self.kstack = ks.frame_stack(row)
-        self.rho = rho_b.mat
+        self.rho = rho_b
         self.x = trunc.lam / ks.frame.constants.hbar
         self.inner_values: dict[tuple[tuple[int, int], ...], np.ndarray] = {(): ks.frame.enter(value)}
 
@@ -183,7 +182,7 @@ def assemble_partition_term(
     o_s_value,
     trunc: SeriesTruncation,
     ks: KernelSet,
-    rho_b: DensityMatrix,
+    rho_b: np.ndarray,
     t: float,
 ) -> ImageFamily:
     """The signed operator word of one partition, bath indices of pair 1 open.
@@ -203,7 +202,7 @@ def expand_image_by_partitions(
     o_s: OnePointTrajectory,
     n_max: int,
     ks: KernelSet,
-    rho_b: DensityMatrix,
+    rho_b: np.ndarray,
     t: float,
 ) -> ImageFamily:
     """Image family as the partition sum over all orders n <= n_max.
@@ -227,13 +226,13 @@ def irreducible_2pt(
     t2: float,
     trunc: SeriesTruncation,
     ks: KernelSet,
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Second-order cumulant ``(O1(t1) O2(t2))_S - O1S(t1) O2S(t2)``."""
     values, lifted = _lift_legs(((o1, t1), (o2, t2)), trunc, ks, m.rho_b)
-    return system_operator(_cumulant_2pt(values, lifted, m.rho_b), _system_tag(ks))
+    return _cumulant_2pt(values, lifted, m.rho_b)
 
 
-def _cumulant_2pt(values, lifted, rho_b: DensityMatrix) -> np.ndarray:
+def _cumulant_2pt(values, lifted, rho_b: np.ndarray) -> np.ndarray:
     """``(O1 O2)_S - O1S O2S`` from two legs."""
     return chain_contract(lifted, rho_b) - values[0] @ values[1]
 
@@ -242,21 +241,15 @@ def _cumulant_2pt(values, lifted, rho_b: DensityMatrix) -> np.ndarray:
 class ThreePointDecomposition:
     """Cluster decomposition of a three-point reduced operator."""
 
-    disconnected: OperatorMatrix
-    wired_12: OperatorMatrix
-    wired_31: OperatorMatrix
-    wired_23: OperatorMatrix
-    irreducible: OperatorMatrix
+    disconnected: np.ndarray
+    wired_12: np.ndarray
+    wired_31: np.ndarray
+    wired_23: np.ndarray
+    irreducible: np.ndarray
 
     @property
     def total(self) -> np.ndarray:
-        return (
-            self.disconnected.mat
-            + self.wired_12.mat
-            + self.wired_31.mat
-            + self.wired_23.mat
-            + self.irreducible.mat
-        )
+        return self.disconnected + self.wired_12 + self.wired_31 + self.wired_23 + self.irreducible
 
 
 def decompose_3pt(
@@ -279,15 +272,14 @@ def decompose_3pt(
     sum to the full star product identically.
     """
     values, lifted = _lift_legs(((o1, t1), (o2, t2), (o3, t3)), trunc, ks, m.rho_b)
-    tag = _system_tag(ks)
-    return ThreePointDecomposition(*(system_operator(x, tag) for x in _decompose_3pt(values, lifted, m.rho_b)))
+    return ThreePointDecomposition(*_decompose_3pt(values, lifted, m.rho_b))
 
 
-def _decompose_3pt(values: np.ndarray, lifted: np.ndarray, rho_b: DensityMatrix) -> tuple[np.ndarray, ...]:
+def _decompose_3pt(values: np.ndarray, lifted: np.ndarray, rho_b: np.ndarray) -> tuple[np.ndarray, ...]:
     """The disconnected, wired 12, 31, 23 and irreducible parts of `decompose_3pt`
     from three legs, each entering once as its image family and once as its
     trivial family ``O_S(t) delta_ab``."""
-    trivial = _blockops.kron_identity(values, rho_b.tag.dim_bath)
+    trivial = _blockops.kron_identity(values, rho_b.shape[0])
     disc = values[0] @ values[1] @ values[2]
     # the star product with leg k trivial, k = 2, 1, 0: wired 12, 31 and 23
     wired = [chain_contract([*lifted[:k], trivial[k], *lifted[k + 1 :]], rho_b) - disc for k in (2, 1, 0)]

@@ -24,18 +24,18 @@ from .spaces import (
     full_operator,
     herm_defect,
     system_matrix,
-    weighted_bath_trace,
+    system_operator,
 )
 
 
 def _free_hamiltonian(m: ModelSpec) -> np.ndarray:
     """The coupling-free part ``H0 (x) 1 + 1 (x) H_B`` on the full space."""
-    return np.kron(m.h0.mat, np.eye(m.dim_bath)) + np.kron(np.eye(m.dim_system), m.hb.mat)
+    return np.kron(m.h0.mat, np.eye(m.dim_bath)) + np.kron(np.eye(m.dim_system), m.hb)
 
 
-def total_hamiltonian(m: ModelSpec) -> OperatorMatrix:
+def total_hamiltonian(m: ModelSpec) -> np.ndarray:
     """``H0 (x) 1 + 1 (x) H_B + lambda * H_I`` on the full space."""
-    return full_operator(_free_hamiltonian(m) + m.constants.lam * m.hi.mat, m.hi.tag)
+    return _free_hamiltonian(m) + m.constants.lam * m.hi.mat
 
 
 def evolve_exact(m: ModelSpec, observables, times, lams=None) -> np.ndarray:
@@ -43,7 +43,7 @@ def evolve_exact(m: ModelSpec, observables, times, lams=None) -> np.ndarray:
 
     ``observables`` holds one system observable per time, or one for all
     times: a ``(d_S, d_S)`` array or a system-tagged `OperatorMatrix`; any
-    other shape or a bath or full-space operator raises `DimensionError`.
+    other shape or a full-space operator raises `DimensionError`.
     ``U(t) = exp(-iHt/hbar)``: one eigendecomposition ``H = V diag(E)
     V^dag`` serves every time, ``U = (V exp(-iEt/hbar)) V^dag`` is one GEMM
     over all times, and ``(U^dag (o (x) 1_B)) U`` two batched GEMMs.
@@ -87,5 +87,16 @@ def npoint_reduced_exact(
     """``tr_B{O_1(t_1) ... O_N(t_N) rho_B}`` with the product in sequence order."""
     if not ops:
         raise DimensionError("npoint_reduced_exact needs at least one operator")
-    prod = functools.reduce(np.matmul, evolve_exact(m, [o for o, _ in ops], [t for _, t in ops]))
-    return weighted_bath_trace(full_operator(prod, m.hi.tag), m.rho_b)
+    legs = evolve_exact(m, [o for o, _ in ops], [t for _, t in ops])
+    return system_operator(reduced_product(legs, m.rho_b), m.hi.tag)
+
+
+def reduced_product(legs, rho_b: np.ndarray) -> np.ndarray:
+    """``tr_B{X_1 ... X_N (1 (x) rho_B)}`` of full-space legs ``(N, ..., D, D)``.
+
+    The product runs in leg order over the first axis, and the leading axes
+    of the legs broadcast.  It is the exact side's own reduction: the series
+    side closes its chains through `superop.chain_contract`, and a reference
+    that shared that code could not see a fault in it.
+    """
+    return _blockops.bath_trace(functools.reduce(np.matmul, legs), rho_b)

@@ -1,4 +1,4 @@
-"""Tagged operators, density matrices, constants, time grids and the tagged bath trace.
+"""Tagged operators, the density check, constants, time grids and the tagged bath trace.
 
 Index convention (fixed globally, asserted in the test suite): the combined
 space is spanned by ``|i alpha>`` with ``i`` a system index and ``alpha`` a
@@ -9,6 +9,7 @@ contraction in the package relies on this flattening.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,7 +26,6 @@ PSD_TOL = 1e-10
 
 class Space(Enum):
     SYSTEM = "system"
-    BATH = "bath"
     FULL = "full"
 
 
@@ -48,8 +48,6 @@ class SpaceTag:
         """Side length of a matrix carrying this tag."""
         if self.kind is Space.SYSTEM:
             return self.dim_system
-        if self.kind is Space.BATH:
-            return self.dim_bath
         return self.dim_system * self.dim_bath
 
 
@@ -74,9 +72,14 @@ class OperatorMatrix:
                 f"matrix side {mat.shape[0]} does not match tag "
                 f"{self.tag.kind.value} (expected {self.tag.side})"
             )
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", read_only(mat))
+
+
+def read_only(mat: np.ndarray) -> np.ndarray:
+    """A read-only copy of an array."""
+    mat = mat.copy()
+    mat.flags.writeable = False
+    return mat
 
 
 def as_matrix(x) -> np.ndarray:
@@ -86,7 +89,7 @@ def as_matrix(x) -> np.ndarray:
 
 def system_matrix(o) -> np.ndarray:
     """`as_matrix` of a system observable: an array, or an `OperatorMatrix` tagged
-    for the system space; a bath or full-space operator raises `DimensionError`."""
+    for the system space; a full-space operator raises `DimensionError`."""
     if isinstance(o, OperatorMatrix) and o.tag.kind is not Space.SYSTEM:
         raise DimensionError("observables must live on the system space")
     return as_matrix(o)
@@ -94,10 +97,6 @@ def system_matrix(o) -> np.ndarray:
 
 def system_operator(entries, tag_or_dims) -> OperatorMatrix:
     return OperatorMatrix(_as_complex_matrix(entries), _retag(tag_or_dims, Space.SYSTEM))
-
-
-def bath_operator(entries, tag_or_dims) -> OperatorMatrix:
-    return OperatorMatrix(_as_complex_matrix(entries), _retag(tag_or_dims, Space.BATH))
 
 
 def full_operator(entries, tag_or_dims) -> OperatorMatrix:
@@ -117,30 +116,17 @@ def herm_defect(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat - mat.conj().T)) / scale
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, positive semi-definite, unit-trace operator."""
-
-    op: OperatorMatrix
-
-    def __post_init__(self):
-        mat = self.op.mat
-        scale = max(1.0, float(np.linalg.norm(mat)))
-        if herm_defect(mat) > HERM_TOL:
-            raise InvalidDensityMatrix("density matrix is not hermitian")
-        if abs(np.trace(mat) - 1.0) > TRACE_TOL * scale:
-            raise InvalidDensityMatrix(f"density matrix trace is {np.trace(mat):.12g}, expected 1")
-        evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-        if evals.min() < -PSD_TOL * scale:
-            raise InvalidDensityMatrix(f"density matrix has negative eigenvalue {evals.min():.3e}")
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    @property
-    def tag(self) -> SpaceTag:
-        return self.op.tag
+def check_density(mat: np.ndarray, name: str) -> None:
+    """Raise `InvalidDensityMatrix`, naming ``name``, unless ``mat`` is hermitian,
+    of unit trace and positive semi-definite."""
+    scale = max(1.0, float(np.linalg.norm(mat)))
+    if herm_defect(mat) > HERM_TOL:
+        raise InvalidDensityMatrix(f"{name}: density matrix is not hermitian")
+    if abs(np.trace(mat) - 1.0) > TRACE_TOL * scale:
+        raise InvalidDensityMatrix(f"{name}: density matrix trace is {np.trace(mat):.12g}, expected 1")
+    evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+    if evals.min() < -PSD_TOL * scale:
+        raise InvalidDensityMatrix(f"{name}: density matrix has negative eigenvalue {evals.min():.3e}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +137,8 @@ class Constants:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
 
 @dataclass(frozen=True)
@@ -165,6 +151,8 @@ class TimeGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError("time grid must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("time grid points must be finite")
         if pts[0] != 0.0:
             raise ValueError(f"time grid must start at 0, got {pts[0]}")
         if pts.size > 1 and np.any(np.diff(pts) <= 0):
@@ -195,7 +183,7 @@ class TimeGrid:
         return iter(self.points)
 
 
-def weighted_bath_trace(x: OperatorMatrix, rho_b: DensityMatrix) -> OperatorMatrix:
+def weighted_bath_trace(x: OperatorMatrix, rho_b: np.ndarray) -> OperatorMatrix:
     """Bath-state-weighted trace ``tr_B{x (1 (x) rho_B)}``.
 
     Elementwise this is ``sum_{ab} x[(i,a),(j,b)] rho_B[b,a]``: the tagged
@@ -204,6 +192,6 @@ def weighted_bath_trace(x: OperatorMatrix, rho_b: DensityMatrix) -> OperatorMatr
     """
     if x.tag.kind is not Space.FULL:
         raise DimensionError("weighted_bath_trace expects a full-space operator")
-    if rho_b.tag.kind is not Space.BATH or rho_b.tag.dim_bath != x.tag.dim_bath:
+    if np.shape(rho_b) != (x.tag.dim_bath, x.tag.dim_bath):
         raise DimensionError("rho_b must be a bath density matrix of matching dimension")
-    return system_operator(bath_trace(x.mat, rho_b.mat), x.tag)
+    return system_operator(bath_trace(x.mat, rho_b), x.tag)

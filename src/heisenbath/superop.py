@@ -62,7 +62,7 @@ from . import _blockops
 from .dyson import KernelSet
 from .errors import DimensionError
 from .images import ImageFamily
-from .spaces import DensityMatrix, OperatorMatrix, Space, SpaceTag, TimeGrid, system_matrix, system_operator
+from .spaces import OperatorMatrix, TimeGrid, system_matrix, system_operator
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ class SeriesTruncation:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError(f"truncation order must be >= 0, got {self.order}")
+        if not np.isfinite(self.lam):
+            raise ValueError(f"coupling must be finite, got {self.lam}")
 
 
 @dataclass
@@ -86,10 +88,6 @@ class OnePointTrajectory:
     grid: TimeGrid
     values: np.ndarray  # (n_t, d_S, d_S)
     truncation: SeriesTruncation
-
-
-def _system_tag(ks: KernelSet) -> SpaceTag:
-    return SpaceTag(Space.SYSTEM, ks.dim_system, ks.dim_bath)
 
 
 def _padded_powers(n: int) -> np.ndarray:
@@ -121,9 +119,9 @@ def apply_P_ab(n: int, a, t: float, ks: KernelSet) -> ImageFamily:
     return ImageFamily(ks.frame.leave_open(_P_frame(n, a, t, ks)[0]), ks.dim_bath, t)
 
 
-def apply_P_S(n: int, a, t: float, ks: KernelSet, rho_b: DensityMatrix) -> np.ndarray:
+def apply_P_S(n: int, a, t: float, ks: KernelSet, rho_b: np.ndarray) -> np.ndarray:
     """Bath-contracted order-n dressing ``(P[n] A)_ab rho_B[b, a]``."""
-    return ks.frame.leave(_blockops.bath_trace(_P_frame(n, a, t, ks)[0], rho_b.mat))
+    return ks.frame.leave(_blockops.bath_trace(_P_frame(n, a, t, ks)[0], rho_b))
 
 
 def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
@@ -143,7 +141,7 @@ def _weights(lams, j: int, hbar: float) -> np.ndarray:
 
 
 def _one_point_values(
-    o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, rows: np.ndarray
+    o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` per coupling and time, shape ``(n_lam, n_t, d_S, d_S)``.
 
@@ -178,13 +176,13 @@ def _one_point_values(
         partial += alpha[:, n - p, None, None, None, None] * rows[..., n - p, :]  # now C[n - p]
         # left = conj((1 (x) rho_B) alpha_p E[p] (o (x) 1_B)), conjugated in place so
         # that C enters the product as a transposed view rather than a conjugated copy
-        np.matmul((rho_b.mat @ rows[..., p, :]).reshape(-1, d), alpha[:, p, None, None] * o_eig, out=left)
+        np.matmul((rho_b @ rows[..., p, :]).reshape(-1, d), alpha[:, p, None, None] * o_eig, out=left)
         np.conjugate(left, out=left)
         out += (left.reshape(n_lam, n_t, ds, -1) @ partial.reshape(n_lam, n_t, ds, -1).swapaxes(-1, -2)).conj()
     return ks.frame.leave(out)
 
 
-def one_point_value(o, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix, t: float) -> np.ndarray:
+def one_point_value(o, trunc: SeriesTruncation, ks: KernelSet, rho_b: np.ndarray, t: float) -> np.ndarray:
     """Truncated one-point series ``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` at one time."""
     return _one_point_values(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])[0, 0]
 
@@ -193,7 +191,7 @@ def one_point_operator(
     o,
     trunc: SeriesTruncation,
     ks: KernelSet,
-    rho_b: DensityMatrix,
+    rho_b: np.ndarray,
     grid: TimeGrid,
     label: str = "O",
 ) -> OnePointTrajectory:
@@ -203,7 +201,7 @@ def one_point_operator(
     return OnePointTrajectory(label, o_mat, grid, values, trunc)
 
 
-def _value_and_row(o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatrix, t: float):
+def _value_and_row(o_s: OnePointTrajectory, ks: KernelSet, rho_b: np.ndarray, t: float):
     """A trajectory's value at ``t`` (its grid row, else recomputed) and the kernel row at ``t``."""
     row, k, trunc = ks.row(t), o_s.grid.index(t), o_s.truncation
     if k is None:
@@ -211,13 +209,13 @@ def _value_and_row(o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatrix,
     return o_s.values[k], row
 
 
-def trajectory_value(o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatrix, t: float) -> np.ndarray:
+def trajectory_value(o_s: OnePointTrajectory, ks: KernelSet, rho_b: np.ndarray, t: float) -> np.ndarray:
     """Value of a trajectory at time t (grid hit or recomputed from kernels)."""
     return _value_and_row(o_s, ks, rho_b, t)[0]
 
 
 def _inverted_series(
-    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, kstacks: np.ndarray
+    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, kstacks: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """``inv[m] = (1 + sum lam^n P_S[n])^{-1} value`` truncated at order m, m = 0..order.
 
@@ -241,13 +239,13 @@ def _inverted_series(
     traced = np.zeros(entered.shape, dtype=complex)
     for m in range(1, order + 1):
         opened = sum(_weights(lams, j, hbar) * _P_full(j, inv[m - j], kstacks) for j in range(1, m + 1))
-        traced = _blockops.bath_trace(opened, rho_b.mat)
+        traced = _blockops.bath_trace(opened, rho_b)
         inv.append(entered - traced)
     return inv, opened, traced
 
 
 def _lift_values(
-    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, rows: np.ndarray
+    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The series inversions ``inv[order]`` of one-point values ``(n_leg, n_lam,
     d_S, d_S)``, one per leg and coupling, and their image families ``(n_leg,
@@ -261,7 +259,7 @@ def _lift_values(
 
 
 def _lift_observable(
-    o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, rows: np.ndarray
+    o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-point values of an observable from the kernel rows of the legs' times,
     ``(n_leg, n_lam, d_S, d_S)``, with their inversions and image families
@@ -274,7 +272,7 @@ def invert_one_point(
     o_s_value,
     trunc: SeriesTruncation,
     ks: KernelSet,
-    rho_b: DensityMatrix,
+    rho_b: np.ndarray,
     t: float,
 ) -> np.ndarray:
     """Recover ``U0^dag O U0`` from a one-point value via the multinomial inverse."""
@@ -286,7 +284,7 @@ def image_from_value(
     value: np.ndarray,
     trunc: SeriesTruncation,
     ks: KernelSet,
-    rho_b: DensityMatrix,
+    rho_b: np.ndarray,
     t: float,
 ) -> ImageFamily:
     """Image family from a one-point value (the series inversion composed with P[n]).
@@ -301,7 +299,7 @@ def image_from_value(
 
 
 def image_from_one_point(
-    o_s: OnePointTrajectory, ks: KernelSet, rho_b: DensityMatrix, t: float
+    o_s: OnePointTrajectory, ks: KernelSet, rho_b: np.ndarray, t: float
 ) -> ImageFamily:
     """Image family of a one-point trajectory at time t."""
     value, row = _value_and_row(o_s, ks, rho_b, t)
@@ -310,7 +308,7 @@ def image_from_one_point(
     return ImageFamily(mats[0, 0], ks.dim_bath, t)
 
 
-def _lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatrix):
+def _lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: np.ndarray):
     """One-point values ``(n_leg, d_S, d_S)`` and image-family matrices ``(n_leg, D, D)``
     of ``(observable, time)`` legs, each leg lifted alone from its kernel row, fetched once."""
     lifts = [
@@ -320,20 +318,20 @@ def _lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: DensityMatri
     return np.stack([values[0, 0] for values, _, _ in lifts]), np.stack([mats[0, 0] for _, _, mats in lifts])
 
 
-def chain_contract(mats, rho_b: DensityMatrix) -> np.ndarray:
+def chain_contract(mats, rho_b: np.ndarray) -> np.ndarray:
     """Chain-compose family matrices and close the index loop with ``rho_B[a_{N+1}, a_1]``.
 
     ``mats`` is a sequence (or an array with the factor axis first) of
     matrices ``(..., D, D)`` whose leading axes broadcast; the product runs
     left to right, and each leading index gets the bits of its lone chain.
     """
-    return _blockops.bath_trace(functools.reduce(np.matmul, mats), rho_b.mat)
+    return _blockops.bath_trace(functools.reduce(np.matmul, mats), rho_b)
 
 
 def star_product(
     factors,
     ks: KernelSet,
-    rho_b: DensityMatrix,
+    rho_b: np.ndarray,
 ) -> OperatorMatrix:
     """Deformed product ``O_S(t_1) * ... * O_S(t_N)`` of one-point trajectories.
 
@@ -348,14 +346,14 @@ def star_product(
     if len(truncs) > 1:
         raise DimensionError(f"star_product factors disagree on truncation: {truncs}")
     mats = [image_from_one_point(f, ks, rho_b, float(t)).matrix for f, t in factors]
-    return system_operator(chain_contract(mats, rho_b), _system_tag(ks))
+    return system_operator(chain_contract(mats, rho_b), (ks.dim_system, ks.dim_bath))
 
 
 def star_of_observables(
     entries,
     trunc: SeriesTruncation,
     ks: KernelSet,
-    rho_b: DensityMatrix,
+    rho_b: np.ndarray,
 ) -> np.ndarray:
     """Star product straight from observables: ``entries`` is a sequence of
     ``(observable, time)`` pairs."""
@@ -381,7 +379,7 @@ def _apply_DtP_S(
 
 
 def _one_point_rhs(
-    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: DensityMatrix, row: np.ndarray
+    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, row: np.ndarray
 ) -> np.ndarray:
     """`one_point_rhs` at one-point values ``(n_lam, d_S, d_S)``, one per coupling,
     from the kernel row at their time."""
@@ -393,7 +391,7 @@ def _one_point_rhs(
     cov_stack = ks.frame_derivative(kstack)
     dressed = np.zeros(values.shape, dtype=complex)
     for n in range(1, order + 1):
-        dressed += _weights(lams, n, hbar) * _apply_DtP_S(n, inv[order - n][0], kstack, cov_stack, rho_b.mat)
+        dressed += _weights(lams, n, hbar) * _apply_DtP_S(n, inv[order - n][0], kstack, cov_stack, rho_b)
     h0 = ks.model.h0.mat
     return (1j / hbar) * (h0 @ values - values @ h0) + ks.frame.leave(dressed)
 
@@ -402,8 +400,8 @@ def one_point_rhs(
     o_s: OnePointTrajectory,
     t: float,
     ks: KernelSet,
-    rho_b: DensityMatrix,
-) -> OperatorMatrix:
+    rho_b: np.ndarray,
+) -> np.ndarray:
     """Local-in-time RHS of the one-point evolution at the trajectory's truncation.
 
     ``(i/hbar)[H0, O_S] + sum (-1)^k (lam/hbar)^(n+n_1+...+n_k)
@@ -412,5 +410,4 @@ def one_point_rhs(
     """
     trunc = o_s.truncation
     value, row = _value_and_row(o_s, ks, rho_b, t)
-    out = _one_point_rhs(value[None], trunc.order, (trunc.lam,), ks, rho_b, row)[0]
-    return system_operator(out, _system_tag(ks))
+    return _one_point_rhs(value[None], trunc.order, (trunc.lam,), ks, rho_b, row)[0]

@@ -167,7 +167,7 @@ def loop_validation_errors(series, times, order, lams, exact, lam):
     from heisenbath import _blockops
     from heisenbath.superop import _one_point_rhs, _one_point_values
 
-    ks, rho = series.ks, series.m.rho_b.mat
+    ks, rho = series.ks, series.m.rho_b
     t1, t2, t = times
 
     def at(n, lam_, s):  # one coupling of a shared lift: value, inversion, family

@@ -78,7 +78,7 @@ def test_criterion_02_two_qubit_exact_law(c):
     worst = 0.0
     for fam in traj:
         t = fam.time
-        reduced = contract_with_bath(fam, preset.model.rho_b).mat
+        reduced = contract_with_bath(fam, preset.model.rho_b)
         off = 0.25 * (1 + np.cos(lam * t) + 1j * (1 - 2 * c) * np.sin(lam * t))
         expected = np.array([[0, off], [np.conj(off), 0]])
         worst = max(worst, float(np.max(np.abs(reduced - expected))))
@@ -107,7 +107,7 @@ def test_criterion_04_kernel_regression(c):
     """K_S^(1) and K_S^(2) closed forms within 1e-10 relative, 5 times x 3 c."""
     preset = hb.two_qubit(c)
     ks = compute_kernels(preset.model, 2, TimeGrid.linspace(2.0, 9))
-    rho = preset.model.rho_b.mat
+    rho = preset.model.rho_b
     worst = 0.0
     for t in (0.3, 0.7, 1.1, 1.6, 2.0):
         k1s = np.einsum("abij,ba->ij", ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks, rho)
@@ -243,7 +243,7 @@ def test_criterion_09_lindblad_properties():
     traj = one_point_operator(p.observables["sx"], SeriesTruncation(2, lam), ks, m.rho_b, grid, "sx")
     t_eval = 5.0
     o_val = trajectory_value(traj, ks, m.rho_b, t_eval)
-    pert = one_point_rhs(traj, t_eval, ks, m.rho_b).mat
+    pert = one_point_rhs(traj, t_eval, ks, m.rho_b)
     lind = lindblad_rhs(o_val, bd, sc, m.h0.mat, m.constants)
     diff = float(np.max(np.abs(pert - lind)))
     bound = report_mk.rhs_defect_bound(

@@ -66,7 +66,7 @@ class TestLoadConfig:
     def test_two_qubit_preset(self, tmp_path):
         cfg = cli.load_config(write_config(tmp_path))
         assert cfg.model.dim_system == 2 and cfg.model.dim_bath == 2
-        assert np.allclose(cfg.model.rho_b.mat, np.diag([0.75, 0.25]))
+        assert np.allclose(cfg.model.rho_b, np.diag([0.75, 0.25]))
         assert np.max(np.abs(cfg.model.h0.mat)) == 0
         assert cfg.truncation.order == 2
 
@@ -291,7 +291,7 @@ class TestRunModes:
         grid = TimeGrid.linspace(1.0, 3)
         expected, free = (
             {(fam.time, i, j): v for fam in evolve_images_exact(m.with_coupling(lam), o_op, grid)
-             for (i, j), v in np.ndenumerate(contract_with_bath(fam, m.rho_b).mat)}
+             for (i, j), v in np.ndenumerate(contract_with_bath(fam, m.rho_b))}
             for lam in (0.5, 0.0)
         )
         assert written == expected and written != free
@@ -539,6 +539,9 @@ class TestExitCodes:
             ({"truncation": {"order": 2, "lambda": float("nan")}}, "truncation.lambda"),
             ({"model": dict(INLINE_QUBIT_PAIR, hbar=-1)}, "hbar"),
             ({"model": dict(INLINE_QUBIT_PAIR, hb=[[0, 0], [0, float("nan")]])}, "model.hb[1][1]"),
+            ({"model": dict(INLINE_QUBIT_PAIR, rho_b=[[1.5, 0], [0, -0.5]])}, "model.rho_b: density matrix has negative"),
+            ({"model": dict(INLINE_QUBIT_PAIR, rho0=[[1, 0], [0, 1]])}, "model.rho0: density matrix trace is 2"),
+            ({"model": dict(INLINE_QUBIT_PAIR, rho_b=[[0.5, 0.3], [0, 0.5]])}, "model.rho_b: density matrix is not hermitian"),
             ({"run": "validate", "validate": {"seed": -1}}, "validate.seed"),
             ({"run": "validate", "validate": {"d_s": 0}}, "validate.d_s"),
             ({"run": "validate", "validate": {"d_b": 0}}, "validate.d_b"),
@@ -585,6 +588,7 @@ class TestExitCodes:
             "order_word", "order_negative", "preset_lam_word", "preset_lam_nan",
             "preset_splitting_inf", "preset_hbar_nan", "preset_splitting_word",
             "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan",
+            "rho_b_negative", "rho0_trace_two", "rho_b_non_hermitian",
             "validate_seed_negative", "validate_d_s_zero", "validate_d_b_zero", "validate_dims_over_cap",
             "validate_d_s_one", "validate_order_zero",
             "factor_time_negative", "times_negative", "truncation_unknown_key", "top_level_unknown_key",

@@ -316,7 +316,7 @@ class TestImageFirstOrder:
         lam, t, c = 0.05, 1.5, 0.25
         s1x = preset.observables["s1x"]
         fam = image_first_order(s1x, ks, lam, t)
-        reduced = contract_with_bath(fam, preset.model.rho_b).mat
+        reduced = contract_with_bath(fam, preset.model.rho_b)
         expected = 0.5 * np.array(
             [[0, 1 + 0.5j * (1 - 2 * c) * lam * t], [1 - 0.5j * (1 - 2 * c) * lam * t, 0]]
         )

@@ -154,7 +154,7 @@ class TestDecomposeInteraction:
         which is invariant under the SVD's rotation freedom."""
         m = hb.two_qubit(c).model
         dec = decompose_interaction(m.hi)
-        acc = sum(np.trace(s @ m.rho_b.mat) * r for r, s in zip(dec.r, dec.s))
+        acc = sum(np.trace(s @ m.rho_b) * r for r, s in zip(dec.r, dec.s))
         expected = (1 - 2 * c) / 2 * 0.5 * SZ
         assert np.max(np.abs(acc - expected)) < 1e-12
 
@@ -700,7 +700,7 @@ class TestGeneratorAgreement:
             from heisenbath.superop import trajectory_value
 
             o_val = trajectory_value(traj, ks, m.rho_b, t_eval)
-            pert = one_point_rhs(traj, t_eval, ks, m.rho_b).mat
+            pert = one_point_rhs(traj, t_eval, ks, m.rho_b)
             lind = lindblad_rhs(o_val, bd, sc, m.h0.mat, m.constants)
             diff = np.max(np.abs(pert - lind))
             bound = rep.rhs_defect_bound(

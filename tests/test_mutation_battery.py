@@ -3,15 +3,15 @@
 Each mutant is one textual edit ``(name, file, old, new)`` of a module of the
 package.  It is applied to a copy of the package under ``tmp_path``, never
 to the source tree, and `diagnostics.validation_suite` runs on the copy in a
-subprocess: seed 0 at (d_S, d_B) = (2, 3) and seed 1 at (3, 2), order 2,
-each at hbar = 1 and again at hbar = 1.3 (``diagnostics.random_model``
-bound to ``hbar=1.3``).  A mutant is killed when it fails a row that the
-unmutated copy passes, or makes the suite raise.  The test prints the kill
-matrix: for each mutant, the rows it fails and in how many of the four
-suites.
-
-`BLIND_SPOTS` lists mutants the table cannot see by construction; they are
-run and printed, not asserted, and the unit tests kill them.
+subprocess, order 2, on the six suites of `SUITES`: seed 0 at (d_S, d_B) =
+(2, 3) and seed 1 at (3, 2), each at hbar = 1 and again at hbar = 1.3
+(``diagnostics.random_model`` bound to ``hbar``), at the default t = 1.1;
+and seed 0 at (2, 3), hbar = 1, and seed 1 at (3, 2), hbar = 1.3, at
+t = 4.0.  At t = 1.1 every Van Loan step meets a Pade bound unscaled, so
+only the t = 4.0 suites square in `dyson.toeplitz_expm`.  A mutant is
+killed when it fails a row that the unmutated copy passes, or makes the
+suite raise.  The test prints the kill matrix: for each mutant, the rows it
+fails and in how many of the suites.
 """
 
 import concurrent.futures
@@ -33,17 +33,21 @@ MUTANTS = (
     ("partition_sign", "npoint.py", "cores = -self._weights(firsts)", "cores = self._weights(firsts)"),
     ("frame_identity_order0", "dyson.py", "0, :, :] = np.eye(d)", "0, :, :] = row[..., :, :d]"),
     ("partition_weight_power", "npoint.py", "self.x ** (n_i + m_i)", "self.x**n_i"),
-    ("bath_state_transpose", "superop.py", "(rho_b.mat @ rows[..., p, :])", "(rho_b.mat.T @ rows[..., p, :])"),
+    ("bath_state_transpose", "superop.py", "(rho_b @ rows[..., p, :])", "(rho_b.T @ rows[..., p, :])"),
     ("pade13_b1_sign", "dyson.py", "0.0, 32382376266240000.0", "0.0, -32382376266240000.0"),
     ("pade7_b1", "dyson.py", "17297280.0, 8648640.0,", "17297280.0, 8648000.0,"),
+    ("squaring_count", "dyson.py", "for _ in range(s):", "for _ in range(s - 1):"),
+    ("star_chain_order", "superop.py", "reduce(np.matmul, mats)", "reduce(np.matmul, mats[::-1])"),
 )
 
-# Mutants the table cannot kill, with the reason; tier-1 unit tests kill both.
-BLIND_SPOTS = (
-    # every Van Loan step of these suites meets a Pade bound unscaled (s = 0), so no step squares
-    ("squaring_count", "dyson.py", "for _ in range(s):", "for _ in range(s - 1):"),
-    # the star rows reduce the series and the exact legs through the same chain_contract
-    ("star_chain_order", "superop.py", "reduce(np.matmul, mats)", "reduce(np.matmul, mats[::-1])"),
+# (seed, d_S, d_B, hbar, t) of each suite
+SUITES = (
+    (0, 2, 3, 1.0, 1.1),
+    (1, 3, 2, 1.0, 1.1),
+    (0, 2, 3, 1.3, 1.1),
+    (1, 3, 2, 1.3, 1.1),
+    (0, 2, 3, 1.0, 4.0),
+    (1, 3, 2, 1.3, 4.0),
 )
 
 SUITE_SCRIPT = """
@@ -53,15 +57,14 @@ from heisenbath import diagnostics
 assert diagnostics.__file__.startswith(sys.argv[1])
 random_model = diagnostics.random_model
 out = {}
-for hbar in (1.0, 1.3):
+for seed, d_s, d_b, hbar, t in json.loads(sys.argv[2]):
     diagnostics.random_model = functools.partial(random_model, hbar=hbar)
-    for seed, d_s, d_b in ((0, 2, 3), (1, 3, 2)):
-        try:
-            rows = diagnostics.validation_suite(seed, d_s, d_b, order=2)
-            failed = [r["check"] for r in rows if r["status"] != "pass"]
-        except Exception as exc:
-            failed = ["raised " + type(exc).__name__]
-        out[f"seed {seed} ({d_s}, {d_b}) hbar {hbar}"] = failed
+    try:
+        rows = diagnostics.validation_suite(seed, d_s, d_b, order=2, t=t)
+        failed = [r["check"] for r in rows if r["status"] != "pass"]
+    except Exception as exc:
+        failed = ["raised " + type(exc).__name__]
+    out[f"seed {seed} ({d_s}, {d_b}) hbar {hbar} t {t}"] = failed
 print(json.dumps(out))
 """
 
@@ -79,7 +82,11 @@ def _failures(tmp_path, mutant) -> dict:
         path.write_text(text.replace(old, new))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", SUITE_SCRIPT, str(root)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", SUITE_SCRIPT, str(root), json.dumps(SUITES)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, f"{name}: {proc.stderr[-2000:]}"
     return json.loads(proc.stdout.splitlines()[-1])
@@ -95,7 +102,7 @@ def _killed_rows(failures: dict, control: dict) -> dict:
 
 
 def test_every_mutant_fails_a_validation_row(tmp_path):
-    battery = (None, *MUTANTS, *BLIND_SPOTS)
+    battery = (None, *MUTANTS)
     with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
         results = dict(zip(battery, pool.map(lambda mutant: _failures(tmp_path, mutant), battery)))
     control = results.pop(None)
@@ -103,9 +110,8 @@ def test_every_mutant_fails_a_validation_row(tmp_path):
     print(f"\nkill matrix: rows each mutant fails (number of the {n_suites} suites)")
     for mutant, failures in results.items():
         killed = _killed_rows(failures, control)
-        tag = "  [blind spot]" if mutant in BLIND_SPOTS else ""
         cells = ", ".join(f"{row} {n}/{n_suites}" for row, n in killed.items()) or "none"
-        print(f"  {mutant[0]:24s}{tag} {cells}")
+        print(f"  {mutant[0]:24s} {cells}")
     assert not any(control.values()), f"the unmutated package fails rows: {control}"
     survivors = [m[0] for m in MUTANTS if not _killed_rows(results[m], control)]
     assert not survivors, f"mutants no validation row kills: {survivors}"

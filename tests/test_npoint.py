@@ -135,8 +135,8 @@ class TestAssembleTerm:
             prefixed = assemble_partition_term(
                 EvenPartition(((0, 0),) + pairs), val, trunc, ks, m.rho_b, 1.1
             )
-            lhs = contract_with_bath(base, m.rho_b).mat
-            rhs = contract_with_bath(prefixed, m.rho_b).mat
+            lhs = contract_with_bath(base, m.rho_b)
+            rhs = contract_with_bath(prefixed, m.rho_b)
             assert np.max(np.abs(lhs + rhs)) < 1e-14
 
 
@@ -169,7 +169,7 @@ class TestExpandByPartitions:
         )
         t = 0.8
         fam = expand_image_by_partitions(traj, order, ks, m.rho_b, t)
-        back = contract_with_bath(fam, m.rho_b).mat
+        back = contract_with_bath(fam, m.rho_b)
         assert np.max(np.abs(back - trajectory_value(traj, ks, m.rho_b, t))) < 1e-13
 
 
@@ -177,7 +177,7 @@ class TestIrreducible2pt:
     def test_zero_coupling_vanishes(self, random_model_2x3):
         m, obs, ks = random_model_2x3
         out = irreducible_2pt(m, obs, obs, 0.5, 1.2, SeriesTruncation(2, 0.0), ks=ks)
-        assert np.max(np.abs(out.mat)) < 1e-13
+        assert np.max(np.abs(out)) < 1e-13
 
     def test_first_order_correction_is_second_order_small(self, two_qubit_quarter):
         preset, ks = two_qubit_quarter
@@ -186,7 +186,7 @@ class TestIrreducible2pt:
         errs = []
         for lam in LAMBDAS:
             out = irreducible_2pt(m, s1x, s1x, 0.5, 1.3, SeriesTruncation(1, lam), ks=ks)
-            errs.append(np.max(np.abs(out.mat)))
+            errs.append(np.max(np.abs(out)))
         assert fit_slope(LAMBDAS, errs) >= 1.8
 
     def test_matches_oracle_cumulant(self, random_model_2x3):
@@ -196,7 +196,7 @@ class TestIrreducible2pt:
         errs = []
         for lam in LAMBDAS:
             ml = m.with_coupling(lam)
-            pert = irreducible_2pt(m, obs, obs, t1, t2, SeriesTruncation(2, lam), ks=ks).mat
+            pert = irreducible_2pt(m, obs, obs, t1, t2, SeriesTruncation(2, lam), ks=ks)
             ex12 = npoint_reduced_exact(ml, [(o_op, t1), (o_op, t2)]).mat
             ex1 = weighted_bath_trace(heisenberg_evolve_exact(ml, o_op, t1), m.rho_b).mat
             ex2 = weighted_bath_trace(heisenberg_evolve_exact(ml, o_op, t2), m.rho_b).mat
@@ -209,9 +209,9 @@ class TestDecompose3pt:
         m, obs, ks = random_model_2x3
         dec = decompose_3pt(m, obs, obs, obs, 0.3, 0.7, 1.2, SeriesTruncation(2, 0.0), ks=ks)
         for part in (dec.wired_12, dec.wired_31, dec.wired_23, dec.irreducible):
-            assert np.max(np.abs(part.mat)) < 1e-12
+            assert np.max(np.abs(part)) < 1e-12
         free = [ks.frame.free_conjugate(obs, t) for t in (0.3, 0.7, 1.2)]
-        assert np.allclose(dec.disconnected.mat, free[0] @ free[1] @ free[2], atol=1e-12)
+        assert np.allclose(dec.disconnected, free[0] @ free[1] @ free[2], atol=1e-12)
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_components_sum_to_star_product(self, random_model_2x3, order):
@@ -258,5 +258,5 @@ class TestDecompose3pt:
                 - (mixed(0) - disc)
                 - disc
             )
-            errs.append(np.max(np.abs(pert3.irreducible.mat - irr_oracle)))
+            errs.append(np.max(np.abs(pert3.irreducible - irr_oracle)))
         assert fit_slope(LAMBDAS, errs) >= 2.8

@@ -93,7 +93,7 @@ def test_sandwiches_match_einsum(engine_model, n, t):
     assert _close(_blocks(ks, derived), einsum_P_blocks(n, a, fams))
     printed = frame.leave_open(_P_full(n, frame.enter(a), kstack.conj().swapaxes(-1, -2)))
     assert _close(_blocks(ks, printed), einsum_P_blocks_printed(n, a, fams))
-    rho = m.rho_b.mat
+    rho = m.rho_b
     dressed = frame.leave(_apply_DtP_S(n, frame.enter(a), kstack, ks.frame_derivative(kstack), rho))
     assert _close(dressed, einsum_DtP_S(n, a, fams, _blocks(ks, cov), rho))
 
@@ -107,7 +107,7 @@ def test_partition_terms_match_einsum(engine_model, n):
     value = one_point_value(obs, trunc, ks, m.rho_b, GRID_TIME)
     for p in enumerate_even_partitions(n, n + 1):
         out = assemble_partition_term(p, value, trunc, ks, m.rho_b, GRID_TIME).blocks
-        ref = einsum_partition_term(p.pairs, value, kstack, m.rho_b.mat, LAM, hbar)
+        ref = einsum_partition_term(p.pairs, value, kstack, m.rho_b, LAM, hbar)
         assert _close(out, ref), p.pairs
 
 
@@ -121,7 +121,7 @@ def test_partition_expansion_matches_einsum_sum(engine_model, order, t):
     value = trajectory_value(traj, ks, m.rho_b, t)
     kstack = _blocks(ks, ks.heis_stack(t))
     ref = sum(
-        einsum_partition_term(p.pairs, value, kstack, m.rho_b.mat, LAM, m.constants.hbar)
+        einsum_partition_term(p.pairs, value, kstack, m.rho_b, LAM, m.constants.hbar)
         for n in range(order + 1)
         for p in enumerate_even_partitions(n, n + 1)
     )
@@ -154,7 +154,7 @@ def test_batched_partition_sum_equals_per_suffix_evaluation(engine_model, monkey
     the one `recursive_partition_image` forms one sandwich at a time."""
     m, obs, ks = engine_model
     traj = one_point_operator(obs, SeriesTruncation(n_max, LAM), ks, m.rho_b, ks.grid, "obs")
-    expected = recursive_partition_image(trajectory_value(traj, ks, m.rho_b, t), n_max, LAM, ks, m.rho_b.mat, t)
+    expected = recursive_partition_image(trajectory_value(traj, ks, m.rho_b, t), n_max, LAM, ks, m.rho_b, t)
     calls = []
     real = _blockops.sandwich_sum
     monkeypatch.setattr(_blockops, "sandwich_sum", lambda lefts, rights: calls.append(1) or real(lefts, rights))
@@ -171,12 +171,12 @@ def test_batched_one_point_matches_per_time_and_einsum(engine_model, order):
     for k, t in enumerate(ks.grid.points):
         single = one_point_value(obs, trunc, ks, m.rho_b, float(t))
         kstack = _blocks(ks, ks.heis_stack(t))
-        ref = einsum_one_point(ks.frame.free_conjugate(obs, t), kstack, m.rho_b.mat, order, LAM, hbar)
+        ref = einsum_one_point(ks.frame.free_conjugate(obs, t), kstack, m.rho_b, order, LAM, hbar)
         assert _close(traj.values[k], single)
         assert _close(traj.values[k], ref)
     off = one_point_value(obs, trunc, ks, m.rho_b, OFF_GRID_TIME)
     kstack = _blocks(ks, ks.heis_stack(OFF_GRID_TIME))
-    ref = einsum_one_point(ks.frame.free_conjugate(obs, OFF_GRID_TIME), kstack, m.rho_b.mat, order, LAM, hbar)
+    ref = einsum_one_point(ks.frame.free_conjugate(obs, OFF_GRID_TIME), kstack, m.rho_b, order, LAM, hbar)
     assert _close(off, ref)
 
 
@@ -206,8 +206,8 @@ def _written_out_inverse(value, order, lam, ks, rho_b, t):
     inv, opened = [entered], np.zeros_like(kstack[0])
     for m in range(1, order + 1):
         opened = sum((lam / hbar) ** j * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
-        inv.append(entered - _blockops.bath_trace(opened, rho_b.mat))
-    return value - ks.frame.leave(_blockops.bath_trace(opened, rho_b.mat))
+        inv.append(entered - _blockops.bath_trace(opened, rho_b))
+    return value - ks.frame.leave(_blockops.bath_trace(opened, rho_b))
 
 
 @pytest.fixture(scope="module", params=SWEEP_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
@@ -246,7 +246,7 @@ def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
         assert np.array_equal(inverses[k], invert_one_point(values[k], trunc, ks, rho_b, t))
         assert np.array_equal(inverses[k], _written_out_inverse(values[k], order, lam, ks, rho_b, t))
         assert np.array_equal(families[k], image_from_value(values[k], trunc, ks, rho_b, t).matrix)
-        assert np.array_equal(rhs[k], one_point_rhs(trajs[k], t, ks, rho_b).mat)
+        assert np.array_equal(rhs[k], one_point_rhs(trajs[k], t, ks, rho_b))
 
 
 @pytest.fixture

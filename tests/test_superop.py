@@ -60,7 +60,7 @@ class TestApplyP:
         preset, ks = two_qubit_quarter
         t = 1.4
         s1x = preset.observables["s1x"]
-        rho = preset.model.rho_b.mat
+        rho = preset.model.rho_b
         k1 = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks
         k2 = ImageFamily(ks.heis_stack(t)[2], ks.dim_bath).blocks
         k2s = np.einsum("abij,ba->ij", k2, rho)
@@ -74,7 +74,7 @@ class TestApplyP:
         preset, ks = two_qubit_quarter
         t = 0.9
         s1x = preset.observables["s1x"]
-        rho = preset.model.rho_b.mat
+        rho = preset.model.rho_b
         k1s = np.einsum("abij,ba->ij", ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks, rho)
         out = apply_P_S(1, s1x, t, ks, preset.model.rho_b)
         assert np.allclose(out, 1j * (k1s @ s1x - s1x @ k1s), atol=1e-13)
@@ -86,7 +86,7 @@ class TestApplyP:
         brute = np.zeros((2, 2), dtype=complex)
         for a in range(3):
             for b in range(3):
-                brute += fam[a, b] * m.rho_b.mat[b, a]
+                brute += fam[a, b] * m.rho_b[b, a]
         assert np.allclose(apply_P_S(2, obs, t, ks, m.rho_b), brute, atol=1e-13)
 
     def test_order_cap(self, two_qubit_quarter):
@@ -243,7 +243,7 @@ class TestImageFromOnePoint:
             trunc = SeriesTruncation(order, 0.1)
             val = one_point_value(obs, trunc, ks, m.rho_b, 1.3)
             fam = image_from_value(val, trunc, ks, m.rho_b, 1.3)
-            back = contract_with_bath(fam, m.rho_b).mat
+            back = contract_with_bath(fam, m.rho_b)
             assert np.max(np.abs(back - val)) < 1e-13
 
 
@@ -315,7 +315,7 @@ def test_chain_contract_of_stacks_equals_its_slices(random_model_2x3):
 def test_bath_observable_rejected(random_model_2x3):
     m, _, ks = random_model_2x3
     with pytest.raises(DimensionError, match="system space"):
-        one_point_value(hb.bath_operator(np.eye(3), (2, 3)), SeriesTruncation(1, 0.1), ks, m.rho_b, 0.5)
+        one_point_value(hb.full_operator(np.eye(6), (2, 3)), SeriesTruncation(1, 0.1), ks, m.rho_b, 0.5)
 
 
 def test_negative_truncation_order_rejected():
@@ -323,12 +323,18 @@ def test_negative_truncation_order_rejected():
         SeriesTruncation(-1, 0.1)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_non_finite_truncation_coupling_rejected(lam):
+    with pytest.raises(ValueError, match="coupling must be finite"):
+        SeriesTruncation(1, lam)
+
+
 class TestOnePointRHS:
     def test_zero_coupling_free_heisenberg(self, random_model_2x3):
         m, obs, ks = random_model_2x3
         traj = one_point_operator(obs, SeriesTruncation(2, 0.0), ks, m.rho_b, ks.grid, "obs")
         t = 1.0
-        rhs = one_point_rhs(traj, t, ks, m.rho_b).mat
+        rhs = one_point_rhs(traj, t, ks, m.rho_b)
         o_s = trajectory_value(traj, ks, m.rho_b, t)
         expected = 1j * (m.h0.mat @ o_s - o_s @ m.h0.mat)
         assert np.max(np.abs(rhs - expected)) < 1e-12
@@ -344,7 +350,7 @@ class TestOnePointRHS:
             preset.observables["s1x"], SeriesTruncation(2, lam), ks, m.rho_b, ks.grid, "s1x"
         )
         for t in (0.4, 1.5):
-            rhs = one_point_rhs(traj, t, ks, m.rho_b).mat
+            rhs = one_point_rhs(traj, t, ks, m.rho_b)
             upper = 0.5j * (1 - 2 * c) * lam - 0.5 * lam**2 * t
             expected = 0.5 * np.array([[0, upper], [np.conj(upper), 0]])
             assert np.max(np.abs(rhs - expected)) < lam**3
@@ -354,7 +360,7 @@ class TestOnePointRHS:
         t, lam = 1.1, 1e-3
         trunc = SeriesTruncation(2, lam)
         traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid, "obs")
-        rhs = one_point_rhs(traj, t, ks, m.rho_b).mat
+        rhs = one_point_rhs(traj, t, ks, m.rho_b)
         h = 1e-5 * max(1.0, t)
         fd = (
             one_point_value(obs, trunc, ks, m.rho_b, t + h)
