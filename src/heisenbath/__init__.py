@@ -12,8 +12,6 @@ against an embedded exact brute-force oracle.
 from .spaces import (
     Constants,
     OperatorMatrix,
-    Space,
-    SpaceTag,
     TimeGrid,
     full_operator,
     system_operator,

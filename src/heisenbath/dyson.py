@@ -43,7 +43,7 @@ from . import _blockops
 from .errors import NonFiniteResult, OrderExceedsKernels
 from .images import ImageFamily
 from .model import ModelSpec
-from .spaces import Constants, OperatorMatrix, TimeGrid, as_matrix
+from .spaces import Constants, OperatorMatrix, TimeGrid, as_matrix, check_order
 
 
 @dataclass(frozen=True)
@@ -321,8 +321,7 @@ class KernelSet:
 def compute_kernels(m: ModelSpec, n_max: int, grid: TimeGrid) -> KernelSet:
     """Kernels of orders 0..``n_max``, stored at every point of ``grid`` and
     reached at any other ``t >= 0`` by `KernelSet.row`."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    check_order(n_max, "n_max")
     return KernelSet(m, n_max, grid)
 
 

@@ -17,7 +17,7 @@ from . import _blockops
 from .errors import DimensionError, IndexOutOfRange
 from .model import ModelSpec
 from .oracle import evolve_exact
-from .spaces import OperatorMatrix, Space, TimeGrid
+from .spaces import OperatorMatrix, TimeGrid, full_dims
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,7 @@ class ImageFamily:
 
 def to_image_family(x: OperatorMatrix, time: float = 0.0) -> ImageFamily:
     """All blocks ``T_a^dag x T_b`` of a full-space operator."""
-    if x.tag.kind is not Space.FULL:
-        raise DimensionError("to_image_family expects a full-space operator")
-    return ImageFamily(x.mat, x.tag.dim_bath, time)
+    return ImageFamily(x.mat, full_dims(x, "to_image_family")[1], time)
 
 
 def contract_with_bath(f: ImageFamily, rho_b: np.ndarray) -> np.ndarray:

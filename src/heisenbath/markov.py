@@ -19,7 +19,7 @@ import numpy as np
 from .dyson import propagate_rows
 from .errors import DimensionError, NonHermitianInput
 from .model import ModelSpec
-from .spaces import Constants, OperatorMatrix, Space, TimeGrid, as_matrix, herm_defect, HERM_TOL
+from .spaces import Constants, OperatorMatrix, TimeGrid, as_matrix, full_dims, herm_defect, HERM_TOL
 
 SCHMIDT_CUTOFF = 1e-12
 RECONSTRUCTION_TOL = 1e-10
@@ -76,11 +76,9 @@ def decompose_interaction(hi: OperatorMatrix) -> InteractionDecomposition:
     and the reconstruction agree with the complex reshaping route.  Terms
     with singular value below ``1e-12 * s_max`` are dropped.
     """
-    if hi.tag.kind is not Space.FULL:
-        raise DimensionError("decompose_interaction expects a full-space operator")
+    d_s, d_b = full_dims(hi, "decompose_interaction")
     if herm_defect(hi.mat) > HERM_TOL:
         raise NonHermitianInput("H_I is not hermitian")
-    d_s, d_b = hi.tag.dim_system, hi.tag.dim_bath
     r4 = hi.mat.reshape(d_s, d_b, d_s, d_b).transpose(0, 2, 1, 3)
     bath = _hermitian_coords(r4)  # (d_S, d_S, d_B^2)
     coeff = _hermitian_coords(np.moveaxis(bath, -1, 0)).T  # (d_S^2, d_B^2)

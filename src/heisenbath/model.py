@@ -44,7 +44,7 @@ class ModelSpec:
 
     @property
     def dim_system(self) -> int:
-        return self.h0.tag.dim_system
+        return self.h0.mat.shape[0]
 
     @property
     def dim_bath(self) -> int:

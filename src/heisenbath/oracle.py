@@ -42,7 +42,7 @@ def evolve_exact(m: ModelSpec, observables, times, lams=None) -> np.ndarray:
     """``U(t)^dag (o (x) 1_B) U(t)`` at every time, shape ``(n_t, D, D)``.
 
     ``observables`` holds one system observable per time, or one for all
-    times: a ``(d_S, d_S)`` array or a system-tagged `OperatorMatrix`; any
+    times: a ``(d_S, d_S)`` array or a system `OperatorMatrix`; any
     other shape or a full-space operator raises `DimensionError`.
     ``U(t) = exp(-iHt/hbar)``: one eigendecomposition ``H = V diag(E)
     V^dag`` serves every time, ``U = (V exp(-iEt/hbar)) V^dag`` is one GEMM
@@ -78,7 +78,7 @@ def evolve_exact(m: ModelSpec, observables, times, lams=None) -> np.ndarray:
 
 def heisenberg_evolve_exact(m: ModelSpec, o0: OperatorMatrix, t: float) -> OperatorMatrix:
     """Heisenberg-evolved ``exp(+iHt/hbar) (o0 (x) 1_B) exp(-iHt/hbar)``."""
-    return full_operator(evolve_exact(m, [o0], [t])[0], m.hi.tag)
+    return full_operator(evolve_exact(m, [o0], [t])[0], m.hi.dims)
 
 
 def npoint_reduced_exact(
@@ -88,7 +88,7 @@ def npoint_reduced_exact(
     if not ops:
         raise DimensionError("npoint_reduced_exact needs at least one operator")
     legs = evolve_exact(m, [o for o, _ in ops], [t for _, t in ops])
-    return system_operator(reduced_product(legs, m.rho_b), m.hi.tag)
+    return system_operator(reduced_product(legs, m.rho_b), m.hi.dims)
 
 
 def reduced_product(legs, rho_b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Tagged operators, the density check, constants, time grids and the tagged bath trace.
+"""Operators that carry their dimensions, the density check, constants, time
+grids and the bath trace of a full-space operator.
 
 Index convention (fixed globally, asserted in the test suite): the combined
 space is spanned by ``|i alpha>`` with ``i`` a system index and ``alpha`` a
@@ -10,8 +11,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -24,55 +25,28 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
-class Space(Enum):
-    SYSTEM = "system"
-    FULL = "full"
-
-
-@dataclass(frozen=True)
-class SpaceTag:
-    """Identifies which space a matrix acts on and the global dimensions."""
-
-    kind: Space
-    dim_system: int
-    dim_bath: int
-
-    def __post_init__(self):
-        if self.dim_system < 1 or self.dim_bath < 1:
-            raise DimensionError(
-                f"dimensions must be >= 1, got d_S={self.dim_system}, d_B={self.dim_bath}"
-            )
-
-    @property
-    def side(self) -> int:
-        """Side length of a matrix carrying this tag."""
-        if self.kind is Space.SYSTEM:
-            return self.dim_system
-        return self.dim_system * self.dim_bath
-
-
-def _as_complex_matrix(entries) -> np.ndarray:
-    mat = np.asarray(entries, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
-    return mat
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex square matrix tagged with the space it acts on."""
+    """Dense complex square matrix of a model with dimensions ``dims = (d_S, d_B)``.
+
+    Its side is the space it acts on: ``d_S`` for the system space, ``d_S * d_B``
+    for the full space (at ``d_B = 1`` the two are the same space).
+    """
 
     mat: np.ndarray
-    tag: SpaceTag
+    dims: tuple[int, int]
 
     def __post_init__(self):
-        mat = _as_complex_matrix(self.mat)
-        if mat.shape[0] != self.tag.side:
-            raise DimensionError(
-                f"matrix side {mat.shape[0]} does not match tag "
-                f"{self.tag.kind.value} (expected {self.tag.side})"
-            )
+        mat = np.asarray(self.mat, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
+        d_s, d_b = map(int, self.dims)
+        if d_s < 1 or d_b < 1:
+            raise DimensionError(f"dimensions must be >= 1, got d_S={d_s}, d_B={d_b}")
+        if mat.shape[0] not in (d_s, d_s * d_b):
+            raise DimensionError(f"matrix side {mat.shape[0]} is neither d_S={d_s} nor d_S*d_B={d_s * d_b}")
         object.__setattr__(self, "mat", read_only(mat))
+        object.__setattr__(self, "dims", (d_s, d_b))
 
 
 def read_only(mat: np.ndarray) -> np.ndarray:
@@ -88,26 +62,31 @@ def as_matrix(x) -> np.ndarray:
 
 
 def system_matrix(o) -> np.ndarray:
-    """`as_matrix` of a system observable: an array, or an `OperatorMatrix` tagged
-    for the system space; a full-space operator raises `DimensionError`."""
-    if isinstance(o, OperatorMatrix) and o.tag.kind is not Space.SYSTEM:
+    """`as_matrix` of a system observable: an array, or an `OperatorMatrix` of
+    side ``d_S``; a full-space operator raises `DimensionError`."""
+    if isinstance(o, OperatorMatrix) and o.mat.shape[0] != o.dims[0]:
         raise DimensionError("observables must live on the system space")
     return as_matrix(o)
 
 
-def system_operator(entries, tag_or_dims) -> OperatorMatrix:
-    return OperatorMatrix(_as_complex_matrix(entries), _retag(tag_or_dims, Space.SYSTEM))
+def full_dims(x: OperatorMatrix, caller: str) -> tuple[int, int]:
+    """``(d_S, d_B)`` of a full-space operator; any other side raises `DimensionError`."""
+    d_s, d_b = x.dims
+    if x.mat.shape[0] != d_s * d_b:
+        raise DimensionError(f"{caller} expects a full-space operator")
+    return d_s, d_b
 
 
-def full_operator(entries, tag_or_dims) -> OperatorMatrix:
-    return OperatorMatrix(_as_complex_matrix(entries), _retag(tag_or_dims, Space.FULL))
+def system_operator(entries, dims) -> OperatorMatrix:
+    op = OperatorMatrix(entries, dims)
+    system_matrix(op)
+    return op
 
 
-def _retag(tag_or_dims, kind: Space) -> SpaceTag:
-    if isinstance(tag_or_dims, SpaceTag):
-        return SpaceTag(kind, tag_or_dims.dim_system, tag_or_dims.dim_bath)
-    d_s, d_b = tag_or_dims
-    return SpaceTag(kind, int(d_s), int(d_b))
+def full_operator(entries, dims) -> OperatorMatrix:
+    op = OperatorMatrix(entries, dims)
+    full_dims(op, "full_operator")
+    return op
 
 
 def herm_defect(mat: np.ndarray) -> float:
@@ -127,6 +106,15 @@ def check_density(mat: np.ndarray, name: str) -> None:
     evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
     if evals.min() < -PSD_TOL * scale:
         raise InvalidDensityMatrix(f"{name}: density matrix has negative eigenvalue {evals.min():.3e}")
+
+
+def check_order(n, name: str) -> None:
+    """Raise `ValueError`, naming ``name``, unless ``n`` is a non-negative
+    integer: a Python or numpy integer, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
 
 
 @dataclass(frozen=True)
@@ -186,12 +174,12 @@ class TimeGrid:
 def weighted_bath_trace(x: OperatorMatrix, rho_b: np.ndarray) -> OperatorMatrix:
     """Bath-state-weighted trace ``tr_B{x (1 (x) rho_B)}``.
 
-    Elementwise this is ``sum_{ab} x[(i,a),(j,b)] rho_B[b,a]``: the tagged
-    form of `heisenbath._blockops.bath_trace`, the one contraction with the
-    bath state that the series engine and the exact references share.
+    Elementwise this is ``sum_{ab} x[(i,a),(j,b)] rho_B[b,a]``: the
+    `OperatorMatrix` form of `heisenbath._blockops.bath_trace`, the one
+    contraction with the bath state that the series engine and the exact
+    references share.
     """
-    if x.tag.kind is not Space.FULL:
-        raise DimensionError("weighted_bath_trace expects a full-space operator")
-    if np.shape(rho_b) != (x.tag.dim_bath, x.tag.dim_bath):
+    d_b = full_dims(x, "weighted_bath_trace")[1]
+    if np.shape(rho_b) != (d_b, d_b):
         raise DimensionError("rho_b must be a bath density matrix of matching dimension")
-    return system_operator(bath_trace(x.mat, rho_b), x.tag)
+    return system_operator(bath_trace(x.mat, rho_b), x.dims)

@@ -62,7 +62,7 @@ from . import _blockops
 from .dyson import KernelSet
 from .errors import DimensionError
 from .images import ImageFamily
-from .spaces import OperatorMatrix, TimeGrid, system_matrix, system_operator
+from .spaces import OperatorMatrix, TimeGrid, check_order, system_matrix, system_operator
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ class SeriesTruncation:
     lam: float
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {self.order}")
+        check_order(self.order, "truncation order")
         if not np.isfinite(self.lam):
             raise ValueError(f"coupling must be finite, got {self.lam}")
 

@@ -1,0 +1,74 @@
+"""Claims of the paper's abstract that no validation row states on its own.
+
+README's claims table maps every sentence of the abstract to the tests and
+rows that check it; these are the two that needed a test of their own.
+"""
+
+import numpy as np
+
+import heisenbath as hb
+from heisenbath.diagnostics import fit_slope
+from heisenbath.dyson import compute_kernels
+from heisenbath.model import make_model
+from heisenbath.oracle import heisenberg_evolve_exact, npoint_reduced_exact
+from heisenbath.spaces import TimeGrid, system_operator, weighted_bath_trace
+from heisenbath.superop import (
+    SeriesTruncation,
+    chain_contract,
+    image_from_value,
+    one_point_value,
+    star_of_observables,
+)
+from helpers import random_hermitian
+
+
+def test_rank_one_bath_state_reads_d_b_images_per_end_factor():
+    """"The number of image operators equals the dimension of the environment":
+    with ``rho_B = |0><0|`` a two-point chain reads only the d_B blocks ``X_0a``
+    of its first family and ``X_a0`` of its second, bit for bit, while a
+    three-point chain reads every block of its middle family."""
+    rng = np.random.default_rng(7)
+    d_s, d_b = 2, 3
+    h0, hb_diag, hi = random_hermitian(rng, d_s), np.diag(rng.normal(size=d_b)), random_hermitian(rng, d_s * d_b)
+    m = make_model(h0, hb_diag, hi, np.eye(d_s) / d_s, np.diag([1.0, 0.0, 0.0]))
+    ks = compute_kernels(m, 2, TimeGrid.linspace(1.3, 5))
+    trunc = SeriesTruncation(2, 0.1)
+    legs = [(random_hermitian(rng, d_s), t) for t in (0.4, 0.9, 1.3)]
+    families = [image_from_value(one_point_value(o, trunc, ks, m.rho_b, t), trunc, ks, m.rho_b, t).matrix for o, t in legs]
+    bath_zero = np.arange(d_s * d_b) % d_b == 0  # full-space rows and columns of bath state 0
+
+    def row0(x):
+        return x * bath_zero[:, None]
+
+    def col0(x):
+        return x * bath_zero[None, :]
+
+    first, middle, last = families
+    assert np.array_equal(chain_contract([row0(first), col0(middle)], m.rho_b), chain_contract([first, middle], m.rho_b))
+    three = chain_contract(families, m.rho_b)
+    assert np.array_equal(chain_contract([row0(first), middle, col0(last)], m.rho_b), three)
+    assert np.max(np.abs(chain_contract([row0(first), row0(middle), col0(last)], m.rho_b) - three)) > 1e-3
+
+
+def test_naive_product_misses_the_two_point_function_at_second_order():
+    """"Multi-time correlations are not products of one-point operators": on
+    the two-qubit preset the naive product ``O_S(t1) O_S(t2)`` misses the
+    exact reduced two-point function by O(lam^2), while the order-2 star
+    product misses it by O(lam^3)."""
+    preset = hb.two_qubit(0.25)
+    m, s1x = preset.model, preset.observables["s1x"]
+    t1, t2 = 1.1, 0.6
+    lams = (0.1, 0.05, 0.025)
+    ks = compute_kernels(m, 2, TimeGrid.linspace(t1, 5))
+    o = system_operator(s1x, (2, 2))
+    gaps, star_errors = [], []
+    for lam in lams:
+        ml = m.with_coupling(lam)
+        one_point = [weighted_bath_trace(heisenberg_evolve_exact(ml, o, t), m.rho_b).mat for t in (t1, t2)]
+        exact = npoint_reduced_exact(ml, [(o, t1), (o, t2)]).mat
+        gaps.append(np.max(np.abs(one_point[0] @ one_point[1] - exact)))
+        star = star_of_observables([(s1x, t1), (s1x, t2)], SeriesTruncation(2, lam), ks, m.rho_b)
+        star_errors.append(np.max(np.abs(star - exact)))
+    assert 1.8 <= fit_slope(lams, gaps) <= 2.2, gaps
+    assert fit_slope(lams, star_errors) >= 2.8, star_errors
+    assert gaps[-1] >= 100 * star_errors[-1], (gaps, star_errors)

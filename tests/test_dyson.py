@@ -64,6 +64,16 @@ class TestKernels:
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             compute_kernels(preset.model, -1, TimeGrid.linspace(1.0, 3))
 
+    @pytest.mark.parametrize("n_max", [2.5, True])
+    def test_non_integer_order_rejected(self, two_qubit_quarter, n_max):
+        preset, _ = two_qubit_quarter
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            compute_kernels(preset.model, n_max, TimeGrid.linspace(1.0, 3))
+
+    def test_numpy_integer_order_accepted(self, two_qubit_quarter):
+        preset, _ = two_qubit_quarter
+        assert compute_kernels(preset.model, np.int64(1), TimeGrid.linspace(1.0, 3)).orders == 1
+
     def test_order_zero_is_identity_family(self, two_qubit_quarter):
         _, ks = two_qubit_quarter
         for t in (0.0, 0.4, 1.9):

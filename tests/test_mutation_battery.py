@@ -38,6 +38,26 @@ MUTANTS = (
     ("pade7_b1", "dyson.py", "17297280.0, 8648640.0,", "17297280.0, 8648000.0,"),
     ("squaring_count", "dyson.py", "for _ in range(s):", "for _ in range(s - 1):"),
     ("star_chain_order", "superop.py", "reduce(np.matmul, mats)", "reduce(np.matmul, mats[::-1])"),
+    ("toeplitz_mul_reversal", "dyson.py", "b[k::-1]", "b[: k + 1]"),
+    ("toeplitz_solve_sign", "dyson.py", "p[k] - np.matmul(q[1 : k + 1]", "p[k] + np.matmul(q[1 : k + 1]"),
+    ("leave_open_conj", "dyson.py", "(self.v0.conj() @ rows)", "(self.v0 @ rows)"),
+    ("frame_stack_scale_axis", "dyson.py", "axis2=-1)[..., None, None, :]", "axis2=-1)[..., None, :, None]"),
+    (
+        "sandwich_right_conj",
+        "_blockops.py",
+        'np.conj(rights.swapaxes(-3, -2), order="C")',
+        "np.ascontiguousarray(rights.swapaxes(-3, -2))",
+    ),
+    ("system_lift_transpose", "_blockops.py", "reshape(*slead, -1, ds) @ a", "reshape(*slead, -1, ds) @ a.swapaxes(-1, -2)"),
+    (
+        "kron_identity_transpose",
+        "_blockops.py",
+        "out[..., :, idx, :, idx] = value",
+        "out[..., :, idx, :, idx] = value.swapaxes(-1, -2)",
+    ),
+    ("bath_trace_transpose", "_blockops.py", "rho.T.reshape(-1, 1)", "rho.reshape(-1, 1)"),
+    ("cumulant_leg_order", "npoint.py", "- values[0] @ values[1]", "- values[1] @ values[0]"),
+    ("open_word_weights", "npoint.py", "self._sandwiches(pairs, self._weights(pairs) * cores)", "self._sandwiches(pairs, cores)"),
 )
 
 # (seed, d_S, d_B, hbar, t) of each suite

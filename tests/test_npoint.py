@@ -20,11 +20,13 @@ from heisenbath.spaces import full_operator, system_operator, weighted_bath_trac
 from heisenbath.superop import (
     SeriesTruncation,
     image_from_one_point,
+    image_from_value,
     one_point_operator,
     one_point_value,
     star_of_observables,
     trajectory_value,
 )
+from helpers import random_hermitian
 
 LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -221,6 +223,37 @@ class TestDecompose3pt:
         dec = decompose_3pt(m, obs, obs, obs, *times, trunc, ks=ks)
         star = star_of_observables([(obs, t) for t in times], trunc, ks, m.rho_b)
         assert np.max(np.abs(dec.total - star)) < 1e-12
+
+    def test_each_part_is_its_own_definition(self, random_model_2x3):
+        """Each of the five parts against its definition, on three distinct
+        observables at three distinct times, from the legs' one-point values
+        ``v_k`` and image families ``X_k``: ``disconnected = v1 v2 v3``,
+        ``wired_12 = (X1 X2)_S v3 - disc``, ``wired_31 = (X1 (v2 (x) 1) X3)_S - disc``,
+        ``wired_23 = v1 (X2 X3)_S - disc``, and the irreducible part the rest
+        of ``(X1 X2 X3)_S``."""
+        m, obs, ks = random_model_2x3
+        rng = np.random.default_rng(31)
+        observables = (obs, random_hermitian(rng, 2), random_hermitian(rng, 2))
+        times = (0.4, 0.9, 1.3)
+        trunc = SeriesTruncation(2, 0.1)
+        values = [one_point_value(o, trunc, ks, m.rho_b, t) for o, t in zip(observables, times)]
+        x1, x2, x3 = (image_from_value(v, trunc, ks, m.rho_b, t).matrix for v, t in zip(values, times))
+        v1, v2, v3 = values
+
+        def reduced(x):
+            return contract_with_bath(ImageFamily(x, m.dim_bath), m.rho_b)
+
+        disc = v1 @ v2 @ v3
+        wired_12 = reduced(x1 @ x2) @ v3 - disc
+        wired_31 = reduced(x1 @ np.kron(v2, np.eye(m.dim_bath)) @ x3) - disc
+        wired_23 = v1 @ reduced(x2 @ x3) - disc
+        irreducible = reduced(x1 @ x2 @ x3) - disc - wired_12 - wired_31 - wired_23
+        dec = decompose_3pt(m, *observables, *times, trunc, ks=ks)
+        expected = (disc, wired_12, wired_31, wired_23, irreducible)
+        parts = (dec.disconnected, dec.wired_12, dec.wired_31, dec.wired_23, dec.irreducible)
+        for part, want in zip(parts, expected):
+            assert np.max(np.abs(part - want)) < 1e-12
+        assert min(np.max(np.abs(a - b)) for a, b in itertools.combinations(expected[1:4], 2)) > 1e-4
 
     def test_two_qubit_irreducible_matches_oracle_formula(self, two_qubit_quarter):
         """Third cumulant against the same formula built from oracle quantities."""

@@ -8,8 +8,7 @@ from heisenbath.errors import DimensionError, InvalidDensityMatrix
 from heisenbath.model import make_model
 from heisenbath.spaces import (
     Constants,
-    Space,
-    SpaceTag,
+    OperatorMatrix,
     TimeGrid,
     full_operator,
     system_operator,
@@ -108,7 +107,7 @@ class TestValidation:
 
     def test_space_tag_rejects_zero_dimension(self):
         with pytest.raises(DimensionError, match=">= 1"):
-            SpaceTag(Space.SYSTEM, 0, 2)
+            OperatorMatrix(np.eye(2), (0, 2))
 
     def test_constants_require_positive_hbar(self):
         with pytest.raises(ValueError):

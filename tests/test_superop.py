@@ -323,6 +323,16 @@ def test_negative_truncation_order_rejected():
         SeriesTruncation(-1, 0.1)
 
 
+@pytest.mark.parametrize("order", [1.5, True])
+def test_non_integer_truncation_order_rejected(order):
+    with pytest.raises(ValueError, match="order must be an integer"):
+        SeriesTruncation(order, 0.1)
+
+
+def test_numpy_integer_truncation_order_accepted():
+    assert SeriesTruncation(np.int64(2), 0.1).order == 2
+
+
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
 def test_non_finite_truncation_coupling_rejected(lam):
     with pytest.raises(ValueError, match="coupling must be finite"):

@@ -14,14 +14,23 @@ package from its ``src`` and the benchmark inputs from its
 
 the workloads at seeds 1, 2 and 5.  This script then prints the groups that
 differ and the validate exit-code histogram of each side, and exits 1 on
-any difference (0 when every group is identical).  Both children run with
-``OPENBLAS_NUM_THREADS=1`` unless the variable is set, because some BLAS
-results depend on the thread count.
+any difference (0 when every group is identical).
+
+A change that moves rounding on purpose cannot keep the digests, so the
+children also run the validate_small configs of seeds 1-12 (288 suites)
+and report each row's status and value.  The script prints how many
+suites changed a row status or their exit code and, for each slope row,
+the largest change of its slope and each side's smallest margin above the
+threshold.  These lines inform; only the digests decide the exit code.
+
+Both children run with ``OPENBLAS_NUM_THREADS=1`` unless the variable is
+set, because some BLAS results depend on the thread count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import glob
 import hashlib
@@ -34,6 +43,7 @@ import tempfile
 from collections import Counter
 
 SEEDS = (1, 2, 5)
+STATUS_SEEDS = range(1, 13)
 
 
 def _leaves(prefix: str, obj):
@@ -77,7 +87,7 @@ def child(checkout: str) -> None:
 
     if not os.path.abspath(heisenbath.__file__).startswith(os.path.join(checkout, "src") + os.sep):
         raise SystemExit(f"imported heisenbath from {heisenbath.__file__}, not from {checkout}")
-    digests, exits = {}, []
+    digests, exits, suites = {}, [], {}
     with tempfile.TemporaryDirectory() as work:
         for seed in SEEDS:
             series = workloads.build_series(seed, work)
@@ -87,17 +97,24 @@ def child(checkout: str) -> None:
                 ("markov_lindblad", workloads.solve_markov(markov, None)),
             ):
                 digests.update((k, _sha(v)) for k, v in _leaves(f"{name}/seed{seed}", out))
+        for seed in STATUS_SEEDS:
             seed_dir = os.path.join(work, f"validate{seed}")
             os.makedirs(seed_dir)
             for config, output, _ in workloads.build_validate(seed, seed_dir).tasks:
                 code, err = _cli(cli, ["run", config, "--output", output])
                 group = f"validate_small/seed{seed}/{os.path.basename(config)}"
-                exits.append(code)
-                digests[f"{group}/exit"] = _sha(str(code).encode())
-                digests[f"{group}/stderr"] = _sha(err.encode())
+                table = b""
                 if os.path.exists(output):
                     with open(output, "rb") as fh:
-                        digests[f"{group}/csv"] = _sha(fh.read())
+                        table = fh.read()
+                rows = csv.DictReader(io.StringIO(table.decode()))
+                suites[group] = {"exit": code, "rows": {r["check"]: r for r in rows}}
+                if seed in SEEDS:
+                    exits.append(code)
+                    digests[f"{group}/exit"] = _sha(str(code).encode())
+                    digests[f"{group}/stderr"] = _sha(err.encode())
+                    if os.path.exists(output):
+                        digests[f"{group}/csv"] = _sha(table)
         for config in sorted(glob.glob(os.path.join(checkout, "configs", "*.yaml"))):
             for fmt in ("csv", "json"):
                 output = os.path.join(work, f"config.{fmt}")
@@ -108,7 +125,7 @@ def child(checkout: str) -> None:
                 with open(output, "rb") as fh:
                     digests[f"{group}/output"] = _sha(fh.read())
                 os.unlink(output)
-    print(json.dumps({"digests": digests, "validate_exits": exits}))
+    print(json.dumps({"digests": digests, "validate_exits": exits, "suites": suites}))
 
 
 def run_child(checkout: str) -> dict:
@@ -137,8 +154,39 @@ def main(argv: list[str]) -> int:
     for key in differ:
         print(f"differs: {key}")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} groups differ")
+    report_statuses(parent["suites"], change["suites"])
     return 1 if differ else 0
 
+
+def _slopes(suites: dict) -> dict:
+    """``{check: {suite: (slope, threshold)}}`` of the slope rows of ``suites``."""
+    out: dict = {}
+    for name, suite in suites.items():
+        for check, row in suite["rows"].items():
+            if row["metric"] == "loglog_slope":
+                out.setdefault(check, {})[name] = float(row["value"]), float(row["threshold"])
+    return out
+
+
+def report_statuses(parent: dict, change: dict) -> None:
+    """Print how many suites changed their exit code or a row status, and per
+    slope row the largest slope change and each side's smallest margin."""
+
+    def statuses(suites, name):
+        suite = suites.get(name)
+        return suite and (suite["exit"], {check: row["status"] for check, row in suite["rows"].items()})
+
+    names = parent.keys() | change.keys()
+    changed = sum(statuses(parent, name) != statuses(change, name) for name in names)
+    seeds = f"{STATUS_SEEDS[0]}-{STATUS_SEEDS[-1]}"
+    print(f"validate seeds {seeds}: {changed} of {len(names)} suites changed a row status or exit code")
+    a, b = _slopes(parent), _slopes(change)
+    print(f"{'slope row':24s} {'largest change':>14s} {'parent margin':>14s} {'change margin':>14s}")
+    for check in sorted(a.keys() | b.keys()):
+        pa, pb = a.get(check, {}), b.get(check, {})
+        moved = max((abs(pa[k][0] - pb[k][0]) for k in pa.keys() & pb.keys()), default=float("nan"))
+        margins = [min((v - t for v, t in side.values()), default=float("nan")) for side in (pa, pb)]
+        print(f"{check:24s} {moved:14.3g} {margins[0]:14.3f} {margins[1]:14.3f}")
 
 if __name__ == "__main__":
     raise SystemExit(main(sys.argv[1:]))
