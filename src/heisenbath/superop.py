@@ -356,6 +356,9 @@ def star_of_observables(
 ) -> np.ndarray:
     """Star product straight from observables: ``entries`` is a sequence of
     ``(observable, time)`` pairs."""
+    entries = list(entries)
+    if not entries:
+        raise DimensionError("star_of_observables needs at least one factor")
     return chain_contract(_lift_legs(entries, trunc, ks, rho_b)[1], rho_b)
 
 

@@ -153,27 +153,50 @@ def loop_hermitian_basis(n):
     return np.stack(basis)
 
 
-# -- per-coupling references for the validation rows ------------------------------
-# The error and defect helpers of `heisenbath.diagnostics` one coupling at a
-# time, as loops over the sweep, kept only to check their array expressions.
+# -- the validation suite's series inputs and per-coupling references ------------
+# `lift_legs` and `partition_image` form the arrays the error and defect
+# helpers of `heisenbath.diagnostics` compare, as `validation_suite` does;
+# `loop_validation_errors` is those helpers one coupling at a time, as loops
+# over the sweep, kept only to check their array expressions.
 
 
-def loop_validation_errors(series, times, order, lams, exact, lam):
+def lift_legs(m, obs, ks, order, times, lams):
+    """One-point values, series inversions and image-family matrices of ``obs`` at
+    ``times``, each ``(n_leg, n_lam, ...)``, in one engine call for the sweep ``lams``."""
+    from heisenbath.spaces import system_matrix
+    from heisenbath.superop import _lift_observable
+
+    rows = ks.eigen_rows(np.array(times, dtype=float))
+    return _lift_observable(system_matrix(obs), order, tuple(lams), ks, m.rho_b, rows)
+
+
+def partition_image(value, n_max, lam, ks, rho_b, row):
+    """The partition sum ``(D, D)`` over orders ``n <= n_max`` of a one-point value ``(d_S, d_S)``
+    at the coupling ``lam``, at the time whose kernel row is ``row``."""
+    from heisenbath.npoint import _PartitionWords
+    from heisenbath.superop import SeriesTruncation
+
+    return _PartitionWords(value, SeriesTruncation(n_max, lam), ks, rho_b, row).image(n_max)
+
+
+def loop_validation_errors(m, obs, ks, lifts, images, times, lams, exact, lam):
     """Every error list and defect of a suite at ``times = (t1, t2, t)``, the
     lists one coupling of ``lams`` at a time and the defects at ``lam``.
-    ``exact`` is the exact sweep ``(n_lam, 3, D, D)`` at ``times``.  Each
-    coupling is read from the shared ``series`` and every bath trace, chain
-    and product is formed for that coupling alone."""
+    ``lifts[n]`` holds the values, inversions and family matrices ``(3, n_lam,
+    ...)`` of order n at ``times`` for n = 0..order+1, ``images[n]`` the
+    order-n partition image at ``t`` and ``lam``, and ``exact`` is the exact
+    sweep ``(n_lam, 3, D, D)`` at ``times``.  Each coupling is read from the
+    shared arrays and every bath trace, chain and product is formed for that
+    coupling alone."""
     from heisenbath import _blockops
     from heisenbath.superop import _one_point_rhs, _one_point_values
 
-    ks, rho = series.ks, series.m.rho_b
-    t1, t2, t = times
+    rho, order = m.rho_b, len(lifts) - 2
+    t = times[2]
 
-    def at(n, lam_, s):  # one coupling of a shared lift: value, inversion, family
-        values, inverses, mats = series.lift(n, s)
-        k = series.column(lam_)
-        return values[k], inverses[k], mats[k]
+    def at(n, k, leg):  # one coupling and leg of a shared lift: value, inversion, family
+        values, inverses, mats = lifts[n]
+        return values[leg, k], inverses[leg, k], mats[leg, k]
 
     def trace(x):
         return _blockops.bath_trace(x, rho)
@@ -187,27 +210,27 @@ def loop_validation_errors(series, times, order, lams, exact, lam):
     def max_abs(x):
         return float(np.max(np.abs(x)))
 
-    free = ks.frame.free_conjugate(np.asarray(series.obs, dtype=complex), t)
+    free = ks.frame.free_conjugate(np.asarray(obs, dtype=complex), t)
     step = 1e-5 * max(1.0, t)
     rows = ks.eigen_rows(np.array([t + step, t - step]))
     out = {key: [] for key in ("one_point", "star_n2", "star_n3", "image", "roundtrip", "cumulant2", "rhs_fd")}
-    for lam_, x in zip(lams, exact):
-        value, inverse, mat = at(order, lam_, t)
-        (v1, _, f1), (v2, _, f2) = at(order, lam_, t1), at(order, lam_, t2)
+    for k, (lam_, x) in enumerate(zip(lams, exact)):
+        value, inverse, mat = at(order, k, 2)
+        (v1, _, f1), (v2, _, f2) = at(order, k, 0), at(order, k, 1)
         out["one_point"].append(max_abs(value - trace(x[2])))
         out["star_n2"].append(max_abs(chain([f1, f2]) - trace(x[0] @ x[1])))
         out["star_n3"].append(max_abs(chain([f1, f2, mat]) - trace(x[0] @ x[1] @ x[2])))
         out["image"].append(max_abs(mat - x[2]))
         out["roundtrip"].append(max_abs(inverse - free))
         out["cumulant2"].append(max_abs((chain([f1, f2]) - v1 @ v2) - (trace(x[0] @ x[1]) - trace(x[0]) @ trace(x[1]))))
-        rhs = _one_point_rhs(value[None], order, (lam_,), ks, series.m.rho_b, ks.row(t))[0]
-        plus, minus = _one_point_values(series.obs, order, (lam_,), ks, series.m.rho_b, rows)[0]
+        rhs = _one_point_rhs(value[None], order, (lam_,), ks, rho, ks.row(t))[0]
+        plus, minus = _one_point_values(obs, order, (lam_,), ks, rho, rows)[0]
         out["rhs_fd"].append(max_abs(rhs - (plus - minus) / (2 * step)))
-    for n in range(order + 2):
-        parts = series.partitions(n, lam, t)
-        out[f"cancellation_n{n}"] = max_abs(trace(parts) - at(n, lam, t)[0])
-        out[f"dual_bookkeeping_n{n}"] = max_abs(parts - at(n, lam, t)[2])
-    v, _, f = zip(*(at(order, lam, s) for s in times))
+    k = lams.index(lam)
+    for n, parts in enumerate(images):
+        out[f"cancellation_n{n}"] = max_abs(trace(parts) - at(n, k, 2)[0])
+        out[f"dual_bookkeeping_n{n}"] = max_abs(parts - at(n, k, 2)[2])
+    v, _, f = zip(*(at(order, k, leg) for leg in range(3)))
     trivial = [_blockops.kron_identity(x, ks.dim_bath) for x in v]
     disc = v[0] @ v[1] @ v[2]
     wired = [chain([f[0], f[1], trivial[2]]) - disc, chain([f[0], trivial[1], f[2]]) - disc]

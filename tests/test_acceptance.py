@@ -10,7 +10,6 @@ import pytest
 
 import heisenbath as hb
 from heisenbath.diagnostics import (
-    SeriesResults,
     cancellation_defect,
     cumulant2_errors,
     decomposition_sum_defect,
@@ -31,7 +30,7 @@ from heisenbath.markov import (
     spectral_coefficients,
 )
 from heisenbath.oracle import evolve_exact, npoint_reduced_exact
-from heisenbath.spaces import TimeGrid, system_operator
+from heisenbath.spaces import TimeGrid, system_matrix, system_operator
 from heisenbath.superop import (
     SeriesTruncation,
     one_point_operator,
@@ -40,6 +39,7 @@ from heisenbath.superop import (
     star_of_observables,
     trajectory_value,
 )
+from helpers import lift_legs, partition_image
 
 LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
 C_VALUES = (0.0, 0.25, 0.5)
@@ -91,11 +91,15 @@ def test_criterion_03_truncation_error_scaling(seed, d_b):
     """Order-2 one-point slope >= 2.8; order-1 star products slope >= 1.8."""
     m, obs = random_model(seed, 2, d_b)
     ks = compute_kernels(m, 2, TimeGrid.linspace(1.65, 7))
-    series = SeriesResults(m, obs, ks)
-    s1 = fit_slope(LAMBDAS, one_point_errors(series, 1.1, 2, LAMBDAS, evolve_exact(m, [obs], (1.1,), LAMBDAS)))
+
+    def exact(times):
+        return evolve_exact(m, [obs], times, LAMBDAS).swapaxes(0, 1)
+
+    values = lift_legs(m, obs, ks, 2, (1.1,), LAMBDAS)[0]
+    s1 = fit_slope(LAMBDAS, one_point_errors(values[0], exact((1.1,))[0], m.rho_b))
     times2, times3 = (0.6, 1.2), (0.4, 0.9, 1.3)
-    s2 = fit_slope(LAMBDAS, star_errors(series, times2, 1, LAMBDAS, evolve_exact(m, [obs], times2, LAMBDAS)))
-    s3 = fit_slope(LAMBDAS, star_errors(series, times3, 1, LAMBDAS, evolve_exact(m, [obs], times3, LAMBDAS)))
+    s2 = fit_slope(LAMBDAS, star_errors(lift_legs(m, obs, ks, 1, times2, LAMBDAS)[2], exact(times2), m.rho_b))
+    s3 = fit_slope(LAMBDAS, star_errors(lift_legs(m, obs, ks, 1, times3, LAMBDAS)[2], exact(times3), m.rho_b))
     assert s1 >= 2.8
     assert s2 >= 1.8
     assert s3 >= 1.8
@@ -133,9 +137,11 @@ def test_criterion_05_cancellation_property():
     """Bath contraction of the partition expansion returns O_S within 1e-12, n <= 3."""
     worst = 0.0
     for name, m, obs, t in _spec_pair():
-        series = SeriesResults(m, obs, compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7)))
+        ks = compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7))
         for n in range(4):
-            worst = max(worst, cancellation_defect(series, t, n, 0.1))
+            value = lift_legs(m, obs, ks, n, (t,), (0.1,))[0][0, 0]
+            image = partition_image(value, n, 0.1, ks, m.rho_b, ks.row(t))
+            worst = max(worst, cancellation_defect(image, value, m.rho_b))
     assert worst < 1e-12
     report(5, f"max contraction defect {worst:.2e} < 1e-12 for n <= 3, both specs")
 
@@ -144,9 +150,11 @@ def test_criterion_06_dual_bookkeeping():
     """Partition-sum image equals super-operator-series image within 1e-12, n <= 3."""
     worst = 0.0
     for name, m, obs, t in _spec_pair():
-        series = SeriesResults(m, obs, compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7)))
+        ks = compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7))
         for n in range(4):
-            worst = max(worst, dual_bookkeeping_defect(series, t, n, 0.1))
+            values, _, mats = lift_legs(m, obs, ks, n, (t,), (0.1,))
+            image = partition_image(values[0, 0], n, 0.1, ks, m.rho_b, ks.row(t))
+            worst = max(worst, dual_bookkeeping_defect(image, mats[0, 0]))
     assert worst < 1e-12
     report(6, f"max blockwise gap {worst:.2e} < 1e-12 for n <= 3, both specs")
 
@@ -158,12 +166,14 @@ def test_criterion_07_cumulant_identities():
     slopes = []
     sums = []
     for name, m, obs, t in _spec_pair():
-        series = SeriesResults(m, obs, compute_kernels(m, max(order, 2), TimeGrid.linspace(1.5 * t, 7)))
-        exact = evolve_exact(m, [obs], (0.5 * t, t), LAMBDAS)
-        errs = cumulant2_errors(series, 0.5 * t, t, order, LAMBDAS, exact)
+        ks = compute_kernels(m, max(order, 2), TimeGrid.linspace(1.5 * t, 7))
+        exact = evolve_exact(m, [obs], (0.5 * t, t), LAMBDAS).swapaxes(0, 1)
+        values, _, mats = lift_legs(m, obs, ks, order, (0.5 * t, t), LAMBDAS)
+        errs = cumulant2_errors(values, mats, exact, m.rho_b)
         slopes.append(fit_slope(LAMBDAS, errs))
         for n in range(order + 1):
-            sums.append(decomposition_sum_defect(series, (0.4 * t, 0.8 * t, t), n, 0.1))
+            values, _, mats = lift_legs(m, obs, ks, n, (0.4 * t, 0.8 * t, t), (0.1,))
+            sums.append(decomposition_sum_defect(values[:, 0], mats[:, 0], m.rho_b))
     assert min(slopes) >= order + 0.8
     assert max(sums) < 1e-12
     report(
@@ -262,8 +272,9 @@ def test_criterion_10_local_rhs_consistency():
     within max(1e-6, C lam^(order+1)) on the two-qubit and a random spec."""
     order = 2
     for name, m, obs, t in _spec_pair():
-        series = SeriesResults(m, obs, compute_kernels(m, order, TimeGrid.linspace(1.5 * t, 7)))
-        errs = rhs_fd_errors(series, t, order, LAMBDAS)
+        ks = compute_kernels(m, order, TimeGrid.linspace(1.5 * t, 7))
+        values = lift_legs(m, obs, ks, order, (t,), LAMBDAS)[0]
+        errs = rhs_fd_errors(system_matrix(obs), values[0], order, LAMBDAS, ks, m.rho_b, ks.row(t), t)
         c_fit = errs[0] / LAMBDAS[0] ** (order + 1)
         for lam, err in zip(LAMBDAS, errs):
             assert err <= max(1e-6, 2.0 * c_fit * lam ** (order + 1))

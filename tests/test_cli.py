@@ -547,6 +547,7 @@ class TestExitCodes:
             ({"run": "validate", "validate": {"d_b": 0}}, "validate.d_b"),
             ({"run": "validate", "validate": {"d_s": 10_000_000_000}}, "validate.d_s * validate.d_b"),
             ({"run": "validate", "validate": {"d_s": 1}}, "validate.d_s"),
+            ({"run": "validate", "validate": {"d_b": 1}}, "validate.d_b"),
             ({"run": "validate", "truncation": {"order": 0, "lambda": 0.1}}, "truncation.order"),
             (
                 {"run": "n_point", "npoint": {"factors": [{"observable": "s1x", "time": 0.5},
@@ -590,7 +591,7 @@ class TestExitCodes:
             "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan",
             "rho_b_negative", "rho0_trace_two", "rho_b_non_hermitian",
             "validate_seed_negative", "validate_d_s_zero", "validate_d_b_zero", "validate_dims_over_cap",
-            "validate_d_s_one", "validate_order_zero",
+            "validate_d_s_one", "validate_d_b_one", "validate_order_zero",
             "factor_time_negative", "times_negative", "truncation_unknown_key", "top_level_unknown_key",
             "inline_model_unknown_key", "matrix_empty", "matrix_not_square", "preset_unknown_parameter",
             "preset_c_out_of_range", "inline_model_incomplete", "points_repeated", "points_not_from_zero",

@@ -151,9 +151,10 @@ def test_markov_exit_code_contract(mode, horizon, j_horizon, decay_threshold, j_
 def test_validate_exit_code_contract(seed, d_s, d_b, order):
     """The validate mode with a fuzzed `validate` section and truncation order.
 
-    d_S < 2 and order 0 are configuration errors (their errors sit at
-    rounding for every coupling, so no slope can be fitted), and order 3
-    exits 3 (the suite's kernels stop at order 3); none of them is 1.
+    d_S < 2, d_B < 2 and order 0 are configuration errors (their errors
+    sit at rounding, or vanish, for every coupling, so no slope can be
+    fitted), and order 3 exits 3 (the suite's kernels stop at order 3);
+    none of them is 1.
     """
     code, err, rows = _run(
         "validate_random.yaml",
@@ -161,7 +162,7 @@ def test_validate_exit_code_contract(seed, d_s, d_b, order):
         validate={"seed": seed, "d_s": d_s, "d_b": d_b},
     )
     _assert_contract(code, err, rows, ("value", "threshold"))
-    if seed < 0 or d_s < 2 or d_b < 1:
+    if seed < 0 or d_s < 2 or d_b < 2:
         assert code == 2 and "validate." in err
     elif order == 0:
         assert code == 2 and "truncation.order" in err

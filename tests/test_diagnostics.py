@@ -1,4 +1,4 @@
-"""The validation suite's shared series results."""
+"""The validation suite's lifts, rows and helpers."""
 
 import collections
 
@@ -9,7 +9,6 @@ import numpy as np
 from heisenbath import diagnostics, dyson, npoint, superop
 from heisenbath.diagnostics import (
     DEFAULT_LAMBDAS,
-    SeriesResults,
     cancellation_defect,
     cumulant2_errors,
     decomposition_sum_defect,
@@ -26,7 +25,7 @@ from heisenbath.diagnostics import (
 from heisenbath.dyson import compute_kernels
 from heisenbath.oracle import evolve_exact
 from heisenbath.spaces import TimeGrid
-from helpers import loop_validation_errors
+from helpers import lift_legs, loop_validation_errors, partition_image
 
 
 def _record(monkeypatch, name, key):
@@ -82,59 +81,74 @@ def test_validation_suite_makes_five_exponentials(monkeypatch):
     assert len(calls) == 5
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_suite_lifts_each_order_once_for_the_sweep(monkeypatch, order):
+    """An order-N suite makes exactly N + 2 `_lift_observable` calls, one per
+    order 0..N+1, each with the kernel rows of its three times and the four
+    couplings of `DEFAULT_LAMBDAS`."""
+    calls = _record(monkeypatch, "_lift_observable", lambda o, n, lams, ks, rho_b, rows: (n, len(rows), lams))
+    validation_suite(3, 2, 3, order=order)
+    assert sorted(calls) == [(n, 3, DEFAULT_LAMBDAS) for n in range(order + 2)]
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_suite_times_lift_in_one_call(monkeypatch, order):
-    """A lift at any of the suite times (t1, t2, t) lifts all three in one
-    engine call, and each time's value, inversion and family equal the lone
-    `_lift_observable` at that time bit for bit."""
-    m, obs = random_model(4, 3, 2)
-    ks = compute_kernels(m, 3, TimeGrid.linspace(1.65, 7))
-    times = (0.44, 0.88, 1.1)
-    calls = _record(monkeypatch, "_lift_observable", lambda o, order, lams, ks, rho_b, rows: len(rows))
-    series = SeriesResults(m, obs, ks, DEFAULT_LAMBDAS, times)
-    lifted = [series.lift(order, t) for t in times]
+    """The suite lifts its times (t1, t2, t) of an order in one engine call,
+    and each time's value, inversion and family equal the lone
+    `_lift_observable` at that time bit for bit (an order-2 suite lifts
+    orders 0-3)."""
+    lifted, lift = [], superop._lift_observable
+
+    def recorded(*args):
+        lifted.append((args, lift(*args)))
+        return lifted[-1][1]
+
+    monkeypatch.setattr(diagnostics, "_lift_observable", recorded)
+    validation_suite(4, 3, 2, order=2)
+    at_order = [(args, out) for args, out in lifted if args[1] == order]
+    calls = [len(args[-1]) for args, _ in at_order]
     assert calls == [3]
-    for t, (values, inverses, families) in zip(times, lifted):
-        lone = [x[0] for x in superop._lift_observable(series.obs, order, series.lams, ks, m.rho_b, ks.row(t)[None])]
+    (obs, _, lams, ks, rho_b, rows), out = at_order[0]
+    for row, values, inverses, families in zip(rows, *out):
+        lone = [x[0] for x in superop._lift_observable(obs, order, lams, ks, rho_b, row[None])]
         assert np.array_equal(values, lone[0])
         assert np.array_equal(inverses, lone[1])
         assert np.array_equal(families, lone[2])
 
 
-def test_column_outside_the_sweep_rejected():
-    m, obs = random_model(4, 2, 2)
-    series = SeriesResults(m, obs, compute_kernels(m, 1, TimeGrid.linspace(1.0, 3)), (0.1, 0.01))
-    with pytest.raises(KeyError, match="not in the sweep"):
-        series.column(0.5)
-
-
 @pytest.mark.parametrize("seed,d_s,d_b", [(3, 2, 3), (5, 3, 2)])
 def test_suite_rows_equal_unshared_helpers(seed, d_s, d_b):
-    """Every suite row, bit for bit, from the helpers each given a fresh `SeriesResults`."""
+    """Every suite row, bit for bit, from the helpers each given the arrays of
+    its own lifts, every time lifted alone."""
     order, t, lams = 2, 1.1, DEFAULT_LAMBDAS
     rows = validation_suite(seed, d_s, d_b, order=order, t=t)
     m, obs = random_model(seed, d_s, d_b)
     ks = compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7))
+    rho = m.rho_b
 
-    def fresh():
-        return SeriesResults(m, obs, ks)
+    def fresh(n, *times):  # values, inversions, families (n_leg, n_lam, ...), one lift per time
+        lone = [lift_legs(m, obs, ks, n, (s,), lams) for s in times]
+        return [np.concatenate(x) for x in zip(*lone)]
 
     t1, t2 = 0.4 * t, 0.8 * t
-    exact = evolve_exact(m, [obs], (t1, t2, t), lams)
-    at_t, at_t1_t2 = exact[:, 2:], exact[:, :2]
+    exact = evolve_exact(m, [obs], (t1, t2, t), lams).swapaxes(0, 1)
+    v12, _, f12 = fresh(order, t1, t2)
+    v3, _, f3 = fresh(order, t1, t2, t)
     expected = {
-        "one_point_order2": fit_slope(lams, one_point_errors(fresh(), t, order, lams, at_t)),
-        "star_n2_order1": fit_slope(lams, star_errors(fresh(), (t1, t2), 1, lams, at_t1_t2)),
-        "star_n3_order1": fit_slope(lams, star_errors(fresh(), (t1, t2, t), 1, lams, exact)),
-        "image_order2": fit_slope(lams, image_errors(fresh(), t, order, lams, at_t)),
-        "roundtrip_order2": fit_slope(lams, roundtrip_errors(fresh(), t, order, lams)),
-        "cumulant2_order2": fit_slope(lams, cumulant2_errors(fresh(), t1, t2, order, lams, at_t1_t2)),
-        "decompose_3pt_sum": decomposition_sum_defect(fresh(), (t1, t2, t), order, 0.1),
-        "rhs_fd_order2": rhs_fd_errors(fresh(), t, order, lams)[2],
+        "one_point_order2": fit_slope(lams, one_point_errors(fresh(order, t)[0][0], exact[2], rho)),
+        "star_n2_order1": fit_slope(lams, star_errors(fresh(1, t1, t2)[2], exact[:2], rho)),
+        "star_n3_order1": fit_slope(lams, star_errors(fresh(1, t1, t2, t)[2], exact, rho)),
+        "image_order2": fit_slope(lams, image_errors(fresh(order, t)[2][0], exact[2])),
+        "roundtrip_order2": fit_slope(lams, roundtrip_errors(fresh(order, t)[1][0], ks.frame.free_conjugate(obs, t))),
+        "cumulant2_order2": fit_slope(lams, cumulant2_errors(v12, f12, exact[:2], rho)),
+        "decompose_3pt_sum": decomposition_sum_defect(v3[:, 0], f3[:, 0], rho),
+        "rhs_fd_order2": rhs_fd_errors(obs, fresh(order, t)[0][0], order, lams, ks, rho, ks.row(t), t)[2],
     }
     for n in range(order + 2):
-        expected[f"cancellation_n{n}"] = cancellation_defect(fresh(), t, n, 0.1)
-        expected[f"dual_bookkeeping_n{n}"] = dual_bookkeeping_defect(fresh(), t, n, 0.1)
+        value, _, mat = fresh(n, t)
+        image = partition_image(value[0, 0], n, 0.1, ks, rho, ks.row(t))
+        expected[f"cancellation_n{n}"] = cancellation_defect(image, value[0, 0], rho)
+        expected[f"dual_bookkeeping_n{n}"] = dual_bookkeeping_defect(image, mat[0, 0])
     assert {r["check"]: r["value"] for r in rows} == expected
 
 
@@ -146,22 +160,27 @@ def test_helpers_equal_per_coupling_loops(seed, d_s, d_b, order):
     t, lams = 1.1, DEFAULT_LAMBDAS
     times = t1, t2, _ = (0.4 * t, 0.8 * t, t)
     m, obs = random_model(seed, d_s, d_b)
-    series = SeriesResults(m, obs, compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7)), lams, times)
+    ks = compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7))
+    rho, row = m.rho_b, ks.row(t)
+    lifts = [lift_legs(m, obs, ks, n, times, lams) for n in range(order + 2)]
+    images = [partition_image(lift[0][2, 0], n, 0.1, ks, rho, row) for n, lift in enumerate(lifts)]
     exact = evolve_exact(m, [obs], times, lams)
+    legs = exact.swapaxes(0, 1)
+    values, inverses, mats = lifts[order]
     got = {
-        "one_point": one_point_errors(series, t, order, lams, exact[:, 2:]),
-        "star_n2": star_errors(series, (t1, t2), order, lams, exact[:, :2]),
-        "star_n3": star_errors(series, times, order, lams, exact),
-        "image": image_errors(series, t, order, lams, exact[:, 2:]),
-        "roundtrip": roundtrip_errors(series, t, order, lams),
-        "cumulant2": cumulant2_errors(series, t1, t2, order, lams, exact[:, :2]),
-        "rhs_fd": rhs_fd_errors(series, t, order, lams),
-        "decompose_3pt_sum": decomposition_sum_defect(series, times, order, 0.1),
+        "one_point": one_point_errors(values[2], legs[2], rho),
+        "star_n2": star_errors(mats[:2], legs[:2], rho),
+        "star_n3": star_errors(mats, legs, rho),
+        "image": image_errors(mats[2], legs[2]),
+        "roundtrip": roundtrip_errors(inverses[2], ks.frame.free_conjugate(obs, t)),
+        "cumulant2": cumulant2_errors(values[:2], mats[:2], legs[:2], rho),
+        "rhs_fd": rhs_fd_errors(obs, values[2], order, lams, ks, rho, row, t),
+        "decompose_3pt_sum": decomposition_sum_defect(values[:, 0], mats[:, 0], rho),
     }
-    for n in range(order + 2):
-        got[f"cancellation_n{n}"] = cancellation_defect(series, t, n, 0.1)
-        got[f"dual_bookkeeping_n{n}"] = dual_bookkeeping_defect(series, t, n, 0.1)
-    assert got == loop_validation_errors(series, times, order, lams, exact, 0.1)
+    for n, image in enumerate(images):
+        got[f"cancellation_n{n}"] = cancellation_defect(image, lifts[n][0][2, 0], rho)
+        got[f"dual_bookkeeping_n{n}"] = dual_bookkeeping_defect(image, lifts[n][2][2, 0])
+    assert got == loop_validation_errors(m, obs, ks, lifts, images, times, lams, exact, 0.1)
 
 
 # The suites closest to a slope threshold, found by running seeds 0-1199 at

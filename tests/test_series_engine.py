@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from heisenbath import _blockops, dyson
-from heisenbath.diagnostics import SeriesResults, random_model, rhs_fd_errors
+from heisenbath.diagnostics import DEFAULT_LAMBDAS, random_model, rhs_fd_errors
 from heisenbath.dyson import compute_kernels
 from heisenbath.npoint import (
     assemble_partition_term,
@@ -48,6 +48,8 @@ from helpers import (
     einsum_P_blocks,
     einsum_P_blocks_printed,
     einsum_partition_term,
+    lift_legs,
+    partition_image,
     recursive_partition_image,
 )
 
@@ -275,16 +277,15 @@ def test_time_within_rounding_of_a_grid_point_reads_its_row(exponentials):
 
 
 def test_kernel_set_is_read_only():
-    """A suite's shared results and public calls at off-grid times leave every
-    attribute of the kernel set the same object with the same bytes."""
+    """A suite's lifts, partition sum and RHS check and public calls at off-grid
+    times leave every attribute of the kernel set the same object with the same bytes."""
     m, obs = random_model(3, 2, 3)
     ks = compute_kernels(m, 3, TimeGrid.linspace(1.65, 7))
     before = {k: (v, pickle.dumps(v)) for k, v in vars(ks).items()}
-    series = SeriesResults(m, obs, ks)
-    for t in (0.44, 0.88, 1.1):
-        series.lift(2, t)
-    series.partitions(2, 0.1, 1.1)
-    rhs_fd_errors(series, 1.1, 2, (0.1, 0.01))
+    values = lift_legs(m, obs, ks, 2, (0.44, 0.88, 1.1), DEFAULT_LAMBDAS)[0]
+    row = ks.row(1.1)
+    partition_image(values[2, 0], 2, 0.1, ks, m.rho_b, row)
+    rhs_fd_errors(obs, values[2, :2], 2, (0.1, 0.01), ks, m.rho_b, row, 1.1)
     trunc = SeriesTruncation(2, 0.1)
     traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid)
     star_product([(traj, 0.3), (traj, 0.7)], ks, m.rho_b)

@@ -296,6 +296,11 @@ class TestStarProduct:
         with pytest.raises(DimensionError, match="at least one factor"):
             star_product([], ks, m.rho_b)
 
+    def test_no_observable_rejected(self, random_model_2x3):
+        m, _, ks = random_model_2x3
+        with pytest.raises(DimensionError, match="at least one factor"):
+            star_of_observables([], SeriesTruncation(1, 0.1), ks, m.rho_b)
+
 
 def test_chain_contract_of_stacks_equals_its_slices(random_model_2x3):
     """Factors ``(n_lam, D, D)``, one of them shared ``(D, D)``, give each
