@@ -35,7 +35,6 @@ from .dyson import (
     KernelSet,
     compute_kernels,
     dyson_propagator,
-    image_first_order,
     interaction_hamiltonian_images,
 )
 from .superop import (

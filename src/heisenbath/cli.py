@@ -62,8 +62,8 @@ from .markov import (
 )
 from .model import ModelSpec, make_model
 from .presets import PRESETS
-from .spaces import TimeGrid, check_density, herm_defect, system_operator
-from .superop import SeriesTruncation, one_point_operator, star_of_observables, trajectory_value
+from .spaces import TimeGrid, check_density, herm_defect, system_matrix, system_operator
+from .superop import SeriesTruncation, one_point_values, star_of_observables
 
 FLOAT_FMT = "%.17g"
 KERNEL_CAP = 6  # highest truncation order a run may ask for
@@ -417,11 +417,14 @@ def _matrix_rows(rows: list, time: float, label: str, mat: np.ndarray) -> None:
 def _run_one_point(cfg: ExperimentConfig) -> list[dict]:
     ks = compute_kernels(cfg.model, cfg.truncation.order, cfg.grid)
     rows: list[dict] = []
+    order, lam = cfg.truncation.order, cfg.truncation.lam
     for name, (mat, times) in sorted(cfg.observables.items()):
-        traj = one_point_operator(mat, cfg.truncation, ks, cfg.model.rho_b, cfg.grid, name)
-        sample = times if times is not None else list(cfg.grid.points)
-        for t in sample:
-            _matrix_rows(rows, t, name, trajectory_value(traj, ks, cfg.model.rho_b, float(t)))
+        sample = cfg.grid.points if times is None else np.array(times, dtype=float)
+        if not sample.size:  # an empty `times` list writes no rows
+            continue
+        values = one_point_values(system_matrix(mat), order, (lam,), ks, cfg.model.rho_b, ks.eigen_rows(sample))
+        for t, value in zip(sample, values[0]):
+            _matrix_rows(rows, t, name, value)
     return rows
 
 

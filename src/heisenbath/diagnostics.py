@@ -8,17 +8,17 @@ order slip through.  Identity-type checks (cancellation, dual bookkeeping,
 decomposition sum) are asserted at rounding level instead.
 
 A suite fetches the kernel row of each of its times ``(t1, t2, t)`` once
-and lifts every order its rows read, 0..n+1, in one engine call per order
-for the whole sweep: one-point values, their series inversions and the
-image-family matrices they lift to, each ``(n_leg, n_lam, ...)`` with the
-leg axis first.  Each order's partition sum is expanded once, at
-`DEFECT_LAMBDA`.  The exact references are one `evolve_exact` call for the
+and lifts every order its rows read, 0..n+1, in one `superop.lift_observable`
+call per order for the whole sweep: one-point values, their series
+inversions and the image-family matrices they lift to, each ``(n_leg,
+n_lam, ...)`` with the leg axis first.  Each order's partition sum is
+expanded once, at `DEFECT_LAMBDA`, by `npoint.PartitionWords`.  The exact references are one `evolve_exact` call for the
 sweep, its legs first as well, ``(n_leg, n_lam, D, D)``.  Each ``*_errors``
 and ``*_defect`` helper takes the arrays it compares, so each row is one
 array expression over the sweep, closed by one max-abs per coupling, and
 the suite writes its rows as one ``(check, metric, value, threshold)``
 table whose status is set in one place.  The series legs chain through
-`chain_contract` and the `npoint` cumulant arithmetic, the exact legs
+`chain_contract` and `npoint.cumulant_2pt`, the exact legs
 through the oracle's own `reduced_product`, so a fault in the series chain
 cannot cancel.  Every coupling and time gets the bits the one-coupling,
 one-time functions of `superop` give it.
@@ -32,14 +32,14 @@ from . import _blockops
 from .model import ModelSpec, make_model
 from .oracle import evolve_exact, reduced_product
 from .dyson import KernelSet, compute_kernels
-from .npoint import _PartitionWords, _cumulant_2pt, _decompose_3pt
+from .npoint import PartitionWords, cumulant_2pt, decompose_3pt_parts
 from .spaces import TimeGrid
 from .superop import (
     SeriesTruncation,
-    _lift_observable,
-    _one_point_rhs,
-    _one_point_values,
     chain_contract,
+    lift_observable,
+    local_rhs,
+    one_point_values,
 )
 
 DEFAULT_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -101,16 +101,16 @@ def cumulant2_errors(values, mats, exact, rho_b) -> list[float]:
     exact cumulant of the exact legs ``(2, n_lam, D, D)``."""
     reduced = _blockops.bath_trace(exact, rho_b)
     exact_cumulant = reduced_product(exact, rho_b) - reduced[0] @ reduced[1]
-    return _max_abs(_cumulant_2pt(values, mats, rho_b) - exact_cumulant)
+    return _max_abs(cumulant_2pt(values, mats, rho_b) - exact_cumulant)
 
 
 def rhs_fd_errors(obs, values, order: int, lams, ks: KernelSet, rho_b, row, t: float) -> list[float]:
     """The local RHS at the one-point values ``(n_lam, d_S, d_S)`` at ``t``, whose kernel
     row is ``row``, against a central difference of the one-point series around ``t``."""
     step = 1e-5 * max(1.0, t)
-    rhs = _one_point_rhs(values, order, lams, ks, rho_b, row)
+    rhs = local_rhs(values, order, lams, ks, rho_b, row)
     rows = ks.eigen_rows(np.array([t + step, t - step]))
-    plus, minus = _one_point_values(obs, order, lams, ks, rho_b, rows).swapaxes(0, 1)
+    plus, minus = one_point_values(obs, order, lams, ks, rho_b, rows).swapaxes(0, 1)
     return _max_abs(rhs - (plus - minus) / (2 * step))
 
 
@@ -127,7 +127,7 @@ def dual_bookkeeping_defect(image, mat) -> float:
 def decomposition_sum_defect(values, mats, rho_b) -> float:
     """The five `decompose_3pt` parts of three legs at one coupling (values ``(3, d_S,
     d_S)``, family matrices ``(3, D, D)``), summed, against their star product."""
-    return _max_abs(sum(_decompose_3pt(values, mats, rho_b)) - chain_contract(mats, rho_b))
+    return _max_abs(sum(decompose_3pt_parts(values, mats, rho_b)) - chain_contract(mats, rho_b))
 
 
 def validation_suite(seed: int, d_s: int = 2, d_b: int = 3, order: int = 2, t: float = 1.1) -> list[dict]:
@@ -138,7 +138,7 @@ def validation_suite(seed: int, d_s: int = 2, d_b: int = 3, order: int = 2, t: f
     times = (0.4 * t, 0.8 * t, t)
     rows = np.stack([ks.row(s) for s in times])
     # every order a row reads, each (values, inversions, family matrices) with legs first
-    lifts = [_lift_observable(obs, n, lams, ks, rho_b, rows) for n in range(order + 2)]
+    lifts = [lift_observable(obs, n, lams, ks, rho_b, rows) for n in range(order + 2)]
     exact = evolve_exact(m, [obs], times, lams).swapaxes(0, 1)
     values, inverses, mats = lifts[order]
     star, free = lifts[1][2], ks.frame.free_conjugate(obs, t)
@@ -157,7 +157,7 @@ def validation_suite(seed: int, d_s: int = 2, d_b: int = 3, order: int = 2, t: f
     defects = []  # (check, defect, threshold)
     k = lams.index(DEFECT_LAMBDA)
     for n, (values_n, _, mats_n) in enumerate(lifts):
-        image = _PartitionWords(values_n[2, k], SeriesTruncation(n, DEFECT_LAMBDA), ks, rho_b, rows[2]).image(n)
+        image = PartitionWords(values_n[2, k], SeriesTruncation(n, DEFECT_LAMBDA), ks, rho_b, rows[2]).image(n)
         defects.append((f"cancellation_n{n}", cancellation_defect(image, values_n[2, k], rho_b), 1e-12))
         defects.append((f"dual_bookkeeping_n{n}", dual_bookkeeping_defect(image, mats_n[2, k]), 1e-12))
     defects.append(("decompose_3pt_sum", decomposition_sum_defect(values[:, k], mats[:, k], rho_b), 1e-12))

@@ -43,16 +43,15 @@ from . import _blockops
 from .errors import NonFiniteResult, OrderExceedsKernels
 from .images import ImageFamily
 from .model import ModelSpec
-from .spaces import Constants, OperatorMatrix, TimeGrid, as_matrix, check_order
+from .spaces import Constants, TimeGrid, check_order
 
 
 @dataclass(frozen=True)
 class InteractionFrame:
-    """Free-evolution data: H0 eigensystem, bath energies, constants."""
+    """Free-evolution data: H0 eigensystem and constants."""
 
     eps0: np.ndarray  # H0 eigenvalues
     v0: np.ndarray  # H0 eigenvectors, columns
-    bath_energies: np.ndarray
     constants: Constants
 
     def u0(self, t: float) -> np.ndarray:
@@ -84,7 +83,7 @@ class InteractionFrame:
 
 def frame_of(m: ModelSpec) -> InteractionFrame:
     eps0, v0 = np.linalg.eigh(m.h0.mat)
-    return InteractionFrame(eps0, v0, m.bath_energies, m.constants)
+    return InteractionFrame(eps0, v0, m.constants)
 
 
 def interaction_hamiltonian_images(m: ModelSpec, t: float) -> ImageFamily:
@@ -335,15 +334,3 @@ def dyson_propagator(ks: KernelSet, lam: float, order: int, t: float) -> ImageFa
         out += (-1j * lam / hbar) ** n * stack[n]
     return ImageFamily(out, ks.dim_bath, t)
 
-
-def image_first_order(o: OperatorMatrix | np.ndarray, ks: KernelSet, lam: float, t: float) -> ImageFamily:
-    """First-order interaction-picture image family of a system observable.
-
-    ``O delta_ab + (i lam/hbar) [Ktilde[1]_ab(t), O]``; the commutator with
-    the time integral equals the integral of commutators.
-    """
-    ks.check_order(1)
-    o_full = _blockops.kron_identity(as_matrix(o), ks.dim_bath)
-    hbar = ks.frame.constants.hbar
-    k1 = ks.tilde_stack(t)[1]
-    return ImageFamily(o_full + (1j * lam / hbar) * (k1 @ o_full - o_full @ k1), ks.dim_bath, t)

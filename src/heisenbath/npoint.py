@@ -28,10 +28,12 @@ then no longer be an independent check of it.  The words are formed on
 the kernels in the H0 eigenbasis (`KernelSet.frame_stack`), and an image
 leaves that basis once.
 
-The cumulant arithmetic (`_cumulant_2pt`, `_decompose_3pt`) takes legs as
-arrays, one-point values ``(n_leg, ..., d_S, d_S)`` and image-family
-matrices ``(n_leg, ..., D, D)``, and returns arrays; the public
-`irreducible_2pt` and `decompose_3pt` call it on the lifted legs of their times.
+`PartitionWords` and the cumulant arithmetic (`cumulant_2pt`,
+`decompose_3pt_parts`) are the engine that `diagnostics` calls.  The
+cumulant arithmetic takes legs as arrays, one-point values ``(n_leg, ...,
+d_S, d_S)`` and image-family matrices ``(n_leg, ..., D, D)``, and returns
+arrays; `irreducible_2pt` and `decompose_3pt` call it on the legs that
+`superop.lift_legs` lifts at their times.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from .spaces import as_matrix
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
-    _lift_legs,
-    _value_and_row,
     chain_contract,
+    lift_legs,
+    value_and_row,
 )
 
 
@@ -108,7 +110,7 @@ def _partitions(n: int, k_max: int) -> tuple[EvenPartition, ...]:
     return tuple(EvenPartition(p) for p in sorted(found))
 
 
-class _PartitionWords:
+class PartitionWords:
     """Operator words of partitions at one time, each distinct inner chain evaluated once.
 
     The inner value of a suffix (pairs 2..k) is the one-point value wrapped
@@ -193,7 +195,7 @@ def assemble_partition_term(
     left open.  Coefficient ``(-1)^(k-1) i^(sum n - sum m) (lam/hbar)^total``.
     """
     ks.check_order(p.total)
-    words = _PartitionWords(as_matrix(o_s_value), trunc, ks, rho_b, ks.row(t))
+    words = PartitionWords(as_matrix(o_s_value), trunc, ks, rho_b, ks.row(t))
     word = words.open_words([p.pairs[0]], np.stack(words.wrap([p.pairs[1:]])))[0]
     return ImageFamily(ks.frame.leave_open(word), ks.dim_bath, t)
 
@@ -213,8 +215,8 @@ def expand_image_by_partitions(
     the sum of the inner values of the partitions that start with it.
     """
     ks.check_order(n_max)
-    value, row = _value_and_row(o_s, ks, rho_b, t)
-    words = _PartitionWords(value, o_s.truncation, ks, rho_b, row)
+    value, row = value_and_row(o_s, ks, rho_b, t)
+    words = PartitionWords(value, o_s.truncation, ks, rho_b, row)
     return ImageFamily(words.image(n_max), ks.dim_bath, t)
 
 
@@ -228,11 +230,11 @@ def irreducible_2pt(
     ks: KernelSet,
 ) -> np.ndarray:
     """Second-order cumulant ``(O1(t1) O2(t2))_S - O1S(t1) O2S(t2)``."""
-    values, lifted = _lift_legs(((o1, t1), (o2, t2)), trunc, ks, m.rho_b)
-    return _cumulant_2pt(values, lifted, m.rho_b)
+    values, lifted = lift_legs(((o1, t1), (o2, t2)), trunc, ks, m.rho_b)
+    return cumulant_2pt(values, lifted, m.rho_b)
 
 
-def _cumulant_2pt(values, lifted, rho_b: np.ndarray) -> np.ndarray:
+def cumulant_2pt(values, lifted, rho_b: np.ndarray) -> np.ndarray:
     """``(O1 O2)_S - O1S O2S`` from two legs."""
     return chain_contract(lifted, rho_b) - values[0] @ values[1]
 
@@ -271,11 +273,11 @@ def decompose_3pt(
     The irreducible part is the third-order cumulant, so the five components
     sum to the full star product identically.
     """
-    values, lifted = _lift_legs(((o1, t1), (o2, t2), (o3, t3)), trunc, ks, m.rho_b)
-    return ThreePointDecomposition(*_decompose_3pt(values, lifted, m.rho_b))
+    values, lifted = lift_legs(((o1, t1), (o2, t2), (o3, t3)), trunc, ks, m.rho_b)
+    return ThreePointDecomposition(*decompose_3pt_parts(values, lifted, m.rho_b))
 
 
-def _decompose_3pt(values: np.ndarray, lifted: np.ndarray, rho_b: np.ndarray) -> tuple[np.ndarray, ...]:
+def decompose_3pt_parts(values: np.ndarray, lifted: np.ndarray, rho_b: np.ndarray) -> tuple[np.ndarray, ...]:
     """The disconnected, wired 12, 31, 23 and irreducible parts of `decompose_3pt`
     from three legs, each entering once as its image family and once as its
     trivial family ``O_S(t) delta_ab``."""

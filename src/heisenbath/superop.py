@@ -31,18 +31,22 @@ total-order one-point sum folds into
     sum_n (lam/hbar)^n P[n] B = sum_p alpha_p K[p] (B (x) 1_B) C[N-p]^dag ,
     C[m] = sum_(q<=m) alpha_q K[q] ,
 
-one GEMM per order stacked over a whole grid (`_one_point_values`).
+one GEMM per order stacked over a whole grid (`one_point_values`).
 
-The engine (`_one_point_values`, `_lift_observable`, `_lift_values`,
-`_one_point_rhs`) takes a sequence of couplings and the kernel rows of its
-times, and returns one result per coupling on a leading axis.  The lifts
-(`_lift_observable`, `_lift_values`, `_inverted_series`) also take several
-times at once: a leading leg axis, one kernel row and so one frame stack
-per leg, so a caller that holds several times (the validation suite) lifts
-them all in one call.  The public functions are that engine called with
-the one coupling of their truncation and the row of their one time,
-fetched once: `invert_one_point`, `image_from_value` and
-`image_from_one_point` are `_lift_values` of one leg, and `star_product`
+The series engine (`one_point_values`, `lift_values`, `lift_observable`,
+`lift_legs`, `local_rhs`, `value_and_row`) is what `npoint`,
+`diagnostics` and the CLI call.  It takes a sequence of couplings and the
+kernel rows of its times, and returns one result per coupling on a
+leading axis: `one_point_values` gives ``(n_lam, n_t, d_S, d_S)`` for
+every coupling and time at once, where `one_point_value` gives the one
+matrix of one truncation at one time.  The lifts (`lift_observable`,
+`lift_values`) also take several times at once: a leading leg axis, one
+kernel row and so one frame stack per leg, so a caller that holds several
+times (the validation suite) lifts them all in one call.  The one-time
+functions are that engine called with the one coupling of their
+truncation and the row of their one time, fetched once, so their callers
+never see a kernel row: `invert_one_point`, `image_from_value` and
+`image_from_one_point` are `lift_values` of one leg, and `star_product`
 chains the `image_from_one_point` of each factor.  Each item's arithmetic is the same either way, so a batch
 returns the bits of its items one at a time; the weights ``(lam/hbar)^j``
 are Python-float powers for that reason.  Between these layers a family is
@@ -139,15 +143,17 @@ def _weights(lams, j: int, hbar: float) -> np.ndarray:
     return np.array([(lam / hbar) ** j for lam in lams])[:, None, None]
 
 
-def _one_point_values(
+def one_point_values(
     o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` per coupling and time, shape ``(n_lam, n_t, d_S, d_S)``.
 
-    ``rows`` are the kernel rows of the times (`KernelSet.eigen_rows`).  The
-    fused form ``sum_p alpha_p K[p] (B (x) 1_B) C[N-p]^dag`` of the module
-    docstring, evaluated in the free eigenbasis ``V = v0 (x) 1_B`` of the
-    rows: with ``K[p] = V E[p] exp(-iFt) V^dag`` the free phases
+    ``o`` is a ``(d_S, d_S)`` array, and ``rows`` are the kernel rows of the
+    times (`KernelSet.eigen_rows`); the one-time `one_point_value` takes a
+    truncation and a time instead and returns the one ``(d_S, d_S)`` item,
+    with the same bits.  The fused form ``sum_p alpha_p K[p] (B (x) 1_B)
+    C[N-p]^dag`` of the module docstring, evaluated in the free eigenbasis
+    ``V = v0 (x) 1_B`` of the rows: with ``K[p] = V E[p] exp(-iFt) V^dag`` the free phases
     cancel against ``B = U0^dag O U0``, so ``K[p] (B (x) 1_B) K[q]^dag =
     V E[p] (o (x) 1_B) E[q]^dag V^dag`` with the time-independent
     ``o = v0^dag O v0``, and ``V`` commutes with the bath contraction.  The
@@ -182,8 +188,9 @@ def _one_point_values(
 
 
 def one_point_value(o, trunc: SeriesTruncation, ks: KernelSet, rho_b: np.ndarray, t: float) -> np.ndarray:
-    """Truncated one-point series ``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` at one time."""
-    return _one_point_values(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])[0, 0]
+    """Truncated one-point series ``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` at one time:
+    `one_point_values` at the truncation's coupling and the kernel row of ``t``."""
+    return one_point_values(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])[0, 0]
 
 
 def one_point_operator(
@@ -196,21 +203,16 @@ def one_point_operator(
 ) -> OnePointTrajectory:
     """One-point operator trajectory over a grid at fixed truncation."""
     o_mat = system_matrix(o)
-    values = _one_point_values(o_mat, trunc.order, (trunc.lam,), ks, rho_b, ks.eigen_rows(grid.points))[0]
+    values = one_point_values(o_mat, trunc.order, (trunc.lam,), ks, rho_b, ks.eigen_rows(grid.points))[0]
     return OnePointTrajectory(label, o_mat, grid, values, trunc)
 
 
-def _value_and_row(o_s: OnePointTrajectory, ks: KernelSet, rho_b: np.ndarray, t: float):
+def value_and_row(o_s: OnePointTrajectory, ks: KernelSet, rho_b: np.ndarray, t: float):
     """A trajectory's value at ``t`` (its grid row, else recomputed) and the kernel row at ``t``."""
     row, k, trunc = ks.row(t), o_s.grid.index(t), o_s.truncation
     if k is None:
-        return _one_point_values(o_s.observable, trunc.order, (trunc.lam,), ks, rho_b, row[None])[0, 0], row
+        return one_point_values(o_s.observable, trunc.order, (trunc.lam,), ks, rho_b, row[None])[0, 0], row
     return o_s.values[k], row
-
-
-def trajectory_value(o_s: OnePointTrajectory, ks: KernelSet, rho_b: np.ndarray, t: float) -> np.ndarray:
-    """Value of a trajectory at time t (grid hit or recomputed from kernels)."""
-    return _value_and_row(o_s, ks, rho_b, t)[0]
 
 
 def _inverted_series(
@@ -243,7 +245,7 @@ def _inverted_series(
     return inv, opened, traced
 
 
-def _lift_values(
+def lift_values(
     values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The series inversions ``inv[order]`` of one-point values ``(n_leg, n_lam,
@@ -257,14 +259,14 @@ def _lift_values(
     return inverses, ks.frame.leave_open(opened) + _blockops.kron_identity(inverses, ks.dim_bath)
 
 
-def _lift_observable(
+def lift_observable(
     o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-point values of an observable from the kernel rows of the legs' times,
     ``(n_leg, n_lam, d_S, d_S)``, with their inversions and image families
-    (`_lift_values`)."""
-    values = _one_point_values(o, order, lams, ks, rho_b, rows).swapaxes(0, 1)
-    return (values, *_lift_values(values, order, lams, ks, rho_b, rows))
+    (`lift_values`)."""
+    values = one_point_values(o, order, lams, ks, rho_b, rows).swapaxes(0, 1)
+    return (values, *lift_values(values, order, lams, ks, rho_b, rows))
 
 
 def invert_one_point(
@@ -276,7 +278,7 @@ def invert_one_point(
 ) -> np.ndarray:
     """Recover ``U0^dag O U0`` from a one-point value via the multinomial inverse."""
     value = system_matrix(o_s_value)[None, None]
-    return _lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])[0][0, 0]
+    return lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])[0][0, 0]
 
 
 def image_from_value(
@@ -293,7 +295,7 @@ def image_from_value(
     bath contraction holds only with total-order truncation.
     """
     value = system_matrix(value)[None, None]
-    mats = _lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])[1]
+    mats = lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])[1]
     return ImageFamily(mats[0, 0], ks.dim_bath, t)
 
 
@@ -301,17 +303,17 @@ def image_from_one_point(
     o_s: OnePointTrajectory, ks: KernelSet, rho_b: np.ndarray, t: float
 ) -> ImageFamily:
     """Image family of a one-point trajectory at time t."""
-    value, row = _value_and_row(o_s, ks, rho_b, t)
+    value, row = value_and_row(o_s, ks, rho_b, t)
     trunc = o_s.truncation
-    mats = _lift_values(value[None, None], trunc.order, (trunc.lam,), ks, rho_b, row[None])[1]
+    mats = lift_values(value[None, None], trunc.order, (trunc.lam,), ks, rho_b, row[None])[1]
     return ImageFamily(mats[0, 0], ks.dim_bath, t)
 
 
-def _lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: np.ndarray):
+def lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: np.ndarray):
     """One-point values ``(n_leg, d_S, d_S)`` and image-family matrices ``(n_leg, D, D)``
     of ``(observable, time)`` legs, each leg lifted alone from its kernel row, fetched once."""
     lifts = [
-        _lift_observable(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])
+        lift_observable(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])
         for o, t in legs
     ]
     return np.stack([values[0, 0] for values, _, _ in lifts]), np.stack([mats[0, 0] for _, _, mats in lifts])
@@ -359,7 +361,7 @@ def star_of_observables(
     entries = list(entries)
     if not entries:
         raise DimensionError("star_of_observables needs at least one factor")
-    return chain_contract(_lift_legs(entries, trunc, ks, rho_b)[1], rho_b)
+    return chain_contract(lift_legs(entries, trunc, ks, rho_b)[1], rho_b)
 
 
 def _apply_DtP_S(
@@ -380,7 +382,7 @@ def _apply_DtP_S(
     return _blockops.bath_trace(_blockops.sandwich_sum(lefts, rights), rho)
 
 
-def _one_point_rhs(
+def local_rhs(
     values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, row: np.ndarray
 ) -> np.ndarray:
     """`one_point_rhs` at one-point values ``(n_lam, d_S, d_S)``, one per coupling,
@@ -411,5 +413,5 @@ def one_point_rhs(
     kernel derivatives come from the recurrence, so no differencing enters.
     """
     trunc = o_s.truncation
-    value, row = _value_and_row(o_s, ks, rho_b, t)
-    return _one_point_rhs(value[None], trunc.order, (trunc.lam,), ks, rho_b, row)[0]
+    value, row = value_and_row(o_s, ks, rho_b, t)
+    return local_rhs(value[None], trunc.order, (trunc.lam,), ks, rho_b, row)[0]

@@ -164,19 +164,19 @@ def lift_legs(m, obs, ks, order, times, lams):
     """One-point values, series inversions and image-family matrices of ``obs`` at
     ``times``, each ``(n_leg, n_lam, ...)``, in one engine call for the sweep ``lams``."""
     from heisenbath.spaces import system_matrix
-    from heisenbath.superop import _lift_observable
+    from heisenbath.superop import lift_observable
 
     rows = ks.eigen_rows(np.array(times, dtype=float))
-    return _lift_observable(system_matrix(obs), order, tuple(lams), ks, m.rho_b, rows)
+    return lift_observable(system_matrix(obs), order, tuple(lams), ks, m.rho_b, rows)
 
 
 def partition_image(value, n_max, lam, ks, rho_b, row):
     """The partition sum ``(D, D)`` over orders ``n <= n_max`` of a one-point value ``(d_S, d_S)``
     at the coupling ``lam``, at the time whose kernel row is ``row``."""
-    from heisenbath.npoint import _PartitionWords
+    from heisenbath.npoint import PartitionWords
     from heisenbath.superop import SeriesTruncation
 
-    return _PartitionWords(value, SeriesTruncation(n_max, lam), ks, rho_b, row).image(n_max)
+    return PartitionWords(value, SeriesTruncation(n_max, lam), ks, rho_b, row).image(n_max)
 
 
 def loop_validation_errors(m, obs, ks, lifts, images, times, lams, exact, lam):
@@ -189,7 +189,7 @@ def loop_validation_errors(m, obs, ks, lifts, images, times, lams, exact, lam):
     shared arrays and every bath trace, chain and product is formed for that
     coupling alone."""
     from heisenbath import _blockops
-    from heisenbath.superop import _one_point_rhs, _one_point_values
+    from heisenbath.superop import local_rhs, one_point_values
 
     rho, order = m.rho_b, len(lifts) - 2
     t = times[2]
@@ -223,8 +223,8 @@ def loop_validation_errors(m, obs, ks, lifts, images, times, lams, exact, lam):
         out["image"].append(max_abs(mat - x[2]))
         out["roundtrip"].append(max_abs(inverse - free))
         out["cumulant2"].append(max_abs((chain([f1, f2]) - v1 @ v2) - (trace(x[0] @ x[1]) - trace(x[0]) @ trace(x[1]))))
-        rhs = _one_point_rhs(value[None], order, (lam_,), ks, rho, ks.row(t))[0]
-        plus, minus = _one_point_values(obs, order, (lam_,), ks, rho, rows)[0]
+        rhs = local_rhs(value[None], order, (lam_,), ks, rho, ks.row(t))[0]
+        plus, minus = one_point_values(obs, order, (lam_,), ks, rho, rows)[0]
         out["rhs_fd"].append(max_abs(rhs - (plus - minus) / (2 * step)))
     k = lams.index(lam)
     for n, parts in enumerate(images):

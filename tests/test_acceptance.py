@@ -37,7 +37,7 @@ from heisenbath.superop import (
     one_point_rhs,
     one_point_value,
     star_of_observables,
-    trajectory_value,
+    value_and_row,
 )
 from helpers import lift_legs, partition_image
 
@@ -252,7 +252,7 @@ def test_criterion_09_lindblad_properties():
     lam = m.constants.lam
     traj = one_point_operator(p.observables["sx"], SeriesTruncation(2, lam), ks, m.rho_b, grid, "sx")
     t_eval = 5.0
-    o_val = trajectory_value(traj, ks, m.rho_b, t_eval)
+    o_val = value_and_row(traj, ks, m.rho_b, t_eval)[0]
     pert = one_point_rhs(traj, t_eval, ks, m.rho_b)
     lind = lindblad_rhs(o_val, bd, sc, m.h0.mat, m.constants)
     diff = float(np.max(np.abs(pert - lind)))

@@ -215,6 +215,12 @@ class TestRunModes:
             value = one_point_value(cfg.observables["s1x"][0], cfg.truncation, ks, cfg.model.rho_b, float(r["time"]))
             assert complex(float(r["re"]), float(r["im"])) == value[int(r["row"]), int(r["col"])]
 
+    def test_one_point_empty_times_writes_no_rows(self, tmp_path):
+        """An empty ``times`` list is a valid config whose table has no rows."""
+        path = write_config(tmp_path, observables={"s1x": {"times": []}})
+        assert cli.main(["run", str(path)]) == 0
+        assert (tmp_path / "out.csv").read_text() == "\n"
+
     def test_sections_a_mode_does_not_read_change_no_byte(self, tmp_path):
         """Valid `markov`, `validate` and `npoint` sections on a one_point run are
         checked, and the run writes the bytes it writes without them."""

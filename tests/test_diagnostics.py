@@ -51,10 +51,10 @@ def test_validation_suite_lifts_each_point_once(monkeypatch):
     each time is fetched once.  The engine takes kernel rows, so a call is
     keyed by the bytes of its rows: equal bytes mean the same time."""
     lifts = _record(
-        monkeypatch, "_lift_observable", lambda o, order, lams, ks, rho_b, row: (order, row.tobytes(), lams)
+        monkeypatch, "lift_observable", lambda o, order, lams, ks, rho_b, row: (order, row.tobytes(), lams)
     )
     values = _record(
-        monkeypatch, "_one_point_values", lambda o, order, lams, ks, rho_b, rows: (order, rows.tobytes(), lams)
+        monkeypatch, "one_point_values", lambda o, order, lams, ks, rho_b, rows: (order, rows.tobytes(), lams)
     )
     singles = _record(monkeypatch, "one_point_value", lambda o, trunc, ks, rho_b, t: (trunc.order, trunc.lam, t))
     inversions = _record(monkeypatch, "invert_one_point", lambda v, trunc, ks, rho_b, t: (trunc.order, trunc.lam, t))
@@ -83,10 +83,10 @@ def test_validation_suite_makes_five_exponentials(monkeypatch):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_suite_lifts_each_order_once_for_the_sweep(monkeypatch, order):
-    """An order-N suite makes exactly N + 2 `_lift_observable` calls, one per
+    """An order-N suite makes exactly N + 2 `lift_observable` calls, one per
     order 0..N+1, each with the kernel rows of its three times and the four
     couplings of `DEFAULT_LAMBDAS`."""
-    calls = _record(monkeypatch, "_lift_observable", lambda o, n, lams, ks, rho_b, rows: (n, len(rows), lams))
+    calls = _record(monkeypatch, "lift_observable", lambda o, n, lams, ks, rho_b, rows: (n, len(rows), lams))
     validation_suite(3, 2, 3, order=order)
     assert sorted(calls) == [(n, 3, DEFAULT_LAMBDAS) for n in range(order + 2)]
 
@@ -95,22 +95,22 @@ def test_suite_lifts_each_order_once_for_the_sweep(monkeypatch, order):
 def test_suite_times_lift_in_one_call(monkeypatch, order):
     """The suite lifts its times (t1, t2, t) of an order in one engine call,
     and each time's value, inversion and family equal the lone
-    `_lift_observable` at that time bit for bit (an order-2 suite lifts
+    `lift_observable` at that time bit for bit (an order-2 suite lifts
     orders 0-3)."""
-    lifted, lift = [], superop._lift_observable
+    lifted, lift = [], superop.lift_observable
 
     def recorded(*args):
         lifted.append((args, lift(*args)))
         return lifted[-1][1]
 
-    monkeypatch.setattr(diagnostics, "_lift_observable", recorded)
+    monkeypatch.setattr(diagnostics, "lift_observable", recorded)
     validation_suite(4, 3, 2, order=2)
     at_order = [(args, out) for args, out in lifted if args[1] == order]
     calls = [len(args[-1]) for args, _ in at_order]
     assert calls == [3]
     (obs, _, lams, ks, rho_b, rows), out = at_order[0]
     for row, values, inverses, families in zip(rows, *out):
-        lone = [x[0] for x in superop._lift_observable(obs, order, lams, ks, rho_b, row[None])]
+        lone = [x[0] for x in superop.lift_observable(obs, order, lams, ks, rho_b, row[None])]
         assert np.array_equal(values, lone[0])
         assert np.array_equal(inverses, lone[1])
         assert np.array_equal(families, lone[2])

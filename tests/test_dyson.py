@@ -8,7 +8,6 @@ import heisenbath as hb
 from heisenbath.dyson import (
     compute_kernels,
     dyson_propagator,
-    image_first_order,
     interaction_hamiltonian_images,
     toeplitz_dense,
     toeplitz_expm,
@@ -309,42 +308,3 @@ class TestDysonPropagator:
         _, ks = two_qubit_quarter
         with pytest.raises(OrderExceedsKernels):
             dyson_propagator(ks, 0.1, 4, 0.5)
-
-
-class TestImageFirstOrder:
-    def test_identity_commutes(self, two_qubit_quarter):
-        _, ks = two_qubit_quarter
-        fam = image_first_order(np.eye(2), ks, 0.3, 1.2)
-        assert np.allclose(fam.blocks, ImageFamily(np.eye(4), 2).blocks)
-
-    def test_two_qubit_contraction_matches_first_order_one_point(self, two_qubit_quarter):
-        """Contracting the first-order family reproduces the O(lam) term of the
-        order-2 closed form: +-(hbar/2)(1/2)(1-2c) i lam t off-diagonals."""
-        preset, ks = two_qubit_quarter
-        from heisenbath.images import contract_with_bath
-
-        lam, t, c = 0.05, 1.5, 0.25
-        s1x = preset.observables["s1x"]
-        fam = image_first_order(s1x, ks, lam, t)
-        reduced = contract_with_bath(fam, preset.model.rho_b)
-        expected = 0.5 * np.array(
-            [[0, 1 + 0.5j * (1 - 2 * c) * lam * t], [1 - 0.5j * (1 - 2 * c) * lam * t, 0]]
-        )
-        assert np.max(np.abs(reduced - expected)) < 1e-11
-
-    def test_random_against_truncated_propagator_sandwich(self):
-        m = _random_spec(5)
-        rng = np.random.default_rng(6)
-        o = random_hermitian(rng, 2)
-        t, lam = 0.7, 1e-3
-        ks = compute_kernels(m, 1, TimeGrid.linspace(t, 4))
-        fam = image_first_order(o, ks, lam, t).blocks
-
-        prop = dyson_propagator(ks, lam, 1, t).blocks
-        big_u = prop.transpose(0, 2, 1, 3).reshape(4, 4)
-        big_o = ImageFamily(np.eye(4), 2).blocks.copy()
-        idx = np.arange(2)
-        big_o[idx, idx] = o
-        big_o = big_o.transpose(0, 2, 1, 3).reshape(4, 4)
-        sandwich = (big_u.conj().T @ big_o @ big_u).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-        assert np.max(np.abs(fam - sandwich)) < 10 * lam**2

@@ -697,9 +697,9 @@ class TestGeneratorAgreement:
 
         for t_eval, j_horizon in ((5.0, 5.0), (4.0, 6.0)):
             sc = spectral_coefficients(m, dec, bd.frequencies, horizon=j_horizon, tol=0.2)
-            from heisenbath.superop import trajectory_value
+            from heisenbath.superop import value_and_row
 
-            o_val = trajectory_value(traj, ks, m.rho_b, t_eval)
+            o_val = value_and_row(traj, ks, m.rho_b, t_eval)[0]
             pert = one_point_rhs(traj, t_eval, ks, m.rho_b)
             lind = lindblad_rhs(o_val, bd, sc, m.h0.mat, m.constants)
             diff = np.max(np.abs(pert - lind))

@@ -24,7 +24,7 @@ from heisenbath.superop import (
     one_point_operator,
     one_point_value,
     star_of_observables,
-    trajectory_value,
+    value_and_row,
 )
 from helpers import random_hermitian
 
@@ -147,7 +147,7 @@ class TestExpandByPartitions:
         m, obs, ks = random_model_2x3
         traj = one_point_operator(obs, SeriesTruncation(0, 0.1), ks, m.rho_b, ks.grid, "obs")
         fam = expand_image_by_partitions(traj, 0, ks, m.rho_b, 1.0)
-        val = trajectory_value(traj, ks, m.rho_b, 1.0)
+        val = value_and_row(traj, ks, m.rho_b, 1.0)[0]
         for a in range(3):
             for b in range(3):
                 assert np.allclose(fam.blocks[a, b], val if a == b else 0)
@@ -172,7 +172,7 @@ class TestExpandByPartitions:
         t = 0.8
         fam = expand_image_by_partitions(traj, order, ks, m.rho_b, t)
         back = contract_with_bath(fam, m.rho_b)
-        assert np.max(np.abs(back - trajectory_value(traj, ks, m.rho_b, t))) < 1e-13
+        assert np.max(np.abs(back - value_and_row(traj, ks, m.rho_b, t)[0])) < 1e-13
 
 
 class TestIrreducible2pt:

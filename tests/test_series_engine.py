@@ -27,20 +27,20 @@ from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
     SeriesTruncation,
     _apply_DtP_S,
-    _lift_observable,
-    _lift_values,
-    _one_point_rhs,
-    _one_point_values,
     _P_full,
     image_from_one_point,
     image_from_value,
     invert_one_point,
+    lift_observable,
+    lift_values,
+    local_rhs,
     one_point_operator,
     one_point_rhs,
     one_point_value,
+    one_point_values,
     star_of_observables,
     star_product,
-    trajectory_value,
+    value_and_row,
 )
 from helpers import (
     einsum_DtP_S,
@@ -120,7 +120,7 @@ def test_partition_expansion_matches_einsum_sum(engine_model, order, t):
     m, obs, ks = engine_model
     trunc = SeriesTruncation(order, LAM)
     traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid, "obs")
-    value = trajectory_value(traj, ks, m.rho_b, t)
+    value = value_and_row(traj, ks, m.rho_b, t)[0]
     kstack = _blocks(ks, ks.heis_stack(t))
     ref = sum(
         einsum_partition_term(p.pairs, value, kstack, m.rho_b, LAM, m.constants.hbar)
@@ -156,7 +156,7 @@ def test_batched_partition_sum_equals_per_suffix_evaluation(engine_model, monkey
     the one `recursive_partition_image` forms one sandwich at a time."""
     m, obs, ks = engine_model
     traj = one_point_operator(obs, SeriesTruncation(n_max, LAM), ks, m.rho_b, ks.grid, "obs")
-    expected = recursive_partition_image(trajectory_value(traj, ks, m.rho_b, t), n_max, LAM, ks, m.rho_b, t)
+    expected = recursive_partition_image(value_and_row(traj, ks, m.rho_b, t)[0], n_max, LAM, ks, m.rho_b, t)
     calls = []
     real = _blockops.sandwich_sum
     monkeypatch.setattr(_blockops, "sandwich_sum", lambda lefts, rights: calls.append(1) or real(lefts, rights))
@@ -230,15 +230,15 @@ def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
     m, obs, ks = sweep_model
     rho_b = m.rho_b
     row = ks.row(t)
-    values, inverses, families = (x[0] for x in _lift_observable(obs, order, SWEEP, ks, rho_b, row[None]))
+    values, inverses, families = (x[0] for x in lift_observable(obs, order, SWEEP, ks, rho_b, row[None]))
     pair_times = np.array([t + 1e-5, t - 1e-5])
-    pair = _one_point_values(obs, order, SWEEP, ks, rho_b, ks.eigen_rows(pair_times))
-    grid_values = _one_point_values(obs, order, SWEEP, ks, rho_b, ks.eigen_rows(ks.grid.points))
-    from_values = _lift_values(values[None], order, SWEEP, ks, rho_b, row[None])
+    pair = one_point_values(obs, order, SWEEP, ks, rho_b, ks.eigen_rows(pair_times))
+    grid_values = one_point_values(obs, order, SWEEP, ks, rho_b, ks.eigen_rows(ks.grid.points))
+    from_values = lift_values(values[None], order, SWEEP, ks, rho_b, row[None])
     assert np.array_equal(from_values[0][0], inverses) and np.array_equal(from_values[1][0], families)
     trajs = [one_point_operator(obs, SeriesTruncation(order, lam), ks, rho_b, ks.grid) for lam in SWEEP]
-    at_t = np.stack([trajectory_value(traj, ks, rho_b, t) for traj in trajs])
-    rhs = _one_point_rhs(at_t, order, SWEEP, ks, rho_b, row)
+    at_t = np.stack([value_and_row(traj, ks, rho_b, t)[0] for traj in trajs])
+    rhs = local_rhs(at_t, order, SWEEP, ks, rho_b, row)
     for k, lam in enumerate(SWEEP):
         trunc = SeriesTruncation(order, lam)
         assert np.array_equal(values[k], one_point_value(obs, trunc, ks, rho_b, t))

@@ -23,7 +23,7 @@ from heisenbath.superop import (
     printed_sandwich_defect,
     star_of_observables,
     star_product,
-    trajectory_value,
+    value_and_row,
 )
 from helpers import random_hermitian
 
@@ -176,10 +176,10 @@ class TestOnePoint:
         traj = one_point_operator(obs, SeriesTruncation(2, 0.1), ks, m.rho_b, ks.grid, "obs")
         k = len(ks.grid) // 2
         t = float(ks.grid.points[k])
-        assert np.array_equal(traj.values[k], trajectory_value(traj, ks, m.rho_b, t))
+        assert np.array_equal(traj.values[k], value_and_row(traj, ks, m.rho_b, t)[0])
         off_grid = 0.5 * (ks.grid.points[k] + ks.grid.points[k + 1])
         recomputed = one_point_value(obs, traj.truncation, ks, m.rho_b, off_grid)
-        assert np.allclose(trajectory_value(traj, ks, m.rho_b, off_grid), recomputed)
+        assert np.allclose(value_and_row(traj, ks, m.rho_b, off_grid)[0], recomputed)
 
 
 class TestInversion:
@@ -254,7 +254,7 @@ class TestStarProduct:
         traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid, "obs")
         t = 1.2
         out = star_product([(traj, t)], ks, m.rho_b)
-        assert np.allclose(out.mat, trajectory_value(traj, ks, m.rho_b, t), atol=1e-13)
+        assert np.allclose(out.mat, value_and_row(traj, ks, m.rho_b, t)[0], atol=1e-13)
 
     def test_two_qubit_first_order_factorizes(self, two_qubit_quarter):
         """(S1x(t1) S1x(t2))_S = S1xS(t1) S1xS(t2) + O(lam^2)."""
@@ -350,7 +350,7 @@ class TestOnePointRHS:
         traj = one_point_operator(obs, SeriesTruncation(2, 0.0), ks, m.rho_b, ks.grid, "obs")
         t = 1.0
         rhs = one_point_rhs(traj, t, ks, m.rho_b)
-        o_s = trajectory_value(traj, ks, m.rho_b, t)
+        o_s = value_and_row(traj, ks, m.rho_b, t)[0]
         expected = 1j * (m.h0.mat @ o_s - o_s @ m.h0.mat)
         assert np.max(np.abs(rhs - expected)) < 1e-12
 
