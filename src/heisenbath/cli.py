@@ -9,7 +9,7 @@ failure, 4 validation defect exceeded.
 Every section a config holds is parsed and checked whatever the run mode;
 a mode only states what it requires: ``n_point`` needs ``npoint.factors``,
 ``one_point``, ``n_point``, ``image_exact`` and ``lindblad`` need an
-observable, and ``validate`` needs ``truncation.order >= 1``.  The scalar
+observable, and ``validate`` needs ``1 <= truncation.order <= 4``.  The scalar
 fields of ``grid``, ``markov`` and ``validate`` are each one
 ``(name, default, kind, bound)`` row of a module table (`GRID_SCALARS`,
 `MARKOV_SCALARS`, `VALIDATE_SCALARS`) read by `_scalars`, and `FIELDS`
@@ -67,6 +67,9 @@ from .superop import SeriesTruncation, one_point_values, star_of_observables
 
 FLOAT_FMT = "%.17g"
 KERNEL_CAP = 6  # highest truncation order a run may ask for
+# highest order a validate run may ask for: above it the four couplings of the
+# sweep leave too few errors between the asymptotic range and the rounding floor
+VALIDATE_ORDER_CAP = 4
 VALIDATE_DIM_CAP = 512  # largest full-space dimension d_s * d_b a validate run may ask for
 INLINE_COUPLING = 0.1  # coupling of an inline model whose config names none
 # libyaml's parser where PyYAML was built with it, about 6x faster on a config
@@ -341,8 +344,8 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
     d_s, d_b = validate["d_s"], validate["d_b"]
     if d_s * d_b > VALIDATE_DIM_CAP:
         _fail("validate.d_s * validate.d_b", f"{d_s} * {d_b} exceeds the full-space cap {VALIDATE_DIM_CAP}")
-    if run == "validate" and order < 1:
-        _fail("truncation.order", f"a validate run needs order >= 1, got {order}")
+    if run == "validate" and not 1 <= order <= VALIDATE_ORDER_CAP:
+        _fail("truncation.order", f"a validate run needs 1 <= order <= {VALIDATE_ORDER_CAP}, got {order}")
 
     return ExperimentConfig(
         model=model,

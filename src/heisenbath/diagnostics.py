@@ -4,23 +4,30 @@ Each check compares a perturbative quantity at truncation order n against
 the exact oracle over a logarithmic coupling sweep and fits the error's
 log-log slope; a correct order-n truncation scales as lambda^(n+1).  The
 slope thresholds (n + 0.8) tolerate prefactor noise without letting an
-order slip through.  Identity-type checks (cancellation, dual bookkeeping,
-decomposition sum) are asserted at rounding level instead.
+order slip through.  A fit reads only the couplings whose error lies above
+the rounding budget ``64 (N+1) eps max(1, max|reference|)`` of the row's
+order N (`rounding_floor`), the reference being the exact quantity the
+row compares with: from order 3 on, the smallest couplings put the error
+at that floor, where it no longer scales.  A row left with fewer than two
+couplings reads slope 0 and fails.  Identity-type checks (cancellation,
+dual bookkeeping, decomposition sum) are asserted at rounding level
+instead.
 
-A suite fetches the kernel row of each of its times ``(t1, t2, t)`` once
-and lifts every order its rows read, 0..n+1, in one `superop.lift_observable`
-call per order for the whole sweep: one-point values, their series
-inversions and the image-family matrices they lift to, each ``(n_leg,
-n_lam, ...)`` with the leg axis first.  Each order's partition sum is
-expanded once, at `DEFECT_LAMBDA`, by `npoint.PartitionWords`.  The exact references are one `evolve_exact` call for the
-sweep, its legs first as well, ``(n_leg, n_lam, D, D)``.  Each ``*_errors``
-and ``*_defect`` helper takes the arrays it compares, so each row is one
-array expression over the sweep, closed by one max-abs per coupling, and
-the suite writes its rows as one ``(check, metric, value, threshold)``
-table whose status is set in one place.  The series legs chain through
-`chain_contract` and `npoint.cumulant_2pt`, the exact legs
-through the oracle's own `reduced_product`, so a fault in the series chain
-cannot cancel.  Every coupling and time gets the bits the one-coupling,
+A suite builds its kernels to order n + 1, fetches the kernel row of each
+of its times ``(t1, t2, t)`` once, and lifts every order its rows read,
+0..n+1, in one `superop.lift_observable` call per order for the whole
+sweep: one-point values, their series inversions and the image-family
+matrices they lift to, each ``(n_leg, n_lam, ...)`` with the leg axis
+first.  Each order's partition sum is expanded once, at `DEFECT_LAMBDA`,
+by `npoint.PartitionWords`.  The exact references are one `evolve_exact`
+call for the sweep, its legs first as well, ``(n_leg, n_lam, D, D)``.
+Each ``*_errors`` and ``*_defect`` helper takes the arrays it compares,
+so each row is one array expression over the sweep, closed by one max-abs
+per coupling, and the suite writes its rows as one ``(check, metric,
+value, threshold)`` table whose status is set in one place.  The series
+legs chain through `chain_contract` and `npoint.cumulant_2pt`, the exact
+legs through the oracle's own `reduced_product`, so a fault in the series
+chain cannot cancel.  Every coupling and time gets the bits the one-coupling,
 one-time functions of `superop` give it.
 """
 
@@ -62,11 +69,24 @@ def random_model(seed: int, d_s: int, d_b: int, hbar: float = 1.0) -> tuple[Mode
     return m, herm(d_s)
 
 
-def fit_slope(lams, errors) -> float:
-    """Least-squares slope of log10(error) against log10(lambda), in closed form:
-    ``sum (x - mean x)(y - mean y) / sum (x - mean x)^2``."""
-    x = np.log10(np.asarray(lams, dtype=float))
-    y = np.log10(np.maximum(np.asarray(errors, dtype=float), 1e-300))
+def rounding_floor(order: int, reference) -> float:
+    """The rounding budget ``64 (N+1) eps max(1, max|reference|)`` of an order-N
+    result whose exact value is ``reference``: an error at or below it is rounding."""
+    return 64 * (order + 1) * np.finfo(float).eps * max(1.0, float(np.max(np.abs(reference))))
+
+
+def fit_slope(lams, errors, floor: float = 0.0) -> float:
+    """Least-squares slope of log10(error) against log10(lambda) over the couplings
+    whose error is not at or below ``floor``, in closed form: ``sum (x - mean
+    x)(y - mean y) / sum (x - mean x)^2``.  A NaN error stays in the fit, so
+    it makes the slope NaN.  With fewer than two couplings left there is no
+    slope, and the fit reads 0, below every slope threshold."""
+    errors = np.asarray(errors, dtype=float)
+    fitted = ~(errors <= floor)
+    if np.count_nonzero(fitted) < 2:
+        return 0.0
+    x = np.log10(np.asarray(lams, dtype=float)[fitted])
+    y = np.log10(errors[fitted])
     dx = x - x.mean()
     return float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
 
@@ -96,12 +116,16 @@ def roundtrip_errors(inverses, free) -> list[float]:
     return _max_abs(inverses - free)
 
 
-def cumulant2_errors(values, mats, exact, rho_b) -> list[float]:
-    """The two-point cumulant of two legs (values and family matrices) against the
-    exact cumulant of the exact legs ``(2, n_lam, D, D)``."""
+def exact_cumulant(exact, rho_b) -> np.ndarray:
+    """The two-point cumulant ``(O1 O2)_S - O1S O2S`` of the exact legs ``(2, n_lam, D, D)``."""
     reduced = _blockops.bath_trace(exact, rho_b)
-    exact_cumulant = reduced_product(exact, rho_b) - reduced[0] @ reduced[1]
-    return _max_abs(cumulant_2pt(values, mats, rho_b) - exact_cumulant)
+    return reduced_product(exact, rho_b) - reduced[0] @ reduced[1]
+
+
+def cumulant2_errors(values, mats, exact, rho_b) -> list[float]:
+    """The two-point cumulant of two legs (values and family matrices) against
+    `exact_cumulant` of the exact legs ``(2, n_lam, D, D)``."""
+    return _max_abs(cumulant_2pt(values, mats, rho_b) - exact_cumulant(exact, rho_b))
 
 
 def rhs_fd_errors(obs, values, order: int, lams, ks: KernelSet, rho_b, row, t: float) -> list[float]:
@@ -133,7 +157,7 @@ def decomposition_sum_defect(values, mats, rho_b) -> float:
 def validation_suite(seed: int, d_s: int = 2, d_b: int = 3, order: int = 2, t: float = 1.1) -> list[dict]:
     """Full defect table for one random model; each row carries pass/fail."""
     m, obs = random_model(seed, d_s, d_b)
-    ks = compute_kernels(m, max(order, 3), TimeGrid.linspace(1.5 * t, 7))
+    ks = compute_kernels(m, order + 1, TimeGrid.linspace(1.5 * t, 7))
     rho_b, lams = m.rho_b, DEFAULT_LAMBDAS
     times = (0.4 * t, 0.8 * t, t)
     rows = np.stack([ks.row(s) for s in times])
@@ -145,14 +169,20 @@ def validation_suite(seed: int, d_s: int = 2, d_b: int = 3, order: int = 2, t: f
     fd_errs = rhs_fd_errors(obs, values[2], order, lams, ks, rho_b, rows[2], t)
     c_fit = max(e / lam ** (order + 1) for e, lam in zip(fd_errs[:2], lams[:2]))
 
-    slope = order + 0.8
-    slopes = [  # (check, errors over the sweep, threshold)
-        (f"one_point_order{order}", one_point_errors(values[2], exact[2], rho_b), slope),
-        ("star_n2_order1", star_errors(star[:2], exact[:2], rho_b), 1.8),
-        ("star_n3_order1", star_errors(star, exact, rho_b), 1.8),
-        (f"image_order{order}", image_errors(mats[2], exact[2]), slope),
-        (f"roundtrip_order{order}", roundtrip_errors(inverses[2], free), slope),
-        (f"cumulant2_order{order}", cumulant2_errors(values[:2], mats[:2], exact[:2], rho_b), slope),
+    slope, reduced = order + 0.8, _blockops.bath_trace(exact[2], rho_b)
+    slopes = [  # (check, errors over the sweep, the row's order, the exact side it compares with, threshold)
+        (f"one_point_order{order}", one_point_errors(values[2], exact[2], rho_b), order, reduced, slope),
+        ("star_n2_order1", star_errors(star[:2], exact[:2], rho_b), 1, reduced_product(exact[:2], rho_b), 1.8),
+        ("star_n3_order1", star_errors(star, exact, rho_b), 1, reduced_product(exact, rho_b), 1.8),
+        (f"image_order{order}", image_errors(mats[2], exact[2]), order, exact[2], slope),
+        (f"roundtrip_order{order}", roundtrip_errors(inverses[2], free), order, free, slope),
+        (
+            f"cumulant2_order{order}",
+            cumulant2_errors(values[:2], mats[:2], exact[:2], rho_b),
+            order,
+            exact_cumulant(exact[:2], rho_b),
+            slope,
+        ),
     ]
     defects = []  # (check, defect, threshold)
     k = lams.index(DEFECT_LAMBDA)
@@ -162,7 +192,10 @@ def validation_suite(seed: int, d_s: int = 2, d_b: int = 3, order: int = 2, t: f
         defects.append((f"dual_bookkeeping_n{n}", dual_bookkeeping_defect(image, mats_n[2, k]), 1e-12))
     defects.append(("decompose_3pt_sum", decomposition_sum_defect(values[:, k], mats[:, k], rho_b), 1e-12))
     defects.append((f"rhs_fd_order{order}", fd_errs[2], max(1e-6, 2.0 * c_fit * lams[2] ** (order + 1))))
-    table = [(check, "loglog_slope", fit_slope(lams, errors), threshold) for check, errors, threshold in slopes]
+    table = [
+        (check, "loglog_slope", fit_slope(lams, errors, rounding_floor(n, reference)), threshold)
+        for check, errors, n, reference, threshold in slopes
+    ]
     table += [(check, "max_abs_defect", value, threshold) for check, value, threshold in defects]
     # a slope passes at or above its threshold, a defect at or below it
     return [

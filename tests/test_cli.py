@@ -378,6 +378,18 @@ class TestRunModes:
         rows = read_rows(out)
         assert rows and all(r["status"] == "pass" for r in rows)
 
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_shipped_validate_config_passes_at_orders_3_and_4(self, tmp_path, order):
+        """`run configs/validate_random.yaml --order 3` and `--order 4` write an
+        all-pass table: each slope is fitted over the errors above the rounding
+        floor, which the smallest couplings reach from order 3 on."""
+        out = tmp_path / "val.csv"
+        config = os.path.join(CONFIGS, "validate_random.yaml")
+        assert cli.main(["run", config, "--order", str(order), "--output", str(out)]) == 0
+        rows = read_rows(out)
+        assert f"image_order{order}" in {r["check"] for r in rows}
+        assert all(r["status"] == "pass" for r in rows)
+
     def test_output_directory_created(self, tmp_path):
         out = tmp_path / "nested" / "deep" / "out.csv"
         path = write_config(tmp_path, output={"path": str(out), "format": "csv"})
@@ -555,6 +567,7 @@ class TestExitCodes:
             ({"run": "validate", "validate": {"d_s": 1}}, "validate.d_s"),
             ({"run": "validate", "validate": {"d_b": 1}}, "validate.d_b"),
             ({"run": "validate", "truncation": {"order": 0, "lambda": 0.1}}, "truncation.order"),
+            ({"run": "validate", "truncation": {"order": 5, "lambda": 0.1}}, "truncation.order"),
             (
                 {"run": "n_point", "npoint": {"factors": [{"observable": "s1x", "time": 0.5},
                                                           {"observable": "s1x", "time": -0.4}]}},
@@ -597,7 +610,7 @@ class TestExitCodes:
             "stop_inf", "lambda_nan", "hbar_negative", "matrix_nan",
             "rho_b_negative", "rho0_trace_two", "rho_b_non_hermitian",
             "validate_seed_negative", "validate_d_s_zero", "validate_d_b_zero", "validate_dims_over_cap",
-            "validate_d_s_one", "validate_d_b_one", "validate_order_zero",
+            "validate_d_s_one", "validate_d_b_one", "validate_order_zero", "validate_order_five",
             "factor_time_negative", "times_negative", "truncation_unknown_key", "top_level_unknown_key",
             "inline_model_unknown_key", "matrix_empty", "matrix_not_square", "preset_unknown_parameter",
             "preset_c_out_of_range", "inline_model_incomplete", "points_repeated", "points_not_from_zero",

@@ -142,18 +142,19 @@ def test_markov_exit_code_contract(mode, horizon, j_horizon, decay_threshold, j_
     seed=st.integers(min_value=-2, max_value=2**32),
     d_s=st.integers(min_value=0, max_value=3),
     d_b=st.integers(min_value=0, max_value=3),
-    order=st.integers(min_value=0, max_value=3),
+    order=st.integers(min_value=0, max_value=5),
 )
 @example(seed=-1, d_s=2, d_b=3, order=2)
 @example(seed=42, d_s=0, d_b=3, order=2)
 @example(seed=3, d_s=1, d_b=3, order=2)
 @example(seed=3, d_s=2, d_b=3, order=0)
+@example(seed=3, d_s=2, d_b=3, order=5)
 def test_validate_exit_code_contract(seed, d_s, d_b, order):
     """The validate mode with a fuzzed `validate` section and truncation order.
 
     d_S < 2, d_B < 2 and order 0 are configuration errors (their errors
     sit at rounding, or vanish, for every coupling, so no slope can be
-    fitted), and order 3 exits 3 (the suite's kernels stop at order 3);
+    fitted), and so is an order above 4 (no four-coupling sweep fits it);
     none of them is 1.
     """
     code, err, rows = _run(
@@ -164,7 +165,7 @@ def test_validate_exit_code_contract(seed, d_s, d_b, order):
     _assert_contract(code, err, rows, ("value", "threshold"))
     if seed < 0 or d_s < 2 or d_b < 2:
         assert code == 2 and "validate." in err
-    elif order == 0:
+    elif not 1 <= order <= 4:
         assert code == 2 and "truncation.order" in err
 
 

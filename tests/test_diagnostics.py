@@ -6,24 +6,26 @@ import pytest
 
 import numpy as np
 
-from heisenbath import diagnostics, dyson, npoint, superop
+from heisenbath import _blockops, diagnostics, dyson, npoint, superop
 from heisenbath.diagnostics import (
     DEFAULT_LAMBDAS,
     cancellation_defect,
     cumulant2_errors,
     decomposition_sum_defect,
     dual_bookkeeping_defect,
+    exact_cumulant,
     fit_slope,
     image_errors,
     one_point_errors,
     random_model,
     rhs_fd_errors,
+    rounding_floor,
     roundtrip_errors,
     star_errors,
     validation_suite,
 )
 from heisenbath.dyson import compute_kernels
-from heisenbath.oracle import evolve_exact
+from heisenbath.oracle import evolve_exact, reduced_product
 from heisenbath.spaces import TimeGrid
 from helpers import lift_legs, loop_validation_errors, partition_image
 
@@ -119,7 +121,8 @@ def test_suite_times_lift_in_one_call(monkeypatch, order):
 @pytest.mark.parametrize("seed,d_s,d_b", [(3, 2, 3), (5, 3, 2)])
 def test_suite_rows_equal_unshared_helpers(seed, d_s, d_b):
     """Every suite row, bit for bit, from the helpers each given the arrays of
-    its own lifts, every time lifted alone."""
+    its own lifts, every time lifted alone; each slope is fitted above the
+    rounding floor of the exact quantity its row compares with."""
     order, t, lams = 2, 1.1, DEFAULT_LAMBDAS
     rows = validation_suite(seed, d_s, d_b, order=order, t=t)
     m, obs = random_model(seed, d_s, d_b)
@@ -134,13 +137,25 @@ def test_suite_rows_equal_unshared_helpers(seed, d_s, d_b):
     exact = evolve_exact(m, [obs], (t1, t2, t), lams).swapaxes(0, 1)
     v12, _, f12 = fresh(order, t1, t2)
     v3, _, f3 = fresh(order, t1, t2, t)
+    free = ks.frame.free_conjugate(obs, t)
+    reduced = _blockops.bath_trace(exact[2], rho)
     expected = {
-        "one_point_order2": fit_slope(lams, one_point_errors(fresh(order, t)[0][0], exact[2], rho)),
-        "star_n2_order1": fit_slope(lams, star_errors(fresh(1, t1, t2)[2], exact[:2], rho)),
-        "star_n3_order1": fit_slope(lams, star_errors(fresh(1, t1, t2, t)[2], exact, rho)),
-        "image_order2": fit_slope(lams, image_errors(fresh(order, t)[2][0], exact[2])),
-        "roundtrip_order2": fit_slope(lams, roundtrip_errors(fresh(order, t)[1][0], ks.frame.free_conjugate(obs, t))),
-        "cumulant2_order2": fit_slope(lams, cumulant2_errors(v12, f12, exact[:2], rho)),
+        "one_point_order2": fit_slope(
+            lams, one_point_errors(fresh(order, t)[0][0], exact[2], rho), rounding_floor(order, reduced)
+        ),
+        "star_n2_order1": fit_slope(
+            lams, star_errors(fresh(1, t1, t2)[2], exact[:2], rho), rounding_floor(1, reduced_product(exact[:2], rho))
+        ),
+        "star_n3_order1": fit_slope(
+            lams, star_errors(fresh(1, t1, t2, t)[2], exact, rho), rounding_floor(1, reduced_product(exact, rho))
+        ),
+        "image_order2": fit_slope(lams, image_errors(fresh(order, t)[2][0], exact[2]), rounding_floor(order, exact[2])),
+        "roundtrip_order2": fit_slope(
+            lams, roundtrip_errors(fresh(order, t)[1][0], free), rounding_floor(order, free)
+        ),
+        "cumulant2_order2": fit_slope(
+            lams, cumulant2_errors(v12, f12, exact[:2], rho), rounding_floor(order, exact_cumulant(exact[:2], rho))
+        ),
         "decompose_3pt_sum": decomposition_sum_defect(v3[:, 0], f3[:, 0], rho),
         "rhs_fd_order2": rhs_fd_errors(obs, fresh(order, t)[0][0], order, lams, ks, rho, ks.row(t), t)[2],
     }
@@ -204,3 +219,12 @@ def test_order2_suites_pass_every_row(d_s, d_b):
         if r["status"] != "pass"
     ]
     assert not failing
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_order3_suite_at_a_ladder_size_passes_every_row(seed):
+    """At (d_S, d_B) = (4, 8), the benchmark's series size, an order-3 suite
+    passes every row: its kernels reach order 4, and each slope is fitted
+    above the rounding floor."""
+    rows = validation_suite(seed, 4, 8, order=3)
+    assert rows and not [(r["check"], r["value"], r["threshold"]) for r in rows if r["status"] != "pass"]
