@@ -1,27 +1,33 @@
-"""Do two checkouts give the same numbers?  SHA-256 digests of every output.
+"""Do two checkouts give the same numbers, within the rounding budget?
 
     python3 tools/same_numbers.py PARENT CHANGE
 
 PARENT and CHANGE are checkout directories (a ``git clone`` or ``git
 archive`` of each commit).  For each one, a child process imports the
 package from its ``src`` and the benchmark inputs from its
-``perfbench/workloads.py``, and prints one SHA-256 digest per output group:
+``perfbench/workloads.py``, and saves every output group as an array:
 
-- every output of a series_4x8 and of a markov_lindblad solve;
-- the exit code, stderr and CSV bytes of each validate_small config;
-- each shipped config (``configs/*.yaml``) run to CSV and to JSON: exit
-  code, stderr and output bytes;
+- every output of a series_4x8 (order 3) and of a markov_lindblad (order 0)
+  solve, at seeds 1, 2 and 5;
+- each column of each shipped config (``configs/*.yaml``) run to CSV and
+  to JSON, at the config's ``truncation.order`` for the ``one_point`` and
+  ``n_point`` runs and at order 0 for the others.
 
-the workloads at seeds 1, 2 and 5.  This script then prints the groups that
-differ and the validate exit-code histogram of each side, and exits 1 on
-any difference (0 when every group is identical).
+It also runs the validate_small configs of seeds 1-12 (288 suites) and the
+shipped ``validate`` config, and keeps each run's exit code and table rows;
+the other shipped configs keep their exit code.
 
-A change that moves rounding on purpose cannot keep the digests, so the
-children also run the validate_small configs of seeds 1-12 (288 suites)
-and report each row's status and value.  The script prints how many
-suites changed a row status or their exit code and, for each slope row,
-the largest change of its slope and each side's smallest margin above the
-threshold.  These lines inform; only the digests decide the exit code.
+The comparison reads each numeric group's largest deviation in units of
+the rounding budget of an order-N result, `diagnostics.rounding_floor` (N,
+parent values), ``64 (N+1) eps max(1, max|parent|)``: a bit-identical group
+reads 0 units.  A non-numeric group (a string or a flag) reads 0 units when
+equal and infinity otherwise, as does a group whose shape changed, and a
+deviation that is NaN counts as infinite.  The script prints every group
+above 0 units, the runs that changed their exit code or a row status, each
+side's validate exit codes and, per slope row, the largest slope change and
+each side's smallest margin above the threshold.  It exits 0 only when
+every group is within 1 unit, both sides have the same groups and runs, and
+no run changed its exit code or a row status; otherwise 1.
 
 Both children run with ``OPENBLAS_NUM_THREADS=1`` unless the variable is
 set, because some BLAS results depend on the thread count.
@@ -33,7 +39,6 @@ import contextlib
 import csv
 import dataclasses
 import glob
-import hashlib
 import io
 import json
 import os
@@ -42,14 +47,15 @@ import sys
 import tempfile
 from collections import Counter
 
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 5)
 STATUS_SEEDS = range(1, 13)
 
 
 def _leaves(prefix: str, obj):
-    """``(name, bytes)`` of every array, number and string inside ``obj``."""
-    import numpy as np
-
+    """``(name, array)`` of every array, number, flag and string inside ``obj``."""
     if dataclasses.is_dataclass(obj):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -58,27 +64,28 @@ def _leaves(prefix: str, obj):
     elif isinstance(obj, (list, tuple)):
         for k, value in enumerate(obj):
             yield from _leaves(f"{prefix}/{k}", value)
-    elif obj is None or isinstance(obj, (str, bool)):
-        yield prefix, repr(obj).encode()
+    elif obj is None:
+        yield prefix, np.array("None")
     else:
-        a = np.ascontiguousarray(obj)
-        yield prefix, repr((a.dtype.str, a.shape)).encode() + a.tobytes()
+        yield prefix, np.asarray(obj)
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _columns(rows: list[dict]) -> dict:
+    """The columns of CLI output rows: floats where every cell reads as one, else strings."""
+    out = {}
+    for key in rows[0] if rows else ():
+        cells = [row[key] for row in rows]
+        try:
+            out[key] = np.array([float(c) for c in cells])
+        except ValueError:
+            out[key] = np.array([str(c) for c in cells])
+    return out
 
 
-def _cli(cli, argv: list[str]) -> tuple[int, str]:
-    """One in-process CLI run: its exit code and stderr (stdout names the output path, so it is dropped)."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, err.getvalue()
+def child(checkout: str, npz: str) -> None:
+    """Save the output groups of ``checkout`` to ``npz`` and print their orders and the runs as JSON."""
+    import yaml
 
-
-def child(checkout: str) -> None:
-    """Print the digests of ``checkout`` as one JSON object."""
     checkout = os.path.abspath(checkout)
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import heisenbath
@@ -87,99 +94,115 @@ def child(checkout: str) -> None:
 
     if not os.path.abspath(heisenbath.__file__).startswith(os.path.join(checkout, "src") + os.sep):
         raise SystemExit(f"imported heisenbath from {heisenbath.__file__}, not from {checkout}")
-    digests, exits, suites = {}, [], {}
+    groups, orders, runs = {}, {}, {}
+
+    def keep(prefix: str, order: int, obj) -> None:
+        for name, value in _leaves(prefix, obj):
+            groups[name], orders[name] = value, order
+
+    def run(group: str, config: str, output: str, fmt: str, table: bool) -> list[dict]:
+        """Run ``config`` in process, its stdout and stderr dropped; keep its exit code and,
+        for a validate ``table``, its rows; return the rows."""
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", config, "--output", output, "--format", fmt])
+        rows = []
+        if os.path.exists(output):
+            with open(output) as fh:
+                rows = list(csv.DictReader(fh)) if fmt == "csv" else json.load(fh)
+            os.unlink(output)
+        runs[group] = {"exit": code, "rows": {r["check"]: r for r in rows} if table else {}}
+        return rows
+
     with tempfile.TemporaryDirectory() as work:
         for seed in SEEDS:
             series = workloads.build_series(seed, work)
-            markov = workloads.build_markov(seed, work)
-            for name, out in (
-                ("series_4x8", workloads.solve_series(series, None)),
-                ("markov_lindblad", workloads.solve_markov(markov, None)),
-            ):
-                digests.update((k, _sha(v)) for k, v in _leaves(f"{name}/seed{seed}", out))
+            keep(f"series_4x8/seed{seed}", series.trunc.order, workloads.solve_series(series, None))
+            keep(f"markov_lindblad/seed{seed}", 0, workloads.solve_markov(workloads.build_markov(seed, work), None))
         for seed in STATUS_SEEDS:
             seed_dir = os.path.join(work, f"validate{seed}")
             os.makedirs(seed_dir)
             for config, output, _ in workloads.build_validate(seed, seed_dir).tasks:
-                code, err = _cli(cli, ["run", config, "--output", output])
-                group = f"validate_small/seed{seed}/{os.path.basename(config)}"
-                table = b""
-                if os.path.exists(output):
-                    with open(output, "rb") as fh:
-                        table = fh.read()
-                rows = csv.DictReader(io.StringIO(table.decode()))
-                suites[group] = {"exit": code, "rows": {r["check"]: r for r in rows}}
-                if seed in SEEDS:
-                    exits.append(code)
-                    digests[f"{group}/exit"] = _sha(str(code).encode())
-                    digests[f"{group}/stderr"] = _sha(err.encode())
-                    if os.path.exists(output):
-                        digests[f"{group}/csv"] = _sha(table)
+                run(f"validate_small/seed{seed}/{os.path.basename(config)}", config, output, "csv", True)
         for config in sorted(glob.glob(os.path.join(checkout, "configs", "*.yaml"))):
+            with open(config) as fh:
+                spec = yaml.safe_load(fh)
             for fmt in ("csv", "json"):
-                output = os.path.join(work, f"config.{fmt}")
-                code, err = _cli(cli, ["run", config, "--output", output, "--format", fmt])
                 group = f"configs/{os.path.basename(config)}/{fmt}"
-                digests[f"{group}/exit"] = _sha(str(code).encode())
-                digests[f"{group}/stderr"] = _sha(err.encode())
-                with open(output, "rb") as fh:
-                    digests[f"{group}/output"] = _sha(fh.read())
-                os.unlink(output)
-    print(json.dumps({"digests": digests, "validate_exits": exits, "suites": suites}))
+                rows = run(group, config, os.path.join(work, f"config.{fmt}"), fmt, spec["run"] == "validate")
+                if spec["run"] != "validate":
+                    order = spec["truncation"]["order"] if spec["run"] in ("one_point", "n_point") else 0
+                    keep(group, order, _columns(rows))
+    np.savez(npz, **groups)
+    print(json.dumps({"orders": orders, "runs": runs}))
 
 
 def run_child(checkout: str) -> dict:
+    """The record ``{"groups": {name: (order, array)}, "runs": {name: {"exit", "rows"}}}`` of ``checkout``."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "1")}
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", checkout], capture_output=True, text=True, env=env
-    )
-    if proc.returncode != 0:
-        raise SystemExit(f"same_numbers: the child for {checkout} failed (exit {proc.returncode}):\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    with tempfile.TemporaryDirectory() as work:
+        npz = os.path.join(work, "groups.npz")
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child", checkout, npz],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        if proc.returncode != 0:
+            raise SystemExit(f"same_numbers: the child for {checkout} failed (exit {proc.returncode}):\n{proc.stderr}")
+        record = json.loads(proc.stdout.splitlines()[-1])
+        with np.load(npz) as arrays:
+            record["groups"] = {name: (order, arrays[name]) for name, order in record.pop("orders").items()}
+    return record
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--child":
-        child(argv[1])
-        return 0
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    parent, change = (run_child(path) for path in argv)
-    a, b = parent["digests"], change["digests"]
-    differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-    for side, record in (("parent", parent), ("change", change)):
-        histogram = dict(sorted(Counter(record["validate_exits"]).items()))
-        print(f"{side}: {len(record['digests'])} groups, validate exit codes {histogram}")
-    for key in differ:
-        print(f"differs: {key}")
-    print(f"{len(differ)} of {len(a.keys() | b.keys())} groups differ")
-    report_statuses(parent["suites"], change["suites"])
-    return 1 if differ else 0
+def budget_units(order: int, parent: np.ndarray, change: np.ndarray) -> float:
+    """Largest deviation of ``change`` from ``parent`` in rounding budgets of an order-``order`` result."""
+    from heisenbath.diagnostics import rounding_floor
+
+    numeric = parent.dtype.kind in "iufc" and change.dtype.kind in "iufc"
+    if parent.shape != change.shape or not numeric:
+        return 0.0 if np.array_equal(parent, change) else float("inf")
+    same = (parent == change) | (np.isnan(parent) & np.isnan(change))
+    deviation = float(np.max(np.abs(change - parent), where=~same, initial=0.0))
+    finite = np.abs(parent[np.isfinite(parent)])
+    units = deviation / rounding_floor(order, finite.max(initial=0.0))
+    return float("inf") if np.isnan(units) else units
 
 
-def _slopes(suites: dict) -> dict:
-    """``{check: {suite: (slope, threshold)}}`` of the slope rows of ``suites``."""
-    out: dict = {}
-    for name, suite in suites.items():
-        for check, row in suite["rows"].items():
-            if row["metric"] == "loglog_slope":
-                out.setdefault(check, {})[name] = float(row["value"]), float(row["threshold"])
-    return out
+def compare(parent: dict, change: dict) -> int:
+    """Print the report of two records (`run_child`) and return the exit code: 0 within budget, else 1."""
+    a, b = parent["groups"], change["groups"]
+    names = sorted(a.keys() | b.keys())
+    units = {name: budget_units(a[name][0], a[name][1], b[name][1]) for name in names if name in a and name in b}
+    one_sided = [name for name in names if name not in units]
+    for name in one_sided:
+        print(f"only in the {'parent' if name in a else 'change'}: {name}")
+    for name, u in units.items():
+        if u > 0:
+            print(f"{u:12.4g} units  {name}")
+    over = [name for name, u in units.items() if not u <= 1]
+    print(f"{len(units)} groups on both sides: {sum(u == 0 for u in units.values())} read 0 units, {len(over)} exceed 1")
+    changed = report_runs(parent["runs"], change["runs"])
+    return 1 if over or one_sided or changed else 0
 
 
-def report_statuses(parent: dict, change: dict) -> None:
-    """Print how many suites changed their exit code or a row status, and per
-    slope row the largest slope change and each side's smallest margin."""
+def report_runs(parent: dict, change: dict) -> int:
+    """Print each run that changed its exit code or a row status (or is on one side only),
+    each side's validate exit codes and per slope row the largest slope change and each
+    side's smallest margin; return the number of changed runs."""
 
-    def statuses(suites, name):
-        suite = suites.get(name)
-        return suite and (suite["exit"], {check: row["status"] for check, row in suite["rows"].items()})
+    def statuses(runs, name):
+        run = runs.get(name)
+        return run and (run["exit"], {check: row["status"] for check, row in run["rows"].items()})
 
-    names = parent.keys() | change.keys()
-    changed = sum(statuses(parent, name) != statuses(change, name) for name in names)
-    seeds = f"{STATUS_SEEDS[0]}-{STATUS_SEEDS[-1]}"
-    print(f"validate seeds {seeds}: {changed} of {len(names)} suites changed a row status or exit code")
+    names = sorted(parent.keys() | change.keys())
+    changed = [name for name in names if statuses(parent, name) != statuses(change, name)]
+    for name in changed:
+        print(f"status changed: {name}")
+    for side, runs in (("parent", parent), ("change", change)):
+        exits = Counter(run["exit"] for name, run in runs.items() if name.startswith("validate_small/"))
+        print(f"{side}: validate_small exit codes {dict(sorted(exits.items()))}")
+    print(f"{len(changed)} of {len(names)} CLI runs changed their exit code or a row status")
     a, b = _slopes(parent), _slopes(change)
     print(f"{'slope row':24s} {'largest change':>14s} {'parent margin':>14s} {'change margin':>14s}")
     for check in sorted(a.keys() | b.keys()):
@@ -187,6 +210,29 @@ def report_statuses(parent: dict, change: dict) -> None:
         moved = max((abs(pa[k][0] - pb[k][0]) for k in pa.keys() & pb.keys()), default=float("nan"))
         margins = [min((v - t for v, t in side.values()), default=float("nan")) for side in (pa, pb)]
         print(f"{check:24s} {moved:14.3g} {margins[0]:14.3f} {margins[1]:14.3f}")
+    return len(changed)
+
+
+def _slopes(runs: dict) -> dict:
+    """``{check: {run: (slope, threshold)}}`` of the slope rows of ``runs``."""
+    out: dict = {}
+    for name, run in runs.items():
+        for check, row in run["rows"].items():
+            if row.get("metric") == "loglog_slope":
+                out.setdefault(check, {})[name] = float(row["value"]), float(row["threshold"])
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--child":
+        child(*argv[1:])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.join(ROOT, "src"))  # the budget of `budget_units`
+    return compare(*(run_child(path) for path in argv))
+
 
 if __name__ == "__main__":
     raise SystemExit(main(sys.argv[1:]))
