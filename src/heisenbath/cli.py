@@ -423,8 +423,6 @@ def _run_one_point(cfg: ExperimentConfig) -> list[dict]:
     order, lam = cfg.truncation.order, cfg.truncation.lam
     for name, (mat, times) in sorted(cfg.observables.items()):
         sample = cfg.grid.points if times is None else np.array(times, dtype=float)
-        if not sample.size:  # an empty `times` list writes no rows
-            continue
         values = one_point_values(system_matrix(mat), order, (lam,), ks, cfg.model.rho_b, ks.eigen_rows(sample))
         for t, value in zip(sample, values[0]):
             _matrix_rows(rows, t, name, value)

@@ -250,9 +250,9 @@ class KernelSet:
         # first block row of the Van Loan generator M: (iF, H_I, 0, ..., 0)
         gen = np.zeros((n_max + 1, d, d), dtype=complex)
         gen[0] = np.diag(1j * free)
-        if n_max:
-            v = np.kron(self.frame.v0, np.eye(d_b))
-            gen[1] = v.conj().T @ m.hi.mat @ v
+        if n_max:  # (v0 (x) 1_B)^dag H_I (v0 (x) 1_B), a mix of d_S row blocks, then of column blocks
+            rows = (self.frame.v0.conj().T @ m.hi.mat.reshape(d_s, -1)).reshape(d, d_s, d_b)
+            gen[1] = (self.frame.v0.T @ rows).reshape(d, d)
         self._gen = gen
         # R(t) at the grid points, shape (n_t, d, (n_max + 1) d)
         self._rows = propagate_rows(np.eye(d, (n_max + 1) * d), gen, grid.points)
@@ -273,10 +273,12 @@ class KernelSet:
         return self._rows[k] @ toeplitz_dense(toeplitz_expm((t - pts[k]) * self._gen))
 
     def eigen_rows(self, times: np.ndarray) -> np.ndarray:
-        """`row` at each time, ``(n_t, D, (n_max + 1) D)``; the grid is served without a copy."""
+        """`row` at each time, ``(n_t, D, (n_max + 1) D)``, with ``n_t = 0`` for no time;
+        the grid is served without a copy."""
         if np.array_equal(times, self.grid.points):
             return self._rows
-        return np.stack([self.row(float(t)) for t in times])
+        rows = np.array([self.row(float(t)) for t in times], dtype=complex)
+        return rows.reshape(len(times), *self._rows.shape[1:])
 
     def frame_stack(self, row: np.ndarray) -> np.ndarray:
         """The kernels in the H0 eigenbasis, ``S[n] = E[n] E[0]^-1 = V^dag K[n] V``

@@ -46,10 +46,8 @@ def evolve_exact(m: ModelSpec, observables, times, lams=None) -> np.ndarray:
     other shape or a full-space operator raises `DimensionError`.
     ``U(t) = exp(-iHt/hbar)``: one eigendecomposition ``H = V diag(E)
     V^dag`` serves every time, ``U = (V exp(-iEt/hbar)) V^dag`` is one GEMM
-    over all times, and ``(U^dag (o (x) 1_B)) U`` two batched GEMMs.
-    The full ``o (x) 1_B`` and this order fix the rounding of every exact
-    reference; a cheaper form changes it, and with it the validation slopes
-    whose smallest errors sit at the rounding floor.
+    over all times, ``(o (x) 1_B) U`` mixes the d_S row blocks of ``U``
+    (``d_S D^2`` work), and ``U^dag ((o (x) 1_B) U)`` is one batched GEMM.
 
     With a coupling sweep ``lams`` in place of the model's own coupling the
     result gains a leading coupling axis, ``(n_lam, n_t, D, D)``: the free
@@ -70,9 +68,12 @@ def evolve_exact(m: ModelSpec, observables, times, lams=None) -> np.ndarray:
     phases = np.exp(-1j * evals[:, None, :] * np.asarray(times, dtype=float)[:, None] / m.constants.hbar)
     scaled = vecs[:, None] * phases[..., None, :]
     u = (scaled.reshape(n_lam, -1, d) @ vecs.conj().swapaxes(-1, -2)).reshape(n_lam, -1, d, d)
-    o_full = _blockops.kron_identity(np.stack(mats), m.dim_bath)
+    del scaled
+    mixed = (np.stack(mats) @ u.reshape(n_lam, -1, m.dim_system, m.dim_bath * d)).reshape(u.shape)
     # a contiguous adjoint keeps the batched product on BLAS
-    out = (np.conj(u.swapaxes(-1, -2), order="C") @ o_full) @ u
+    adjoint = np.conj(u.swapaxes(-1, -2), order="C")
+    del u
+    out = adjoint @ mixed
     return out[0] if lams is None else out
 
 

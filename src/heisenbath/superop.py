@@ -47,9 +47,9 @@ functions are that engine called with the one coupling of their
 truncation and the row of their one time, fetched once, so their callers
 never see a kernel row: `invert_one_point`, `image_from_value` and
 `image_from_one_point` are `lift_values` of one leg, and `star_product`
-chains the `image_from_one_point` of each factor.  Each item's arithmetic is the same either way, so a batch
-returns the bits of its items one at a time; the weights ``(lam/hbar)^j``
-are Python-float powers for that reason.  Between these layers a family is
+chains the `image_from_one_point` of each factor.  Each item's arithmetic is
+the same either way, so a batch returns the bits of its items one at a
+time.  Between these layers a family is
 its ``(..., D, D)`` matrix, leading coupling or leg axes included:
 `chain_contract` takes factors whose leading axes broadcast, and
 `ImageFamily` wraps only what a public function returns.
@@ -135,12 +135,8 @@ def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
 
 
 def _weights(lams, j: int, hbar: float) -> np.ndarray:
-    """``(lam/hbar)^j`` per coupling, shape ``(n_lam, 1, 1)``.
-
-    Each weight is a Python-float power: numpy's array ``**`` rounds a few
-    per cent of them differently in the last bit once ``j >= 3``.
-    """
-    return np.array([(lam / hbar) ** j for lam in lams])[:, None, None]
+    """``(lam/hbar)^j`` per coupling, shape ``(n_lam, 1, 1)``."""
+    return (np.asarray(lams, dtype=float) / hbar)[:, None, None] ** j
 
 
 def one_point_values(
@@ -170,8 +166,7 @@ def one_point_values(
     ds, db = ks.dim_system, ks.dim_bath
     d = ds * db
     hbar = ks.frame.constants.hbar
-    # alpha_p = (i lam/hbar)^p for p = 0..n, by exact repeated products
-    alpha = np.stack([np.cumprod(np.concatenate(([1.0], np.full(n, 1j * lam / hbar)))) for lam in lams])
+    alpha = (1j * np.asarray(lams, dtype=float)[:, None] / hbar) ** np.arange(n + 1)  # alpha_p = (i lam/hbar)^p
     o_eig = _blockops.kron_identity(ks.frame.enter(o), db)
     rows = rows.reshape(n_t, ds, db, ks.orders + 1, d)  # E[p] = rows[..., p, :]
     out = np.zeros((n_lam, n_t, ds, ds), dtype=complex)
@@ -183,7 +178,7 @@ def one_point_values(
         # that C enters the product as a transposed view rather than a conjugated copy
         np.matmul((rho_b @ rows[..., p, :]).reshape(-1, d), alpha[:, p, None, None] * o_eig, out=left)
         np.conjugate(left, out=left)
-        out += (left.reshape(n_lam, n_t, ds, -1) @ partial.reshape(n_lam, n_t, ds, -1).swapaxes(-1, -2)).conj()
+        out += (left.reshape(n_lam, n_t, ds, db * d) @ partial.reshape(n_lam, n_t, ds, db * d).swapaxes(-1, -2)).conj()
     return ks.frame.leave(out)
 
 

@@ -24,8 +24,13 @@ import sys
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "heisenbath")
 
 MUTANTS = (
-    ("weights_drop_hbar", "superop.py", "[(lam / hbar) ** j for lam in lams]", "[lam**j for lam in lams]"),
-    ("alpha_drop_hbar", "superop.py", "np.full(n, 1j * lam / hbar)", "np.full(n, 1j * lam)"),
+    (
+        "weights_drop_hbar",
+        "superop.py",
+        "(np.asarray(lams, dtype=float) / hbar)[:, None, None]",
+        "np.asarray(lams, dtype=float)[:, None, None]",
+    ),
+    ("alpha_drop_hbar", "superop.py", "[:, None] / hbar) ** np.arange", "[:, None]) ** np.arange"),
     ("inversion_index", "superop.py", "_P_full(j, inv[m - j], kstacks)", "_P_full(j, inv[m - 1], kstacks)"),
     ("frame_deriv_phase", "dyson.py", "= self._bath_phase * stack[1:]", "= -self._bath_phase * stack[1:]"),
     ("rhs_h0_sign", "superop.py", "(h0 @ values - values @ h0)", "(values @ h0 - h0 @ values)"),

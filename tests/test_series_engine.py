@@ -201,13 +201,14 @@ SWEEP_SIZES = ((2, 2, 1.0), *SIZES)
 
 def _written_out_inverse(value, order, lam, ks, rho_b, t):
     """``inv[order]`` by the recursion for one coupling in the kernel frame, weights
-    ``(lam/hbar)^j`` as Python floats; only the correction leaves the frame."""
+    ``(lam/hbar)^j`` by numpy's array power; only the correction leaves the frame."""
     hbar = ks.frame.constants.hbar
     kstack = ks.frame_stack(ks.row(t))
     entered = ks.frame.enter(value)
     inv, opened = [entered], np.zeros_like(kstack[0])
+    weight = (np.array([lam]) / hbar)[0, None, None]  # an array, so that ** is numpy's, as in the engine
     for m in range(1, order + 1):
-        opened = sum((lam / hbar) ** j * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
+        opened = sum(weight**j * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
         inv.append(entered - _blockops.bath_trace(opened, rho_b))
     return value - ks.frame.leave(_blockops.bath_trace(opened, rho_b))
 
@@ -249,6 +250,17 @@ def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
         assert np.array_equal(inverses[k], _written_out_inverse(values[k], order, lam, ks, rho_b, t))
         assert np.array_equal(families[k], image_from_value(values[k], trunc, ks, rho_b, t).matrix)
         assert np.array_equal(rhs[k], one_point_rhs(trajs[k], t, ks, rho_b))
+
+
+def test_empty_time_batch_has_written_out_shapes(sweep_model):
+    """No times give no kernel rows, ``(0, D, (n_max + 1) D)``, and no one-point
+    values, ``(n_lam, 0, d_S, d_S)``, at every order."""
+    m, obs, ks = sweep_model
+    d_s, d = m.dim_system, m.dim_system * m.dim_bath
+    rows = ks.eigen_rows(np.array([]))
+    assert rows.shape == (0, d, (ks.orders + 1) * d)
+    for order in ORDERS:
+        assert one_point_values(obs, order, SWEEP, ks, m.rho_b, rows).shape == (len(SWEEP), 0, d_s, d_s)
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 """Identities of the series engine as property tests on random models.
 
-Each property draws a seeded random model with d_S, d_B <= 3, an order
-1..3 and its times, and compares a series quantity with a reference that
+Each property draws a seeded random model with d_S, d_B <= 4, an order
+0..4 and its times, and compares a series quantity with a reference that
 does not call the function under test: the free evolution from an
 eigendecomposition of H0, a one-point value from `one_point_value`, or the
-same star product with its legs reversed.
+same star product with its legs reversed.  The scaling properties take the
+orders whose error they can resolve: 1..4 for the roundtrip and 1..3, at
+d_S, d_B <= 3, for the equal-time product.
 """
 
 import functools
@@ -24,6 +26,7 @@ from heisenbath.superop import (
     invert_one_point,
     one_point_operator,
     one_point_value,
+    star_of_observables,
     star_product,
 )
 from helpers import random_hermitian
@@ -31,9 +34,9 @@ from helpers import random_hermitian
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
 seeds = st.integers(min_value=0, max_value=2**16)
-dims = st.integers(min_value=1, max_value=3)
-nontrivial_dims = st.integers(min_value=2, max_value=3)
-orders = st.integers(min_value=1, max_value=3)
+dims = st.integers(min_value=1, max_value=4)
+nontrivial_dims = st.integers(min_value=2, max_value=4)
+orders = st.integers(min_value=0, max_value=4)
 times = st.floats(min_value=0.3, max_value=1.2)
 
 
@@ -50,17 +53,19 @@ def _free(m, o: np.ndarray, t: float) -> np.ndarray:
 
 
 @PROPERTY
-@given(seed=seeds, d_s=nontrivial_dims, d_b=nontrivial_dims, order=orders, t=times)
+@given(seed=seeds, d_s=nontrivial_dims, d_b=nontrivial_dims, order=st.integers(1, 4), t=times)
 def test_roundtrip_misses_free_evolution_at_next_order(seed, d_s, d_b, order, t):
     """`invert_one_point` of `one_point_value` misses ``U0^dag O U0`` by
     O(lam^(N+1)): halving lam divides the error by at least 2^(N+0.5).
     Both dimensions are at least 2: at d_S = 1 the error vanishes, and at
     d_B = 1 the coupling is a system term whose order-3 error can sink to
-    1e-13 at these couplings, too near rounding for a ratio."""
+    1e-13 at these couplings, too near rounding for a ratio.  At order 0
+    the inversion is the identity and the error vanishes; order 4 halves
+    from 0.08, since its error at 0.01 sinks towards rounding."""
     m, obs, ks = _setup(seed, d_s, d_b, order, t)
     free = _free(m, obs, t)
     errors = []
-    for lam in (0.02, 0.01):
+    for lam in (0.08, 0.04) if order == 4 else (0.02, 0.01):
         trunc = SeriesTruncation(order, lam)
         back = invert_one_point(one_point_value(obs, trunc, ks, m.rho_b, t), trunc, ks, m.rho_b, t)
         errors.append(np.max(np.abs(back - free)))
@@ -108,3 +113,26 @@ def test_adjoint_of_a_two_leg_star_reverses_its_legs(seed, d_s, d_b, order, t1, 
     forward = star_product([leg_a, leg_b], ks, m.rho_b).mat
     backward = star_product([leg_b, leg_a], ks, m.rho_b).mat
     assert np.max(np.abs(forward.conj().T - backward)) < 1e-12 * max(1.0, np.max(np.abs(backward)))
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    d_s=st.integers(2, 3),
+    d_b=st.integers(2, 3),
+    order=st.integers(1, 3),
+    t=times,
+)
+def test_equal_time_star_is_the_product_one_point_value_at_next_order(seed, d_s, d_b, order, t):
+    """At equal times the deformed product is the one-point value of the plain
+    product: ``star(A@t, B@t) - one_point_value(A B, t)`` is O(lam^(N+1)), so
+    halving lam divides it by at least 2^(N+0.5)."""
+    m, a, ks = _setup(seed, d_s, d_b, order, t)
+    b = random_hermitian(np.random.default_rng(seed), d_s)
+    defects = []
+    for lam in (0.02, 0.01):
+        trunc = SeriesTruncation(order, lam)
+        star = star_of_observables([(a, t), (b, t)], trunc, ks, m.rho_b)
+        defects.append(np.max(np.abs(star - one_point_value(a @ b, trunc, ks, m.rho_b, t))))
+    assert defects[1] > 1e-11, defects
+    assert defects[0] / defects[1] >= 2 ** (order + 0.5), defects
