@@ -40,19 +40,12 @@ from .dyson import (
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
-    apply_P_S,
-    apply_P_ab,
     image_from_one_point,
-    invert_one_point,
     one_point_operator,
-    one_point_rhs,
     star_product,
 )
 from .npoint import (
-    EvenPartition,
-    assemble_partition_term,
     decompose_3pt,
-    enumerate_even_partitions,
     expand_image_by_partitions,
     irreducible_2pt,
 )

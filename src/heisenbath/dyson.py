@@ -158,13 +158,16 @@ def toeplitz_expm(blocks: np.ndarray) -> np.ndarray:
     is the case ``n = 1``.  Pade scaling and squaring (Higham, SIAM J. Matrix
     Anal. Appl. 26 (2005) 1179, Algorithm 2.3): the lowest degree whose
     bound admits ``|A|_1``, else degree 13 on ``A / 2^s`` squared ``s``
-    times.  Every product is a `toeplitz_mul`.  A NaN or infinite entry
+    times.  Every product is a `toeplitz_mul`.  Squaring raises the
+    rounding of the Pade step to the power ``2^s``, so the result carries a
+    relative error of about ``eps |A|_1``: unless ``eps |A|_1 < 1`` (a NaN
+    or infinite entry included) no digit of it is significant, and it
     raises `NonFiniteResult`.
     """
     a = np.asarray(blocks, dtype=complex)
     norm = toeplitz_norm1(a)
-    if not math.isfinite(norm):
-        raise NonFiniteResult(f"matrix exponential of a generator with 1-norm {norm}")
+    if not norm * np.finfo(float).eps < 1:
+        raise NonFiniteResult(f"matrix exponential of a generator with 1-norm {norm}: no digit is significant")
     for m, theta, b in _PADE:
         if norm <= theta:
             break

@@ -47,7 +47,6 @@ from . import _blockops
 from .dyson import KernelSet
 from .images import ImageFamily
 from .model import ModelSpec
-from .spaces import as_matrix
 from .superop import (
     OnePointTrajectory,
     SeriesTruncation,
@@ -57,40 +56,14 @@ from .superop import (
 )
 
 
-@dataclass(frozen=True)
-class EvenPartition:
-    """Pairs ``((n_1, m_1), ..., (n_k, m_k))`` of non-negative slot orders."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("a partition needs at least one pair")
-        for i, (n, m) in enumerate(self.pairs):
-            if n < 0 or m < 0:
-                raise ValueError(f"pair {i} has negative entries: {(n, m)}")
-            if i >= 1 and n + m == 0:
-                raise ValueError(f"pair {i} is (0, 0); only the first pair may vanish")
-
-    @property
-    def total(self) -> int:
-        return sum(n + m for n, m in self.pairs)
-
-
-def enumerate_even_partitions(n: int, k_max: int) -> list[EvenPartition]:
-    """All partitions of n with 1 <= k <= k_max pairs, in lexicographic order.
+@functools.cache
+def _partitions(n: int, k_max: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All partitions of n with 1 <= k <= k_max pairs ``((n_1, m_1), ..., (n_k,
+    m_k))``, in lexicographic order, held per ``(n, k_max)``.
 
     Exhaustive and duplicate-free; any pair beyond k = n + 1 would force a
     zero-order pair in position >= 2, so larger ``k_max`` adds nothing.
     """
-    if n < 0 or k_max < 1:
-        raise ValueError(f"need n >= 0 and k_max >= 1, got n={n}, k_max={k_max}")
-    return list(_partitions(n, k_max))
-
-
-@functools.cache
-def _partitions(n: int, k_max: int) -> tuple[EvenPartition, ...]:
-    """The enumeration behind `enumerate_even_partitions`, held per ``(n, k_max)``."""
     found: list[tuple[tuple[int, int], ...]] = []
 
     def extend(prefix: list[tuple[int, int]], remaining: int):
@@ -107,7 +80,7 @@ def _partitions(n: int, k_max: int) -> tuple[EvenPartition, ...]:
                 prefix.pop()
 
     extend([], n)
-    return tuple(EvenPartition(p) for p in sorted(found))
+    return tuple(sorted(found))
 
 
 class PartitionWords:
@@ -171,33 +144,12 @@ class PartitionWords:
         follow: dict[tuple[int, int], list] = {}
         for n in range(n_max + 1):
             for p in _partitions(n, n + 1):
-                follow.setdefault(p.pairs[0], []).append(p.pairs[1:])
+                follow.setdefault(p[0], []).append(p[1:])
         inner = np.stack(self.wrap([suffix for suffixes in follow.values() for suffix in suffixes]))
         ends = np.cumsum([len(suffixes) for suffixes in follow.values()]).tolist()
         # with d_S >= 2 a reduction over the leading axis adds its terms in order (`np.add.reduceat` does not)
         cores = np.stack([np.add.reduce(inner[a:b]) for a, b in zip([0, *ends], ends)])
         return self.frame.leave_open(np.add.reduce(self.open_words(list(follow), cores)))
-
-
-def assemble_partition_term(
-    p: EvenPartition,
-    o_s_value,
-    trunc: SeriesTruncation,
-    ks: KernelSet,
-    rho_b: np.ndarray,
-    t: float,
-) -> ImageFamily:
-    """The signed operator word of one partition, bath indices of pair 1 open.
-
-    Working from the innermost pair outwards: wrap the one-point value with
-    kernel slot ``n_i`` on the left and the adjoint of slot ``m_i`` on the
-    right, contracting each inner pair with ``rho_B[b_i, a_i]``; pair 1 is
-    left open.  Coefficient ``(-1)^(k-1) i^(sum n - sum m) (lam/hbar)^total``.
-    """
-    ks.check_order(p.total)
-    words = PartitionWords(as_matrix(o_s_value), trunc, ks, rho_b, ks.row(t))
-    word = words.open_words([p.pairs[0]], np.stack(words.wrap([p.pairs[1:]])))[0]
-    return ImageFamily(ks.frame.leave_open(word), ks.dim_bath, t)
 
 
 def expand_image_by_partitions(

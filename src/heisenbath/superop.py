@@ -38,18 +38,13 @@ The series engine (`one_point_values`, `lift_values`, `lift_observable`,
 `diagnostics` and the CLI call.  It takes a sequence of couplings and the
 kernel rows of its times, and returns one result per coupling on a
 leading axis: `one_point_values` gives ``(n_lam, n_t, d_S, d_S)`` for
-every coupling and time at once, where `one_point_value` gives the one
-matrix of one truncation at one time.  The lifts (`lift_observable`,
+every coupling and time at once.  The lifts (`lift_observable`,
 `lift_values`) also take several times at once: a leading leg axis, one
 kernel row and so one frame stack per leg, so a caller that holds several
-times (the validation suite) lifts them all in one call.  The one-time
-functions are that engine called with the one coupling of their
-truncation and the row of their one time, fetched once, so their callers
-never see a kernel row: `invert_one_point`, `image_from_value` and
-`image_from_one_point` are `lift_values` of one leg, and `star_product`
-chains the `image_from_one_point` of each factor.  Each item's arithmetic is
-the same either way, so a batch returns the bits of its items one at a
-time.  Between these layers a family is
+times (the validation suite) lifts them all in one call.  The trajectory
+functions (`one_point_operator`, `image_from_one_point`, `star_product`)
+are that engine called with the one coupling of their truncation, so
+their callers never see a kernel row.  Between these layers a family is
 its ``(..., D, D)`` matrix, leading coupling or leg axes included:
 `chain_contract` takes factors whose leading axes broadcast, and
 `ImageFamily` wraps only what a public function returns.
@@ -110,27 +105,12 @@ def _P_full(n: int, a: np.ndarray, kstack: np.ndarray) -> np.ndarray:
     return _blockops.sandwich_sum(lefts, kstack[..., : n + 1, :, :])
 
 
-def _P_frame(n: int, a, t: float, ks: KernelSet) -> tuple[np.ndarray, np.ndarray]:
-    """The order-n sandwich of a system operator in the kernel frame, and the frame stack."""
-    ks.check_order(n)
-    kstack = ks.frame_stack(ks.row(t))
-    return _P_full(n, ks.frame.enter(system_matrix(a)), kstack), kstack
-
-
-def apply_P_ab(n: int, a, t: float, ks: KernelSet) -> ImageFamily:
-    """Order-n super-operator dressing of a system operator, open bath indices."""
-    return ImageFamily(ks.frame.leave_open(_P_frame(n, a, t, ks)[0]), ks.dim_bath, t)
-
-
-def apply_P_S(n: int, a, t: float, ks: KernelSet, rho_b: np.ndarray) -> np.ndarray:
-    """Bath-contracted order-n dressing ``(P[n] A)_ab rho_B[b, a]``."""
-    return ks.frame.leave(_blockops.bath_trace(_P_frame(n, a, t, ks)[0], rho_b))
-
-
 def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
     """Max-norm gap between the Dyson-derived and as-displayed order-n sandwiches."""
-    derived, kstack = _P_frame(n, a, t, ks)
-    printed = _P_full(n, ks.frame.enter(system_matrix(a)), kstack.conj().swapaxes(-1, -2))
+    ks.check_order(n)
+    kstack = ks.frame_stack(ks.row(t))
+    a = ks.frame.enter(system_matrix(a))
+    derived, printed = _P_full(n, a, kstack), _P_full(n, a, kstack.conj().swapaxes(-1, -2))
     return float(np.max(np.abs(ks.frame.leave_open(derived - printed))))
 
 
@@ -145,9 +125,8 @@ def one_point_values(
     """``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` per coupling and time, shape ``(n_lam, n_t, d_S, d_S)``.
 
     ``o`` is a ``(d_S, d_S)`` array, and ``rows`` are the kernel rows of the
-    times (`KernelSet.eigen_rows`); the one-time `one_point_value` takes a
-    truncation and a time instead and returns the one ``(d_S, d_S)`` item,
-    with the same bits.  The fused form ``sum_p alpha_p K[p] (B (x) 1_B)
+    times (`KernelSet.eigen_rows`, or ``KernelSet.row(t)[None]`` for one
+    time).  The fused form ``sum_p alpha_p K[p] (B (x) 1_B)
     C[N-p]^dag`` of the module docstring, evaluated in the free eigenbasis
     ``V = v0 (x) 1_B`` of the rows: with ``K[p] = V E[p] exp(-iFt) V^dag`` the free phases
     cancel against ``B = U0^dag O U0``, so ``K[p] (B (x) 1_B) K[q]^dag =
@@ -180,12 +159,6 @@ def one_point_values(
         np.conjugate(left, out=left)
         out += (left.reshape(n_lam, n_t, ds, db * d) @ partial.reshape(n_lam, n_t, ds, db * d).swapaxes(-1, -2)).conj()
     return ks.frame.leave(out)
-
-
-def one_point_value(o, trunc: SeriesTruncation, ks: KernelSet, rho_b: np.ndarray, t: float) -> np.ndarray:
-    """Truncated one-point series ``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` at one time:
-    `one_point_values` at the truncation's coupling and the kernel row of ``t``."""
-    return one_point_values(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])[0, 0]
 
 
 def one_point_operator(
@@ -247,7 +220,9 @@ def lift_values(
     d_S, d_S)``, one per leg and coupling, and their image families ``(n_leg,
     n_lam, D, D)``, from the kernel rows of the legs' times ``(n_leg, D,
     (n_max + 1) D)``.  Only the corrections to the order-zero term leave the
-    frame."""
+    frame.  Truncation is by *total* order ``n + n_1 + ... + n_k``, never per
+    factor; the order-by-order cancellation that returns the one-point value
+    under bath contraction holds only with total-order truncation."""
     ks.check_order(order)
     _, opened, traced = _inverted_series(values, order, lams, ks, rho_b, ks.frame_stack(rows))
     inverses = values - ks.frame.leave(traced)
@@ -262,36 +237,6 @@ def lift_observable(
     (`lift_values`)."""
     values = one_point_values(o, order, lams, ks, rho_b, rows).swapaxes(0, 1)
     return (values, *lift_values(values, order, lams, ks, rho_b, rows))
-
-
-def invert_one_point(
-    o_s_value,
-    trunc: SeriesTruncation,
-    ks: KernelSet,
-    rho_b: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """Recover ``U0^dag O U0`` from a one-point value via the multinomial inverse."""
-    value = system_matrix(o_s_value)[None, None]
-    return lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])[0][0, 0]
-
-
-def image_from_value(
-    value: np.ndarray,
-    trunc: SeriesTruncation,
-    ks: KernelSet,
-    rho_b: np.ndarray,
-    t: float,
-) -> ImageFamily:
-    """Image family from a one-point value (the series inversion composed with P[n]).
-
-    Truncation is by *total* order ``n + n_1 + ... + n_k``, never per factor;
-    the order-by-order cancellation that returns the one-point value under
-    bath contraction holds only with total-order truncation.
-    """
-    value = system_matrix(value)[None, None]
-    mats = lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])[1]
-    return ImageFamily(mats[0, 0], ks.dim_bath, t)
 
 
 def image_from_one_point(
@@ -380,8 +325,13 @@ def _apply_DtP_S(
 def local_rhs(
     values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, row: np.ndarray
 ) -> np.ndarray:
-    """`one_point_rhs` at one-point values ``(n_lam, d_S, d_S)``, one per coupling,
-    from the kernel row at their time."""
+    """Local-in-time RHS of the one-point evolution at one-point values ``(n_lam,
+    d_S, d_S)``, one per coupling, from the kernel row at their time.
+
+    ``(i/hbar)[H0, O_S] + sum (-1)^k (lam/hbar)^(n+n_1+...+n_k)
+    DtP_S[n] P_S[n_1] ... P_S[n_k] O_S`` with total-order truncation; the
+    kernel derivatives come from the recurrence, so no differencing enters.
+    """
     ks.check_order(order)
     hbar = ks.frame.constants.hbar
     kstack = ks.frame_stack(row)
@@ -393,20 +343,3 @@ def local_rhs(
         dressed += _weights(lams, n, hbar) * _apply_DtP_S(n, inv[order - n][0], kstack, cov_stack, rho_b)
     h0 = ks.model.h0.mat
     return (1j / hbar) * (h0 @ values - values @ h0) + ks.frame.leave(dressed)
-
-
-def one_point_rhs(
-    o_s: OnePointTrajectory,
-    t: float,
-    ks: KernelSet,
-    rho_b: np.ndarray,
-) -> np.ndarray:
-    """Local-in-time RHS of the one-point evolution at the trajectory's truncation.
-
-    ``(i/hbar)[H0, O_S] + sum (-1)^k (lam/hbar)^(n+n_1+...+n_k)
-    DtP_S[n] P_S[n_1] ... P_S[n_k] O_S`` with total-order truncation; the
-    kernel derivatives come from the recurrence, so no differencing enters.
-    """
-    trunc = o_s.truncation
-    value, row = value_and_row(o_s, ks, rho_b, t)
-    return local_rhs(value[None], trunc.order, (trunc.lam,), ks, rho_b, row)[0]

@@ -21,6 +21,63 @@ def projection(alpha, d_s, d_b):
     return t
 
 
+# -- the series engine at one coupling and one time --------------------------------
+# The engine takes couplings and kernel rows on leading axes; these read its one
+# item at one truncation and time, the form in which the tests state their checks.
+
+
+def one_point_at(o, trunc, ks, rho_b, t):
+    """`one_point_values` at the truncation's coupling and the kernel row of ``t``, ``(d_S, d_S)``."""
+    from heisenbath.spaces import system_matrix
+    from heisenbath.superop import one_point_values
+
+    return one_point_values(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])[0, 0]
+
+
+def lift_at(value, trunc, ks, rho_b, t):
+    """The series inversion ``(d_S, d_S)`` and image family of one one-point value:
+    `lift_values` of one leg and coupling at the kernel row of ``t``."""
+    from heisenbath.images import ImageFamily
+    from heisenbath.spaces import system_matrix
+    from heisenbath.superop import lift_values
+
+    value = system_matrix(value)[None, None]
+    inverses, mats = lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])
+    return inverses[0, 0], ImageFamily(mats[0, 0], ks.dim_bath, t)
+
+
+def dressing_at(n, a, t, ks, rho_b=None):
+    """The order-n dressing ``P[n] A`` of a system operator: `_P_full` on the frame
+    stack of ``t``.  Bath indices open, as a full-space ``(D, D)`` matrix, or with
+    ``rho_b`` contracted, ``(P[n] A)_ab rho_B[b, a]``, ``(d_S, d_S)``."""
+    from heisenbath import _blockops
+    from heisenbath.superop import _P_full
+
+    dressed = _P_full(n, ks.frame.enter(np.asarray(a, dtype=complex)), ks.frame_stack(ks.row(t)))
+    if rho_b is None:
+        return ks.frame.leave_open(dressed)
+    return ks.frame.leave(_blockops.bath_trace(dressed, rho_b))
+
+
+def rhs_at(traj, t, ks, rho_b):
+    """`local_rhs` at a trajectory's value and kernel row at ``t`` (`value_and_row`), ``(d_S, d_S)``."""
+    from heisenbath.superop import local_rhs, value_and_row
+
+    value, row = value_and_row(traj, ks, rho_b, t)
+    return local_rhs(value[None], traj.truncation.order, (traj.truncation.lam,), ks, rho_b, row)[0]
+
+
+def partition_term(pairs, value, trunc, ks, rho_b, t):
+    """The signed word of the partition ``pairs``, bath indices of pair 1 open, as
+    an image family: `PartitionWords.wrap` of its suffix, then `open_words` of its first pair."""
+    from heisenbath.images import ImageFamily
+    from heisenbath.npoint import PartitionWords
+
+    words = PartitionWords(np.asarray(value, dtype=complex), trunc, ks, rho_b, ks.row(t))
+    word = words.open_words([pairs[0]], np.stack(words.wrap([pairs[1:]])))[0]
+    return ImageFamily(ks.frame.leave_open(word), ks.dim_bath, t)
+
+
 # -- einsum references for the GEMM series engine -------------------------------
 # Direct transcriptions of the sandwich formulas, kept only to check the
 # full-space GEMM implementations in `heisenbath.superop` and `heisenbath.npoint`.
@@ -79,7 +136,7 @@ def recursive_partition_image(value, n_max, lam, ks, rho, t):
     pair's word formed alone: the per-suffix evaluation that the batched one
     must reproduce bit for bit."""
     from heisenbath import _blockops
-    from heisenbath.npoint import enumerate_even_partitions
+    from heisenbath.npoint import _partitions
 
     kstack = ks.frame_stack(ks.row(t))
     x = lam / ks.frame.constants.hbar
@@ -100,8 +157,8 @@ def recursive_partition_image(value, n_max, lam, ks, rho, t):
 
     cores = {}
     for n in range(n_max + 1):
-        for p in enumerate_even_partitions(n, n + 1):
-            cores[p.pairs[0]] = cores.get(p.pairs[0], 0) + wrap(p.pairs[1:])
+        for p in _partitions(n, n + 1):
+            cores[p[0]] = cores.get(p[0], 0) + wrap(p[1:])
     return ks.frame.leave_open(sum(sandwich(*pair, weight(*pair) * core) for pair, core in cores.items()))
 
 

@@ -1,8 +1,13 @@
 """Claims of the paper's abstract that no validation row states on its own.
 
 README's claims table maps every sentence of the abstract to the tests and
-rows that check it; these are the two that needed a test of their own.
+rows that check it; these are the two that needed a test of their own, and
+a check that every test README cites exists.
 """
+
+import ast
+import pathlib
+import re
 
 import numpy as np
 
@@ -15,11 +20,9 @@ from heisenbath.spaces import TimeGrid, system_operator, weighted_bath_trace
 from heisenbath.superop import (
     SeriesTruncation,
     chain_contract,
-    image_from_value,
-    one_point_value,
     star_of_observables,
 )
-from helpers import random_hermitian
+from helpers import lift_at, one_point_at, random_hermitian
 
 
 def test_rank_one_bath_state_reads_d_b_images_per_end_factor():
@@ -34,7 +37,7 @@ def test_rank_one_bath_state_reads_d_b_images_per_end_factor():
     ks = compute_kernels(m, 2, TimeGrid.linspace(1.3, 5))
     trunc = SeriesTruncation(2, 0.1)
     legs = [(random_hermitian(rng, d_s), t) for t in (0.4, 0.9, 1.3)]
-    families = [image_from_value(one_point_value(o, trunc, ks, m.rho_b, t), trunc, ks, m.rho_b, t).matrix for o, t in legs]
+    families = [lift_at(one_point_at(o, trunc, ks, m.rho_b, t), trunc, ks, m.rho_b, t)[1].matrix for o, t in legs]
     bath_zero = np.arange(d_s * d_b) % d_b == 0  # full-space rows and columns of bath state 0
 
     def row0(x):
@@ -72,3 +75,23 @@ def test_naive_product_misses_the_two_point_function_at_second_order():
     assert 1.8 <= fit_slope(lams, gaps) <= 2.2, gaps
     assert fit_slope(lams, star_errors) >= 2.8, star_errors
     assert gaps[-1] >= 100 * star_errors[-1], (gaps, star_errors)
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def test_readme_citations_name_existing_tests():
+    """Every `` `test_*.py::[Class::]test_*` `` in README names a test function
+    of that module (inside that class), found by its definition."""
+    readme = (TESTS.parent / "README.md").read_text()
+    citations = re.findall(r"`(test_\w+\.py)::(?:(\w+)::)?(test_\w+)`", readme)
+    assert citations
+    missing = []
+    for module, cls, name in citations:
+        path = TESTS / module
+        body = ast.parse(path.read_text()).body if path.exists() else []
+        if cls:
+            body = [item for node in body if isinstance(node, ast.ClassDef) and node.name == cls for item in node.body]
+        if not any(isinstance(node, ast.FunctionDef) and node.name == name for node in body):
+            missing.append("::".join(filter(None, (module, cls, name))))
+    assert missing == []

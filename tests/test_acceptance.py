@@ -34,12 +34,10 @@ from heisenbath.spaces import TimeGrid, system_matrix, system_operator
 from heisenbath.superop import (
     SeriesTruncation,
     one_point_operator,
-    one_point_rhs,
-    one_point_value,
     star_of_observables,
     value_and_row,
 )
-from helpers import lift_legs, partition_image
+from helpers import lift_legs, one_point_at, partition_image, rhs_at
 
 LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
 C_VALUES = (0.0, 0.25, 0.5)
@@ -57,7 +55,7 @@ def test_criterion_01_two_qubit_one_point_second_order(c):
     ks = compute_kernels(preset.model, 2, TimeGrid.linspace(2.0, 9))
     worst = 0.0
     for t in np.linspace(0.0, 2.0, 9):
-        val = one_point_value(
+        val = one_point_at(
             preset.observables["s1x"], SeriesTruncation(2, lam), ks, preset.model.rho_b, float(t)
         )
         upper = 1 + 0.5 * (1 - 2 * c) * 1j * lam * t - 0.25 * (lam * t) ** 2
@@ -253,7 +251,7 @@ def test_criterion_09_lindblad_properties():
     traj = one_point_operator(p.observables["sx"], SeriesTruncation(2, lam), ks, m.rho_b, grid, "sx")
     t_eval = 5.0
     o_val = value_and_row(traj, ks, m.rho_b, t_eval)[0]
-    pert = one_point_rhs(traj, t_eval, ks, m.rho_b)
+    pert = rhs_at(traj, t_eval, ks, m.rho_b)
     lind = lindblad_rhs(o_val, bd, sc, m.h0.mat, m.constants)
     diff = float(np.max(np.abs(pert - lind)))
     bound = report_mk.rhs_defect_bound(

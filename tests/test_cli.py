@@ -18,7 +18,8 @@ from heisenbath.images import contract_with_bath, evolve_images_exact
 from heisenbath.markov import evolve_lindblad
 from heisenbath.model import make_model
 from heisenbath.spaces import TimeGrid, system_operator
-from heisenbath.superop import one_point_value, star_of_observables
+from heisenbath.superop import star_of_observables
+from helpers import one_point_at
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -204,7 +205,7 @@ class TestRunModes:
 
     def test_one_point_times_between_on_and_past_the_grid(self, tmp_path):
         """``times`` on the grid [0, 1]: 0.33 between its points, 1.0 on its stop
-        and 1.4 past it; each row is `one_point_value` at its time."""
+        and 1.4 past it; each row is the one-point value at its time."""
         path = write_config(tmp_path, grid={"stop": 1.0, "num": 2}, observables={"s1x": {"times": [0.33, 1.0, 1.4]}})
         assert cli.main(["run", str(path)]) == 0
         cfg = cli.load_config(str(path))
@@ -212,7 +213,7 @@ class TestRunModes:
         rows = read_rows(tmp_path / "out.csv")
         assert [float(r["time"]) for r in rows[::4]] == [0.33, 1.0, 1.4]
         for r in rows:
-            value = one_point_value(cfg.observables["s1x"][0], cfg.truncation, ks, cfg.model.rho_b, float(r["time"]))
+            value = one_point_at(cfg.observables["s1x"][0], cfg.truncation, ks, cfg.model.rho_b, float(r["time"]))
             assert complex(float(r["re"]), float(r["im"])) == value[int(r["row"]), int(r["col"])]
 
     def test_one_point_empty_times_writes_no_rows(self, tmp_path):
@@ -453,6 +454,20 @@ class TestExitCodes:
             assert cli.main(["run", str(path)]) == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section",
+        [{"observables": {"s1x": {"times": [1e100]}}}, {"grid": {"stop": 1e100, "num": 2}}],
+        ids=["times", "grid"],
+    )
+    def test_time_beyond_the_precision_is_3(self, tmp_path, capsys, section):
+        """At t = 1e100 squaring leaves no significant digit of the step
+        exponential: exit 3 with nothing written, where a table of zeros
+        once exited 0."""
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", str(write_config(tmp_path, **section))]) == 3
+        assert "no digit is significant" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("eta", [5e-324, -1e300])

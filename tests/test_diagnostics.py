@@ -49,8 +49,9 @@ def test_validation_suite_lifts_each_point_once(monkeypatch):
     """Each ``(order, t)`` is lifted once, with every coupling of the sweep in
     that one call, and so is each one-point series evaluation; no
     one-coupling one-point value is left in a suite, the roundtrip row
-    reads the inversion the shared lift already ran, and the kernel row of
-    each time is fetched once.  The engine takes kernel rows, so a call is
+    reads the inversion the shared lift already ran (every `lift_values`
+    call is a shared lift's own), and the kernel row of each time is
+    fetched once.  The engine takes kernel rows, so a call is
     keyed by the bytes of its rows: equal bytes mean the same time."""
     lifts = _record(
         monkeypatch, "lift_observable", lambda o, order, lams, ks, rho_b, row: (order, row.tobytes(), lams)
@@ -58,8 +59,7 @@ def test_validation_suite_lifts_each_point_once(monkeypatch):
     values = _record(
         monkeypatch, "one_point_values", lambda o, order, lams, ks, rho_b, rows: (order, rows.tobytes(), lams)
     )
-    singles = _record(monkeypatch, "one_point_value", lambda o, trunc, ks, rho_b, t: (trunc.order, trunc.lam, t))
-    inversions = _record(monkeypatch, "invert_one_point", lambda v, trunc, ks, rho_b, t: (trunc.order, trunc.lam, t))
+    inversions = _record(monkeypatch, "lift_values", lambda v, order, lams, ks, rho_b, rows: (order, rows.tobytes(), lams))
     rows = []
     fetch = dyson.KernelSet.row
     monkeypatch.setattr(dyson.KernelSet, "row", lambda ks, t: rows.append(float(t)) or fetch(ks, t))
@@ -69,8 +69,7 @@ def test_validation_suite_lifts_each_point_once(monkeypatch):
         assert calls and not repeated
         assert {lams for *_, lams in calls} == {DEFAULT_LAMBDAS}
     assert rows and len(rows) == len(set(rows))
-    assert not singles
-    assert not inversions
+    assert inversions == lifts
 
 
 def test_validation_suite_makes_five_exponentials(monkeypatch):

@@ -268,6 +268,16 @@ class TestToeplitzExponential:
         with pytest.raises(NonFiniteResult):
             toeplitz_expm(blocks)
 
+    def test_generator_beyond_the_precision_raises(self):
+        """Squaring leaves ``eps |A|_1`` of relative error: a nilpotent generator
+        of 1-norm 1/(2 eps) returns a finite row, one of 1/eps or 1e100 raises."""
+        blocks = np.zeros((2, 3, 3), dtype=complex)
+        blocks[1] = np.eye(3, k=1) / np.finfo(float).eps
+        assert np.all(np.isfinite(toeplitz_expm(blocks / 2)))
+        for scale in (1.0, 1e100 * np.finfo(float).eps):
+            with pytest.raises(NonFiniteResult, match="no digit is significant"):
+                toeplitz_expm(scale * blocks)
+
     def test_norm_and_product_match_dense(self):
         rng = np.random.default_rng(11)
         a, b = (rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3)) for _ in range(2))

@@ -28,8 +28,8 @@ from heisenbath.markov import (
 )
 from heisenbath.model import make_model
 from heisenbath.spaces import Constants, TimeGrid, full_operator
-from heisenbath.superop import SeriesTruncation, one_point_operator, one_point_rhs
-from helpers import loop_hermitian_basis, loop_lindblad_rhs, random_density, random_hermitian
+from heisenbath.superop import SeriesTruncation, one_point_operator
+from helpers import loop_hermitian_basis, loop_lindblad_rhs, random_density, random_hermitian, rhs_at
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -700,7 +700,7 @@ class TestGeneratorAgreement:
             from heisenbath.superop import value_and_row
 
             o_val = value_and_row(traj, ks, m.rho_b, t_eval)[0]
-            pert = one_point_rhs(traj, t_eval, ks, m.rho_b)
+            pert = rhs_at(traj, t_eval, ks, m.rho_b)
             lind = lindblad_rhs(o_val, bd, sc, m.h0.mat, m.constants)
             diff = np.max(np.abs(pert - lind))
             bound = rep.rhs_defect_bound(

@@ -140,3 +140,9 @@ def test_every_mutant_fails_a_validation_row(tmp_path):
     assert not any(control.values()), f"the unmutated package fails rows: {control}"
     survivors = [m[0] for m in MUTANTS if not _killed_rows(results[m], control)]
     assert not survivors, f"mutants no validation row kills: {survivors}"
+
+
+def test_mutant_names_are_distinct():
+    """The kill matrix is printed by name and collected by `dict(zip(...))`: a
+    repeated mutant would be merged silently."""
+    assert len({m[0] for m in MUTANTS}) == len(MUTANTS)

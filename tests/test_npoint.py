@@ -7,26 +7,17 @@ import pytest
 
 from heisenbath.diagnostics import fit_slope
 from heisenbath.images import ImageFamily, contract_with_bath
-from heisenbath.npoint import (
-    EvenPartition,
-    assemble_partition_term,
-    decompose_3pt,
-    enumerate_even_partitions,
-    expand_image_by_partitions,
-    irreducible_2pt,
-)
+from heisenbath.npoint import _partitions, decompose_3pt, expand_image_by_partitions, irreducible_2pt
 from heisenbath.oracle import heisenberg_evolve_exact, npoint_reduced_exact
 from heisenbath.spaces import full_operator, system_operator, weighted_bath_trace
 from heisenbath.superop import (
     SeriesTruncation,
     image_from_one_point,
-    image_from_value,
     one_point_operator,
-    one_point_value,
     star_of_observables,
     value_and_row,
 )
-from helpers import random_hermitian
+from helpers import lift_at, one_point_at, partition_term, random_hermitian
 
 LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -63,55 +54,32 @@ def test_compositions_are_every_tuple_with_the_sum(n, parts):
 
 class TestEnumeration:
     def test_order_zero(self):
-        parts = enumerate_even_partitions(0, 1)
-        assert [p.pairs for p in parts] == [((0, 0),)]
+        parts = _partitions(0, 1)
+        assert list(parts) == [((0, 0),)]
 
     def test_order_one_hand_enumeration(self):
-        parts = enumerate_even_partitions(1, 2)
+        parts = _partitions(1, 2)
         expected = {((1, 0),), ((0, 1),), ((0, 0), (1, 0)), ((0, 0), (0, 1))}
-        assert {p.pairs for p in parts} == expected
+        assert set(parts) == expected
 
     @pytest.mark.parametrize("n", range(5))
     def test_counts_match_brute_force(self, n):
         k_max = n + 1
-        ours = {p.pairs for p in enumerate_even_partitions(n, k_max)}
+        ours = set(_partitions(n, k_max))
         assert ours == brute_force_partitions(n, k_max)
 
     def test_deterministic_lexicographic_order(self):
-        a = [p.pairs for p in enumerate_even_partitions(3, 4)]
+        a = list(_partitions(3, 4))
         assert a == sorted(a)
-        assert a == [p.pairs for p in enumerate_even_partitions(3, 4)]
-
-    def test_invalid_partition_rejected(self):
-        with pytest.raises(ValueError):
-            EvenPartition(((1, 0), (0, 0)))
-        with pytest.raises(ValueError):
-            EvenPartition(((-1, 2),))
-        with pytest.raises(ValueError, match="at least one pair"):
-            EvenPartition(())
-
-    @pytest.mark.parametrize("n,k_max", [(-1, 1), (2, 0)])
-    def test_invalid_enumeration_rejected(self, n, k_max):
-        with pytest.raises(ValueError, match="need n >= 0 and k_max >= 1"):
-            enumerate_even_partitions(n, k_max)
-
-
-def test_enumeration_is_a_fresh_list_of_shared_partitions():
-    """Partitions are held once per (n, k_max); callers cannot mutate the held value."""
-    first = enumerate_even_partitions(3, 4)
-    first.clear()
-    second = enumerate_even_partitions(3, 4)
-    assert len(second) == len(brute_force_partitions(3, 4))
-    assert second is not enumerate_even_partitions(3, 4)
-    assert second[0] is enumerate_even_partitions(3, 4)[0]
+        assert a == list(_partitions(3, 4))
 
 
 class TestAssembleTerm:
     def test_trivial_partition_is_open_delta(self, random_model_2x3):
         m, obs, ks = random_model_2x3
         trunc = SeriesTruncation(2, 0.1)
-        val = one_point_value(obs, trunc, ks, m.rho_b, 0.9)
-        fam = assemble_partition_term(EvenPartition(((0, 0),)), val, trunc, ks, m.rho_b, 0.9)
+        val = one_point_at(obs, trunc, ks, m.rho_b, 0.9)
+        fam = partition_term(((0, 0),), val, trunc, ks, m.rho_b, 0.9)
         for a in range(3):
             for b in range(3):
                 assert np.allclose(fam.blocks[a, b], val if a == b else 0)
@@ -121,8 +89,8 @@ class TestAssembleTerm:
         m, obs, ks = random_model_2x3
         lam, t = 0.1, 0.9
         trunc = SeriesTruncation(2, lam)
-        val = one_point_value(obs, trunc, ks, m.rho_b, t)
-        fam = assemble_partition_term(EvenPartition(((1, 0),)), val, trunc, ks, m.rho_b, t)
+        val = one_point_at(obs, trunc, ks, m.rho_b, t)
+        fam = partition_term(((1, 0),), val, trunc, ks, m.rho_b, t)
         k1 = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks
         expected = 1j * lam * np.einsum("abij,jk->abik", k1, val)
         assert np.allclose(fam.blocks, expected, atol=1e-13)
@@ -131,12 +99,10 @@ class TestAssembleTerm:
         """A partition and its (0,0)-prefixed partner contract to exact negatives."""
         m, obs, ks = random_model_2x3
         trunc = SeriesTruncation(3, 0.2)
-        val = one_point_value(obs, trunc, ks, m.rho_b, 1.1)
+        val = one_point_at(obs, trunc, ks, m.rho_b, 1.1)
         for pairs in [((1, 0),), ((1, 1),), ((2, 0), (0, 1))]:
-            base = assemble_partition_term(EvenPartition(pairs), val, trunc, ks, m.rho_b, 1.1)
-            prefixed = assemble_partition_term(
-                EvenPartition(((0, 0),) + pairs), val, trunc, ks, m.rho_b, 1.1
-            )
+            base = partition_term(pairs, val, trunc, ks, m.rho_b, 1.1)
+            prefixed = partition_term(((0, 0),) + pairs, val, trunc, ks, m.rho_b, 1.1)
             lhs = contract_with_bath(base, m.rho_b)
             rhs = contract_with_bath(prefixed, m.rho_b)
             assert np.max(np.abs(lhs + rhs)) < 1e-14
@@ -236,8 +202,8 @@ class TestDecompose3pt:
         observables = (obs, random_hermitian(rng, 2), random_hermitian(rng, 2))
         times = (0.4, 0.9, 1.3)
         trunc = SeriesTruncation(2, 0.1)
-        values = [one_point_value(o, trunc, ks, m.rho_b, t) for o, t in zip(observables, times)]
-        x1, x2, x3 = (image_from_value(v, trunc, ks, m.rho_b, t).matrix for v, t in zip(values, times))
+        values = [one_point_at(o, trunc, ks, m.rho_b, t) for o, t in zip(observables, times)]
+        x1, x2, x3 = (lift_at(v, trunc, ks, m.rho_b, t)[1].matrix for v, t in zip(values, times))
         v1, v2, v3 = values
 
         def reduced(x):

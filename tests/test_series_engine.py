@@ -6,7 +6,7 @@ of the reference (kernel entries grow like (|H_I| t)^n / n!).  The
 partition expansion is also held to its sandwich count: one per distinct
 suffix (inner chain) plus one per distinct first pair, batched one call per
 suffix length, and bit for bit to the per-suffix evaluation.  The engine's
-coupling axis is held to the public one-coupling functions bit for bit.
+coupling axis is held to the engine at one coupling bit for bit.
 """
 
 import pickle
@@ -17,26 +17,17 @@ import pytest
 from heisenbath import _blockops, dyson
 from heisenbath.diagnostics import DEFAULT_LAMBDAS, random_model, rhs_fd_errors
 from heisenbath.dyson import compute_kernels
-from heisenbath.npoint import (
-    assemble_partition_term,
-    decompose_3pt,
-    enumerate_even_partitions,
-    expand_image_by_partitions,
-)
+from heisenbath.npoint import _partitions, decompose_3pt, expand_image_by_partitions
 from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
     SeriesTruncation,
     _apply_DtP_S,
     _P_full,
     image_from_one_point,
-    image_from_value,
-    invert_one_point,
     lift_observable,
     lift_values,
     local_rhs,
     one_point_operator,
-    one_point_rhs,
-    one_point_value,
     one_point_values,
     star_of_observables,
     star_product,
@@ -48,9 +39,13 @@ from helpers import (
     einsum_P_blocks,
     einsum_P_blocks_printed,
     einsum_partition_term,
+    lift_at,
     lift_legs,
+    one_point_at,
     partition_image,
+    partition_term,
     recursive_partition_image,
+    rhs_at,
 )
 
 SIZES = ((2, 3, 1.0), (3, 2, 0.7), (4, 8, 1.0))  # (d_S, d_B, hbar)
@@ -106,11 +101,11 @@ def test_partition_terms_match_einsum(engine_model, n):
     hbar = m.constants.hbar
     trunc = SeriesTruncation(4, LAM)
     kstack = _blocks(ks, ks.heis_stack(GRID_TIME))
-    value = one_point_value(obs, trunc, ks, m.rho_b, GRID_TIME)
-    for p in enumerate_even_partitions(n, n + 1):
-        out = assemble_partition_term(p, value, trunc, ks, m.rho_b, GRID_TIME).blocks
-        ref = einsum_partition_term(p.pairs, value, kstack, m.rho_b, LAM, hbar)
-        assert _close(out, ref), p.pairs
+    value = one_point_at(obs, trunc, ks, m.rho_b, GRID_TIME)
+    for p in _partitions(n, n + 1):
+        out = partition_term(p, value, trunc, ks, m.rho_b, GRID_TIME).blocks
+        ref = einsum_partition_term(p, value, kstack, m.rho_b, LAM, hbar)
+        assert _close(out, ref), p
 
 
 @pytest.mark.parametrize("t", [GRID_TIME, OFF_GRID_TIME])
@@ -123,9 +118,9 @@ def test_partition_expansion_matches_einsum_sum(engine_model, order, t):
     value = value_and_row(traj, ks, m.rho_b, t)[0]
     kstack = _blocks(ks, ks.heis_stack(t))
     ref = sum(
-        einsum_partition_term(p.pairs, value, kstack, m.rho_b, LAM, m.constants.hbar)
+        einsum_partition_term(p, value, kstack, m.rho_b, LAM, m.constants.hbar)
         for n in range(order + 1)
-        for p in enumerate_even_partitions(n, n + 1)
+        for p in _partitions(n, n + 1)
     )
     assert _close(expand_image_by_partitions(traj, order, ks, m.rho_b, t).blocks, ref)
 
@@ -171,12 +166,12 @@ def test_batched_one_point_matches_per_time_and_einsum(engine_model, order):
     trunc = SeriesTruncation(order, LAM)
     traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid, "obs")
     for k, t in enumerate(ks.grid.points):
-        single = one_point_value(obs, trunc, ks, m.rho_b, float(t))
+        single = one_point_at(obs, trunc, ks, m.rho_b, float(t))
         kstack = _blocks(ks, ks.heis_stack(t))
         ref = einsum_one_point(ks.frame.free_conjugate(obs, t), kstack, m.rho_b, order, LAM, hbar)
         assert _close(traj.values[k], single)
         assert _close(traj.values[k], ref)
-    off = one_point_value(obs, trunc, ks, m.rho_b, OFF_GRID_TIME)
+    off = one_point_at(obs, trunc, ks, m.rho_b, OFF_GRID_TIME)
     kstack = _blocks(ks, ks.heis_stack(OFF_GRID_TIME))
     ref = einsum_one_point(ks.frame.free_conjugate(obs, OFF_GRID_TIME), kstack, m.rho_b, order, LAM, hbar)
     assert _close(off, ref)
@@ -224,8 +219,8 @@ def sweep_model(request):
 @pytest.mark.parametrize("t", [GRID_TIME, OFF_GRID_TIME])
 @pytest.mark.parametrize("order", ORDERS)
 def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
-    """Every coupling of a sweep gets, bit for bit, what the public functions
-    return for it alone: one-point values (at one time, at a pair of times
+    """Every coupling of a sweep gets, bit for bit, what the engine returns
+    for it alone: one-point values (at one time, at a pair of times
     and over the grid), inversions, image families and the local RHS.  The
     inversion also equals its recursion written out for one coupling."""
     m, obs, ks = sweep_model
@@ -242,14 +237,14 @@ def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
     rhs = local_rhs(at_t, order, SWEEP, ks, rho_b, row)
     for k, lam in enumerate(SWEEP):
         trunc = SeriesTruncation(order, lam)
-        assert np.array_equal(values[k], one_point_value(obs, trunc, ks, rho_b, t))
+        assert np.array_equal(values[k], one_point_at(obs, trunc, ks, rho_b, t))
         for value, s in zip(pair[k], pair_times):
-            assert np.array_equal(value, one_point_value(obs, trunc, ks, rho_b, s))
+            assert np.array_equal(value, one_point_at(obs, trunc, ks, rho_b, s))
         assert np.array_equal(grid_values[k], trajs[k].values)
-        assert np.array_equal(inverses[k], invert_one_point(values[k], trunc, ks, rho_b, t))
+        assert np.array_equal(inverses[k], lift_at(values[k], trunc, ks, rho_b, t)[0])
         assert np.array_equal(inverses[k], _written_out_inverse(values[k], order, lam, ks, rho_b, t))
-        assert np.array_equal(families[k], image_from_value(values[k], trunc, ks, rho_b, t).matrix)
-        assert np.array_equal(rhs[k], one_point_rhs(trajs[k], t, ks, rho_b))
+        assert np.array_equal(families[k], lift_at(values[k], trunc, ks, rho_b, t)[1].matrix)
+        assert np.array_equal(rhs[k], rhs_at(trajs[k], t, ks, rho_b))
 
 
 def test_empty_time_batch_has_written_out_shapes(sweep_model):
@@ -281,11 +276,11 @@ def test_time_within_rounding_of_a_grid_point_reads_its_row(exponentials):
     assert grid_t != 1.1 and ks.grid.index(1.1) == 4 and ks.grid.index(1.1 + 1e-13) is None
     exponentials.clear()
     trunc = SeriesTruncation(2, 0.1)
-    value = one_point_value(obs, trunc, ks, m.rho_b, 1.1)
-    family = image_from_value(value, trunc, ks, m.rho_b, 1.1)
+    value = one_point_at(obs, trunc, ks, m.rho_b, 1.1)
+    family = lift_at(value, trunc, ks, m.rho_b, 1.1)[1]
     assert not exponentials
-    assert np.array_equal(value, one_point_value(obs, trunc, ks, m.rho_b, grid_t))
-    assert np.array_equal(family.matrix, image_from_value(value, trunc, ks, m.rho_b, grid_t).matrix)
+    assert np.array_equal(value, one_point_at(obs, trunc, ks, m.rho_b, grid_t))
+    assert np.array_equal(family.matrix, lift_at(value, trunc, ks, m.rho_b, grid_t)[1].matrix)
 
 
 def test_kernel_set_is_read_only():

@@ -3,7 +3,7 @@
 Each property draws a seeded random model with d_S, d_B <= 4, an order
 0..4 and its times, and compares a series quantity with a reference that
 does not call the function under test: the free evolution from an
-eigendecomposition of H0, a one-point value from `one_point_value`, or the
+eigendecomposition of H0, a one-point value from `one_point_values`, or the
 same star product with its legs reversed.  The scaling properties take the
 orders whose error they can resolve: 1..4 for the roundtrip and 1..3, at
 d_S, d_B <= 3, for the equal-time product.
@@ -23,13 +23,11 @@ from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
     SeriesTruncation,
     image_from_one_point,
-    invert_one_point,
     one_point_operator,
-    one_point_value,
     star_of_observables,
     star_product,
 )
-from helpers import random_hermitian
+from helpers import lift_at, one_point_at, random_hermitian
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
@@ -55,7 +53,7 @@ def _free(m, o: np.ndarray, t: float) -> np.ndarray:
 @PROPERTY
 @given(seed=seeds, d_s=nontrivial_dims, d_b=nontrivial_dims, order=st.integers(1, 4), t=times)
 def test_roundtrip_misses_free_evolution_at_next_order(seed, d_s, d_b, order, t):
-    """`invert_one_point` of `one_point_value` misses ``U0^dag O U0`` by
+    """The series inversion (`lift_values`) of a one-point value misses ``U0^dag O U0`` by
     O(lam^(N+1)): halving lam divides the error by at least 2^(N+0.5).
     Both dimensions are at least 2: at d_S = 1 the error vanishes, and at
     d_B = 1 the coupling is a system term whose order-3 error can sink to
@@ -67,7 +65,7 @@ def test_roundtrip_misses_free_evolution_at_next_order(seed, d_s, d_b, order, t)
     errors = []
     for lam in (0.08, 0.04) if order == 4 else (0.02, 0.01):
         trunc = SeriesTruncation(order, lam)
-        back = invert_one_point(one_point_value(obs, trunc, ks, m.rho_b, t), trunc, ks, m.rho_b, t)
+        back = lift_at(one_point_at(obs, trunc, ks, m.rho_b, t), trunc, ks, m.rho_b, t)[0]
         errors.append(np.max(np.abs(back - free)))
     assert errors[1] > 1e-11, errors
     assert errors[0] / errors[1] >= 2 ** (order + 0.5), errors
@@ -82,7 +80,7 @@ def test_partition_sum_cancels_and_matches_the_superoperator_image(seed, d_s, d_
     trunc = SeriesTruncation(order, lam)
     traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid)
     family = expand_image_by_partitions(traj, order, ks, m.rho_b, t)
-    value = one_point_value(obs, trunc, ks, m.rho_b, t)
+    value = one_point_at(obs, trunc, ks, m.rho_b, t)
     assert np.max(np.abs(contract_with_bath(family, m.rho_b) - value)) < 1e-12
     assert np.max(np.abs(family.matrix - image_from_one_point(traj, ks, m.rho_b, t).matrix)) < 1e-12
 
@@ -125,7 +123,7 @@ def test_adjoint_of_a_two_leg_star_reverses_its_legs(seed, d_s, d_b, order, t1, 
 )
 def test_equal_time_star_is_the_product_one_point_value_at_next_order(seed, d_s, d_b, order, t):
     """At equal times the deformed product is the one-point value of the plain
-    product: ``star(A@t, B@t) - one_point_value(A B, t)`` is O(lam^(N+1)), so
+    product: ``star(A@t, B@t) - one_point_at(A B, t)`` is O(lam^(N+1)), so
     halving lam divides it by at least 2^(N+0.5)."""
     m, a, ks = _setup(seed, d_s, d_b, order, t)
     b = random_hermitian(np.random.default_rng(seed), d_s)
@@ -133,6 +131,6 @@ def test_equal_time_star_is_the_product_one_point_value_at_next_order(seed, d_s,
     for lam in (0.02, 0.01):
         trunc = SeriesTruncation(order, lam)
         star = star_of_observables([(a, t), (b, t)], trunc, ks, m.rho_b)
-        defects.append(np.max(np.abs(star - one_point_value(a @ b, trunc, ks, m.rho_b, t))))
+        defects.append(np.max(np.abs(star - one_point_at(a @ b, trunc, ks, m.rho_b, t))))
     assert defects[1] > 1e-11, defects
     assert defects[0] / defects[1] >= 2 ** (order + 0.5), defects

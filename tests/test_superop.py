@@ -12,20 +12,14 @@ from heisenbath.oracle import heisenberg_evolve_exact, npoint_reduced_exact
 from heisenbath.spaces import TimeGrid, system_operator, weighted_bath_trace
 from heisenbath.superop import (
     SeriesTruncation,
-    apply_P_S,
-    apply_P_ab,
     chain_contract,
-    image_from_value,
-    invert_one_point,
     one_point_operator,
-    one_point_rhs,
-    one_point_value,
     printed_sandwich_defect,
     star_of_observables,
     star_product,
     value_and_row,
 )
-from helpers import random_hermitian
+from helpers import dressing_at, lift_at, one_point_at, random_hermitian, rhs_at
 
 LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -35,7 +29,7 @@ class TestApplyP:
         _, ks = two_qubit_quarter
         rng = np.random.default_rng(0)
         a = random_hermitian(rng, 2)
-        fam = apply_P_ab(0, a, 0.9, ks)
+        fam = ImageFamily(dressing_at(0, a, 0.9, ks), ks.dim_bath)
         expected = ImageFamily(np.eye(4), 2).blocks * 0
         idx = np.arange(2)
         expected[idx, idx] = a
@@ -48,7 +42,7 @@ class TestApplyP:
         a = random_hermitian(rng, 2)
         t = 1.3
         k1 = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks
-        fam = apply_P_ab(1, a, t, ks).blocks
+        fam = ImageFamily(dressing_at(1, a, t, ks), ks.dim_bath).blocks
         for al in range(2):
             for be in range(2):
                 expected = 1j * (k1[al, be] @ a - a @ k1[be, al].conj().T)
@@ -66,7 +60,7 @@ class TestApplyP:
         k2s = np.einsum("abij,ba->ij", k2, rho)
         cross = np.einsum("gaji,jk,gbkm,ba->im", k1.conj(), s1x, k1, rho)
         bracket = -(k2s.conj().T @ s1x + s1x @ k2s - cross)
-        out = apply_P_S(2, s1x, t, ks, preset.model.rho_b)
+        out = dressing_at(2, s1x, t, ks, preset.model.rho_b)
         assert np.max(np.abs(out - bracket)) < 1e-12
 
     def test_order_one_contraction_is_kernel_commutator(self, two_qubit_quarter):
@@ -76,23 +70,23 @@ class TestApplyP:
         s1x = preset.observables["s1x"]
         rho = preset.model.rho_b
         k1s = np.einsum("abij,ba->ij", ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks, rho)
-        out = apply_P_S(1, s1x, t, ks, preset.model.rho_b)
+        out = dressing_at(1, s1x, t, ks, preset.model.rho_b)
         assert np.allclose(out, 1j * (k1s @ s1x - s1x @ k1s), atol=1e-13)
 
     def test_apply_P_S_contracts_apply_P_ab(self, random_model_2x3):
         m, obs, ks = random_model_2x3
         t = 0.8
-        fam = apply_P_ab(2, obs, t, ks).blocks
+        fam = ImageFamily(dressing_at(2, obs, t, ks), ks.dim_bath).blocks
         brute = np.zeros((2, 2), dtype=complex)
         for a in range(3):
             for b in range(3):
                 brute += fam[a, b] * m.rho_b[b, a]
-        assert np.allclose(apply_P_S(2, obs, t, ks, m.rho_b), brute, atol=1e-13)
+        assert np.allclose(dressing_at(2, obs, t, ks, m.rho_b), brute, atol=1e-13)
 
     def test_order_cap(self, two_qubit_quarter):
         _, ks = two_qubit_quarter
         with pytest.raises(OrderExceedsKernels):
-            apply_P_ab(4, np.eye(2), 0.5, ks)
+            printed_sandwich_defect(4, np.eye(2), 0.5, ks)
 
 
 class TestSandwichConvention:
@@ -136,7 +130,7 @@ class TestOnePoint:
     def test_zero_coupling_is_free_conjugation(self, random_model_2x3):
         m, obs, ks = random_model_2x3
         t = 1.2
-        val = one_point_value(obs, SeriesTruncation(2, 0.0), ks, m.rho_b, t)
+        val = one_point_at(obs, SeriesTruncation(2, 0.0), ks, m.rho_b, t)
         assert np.allclose(val, ks.frame.free_conjugate(obs, t), atol=1e-13)
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5])
@@ -145,7 +139,7 @@ class TestOnePoint:
         ks = compute_kernels(preset.model, 2, TimeGrid.linspace(2.0, 5))
         lam = 0.1
         for t in (0.3, 1.0, 1.9):
-            val = one_point_value(
+            val = one_point_at(
                 preset.observables["s1x"], SeriesTruncation(2, lam), ks, preset.model.rho_b, t
             )
             upper = 1 + 0.5 * (1 - 2 * c) * 1j * lam * t - 0.25 * (lam * t) ** 2
@@ -158,7 +152,7 @@ class TestOnePoint:
         o_op = system_operator(obs, (2, 3))
         errs = []
         for lam in LAMBDAS:
-            val = one_point_value(obs, SeriesTruncation(2, lam), ks, m.rho_b, t)
+            val = one_point_at(obs, SeriesTruncation(2, lam), ks, m.rho_b, t)
             exact = weighted_bath_trace(
                 heisenberg_evolve_exact(m.with_coupling(lam), o_op, t), m.rho_b
             ).mat
@@ -168,7 +162,7 @@ class TestOnePoint:
     def test_hermitian_output(self, random_model_2x3):
         m, obs, ks = random_model_2x3
         for order in range(4):
-            val = one_point_value(obs, SeriesTruncation(order, 0.3), ks, m.rho_b, 1.0)
+            val = one_point_at(obs, SeriesTruncation(order, 0.3), ks, m.rho_b, 1.0)
             assert np.max(np.abs(val - val.conj().T)) < 1e-12
 
     def test_trajectory_grid_values(self, random_model_2x3):
@@ -178,14 +172,14 @@ class TestOnePoint:
         t = float(ks.grid.points[k])
         assert np.array_equal(traj.values[k], value_and_row(traj, ks, m.rho_b, t)[0])
         off_grid = 0.5 * (ks.grid.points[k] + ks.grid.points[k + 1])
-        recomputed = one_point_value(obs, traj.truncation, ks, m.rho_b, off_grid)
+        recomputed = one_point_at(obs, traj.truncation, ks, m.rho_b, off_grid)
         assert np.allclose(value_and_row(traj, ks, m.rho_b, off_grid)[0], recomputed)
 
 
 class TestInversion:
     def test_order_zero_identity(self, random_model_2x3):
         m, obs, ks = random_model_2x3
-        out = invert_one_point(obs, SeriesTruncation(0, 0.2), ks, m.rho_b, 0.7)
+        out = lift_at(obs, SeriesTruncation(0, 0.2), ks, m.rho_b, 0.7)[0]
         assert np.array_equal(out, np.asarray(obs, dtype=complex))
 
     def test_roundtrip_scaling(self, random_model_2x3):
@@ -194,8 +188,8 @@ class TestInversion:
         errs = []
         for lam in LAMBDAS:
             trunc = SeriesTruncation(2, lam)
-            val = one_point_value(obs, trunc, ks, m.rho_b, t)
-            back = invert_one_point(val, trunc, ks, m.rho_b, t)
+            val = one_point_at(obs, trunc, ks, m.rho_b, t)
+            back = lift_at(val, trunc, ks, m.rho_b, t)[0]
             errs.append(np.max(np.abs(back - ks.frame.free_conjugate(obs, t))))
         assert fit_slope(LAMBDAS, errs) >= 2.8
 
@@ -205,8 +199,8 @@ class TestInversion:
         lam, t = 0.05, 1.1
         trunc = SeriesTruncation(2, lam)
         s1x = preset.observables["s1x"]
-        val = one_point_value(s1x, trunc, ks, preset.model.rho_b, t)
-        back = invert_one_point(val, trunc, ks, preset.model.rho_b, t)
+        val = one_point_at(s1x, trunc, ks, preset.model.rho_b, t)
+        back = lift_at(val, trunc, ks, preset.model.rho_b, t)[0]
         assert np.max(np.abs(back - s1x)) < 10 * lam**3
 
 
@@ -215,8 +209,8 @@ class TestImageFromOnePoint:
         m, obs, ks = random_model_2x3
         t = 1.0
         trunc = SeriesTruncation(2, 0.0)
-        val = one_point_value(obs, trunc, ks, m.rho_b, t)
-        fam = image_from_value(val, trunc, ks, m.rho_b, t)
+        val = one_point_at(obs, trunc, ks, m.rho_b, t)
+        fam = lift_at(val, trunc, ks, m.rho_b, t)[1]
         free = ks.frame.free_conjugate(obs, t)
         for a in range(3):
             for b in range(3):
@@ -229,8 +223,8 @@ class TestImageFromOnePoint:
         errs = []
         for lam in LAMBDAS:
             trunc = SeriesTruncation(2, lam)
-            val = one_point_value(obs, trunc, ks, m.rho_b, t)
-            fam = image_from_value(val, trunc, ks, m.rho_b, t)
+            val = one_point_at(obs, trunc, ks, m.rho_b, t)
+            fam = lift_at(val, trunc, ks, m.rho_b, t)[1]
             exact = to_image_family(heisenberg_evolve_exact(m.with_coupling(lam), o_op, t))
             errs.append(np.max(np.abs(fam.blocks - exact.blocks)))
         assert fit_slope(LAMBDAS, errs) >= 2.8
@@ -241,8 +235,8 @@ class TestImageFromOnePoint:
         m, obs, ks = random_model_2x3
         for order in range(4):
             trunc = SeriesTruncation(order, 0.1)
-            val = one_point_value(obs, trunc, ks, m.rho_b, 1.3)
-            fam = image_from_value(val, trunc, ks, m.rho_b, 1.3)
+            val = one_point_at(obs, trunc, ks, m.rho_b, 1.3)
+            fam = lift_at(val, trunc, ks, m.rho_b, 1.3)[1]
             back = contract_with_bath(fam, m.rho_b)
             assert np.max(np.abs(back - val)) < 1e-13
 
@@ -266,7 +260,7 @@ class TestStarProduct:
         for lam in LAMBDAS:
             trunc = SeriesTruncation(1, lam)
             star = star_of_observables([(s1x, t1), (s1x, t2)], trunc, ks, m.rho_b)
-            prod = one_point_value(s1x, trunc, ks, m.rho_b, t1) @ one_point_value(
+            prod = one_point_at(s1x, trunc, ks, m.rho_b, t1) @ one_point_at(
                 s1x, trunc, ks, m.rho_b, t2
             )
             errs.append(np.max(np.abs(star - prod)))
@@ -320,7 +314,7 @@ def test_chain_contract_of_stacks_equals_its_slices(random_model_2x3):
 def test_bath_observable_rejected(random_model_2x3):
     m, _, ks = random_model_2x3
     with pytest.raises(DimensionError, match="system space"):
-        one_point_value(hb.full_operator(np.eye(6), (2, 3)), SeriesTruncation(1, 0.1), ks, m.rho_b, 0.5)
+        one_point_operator(hb.full_operator(np.eye(6), (2, 3)), SeriesTruncation(1, 0.1), ks, m.rho_b, ks.grid)
 
 
 def test_negative_truncation_order_rejected():
@@ -349,7 +343,7 @@ class TestOnePointRHS:
         m, obs, ks = random_model_2x3
         traj = one_point_operator(obs, SeriesTruncation(2, 0.0), ks, m.rho_b, ks.grid, "obs")
         t = 1.0
-        rhs = one_point_rhs(traj, t, ks, m.rho_b)
+        rhs = rhs_at(traj, t, ks, m.rho_b)
         o_s = value_and_row(traj, ks, m.rho_b, t)[0]
         expected = 1j * (m.h0.mat @ o_s - o_s @ m.h0.mat)
         assert np.max(np.abs(rhs - expected)) < 1e-12
@@ -365,7 +359,7 @@ class TestOnePointRHS:
             preset.observables["s1x"], SeriesTruncation(2, lam), ks, m.rho_b, ks.grid, "s1x"
         )
         for t in (0.4, 1.5):
-            rhs = one_point_rhs(traj, t, ks, m.rho_b)
+            rhs = rhs_at(traj, t, ks, m.rho_b)
             upper = 0.5j * (1 - 2 * c) * lam - 0.5 * lam**2 * t
             expected = 0.5 * np.array([[0, upper], [np.conj(upper), 0]])
             assert np.max(np.abs(rhs - expected)) < lam**3
@@ -375,10 +369,10 @@ class TestOnePointRHS:
         t, lam = 1.1, 1e-3
         trunc = SeriesTruncation(2, lam)
         traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid, "obs")
-        rhs = one_point_rhs(traj, t, ks, m.rho_b)
+        rhs = rhs_at(traj, t, ks, m.rho_b)
         h = 1e-5 * max(1.0, t)
         fd = (
-            one_point_value(obs, trunc, ks, m.rho_b, t + h)
-            - one_point_value(obs, trunc, ks, m.rho_b, t - h)
+            one_point_at(obs, trunc, ks, m.rho_b, t + h)
+            - one_point_at(obs, trunc, ks, m.rho_b, t - h)
         ) / (2 * h)
         assert np.max(np.abs(rhs - fd)) < 1e-6
