@@ -5,17 +5,15 @@ A family is a full-space matrix ``X`` of size ``D = d_S d_B`` (or a stack
 ``X_ab[i, j] = X[i * d_B + a, j * d_B + b]``.  `block_view` reads them as an
 array ``(..., d_B, d_B, d_S, d_S)`` without a copy.
 
-The series engine evaluates sandwiches ``sum_k L_k (A (x) 1_B) R_k^dag`` as
-GEMMs: a system operator acts as ``A (x) 1_B`` (`kron_identity`), which on
-the right of ``X`` multiplies every block by ``A`` (`system_lift`); the k
-terms are then one ``(D, kD) @ (kD, D)`` product (`sandwich_sum`), and
+The partition words of `npoint` evaluate sandwiches ``sum_k L_k (A (x) 1_B)
+R_k^dag`` as GEMMs: a system operator acts as ``A (x) 1_B`` (`kron_identity`),
+which on the right of ``X`` multiplies every block by ``A`` (`system_lift`);
+the k terms are then one ``(D, kD) @ (kD, D)`` product (`sandwich_sum`), and
 `bath_trace` contracts the result with the bath state.  All three carry
-leading axes, broadcast against each other: the coupling axis of a
-coupling sweep, the leg axis of a lift at several times (one kernel stack
-per leg), the suffixes of one length in a partition sum.  `system_lift`
-and `sandwich_sum` give each leading index the GEMM a lone operator and
-lone stack would get, so a batched call returns the bits of its lone
-calls.
+leading axes, broadcast against each other: the suffixes of one length in a
+partition sum, the couplings of a sweep.  `system_lift` and `sandwich_sum`
+give each leading index the GEMM a lone operator and lone stack would get,
+so a batched call returns the bits of its lone calls.
 """
 
 from __future__ import annotations

@@ -160,14 +160,16 @@ def toeplitz_expm(blocks: np.ndarray) -> np.ndarray:
     bound admits ``|A|_1``, else degree 13 on ``A / 2^s`` squared ``s``
     times.  Every product is a `toeplitz_mul`.  Squaring raises the
     rounding of the Pade step to the power ``2^s``, so the result carries a
-    relative error of about ``eps |A|_1``: unless ``eps |A|_1 < 1`` (a NaN
-    or infinite entry included) no digit of it is significant, and it
-    raises `NonFiniteResult`.
+    relative error of about ``eps |A|_1``: unless ``eps |A|_1 <= sqrt(eps)``
+    (a NaN or infinite entry fails too), fewer than half of its digits are
+    significant, and it raises `NonFiniteResult`.
     """
     a = np.asarray(blocks, dtype=complex)
-    norm = toeplitz_norm1(a)
-    if not norm * np.finfo(float).eps < 1:
-        raise NonFiniteResult(f"matrix exponential of a generator with 1-norm {norm}: no digit is significant")
+    norm, eps = toeplitz_norm1(a), np.finfo(float).eps
+    if not norm * eps <= math.sqrt(eps):
+        raise NonFiniteResult(
+            f"matrix exponential of a generator with 1-norm {norm}: fewer than half of its digits are significant"
+        )
     for m, theta, b in _PADE:
         if norm <= theta:
             break

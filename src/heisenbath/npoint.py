@@ -107,7 +107,7 @@ class PartitionWords:
         self.x = trunc.lam / ks.frame.constants.hbar
         self.inner_values: dict[tuple[tuple[int, int], ...], np.ndarray] = {(): ks.frame.enter(value)}
 
-    def _weights(self, pairs) -> np.ndarray:
+    def _pair_weights(self, pairs) -> np.ndarray:
         return np.array([1j ** (n_i - m_i) * self.x ** (n_i + m_i) for n_i, m_i in pairs])[:, None, None]
 
     def _sandwiches(self, pairs, cores: np.ndarray) -> np.ndarray:
@@ -126,13 +126,13 @@ class PartitionWords:
         for length in sorted(levels):
             todo = list(levels[length])
             firsts = [suffix[0] for suffix in todo]
-            cores = -self._weights(firsts) * np.stack([self.inner_values[suffix[1:]] for suffix in todo])
+            cores = -self._pair_weights(firsts) * np.stack([self.inner_values[suffix[1:]] for suffix in todo])
             self.inner_values.update(zip(todo, _blockops.bath_trace(self._sandwiches(firsts, cores), self.rho)))
         return [self.inner_values[suffix] for suffix in suffixes]
 
     def open_words(self, pairs, cores: np.ndarray) -> np.ndarray:
         """Pair 1's word ``(n_1, m_1)`` on each core ``(n_pairs, d_S, d_S)``, in the frame."""
-        return self._sandwiches(pairs, self._weights(pairs) * cores)
+        return self._sandwiches(pairs, self._pair_weights(pairs) * cores)
 
     def image(self, n_max: int) -> np.ndarray:
         """The partition sum over all orders ``n <= n_max``, out of the frame.

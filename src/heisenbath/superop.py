@@ -18,20 +18,30 @@ the reduced-operator definition; star products close the index chain with
 ``rho_B[a_{N+1}, a_1]``.
 
 Families and kernel stacks are full-space ``D x D`` matrices (``D = d_S d_B``,
-blocks as in `_blockops`), so every sandwich is a full-space product:
+blocks as in `_blockops`), on the kernels in the H0 eigenbasis
+(`KernelSet.frame_stack`).  Every series quantity is one total-order sandwich
+sum (`_dressed`), with ``x = lam/hbar`` riding on the operators:
 
-    P[n] A = sum_r i^(n-2r) K[n-r] (A (x) 1_B) K[r]^dag ,
+    sum_(p+q+k=N) x^(p+q) L[p] (A_k (x) 1_B) R[q]^dag ,   L = R = i^p S[p] ,
 
-one right-multiplication of the kernel stack by ``A`` and one
-``(D, (n+1)D) @ ((n+1)D, D)`` GEMM, on the kernels in the H0 eigenbasis
-(`KernelSet.frame_stack`).  With ``alpha_p = (i lam/hbar)^p`` and real
-``lam``, ``(lam/hbar)^n i^(n-2r) = alpha_(n-r) conj(alpha_r)``, so the whole
-total-order one-point sum folds into
+one lift of each ``A_k`` against the left stack, ``X[q] = sum_(p+k=N-q)
+L[p] (x^(N-k) A_k (x) 1_B)``, and one product ``sum_q X[q] R[q]^dag``,
+returned open or bath-traced; the trace folds ``rho_B`` into the right
+factor, so it forms no ``D x D`` product.  The series inversion ``inv[m]`` is
+the one-point value minus the traced sum of ``inv[0..m-1]`` at order m,
+whose ``(0, 0)`` term is ``inv[m]`` itself; the image family is the open sum
+of ``inv[0..N]`` at order N, and the local RHS the traced sum of
+``inv[0..N-1]`` with the covariant-derivative stack on the left, then on the
+right.  The one-point value is the traced sum of the constant sequence
+``(B, ..., B)``, ``B = U0^dag O U0``, and keeps a fused form: with
+``alpha_p = (i lam/hbar)^p`` and real ``lam``, ``x^(p+q) i^(p-q) = alpha_p
+conj(alpha_q)``, so
 
     sum_n (lam/hbar)^n P[n] B = sum_p alpha_p K[p] (B (x) 1_B) C[N-p]^dag ,
     C[m] = sum_(q<=m) alpha_q K[q] ,
 
-one GEMM per order stacked over a whole grid (`one_point_values`).
+one GEMM per order stacked over a whole grid with the ``U0`` phases cancelled
+(`one_point_values`), where the sum above would lift ``B`` at every time.
 
 The series engine (`one_point_values`, `lift_values`, `lift_observable`,
 `lift_legs`, `local_rhs`, `value_and_row`) is what `npoint`,
@@ -88,35 +98,65 @@ class OnePointTrajectory:
     truncation: SeriesTruncation
 
 
-def _padded_powers(n: int) -> np.ndarray:
-    # i^(n-2r) for r = 0..n
-    return np.array([1j ** (n - 2 * r) for r in range(n + 1)])
+def _dressed(left, right, ops, n: int, rho_b=None, x=1.0) -> np.ndarray:
+    """The total-order sandwich sum ``sum_(p+q+k=n) x^(p+q) L[p] (A_k (x) 1_B) R[q]^dag``.
 
-
-def _P_full(n: int, a: np.ndarray, kstack: np.ndarray) -> np.ndarray:
-    """Dyson-derived order-n sandwich as a full-space matrix.
-
-    With the adjoint stack ``kstack.conj().swapaxes(-1, -2)`` it is the
-    sandwich as displayed, ``sum_r i^(n-2r) K[n-r]^dag (A (x) 1_B) K[r]``.
-    The leading axes of ``kstack`` ``(..., n_max + 1, D, D)`` and ``a``
-    ``(..., d_S, d_S)`` broadcast.
+    ``left`` and ``right`` are stacks ``(..., n_max + 1, D, D)``, ``ops`` the
+    operators ``A_0, A_1, ...`` ``(K, ..., d_S, d_S)`` with ``K <= n + 1``,
+    an ``A_k`` not given reading as zero, and ``x`` a weight ``(..., 1, 1)``
+    that rides on the operators, ``x^(n-k) A_k``; leading axes broadcast.
+    Each stack is laid out once with the system index of its columns last,
+    where ``A (x) 1_B`` on the right is a GEMM by ``A``, and each operator is
+    lifted once into ``X[q] = sum_(p+k=n-q) L[p] (x^(n-k) A_k (x) 1_B)``; the
+    sum ``sum_q X[q] R[q]^dag`` is returned open, ``(..., D, D)``, or
+    bath-traced with ``rho_b``, ``(..., d_S, d_S)``.  The trace folds the
+    bath state into the right factor, ``sum_(a,z) X[q]_(i a, z) conj(F[q]_(m
+    a, z))`` with ``F = (1 (x) rho_B^dag) R``, so no ``D x D`` product is formed.
     """
-    lefts = _padded_powers(n)[:, None, None] * _blockops.system_lift(kstack[..., n::-1, :, :], a)
-    return _blockops.sandwich_sum(lefts, kstack[..., : n + 1, :, :])
+    ops = np.asarray(ops)
+    ds, d = ops.shape[-1], left.shape[-1]
+
+    def laid(stack):  # stack[:n + 1] as (..., n + 1, D d_B, d_S): each column index (j, b) reordered to (b, j)
+        blocks = stack[..., : n + 1, :, :].reshape(*stack.shape[:-3], n + 1, d, ds, d // ds)
+        return np.ascontiguousarray(blocks.swapaxes(-1, -2)).reshape(*stack.shape[:-3], n + 1, -1, ds)
+
+    lefts = laid(left)
+    rights = lefts if right is left else laid(right)
+    lead = np.broadcast_shapes(lefts.shape[:-3], ops.shape[1:-2], np.shape(x)[:-2])
+    lifted = np.zeros((*lead, *lefts.shape[-3:]), dtype=complex)
+    for k, a in enumerate(ops):  # X[q] collects L[n - k - q] (x^(n-k) A_k (x) 1_B)
+        lifted[..., : n + 1 - k, :, :] += lefts[..., n - k :: -1, :, :] @ (x ** (n - k) * a)[..., None, :, :]
+    rows, rlead = d, rights.shape[:-3]
+    if rho_b is not None:
+        rows, rights = ds, rho_b.conj().T @ rights.reshape(*rights.shape[:-2], ds, len(rho_b), -1)
+    rights = rights.reshape(*rlead, n + 1, rows, -1).conj().swapaxes(-1, -2)
+    return (lifted.reshape(*lead, n + 1, rows, -1) @ rights).sum(-3)
+
+
+def _inverted(values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, stack: np.ndarray):
+    """The series inversions ``inv[0..order]`` of one-point values, in the frame, and the weight ``lam/hbar``.
+
+    ``inv[m] = (1 + sum lam^n P_S[n])^{-1} value`` truncated at total order
+    m: the value minus the bath-traced dressing of ``inv[<m]`` at order m on
+    ``stack``, the ``i^p S[p]`` of the values' time, since the ``(0, 0)``
+    term of that dressing is ``inv[m]`` itself.
+    """
+    x = (np.asarray(lams, dtype=float) / ks.frame.constants.hbar)[:, None, None]
+    inv = np.empty((order + 1, *values.shape), dtype=complex)
+    inv[0] = ks.frame.enter(values)
+    for m in range(1, order + 1):
+        inv[m] = inv[0] - _dressed(stack, stack, inv[:m], m, rho_b, x)
+    return inv, x
 
 
 def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
-    """Max-norm gap between the Dyson-derived and as-displayed order-n sandwiches."""
+    """Max-norm gap between the Dyson-derived and as-displayed order-n sandwiches:
+    the dressing of ``A`` on the stack ``i^p S[p]`` and on ``i^p S[p]^dag``."""
     ks.check_order(n)
-    kstack = ks.frame_stack(ks.row(t))
+    kstack, turns = ks.frame_stack(ks.row(t)), 1j ** np.arange(ks.orders + 1)[:, None, None]
     a = ks.frame.enter(system_matrix(a))
-    derived, printed = _P_full(n, a, kstack), _P_full(n, a, kstack.conj().swapaxes(-1, -2))
+    derived, printed = (_dressed(s, s, (a,), n) for s in (turns * kstack, turns * kstack.conj().swapaxes(-1, -2)))
     return float(np.max(np.abs(ks.frame.leave_open(derived - printed))))
-
-
-def _weights(lams, j: int, hbar: float) -> np.ndarray:
-    """``(lam/hbar)^j`` per coupling, shape ``(n_lam, 1, 1)``."""
-    return (np.asarray(lams, dtype=float) / hbar)[:, None, None] ** j
 
 
 def one_point_values(
@@ -183,50 +223,23 @@ def value_and_row(o_s: OnePointTrajectory, ks: KernelSet, rho_b: np.ndarray, t: 
     return o_s.values[k], row
 
 
-def _inverted_series(
-    values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, kstacks: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """``inv[m] = (1 + sum lam^n P_S[n])^{-1} value`` truncated at order m, m = 0..order.
-
-    ``values`` holds one one-point value per leg and coupling,
-    ``(n_leg, n_lam, d_S, d_S)``, and ``kstacks`` the frame stack of each
-    leg's time (`KernelSet.frame_stack`), ``(n_leg, n_max + 1, D, D)``; the
-    recursion runs in that frame, and each ``inv[m]`` is returned there.
-    Uses ``inv[m] = value - sum_{j=1}^m (lam/hbar)^j P_S[j] inv[m-j]``, which
-    resums the multinomial expansion with total-order truncation.  Also
-    returns the open-index sum ``sum_{j=1}^order (lam/hbar)^j P[j]
-    inv[order-j]`` of the last step as full-space matrices
-    ``(n_leg, n_lam, D, D)``, which is the image family minus its order-zero
-    term ``inv[order] (x) 1_B``, and its bath contraction (both zero at
-    order 0).
-    """
-    hbar = ks.frame.constants.hbar
-    entered = ks.frame.enter(values)
-    kstacks = kstacks[:, None]  # each leg's stack serves all of its couplings
-    inv = [entered]
-    opened = np.zeros((*values.shape[:-2], *kstacks.shape[-2:]), dtype=complex)
-    traced = np.zeros(entered.shape, dtype=complex)
-    for m in range(1, order + 1):
-        opened = sum(_weights(lams, j, hbar) * _P_full(j, inv[m - j], kstacks) for j in range(1, m + 1))
-        traced = _blockops.bath_trace(opened, rho_b)
-        inv.append(entered - traced)
-    return inv, opened, traced
-
-
 def lift_values(
     values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The series inversions ``inv[order]`` of one-point values ``(n_leg, n_lam,
     d_S, d_S)``, one per leg and coupling, and their image families ``(n_leg,
     n_lam, D, D)``, from the kernel rows of the legs' times ``(n_leg, D,
-    (n_max + 1) D)``.  Only the corrections to the order-zero term leave the
-    frame.  Truncation is by *total* order ``n + n_1 + ... + n_k``, never per
+    (n_max + 1) D)``.  The family is the open sum of ``inv[0..order]`` at
+    that order, ``inv[order] (x) 1_B`` included; only ``value - inv[order]``
+    leaves the frame for the inversion, so order 0 returns the value.
+    Truncation is by *total* order ``n + n_1 + ... + n_k``, never per
     factor; the order-by-order cancellation that returns the one-point value
     under bath contraction holds only with total-order truncation."""
     ks.check_order(order)
-    _, opened, traced = _inverted_series(values, order, lams, ks, rho_b, ks.frame_stack(rows))
-    inverses = values - ks.frame.leave(traced)
-    return inverses, ks.frame.leave_open(opened) + _blockops.kron_identity(inverses, ks.dim_bath)
+    stack = (1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(rows))[:, None]  # for every coupling
+    inv, x = _inverted(values, order, lams, ks, rho_b, stack)
+    inverses = values - ks.frame.leave(inv[0] - inv[order])
+    return inverses, ks.frame.leave_open(_dressed(stack, stack, inv, order, None, x))
 
 
 def lift_observable(
@@ -304,24 +317,6 @@ def star_of_observables(
     return chain_contract(lift_legs(entries, trunc, ks, rho_b)[1], rho_b)
 
 
-def _apply_DtP_S(
-    n: int,
-    a: np.ndarray,
-    kstack: np.ndarray,
-    cov_stack: np.ndarray,
-    rho: np.ndarray,
-) -> np.ndarray:
-    """Kernel-derivative super-operator of order n, bath-contracted.
-
-    Product rule over the two kernel slots of the order-n sandwich, with the
-    time derivative taken covariantly (inside the ``U0 ... U0^dag`` frame).
-    """
-    coeffs = np.tile(_padded_powers(n), 2)[:, None, None]
-    lefts = coeffs * _blockops.system_lift(np.concatenate([cov_stack[n::-1], kstack[n::-1]]), a)
-    rights = np.concatenate([kstack[: n + 1], cov_stack[: n + 1]])
-    return _blockops.bath_trace(_blockops.sandwich_sum(lefts, rights), rho)
-
-
 def local_rhs(
     values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, row: np.ndarray
 ) -> np.ndarray:
@@ -333,13 +328,10 @@ def local_rhs(
     kernel derivatives come from the recurrence, so no differencing enters.
     """
     ks.check_order(order)
-    hbar = ks.frame.constants.hbar
-    kstack = ks.frame_stack(row)
+    stack, turns = ks.frame_stack(row), 1j ** np.arange(ks.orders + 1)[:, None, None]
+    cov, stack = turns * ks.frame_derivative(stack), turns * stack
     # the RHS needs inv[0..order-1] only: the last inversion step is never formed
-    inv = _inverted_series(values[None], max(order - 1, 0), lams, ks, rho_b, kstack[None])[0]
-    cov_stack = ks.frame_derivative(kstack)
-    dressed = np.zeros(values.shape, dtype=complex)
-    for n in range(1, order + 1):
-        dressed += _weights(lams, n, hbar) * _apply_DtP_S(n, inv[order - n][0], kstack, cov_stack, rho_b)
+    inv, x = _inverted(values, max(order - 1, 0), lams, ks, rho_b, stack)
+    dressed = _dressed(cov, stack, inv[:order], order, rho_b, x) + _dressed(stack, cov, inv[:order], order, rho_b, x)
     h0 = ks.model.h0.mat
-    return (1j / hbar) * (h0 @ values - values @ h0) + ks.frame.leave(dressed)
+    return (1j / ks.frame.constants.hbar) * (h0 @ values - values @ h0) + ks.frame.leave(dressed)

@@ -47,16 +47,16 @@ def lift_at(value, trunc, ks, rho_b, t):
 
 
 def dressing_at(n, a, t, ks, rho_b=None):
-    """The order-n dressing ``P[n] A`` of a system operator: `_P_full` on the frame
-    stack of ``t``.  Bath indices open, as a full-space ``(D, D)`` matrix, or with
-    ``rho_b`` contracted, ``(P[n] A)_ab rho_B[b, a]``, ``(d_S, d_S)``."""
-    from heisenbath import _blockops
-    from heisenbath.superop import _P_full
+    """The order-n dressing ``P[n] A`` of a system operator: `_dressed` of ``(A,)`` on
+    the stack ``i^p S[p]`` of ``t``.  Bath indices open, as a full-space ``(D, D)``
+    matrix, or with ``rho_b`` contracted, ``(P[n] A)_ab rho_B[b, a]``, ``(d_S, d_S)``."""
+    from heisenbath.superop import _dressed
 
-    dressed = _P_full(n, ks.frame.enter(np.asarray(a, dtype=complex)), ks.frame_stack(ks.row(t)))
+    stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(ks.row(t))
+    dressed = _dressed(stack, stack, (ks.frame.enter(np.asarray(a, dtype=complex)),), n, rho_b)
     if rho_b is None:
         return ks.frame.leave_open(dressed)
-    return ks.frame.leave(_blockops.bath_trace(dressed, rho_b))
+    return ks.frame.leave(dressed)
 
 
 def rhs_at(traj, t, ks, rho_b):

@@ -467,8 +467,27 @@ class TestExitCodes:
         once exited 0."""
         out = tmp_path / "out.csv"
         assert cli.main(["run", str(write_config(tmp_path, **section))]) == 3
-        assert "no digit is significant" in capsys.readouterr().err
+        assert "fewer than half of its digits are significant" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_time_with_two_significant_digits_is_3(self, tmp_path, capsys):
+        """At t = 1e15 the step exponential keeps about two digits (the
+        off-diagonal 3% off the closed form, once with exit 0): exit 3 with
+        nothing written."""
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", str(write_config(tmp_path, observables={"s1x": {"times": [1e15]}}))]) == 3
+        assert "fewer than half of its digits are significant" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_time_below_the_precision_bound_matches_closed_form(self, tmp_path):
+        """At t = 1e6 more than half of the digits survive: exit 0, the
+        off-diagonal within 1e-9 relative of the order-2 closed form."""
+        assert cli.main(["run", str(write_config(tmp_path, observables={"s1x": {"times": [1e6]}}))]) == 0
+        (row,) = [r for r in read_rows(tmp_path / "out.csv") if (r["row"], r["col"]) == ("0", "1")]
+        t, lam = float(row["time"]), 0.1
+        expected = 0.5 * (1 + 0.25j * lam * t - 0.25 * (lam * t) ** 2)
+        assert t == 1e6
+        assert abs(complex(float(row["re"]), float(row["im"])) - expected) <= 1e-9 * abs(expected)
 
     @pytest.mark.parametrize("eta", [5e-324, -1e300])
     def test_extreme_eta_in_lindblad_mode(self, tmp_path, capsys, eta):

@@ -270,12 +270,14 @@ class TestToeplitzExponential:
 
     def test_generator_beyond_the_precision_raises(self):
         """Squaring leaves ``eps |A|_1`` of relative error: a nilpotent generator
-        of 1-norm 1/(2 eps) returns a finite row, one of 1/eps or 1e100 raises."""
+        of 1-norm 1/(2 sqrt(eps)) returns a finite row, one of 2/sqrt(eps), 1/eps
+        or 1e100 raises, since fewer than half of the digits would survive."""
+        eps = np.finfo(float).eps
         blocks = np.zeros((2, 3, 3), dtype=complex)
-        blocks[1] = np.eye(3, k=1) / np.finfo(float).eps
-        assert np.all(np.isfinite(toeplitz_expm(blocks / 2)))
-        for scale in (1.0, 1e100 * np.finfo(float).eps):
-            with pytest.raises(NonFiniteResult, match="no digit is significant"):
+        blocks[1] = np.eye(3, k=1) / eps
+        assert np.all(np.isfinite(toeplitz_expm(np.sqrt(eps) / 2 * blocks)))
+        for scale in (2 * np.sqrt(eps), 1.0, 1e100 * eps):
+            with pytest.raises(NonFiniteResult, match="fewer than half of its digits are significant"):
                 toeplitz_expm(scale * blocks)
 
     def test_norm_and_product_match_dense(self):

@@ -27,15 +27,20 @@ MUTANTS = (
     (
         "weights_drop_hbar",
         "superop.py",
-        "(np.asarray(lams, dtype=float) / hbar)[:, None, None]",
+        "(np.asarray(lams, dtype=float) / ks.frame.constants.hbar)[:, None, None]",
         "np.asarray(lams, dtype=float)[:, None, None]",
     ),
     ("alpha_drop_hbar", "superop.py", "[:, None] / hbar) ** np.arange", "[:, None]) ** np.arange"),
-    ("inversion_index", "superop.py", "_P_full(j, inv[m - j], kstacks)", "_P_full(j, inv[m - 1], kstacks)"),
+    ("inversion_index", "superop.py", "_dressed(stack, stack, inv[:m], m", "_dressed(stack, stack, inv[m - 1 :: -1], m"),
     ("frame_deriv_phase", "dyson.py", "= self._bath_phase * stack[1:]", "= -self._bath_phase * stack[1:]"),
     ("rhs_h0_sign", "superop.py", "(h0 @ values - values @ h0)", "(values @ h0 - h0 @ values)"),
-    ("padded_powers", "superop.py", "1j ** (n - 2 * r)", "1j ** (2 * r - n)"),
-    ("partition_sign", "npoint.py", "cores = -self._weights(firsts)", "cores = self._weights(firsts)"),
+    (
+        "padded_powers",
+        "superop.py",
+        "(1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(rows))",
+        "((-1j) ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(rows))",
+    ),
+    ("partition_sign", "npoint.py", "cores = -self._pair_weights(firsts)", "cores = self._pair_weights(firsts)"),
     ("frame_identity_order0", "dyson.py", "0, :, :] = np.eye(d)", "0, :, :] = row[..., :, :d]"),
     ("partition_weight_power", "npoint.py", "self.x ** (n_i + m_i)", "self.x**n_i"),
     ("bath_state_transpose", "superop.py", "(rho_b @ rows[..., p, :])", "(rho_b.T @ rows[..., p, :])"),
@@ -62,7 +67,8 @@ MUTANTS = (
     ),
     ("bath_trace_transpose", "_blockops.py", "rho.T.reshape(-1, 1)", "rho.reshape(-1, 1)"),
     ("cumulant_leg_order", "npoint.py", "- values[0] @ values[1]", "- values[1] @ values[0]"),
-    ("open_word_weights", "npoint.py", "self._sandwiches(pairs, self._weights(pairs) * cores)", "self._sandwiches(pairs, cores)"),
+    ("dressing_bath_fold", "superop.py", "rho_b.conj().T @ rights", "rho_b.T @ rights"),
+    ("open_word_weights", "npoint.py", "self._sandwiches(pairs, self._pair_weights(pairs) * cores)", "self._sandwiches(pairs, cores)"),
 )
 
 # (seed, d_S, d_B, hbar, t) of each suite

@@ -6,7 +6,8 @@ of the reference (kernel entries grow like (|H_I| t)^n / n!).  The
 partition expansion is also held to its sandwich count: one per distinct
 suffix (inner chain) plus one per distinct first pair, batched one call per
 suffix length, and bit for bit to the per-suffix evaluation.  The engine's
-coupling axis is held to the engine at one coupling bit for bit.
+coupling axis is held to the engine at one coupling bit for bit, and the
+fused one-point sum to the total-order sandwich sum of a constant sequence.
 """
 
 import pickle
@@ -15,14 +16,13 @@ import numpy as np
 import pytest
 
 from heisenbath import _blockops, dyson
-from heisenbath.diagnostics import DEFAULT_LAMBDAS, random_model, rhs_fd_errors
+from heisenbath.diagnostics import DEFAULT_LAMBDAS, random_model, rhs_fd_errors, rounding_floor
 from heisenbath.dyson import compute_kernels
 from heisenbath.npoint import _partitions, decompose_3pt, expand_image_by_partitions
 from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
     SeriesTruncation,
-    _apply_DtP_S,
-    _P_full,
+    _dressed,
     image_from_one_point,
     lift_observable,
     lift_values,
@@ -86,12 +86,15 @@ def test_sandwiches_match_einsum(engine_model, n, t):
     cov[1:] = np.tile(1j * (e[:, None] - e[None, :]), (ks.dim_system,) * 2) * heis[1:] + m.hi.mat @ heis[:-1]
     a = ks.frame.free_conjugate(obs, t)
     frame, kstack = ks.frame, ks.frame_stack(ks.row(t))
-    derived = frame.leave_open(_P_full(n, frame.enter(a), kstack))
+    turns = 1j ** np.arange(ks.orders + 1)[:, None, None]
+    stack, adjoint = turns * kstack, turns * kstack.conj().swapaxes(-1, -2)
+    derived = frame.leave_open(_dressed(stack, stack, (frame.enter(a),), n))
     assert _close(_blocks(ks, derived), einsum_P_blocks(n, a, fams))
-    printed = frame.leave_open(_P_full(n, frame.enter(a), kstack.conj().swapaxes(-1, -2)))
+    printed = frame.leave_open(_dressed(adjoint, adjoint, (frame.enter(a),), n))
     assert _close(_blocks(ks, printed), einsum_P_blocks_printed(n, a, fams))
-    rho = m.rho_b
-    dressed = frame.leave(_apply_DtP_S(n, frame.enter(a), kstack, ks.frame_derivative(kstack), rho))
+    rho, cov_stack = m.rho_b, turns * ks.frame_derivative(kstack)
+    ops = (frame.enter(a),)
+    dressed = frame.leave(_dressed(cov_stack, stack, ops, n, rho) + _dressed(stack, cov_stack, ops, n, rho))
     assert _close(dressed, einsum_DtP_S(n, a, fams, _blocks(ks, cov), rho))
 
 
@@ -195,17 +198,17 @@ SWEEP_SIZES = ((2, 2, 1.0), *SIZES)
 
 
 def _written_out_inverse(value, order, lam, ks, rho_b, t):
-    """``inv[order]`` by the recursion for one coupling in the kernel frame, weights
-    ``(lam/hbar)^j`` by numpy's array power; only the correction leaves the frame."""
+    """``inv[order]`` by the recursion for one coupling in the kernel frame: ``inv[m]``
+    is the value minus the traced dressing of ``inv[<m]`` at order m on the stack
+    ``i^p S[p]``, weights ``(lam/hbar)^(m-k)`` by numpy's array power; only
+    ``value - inv[order]`` leaves the frame."""
     hbar = ks.frame.constants.hbar
-    kstack = ks.frame_stack(ks.row(t))
-    entered = ks.frame.enter(value)
-    inv, opened = [entered], np.zeros_like(kstack[0])
+    stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(ks.row(t))
     weight = (np.array([lam]) / hbar)[0, None, None]  # an array, so that ** is numpy's, as in the engine
+    inv = [ks.frame.enter(value)]
     for m in range(1, order + 1):
-        opened = sum(weight**j * _P_full(j, inv[m - j], kstack) for j in range(1, m + 1))
-        inv.append(entered - _blockops.bath_trace(opened, rho_b))
-    return value - ks.frame.leave(_blockops.bath_trace(opened, rho_b))
+        inv.append(inv[0] - _dressed(stack, stack, inv, m, rho_b, weight))
+    return value - ks.frame.leave(inv[0] - inv[order])
 
 
 @pytest.fixture(scope="module", params=SWEEP_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
@@ -245,6 +248,23 @@ def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
         assert np.array_equal(inverses[k], _written_out_inverse(values[k], order, lam, ks, rho_b, t))
         assert np.array_equal(families[k], lift_at(values[k], trunc, ks, rho_b, t)[1].matrix)
         assert np.array_equal(rhs[k], rhs_at(trajs[k], t, ks, rho_b))
+
+
+@pytest.mark.parametrize("t", [GRID_TIME, OFF_GRID_TIME])
+@pytest.mark.parametrize("order", ORDERS)
+def test_one_point_values_are_the_traced_dressing_of_a_constant_sequence(sweep_model, order, t):
+    """The fused one-point sum is the total-order sandwich sum of the constant
+    sequence ``(B, ..., B)``, ``B = U0^dag O U0`` in the frame, traced on the
+    stack ``i^p S[p]``: every coupling of the sweep within the rounding budget
+    of order N."""
+    m, obs, ks = sweep_model
+    row = ks.row(t)
+    values = one_point_values(obs, order, SWEEP, ks, m.rho_b, row[None])[:, 0]
+    stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(row)
+    x = (np.asarray(SWEEP) / m.constants.hbar)[:, None, None]
+    b = ks.frame.enter(ks.frame.free_conjugate(obs, t))
+    dressed = ks.frame.leave(_dressed(stack, stack, (b,) * (order + 1), order, m.rho_b, x))
+    assert np.max(np.abs(dressed - values)) <= rounding_floor(order, values)
 
 
 def test_empty_time_batch_has_written_out_shapes(sweep_model):

@@ -108,16 +108,17 @@ class TestSandwichConvention:
         assert defect > 1e-3  # genuinely different sandwiches
 
         hbar = 1.0
-        from heisenbath.superop import _P_full
+        from heisenbath.superop import _dressed
 
-        stack = ks.heis_stack(t)
+        stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.heis_stack(t)
         b = ks.frame.free_conjugate(obs, t)
         exact = to_image_family(
             heisenberg_evolve_exact(m.with_coupling(lam), system_operator(obs, (2, 3)), t)
         ).matrix
         errs = {}
-        for name, kstack in (("derived", stack), ("printed", stack.conj().swapaxes(-1, -2))):
-            fam = sum((lam / hbar) ** n * _P_full(n, b, kstack) for n in range(order + 1))
+        adjoint = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.heis_stack(t).conj().swapaxes(-1, -2)
+        for name, kstack in (("derived", stack), ("printed", adjoint)):
+            fam = _dressed(kstack, kstack, (b,) * (order + 1), order, None, lam / hbar)
             errs[name] = np.max(np.abs(fam - exact))
         print(
             f"order-2 image error vs oracle: derived={errs['derived']:.3e} "
