@@ -28,8 +28,13 @@ own exponential (`propagate_rows`, which the Lindblad evolution shares with
 a one-block generator).
 Nested quadrature survives only as a test oracle.
 
-All of this happens in the H0 eigenbasis, where ``F`` is diagonal, and so does
-the series engine (`KernelSet.frame_stack`); `InteractionFrame` rotates in and out.
+All of this happens in the frame, the H0 eigenbasis ``V = v0 (x) 1_B`` where
+``F`` is diagonal, and so does the series engine (`KernelSet.frame_stack`).
+Its index is bath-major, ``a * d_S + i``, in every row, stack and generator
+block, built so by permuting ``F``'s diagonal and ``V^dag H_I V`` once; with
+the system index last, ``X (A (x) 1_B)`` is ``X.reshape(-1, d_S) @ A``.
+`InteractionFrame.leave_open` returns to the original basis and the public
+layout ``i * d_B + a``.
 """
 
 from __future__ import annotations
@@ -72,13 +77,15 @@ class InteractionFrame:
         return self.v0 @ y @ self.v0.conj().T
 
     def leave_open(self, x: np.ndarray) -> np.ndarray:
-        """Full-space matrices ``(..., D, D)`` back from the H0 eigenbasis,
+        """Frame matrices ``(..., D, D)`` back from the H0 eigenbasis,
         ``(v0 (x) 1_B) x (v0 (x) 1_B)^dag``: ``v0 X_ab v0^dag`` for every bath
-        block, two GEMMs of ``d_S D^2`` work in block layout."""
+        block, two GEMMs of ``d_S D^2`` work, whose result is copied once into
+        the system-major layout."""
         *lead, d, _ = x.shape
-        ds = self.v0.shape[0]
-        rows = (self.v0 @ x.reshape(*lead, ds, -1)).reshape(*lead, d, ds, d // ds)
-        return (self.v0.conj() @ rows).reshape(*lead, d, d)
+        ds, k = self.v0.shape[0], len(lead)
+        rows = self.v0 @ (x.reshape(-1, ds) @ self.v0.conj().T).reshape(*lead, d // ds, ds, d)
+        blocks = rows.reshape(*lead, d // ds, ds, d // ds, ds).transpose(*range(k), k + 1, k, k + 3, k + 2)
+        return blocks.reshape(*lead, d, d)
 
 
 def frame_of(m: ModelSpec) -> InteractionFrame:
@@ -247,17 +254,18 @@ class KernelSet:
         d_s, d_b = m.dim_system, m.dim_bath
         self.dim_system, self.dim_bath = d_s, d_b
         hbar = m.constants.hbar
-        # (i/hbar)(E_a - E_b) at every full-space entry (i a, j b)
-        self._bath_phase = np.tile(1j * m.bath_gaps, (d_s, d_s))
-        # full-space eigenbasis of F: index i * d_B + a carries (eps0_i + E_a) / hbar
-        free = (self.frame.eps0[:, None] + m.bath_energies[None, :]).ravel() / hbar
+        # (i/hbar)(E_a - E_b) at every frame entry (a i, b j)
+        self._bath_phase = np.repeat(np.repeat(1j * m.bath_gaps, d_s, axis=0), d_s, axis=1)
+        # the frame, bath-major: index a * d_S + i carries (E_a + eps0_i) / hbar
+        free = (m.bath_energies[:, None] + self.frame.eps0[None, :]).ravel() / hbar
         d = d_s * d_b
         # first block row of the Van Loan generator M: (iF, H_I, 0, ..., 0)
         gen = np.zeros((n_max + 1, d, d), dtype=complex)
         gen[0] = np.diag(1j * free)
         if n_max:  # (v0 (x) 1_B)^dag H_I (v0 (x) 1_B), a mix of d_S row blocks, then of column blocks
             rows = (self.frame.v0.conj().T @ m.hi.mat.reshape(d_s, -1)).reshape(d, d_s, d_b)
-            gen[1] = (self.frame.v0.T @ rows).reshape(d, d)
+            mixed = (self.frame.v0.T @ rows).reshape(d_s, d_b, d_s, d_b)  # (i a, j b)
+            gen[1] = mixed.transpose(1, 0, 3, 2).reshape(d, d)
         self._gen = gen
         # R(t) at the grid points, shape (n_t, d, (n_max + 1) d)
         self._rows = propagate_rows(np.eye(d, (n_max + 1) * d), gen, grid.points)

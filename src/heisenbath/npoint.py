@@ -19,14 +19,17 @@ per distinct first pair, on the sum of the inner values of the partitions
 that start with it.  Up to order 0..4 that is 1, 5, 15, 43 and 130
 full-space sandwiches, against 1, 7, 36, 164 and 700 one partition at a
 time.  The sandwiches are batched, never merged: all suffixes of one
-length are wrapped in one batched sandwich and one `bath_trace`, and the
+length are wrapped in one batched sandwich and one bath trace, and the
 open words of all first pairs in one more, so a sum through order n makes
 n + 1 calls, and each suffix and word keeps the bits of its lone
 sandwich.  Suffixes are deliberately not merged by total order: that sum is
 the super-operator series inversion itself, and the partition sum would
 then no longer be an independent check of it.  The words are formed on
-the kernels in the H0 eigenbasis (`KernelSet.frame_stack`), and an image
-leaves that basis once.
+the kernels in the frame (`KernelSet.frame_stack`), whose index is
+bath-major with the system index last: a core acts as ``core (x) 1_B`` by a
+GEMM on a reshape of the kernel stack, a suffix is traced there
+(`_blockops.frame_trace`), and an image leaves the frame once
+(`InteractionFrame.leave_open`).
 
 `PartitionWords` and the cumulant arithmetic (`cumulant_2pt`,
 `decompose_3pt_parts`) are the engine that `diagnostics` calls.  The
@@ -92,7 +95,7 @@ class PartitionWords:
     and weighted by ``-i^(n_i - m_i) (lam/hbar)^(n_i + m_i)``.  It depends on
     nothing but the suffix, so it is held per suffix tuple for the life of
     the object.  `wrap` forms the missing suffixes one length at a time,
-    each length in one batched sandwich and one `bath_trace`; `open_words`
+    each length in one batched sandwich and one `frame_trace`; `open_words`
     applies pair 1, bath indices open, in full space, to every given first
     pair in one batched sandwich.  Each suffix and word gets the bits of its
     lone sandwich.
@@ -111,9 +114,12 @@ class PartitionWords:
         return np.array([1j ** (n_i - m_i) * self.x ** (n_i + m_i) for n_i, m_i in pairs])[:, None, None]
 
     def _sandwiches(self, pairs, cores: np.ndarray) -> np.ndarray:
-        # full-space K[n_i] (core_i (x) 1_B) K[m_i]^dag for every pair, one GEMM apiece
+        # K[n_i] (core_i (x) 1_B) K[m_i]^dag in the frame for every pair: a GEMM by the core on
+        # the reshaped stack (the system index is last), then one D x D GEMM apiece
         n, m = np.array(pairs).T
-        return _blockops.sandwich_sum(_blockops.system_lift(self.kstack[n, None], cores), self.kstack[m, None])
+        d, ds = self.kstack.shape[-1], cores.shape[-1]
+        lifted = (self.kstack[n].reshape(len(n), -1, ds) @ cores).reshape(len(n), d, d)
+        return lifted @ self.kstack[m].conj().swapaxes(-1, -2)
 
     def wrap(self, suffixes) -> list[np.ndarray]:
         """The inner values of ``suffixes``, forming each missing suffix and the
@@ -127,7 +133,7 @@ class PartitionWords:
             todo = list(levels[length])
             firsts = [suffix[0] for suffix in todo]
             cores = -self._pair_weights(firsts) * np.stack([self.inner_values[suffix[1:]] for suffix in todo])
-            self.inner_values.update(zip(todo, _blockops.bath_trace(self._sandwiches(firsts, cores), self.rho)))
+            self.inner_values.update(zip(todo, _blockops.frame_trace(self._sandwiches(firsts, cores), self.rho)))
         return [self.inner_values[suffix] for suffix in suffixes]
 
     def open_words(self, pairs, cores: np.ndarray) -> np.ndarray:

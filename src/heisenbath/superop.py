@@ -17,17 +17,19 @@ Contractions with the bath state use ``rho_B[b, a]`` throughout, matching
 the reduced-operator definition; star products close the index chain with
 ``rho_B[a_{N+1}, a_1]``.
 
-Families and kernel stacks are full-space ``D x D`` matrices (``D = d_S d_B``,
-blocks as in `_blockops`), on the kernels in the H0 eigenbasis
-(`KernelSet.frame_stack`).  Every series quantity is one total-order sandwich
-sum (`_dressed`), with ``x = lam/hbar`` riding on the operators:
+Families and kernel stacks are full-space ``D x D`` matrices (``D = d_S d_B``),
+on the kernels in the frame of `dyson` (`KernelSet.frame_stack`), where ``X
+(A (x) 1_B)`` is ``X.reshape(-1, d_S) @ A``.  Every series quantity is one
+total-order sandwich sum (`_dressed`), with ``x = lam/hbar`` riding on the
+operators:
 
     sum_(p+q+k=N) x^(p+q) L[p] (A_k (x) 1_B) R[q]^dag ,   L = R = i^p S[p] ,
 
 one lift of each ``A_k`` against the left stack, ``X[q] = sum_(p+k=N-q)
 L[p] (x^(N-k) A_k (x) 1_B)``, and one product ``sum_q X[q] R[q]^dag``,
 returned open or bath-traced; the trace folds ``rho_B`` into the right
-factor, so it forms no ``D x D`` product.  The series inversion ``inv[m]`` is
+factor and reads both factors with their rows system-major, so it forms no
+``D x D`` product.  The series inversion ``inv[m]`` is
 the one-point value minus the traced sum of ``inv[0..m-1]`` at order m,
 whose ``(0, 0)`` term is ``inv[m]`` itself; the image family is the open sum
 of ``inv[0..N]`` at order N, and the local RHS the traced sum of
@@ -40,7 +42,8 @@ conj(alpha_q)``, so
     sum_n (lam/hbar)^n P[n] B = sum_p alpha_p K[p] (B (x) 1_B) C[N-p]^dag ,
     C[m] = sum_(q<=m) alpha_q K[q] ,
 
-one GEMM per order stacked over a whole grid with the ``U0`` phases cancelled
+per order one traced GEMM per coupling stacked over a whole grid, on a
+coupling-free left factor, with the ``U0`` phases cancelled
 (`one_point_values`), where the sum above would lift ``B`` at every time.
 
 The series engine (`one_point_values`, `lift_values`, `lift_observable`,
@@ -101,35 +104,34 @@ class OnePointTrajectory:
 def _dressed(left, right, ops, n: int, rho_b=None, x=1.0) -> np.ndarray:
     """The total-order sandwich sum ``sum_(p+q+k=n) x^(p+q) L[p] (A_k (x) 1_B) R[q]^dag``.
 
-    ``left`` and ``right`` are stacks ``(..., n_max + 1, D, D)``, ``ops`` the
-    operators ``A_0, A_1, ...`` ``(K, ..., d_S, d_S)`` with ``K <= n + 1``,
+    ``left`` and ``right`` are frame stacks ``(..., n_max + 1, D, D)``, ``ops``
+    the operators ``A_0, A_1, ...`` ``(K, ..., d_S, d_S)`` with ``K <= n + 1``,
     an ``A_k`` not given reading as zero, and ``x`` a weight ``(..., 1, 1)``
     that rides on the operators, ``x^(n-k) A_k``; leading axes broadcast.
-    Each stack is laid out once with the system index of its columns last,
-    where ``A (x) 1_B`` on the right is a GEMM by ``A``, and each operator is
-    lifted once into ``X[q] = sum_(p+k=n-q) L[p] (x^(n-k) A_k (x) 1_B)``; the
-    sum ``sum_q X[q] R[q]^dag`` is returned open, ``(..., D, D)``, or
-    bath-traced with ``rho_b``, ``(..., d_S, d_S)``.  The trace folds the
-    bath state into the right factor, ``sum_(a,z) X[q]_(i a, z) conj(F[q]_(m
-    a, z))`` with ``F = (1 (x) rho_B^dag) R``, so no ``D x D`` product is formed.
+    Each operator is lifted once, by GEMMs on a reshape of the stack, into
+    ``X[q] = sum_(p+k=n-q) L[p] (x^(n-k) A_k (x) 1_B)``; the sum ``sum_q X[q]
+    R[q]^dag`` is returned open, ``(..., D, D)``, or bath-traced with
+    ``rho_b``, ``(..., d_S, d_S)``.  The trace folds the bath state into the
+    right factor, ``sum_(a,z) X[q]_(a i, z) conj(F[q]_(a m, z))`` with ``F =
+    (1 (x) rho_B^dag) R``, both read with their rows system-major, so no ``D
+    x D`` product is formed.
     """
     ops = np.asarray(ops)
     ds, d = ops.shape[-1], left.shape[-1]
-
-    def laid(stack):  # stack[:n + 1] as (..., n + 1, D d_B, d_S): each column index (j, b) reordered to (b, j)
-        blocks = stack[..., : n + 1, :, :].reshape(*stack.shape[:-3], n + 1, d, ds, d // ds)
-        return np.ascontiguousarray(blocks.swapaxes(-1, -2)).reshape(*stack.shape[:-3], n + 1, -1, ds)
-
-    lefts = laid(left)
-    rights = lefts if right is left else laid(right)
-    lead = np.broadcast_shapes(lefts.shape[:-3], ops.shape[1:-2], np.shape(x)[:-2])
-    lifted = np.zeros((*lead, *lefts.shape[-3:]), dtype=complex)
+    db = d // ds
+    lefts = left.reshape(*left.shape[:-2], -1, ds)  # (..., n_max + 1, D d_B, d_S)
+    lead = np.broadcast_shapes(left.shape[:-3], ops.shape[1:-2], np.shape(x)[:-2])
+    traced = rho_b is not None
+    # X[q], rows (i, a) when traced, written through the view with rows (a, i)
+    lifted = np.zeros((*lead, n + 1, *((ds, db) if traced else (db, ds)), d), dtype=complex)
+    framed = lifted.swapaxes(-3, -2) if traced else lifted
     for k, a in enumerate(ops):  # X[q] collects L[n - k - q] (x^(n-k) A_k (x) 1_B)
-        lifted[..., : n + 1 - k, :, :] += lefts[..., n - k :: -1, :, :] @ (x ** (n - k) * a)[..., None, :, :]
-    rows, rlead = d, rights.shape[:-3]
-    if rho_b is not None:
-        rows, rights = ds, rho_b.conj().T @ rights.reshape(*rights.shape[:-2], ds, len(rho_b), -1)
-    rights = rights.reshape(*rlead, n + 1, rows, -1).conj().swapaxes(-1, -2)
+        term = lefts[..., n - k :: -1, :, :] @ (x ** (n - k) * a)[..., None, :, :]
+        framed[..., : n + 1 - k, :, :, :] += term.reshape(*term.shape[:-2], db, ds, d)
+    rights, rows = right[..., : n + 1, :, :], d
+    if traced:
+        rows, rights = ds, rho_b.conj().T @ rights.reshape(*rights.shape[:-2], db, ds, d).swapaxes(-3, -2)
+    rights = rights.reshape(*right.shape[:-3], n + 1, rows, -1).conj().swapaxes(-1, -2)
     return (lifted.reshape(*lead, n + 1, rows, -1) @ rights).sum(-3)
 
 
@@ -167,17 +169,19 @@ def one_point_values(
     ``o`` is a ``(d_S, d_S)`` array, and ``rows`` are the kernel rows of the
     times (`KernelSet.eigen_rows`, or ``KernelSet.row(t)[None]`` for one
     time).  The fused form ``sum_p alpha_p K[p] (B (x) 1_B)
-    C[N-p]^dag`` of the module docstring, evaluated in the free eigenbasis
+    C[N-p]^dag`` of the module docstring, evaluated in the frame
     ``V = v0 (x) 1_B`` of the rows: with ``K[p] = V E[p] exp(-iFt) V^dag`` the free phases
     cancel against ``B = U0^dag O U0``, so ``K[p] (B (x) 1_B) K[q]^dag =
     V E[p] (o (x) 1_B) E[q]^dag V^dag`` with the time-independent
     ``o = v0^dag O v0``, and ``V`` commutes with the bath contraction.  The
     bath state is folded into the left factor, ``tr_B(L C^dag (1 (x) rho_B))
-    = sum_(b,z) [(1 (x) rho_B) L]_(i b, z) conj(C_(m b, z))``, so each order
-    is one GEMM per coupling stacked over all times with a ``d_S x d_S``
-    result; the partial sums ``C[m]`` are accumulated alongside, and the
-    temporaries hold one order at a time.  The rows ``(1 (x) rho_B) E[p]``
-    do not depend on the coupling and are formed once for the sweep.
+    = sum_(b,z) [(1 (x) rho_B) L]_(b i, z) conj(C_(b m, z))``, both read with
+    their rows system-major, so each order is one GEMM per coupling stacked
+    over all times with a ``d_S x d_S`` result that ``alpha_p`` weights.  The
+    left factor ``(1 (x) rho_B) E[p] (o (x) 1_B)`` does not depend on the
+    coupling and is formed once for the sweep, by a GEMM by ``rho_B`` and one
+    by ``o``; the partial sums ``C[m]`` are accumulated alongside, and the
+    temporaries hold one order at a time.
     """
     ks.check_order(order)
     n = order
@@ -186,18 +190,19 @@ def one_point_values(
     d = ds * db
     hbar = ks.frame.constants.hbar
     alpha = (1j * np.asarray(lams, dtype=float)[:, None] / hbar) ** np.arange(n + 1)  # alpha_p = (i lam/hbar)^p
-    o_eig = _blockops.kron_identity(ks.frame.enter(o), db)
-    rows = rows.reshape(n_t, ds, db, ks.orders + 1, d)  # E[p] = rows[..., p, :]
+    o_eig = ks.frame.enter(o)
+    rows = rows.reshape(n_t, db, ds, ks.orders + 1, d).swapaxes(1, 2)  # E[p] = rows[..., p, :], rows (i, a)
     out = np.zeros((n_lam, n_t, ds, ds), dtype=complex)
     partial = np.zeros((n_lam, n_t, ds, db, d), dtype=complex)
-    left = np.empty((n_lam, n_t * d, d), dtype=complex)
+    left = np.empty((n_t, ds, db, d), dtype=complex)
     for p in range(n, -1, -1):
         partial += alpha[:, n - p, None, None, None, None] * rows[..., n - p, :]  # now C[n - p]
-        # left = conj((1 (x) rho_B) alpha_p E[p] (o (x) 1_B)), conjugated in place so
+        # left = conj((1 (x) rho_B) E[p] (o (x) 1_B)), conjugated in place so
         # that C enters the product as a transposed view rather than a conjugated copy
-        np.matmul((rho_b @ rows[..., p, :]).reshape(-1, d), alpha[:, p, None, None] * o_eig, out=left)
+        np.matmul((rho_b @ rows[..., p, :]).reshape(-1, ds), o_eig, out=left.reshape(-1, ds))
         np.conjugate(left, out=left)
-        out += (left.reshape(n_lam, n_t, ds, db * d) @ partial.reshape(n_lam, n_t, ds, db * d).swapaxes(-1, -2)).conj()
+        traced = left.reshape(n_t, ds, db * d) @ partial.reshape(n_lam, n_t, ds, db * d).swapaxes(-1, -2)
+        out += alpha[:, p, None, None, None] * traced.conj()
     return ks.frame.leave(out)
 
 

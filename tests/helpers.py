@@ -133,21 +133,23 @@ def einsum_one_point(b, kstack, rho, order, lam, hbar=1.0):
 def recursive_partition_image(value, n_max, lam, ks, rho, t):
     """The partition sum of `heisenbath.npoint.expand_image_by_partitions` with
     every suffix wrapped by its own sandwich, recursively, and every first
-    pair's word formed alone: the per-suffix evaluation that the batched one
-    must reproduce bit for bit."""
+    pair's word formed alone, on the kernels out of the frame
+    (`KernelSet.heis_stack`) with system-major arithmetic (`system_lift`,
+    `sandwich_sum`, `bath_trace`): an evaluation that shares no product with
+    the engine's, and agrees with it to rounding."""
     from heisenbath import _blockops
     from heisenbath.npoint import _partitions
 
-    kstack = ks.frame_stack(ks.row(t))
+    kstack = ks.heis_stack(t)
     x = lam / ks.frame.constants.hbar
-    inner = {(): ks.frame.enter(value)}
+    inner = {(): np.asarray(value, dtype=complex)}
 
     def weight(n_i, m_i):
         return 1j ** (n_i - m_i) * x ** (n_i + m_i)
 
     def sandwich(n_i, m_i, core):
-        left = _blockops.system_lift(kstack[n_i : n_i + 1], core)
-        return _blockops.sandwich_sum(left, kstack[m_i : m_i + 1])
+        left = system_lift(kstack[n_i : n_i + 1], core)
+        return sandwich_sum(left, kstack[m_i : m_i + 1])
 
     def wrap(suffix):
         if suffix not in inner:
@@ -159,7 +161,73 @@ def recursive_partition_image(value, n_max, lam, ks, rho, t):
     for n in range(n_max + 1):
         for p in _partitions(n, n + 1):
             cores[p[0]] = cores.get(p[0], 0) + wrap(p[1:])
-    return ks.frame.leave_open(sum(sandwich(*pair, weight(*pair) * core) for pair, core in cores.items()))
+    return sum(sandwich(*pair, weight(*pair) * core) for pair, core in cores.items())
+
+
+def per_suffix_partition_image(value, n_max, lam, ks, rho, t):
+    """The partition sum of `heisenbath.npoint.expand_image_by_partitions` from
+    lone calls of its `PartitionWords`: every suffix wrapped alone, shortest
+    first, and every first pair's word formed alone, summed in the same
+    order; the batched sum must reproduce it bit for bit."""
+    from heisenbath.npoint import PartitionWords, _partitions
+    from heisenbath.superop import SeriesTruncation
+
+    words = PartitionWords(value, SeriesTruncation(n_max, lam), ks, rho, ks.row(t))
+    cores = {}
+    for n in range(n_max + 1):
+        for p in _partitions(n, n + 1):
+            for k in range(len(p) - 1, 0, -1):
+                words.wrap([p[k:]])
+            cores[p[0]] = cores.get(p[0], 0) + words.wrap([p[1:]])[0]
+    return ks.frame.leave_open(sum(words.open_words([pair], core[None])[0] for pair, core in cores.items()))
+
+
+# -- system-major sandwiches for the loop references -------------------------------
+# Full-space products in the original basis and its layout ``i * d_B + a``,
+# kept only for `recursive_partition_image`: ``X (A (x) 1_B)`` multiplies
+# every block ``X_ab`` by ``A`` (`system_lift`), and the k terms of a sandwich
+# are one ``(D, kD) @ (kD, D)`` product (`sandwich_sum`).  Both carry leading
+# axes, broadcast against each other, and give each leading index the GEMM a
+# lone operator and lone stack would get, so a batched call returns the bits
+# of its lone calls.
+
+
+def system_lift(stack: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``X (A (x) 1_B)`` for every matrix ``X`` of stacks ``(..., k, D, D)``.
+
+    Every block ``X_ab`` times the system operator ``a``: each stack is
+    copied once into block layout, whose last axis is the column system
+    index, so the product is one ``(rows, d_S) @ (d_S, d_S)`` GEMM per
+    stack and operator.  The leading axes of the stack and of ``a``
+    (``(..., d_S, d_S)``: one operator per coupling, say) broadcast and lead
+    the result, ``(..., k, D, D)``; a stack shared by several operators is
+    laid out once.
+    """
+    *slead, k, d, _ = stack.shape
+    *alead, ds, _ = a.shape
+    db = d // ds
+    lead = np.broadcast_shapes(tuple(slead), tuple(alead))
+    n, s = len(lead), len(slead)
+    # (..., k, i, a, j, b) -> (..., k, a, b, i, j) and back
+    laid = stack.reshape(*slead, k, ds, db, ds, db).transpose(*range(s), s, s + 2, s + 4, s + 1, s + 3)
+    lifted = laid.reshape(*slead, -1, ds) @ a
+    back = (*range(n), n, n + 3, n + 1, n + 4, n + 2)
+    return lifted.reshape(*lead, k, db, db, ds, ds).transpose(back).reshape(*lead, k, d, d)
+
+
+def sandwich_sum(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """``sum_k L_k R_k^dag`` of matrix stacks ``(..., k, D, D)``, leading axes broadcast.
+
+    Each operand is laid out once as the ``(D, kD)`` matrix
+    ``[X_0 | ... | X_(k-1)]``, so the sum is a single
+    ``(D, kD) @ (kD, D)`` product per leading index; ``rights`` with fewer
+    leading axes is laid out once for all of them.
+    """
+    *lead, k, d, _ = lefts.shape
+    n = len(lead)
+    left = lefts.transpose(*range(n), n + 1, n, n + 2).reshape(*lead, d, k * d)
+    right = np.conj(rights.swapaxes(-3, -2), order="C").reshape(*rights.shape[:-3], d, k * d)
+    return left @ right.swapaxes(-1, -2)
 
 
 # -- line-pair reference for the collapsed Lindblad generator --------------------

@@ -1,7 +1,7 @@
 """Claims of the paper's abstract that no validation row states on its own.
 
 README's claims table maps every sentence of the abstract to the tests and
-rows that check it; these are the two that needed a test of their own, and
+rows that check it; these are the three that needed a test of their own, and
 a check that every test README cites exists.
 """
 
@@ -12,7 +12,7 @@ import re
 import numpy as np
 
 import heisenbath as hb
-from heisenbath.diagnostics import fit_slope
+from heisenbath.diagnostics import fit_slope, random_model, rounding_floor
 from heisenbath.dyson import compute_kernels
 from heisenbath.model import make_model
 from heisenbath.oracle import heisenberg_evolve_exact, npoint_reduced_exact
@@ -20,9 +20,10 @@ from heisenbath.spaces import TimeGrid, system_operator, weighted_bath_trace
 from heisenbath.superop import (
     SeriesTruncation,
     chain_contract,
+    lift_values,
     star_of_observables,
 )
-from helpers import lift_at, one_point_at, random_hermitian
+from helpers import lift_at, one_point_at, random_density, random_hermitian
 
 
 def test_rank_one_bath_state_reads_d_b_images_per_end_factor():
@@ -75,6 +76,47 @@ def test_naive_product_misses_the_two_point_function_at_second_order():
     assert 1.8 <= fit_slope(lams, gaps) <= 2.2, gaps
     assert fit_slope(lams, star_errors) >= 2.8, star_errors
     assert gaps[-1] >= 100 * star_errors[-1], (gaps, star_errors)
+
+
+def test_lift_is_a_polynomial_of_degree_n_in_the_bath_state():
+    """"It depends non-linearly on the environment state": the order-N lift
+    (`lift_values`: the series inversion and the image family) folds the bath
+    state in once per order, so under the mixture ``rho(p) = p rho_1 + (1 - p)
+    rho_2`` it is a polynomial of degree exactly N in p.  At 9 values of p in
+    [0, 1], N = 0..4 and two couplings, a degree-N fit leaves rounding and a
+    degree-(N-1) fit leaves a thousand times more; the mixture defect
+    ``F(1/2) - (F(0) + F(1))/2`` is rounding at N <= 1 and scales as lam^2 at
+    N = 2."""
+    rng = np.random.default_rng(23)
+    m, _ = random_model(3, 2, 3)
+    t, lams, ps = 1.2, (0.1, 0.05), np.linspace(0.0, 1.0, 9)
+    ks = compute_kernels(m, 4, TimeGrid.linspace(t, 5))
+    rho_1, rho_2, value = random_density(rng, 3), random_density(rng, 3), random_hermitian(rng, 2)
+
+    def lift(order, lam):  # (9, n): the inversion and the family at each p, flattened
+        rows = []
+        for p in ps:
+            rho = p * rho_1 + (1 - p) * rho_2
+            inverses, mats = lift_values(value[None, None], order, (lam,), ks, rho, ks.row(t)[None])
+            rows.append(np.concatenate([inverses.ravel(), mats.ravel()]))
+        return np.array(rows)
+
+    def fit_residual(f, degree):
+        vander = np.vander(ps, degree + 1)
+        return float(np.max(np.abs(vander @ np.linalg.lstsq(vander, f, rcond=None)[0] - f)))
+
+    defects = {}
+    for order in range(5):
+        for lam in lams:
+            f = lift(order, lam)
+            floor = rounding_floor(order, f)
+            assert fit_residual(f, order) <= floor, (order, lam)
+            if order:
+                assert fit_residual(f, order - 1) >= 1e3 * floor, (order, lam)
+            defects[order, lam] = float(np.max(np.abs(f[4] - (f[0] + f[-1]) / 2)))
+            if order <= 1:
+                assert defects[order, lam] <= floor, (order, lam)
+    assert abs(fit_slope(lams, [defects[2, lam] for lam in lams]) - 2.0) <= 0.01, defects
 
 
 TESTS = pathlib.Path(__file__).resolve().parent

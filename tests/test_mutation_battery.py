@@ -32,6 +32,12 @@ MUTANTS = (
     ),
     ("alpha_drop_hbar", "superop.py", "[:, None] / hbar) ** np.arange", "[:, None]) ** np.arange"),
     ("inversion_index", "superop.py", "_dressed(stack, stack, inv[:m], m", "_dressed(stack, stack, inv[m - 1 :: -1], m"),
+    (
+        "affine_inversion",
+        "superop.py",
+        "inv[:m], m, rho_b, x)",
+        "inv[:m], m, rho_b if m == 1 else np.eye(len(rho_b)) / len(rho_b), x)",
+    ),
     ("frame_deriv_phase", "dyson.py", "= self._bath_phase * stack[1:]", "= -self._bath_phase * stack[1:]"),
     ("rhs_h0_sign", "superop.py", "(h0 @ values - values @ h0)", "(values @ h0 - h0 @ values)"),
     (
@@ -50,21 +56,11 @@ MUTANTS = (
     ("star_chain_order", "superop.py", "reduce(np.matmul, mats)", "reduce(np.matmul, mats[::-1])"),
     ("toeplitz_mul_reversal", "dyson.py", "b[k::-1]", "b[: k + 1]"),
     ("toeplitz_solve_sign", "dyson.py", "p[k] - np.matmul(q[1 : k + 1]", "p[k] + np.matmul(q[1 : k + 1]"),
-    ("leave_open_conj", "dyson.py", "(self.v0.conj() @ rows)", "(self.v0 @ rows)"),
+    ("leave_open_conj", "dyson.py", "x.reshape(-1, ds) @ self.v0.conj().T", "x.reshape(-1, ds) @ self.v0.T"),
     ("frame_stack_scale_axis", "dyson.py", "axis2=-1)[..., None, None, :]", "axis2=-1)[..., None, :, None]"),
-    (
-        "sandwich_right_conj",
-        "_blockops.py",
-        'np.conj(rights.swapaxes(-3, -2), order="C")',
-        "np.ascontiguousarray(rights.swapaxes(-3, -2))",
-    ),
-    ("system_lift_transpose", "_blockops.py", "reshape(*slead, -1, ds) @ a", "reshape(*slead, -1, ds) @ a.swapaxes(-1, -2)"),
-    (
-        "kron_identity_transpose",
-        "_blockops.py",
-        "out[..., :, idx, :, idx] = value",
-        "out[..., :, idx, :, idx] = value.swapaxes(-1, -2)",
-    ),
+    ("sandwich_right_conj", "npoint.py", "lifted @ self.kstack[m].conj()", "lifted @ self.kstack[m]"),
+    ("system_lift_transpose", "npoint.py", "-1, ds) @ cores)", "-1, ds) @ cores.swapaxes(-1, -2))"),
+    ("one_point_lift_transpose", "superop.py", "ds), o_eig, out=", "ds), o_eig.T, out="),
     ("bath_trace_transpose", "_blockops.py", "rho.T.reshape(-1, 1)", "rho.reshape(-1, 1)"),
     ("cumulant_leg_order", "npoint.py", "- values[0] @ values[1]", "- values[1] @ values[0]"),
     ("dressing_bath_fold", "superop.py", "rho_b.conj().T @ rights", "rho_b.T @ rights"),

@@ -18,7 +18,7 @@ import pytest
 from heisenbath import _blockops, dyson
 from heisenbath.diagnostics import DEFAULT_LAMBDAS, random_model, rhs_fd_errors, rounding_floor
 from heisenbath.dyson import compute_kernels
-from heisenbath.npoint import _partitions, decompose_3pt, expand_image_by_partitions
+from heisenbath.npoint import PartitionWords, _partitions, decompose_3pt, expand_image_by_partitions
 from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
     SeriesTruncation,
@@ -44,6 +44,7 @@ from helpers import (
     one_point_at,
     partition_image,
     partition_term,
+    per_suffix_partition_image,
     recursive_partition_image,
     rhs_at,
 )
@@ -131,18 +132,18 @@ def test_partition_expansion_matches_einsum_sum(engine_model, order, t):
 # per-partition evaluation would take 1, 7, 36, 164 and 700 sandwiches
 @pytest.mark.parametrize("n_max,sandwiches", [(0, 1), (1, 5), (2, 15), (3, 43), (4, 130)])
 def test_partition_expansion_sandwich_count(engine_model, monkeypatch, n_max, sandwiches):
-    """One batched `sandwich_sum` per suffix length 1..n_max and one for the open
+    """One batched sandwich call per suffix length 1..n_max and one for the open
     words; their batch sizes add up to the distinct suffixes and first pairs."""
     m, obs, ks = engine_model
     traj = one_point_operator(obs, SeriesTruncation(n_max, LAM), ks, m.rho_b, ks.grid, "obs")
     calls = []
-    real = _blockops.sandwich_sum
+    real = PartitionWords._sandwiches
 
-    def counted(lefts, rights):
-        calls.append(len(lefts))
-        return real(lefts, rights)
+    def counted(words, pairs, cores):
+        calls.append(len(pairs))
+        return real(words, pairs, cores)
 
-    monkeypatch.setattr(_blockops, "sandwich_sum", counted)
+    monkeypatch.setattr(PartitionWords, "_sandwiches", counted)
     expand_image_by_partitions(traj, n_max, ks, m.rho_b, GRID_TIME)
     assert len(calls) == n_max + 1 and sum(calls) == sandwiches
 
@@ -150,16 +151,21 @@ def test_partition_expansion_sandwich_count(engine_model, monkeypatch, n_max, sa
 @pytest.mark.parametrize("t", [GRID_TIME, OFF_GRID_TIME])
 @pytest.mark.parametrize("n_max", ORDERS)
 def test_batched_partition_sum_equals_per_suffix_evaluation(engine_model, monkeypatch, n_max, t):
-    """Each suffix length in one `sandwich_sum` call, and the sum bit for bit
-    the one `recursive_partition_image` forms one sandwich at a time."""
+    """Each suffix length in one sandwich call, and the sum bit for bit the one
+    `per_suffix_partition_image` forms from lone calls, one sandwich at a
+    time; to rounding the one `recursive_partition_image` forms out of the
+    frame."""
     m, obs, ks = engine_model
     traj = one_point_operator(obs, SeriesTruncation(n_max, LAM), ks, m.rho_b, ks.grid, "obs")
-    expected = recursive_partition_image(value_and_row(traj, ks, m.rho_b, t)[0], n_max, LAM, ks, m.rho_b, t)
+    value = value_and_row(traj, ks, m.rho_b, t)[0]
+    expected = per_suffix_partition_image(value, n_max, LAM, ks, m.rho_b, t)
     calls = []
-    real = _blockops.sandwich_sum
-    monkeypatch.setattr(_blockops, "sandwich_sum", lambda lefts, rights: calls.append(1) or real(lefts, rights))
-    assert np.array_equal(expand_image_by_partitions(traj, n_max, ks, m.rho_b, t).matrix, expected)
+    real = PartitionWords._sandwiches
+    monkeypatch.setattr(PartitionWords, "_sandwiches", lambda *args: calls.append(1) or real(*args))
+    image = expand_image_by_partitions(traj, n_max, ks, m.rho_b, t).matrix
+    assert np.array_equal(image, expected)
     assert len(calls) == n_max + 1
+    assert _close(image, recursive_partition_image(value, n_max, LAM, ks, m.rho_b, t))
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -110,15 +110,14 @@ class TestSandwichConvention:
         hbar = 1.0
         from heisenbath.superop import _dressed
 
-        stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.heis_stack(t)
-        b = ks.frame.free_conjugate(obs, t)
+        turns, kstack = 1j ** np.arange(ks.orders + 1)[:, None, None], ks.frame_stack(ks.row(t))
+        b = ks.frame.enter(ks.frame.free_conjugate(obs, t))
         exact = to_image_family(
             heisenberg_evolve_exact(m.with_coupling(lam), system_operator(obs, (2, 3)), t)
         ).matrix
         errs = {}
-        adjoint = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.heis_stack(t).conj().swapaxes(-1, -2)
-        for name, kstack in (("derived", stack), ("printed", adjoint)):
-            fam = _dressed(kstack, kstack, (b,) * (order + 1), order, None, lam / hbar)
+        for name, stack in (("derived", turns * kstack), ("printed", turns * kstack.conj().swapaxes(-1, -2))):
+            fam = ks.frame.leave_open(_dressed(stack, stack, (b,) * (order + 1), order, None, lam / hbar))
             errs[name] = np.max(np.abs(fam - exact))
         print(
             f"order-2 image error vs oracle: derived={errs['derived']:.3e} "
