@@ -17,15 +17,15 @@ block upper-triangular Toeplitz, and so is every power series in it: it is
 stored as its first block row ``(iF, H_I, 0, ...)``, and `toeplitz_expm`
 computes the exponential's first block row by Pade-13 scaling and squaring
 (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179) with products that are
-truncated block convolutions.  The row is propagated as
-``R(t + dt) = R(t) exp(dt M)``, one GEMM against the step matrix assembled
-from its blocks, and an off-grid time, past the last point included, is
-reached exactly from the grid point below it.  A grid's steps share one
-``S = exp(hM)`` at a median step ``h``: steps that differ from ``h`` only by
-rounding (``linspace``) use ``S + (dt - h) S M``, whose neglected term
-``O(((dt - h)|M|)^2)`` lies below double precision; any other step gets its
-own exponential (`propagate_rows`, which the Lindblad evolution shares with
-a one-block generator).
+truncated block convolutions.  The row, shape ``(n_max + 1, D, D)``, is
+propagated as ``R(t + dt) = R(t) exp(dt M)``, the same block convolution
+with the step's first block row, and an off-grid time, past the last point
+included, is reached exactly from the grid point below it.  A grid's steps
+share one ``S = exp(hM)`` at a median step ``h``: steps that differ from
+``h`` only by rounding (``linspace``) use ``S + (dt - h) S M``, whose
+neglected term ``O(((dt - h)|M|)^2)`` lies below double precision; any
+other step gets its own exponential (`propagate_rows`, which the Lindblad
+evolution shares with a one-block generator and a one-block row).
 Nested quadrature survives only as a test oracle.
 
 All of this happens in the frame, the H0 eigenbasis ``V = v0 (x) 1_B`` where
@@ -127,34 +127,27 @@ _PADE = (
 def toeplitz_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of block upper-triangular Toeplitz matrices, as first block rows.
 
-    ``(AB)_k = sum_{m <= k} A_m B_{k - m}``: one batched matmul per output block.
+    ``(AB)_k = sum_{m <= k} A_{k - m} B_m``: one batched matmul per block of ``b``.
+    The blocks of ``a``, ``(n, r, D)``, may be rectangular: a block row stepped by ``B``.
     """
-    out = np.empty(a.shape, dtype=np.result_type(a, b))
-    for k in range(len(a)):
-        out[k] = np.matmul(a[: k + 1], b[k::-1]).sum(axis=0)
+    out = np.matmul(a, b[0])
+    for k in range(1, len(b)):
+        out[k:] += np.matmul(a[: len(b) - k], b[k])
     return out
 
 
-def toeplitz_dense(blocks: np.ndarray) -> np.ndarray:
-    """The ``(nD, nD)`` matrix whose first block row is ``blocks``, shape ``(n, D, D)``."""
-    n, d, _ = blocks.shape
-    r, c = np.triu_indices(n)
-    out = np.zeros((n, d, n, d), dtype=blocks.dtype)
-    out[r, :, c] = blocks[c - r]
-    return out.reshape(n * d, n * d)
-
-
 def toeplitz_norm1(blocks: np.ndarray) -> float:
-    """1-norm of `toeplitz_dense` (``blocks``): the largest column sum of ``sum_n |A_n|``."""
+    """1-norm of the block Toeplitz matrix of ``blocks``: the largest column sum of ``sum_n |A_n|``."""
     return float(np.abs(blocks).sum(axis=(0, 1)).max())
 
 
 def _toeplitz_solve(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``X`` with ``Q X = P`` by block forward substitution, one solve against ``Q_0`` per block."""
-    x = np.empty_like(p)
-    x[0] = np.linalg.solve(q[0], p[0])
-    for k in range(1, len(p)):
-        x[k] = np.linalg.solve(q[0], p[k] - np.matmul(q[1 : k + 1], x[k - 1 :: -1]).sum(axis=0))
+    """``X`` with ``Q X = P`` by block forward substitution: one solve against
+    ``Q_0`` per block, whose product with ``Q`` is then taken off the later blocks."""
+    x = p.copy()
+    for k in range(len(p)):
+        x[k] = np.linalg.solve(q[0], x[k])
+        x[k + 1 :] -= np.matmul(q[1 : len(p) - k], x[k])
     return x
 
 
@@ -207,12 +200,12 @@ def propagate_rows(first: np.ndarray, gen: np.ndarray, points: np.ndarray) -> np
     """``first @ exp((t - points[0]) G)`` at every point, shape ``(n_t, *first.shape)``.
 
     ``G`` is block upper-triangular Toeplitz with first block row ``gen``,
-    shape ``(n, D, D)`` (a dense generator is one block).  Propagated one
-    step at a time, ``R[k] = R[k - 1] @ exp(dt_k G)``, each step one GEMM
-    against the step matrix assembled from its blocks.  The steps share one
-    `toeplitz_expm` at the median step ``h``: a step within
-    ``sqrt(eps) / |G|_1`` of it (``linspace`` rounding) is
-    ``exp(h G) + (dt - h) exp(h G) G``, whose neglected term lies below
+    shape ``(n, D, D)`` (a dense generator is one block), and ``first`` is a
+    block row ``(n, r, D)``.  Propagated one step at a time, ``R[k] =
+    R[k - 1] @ exp(dt_k G)``, each step a `toeplitz_mul` by the step's first
+    block row.  The steps share one `toeplitz_expm` at the median step
+    ``h``: a step within ``sqrt(eps) / |G|_1`` of it (``linspace`` rounding)
+    is ``exp(h G) + (dt - h) exp(h G) G``, whose neglected term lies below
     double precision; any other step gets its own exponential.
     """
     rows = np.empty((len(points), *first.shape), dtype=complex)
@@ -223,13 +216,12 @@ def propagate_rows(first: np.ndarray, gen: np.ndarray, points: np.ndarray) -> np
     h = float(np.sort(steps)[steps.size // 2])
     base = toeplitz_expm(h * gen)
     near = np.abs(steps - h) * toeplitz_norm1(gen) <= np.sqrt(np.finfo(float).eps)
-    step = toeplitz_dense(base)
-    slope = toeplitz_dense(toeplitz_mul(base, gen)) if np.any(near & (steps != h)) else None
-    cache: dict[float, np.ndarray] = {h: step}
+    slope = toeplitz_mul(base, gen) if np.any(near & (steps != h)) else None
+    cache: dict[float, np.ndarray] = {h: base}
     for k, (dt, first_order) in enumerate(zip(steps.tolist(), near.tolist()), start=1):
         if dt not in cache:
-            cache[dt] = step + (dt - h) * slope if first_order else toeplitz_dense(toeplitz_expm(dt * gen))
-        np.matmul(rows[k - 1], cache[dt], out=rows[k])
+            cache[dt] = base + (dt - h) * slope if first_order else toeplitz_expm(dt * gen)
+        rows[k] = toeplitz_mul(rows[k - 1], cache[dt])
     return rows
 
 
@@ -267,15 +259,17 @@ class KernelSet:
             mixed = (self.frame.v0.T @ rows).reshape(d_s, d_b, d_s, d_b)  # (i a, j b)
             gen[1] = mixed.transpose(1, 0, 3, 2).reshape(d, d)
         self._gen = gen
-        # R(t) at the grid points, shape (n_t, d, (n_max + 1) d)
-        self._rows = propagate_rows(np.eye(d, (n_max + 1) * d), gen, grid.points)
+        # R(t) at the grid points, shape (n_t, n_max + 1, d, d), from the identity row
+        first = np.zeros_like(gen)
+        first[0] = np.eye(d)
+        self._rows = propagate_rows(first, gen, grid.points)
         self._rows.flags.writeable = False
 
     # -- rows and stacks ----------------------------------------------------
 
     def row(self, t: float) -> np.ndarray:
-        """``R(t)`` at any ``t >= 0``: stored at grid points, one exact step from the
-        grid point below at an off-grid time, the last point included."""
+        """``R(t)``, shape ``(n_max + 1, D, D)``, at any ``t >= 0``: stored at grid points,
+        one exact step from the grid point below at an off-grid time, the last point included."""
         k = self.grid.index(t)
         if k is not None:
             return self._rows[k]
@@ -283,10 +277,10 @@ class KernelSet:
             raise OrderExceedsKernels(f"kernels start at t = 0 but t={t!r} was requested")
         pts = self.grid.points
         k = max(int(np.searchsorted(pts, t, side="right")) - 1, 0)
-        return self._rows[k] @ toeplitz_dense(toeplitz_expm((t - pts[k]) * self._gen))
+        return toeplitz_mul(self._rows[k], toeplitz_expm((t - pts[k]) * self._gen))
 
     def eigen_rows(self, times: np.ndarray) -> np.ndarray:
-        """`row` at each time, ``(n_t, D, (n_max + 1) D)``, with ``n_t = 0`` for no time;
+        """`row` at each time, ``(n_t, n_max + 1, D, D)``, with ``n_t = 0`` for no time;
         the grid is served without a copy."""
         if np.array_equal(times, self.grid.points):
             return self._rows
@@ -296,11 +290,9 @@ class KernelSet:
     def frame_stack(self, row: np.ndarray) -> np.ndarray:
         """The kernels in the H0 eigenbasis, ``S[n] = E[n] E[0]^-1 = V^dag K[n] V``
         with ``V = v0 (x) 1_B`` and ``E[0] = exp(iFt)`` diagonal; ``S[0] = 1``.
-        Rows ``(..., D, (n_max + 1) D)`` give stacks ``(..., n_max + 1, D, D)``."""
-        *lead, d, _ = row.shape
-        out = np.empty((*lead, self.orders + 1, d, d), dtype=complex)
-        e0 = np.diagonal(row, axis1=-2, axis2=-1)[..., None, None, :]
-        np.divide(row.reshape(*lead, d, self.orders + 1, d).swapaxes(-3, -2), e0, out=out)
+        Rows ``(..., n_max + 1, D, D)`` give stacks of the same shape."""
+        d = row.shape[-1]
+        out = row / np.diagonal(row[..., 0, :, :], axis1=-2, axis2=-1)[..., None, None, :]
         out[..., 0, :, :] = np.eye(d)
         return out
 
@@ -321,7 +313,7 @@ class KernelSet:
     def tilde_stack(self, t: float) -> np.ndarray:
         """``Ktilde[n](t) = V E[0]^-1 E[n] V^dag`` in the original basis, n = 0..n_max."""
         row = self.row(t)
-        e0 = np.diagonal(row)  # E[0], diagonal
+        e0 = np.diagonal(row[0])  # E[0], diagonal
         out = self.frame_stack(row)
         out[1:] = self.frame.leave_open(out[1:] * e0 / e0[:, None])
         return out

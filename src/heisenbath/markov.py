@@ -460,9 +460,9 @@ def evolve_lindblad(
 
     `lindblad_rhs` is linear in the operator, so its matrix ``G`` on
     row-major vectorised operators (`lindblad_generator`) is assembled once.
-    The operators, as rows ``vec(o0)^T``, are propagated over the grid under
-    ``G^T``, a one-block generator, with one step exponential shared by all
-    steps (`dyson.propagate_rows`), so each grid value is ``exp(t G) vec(o0)``.
+    The operators, as the rows ``vec(o0)^T`` of one block, are propagated
+    under ``G^T``, a one-block generator, with one step exponential shared by
+    all steps (`dyson.propagate_rows`), so each value is ``exp(t G) vec(o0)``.
     ``o0`` is one operator or a stack ``(..., d_S, d_S)``; returns
     ``(..., n_t, d_S, d_S)``.
     """
@@ -471,5 +471,5 @@ def evolve_lindblad(
     d = math.isqrt(gen.shape[0])
     if o0.shape[-2:] != (d, d):
         raise DimensionError(f"operator shape {o0.shape} does not match the {gen.shape[0]}-dim generator")
-    rows = propagate_rows(o0.reshape(-1, d * d), gen.T[None], grid.points)
+    rows = propagate_rows(o0.reshape(1, -1, d * d), gen.T[None], grid.points)[:, 0]
     return np.moveaxis(rows, 0, 1).reshape(*o0.shape[:-2], len(grid), d, d)

@@ -166,10 +166,10 @@ def one_point_values(
 ) -> np.ndarray:
     """``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` per coupling and time, shape ``(n_lam, n_t, d_S, d_S)``.
 
-    ``o`` is a ``(d_S, d_S)`` array, and ``rows`` are the kernel rows of the
-    times (`KernelSet.eigen_rows`, or ``KernelSet.row(t)[None]`` for one
-    time).  The fused form ``sum_p alpha_p K[p] (B (x) 1_B)
-    C[N-p]^dag`` of the module docstring, evaluated in the frame
+    ``o`` is a ``(d_S, d_S)`` array, and ``rows``, ``(n_t, n_max + 1, D,
+    D)``, are the kernel rows of the times (`KernelSet.eigen_rows`, or
+    ``KernelSet.row(t)[None]`` for one time).  The fused form ``sum_p
+    alpha_p K[p] (B (x) 1_B) C[N-p]^dag`` of the module docstring, evaluated in the frame
     ``V = v0 (x) 1_B`` of the rows: with ``K[p] = V E[p] exp(-iFt) V^dag`` the free phases
     cancel against ``B = U0^dag O U0``, so ``K[p] (B (x) 1_B) K[q]^dag =
     V E[p] (o (x) 1_B) E[q]^dag V^dag`` with the time-independent
@@ -191,15 +191,15 @@ def one_point_values(
     hbar = ks.frame.constants.hbar
     alpha = (1j * np.asarray(lams, dtype=float)[:, None] / hbar) ** np.arange(n + 1)  # alpha_p = (i lam/hbar)^p
     o_eig = ks.frame.enter(o)
-    rows = rows.reshape(n_t, db, ds, ks.orders + 1, d).swapaxes(1, 2)  # E[p] = rows[..., p, :], rows (i, a)
+    rows = rows.reshape(n_t, ks.orders + 1, db, ds, d).swapaxes(2, 3)  # E[p] = rows[:, p], rows (i, a)
     out = np.zeros((n_lam, n_t, ds, ds), dtype=complex)
     partial = np.zeros((n_lam, n_t, ds, db, d), dtype=complex)
     left = np.empty((n_t, ds, db, d), dtype=complex)
     for p in range(n, -1, -1):
-        partial += alpha[:, n - p, None, None, None, None] * rows[..., n - p, :]  # now C[n - p]
+        partial += alpha[:, n - p, None, None, None, None] * rows[:, n - p]  # now C[n - p]
         # left = conj((1 (x) rho_B) E[p] (o (x) 1_B)), conjugated in place so
         # that C enters the product as a transposed view rather than a conjugated copy
-        np.matmul((rho_b @ rows[..., p, :]).reshape(-1, ds), o_eig, out=left.reshape(-1, ds))
+        np.matmul((rho_b @ rows[:, p]).reshape(-1, ds), o_eig, out=left.reshape(-1, ds))
         np.conjugate(left, out=left)
         traced = left.reshape(n_t, ds, db * d) @ partial.reshape(n_lam, n_t, ds, db * d).swapaxes(-1, -2)
         out += alpha[:, p, None, None, None] * traced.conj()
@@ -233,8 +233,8 @@ def lift_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The series inversions ``inv[order]`` of one-point values ``(n_leg, n_lam,
     d_S, d_S)``, one per leg and coupling, and their image families ``(n_leg,
-    n_lam, D, D)``, from the kernel rows of the legs' times ``(n_leg, D,
-    (n_max + 1) D)``.  The family is the open sum of ``inv[0..order]`` at
+    n_lam, D, D)``, from the kernel rows of the legs' times ``(n_leg, n_max +
+    1, D, D)``.  The family is the open sum of ``inv[0..order]`` at
     that order, ``inv[order] (x) 1_B`` included; only ``value - inv[order]``
     leaves the frame for the inversion, so order 0 returns the value.
     Truncation is by *total* order ``n + n_1 + ... + n_k``, never per

@@ -230,6 +230,20 @@ def sandwich_sum(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     return left @ right.swapaxes(-1, -2)
 
 
+# -- dense reference for block upper-triangular Toeplitz rows -------------------
+# `heisenbath.dyson` keeps every block-Toeplitz matrix as its first block row;
+# the tests check its exponential, product, solve and rows against the dense matrix.
+
+
+def toeplitz_dense(blocks: np.ndarray) -> np.ndarray:
+    """The ``(nD, nD)`` matrix whose first block row is ``blocks``, shape ``(n, D, D)``."""
+    n, d, _ = blocks.shape
+    r, c = np.triu_indices(n)
+    out = np.zeros((n, d, n, d), dtype=blocks.dtype)
+    out[r, :, c] = blocks[c - r]
+    return out.reshape(n * d, n * d)
+
+
 # -- line-pair reference for the collapsed Lindblad generator --------------------
 # The adjoint Lindblad RHS summed over every pair of Bohr lines, as written in
 # the paper, kept only to check the collapsed form in `heisenbath.markov`.

@@ -8,8 +8,8 @@ import heisenbath as hb
 from heisenbath.dyson import (
     compute_kernels,
     dyson_propagator,
+    _toeplitz_solve,
     interaction_hamiltonian_images,
-    toeplitz_dense,
     toeplitz_expm,
     toeplitz_mul,
     toeplitz_norm1,
@@ -18,7 +18,7 @@ from heisenbath.errors import NonFiniteResult, OrderExceedsKernels
 from heisenbath.images import ImageFamily, to_image_family
 from heisenbath.model import make_model
 from heisenbath.spaces import TimeGrid
-from helpers import random_hermitian, random_density
+from helpers import random_hermitian, random_density, toeplitz_dense
 
 
 def _random_spec(seed, d_s=2, d_b=2):
@@ -176,7 +176,8 @@ class TestKernels:
         for k, dt in enumerate(np.diff(points), start=1):
             step = expm(dt * gen)
             row = row @ step
-            assert np.max(np.abs(ks._rows[k] - row)) <= 1e-13 * np.max(np.abs(row))
+            got = ks._rows[k].transpose(1, 0, 2).reshape(6, 24)  # the blocks side by side
+            assert np.max(np.abs(got - row)) <= 1e-13 * np.max(np.abs(row))
 
     def test_first_order_step_correction(self, monkeypatch):
         """Steps within sqrt(eps)/|M| of the shared one differ from it by a
@@ -191,11 +192,12 @@ class TestKernels:
         h = 0.05
         steps = h * (1.0 + np.array([0.0, 1e-9, -2e-9]) / (h * np.linalg.norm(gen, 1)))
         points = np.concatenate([[0.0], np.cumsum(steps)])
-        first = np.eye(gen.shape[0])[:6]
+        first = np.eye(gen.shape[0])[:6].reshape(6, 3, 6).transpose(1, 0, 2)  # the identity block row
         calls = []
         exponential = dyson.toeplitz_expm
         monkeypatch.setattr(dyson, "toeplitz_expm", lambda a: calls.append(1) or exponential(a))
-        got = dyson.propagate_rows(first, blocks, points)
+        got = dyson.propagate_rows(first, blocks, points).transpose(0, 2, 1, 3).reshape(len(points), 6, 18)
+        first = first.transpose(1, 0, 2).reshape(6, 18)
         assert len(calls) == 1
         assert np.array_equal(got[0], first)
         ref = first.astype(complex)
@@ -281,11 +283,24 @@ class TestToeplitzExponential:
                 toeplitz_expm(scale * blocks)
 
     def test_norm_and_product_match_dense(self):
+        """Norm, product and solve of first block rows against the dense
+        matrices, at n = 4 blocks and at n = 1, a dense matrix (the Lindblad
+        step).  A rectangular first factor ``(n, r, D)`` is a block row
+        stepped by a Toeplitz matrix: the first block row of the dense product."""
         rng = np.random.default_rng(11)
-        a, b = (rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3)) for _ in range(2))
-        dense = toeplitz_dense(toeplitz_mul(a, b))
-        assert np.max(np.abs(dense - toeplitz_dense(a) @ toeplitz_dense(b))) < 1e-14 * np.max(np.abs(dense))
-        assert np.isclose(toeplitz_norm1(a), np.linalg.norm(toeplitz_dense(a), 1), rtol=1e-15)
+        for n in (4, 1):
+            a, b = (rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)) for _ in range(2))
+            dense = toeplitz_dense(toeplitz_mul(a, b))
+            assert np.max(np.abs(dense - toeplitz_dense(a) @ toeplitz_dense(b))) < 1e-14 * np.max(np.abs(dense))
+            assert np.isclose(toeplitz_norm1(a), np.linalg.norm(toeplitz_dense(a), 1), rtol=1e-15)
+            rect = rng.normal(size=(n, 5, 3)) + 1j * rng.normal(size=(n, 5, 3))
+            got = toeplitz_mul(rect, b).transpose(1, 0, 2).reshape(5, 3 * n)
+            ref = rect.transpose(1, 0, 2).reshape(5, 3 * n) @ toeplitz_dense(b)
+            assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+            q = b + 4 * np.eye(3)  # Q_0 well conditioned
+            got = _toeplitz_solve(q, a)
+            ref = np.linalg.solve(toeplitz_dense(q), toeplitz_dense(a))[:3].reshape(3, n, 3).transpose(1, 0, 2)
+            assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 class TestDysonPropagator:

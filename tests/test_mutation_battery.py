@@ -47,15 +47,15 @@ MUTANTS = (
         "((-1j) ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(rows))",
     ),
     ("partition_sign", "npoint.py", "cores = -self._pair_weights(firsts)", "cores = self._pair_weights(firsts)"),
-    ("frame_identity_order0", "dyson.py", "0, :, :] = np.eye(d)", "0, :, :] = row[..., :, :d]"),
+    ("frame_identity_order0", "dyson.py", "0, :, :] = np.eye(d)", "0, :, :] = row[..., 0, :, :]"),
     ("partition_weight_power", "npoint.py", "self.x ** (n_i + m_i)", "self.x**n_i"),
-    ("bath_state_transpose", "superop.py", "(rho_b @ rows[..., p, :])", "(rho_b.T @ rows[..., p, :])"),
+    ("bath_state_transpose", "superop.py", "(rho_b @ rows[:, p])", "(rho_b.T @ rows[:, p])"),
     ("pade13_b1_sign", "dyson.py", "0.0, 32382376266240000.0", "0.0, -32382376266240000.0"),
     ("pade7_b1", "dyson.py", "17297280.0, 8648640.0,", "17297280.0, 8648000.0,"),
     ("squaring_count", "dyson.py", "for _ in range(s):", "for _ in range(s - 1):"),
     ("star_chain_order", "superop.py", "reduce(np.matmul, mats)", "reduce(np.matmul, mats[::-1])"),
-    ("toeplitz_mul_reversal", "dyson.py", "b[k::-1]", "b[: k + 1]"),
-    ("toeplitz_solve_sign", "dyson.py", "p[k] - np.matmul(q[1 : k + 1]", "p[k] + np.matmul(q[1 : k + 1]"),
+    ("toeplitz_mul_reversal", "dyson.py", "a[: len(b) - k], b[k]", "a[k:], b[k]"),
+    ("toeplitz_solve_sign", "dyson.py", "x[k + 1 :] -= np.matmul", "x[k + 1 :] += np.matmul"),
     ("leave_open_conj", "dyson.py", "x.reshape(-1, ds) @ self.v0.conj().T", "x.reshape(-1, ds) @ self.v0.T"),
     ("frame_stack_scale_axis", "dyson.py", "axis2=-1)[..., None, None, :]", "axis2=-1)[..., None, :, None]"),
     ("sandwich_right_conj", "npoint.py", "lifted @ self.kstack[m].conj()", "lifted @ self.kstack[m]"),

@@ -274,12 +274,12 @@ def test_one_point_values_are_the_traced_dressing_of_a_constant_sequence(sweep_m
 
 
 def test_empty_time_batch_has_written_out_shapes(sweep_model):
-    """No times give no kernel rows, ``(0, D, (n_max + 1) D)``, and no one-point
+    """No times give no kernel rows, ``(0, n_max + 1, D, D)``, and no one-point
     values, ``(n_lam, 0, d_S, d_S)``, at every order."""
     m, obs, ks = sweep_model
     d_s, d = m.dim_system, m.dim_system * m.dim_bath
     rows = ks.eigen_rows(np.array([]))
-    assert rows.shape == (0, d, (ks.orders + 1) * d)
+    assert rows.shape == (0, ks.orders + 1, d, d)
     for order in ORDERS:
         assert one_point_values(obs, order, SWEEP, ks, m.rho_b, rows).shape == (len(SWEEP), 0, d_s, d_s)
 

@@ -10,6 +10,8 @@ these stages, each the median of `REPEATS` runs in this process:
 - ``model``: the model build, `random_model` (sampling and `make_model`);
 - ``kernels``: `compute_kernels` at order 3 on 21 points over [0, 2];
 - ``one_point``: `one_point_operator` over that grid;
+- ``offgrid``: `superop.one_point_values` at the 20 times ``grid.points[:-1]
+  + 0.037``, off the grid, their kernel rows (`KernelSet.eigen_rows`) included;
 - ``image``: `image_from_one_point` at t = 1;
 - ``star3``: `star_of_observables` at t = 0.5, 1 and 1.5;
 - ``exact``: one `evolve_exact` call over the grid.
@@ -39,15 +41,16 @@ import numpy as np  # noqa: E402
 
 import heisenbath as hb  # noqa: E402
 import workloads  # noqa: E402
-from heisenbath.superop import star_of_observables  # noqa: E402
+from heisenbath.superop import one_point_values, star_of_observables  # noqa: E402
 
 SIZES = ((2, 8), (4, 8), (4, 16), (8, 16), (16, 16))
 REPEATS = 3
 SEED, LAM, ORDER = 3, 0.05, 3
 STOP, POINTS = 2.0, 21
+OFFGRID_SHIFT = 0.037
 IMAGE_TIME = 1.0
 STAR_TIMES = (0.5, 1.0, 1.5)
-STAGES = ("model", "kernels", "one_point", "image", "star3", "exact")
+STAGES = ("model", "kernels", "one_point", "offgrid", "image", "star3", "exact")
 
 
 def _timed_run(d_s: int, d_b: int) -> dict:
@@ -65,6 +68,8 @@ def _timed_run(d_s: int, d_b: int) -> dict:
     trunc = hb.SeriesTruncation(ORDER, LAM)
     ks = stage("kernels", hb.compute_kernels, m, ORDER, grid)
     traj = stage("one_point", hb.one_point_operator, obs, trunc, ks, m.rho_b, grid)
+    offgrid = grid.points[:-1] + OFFGRID_SHIFT
+    stage("offgrid", lambda: one_point_values(obs, ORDER, (LAM,), ks, m.rho_b, ks.eigen_rows(offgrid)))
     stage("image", hb.image_from_one_point, traj, ks, m.rho_b, IMAGE_TIME)
     stage("star3", star_of_observables, [(obs, t) for t in STAR_TIMES], trunc, ks, m.rho_b)
     stage("exact", hb.evolve_exact, m, [obs], grid.points)
@@ -109,6 +114,7 @@ def bench(sizes=SIZES, repeats: int = REPEATS) -> dict:
         "lambda": LAM,
         "order": ORDER,
         "grid": {"stop": STOP, "points": POINTS},
+        "offgrid_shift": OFFGRID_SHIFT,
         "image_time": IMAGE_TIME,
         "star_times": list(STAR_TIMES),
         "repeats": repeats,
