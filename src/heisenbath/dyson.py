@@ -17,13 +17,19 @@ block upper-triangular Toeplitz, and so is every power series in it: it is
 stored as its first block row ``(iF, H_I, 0, ...)``, and `toeplitz_expm`
 computes the exponential's first block row by Pade-13 scaling and squaring
 (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179) with products that are
-truncated block convolutions.  The row, shape ``(n_max + 1, D, D)``, is
+truncated block convolutions.  In the frame below, block 0 of ``M`` is the
+diagonal ``iF``, and so is block 0 of every power, of the Pade quotient, of
+each step and of each row.  So block 0 of a row of two or more blocks is
+diagonal: the end terms of a product are row and column scalings, and the
+Pade solve against block 0 is a division.  A one-block row is a dense
+matrix (the Lindblad step).  The row, shape ``(n_max + 1, D, D)``, is
 propagated as ``R(t + dt) = R(t) exp(dt M)``, the same block convolution
 with the step's first block row, and an off-grid time, past the last point
-included, is reached exactly from the grid point below it.  A grid's steps
-share one ``S = exp(hM)`` at a median step ``h``: steps that differ from
-``h`` only by rounding (``linspace``) use ``S + (dt - h) S M``, whose
-neglected term ``O(((dt - h)|M|)^2)`` lies below double precision; any
+included, is reached exactly from the grid point below it; off-grid times
+at the same offset from their grid points share that exponential.  A
+grid's steps share one ``S = exp(hM)`` at a median step ``h``: steps that
+differ from ``h`` only by rounding (``linspace``) use ``S + (dt - h) S M``,
+whose neglected term ``O(((dt - h)|M|)^2)`` lies below double precision; any
 other step gets its own exponential (`propagate_rows`, which the Lindblad
 evolution shares with a one-block generator and a one-block row).
 Nested quadrature survives only as a test oracle.
@@ -127,12 +133,22 @@ _PADE = (
 def toeplitz_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of block upper-triangular Toeplitz matrices, as first block rows.
 
-    ``(AB)_k = sum_{m <= k} A_{k - m} B_m``: one batched matmul per block of ``b``.
-    The blocks of ``a``, ``(n, r, D)``, may be rectangular: a block row stepped by ``B``.
+    ``(AB)_k = sum_{m <= k} A_{k - m} B_m``.  In a row of two or more blocks,
+    block 0 of both factors is diagonal, so the end terms ``A_k B_0`` (block 0
+    of the product included) and ``A_0 B_k`` are column and row scalings, and
+    only the inner terms ``0 < m < k`` are matmuls, one batched matmul per
+    inner block of ``b``.  A one-block row is a dense matrix, and the blocks
+    of its ``a``, ``(1, r, D)``, may be rectangular: a block row stepped by
+    ``B``.
     """
-    out = np.matmul(a, b[0])
-    for k in range(1, len(b)):
-        out[k:] += np.matmul(a[: len(b) - k], b[k])
+    n = len(b)
+    if n == 1:
+        return np.matmul(a, b[0])
+    a0, b0 = np.diagonal(a[0]), np.diagonal(b[0])
+    out = a * b0
+    out[1:] += a0[:, None] * b[1:]
+    for m in range(1, n - 1):
+        out[m + 1 :] += np.matmul(a[1 : n - m], b[m])
     return out
 
 
@@ -142,11 +158,19 @@ def toeplitz_norm1(blocks: np.ndarray) -> float:
 
 
 def _toeplitz_solve(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``X`` with ``Q X = P`` by block forward substitution: one solve against
-    ``Q_0`` per block, whose product with ``Q`` is then taken off the later blocks."""
-    x = p.copy()
-    for k in range(len(p)):
-        x[k] = np.linalg.solve(q[0], x[k])
+    """``X`` with ``Q X = P`` by block forward substitution.  In a row of two
+    or more blocks ``Q_0`` and ``P_0`` are diagonal: so is ``X_0``, whose
+    product with ``Q`` is a column scaling, and each later block is divided by
+    ``Q_0``'s diagonal before its product with ``Q`` is taken off the blocks
+    after it.  A one-block row is one dense solve."""
+    if len(p) == 1:
+        return np.linalg.solve(q[0], p[0])[None]
+    q0 = np.diagonal(q[0])
+    x0 = np.diagonal(p[0]) / q0
+    x = p - q * x0
+    x[0] = np.diag(x0)
+    for k in range(1, len(p)):
+        x[k] /= q0[:, None]
         x[k + 1 :] -= np.matmul(q[1 : len(p) - k], x[k])
     return x
 
@@ -201,7 +225,7 @@ def propagate_rows(first: np.ndarray, gen: np.ndarray, points: np.ndarray) -> np
 
     ``G`` is block upper-triangular Toeplitz with first block row ``gen``,
     shape ``(n, D, D)`` (a dense generator is one block), and ``first`` is a
-    block row ``(n, r, D)``.  Propagated one step at a time, ``R[k] =
+    block row like it, or ``(1, r, D)``.  Propagated one step at a time, ``R[k] =
     R[k - 1] @ exp(dt_k G)``, each step a `toeplitz_mul` by the step's first
     block row.  The steps share one `toeplitz_expm` at the median step
     ``h``: a step within ``sqrt(eps) / |G|_1`` of it (``linspace`` rounding)
@@ -270,22 +294,32 @@ class KernelSet:
     def row(self, t: float) -> np.ndarray:
         """``R(t)``, shape ``(n_max + 1, D, D)``, at any ``t >= 0``: stored at grid points,
         one exact step from the grid point below at an off-grid time, the last point included."""
+        k, dt = self._below(t)
+        return self._rows[k] if dt is None else toeplitz_mul(self._rows[k], toeplitz_expm(dt * self._gen))
+
+    def eigen_rows(self, times: np.ndarray) -> np.ndarray:
+        """`row` at each time, ``(n_t, n_max + 1, D, D)``, with ``n_t = 0`` for no time;
+        the grid is served without a copy, and off-grid times at the same offset from
+        their grid points share one exponential, with the bits of `row`."""
+        if np.array_equal(times, self.grid.points):
+            return self._rows
+        below = [self._below(float(t)) for t in times]
+        offsets = dict.fromkeys(dt for _, dt in below if dt is not None)
+        steps = {dt: toeplitz_expm(dt * self._gen) for dt in offsets}
+        rows = [self._rows[k] if dt is None else toeplitz_mul(self._rows[k], steps[dt]) for k, dt in below]
+        return np.array(rows, dtype=complex).reshape(len(times), *self._rows.shape[1:])
+
+    def _below(self, t: float) -> tuple[int, float | None]:
+        """Where `row` reads ``t``: its grid index and ``None``, or off the grid the
+        index of the grid point below it (the first, for a time just below 0) and the offset."""
         k = self.grid.index(t)
         if k is not None:
-            return self._rows[k]
+            return k, None
         if not t >= -1e-12:  # NaN included
             raise OrderExceedsKernels(f"kernels start at t = 0 but t={t!r} was requested")
         pts = self.grid.points
         k = max(int(np.searchsorted(pts, t, side="right")) - 1, 0)
-        return toeplitz_mul(self._rows[k], toeplitz_expm((t - pts[k]) * self._gen))
-
-    def eigen_rows(self, times: np.ndarray) -> np.ndarray:
-        """`row` at each time, ``(n_t, n_max + 1, D, D)``, with ``n_t = 0`` for no time;
-        the grid is served without a copy."""
-        if np.array_equal(times, self.grid.points):
-            return self._rows
-        rows = np.array([self.row(float(t)) for t in times], dtype=complex)
-        return rows.reshape(len(times), *self._rows.shape[1:])
+        return k, t - pts[k]
 
     def frame_stack(self, row: np.ndarray) -> np.ndarray:
         """The kernels in the H0 eigenbasis, ``S[n] = E[n] E[0]^-1 = V^dag K[n] V``

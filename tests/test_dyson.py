@@ -218,6 +218,22 @@ class TestKernels:
             with pytest.raises(OrderExceedsKernels):
                 ks.row(t)
 
+    def test_off_grid_times_share_one_exponential_per_offset(self, monkeypatch):
+        """The 20 times ``grid.points[:-1] + 0.037`` of ``linspace(2, 21)`` lie at
+        5 distinct offsets from their grid points: `eigen_rows` makes 5
+        exponentials, not 20, and each row has the bits of a lone `row` call."""
+        from heisenbath import dyson
+
+        ks = compute_kernels(_random_spec(12, 2, 3), 3, TimeGrid.linspace(2.0, 21))
+        times = ks.grid.points[:-1] + 0.037
+        calls = []
+        exponential = dyson.toeplitz_expm
+        monkeypatch.setattr(dyson, "toeplitz_expm", lambda a: calls.append(1) or exponential(a))
+        rows = ks.eigen_rows(times)
+        assert len(times) == 20 and len(calls) == 5
+        assert all(np.array_equal(row, ks.row(float(t))) for row, t in zip(rows, times))
+        assert len(calls) == 25  # a lone call makes its own
+
     def test_order_beyond_cap_rejected(self, two_qubit_quarter):
         _, ks = two_qubit_quarter
         with pytest.raises(OrderExceedsKernels):
@@ -284,20 +300,24 @@ class TestToeplitzExponential:
 
     def test_norm_and_product_match_dense(self):
         """Norm, product and solve of first block rows against the dense
-        matrices, at n = 4 blocks and at n = 1, a dense matrix (the Lindblad
-        step).  A rectangular first factor ``(n, r, D)`` is a block row
-        stepped by a Toeplitz matrix: the first block row of the dense product."""
+        matrices, at n = 2 (no inner term), 4 and 5 blocks, whose block 0 is
+        diagonal, and at n = 1, a dense matrix (the Lindblad step).  There a
+        rectangular first factor ``(1, r, D)`` is a block row stepped by a
+        Toeplitz matrix: the first block row of the dense product."""
         rng = np.random.default_rng(11)
-        for n in (4, 1):
+        for n in (4, 1, 2, 5):
             a, b = (rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)) for _ in range(2))
+            if n > 1:  # the contract of a multi-block row: block 0 is diagonal
+                a[0], b[0] = np.diag(np.diagonal(a[0])), np.diag(np.diagonal(b[0]))
             dense = toeplitz_dense(toeplitz_mul(a, b))
             assert np.max(np.abs(dense - toeplitz_dense(a) @ toeplitz_dense(b))) < 1e-14 * np.max(np.abs(dense))
             assert np.isclose(toeplitz_norm1(a), np.linalg.norm(toeplitz_dense(a), 1), rtol=1e-15)
-            rect = rng.normal(size=(n, 5, 3)) + 1j * rng.normal(size=(n, 5, 3))
-            got = toeplitz_mul(rect, b).transpose(1, 0, 2).reshape(5, 3 * n)
-            ref = rect.transpose(1, 0, 2).reshape(5, 3 * n) @ toeplitz_dense(b)
-            assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
-            q = b + 4 * np.eye(3)  # Q_0 well conditioned
+            if n == 1:
+                rect = rng.normal(size=(n, 5, 3)) + 1j * rng.normal(size=(n, 5, 3))
+                got = toeplitz_mul(rect, b).transpose(1, 0, 2).reshape(5, 3 * n)
+                ref = rect.transpose(1, 0, 2).reshape(5, 3 * n) @ toeplitz_dense(b)
+                assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+            q = b + 4 * np.eye(3)  # Q_0 well conditioned, and diagonal with b's
             got = _toeplitz_solve(q, a)
             ref = np.linalg.solve(toeplitz_dense(q), toeplitz_dense(a))[:3].reshape(3, n, 3).transpose(1, 0, 2)
             assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))

@@ -54,8 +54,9 @@ MUTANTS = (
     ("pade7_b1", "dyson.py", "17297280.0, 8648640.0,", "17297280.0, 8648000.0,"),
     ("squaring_count", "dyson.py", "for _ in range(s):", "for _ in range(s - 1):"),
     ("star_chain_order", "superop.py", "reduce(np.matmul, mats)", "reduce(np.matmul, mats[::-1])"),
-    ("toeplitz_mul_reversal", "dyson.py", "a[: len(b) - k], b[k]", "a[k:], b[k]"),
-    ("toeplitz_solve_sign", "dyson.py", "x[k + 1 :] -= np.matmul", "x[k + 1 :] += np.matmul"),
+    ("toeplitz_mul_reversal", "dyson.py", "a[1 : n - m], b[m]", "a[n - m - 1 : 0 : -1], b[m]"),
+    ("toeplitz_mul_scale_axis", "dyson.py", "a0[:, None] * b", "a0[None, :] * b"),
+    ("toeplitz_solve_sign", "dyson.py", "x = p - q * x0", "x = p + q * x0"),
     ("leave_open_conj", "dyson.py", "x.reshape(-1, ds) @ self.v0.conj().T", "x.reshape(-1, ds) @ self.v0.T"),
     ("frame_stack_scale_axis", "dyson.py", "axis2=-1)[..., None, None, :]", "axis2=-1)[..., None, :, None]"),
     ("sandwich_right_conj", "npoint.py", "lifted @ self.kstack[m].conj()", "lifted @ self.kstack[m]"),
