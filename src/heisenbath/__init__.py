@@ -22,7 +22,6 @@ from .oracle import (
     evolve_exact,
     heisenberg_evolve_exact,
     npoint_reduced_exact,
-    total_hamiltonian,
 )
 from .images import (
     ImageFamily,
@@ -35,7 +34,6 @@ from .dyson import (
     KernelSet,
     compute_kernels,
     dyson_propagator,
-    interaction_hamiltonian_images,
 )
 from .superop import (
     OnePointTrajectory,

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blockops
 from .errors import NonFiniteResult, OrderExceedsKernels
 from .images import ImageFamily
 from .model import ModelSpec
@@ -64,10 +63,6 @@ class InteractionFrame:
     eps0: np.ndarray  # H0 eigenvalues
     v0: np.ndarray  # H0 eigenvectors, columns
     constants: Constants
-
-    def u0(self, t: float) -> np.ndarray:
-        """``exp(-i H0 t / hbar)``; ``u0(0)`` is the identity."""
-        return (self.v0 * np.exp(-1j * self.eps0 * t / self.constants.hbar)) @ self.v0.conj().T
 
     def free_conjugate(self, o: np.ndarray, t: float) -> np.ndarray:
         """Free Heisenberg evolution ``U0(t)^dag o U0(t)``."""
@@ -97,13 +92,6 @@ class InteractionFrame:
 def frame_of(m: ModelSpec) -> InteractionFrame:
     eps0, v0 = np.linalg.eigh(m.h0.mat)
     return InteractionFrame(eps0, v0, m.constants)
-
-
-def interaction_hamiltonian_images(m: ModelSpec, t: float) -> ImageFamily:
-    """The family ``Htilde_ab(t)``; at ``t = 0`` these are the Schrodinger images."""
-    u = _blockops.kron_identity(frame_of(m).u0(t), m.dim_bath)
-    phases = np.tile(np.exp(-1j * m.bath_gaps * t), (m.dim_system, m.dim_system))
-    return ImageFamily((u @ m.hi.mat @ u.conj().T) * phases, m.dim_bath, t)
 
 
 # Diagonal Pade approximants r_m = V^{-1} U of exp: numerator coefficients
@@ -256,10 +244,11 @@ class KernelSet:
     and does not change after construction; `row` reaches an off-grid time,
     the last point included, and every stack is computed from a row on
     request.  ``tilde_stack(t)[n]`` is the interaction-picture family
-    ``Ktilde[n](t)`` in the original basis and ``heis_stack(t)[n]`` the
-    Heisenberg-frame kernels ``K[n]_ab(t) = exp(+i(E_a-E_b)t/hbar) U0^dag Ktilde U0``;
-    each stack holds orders ``0..n_max`` as full-space matrices, shape
-    ``(n_max + 1, D, D)``, with order 0 the identity.
+    ``Ktilde[n](t)`` in the original basis and ``frame_stack(row(t))[n]``
+    the Heisenberg-frame kernels ``K[n]_ab(t) = exp(+i(E_a-E_b)t/hbar)
+    U0^dag Ktilde U0`` in the frame; each stack holds orders ``0..n_max``
+    as full-space matrices, shape ``(n_max + 1, D, D)``, with order 0 the
+    identity.
     """
 
     def __init__(self, m: ModelSpec, n_max: int, grid: TimeGrid):
@@ -336,12 +325,6 @@ class KernelSet:
         taken entrywise at bath indices ``(a, b)``; order 0 vanishes identically."""
         out = np.zeros_like(stack)
         out[1:] = self._bath_phase * stack[1:] + self._gen[1:2] @ stack[:-1]  # no H_I term at n_max = 0
-        return out
-
-    def heis_stack(self, t: float) -> np.ndarray:
-        """``K[n](t)`` in the original basis, n = 0..n_max."""
-        out = self.frame_stack(self.row(t))
-        out[1:] = self.frame.leave_open(out[1:])
         return out
 
     def tilde_stack(self, t: float) -> np.ndarray:

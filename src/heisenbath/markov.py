@@ -99,20 +99,6 @@ def decompose_interaction(hi: OperatorMatrix) -> InteractionDecomposition:
 # -- bath correlation functions ----------------------------------------------
 
 
-def bath_correlation(m: ModelSpec, dec: InteractionDecomposition, i: int, j: int, t: float, tau: float) -> complex:
-    """``<S~^i(t) S~^j(t - tau)>_B`` in the working bath basis."""
-    delta = m.bath_gaps
-    s_i = dec.s[i] * np.exp(-1j * delta * t)
-    s_j = dec.s[j] * np.exp(-1j * delta * (t - tau))
-    return complex(np.trace(s_i @ s_j @ m.rho_b))
-
-
-def first_moment(m: ModelSpec, dec: InteractionDecomposition, i: int, t: float) -> complex:
-    """``tr_B{S~^i(t) rho_B}``: the order-lambda contraction that must vanish."""
-    s_i = dec.s[i] * np.exp(-1j * m.bath_gaps * t)
-    return complex(np.trace(s_i @ m.rho_b))
-
-
 def correlation_table(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """``W[..., i, j, b, c] = S^j_bc (rho S^i)_cb`` for factors ``s`` ``(n, d_B, d_B)``
     and bath states ``rho`` ``(..., d_B, d_B)``.
@@ -132,7 +118,7 @@ def _twisted_states(m: ModelSpec, t) -> np.ndarray:
 
 
 def _correlations(m: ModelSpec, dec: InteractionDecomposition, t, tau) -> np.ndarray:
-    """`bath_correlation` on time grids: ``C[k, i, j, l]`` at ``(t[k], tau[l])``.
+    """The correlators ``<S~^i(t) S~^j(t - tau)>_B`` on time grids, ``C[k, i, j, l]`` at ``(t[k], tau[l])``.
 
     One `correlation_table` per time sample, against its twisted state.  The
     tau phase factorizes over the levels, ``exp(i delta_bc tau) = v_b conj(v_c)``

@@ -36,7 +36,7 @@ GEMM on a reshape of the kernel stack, a suffix is traced there
 cumulant arithmetic takes legs as arrays, one-point values ``(n_leg, ...,
 d_S, d_S)`` and image-family matrices ``(n_leg, ..., D, D)``, and returns
 arrays; `irreducible_2pt` and `decompose_3pt` call it on the legs that
-`superop.lift_legs` lifts at their times.
+`superop.lift_legs` lifts at their times, all in one engine call.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .superop import (
     SeriesTruncation,
     chain_contract,
     lift_legs,
-    value_and_row,
+    one_point_values,
 )
 
 
@@ -173,8 +173,9 @@ def expand_image_by_partitions(
     the sum of the inner values of the partitions that start with it.
     """
     ks.check_order(n_max)
-    value, row = value_and_row(o_s, ks, rho_b, t)
-    words = PartitionWords(value, o_s.truncation, ks, rho_b, row)
+    row, trunc = ks.row(t), o_s.truncation
+    value = one_point_values(o_s.observable, trunc.order, (trunc.lam,), ks, rho_b, row[None])[0, 0]
+    words = PartitionWords(value, trunc, ks, rho_b, row)
     return ImageFamily(words.image(n_max), ks.dim_bath, t)
 
 

@@ -11,12 +11,13 @@ and a coupling sweep is one call with one batched eigendecomposition.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
 
 from . import _blockops
-from .errors import DimensionError, NonHermitianInput
+from .errors import DimensionError, NonFiniteResult, NonHermitianInput
 from .model import ModelSpec
 from .spaces import (
     HERM_TOL,
@@ -31,11 +32,6 @@ from .spaces import (
 def _free_hamiltonian(m: ModelSpec) -> np.ndarray:
     """The coupling-free part ``H0 (x) 1 + 1 (x) H_B`` on the full space."""
     return np.kron(m.h0.mat, np.eye(m.dim_bath)) + np.kron(np.eye(m.dim_system), m.hb)
-
-
-def total_hamiltonian(m: ModelSpec) -> np.ndarray:
-    """``H0 (x) 1 + 1 (x) H_B + lambda * H_I`` on the full space."""
-    return _free_hamiltonian(m) + m.constants.lam * m.hi.mat
 
 
 def evolve_exact(m: ModelSpec, observables, times, lams=None) -> np.ndarray:
@@ -54,6 +50,11 @@ def evolve_exact(m: ModelSpec, observables, times, lams=None) -> np.ndarray:
     part of ``H`` is built once, each coupling's ``H`` is checked for
     hermiticity, and one batched eigendecomposition serves them all.  Each
     coupling gets the bits of a lone call on ``m.with_coupling(lam)``.
+
+    A phase ``E t / hbar`` carries a rounding error of about ``eps |E t /
+    hbar|``: unless ``eps max|E| max|t| / hbar <= sqrt(eps)`` (the rule of
+    `dyson.toeplitz_expm`; a NaN or infinite bound fails too), fewer than
+    half of its digits are significant, and it raises `NonFiniteResult`.
     """
     mats = [system_matrix(o) for o in observables]
     if any(o.shape != (m.dim_system, m.dim_system) for o in mats):
@@ -64,8 +65,12 @@ def evolve_exact(m: ModelSpec, observables, times, lams=None) -> np.ndarray:
         if not defect <= HERM_TOL:  # a NaN defect fails too
             raise NonHermitianInput(f"total Hamiltonian is not hermitian (defect {defect:.2e})")
     evals, vecs = np.linalg.eigh(h)
+    times, eps = np.asarray(times, dtype=float), np.finfo(float).eps
+    span = np.max(np.abs(evals), initial=0.0) * np.max(np.abs(times), initial=0.0) / m.constants.hbar
+    if not eps * span <= math.sqrt(eps):
+        raise NonFiniteResult(f"exact phases E t / hbar up to {span:.3g}: fewer than half of their digits significant")
     n_lam, d, _ = h.shape
-    phases = np.exp(-1j * evals[:, None, :] * np.asarray(times, dtype=float)[:, None] / m.constants.hbar)
+    phases = np.exp(-1j * evals[:, None, :] * times[:, None] / m.constants.hbar)
     scaled = vecs[:, None] * phases[..., None, :]
     u = (scaled.reshape(n_lam, -1, d) @ vecs.conj().swapaxes(-1, -2)).reshape(n_lam, -1, d, d)
     del scaled  # freeing each (n_lam, n_t, D, D) temporary once read keeps the peak at three of them

@@ -47,17 +47,18 @@ coupling-free left factor, with the ``U0`` phases cancelled
 (`one_point_values`), where the sum above would lift ``B`` at every time.
 
 The series engine (`one_point_values`, `lift_values`, `lift_observable`,
-`lift_legs`, `local_rhs`, `value_and_row`) is what `npoint`,
-`diagnostics` and the CLI call.  It takes a sequence of couplings and the
-kernel rows of its times, and returns one result per coupling on a
-leading axis: `one_point_values` gives ``(n_lam, n_t, d_S, d_S)`` for
-every coupling and time at once.  The lifts (`lift_observable`,
-`lift_values`) also take several times at once: a leading leg axis, one
-kernel row and so one frame stack per leg, so a caller that holds several
-times (the validation suite) lifts them all in one call.  The trajectory
-functions (`one_point_operator`, `image_from_one_point`, `star_product`)
-are that engine called with the one coupling of their truncation, so
-their callers never see a kernel row.  Between these layers a family is
+`lift_legs`, `local_rhs`) is what `npoint`, `diagnostics` and the CLI
+call.  It takes a sequence of couplings and the kernel rows of its times,
+one observable or one per time, and returns one result per coupling on a
+leading axis: `one_point_values` gives ``(n_lam, n_t, d_S, d_S)``.  The
+lifts take a leading leg axis, one kernel row and so one frame stack per
+leg, so a leg set is one lift: the validation suite's observable at its
+times, or the ``(observable, time)`` legs of a star product, cumulant or
+three-point part (`lift_legs`).  A leg's value has one source,
+`one_point_values` at its kernel row.  The trajectory functions
+(`one_point_operator`, `image_from_one_point`, `star_product`) are that
+engine called with the one coupling of their truncation, so their
+callers never see a kernel row.  Between these layers a family is
 its ``(..., D, D)`` matrix, leading coupling or leg axes included:
 `chain_contract` takes factors whose leading axes broadcast, and
 `ImageFamily` wraps only what a public function returns.
@@ -166,9 +167,10 @@ def one_point_values(
 ) -> np.ndarray:
     """``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` per coupling and time, shape ``(n_lam, n_t, d_S, d_S)``.
 
-    ``o`` is a ``(d_S, d_S)`` array, and ``rows``, ``(n_t, n_max + 1, D,
-    D)``, are the kernel rows of the times (`KernelSet.eigen_rows`, or
-    ``KernelSet.row(t)[None]`` for one time).  The fused form ``sum_p
+    ``rows``, ``(n_t, n_max + 1, D, D)``, are the kernel rows of the times
+    (`KernelSet.eigen_rows`, or ``KernelSet.row(t)[None]`` for one time), and
+    ``o`` is one observable ``(d_S, d_S)`` for all of them or one per row
+    ``(n_t, d_S, d_S)``.  The fused form ``sum_p
     alpha_p K[p] (B (x) 1_B) C[N-p]^dag`` of the module docstring, evaluated in the frame
     ``V = v0 (x) 1_B`` of the rows: with ``K[p] = V E[p] exp(-iFt) V^dag`` the free phases
     cancel against ``B = U0^dag O U0``, so ``K[p] (B (x) 1_B) K[q]^dag =
@@ -180,7 +182,8 @@ def one_point_values(
     over all times with a ``d_S x d_S`` result that ``alpha_p`` weights.  The
     left factor ``(1 (x) rho_B) E[p] (o (x) 1_B)`` does not depend on the
     coupling and is formed once for the sweep, by a GEMM by ``rho_B`` and one
-    by ``o``; the partial sums ``C[m]`` are accumulated alongside, and the
+    by ``o`` (one per row when each row has its own, each with the bits of its
+    lone call); the partial sums ``C[m]`` are accumulated alongside, and the
     temporaries hold one order at a time.
     """
     ks.check_order(order)
@@ -190,7 +193,7 @@ def one_point_values(
     d = ds * db
     hbar = ks.frame.constants.hbar
     alpha = (1j * np.asarray(lams, dtype=float)[:, None] / hbar) ** np.arange(n + 1)  # alpha_p = (i lam/hbar)^p
-    o_eig = ks.frame.enter(o)
+    o_eig = ks.frame.enter(o).reshape(-1, ds, ds)  # one observable, or one per row
     rows = rows.reshape(n_t, ks.orders + 1, db, ds, d).swapaxes(2, 3)  # E[p] = rows[:, p], rows (i, a)
     out = np.zeros((n_lam, n_t, ds, ds), dtype=complex)
     partial = np.zeros((n_lam, n_t, ds, db, d), dtype=complex)
@@ -199,7 +202,7 @@ def one_point_values(
         partial += alpha[:, n - p, None, None, None, None] * rows[:, n - p]  # now C[n - p]
         # left = conj((1 (x) rho_B) E[p] (o (x) 1_B)), conjugated in place so
         # that C enters the product as a transposed view rather than a conjugated copy
-        np.matmul((rho_b @ rows[:, p]).reshape(-1, ds), o_eig, out=left.reshape(-1, ds))
+        np.matmul((rho_b @ rows[:, p]).reshape(len(o_eig), -1, ds), o_eig, out=left.reshape(len(o_eig), -1, ds))
         np.conjugate(left, out=left)
         traced = left.reshape(n_t, ds, db * d) @ partial.reshape(n_lam, n_t, ds, db * d).swapaxes(-1, -2)
         out += alpha[:, p, None, None, None] * traced.conj()
@@ -218,14 +221,6 @@ def one_point_operator(
     o_mat = system_matrix(o)
     values = one_point_values(o_mat, trunc.order, (trunc.lam,), ks, rho_b, ks.eigen_rows(grid.points))[0]
     return OnePointTrajectory(label, o_mat, grid, values, trunc)
-
-
-def value_and_row(o_s: OnePointTrajectory, ks: KernelSet, rho_b: np.ndarray, t: float):
-    """A trajectory's value at ``t`` (its grid row, else recomputed) and the kernel row at ``t``."""
-    row, k, trunc = ks.row(t), o_s.grid.index(t), o_s.truncation
-    if k is None:
-        return one_point_values(o_s.observable, trunc.order, (trunc.lam,), ks, rho_b, row[None])[0, 0], row
-    return o_s.values[k], row
 
 
 def lift_values(
@@ -250,31 +245,29 @@ def lift_values(
 def lift_observable(
     o: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-point values of an observable from the kernel rows of the legs' times,
-    ``(n_leg, n_lam, d_S, d_S)``, with their inversions and image families
-    (`lift_values`)."""
+    """One-point values ``(n_leg, n_lam, d_S, d_S)`` of an observable, or of one per
+    leg, from the kernel rows of the legs' times (`one_point_values`), with their
+    inversions and image families (`lift_values`): one lift per leg set."""
     values = one_point_values(o, order, lams, ks, rho_b, rows).swapaxes(0, 1)
     return (values, *lift_values(values, order, lams, ks, rho_b, rows))
+
+
+def lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: np.ndarray):
+    """One-point values ``(n_leg, d_S, d_S)`` and image-family matrices ``(n_leg, D, D)``
+    of ``(observable, time)`` legs, all lifted in one `lift_observable` call, one
+    observable per leg; each leg gets the bits of its lone lift."""
+    obs, times = zip(*legs)
+    rows = ks.eigen_rows(np.array(times, dtype=float))
+    observables = np.stack([system_matrix(o) for o in obs])
+    values, _, mats = lift_observable(observables, trunc.order, (trunc.lam,), ks, rho_b, rows)
+    return values[:, 0], mats[:, 0]
 
 
 def image_from_one_point(
     o_s: OnePointTrajectory, ks: KernelSet, rho_b: np.ndarray, t: float
 ) -> ImageFamily:
-    """Image family of a one-point trajectory at time t."""
-    value, row = value_and_row(o_s, ks, rho_b, t)
-    trunc = o_s.truncation
-    mats = lift_values(value[None, None], trunc.order, (trunc.lam,), ks, rho_b, row[None])[1]
-    return ImageFamily(mats[0, 0], ks.dim_bath, t)
-
-
-def lift_legs(legs, trunc: SeriesTruncation, ks: KernelSet, rho_b: np.ndarray):
-    """One-point values ``(n_leg, d_S, d_S)`` and image-family matrices ``(n_leg, D, D)``
-    of ``(observable, time)`` legs, each leg lifted alone from its kernel row, fetched once."""
-    lifts = [
-        lift_observable(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])
-        for o, t in legs
-    ]
-    return np.stack([values[0, 0] for values, _, _ in lifts]), np.stack([mats[0, 0] for _, _, mats in lifts])
+    """Image family of a one-point trajectory at time t: its observable lifted as one leg."""
+    return ImageFamily(lift_legs(((o_s.observable, t),), o_s.truncation, ks, rho_b)[1][0], ks.dim_bath, t)
 
 
 def chain_contract(mats, rho_b: np.ndarray) -> np.ndarray:
@@ -304,8 +297,8 @@ def star_product(
     truncs = {(f.truncation.order, f.truncation.lam) for f, _ in factors}
     if len(truncs) > 1:
         raise DimensionError(f"star_product factors disagree on truncation: {truncs}")
-    mats = [image_from_one_point(f, ks, rho_b, float(t)).matrix for f, t in factors]
-    return system_operator(chain_contract(mats, rho_b), (ks.dim_system, ks.dim_bath))
+    star = star_of_observables([(f.observable, t) for f, t in factors], factors[0][0].truncation, ks, rho_b)
+    return system_operator(star, (ks.dim_system, ks.dim_bath))
 
 
 def star_of_observables(

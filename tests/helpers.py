@@ -60,11 +60,11 @@ def dressing_at(n, a, t, ks, rho_b=None):
 
 
 def rhs_at(traj, t, ks, rho_b):
-    """`local_rhs` at a trajectory's value and kernel row at ``t`` (`value_and_row`), ``(d_S, d_S)``."""
-    from heisenbath.superop import local_rhs, value_and_row
+    """`local_rhs` at a trajectory's value at ``t`` (`one_point_at`) and the kernel row of ``t``, ``(d_S, d_S)``."""
+    from heisenbath.superop import local_rhs
 
-    value, row = value_and_row(traj, ks, rho_b, t)
-    return local_rhs(value[None], traj.truncation.order, (traj.truncation.lam,), ks, rho_b, row)[0]
+    value, trunc = one_point_at(traj.observable, traj.truncation, ks, rho_b, t), traj.truncation
+    return local_rhs(value[None], trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t)))[0]
 
 
 def partition_term(pairs, value, trunc, ks, rho_b, t):
@@ -76,6 +76,54 @@ def partition_term(pairs, value, trunc, ks, rho_b, t):
     words = PartitionWords(np.asarray(value, dtype=complex), trunc, ks, rho_b, ks.row(t))
     word = words.open_words([pairs[0]], np.stack(words.wrap([pairs[1:]])))[0]
     return ImageFamily(ks.frame.leave_open(word), ks.dim_bath, t)
+
+
+# -- pointwise references with no program caller ---------------------------------
+# One quantity at one time, written out from its definition: the references that
+# the tests hold the package's batched and frame forms against.
+
+
+def u0(frame, t):
+    """``exp(-i H0 t / hbar)`` of an `InteractionFrame`; ``u0(frame, 0)`` is the identity."""
+    return (frame.v0 * np.exp(-1j * frame.eps0 * t / frame.constants.hbar)) @ frame.v0.conj().T
+
+
+def total_hamiltonian(m):
+    """``H0 (x) 1 + 1 (x) H_B + lambda * H_I`` on the full space."""
+    free = np.kron(m.h0.mat, np.eye(m.dim_bath)) + np.kron(np.eye(m.dim_system), m.hb)
+    return free + m.constants.lam * m.hi.mat
+
+
+def interaction_hamiltonian_images(m, t):
+    """The family ``Htilde_ab(t)``; at ``t = 0`` these are the Schrodinger images."""
+    from heisenbath import _blockops
+    from heisenbath.dyson import frame_of
+    from heisenbath.images import ImageFamily
+
+    u = _blockops.kron_identity(u0(frame_of(m), t), m.dim_bath)
+    phases = np.tile(np.exp(-1j * m.bath_gaps * t), (m.dim_system, m.dim_system))
+    return ImageFamily((u @ m.hi.mat @ u.conj().T) * phases, m.dim_bath, t)
+
+
+def heis_stack(ks, t):
+    """``K[n](t)`` of a `KernelSet` in the original basis, n = 0..n_max."""
+    out = ks.frame_stack(ks.row(t))
+    out[1:] = ks.frame.leave_open(out[1:])
+    return out
+
+
+def bath_correlation(m, dec, i, j, t, tau):
+    """``<S~^i(t) S~^j(t - tau)>_B`` in the working bath basis."""
+    delta = m.bath_gaps
+    s_i = dec.s[i] * np.exp(-1j * delta * t)
+    s_j = dec.s[j] * np.exp(-1j * delta * (t - tau))
+    return complex(np.trace(s_i @ s_j @ m.rho_b))
+
+
+def first_moment(m, dec, i, t):
+    """``tr_B{S~^i(t) rho_B}``: the order-lambda contraction that must vanish."""
+    s_i = dec.s[i] * np.exp(-1j * m.bath_gaps * t)
+    return complex(np.trace(s_i @ m.rho_b))
 
 
 # -- einsum references for the GEMM series engine -------------------------------
@@ -134,13 +182,13 @@ def recursive_partition_image(value, n_max, lam, ks, rho, t):
     """The partition sum of `heisenbath.npoint.expand_image_by_partitions` with
     every suffix wrapped by its own sandwich, recursively, and every first
     pair's word formed alone, on the kernels out of the frame
-    (`KernelSet.heis_stack`) with system-major arithmetic (`system_lift`,
+    (`heis_stack`) with system-major arithmetic (`system_lift`,
     `sandwich_sum`, `bath_trace`): an evaluation that shares no product with
     the engine's, and agrees with it to rounding."""
     from heisenbath import _blockops
     from heisenbath.npoint import _partitions
 
-    kstack = ks.heis_stack(t)
+    kstack = heis_stack(ks, t)
     x = lam / ks.frame.constants.hbar
     inner = {(): np.asarray(value, dtype=complex)}
 

@@ -35,9 +35,8 @@ from heisenbath.superop import (
     SeriesTruncation,
     one_point_operator,
     star_of_observables,
-    value_and_row,
 )
-from helpers import lift_legs, one_point_at, partition_image, rhs_at
+from helpers import heis_stack, lift_legs, one_point_at, partition_image, rhs_at
 
 LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
 C_VALUES = (0.0, 0.25, 0.5)
@@ -112,8 +111,8 @@ def test_criterion_04_kernel_regression(c):
     rho = preset.model.rho_b
     worst = 0.0
     for t in (0.3, 0.7, 1.1, 1.6, 2.0):
-        k1s = np.einsum("abij,ba->ij", ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks, rho)
-        k2s = np.einsum("abij,ba->ij", ImageFamily(ks.heis_stack(t)[2], ks.dim_bath).blocks, rho)
+        k1s = np.einsum("abij,ba->ij", ImageFamily(heis_stack(ks, t)[1], ks.dim_bath).blocks, rho)
+        k2s = np.einsum("abij,ba->ij", ImageFamily(heis_stack(ks, t)[2], ks.dim_bath).blocks, rho)
         exp1 = (1 - 2 * c) * t / 4 * np.diag([1.0, -1.0])
         exp2 = t**2 / 32 * np.diag([1 + 4 * c, 5 - 4 * c])
         worst = max(worst, np.max(np.abs(k1s - exp1)) / max(np.linalg.norm(exp1), 1e-30))
@@ -250,7 +249,7 @@ def test_criterion_09_lindblad_properties():
     lam = m.constants.lam
     traj = one_point_operator(p.observables["sx"], SeriesTruncation(2, lam), ks, m.rho_b, grid, "sx")
     t_eval = 5.0
-    o_val = value_and_row(traj, ks, m.rho_b, t_eval)[0]
+    o_val = one_point_at(traj.observable, traj.truncation, ks, m.rho_b, t_eval)
     pert = rhs_at(traj, t_eval, ks, m.rho_b)
     lind = lindblad_rhs(o_val, bd, sc, m.h0.mat, m.constants)
     diff = float(np.max(np.abs(pert - lind)))

@@ -479,6 +479,17 @@ class TestExitCodes:
         assert "fewer than half of its digits are significant" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stop, code", [(1e15, 3), (1e6, 0)])
+    def test_exact_path_refuses_phases_with_few_digits(self, tmp_path, capsys, stop, code):
+        """`image_exact` at t = 1e15 once wrote finite phases with no significant
+        digit and exit 0: exit 3 with nothing written.  At t = 1e6 it runs."""
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, run="image_exact", grid={"stop": stop, "num": 2})
+        assert cli.main(["run", str(path)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "fewer than half of their digits significant" in capsys.readouterr().err
+
     def test_time_below_the_precision_bound_matches_closed_form(self, tmp_path):
         """At t = 1e6 more than half of the digits survive: exit 0, the
         off-diagonal within 1e-9 relative of the order-2 closed form."""

@@ -9,7 +9,6 @@ from heisenbath.dyson import (
     compute_kernels,
     dyson_propagator,
     _toeplitz_solve,
-    interaction_hamiltonian_images,
     toeplitz_expm,
     toeplitz_mul,
     toeplitz_norm1,
@@ -18,7 +17,7 @@ from heisenbath.errors import NonFiniteResult, OrderExceedsKernels
 from heisenbath.images import ImageFamily, to_image_family
 from heisenbath.model import make_model
 from heisenbath.spaces import TimeGrid
-from helpers import random_hermitian, random_density, toeplitz_dense
+from helpers import heis_stack, interaction_hamiltonian_images, random_density, random_hermitian, toeplitz_dense
 
 
 def _random_spec(seed, d_s=2, d_b=2):
@@ -89,13 +88,13 @@ class TestKernels:
         preset, ks = two_qubit_quarter
         t = 1.1
         hi_fam = to_image_family(preset.model.hi)
-        k1 = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath)
+        k1 = ImageFamily(heis_stack(ks, t)[1], ks.dim_bath)
         assert np.max(np.abs(k1.blocks - hi_fam.blocks * t)) < 1e-11
 
     def test_two_qubit_second_order(self, two_qubit_quarter):
         _, ks = two_qubit_quarter
         t = 1.6
-        k2 = ImageFamily(ks.heis_stack(t)[2], ks.dim_bath)
+        k2 = ImageFamily(heis_stack(ks, t)[2], ks.dim_bath)
         assert np.max(np.abs(k2.block(0, 0) - t**2 / 32 * np.diag([1, 5]))) < 1e-11
         assert np.max(np.abs(k2.block(0, 1) - t**2 / 8 * np.array([[0, 0], [-1, 0]]))) < 1e-11
         assert np.max(np.abs(k2.block(1, 0) - t**2 / 8 * np.array([[0, -1], [0, 0]]))) < 1e-11
@@ -134,12 +133,12 @@ class TestKernels:
 
     def test_stacks_are_full_space_with_identity_order_zero(self):
         ks = compute_kernels(_random_spec(4), 2, TimeGrid.linspace(1.0, 3))
-        heis, tilde = ks.heis_stack(0.7), ks.tilde_stack(0.7)
+        heis, tilde = heis_stack(ks, 0.7), ks.tilde_stack(0.7)
         cov = ks.frame_derivative(ks.frame_stack(ks.row(0.7)))
         assert heis.shape == tilde.shape == cov.shape == (3, 4, 4)
         assert np.array_equal(heis[0], np.eye(4)) and np.array_equal(tilde[0], np.eye(4))
         assert not np.any(cov[0])
-        assert np.array_equal(ks.heis_stack(0.7)[2], heis[2])
+        assert np.array_equal(heis_stack(ks, 0.7)[2], heis[2])
 
     def test_heis_tilde_phase_conversion_invertible(self):
         m = _random_spec(3)
@@ -148,7 +147,7 @@ class TestKernels:
         u0 = scipy.linalg.expm(-1j * m.h0.mat * t)
         for n in (1, 2):
             tilde = ImageFamily(ks.tilde_stack(t)[n], ks.dim_bath).blocks
-            heis = ImageFamily(ks.heis_stack(t)[n], ks.dim_bath).blocks
+            heis = ImageFamily(heis_stack(ks, t)[n], ks.dim_bath).blocks
             back = np.empty_like(heis)
             for a in range(2):
                 for b in range(2):

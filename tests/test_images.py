@@ -12,13 +12,13 @@ from heisenbath.images import (
     to_image_family,
 )
 from heisenbath.model import make_model
-from heisenbath.oracle import heisenberg_evolve_exact, total_hamiltonian
+from heisenbath.oracle import heisenberg_evolve_exact
 from heisenbath.spaces import (
     TimeGrid,
     full_operator,
     system_operator,
 )
-from helpers import projection, random_hermitian, random_density
+from helpers import heis_stack, projection, random_density, random_hermitian, total_hamiltonian
 
 
 def test_projection_map_identities():
@@ -91,7 +91,7 @@ class TestContract:
         """K_S^(1)(t) = (1 - 2c) (hbar^2 t / 4) diag(1, -1)."""
         preset, ks = two_qubit_quarter
         t, c = 1.3, 0.25
-        fam = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath)
+        fam = ImageFamily(heis_stack(ks, t)[1], ks.dim_bath)
         out = contract_with_bath(fam, preset.model.rho_b)
         assert np.max(np.abs(out - (1 - 2 * c) * t / 4 * np.diag([1, -1]))) < 1e-12
 

@@ -15,13 +15,11 @@ from heisenbath.markov import (
     BohrDecomposition,
     SpectralCoefficients,
     _correlations,
-    bath_correlation,
     bohr_decompose_all,
     bohr_decomposition,
     check_markov_assumptions,
     decompose_interaction,
     evolve_lindblad,
-    first_moment,
     lindblad_generator,
     lindblad_rhs,
     spectral_coefficients,
@@ -29,7 +27,17 @@ from heisenbath.markov import (
 from heisenbath.model import make_model
 from heisenbath.spaces import Constants, TimeGrid, full_operator
 from heisenbath.superop import SeriesTruncation, one_point_operator
-from helpers import loop_hermitian_basis, loop_lindblad_rhs, random_density, random_hermitian, rhs_at
+from helpers import (
+    bath_correlation,
+    first_moment,
+    loop_hermitian_basis,
+    loop_lindblad_rhs,
+    one_point_at,
+    random_density,
+    random_hermitian,
+    rhs_at,
+    u0,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -302,7 +310,7 @@ class TestBohr:
         eps = np.linalg.eigvalsh(h0)
         w_min = min(abs(a - b) for i, a in enumerate(eps) for b in eps[i + 1 :])
         for t in np.linspace(0, 2 * np.pi / w_min, 10):
-            u = fr.u0(t)
+            u = u0(fr, t)
             target = u @ r @ u.conj().T
             recon = np.tensordot(np.exp(1j * bd.frequencies * t), bd.components[0], axes=1)
             assert np.max(np.abs(recon - target)) < 1e-10
@@ -697,9 +705,7 @@ class TestGeneratorAgreement:
 
         for t_eval, j_horizon in ((5.0, 5.0), (4.0, 6.0)):
             sc = spectral_coefficients(m, dec, bd.frequencies, horizon=j_horizon, tol=0.2)
-            from heisenbath.superop import value_and_row
-
-            o_val = value_and_row(traj, ks, m.rho_b, t_eval)[0]
+            o_val = one_point_at(traj.observable, traj.truncation, ks, m.rho_b, t_eval)
             pert = rhs_at(traj, t_eval, ks, m.rho_b)
             lind = lindblad_rhs(o_val, bd, sc, m.h0.mat, m.constants)
             diff = np.max(np.abs(pert - lind))

@@ -36,11 +36,6 @@ KEPT = {
     "dyson_propagator": "the run manifest's unitarity defect reads it (ROADMAP item 4)",
     "MarkovReport.rhs_defect_bound": "integrated along the Lindblad trajectory (ROADMAP item 7)",
     "irreducible_2pt": "the naive_product validation row reads it (ROADMAP item 14)",
-    "bath_correlation": "the pointwise reference of the Markov report's correlators",
-    "first_moment": "the pointwise reference of the Markov report's first moments",
-    "total_hamiltonian": "the generator in the Heisenberg-equation check of the exact evolution",
-    "interaction_hamiltonian_images": "the integrand of the kernels' quadrature oracle",
-    "KernelSet.heis_stack": "the test reference of the frame stack in the original basis",
 }
 
 

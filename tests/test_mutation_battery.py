@@ -61,7 +61,7 @@ MUTANTS = (
     ("frame_stack_scale_axis", "dyson.py", "axis2=-1)[..., None, None, :]", "axis2=-1)[..., None, :, None]"),
     ("sandwich_right_conj", "npoint.py", "lifted @ self.kstack[m].conj()", "lifted @ self.kstack[m]"),
     ("system_lift_transpose", "npoint.py", "-1, ds) @ cores)", "-1, ds) @ cores.swapaxes(-1, -2))"),
-    ("one_point_lift_transpose", "superop.py", "ds), o_eig, out=", "ds), o_eig.T, out="),
+    ("one_point_lift_transpose", "superop.py", "ds), o_eig, out=", "ds), o_eig.swapaxes(-1, -2), out="),
     ("bath_trace_transpose", "_blockops.py", "rho.T.reshape(-1, 1)", "rho.reshape(-1, 1)"),
     ("cumulant_leg_order", "npoint.py", "- values[0] @ values[1]", "- values[1] @ values[0]"),
     ("dressing_bath_fold", "superop.py", "rho_b.conj().T @ rights", "rho_b.T @ rights"),

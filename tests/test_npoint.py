@@ -7,17 +7,24 @@ import pytest
 
 from heisenbath.diagnostics import fit_slope
 from heisenbath.images import ImageFamily, contract_with_bath
-from heisenbath.npoint import _partitions, decompose_3pt, expand_image_by_partitions, irreducible_2pt
+from heisenbath.npoint import (
+    _partitions,
+    cumulant_2pt,
+    decompose_3pt,
+    decompose_3pt_parts,
+    expand_image_by_partitions,
+    irreducible_2pt,
+)
 from heisenbath.oracle import heisenberg_evolve_exact, npoint_reduced_exact
 from heisenbath.spaces import full_operator, system_operator, weighted_bath_trace
 from heisenbath.superop import (
     SeriesTruncation,
     image_from_one_point,
+    lift_legs,
     one_point_operator,
     star_of_observables,
-    value_and_row,
 )
-from helpers import lift_at, one_point_at, partition_term, random_hermitian
+from helpers import heis_stack, lift_at, one_point_at, partition_term, random_hermitian
 
 LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -91,7 +98,7 @@ class TestAssembleTerm:
         trunc = SeriesTruncation(2, lam)
         val = one_point_at(obs, trunc, ks, m.rho_b, t)
         fam = partition_term(((1, 0),), val, trunc, ks, m.rho_b, t)
-        k1 = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks
+        k1 = ImageFamily(heis_stack(ks, t)[1], ks.dim_bath).blocks
         expected = 1j * lam * np.einsum("abij,jk->abik", k1, val)
         assert np.allclose(fam.blocks, expected, atol=1e-13)
 
@@ -113,7 +120,7 @@ class TestExpandByPartitions:
         m, obs, ks = random_model_2x3
         traj = one_point_operator(obs, SeriesTruncation(0, 0.1), ks, m.rho_b, ks.grid, "obs")
         fam = expand_image_by_partitions(traj, 0, ks, m.rho_b, 1.0)
-        val = value_and_row(traj, ks, m.rho_b, 1.0)[0]
+        val = one_point_at(traj.observable, traj.truncation, ks, m.rho_b, 1.0)
         for a in range(3):
             for b in range(3):
                 assert np.allclose(fam.blocks[a, b], val if a == b else 0)
@@ -138,7 +145,7 @@ class TestExpandByPartitions:
         t = 0.8
         fam = expand_image_by_partitions(traj, order, ks, m.rho_b, t)
         back = contract_with_bath(fam, m.rho_b)
-        assert np.max(np.abs(back - value_and_row(traj, ks, m.rho_b, t)[0])) < 1e-13
+        assert np.max(np.abs(back - one_point_at(traj.observable, traj.truncation, ks, m.rho_b, t))) < 1e-13
 
 
 class TestIrreducible2pt:
@@ -220,6 +227,23 @@ class TestDecompose3pt:
         for part, want in zip(parts, expected):
             assert np.max(np.abs(part - want)) < 1e-12
         assert min(np.max(np.abs(a - b)) for a, b in itertools.combinations(expected[1:4], 2)) > 1e-4
+
+    def test_trivial_families_of_the_wired_parts(self, random_model_2x3):
+        """`decompose_3pt_parts` on its trivial families ``O_S delta_ab``: a trivial
+        last or first factor leaves the bath trace, ``wired_12 = cumulant_2pt(1, 2)
+        O3S`` and ``wired_23 = O1S cumulant_2pt(2, 3)``, and ``wired_31`` is the
+        block sum ``sum_abc (X1)_ac O2S (X3)_cb rho_B[b, a]`` minus the disconnected part."""
+        m, obs, ks = random_model_2x3
+        rng = np.random.default_rng(229)
+        legs = zip((obs, random_hermitian(rng, 2), random_hermitian(rng, 2)), (0.4, 0.9, 1.3))
+        values, lifted = lift_legs(legs, SeriesTruncation(2, 0.1), ks, m.rho_b)
+        disc, wired_12, wired_31, wired_23, _ = decompose_3pt_parts(values, lifted, m.rho_b)
+        assert np.max(np.abs(wired_12 - cumulant_2pt(values[:2], lifted[:2], m.rho_b) @ values[2])) < 1e-13
+        assert np.max(np.abs(wired_23 - values[0] @ cumulant_2pt(values[1:], lifted[1:], m.rho_b))) < 1e-13
+        x1, x3 = (ImageFamily(x, m.dim_bath).blocks for x in (lifted[0], lifted[2]))
+        sites = itertools.product(range(m.dim_bath), repeat=3)
+        loop = sum(x1[a, c] @ values[1] @ x3[c, b] * m.rho_b[b, a] for a, b, c in sites)
+        assert np.max(np.abs(wired_31 - (loop - disc))) < 1e-13
 
     def test_two_qubit_irreducible_matches_oracle_formula(self, two_qubit_quarter):
         """Third cumulant against the same formula built from oracle quantities."""

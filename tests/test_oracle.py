@@ -6,14 +6,13 @@ import scipy.linalg
 
 import heisenbath as hb
 from heisenbath.diagnostics import DEFAULT_LAMBDAS, validation_suite
-from heisenbath.errors import DimensionError, IndexOutOfRange, NonHermitianInput
+from heisenbath.errors import DimensionError, IndexOutOfRange, NonFiniteResult, NonHermitianInput
 from heisenbath.images import evolve_images_exact, to_image_family
 from heisenbath.model import make_model
 from heisenbath.oracle import (
     evolve_exact,
     heisenberg_evolve_exact,
     npoint_reduced_exact,
-    total_hamiltonian,
 )
 from heisenbath.spaces import (
     TimeGrid,
@@ -21,7 +20,7 @@ from heisenbath.spaces import (
     system_operator,
     weighted_bath_trace,
 )
-from helpers import projection, random_hermitian, random_density
+from helpers import projection, random_density, random_hermitian, total_hamiltonian
 
 
 def _random_spec(seed, d_s=2, d_b=3, lam=0.7):
@@ -110,6 +109,16 @@ class TestHeisenbergEvolve:
         ev0 = np.linalg.eigvalsh(np.kron(o.mat, np.eye(3)))
         evt = np.linalg.eigvalsh(heisenberg_evolve_exact(m, o, 2.3).mat)
         assert np.max(np.abs(ev0 - evt)) < 1e-8
+
+    @pytest.mark.parametrize("t, hbar", [(1e300, 1.0), (1.0, 1e-300)])
+    def test_phases_with_few_digits_are_refused(self, t, hbar):
+        """``eps max|E| max|t| / hbar`` above ``sqrt(eps)`` leaves no significant
+        digit in the phases: `NonFiniteResult`, not finite noise."""
+        rng = np.random.default_rng(7)
+        h0, hb_, hi = random_hermitian(rng, 2), random_hermitian(rng, 3), random_hermitian(rng, 6)
+        m = make_model(h0, hb_, hi, np.eye(2) / 2, random_density(rng, 3), hbar=hbar, lam=0.7)
+        with pytest.raises(NonFiniteResult, match="fewer than half"):
+            evolve_exact(m, [random_hermitian(rng, 2)], [0.0, t])
 
     def test_group_law(self):
         m = _random_spec(6)

@@ -10,15 +10,23 @@ coupling axis is held to the engine at one coupling bit for bit, and the
 fused one-point sum to the total-order sandwich sum of a constant sequence.
 """
 
+import math
 import pickle
 
 import numpy as np
 import pytest
 
-from heisenbath import _blockops, dyson
+from heisenbath import _blockops, dyson, superop
 from heisenbath.diagnostics import DEFAULT_LAMBDAS, random_model, rhs_fd_errors, rounding_floor
 from heisenbath.dyson import compute_kernels
-from heisenbath.npoint import PartitionWords, _partitions, decompose_3pt, expand_image_by_partitions
+from heisenbath.npoint import (
+    PartitionWords,
+    _partitions,
+    decompose_3pt,
+    expand_image_by_partitions,
+    irreducible_2pt,
+)
+from heisenbath.oracle import npoint_reduced_exact
 from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
     SeriesTruncation,
@@ -31,7 +39,6 @@ from heisenbath.superop import (
     one_point_values,
     star_of_observables,
     star_product,
-    value_and_row,
 )
 from helpers import (
     einsum_DtP_S,
@@ -39,12 +46,14 @@ from helpers import (
     einsum_P_blocks,
     einsum_P_blocks_printed,
     einsum_partition_term,
+    heis_stack,
     lift_at,
     lift_legs,
     one_point_at,
     partition_image,
     partition_term,
     per_suffix_partition_image,
+    random_hermitian,
     recursive_partition_image,
     rhs_at,
 )
@@ -80,7 +89,7 @@ def test_sandwiches_match_einsum(engine_model, n, t):
     references on the original-basis kernels; the covariant derivatives of
     the reference come from the recurrence in the original basis."""
     m, obs, ks = engine_model
-    heis = ks.heis_stack(t)
+    heis = heis_stack(ks, t)
     fams = _blocks(ks, heis)
     e = m.bath_energies / m.constants.hbar
     cov = np.zeros_like(heis)
@@ -104,7 +113,7 @@ def test_partition_terms_match_einsum(engine_model, n):
     m, obs, ks = engine_model
     hbar = m.constants.hbar
     trunc = SeriesTruncation(4, LAM)
-    kstack = _blocks(ks, ks.heis_stack(GRID_TIME))
+    kstack = _blocks(ks, heis_stack(ks, GRID_TIME))
     value = one_point_at(obs, trunc, ks, m.rho_b, GRID_TIME)
     for p in _partitions(n, n + 1):
         out = partition_term(p, value, trunc, ks, m.rho_b, GRID_TIME).blocks
@@ -119,8 +128,8 @@ def test_partition_expansion_matches_einsum_sum(engine_model, order, t):
     m, obs, ks = engine_model
     trunc = SeriesTruncation(order, LAM)
     traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid, "obs")
-    value = value_and_row(traj, ks, m.rho_b, t)[0]
-    kstack = _blocks(ks, ks.heis_stack(t))
+    value = one_point_at(traj.observable, traj.truncation, ks, m.rho_b, t)
+    kstack = _blocks(ks, heis_stack(ks, t))
     ref = sum(
         einsum_partition_term(p, value, kstack, m.rho_b, LAM, m.constants.hbar)
         for n in range(order + 1)
@@ -157,7 +166,7 @@ def test_batched_partition_sum_equals_per_suffix_evaluation(engine_model, monkey
     frame."""
     m, obs, ks = engine_model
     traj = one_point_operator(obs, SeriesTruncation(n_max, LAM), ks, m.rho_b, ks.grid, "obs")
-    value = value_and_row(traj, ks, m.rho_b, t)[0]
+    value = one_point_at(traj.observable, traj.truncation, ks, m.rho_b, t)
     expected = per_suffix_partition_image(value, n_max, LAM, ks, m.rho_b, t)
     calls = []
     real = PartitionWords._sandwiches
@@ -176,12 +185,12 @@ def test_batched_one_point_matches_per_time_and_einsum(engine_model, order):
     traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid, "obs")
     for k, t in enumerate(ks.grid.points):
         single = one_point_at(obs, trunc, ks, m.rho_b, float(t))
-        kstack = _blocks(ks, ks.heis_stack(t))
+        kstack = _blocks(ks, heis_stack(ks, t))
         ref = einsum_one_point(ks.frame.free_conjugate(obs, t), kstack, m.rho_b, order, LAM, hbar)
         assert _close(traj.values[k], single)
         assert _close(traj.values[k], ref)
     off = one_point_at(obs, trunc, ks, m.rho_b, OFF_GRID_TIME)
-    kstack = _blocks(ks, ks.heis_stack(OFF_GRID_TIME))
+    kstack = _blocks(ks, heis_stack(ks, OFF_GRID_TIME))
     ref = einsum_one_point(ks.frame.free_conjugate(obs, OFF_GRID_TIME), kstack, m.rho_b, order, LAM, hbar)
     assert _close(off, ref)
 
@@ -194,6 +203,42 @@ def test_decompose_total_matches_star(engine_model, order):
     dec = decompose_3pt(m, obs, obs, obs, *times, trunc, ks=ks)
     star = star_of_observables([(obs, t) for t in times], trunc, ks, m.rho_b)
     assert _close(dec.total, star)
+
+
+def test_each_leg_set_is_one_lift(engine_model, monkeypatch):
+    """A star of three legs with distinct observables, `irreducible_2pt` and
+    `decompose_3pt` each make one `lift_observable` call, one observable per
+    leg on the kernel rows of the legs' times (grid, off-grid and a repeated
+    time); each leg's value and family are those of its lone one-leg
+    `lift_legs`, bit for bit.  The mixed star agrees with the exact product
+    within three times the leading Dyson remainder ``x^(N+1)/(N+1)!``, ``x =
+    lam |H_I| t_max / hbar``, scaled by the observables' norms."""
+    m, obs, ks = engine_model
+    rng = np.random.default_rng(34)
+    o1, o2, o3 = obs, random_hermitian(rng, ks.dim_system), random_hermitian(rng, ks.dim_system)
+    times, trunc = (1.5, OFF_GRID_TIME, 1.5), SeriesTruncation(3, 0.03)
+    legs = list(zip((o1, o2, o3), times))
+    lone = [superop.lift_legs([leg], trunc, ks, m.rho_b) for leg in legs]
+    calls, real = [], superop.lift_observable
+
+    def recorded(o, *args):
+        calls.append((o, args[-1], real(o, *args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(superop, "lift_observable", recorded)
+    star = star_of_observables(legs, trunc, ks, m.rho_b)
+    irreducible_2pt(m, o1, o2, *times[:2], trunc, ks)
+    decompose_3pt(m, o1, o2, o3, *times, trunc, ks)
+    assert len(calls) == 3
+    for used, (o, rows, (values, _, mats)) in zip((legs, legs[:2], legs), calls):
+        assert np.array_equal(o, np.stack([x for x, _ in used]))
+        assert np.array_equal(rows, ks.eigen_rows(np.array([t for _, t in used])))
+        for k, (value, mat) in enumerate(lone[: len(used)]):
+            assert np.array_equal(values[k, 0], value[0]) and np.array_equal(mats[k, 0], mat[0])
+    exact = npoint_reduced_exact(m.with_coupling(trunc.lam), legs).mat
+    x = trunc.lam * np.linalg.norm(m.hi.mat, 2) * max(times) / m.constants.hbar
+    norms = np.prod([np.linalg.norm(o, 2) for o in (o1, o2, o3)])
+    assert np.max(np.abs(star - exact)) <= 3 * norms * x ** (trunc.order + 1) / math.factorial(trunc.order + 1)
 
 
 
@@ -242,7 +287,7 @@ def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
     from_values = lift_values(values[None], order, SWEEP, ks, rho_b, row[None])
     assert np.array_equal(from_values[0][0], inverses) and np.array_equal(from_values[1][0], families)
     trajs = [one_point_operator(obs, SeriesTruncation(order, lam), ks, rho_b, ks.grid) for lam in SWEEP]
-    at_t = np.stack([value_and_row(traj, ks, rho_b, t)[0] for traj in trajs])
+    at_t = np.stack([one_point_at(traj.observable, traj.truncation, ks, rho_b, t) for traj in trajs])
     rhs = local_rhs(at_t, order, SWEEP, ks, rho_b, row)
     for k, lam in enumerate(SWEEP):
         trunc = SeriesTruncation(order, lam)
@@ -323,7 +368,7 @@ def test_kernel_set_is_read_only():
     traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid)
     star_product([(traj, 0.3), (traj, 0.7)], ks, m.rho_b)
     star_of_observables([(obs, 0.3), (obs, 0.7)], trunc, ks, m.rho_b)
-    ks.heis_stack(0.3), ks.tilde_stack(0.7)
+    heis_stack(ks, 0.3), ks.tilde_stack(0.7)
     after = vars(ks)
     assert after.keys() == before.keys()
     assert all(after[k] is v and pickle.dumps(after[k]) == b for k, (v, b) in before.items())

@@ -17,9 +17,8 @@ from heisenbath.superop import (
     printed_sandwich_defect,
     star_of_observables,
     star_product,
-    value_and_row,
 )
-from helpers import dressing_at, lift_at, one_point_at, random_hermitian, rhs_at
+from helpers import dressing_at, heis_stack, lift_at, one_point_at, random_hermitian, rhs_at
 
 LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -41,7 +40,7 @@ class TestApplyP:
         rng = np.random.default_rng(1)
         a = random_hermitian(rng, 2)
         t = 1.3
-        k1 = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks
+        k1 = ImageFamily(heis_stack(ks, t)[1], ks.dim_bath).blocks
         fam = ImageFamily(dressing_at(1, a, t, ks), ks.dim_bath).blocks
         for al in range(2):
             for be in range(2):
@@ -55,8 +54,8 @@ class TestApplyP:
         t = 1.4
         s1x = preset.observables["s1x"]
         rho = preset.model.rho_b
-        k1 = ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks
-        k2 = ImageFamily(ks.heis_stack(t)[2], ks.dim_bath).blocks
+        k1 = ImageFamily(heis_stack(ks, t)[1], ks.dim_bath).blocks
+        k2 = ImageFamily(heis_stack(ks, t)[2], ks.dim_bath).blocks
         k2s = np.einsum("abij,ba->ij", k2, rho)
         cross = np.einsum("gaji,jk,gbkm,ba->im", k1.conj(), s1x, k1, rho)
         bracket = -(k2s.conj().T @ s1x + s1x @ k2s - cross)
@@ -69,7 +68,7 @@ class TestApplyP:
         t = 0.9
         s1x = preset.observables["s1x"]
         rho = preset.model.rho_b
-        k1s = np.einsum("abij,ba->ij", ImageFamily(ks.heis_stack(t)[1], ks.dim_bath).blocks, rho)
+        k1s = np.einsum("abij,ba->ij", ImageFamily(heis_stack(ks, t)[1], ks.dim_bath).blocks, rho)
         out = dressing_at(1, s1x, t, ks, preset.model.rho_b)
         assert np.allclose(out, 1j * (k1s @ s1x - s1x @ k1s), atol=1e-13)
 
@@ -166,14 +165,11 @@ class TestOnePoint:
             assert np.max(np.abs(val - val.conj().T)) < 1e-12
 
     def test_trajectory_grid_values(self, random_model_2x3):
+        """Every stored value equals the lone `one_point_at` of its grid time, bit for bit."""
         m, obs, ks = random_model_2x3
         traj = one_point_operator(obs, SeriesTruncation(2, 0.1), ks, m.rho_b, ks.grid, "obs")
-        k = len(ks.grid) // 2
-        t = float(ks.grid.points[k])
-        assert np.array_equal(traj.values[k], value_and_row(traj, ks, m.rho_b, t)[0])
-        off_grid = 0.5 * (ks.grid.points[k] + ks.grid.points[k + 1])
-        recomputed = one_point_at(obs, traj.truncation, ks, m.rho_b, off_grid)
-        assert np.allclose(value_and_row(traj, ks, m.rho_b, off_grid)[0], recomputed)
+        for k, t in enumerate(ks.grid.points):
+            assert np.array_equal(traj.values[k], one_point_at(obs, traj.truncation, ks, m.rho_b, t))
 
 
 class TestInversion:
@@ -248,7 +244,7 @@ class TestStarProduct:
         traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid, "obs")
         t = 1.2
         out = star_product([(traj, t)], ks, m.rho_b)
-        assert np.allclose(out.mat, value_and_row(traj, ks, m.rho_b, t)[0], atol=1e-13)
+        assert np.allclose(out.mat, one_point_at(traj.observable, traj.truncation, ks, m.rho_b, t), atol=1e-13)
 
     def test_two_qubit_first_order_factorizes(self, two_qubit_quarter):
         """(S1x(t1) S1x(t2))_S = S1xS(t1) S1xS(t2) + O(lam^2)."""
@@ -344,7 +340,7 @@ class TestOnePointRHS:
         traj = one_point_operator(obs, SeriesTruncation(2, 0.0), ks, m.rho_b, ks.grid, "obs")
         t = 1.0
         rhs = rhs_at(traj, t, ks, m.rho_b)
-        o_s = value_and_row(traj, ks, m.rho_b, t)[0]
+        o_s = one_point_at(traj.observable, traj.truncation, ks, m.rho_b, t)
         expected = 1j * (m.h0.mat @ o_s - o_s @ m.h0.mat)
         assert np.max(np.abs(rhs - expected)) < 1e-12
 

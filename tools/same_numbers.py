@@ -9,6 +9,10 @@ package from its ``src`` and the benchmark inputs from its
 
 - every output of a series_4x8 (order 3) and of a markov_lindblad (order 0)
   solve, at seeds 1, 2 and 5;
+- ``star_mixed``: at the same series_4x8 seeds, the star product
+  (`star_of_observables`) of the workload's observable and a second,
+  distinct hermitian observable, legs ``(O, B, O)`` at the star times, a
+  product of distinct observables that no shipped config runs;
 - each column of each shipped config (``configs/*.yaml``) run to CSV and
   to JSON, at the config's ``truncation.order`` for the ``one_point`` and
   ``n_point`` runs and at order 0 for the others.
@@ -82,6 +86,18 @@ def _columns(rows: list[dict]) -> dict:
     return out
 
 
+def star_mixed(hb, workloads, series, seed: int) -> np.ndarray:
+    """The star of the series observable ``O`` and a seeded hermitian ``B``, legs ``(O, B, O)``."""
+    from heisenbath.superop import star_of_observables
+
+    rng = np.random.default_rng([seed, 34])
+    d = len(series.obs)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    legs = zip((series.obs, (a + a.conj().T) / 2, series.obs), workloads.STAR_TIMES)
+    ks = hb.compute_kernels(series.model, series.trunc.order, series.grid)
+    return star_of_observables(legs, series.trunc, ks, series.model.rho_b)
+
+
 def child(checkout: str, npz: str) -> None:
     """Save the output groups of ``checkout`` to ``npz`` and print their orders and the runs as JSON."""
     import yaml
@@ -117,6 +133,7 @@ def child(checkout: str, npz: str) -> None:
         for seed in SEEDS:
             series = workloads.build_series(seed, work)
             keep(f"series_4x8/seed{seed}", series.trunc.order, workloads.solve_series(series, None))
+            keep(f"star_mixed/seed{seed}", series.trunc.order, star_mixed(heisenbath, workloads, series, seed))
             keep(f"markov_lindblad/seed{seed}", 0, workloads.solve_markov(workloads.build_markov(seed, work), None))
         for seed in STATUS_SEEDS:
             seed_dir = os.path.join(work, f"validate{seed}")
