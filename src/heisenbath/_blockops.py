@@ -3,9 +3,8 @@
 A family is a full-space matrix ``X`` of size ``D = d_S d_B`` (or a stack
 ``(..., D, D)`` of them); its image blocks are
 ``X_ab[i, j] = X[i * d_B + a, j * d_B + b]``.  `block_view` reads them as an
-array ``(..., d_B, d_B, d_S, d_S)`` without a copy, `kron_identity` builds
-the trivial family ``A (x) 1_B``, and `bath_trace` contracts a family with
-the bath state.
+array ``(..., d_B, d_B, d_S, d_S)`` without a copy, and `bath_trace`
+contracts a family with the bath state.
 
 There is one other layout, the frame's (`dyson`): a frame matrix indexes
 ``a * d_S + i``, bath-major with the system index last, so that ``A (x)
@@ -24,15 +23,6 @@ def block_view(full: np.ndarray, db: int) -> np.ndarray:
     *lead, d, _ = full.shape
     k = len(lead)
     return full.reshape(*lead, d // db, db, d // db, db).transpose(*range(k), k + 1, k + 3, k, k + 2)
-
-
-def kron_identity(value: np.ndarray, db: int) -> np.ndarray:
-    """``value (x) 1_B`` for system operators ``(..., d_S, d_S)``: blocks ``value delta_ab``."""
-    *lead, ds, _ = value.shape
-    out = np.zeros((*lead, ds, db, ds, db), dtype=complex)
-    idx = np.arange(db)
-    out[..., :, idx, :, idx] = value
-    return out.reshape(*lead, ds * db, ds * db)
 
 
 def bath_trace(full: np.ndarray, rho: np.ndarray) -> np.ndarray:

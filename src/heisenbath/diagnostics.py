@@ -13,12 +13,12 @@ couplings reads slope 0 and fails.  Identity-type checks (cancellation,
 dual bookkeeping, decomposition sum) are asserted at rounding level
 instead.
 
-A suite builds its kernels to order n + 1, fetches the kernel row of each
-of its times ``(t1, t2, t)`` once, and lifts every order its rows read,
-0..n+1, in one `superop.lift_observable` call per order for the whole
-sweep: one-point values, their series inversions and the image-family
-matrices they lift to, each ``(n_leg, n_lam, ...)`` with the leg axis
-first.  Each order's partition sum is expanded once, at `DEFECT_LAMBDA`,
+A suite builds its kernels to order n + 1, fetches the kernel rows of its
+times ``(t1, t2, t)`` in one `KernelSet.eigen_rows` call, and lifts every
+order its rows read, 0..n+1, in one `superop.lift_observable` call per
+order for the whole sweep: one-point values, their series inversions and
+the image-family matrices they lift to, each ``(n_leg, n_lam, ...)`` with
+the leg axis first.  Each order's partition sum is expanded once, at `DEFECT_LAMBDA`,
 by `npoint.PartitionWords`.  The exact references are one `evolve_exact`
 call for the sweep, its legs first as well, ``(n_leg, n_lam, D, D)``.
 Each ``*_errors`` and ``*_defect`` helper takes the arrays it compares,
@@ -160,7 +160,7 @@ def validation_suite(seed: int, d_s: int = 2, d_b: int = 3, order: int = 2, t: f
     ks = compute_kernels(m, order + 1, TimeGrid.linspace(1.5 * t, 7))
     rho_b, lams = m.rho_b, DEFAULT_LAMBDAS
     times = (0.4 * t, 0.8 * t, t)
-    rows = np.stack([ks.row(s) for s in times])
+    rows = ks.eigen_rows(times)
     # every order a row reads, each (values, inversions, family matrices) with legs first
     lifts = [lift_observable(obs, n, lams, ks, rho_b, rows) for n in range(order + 2)]
     exact = evolve_exact(m, [obs], times, lams).swapaxes(0, 1)

@@ -241,14 +241,14 @@ class KernelSet:
     """Time-ordered kernels of all orders up to ``orders`` at every ``t >= 0``.
 
     It holds the rows ``R(t) = (E[0], ..., E[n_max])`` at the grid points
-    and does not change after construction; `row` reaches an off-grid time,
-    the last point included, and every stack is computed from a row on
-    request.  ``tilde_stack(t)[n]`` is the interaction-picture family
-    ``Ktilde[n](t)`` in the original basis and ``frame_stack(row(t))[n]``
-    the Heisenberg-frame kernels ``K[n]_ab(t) = exp(+i(E_a-E_b)t/hbar)
-    U0^dag Ktilde U0`` in the frame; each stack holds orders ``0..n_max``
-    as full-space matrices, shape ``(n_max + 1, D, D)``, with order 0 the
-    identity.
+    and does not change after construction; `eigen_rows` reaches any time,
+    off the grid and past the last point included, and every stack is
+    computed from a row on request.  ``tilde_stack(t)[n]`` is the
+    interaction-picture family ``Ktilde[n](t)`` in the original basis and
+    ``frame_stack(R(t))[n]`` the Heisenberg-frame kernels ``K[n]_ab(t) =
+    exp(+i(E_a-E_b)t/hbar) U0^dag Ktilde U0`` in the frame; each stack holds
+    orders ``0..n_max`` as full-space matrices, shape ``(n_max + 1, D, D)``,
+    with order 0 the identity.
     """
 
     def __init__(self, m: ModelSpec, n_max: int, grid: TimeGrid):
@@ -280,35 +280,31 @@ class KernelSet:
 
     # -- rows and stacks ----------------------------------------------------
 
-    def row(self, t: float) -> np.ndarray:
-        """``R(t)``, shape ``(n_max + 1, D, D)``, at any ``t >= 0``: stored at grid points,
-        one exact step from the grid point below at an off-grid time, the last point included."""
-        k, dt = self._below(t)
-        return self._rows[k] if dt is None else toeplitz_mul(self._rows[k], toeplitz_expm(dt * self._gen))
-
     def eigen_rows(self, times: np.ndarray) -> np.ndarray:
-        """`row` at each time, ``(n_t, n_max + 1, D, D)``, with ``n_t = 0`` for no time;
-        the grid is served without a copy, and off-grid times at the same offset from
-        their grid points share one exponential, with the bits of `row`."""
-        if np.array_equal(times, self.grid.points):
-            return self._rows
-        below = [self._below(float(t)) for t in times]
-        offsets = dict.fromkeys(dt for _, dt in below if dt is not None)
-        steps = {dt: toeplitz_expm(dt * self._gen) for dt in offsets}
-        rows = [self._rows[k] if dt is None else toeplitz_mul(self._rows[k], steps[dt]) for k, dt in below]
-        return np.array(rows, dtype=complex).reshape(len(times), *self._rows.shape[1:])
+        """``R(t)`` at each of ``times``, ``(n_t, n_max + 1, D, D)``, with ``n_t = 0`` for no time.
 
-    def _below(self, t: float) -> tuple[int, float | None]:
-        """Where `row` reads ``t``: its grid index and ``None``, or off the grid the
-        index of the grid point below it (the first, for a time just below 0) and the offset."""
-        k = self.grid.index(t)
-        if k is not None:
-            return k, None
-        if not t >= -1e-12:  # NaN included
-            raise OrderExceedsKernels(f"kernels start at t = 0 but t={t!r} was requested")
+        A time within 1e-14 of a grid point reads the stored row of the first
+        such point, and the grid itself is served without a copy.  Any other
+        ``t >= -1e-12`` is one exact step from the grid point below it (the
+        first point, for a time just below 0; past the last point included),
+        and off-grid times at the same offset share one exponential.  NaN or
+        an earlier time raises `OrderExceedsKernels`.
+        """
         pts = self.grid.points
-        k = max(int(np.searchsorted(pts, t, side="right")) - 1, 0)
-        return k, t - pts[k]
+        if np.array_equal(times, pts):
+            return self._rows
+        t = np.asarray(times, dtype=float)
+        near = np.searchsorted(pts, t - 1e-14)  # the first point that can lie within 1e-14
+        on = np.append(pts, np.inf)[near] - t <= 1e-14
+        bad = ~on & ~(t >= -1e-12)  # NaN included
+        if bad.any():
+            raise OrderExceedsKernels(f"kernels start at t = 0 but t={float(t[bad][0])!r} was requested")
+        k = np.where(on, near, np.maximum(np.searchsorted(pts, t, side="right") - 1, 0))
+        rows, offsets, off = self._rows[k], (t - pts[k]).tolist(), np.flatnonzero(~on).tolist()
+        steps = {dt: toeplitz_expm(dt * self._gen) for dt in dict.fromkeys(offsets[i] for i in off)}
+        for i in off:
+            rows[i] = toeplitz_mul(rows[i], steps[offsets[i]])
+        return rows
 
     def frame_stack(self, row: np.ndarray) -> np.ndarray:
         """The kernels in the H0 eigenbasis, ``S[n] = E[n] E[0]^-1 = V^dag K[n] V``
@@ -329,7 +325,7 @@ class KernelSet:
 
     def tilde_stack(self, t: float) -> np.ndarray:
         """``Ktilde[n](t) = V E[0]^-1 E[n] V^dag`` in the original basis, n = 0..n_max."""
-        row = self.row(t)
+        row = self.eigen_rows([t])[0]
         e0 = np.diagonal(row[0])  # E[0], diagonal
         out = self.frame_stack(row)
         out[1:] = self.frame.leave_open(out[1:] * e0 / e0[:, None])
@@ -343,7 +339,7 @@ class KernelSet:
 
 def compute_kernels(m: ModelSpec, n_max: int, grid: TimeGrid) -> KernelSet:
     """Kernels of orders 0..``n_max``, stored at every point of ``grid`` and
-    reached at any other ``t >= 0`` by `KernelSet.row`."""
+    reached at any other ``t >= 0`` by `KernelSet.eigen_rows`."""
     check_order(n_max, "n_max")
     return KernelSet(m, n_max, grid)
 

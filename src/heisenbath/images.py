@@ -40,10 +40,6 @@ class ImageFamily:
         object.__setattr__(self, "matrix", matrix)
 
     @property
-    def dim_system(self) -> int:
-        return self.matrix.shape[0] // self.dim_bath
-
-    @property
     def blocks(self) -> np.ndarray:
         """``(d_B, d_B, d_S, d_S)`` view of the matrix."""
         return _blockops.block_view(self.matrix, self.dim_bath)

@@ -19,7 +19,7 @@ import numpy as np
 from .dyson import propagate_rows
 from .errors import DimensionError, NonHermitianInput
 from .model import ModelSpec
-from .spaces import Constants, OperatorMatrix, TimeGrid, as_matrix, full_dims, herm_defect, HERM_TOL
+from .spaces import Constants, OperatorMatrix, TimeGrid, full_dims, herm_defect, HERM_TOL
 
 SCHMIDT_CUTOFF = 1e-12
 RECONSTRUCTION_TOL = 1e-10
@@ -284,9 +284,9 @@ def bohr_decomposition(r, h0, hbar: float = 1.0) -> BohrDecomposition:
     kept where some operator has a component above ``1e-14 max(1, |R|)``;
     smaller components are zeroed.
     """
-    r = as_matrix(r)
+    r = np.asarray(r, dtype=complex)
     rs = r[None] if r.ndim == 2 else r
-    h0 = as_matrix(h0)
+    h0 = np.asarray(h0, dtype=complex)
     if herm_defect(h0) > HERM_TOL:
         raise NonHermitianInput("H0 is not hermitian")
     eps, v = np.linalg.eigh(h0)
@@ -395,8 +395,8 @@ def lindblad_rhs(
     breaks identity fixity (`tests/helpers.loop_lindblad_rhs` keeps it).
     Leading axes of ``o_s`` are a stack of operators, each mapped alone.
     """
-    o = as_matrix(o_s)
-    h0 = as_matrix(h0)
+    o = np.asarray(o_s, dtype=complex)
+    h0 = np.asarray(h0, dtype=complex)
     if o.shape[-2:] != h0.shape:
         raise DimensionError(f"operator shape {o.shape} vs H0 shape {h0.shape}")
     n, n_w = bd.components.shape[:2]
@@ -428,7 +428,7 @@ def lindblad_generator(
     Column k is the RHS of the k-th matrix unit; all d_S^2 units go through
     one stacked `lindblad_rhs` call.
     """
-    h0 = as_matrix(h0)
+    h0 = np.asarray(h0, dtype=complex)
     d = h0.shape[0]
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     return lindblad_rhs(units, bd, sc, h0, constants).reshape(d * d, d * d).T
@@ -452,7 +452,7 @@ def evolve_lindblad(
     ``o0`` is one operator or a stack ``(..., d_S, d_S)``; returns
     ``(..., n_t, d_S, d_S)``.
     """
-    o0 = as_matrix(o0)
+    o0 = np.asarray(o0, dtype=complex)
     gen = lindblad_generator(bd, sc, h0, constants)
     d = math.isqrt(gen.shape[0])
     if o0.shape[-2:] != (d, d):

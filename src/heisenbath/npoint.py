@@ -173,9 +173,9 @@ def expand_image_by_partitions(
     the sum of the inner values of the partitions that start with it.
     """
     ks.check_order(n_max)
-    row, trunc = ks.row(t), o_s.truncation
-    value = one_point_values(o_s.observable, trunc.order, (trunc.lam,), ks, rho_b, row[None])[0, 0]
-    words = PartitionWords(value, trunc, ks, rho_b, row)
+    rows, trunc = ks.eigen_rows([t]), o_s.truncation
+    value = one_point_values(o_s.observable, trunc.order, (trunc.lam,), ks, rho_b, rows)[0, 0]
+    words = PartitionWords(value, trunc, ks, rho_b, rows[0])
     return ImageFamily(words.image(n_max), ks.dim_bath, t)
 
 
@@ -238,10 +238,16 @@ def decompose_3pt(
 
 def decompose_3pt_parts(values: np.ndarray, lifted: np.ndarray, rho_b: np.ndarray) -> tuple[np.ndarray, ...]:
     """The disconnected, wired 12, 31, 23 and irreducible parts of `decompose_3pt`
-    from three legs, each entering once as its image family and once as its
-    trivial family ``O_S(t) delta_ab``."""
-    trivial = _blockops.kron_identity(values, rho_b.shape[0])
-    disc = values[0] @ values[1] @ values[2]
-    # the star product with leg k trivial, k = 2, 1, 0: wired 12, 31 and 23
-    wired = [chain_contract([*lifted[:k], trivial[k], *lifted[k + 1 :]], rho_b) - disc for k in (2, 1, 0)]
-    return disc, *wired, chain_contract(lifted, rho_b) - disc - wired[0] - wired[1] - wired[2]
+    from three legs.  A wired part is the star product with one leg's family
+    trivial, ``O_S(t) delta_ab``, less the disconnected part.  A trivial family
+    at either end of the chain leaves the bath trace, so wired 12 and 23 are a
+    `cumulant_2pt` times the third value; in wired 31 the second value acts on
+    the first family's columns, ``X1 (O2S (x) 1_B)``, by a GEMM on a reshape."""
+    (v1, v2, v3), (x1, x2, x3) = values, lifted
+    disc = v1 @ v2 @ v3
+    x12 = x1 @ x2  # the chain of legs 1 and 2, shared by wired 12 and the full chain
+    wired_12 = (chain_contract([x12], rho_b) - v1 @ v2) @ v3  # cumulant_2pt of legs 1 and 2, times O3S
+    x1_v2 = (v2.swapaxes(-1, -2)[..., None, :, :] @ x1.reshape(*x1.shape[:-1], v2.shape[-1], -1)).reshape(x1.shape)
+    wired_31 = chain_contract([x1_v2, x3], rho_b) - disc
+    wired_23 = v1 @ cumulant_2pt(values[1:], lifted[1:], rho_b)
+    return disc, wired_12, wired_31, wired_23, chain_contract([x12, x3], rho_b) - disc - wired_12 - wired_31 - wired_23

@@ -9,7 +9,6 @@ contraction in the package relies on this flattening.
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -56,17 +55,12 @@ def read_only(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def as_matrix(x) -> np.ndarray:
-    """The matrix of an `OperatorMatrix`, or any array-like as a complex array."""
-    return x.mat if isinstance(x, OperatorMatrix) else np.asarray(x, dtype=complex)
-
-
 def system_matrix(o) -> np.ndarray:
-    """`as_matrix` of a system observable: an array, or an `OperatorMatrix` of
-    side ``d_S``; a full-space operator raises `DimensionError`."""
+    """The matrix of a system observable: an array-like as a complex array, or an
+    `OperatorMatrix` of side ``d_S``; a full-space operator raises `DimensionError`."""
     if isinstance(o, OperatorMatrix) and o.mat.shape[0] != o.dims[0]:
         raise DimensionError("observables must live on the system space")
-    return as_matrix(o)
+    return o.mat if isinstance(o, OperatorMatrix) else np.asarray(o, dtype=complex)
 
 
 def full_dims(x: OperatorMatrix, caller: str) -> tuple[int, int]:
@@ -148,7 +142,6 @@ class TimeGrid:
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_floats", tuple(pts.tolist()))  # what `index` bisects, converted once
 
     @classmethod
     def linspace(cls, stop: float, num: int) -> "TimeGrid":
@@ -157,12 +150,6 @@ class TimeGrid:
     @property
     def stop(self) -> float:
         return float(self.points[-1])
-
-    def index(self, t: float) -> int | None:
-        """Index of the grid point within 1e-14 of ``t``, or None off the grid."""
-        points = self._floats
-        k = bisect.bisect_left(points, t - 1e-14)  # the first point that can lie within
-        return k if k < len(points) and points[k] - t <= 1e-14 else None
 
     def __len__(self) -> int:
         return self.points.size

@@ -156,7 +156,7 @@ def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
     """Max-norm gap between the Dyson-derived and as-displayed order-n sandwiches:
     the dressing of ``A`` on the stack ``i^p S[p]`` and on ``i^p S[p]^dag``."""
     ks.check_order(n)
-    kstack, turns = ks.frame_stack(ks.row(t)), 1j ** np.arange(ks.orders + 1)[:, None, None]
+    kstack, turns = ks.frame_stack(ks.eigen_rows([t])[0]), 1j ** np.arange(ks.orders + 1)[:, None, None]
     a = ks.frame.enter(system_matrix(a))
     derived, printed = (_dressed(s, s, (a,), n) for s in (turns * kstack, turns * kstack.conj().swapaxes(-1, -2)))
     return float(np.max(np.abs(ks.frame.leave_open(derived - printed))))
@@ -168,9 +168,8 @@ def one_point_values(
     """``sum_n (lam/hbar)^n P_S[n] U0^dag O U0`` per coupling and time, shape ``(n_lam, n_t, d_S, d_S)``.
 
     ``rows``, ``(n_t, n_max + 1, D, D)``, are the kernel rows of the times
-    (`KernelSet.eigen_rows`, or ``KernelSet.row(t)[None]`` for one time), and
-    ``o`` is one observable ``(d_S, d_S)`` for all of them or one per row
-    ``(n_t, d_S, d_S)``.  The fused form ``sum_p
+    (`KernelSet.eigen_rows`), and ``o`` is one observable ``(d_S, d_S)`` for
+    all of them or one per row ``(n_t, d_S, d_S)``.  The fused form ``sum_p
     alpha_p K[p] (B (x) 1_B) C[N-p]^dag`` of the module docstring, evaluated in the frame
     ``V = v0 (x) 1_B`` of the rows: with ``K[p] = V E[p] exp(-iFt) V^dag`` the free phases
     cancel against ``B = U0^dag O U0``, so ``K[p] (B (x) 1_B) K[q]^dag =

@@ -31,7 +31,7 @@ def one_point_at(o, trunc, ks, rho_b, t):
     from heisenbath.spaces import system_matrix
     from heisenbath.superop import one_point_values
 
-    return one_point_values(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t))[None])[0, 0]
+    return one_point_values(system_matrix(o), trunc.order, (trunc.lam,), ks, rho_b, ks.eigen_rows([t]))[0, 0]
 
 
 def lift_at(value, trunc, ks, rho_b, t):
@@ -42,7 +42,7 @@ def lift_at(value, trunc, ks, rho_b, t):
     from heisenbath.superop import lift_values
 
     value = system_matrix(value)[None, None]
-    inverses, mats = lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.row(t)[None])
+    inverses, mats = lift_values(value, trunc.order, (trunc.lam,), ks, rho_b, ks.eigen_rows([t]))
     return inverses[0, 0], ImageFamily(mats[0, 0], ks.dim_bath, t)
 
 
@@ -52,7 +52,7 @@ def dressing_at(n, a, t, ks, rho_b=None):
     matrix, or with ``rho_b`` contracted, ``(P[n] A)_ab rho_B[b, a]``, ``(d_S, d_S)``."""
     from heisenbath.superop import _dressed
 
-    stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(ks.row(t))
+    stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(ks.eigen_rows([t])[0])
     dressed = _dressed(stack, stack, (ks.frame.enter(np.asarray(a, dtype=complex)),), n, rho_b)
     if rho_b is None:
         return ks.frame.leave_open(dressed)
@@ -64,7 +64,7 @@ def rhs_at(traj, t, ks, rho_b):
     from heisenbath.superop import local_rhs
 
     value, trunc = one_point_at(traj.observable, traj.truncation, ks, rho_b, t), traj.truncation
-    return local_rhs(value[None], trunc.order, (trunc.lam,), ks, rho_b, ks.row(float(t)))[0]
+    return local_rhs(value[None], trunc.order, (trunc.lam,), ks, rho_b, ks.eigen_rows([t])[0])[0]
 
 
 def partition_term(pairs, value, trunc, ks, rho_b, t):
@@ -73,7 +73,7 @@ def partition_term(pairs, value, trunc, ks, rho_b, t):
     from heisenbath.images import ImageFamily
     from heisenbath.npoint import PartitionWords
 
-    words = PartitionWords(np.asarray(value, dtype=complex), trunc, ks, rho_b, ks.row(t))
+    words = PartitionWords(np.asarray(value, dtype=complex), trunc, ks, rho_b, ks.eigen_rows([t])[0])
     word = words.open_words([pairs[0]], np.stack(words.wrap([pairs[1:]])))[0]
     return ImageFamily(ks.frame.leave_open(word), ks.dim_bath, t)
 
@@ -96,18 +96,17 @@ def total_hamiltonian(m):
 
 def interaction_hamiltonian_images(m, t):
     """The family ``Htilde_ab(t)``; at ``t = 0`` these are the Schrodinger images."""
-    from heisenbath import _blockops
     from heisenbath.dyson import frame_of
     from heisenbath.images import ImageFamily
 
-    u = _blockops.kron_identity(u0(frame_of(m), t), m.dim_bath)
+    u = np.kron(u0(frame_of(m), t), np.eye(m.dim_bath))
     phases = np.tile(np.exp(-1j * m.bath_gaps * t), (m.dim_system, m.dim_system))
     return ImageFamily((u @ m.hi.mat @ u.conj().T) * phases, m.dim_bath, t)
 
 
 def heis_stack(ks, t):
     """``K[n](t)`` of a `KernelSet` in the original basis, n = 0..n_max."""
-    out = ks.frame_stack(ks.row(t))
+    out = ks.frame_stack(ks.eigen_rows([t])[0])
     out[1:] = ks.frame.leave_open(out[1:])
     return out
 
@@ -220,7 +219,7 @@ def per_suffix_partition_image(value, n_max, lam, ks, rho, t):
     from heisenbath.npoint import PartitionWords, _partitions
     from heisenbath.superop import SeriesTruncation
 
-    words = PartitionWords(value, SeriesTruncation(n_max, lam), ks, rho, ks.row(t))
+    words = PartitionWords(value, SeriesTruncation(n_max, lam), ks, rho, ks.eigen_rows([t])[0])
     cores = {}
     for n in range(n_max + 1):
         for p in _partitions(n, n + 1):
@@ -410,7 +409,7 @@ def loop_validation_errors(m, obs, ks, lifts, images, times, lams, exact, lam):
         out["image"].append(max_abs(mat - x[2]))
         out["roundtrip"].append(max_abs(inverse - free))
         out["cumulant2"].append(max_abs((chain([f1, f2]) - v1 @ v2) - (trace(x[0] @ x[1]) - trace(x[0]) @ trace(x[1]))))
-        rhs = local_rhs(value[None], order, (lam_,), ks, rho, ks.row(t))[0]
+        rhs = local_rhs(value[None], order, (lam_,), ks, rho, ks.eigen_rows([t])[0])[0]
         plus, minus = one_point_values(obs, order, (lam_,), ks, rho, rows)[0]
         out["rhs_fd"].append(max_abs(rhs - (plus - minus) / (2 * step)))
     k = lams.index(lam)
@@ -418,10 +417,10 @@ def loop_validation_errors(m, obs, ks, lifts, images, times, lams, exact, lam):
         out[f"cancellation_n{n}"] = max_abs(trace(parts) - at(n, k, 2)[0])
         out[f"dual_bookkeeping_n{n}"] = max_abs(parts - at(n, k, 2)[2])
     v, _, f = zip(*(at(order, k, leg) for leg in range(3)))
-    trivial = [_blockops.kron_identity(x, ks.dim_bath) for x in v]
-    disc = v[0] @ v[1] @ v[2]
-    wired = [chain([f[0], f[1], trivial[2]]) - disc, chain([f[0], trivial[1], f[2]]) - disc]
-    wired.append(chain([trivial[0], f[1], f[2]]) - disc)
+    disc, d = v[0] @ v[1] @ v[2], len(f[0])
+    x1_v2 = (v[1].T @ f[0].reshape(d, len(v[1]), -1)).reshape(d, d)  # f[0] (v[1] (x) 1_B)
+    wired = [(chain([f[0], f[1]]) - v[0] @ v[1]) @ v[2], chain([x1_v2, f[2]]) - disc]
+    wired.append(v[0] @ (chain([f[1], f[2]]) - v[1] @ v[2]))
     irreducible = chain(f) - disc - wired[0] - wired[1] - wired[2]
     out["decompose_3pt_sum"] = max_abs(disc + wired[0] + wired[1] + wired[2] + irreducible - chain(f))
     return out

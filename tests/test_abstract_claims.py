@@ -97,7 +97,7 @@ def test_lift_is_a_polynomial_of_degree_n_in_the_bath_state():
         rows = []
         for p in ps:
             rho = p * rho_1 + (1 - p) * rho_2
-            inverses, mats = lift_values(value[None, None], order, (lam,), ks, rho, ks.row(t)[None])
+            inverses, mats = lift_values(value[None, None], order, (lam,), ks, rho, ks.eigen_rows([t]))
             rows.append(np.concatenate([inverses.ravel(), mats.ravel()]))
         return np.array(rows)
 

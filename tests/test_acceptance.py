@@ -137,7 +137,7 @@ def test_criterion_05_cancellation_property():
         ks = compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7))
         for n in range(4):
             value = lift_legs(m, obs, ks, n, (t,), (0.1,))[0][0, 0]
-            image = partition_image(value, n, 0.1, ks, m.rho_b, ks.row(t))
+            image = partition_image(value, n, 0.1, ks, m.rho_b, ks.eigen_rows([t])[0])
             worst = max(worst, cancellation_defect(image, value, m.rho_b))
     assert worst < 1e-12
     report(5, f"max contraction defect {worst:.2e} < 1e-12 for n <= 3, both specs")
@@ -150,7 +150,7 @@ def test_criterion_06_dual_bookkeeping():
         ks = compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7))
         for n in range(4):
             values, _, mats = lift_legs(m, obs, ks, n, (t,), (0.1,))
-            image = partition_image(values[0, 0], n, 0.1, ks, m.rho_b, ks.row(t))
+            image = partition_image(values[0, 0], n, 0.1, ks, m.rho_b, ks.eigen_rows([t])[0])
             worst = max(worst, dual_bookkeeping_defect(image, mats[0, 0]))
     assert worst < 1e-12
     report(6, f"max blockwise gap {worst:.2e} < 1e-12 for n <= 3, both specs")
@@ -271,7 +271,7 @@ def test_criterion_10_local_rhs_consistency():
     for name, m, obs, t in _spec_pair():
         ks = compute_kernels(m, order, TimeGrid.linspace(1.5 * t, 7))
         values = lift_legs(m, obs, ks, order, (t,), LAMBDAS)[0]
-        errs = rhs_fd_errors(system_matrix(obs), values[0], order, LAMBDAS, ks, m.rho_b, ks.row(t), t)
+        errs = rhs_fd_errors(system_matrix(obs), values[0], order, LAMBDAS, ks, m.rho_b, ks.eigen_rows([t])[0], t)
         c_fit = errs[0] / LAMBDAS[0] ** (order + 1)
         for lam, err in zip(LAMBDAS, errs):
             assert err <= max(1e-6, 2.0 * c_fit * lam ** (order + 1))

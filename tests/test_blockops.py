@@ -27,17 +27,6 @@ def test_layout_entries_and_leading_axes():
                     assert np.array_equal(blocks[..., a, b, i, j], full[..., i * db + a, j * db + b])
 
 
-def test_identity_family_layout():
-    """``value (x) 1_B`` is ``np.kron(value, eye)`` exactly, with leading axes."""
-    rng = np.random.default_rng(2)
-    value = random_stack(rng, (3, 2, 2))
-    out = _blockops.kron_identity(value, 4)
-    assert out.shape == (3, 8, 8)
-    for k in range(3):
-        assert np.array_equal(out[k], np.kron(value[k], np.eye(4)))
-    assert np.array_equal(_blockops.kron_identity(np.eye(2), 3), np.eye(6))
-
-
 @pytest.mark.parametrize("ds,db,k", [(2, 2, 1), (2, 3, 4), (3, 2, 2), (4, 8, 3)])
 def test_system_lift_matches_kron_and_block_gemm(ds, db, k):
     """``X (A (x) 1_B)`` to 1e-14 relative, and bitwise the block-layout GEMM

@@ -51,7 +51,8 @@ def test_validation_suite_lifts_each_point_once(monkeypatch):
     one-coupling one-point value is left in a suite, the roundtrip row
     reads the inversion the shared lift already ran (every `lift_values`
     call is a shared lift's own), and the kernel row of each time is
-    fetched once.  The engine takes kernel rows, so a call is
+    fetched once, in two `eigen_rows` calls: the suite's three times and
+    the RHS check's two.  The engine takes kernel rows, so a call is
     keyed by the bytes of its rows: equal bytes mean the same time."""
     lifts = _record(
         monkeypatch, "lift_observable", lambda o, order, lams, ks, rho_b, row: (order, row.tobytes(), lams)
@@ -60,15 +61,16 @@ def test_validation_suite_lifts_each_point_once(monkeypatch):
         monkeypatch, "one_point_values", lambda o, order, lams, ks, rho_b, rows: (order, rows.tobytes(), lams)
     )
     inversions = _record(monkeypatch, "lift_values", lambda v, order, lams, ks, rho_b, rows: (order, rows.tobytes(), lams))
-    rows = []
-    fetch = dyson.KernelSet.row
-    monkeypatch.setattr(dyson.KernelSet, "row", lambda ks, t: rows.append(float(t)) or fetch(ks, t))
+    fetches = []
+    fetch = dyson.KernelSet.eigen_rows
+    monkeypatch.setattr(dyson.KernelSet, "eigen_rows", lambda ks, times: fetches.append(list(times)) or fetch(ks, times))
     validation_suite(3, 2, 3, order=2)
     for calls in (lifts, values):
         repeated = {k: n for k, n in collections.Counter(calls).items() if n > 1}
         assert calls and not repeated
         assert {lams for *_, lams in calls} == {DEFAULT_LAMBDAS}
-    assert rows and len(rows) == len(set(rows))
+    times = [float(t) for call in fetches for t in call]
+    assert len(fetches) == 2 and len(times) == len(set(times)) == 5
     assert inversions == lifts
 
 
@@ -156,11 +158,11 @@ def test_suite_rows_equal_unshared_helpers(seed, d_s, d_b):
             lams, cumulant2_errors(v12, f12, exact[:2], rho), rounding_floor(order, exact_cumulant(exact[:2], rho))
         ),
         "decompose_3pt_sum": decomposition_sum_defect(v3[:, 0], f3[:, 0], rho),
-        "rhs_fd_order2": rhs_fd_errors(obs, fresh(order, t)[0][0], order, lams, ks, rho, ks.row(t), t)[2],
+        "rhs_fd_order2": rhs_fd_errors(obs, fresh(order, t)[0][0], order, lams, ks, rho, ks.eigen_rows([t])[0], t)[2],
     }
     for n in range(order + 2):
         value, _, mat = fresh(n, t)
-        image = partition_image(value[0, 0], n, 0.1, ks, rho, ks.row(t))
+        image = partition_image(value[0, 0], n, 0.1, ks, rho, ks.eigen_rows([t])[0])
         expected[f"cancellation_n{n}"] = cancellation_defect(image, value[0, 0], rho)
         expected[f"dual_bookkeeping_n{n}"] = dual_bookkeeping_defect(image, mat[0, 0])
     assert {r["check"]: r["value"] for r in rows} == expected
@@ -175,7 +177,7 @@ def test_helpers_equal_per_coupling_loops(seed, d_s, d_b, order):
     times = t1, t2, _ = (0.4 * t, 0.8 * t, t)
     m, obs = random_model(seed, d_s, d_b)
     ks = compute_kernels(m, 3, TimeGrid.linspace(1.5 * t, 7))
-    rho, row = m.rho_b, ks.row(t)
+    rho, row = m.rho_b, ks.eigen_rows([t])[0]
     lifts = [lift_legs(m, obs, ks, n, times, lams) for n in range(order + 2)]
     images = [partition_image(lift[0][2, 0], n, 0.1, ks, rho, row) for n, lift in enumerate(lifts)]
     exact = evolve_exact(m, [obs], times, lams)

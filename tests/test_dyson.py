@@ -134,7 +134,7 @@ class TestKernels:
     def test_stacks_are_full_space_with_identity_order_zero(self):
         ks = compute_kernels(_random_spec(4), 2, TimeGrid.linspace(1.0, 3))
         heis, tilde = heis_stack(ks, 0.7), ks.tilde_stack(0.7)
-        cov = ks.frame_derivative(ks.frame_stack(ks.row(0.7)))
+        cov = ks.frame_derivative(ks.frame_stack(ks.eigen_rows([0.7])[0]))
         assert heis.shape == tilde.shape == cov.shape == (3, 4, 4)
         assert np.array_equal(heis[0], np.eye(4)) and np.array_equal(tilde[0], np.eye(4))
         assert not np.any(cov[0])
@@ -212,15 +212,16 @@ class TestKernels:
         m = _random_spec(9, 2, 3)
         ks = compute_kernels(m, 3, TimeGrid(np.array([0.0, 0.5, 1.0])))
         extended = compute_kernels(m, 3, TimeGrid(np.array([0.0, 0.5, 1.0, 1.3])))
-        assert np.array_equal(ks.row(1.3), extended.row(1.3))
+        assert np.array_equal(ks.eigen_rows([1.3])[0], extended.eigen_rows([1.3])[0])
         for t in (-0.1, float("nan")):
             with pytest.raises(OrderExceedsKernels):
-                ks.row(t)
+                ks.eigen_rows([t])
 
     def test_off_grid_times_share_one_exponential_per_offset(self, monkeypatch):
         """The 20 times ``grid.points[:-1] + 0.037`` of ``linspace(2, 21)`` lie at
         5 distinct offsets from their grid points: `eigen_rows` makes 5
-        exponentials, not 20, and each row has the bits of a lone `row` call."""
+        exponentials, not 20, and each row has the bits of a lone one-time call,
+        which makes its own."""
         from heisenbath import dyson
 
         ks = compute_kernels(_random_spec(12, 2, 3), 3, TimeGrid.linspace(2.0, 21))
@@ -230,8 +231,49 @@ class TestKernels:
         monkeypatch.setattr(dyson, "toeplitz_expm", lambda a: calls.append(1) or exponential(a))
         rows = ks.eigen_rows(times)
         assert len(times) == 20 and len(calls) == 5
-        assert all(np.array_equal(row, ks.row(float(t))) for row, t in zip(rows, times))
-        assert len(calls) == 25  # a lone call makes its own
+        assert all(np.array_equal(row, ks.eigen_rows([t])[0]) for row, t in zip(rows, times))
+        assert len(calls) == 25
+
+    def test_eigen_rows_reads_the_first_grid_row_within_1e14(self, monkeypatch):
+        """A time reads the stored row of the first grid point ``p`` with
+        ``t - 1e-14 <= p`` and ``p - t <= 1e-14`` (a scan), bit for bit and with
+        no exponential, on on-grid, within-window, off-grid, pre-start, past-stop
+        and NaN times; any other time from -1e-12 on makes one exponential, and
+        NaN and -0.5 raise.  The batched call has the bits of the lone ones."""
+        from heisenbath import dyson
+
+        rng = np.random.default_rng(12)
+        ks = compute_kernels(_random_spec(13), 1, TimeGrid(np.concatenate(([0.0], np.cumsum(rng.random(40) + 1e-3)))))
+        grid, stored = ks.grid, ks.eigen_rows(ks.grid.points)
+        pts = grid.points.tolist()
+        on = rng.choice(pts, 20)
+        times = [
+            *on,
+            *(on + rng.uniform(-1e-14, 1e-14, 20)),
+            *(on + rng.choice([-1.0, 1.0], 20) * rng.uniform(2e-14, 1e-13, 20)),
+            *rng.uniform(0.0, grid.stop, 20),
+            -1e-15, -1e-13, -0.5, grid.stop + 1e-15, grid.stop + 1e-13, grid.stop + 1.0, float("nan"),
+        ]
+        calls = []
+        exponential = dyson.toeplitz_expm
+        monkeypatch.setattr(dyson, "toeplitz_expm", lambda a: calls.append(1) or exponential(a))
+        lone, placed, scans = [], [], []
+        for t in map(float, times):
+            scan = next((k for k, p in enumerate(pts) if t - 1e-14 <= p and p - t <= 1e-14), None)
+            calls.clear()
+            if scan is None and not t >= -1e-12:
+                with pytest.raises(OrderExceedsKernels):
+                    ks.eigen_rows([t])
+                continue
+            lone.append(ks.eigen_rows([t])[0])
+            placed.append(t)
+            scans.append(scan)
+            if scan is None:
+                assert len(calls) == 1
+            else:
+                assert np.array_equal(lone[-1], stored[scan]) and not calls
+        assert len(placed) == len(times) - 2 and None in scans and 0 in scans
+        assert np.array_equal(ks.eigen_rows(placed), np.stack(lone))
 
     def test_order_beyond_cap_rejected(self, two_qubit_quarter):
         _, ks = two_qubit_quarter

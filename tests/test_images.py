@@ -64,7 +64,7 @@ class TestToFromFamily:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         fam = ImageFamily(x, 3, 0.5)
-        assert fam.matrix.shape == (6, 6) and (fam.dim_system, fam.dim_bath) == (2, 3)
+        assert fam.matrix.shape == (6, 6) and fam.dim_bath == 3
         assert fam.blocks.shape == (3, 3, 2, 2) and np.shares_memory(fam.blocks, fam.matrix)
         assert np.array_equal(fam.block(2, 1), x[2::3, 1::3])
         with pytest.raises(DimensionError):

@@ -229,8 +229,8 @@ class TestDecompose3pt:
         assert min(np.max(np.abs(a - b)) for a, b in itertools.combinations(expected[1:4], 2)) > 1e-4
 
     def test_trivial_families_of_the_wired_parts(self, random_model_2x3):
-        """`decompose_3pt_parts` on its trivial families ``O_S delta_ab``: a trivial
-        last or first factor leaves the bath trace, ``wired_12 = cumulant_2pt(1, 2)
+        """The wired parts of `decompose_3pt_parts` against their trivial families
+        ``O_S delta_ab``: a trivial last or first factor leaves the bath trace, ``wired_12 = cumulant_2pt(1, 2)
         O3S`` and ``wired_23 = O1S cumulant_2pt(2, 3)``, and ``wired_31`` is the
         block sum ``sum_abc (X1)_ac O2S (X3)_cb rho_B[b, a]`` minus the disconnected part."""
         m, obs, ks = random_model_2x3

@@ -95,7 +95,7 @@ def test_sandwiches_match_einsum(engine_model, n, t):
     cov = np.zeros_like(heis)
     cov[1:] = np.tile(1j * (e[:, None] - e[None, :]), (ks.dim_system,) * 2) * heis[1:] + m.hi.mat @ heis[:-1]
     a = ks.frame.free_conjugate(obs, t)
-    frame, kstack = ks.frame, ks.frame_stack(ks.row(t))
+    frame, kstack = ks.frame, ks.frame_stack(ks.eigen_rows([t])[0])
     turns = 1j ** np.arange(ks.orders + 1)[:, None, None]
     stack, adjoint = turns * kstack, turns * kstack.conj().swapaxes(-1, -2)
     derived = frame.leave_open(_dressed(stack, stack, (frame.enter(a),), n))
@@ -254,7 +254,7 @@ def _written_out_inverse(value, order, lam, ks, rho_b, t):
     ``i^p S[p]``, weights ``(lam/hbar)^(m-k)`` by numpy's array power; only
     ``value - inv[order]`` leaves the frame."""
     hbar = ks.frame.constants.hbar
-    stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(ks.row(t))
+    stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(ks.eigen_rows([t])[0])
     weight = (np.array([lam]) / hbar)[0, None, None]  # an array, so that ** is numpy's, as in the engine
     inv = [ks.frame.enter(value)]
     for m in range(1, order + 1):
@@ -279,7 +279,7 @@ def test_coupling_sweep_equals_one_coupling_at_a_time(sweep_model, order, t):
     inversion also equals its recursion written out for one coupling."""
     m, obs, ks = sweep_model
     rho_b = m.rho_b
-    row = ks.row(t)
+    row = ks.eigen_rows([t])[0]
     values, inverses, families = (x[0] for x in lift_observable(obs, order, SWEEP, ks, rho_b, row[None]))
     pair_times = np.array([t + 1e-5, t - 1e-5])
     pair = one_point_values(obs, order, SWEEP, ks, rho_b, ks.eigen_rows(pair_times))
@@ -309,7 +309,7 @@ def test_one_point_values_are_the_traced_dressing_of_a_constant_sequence(sweep_m
     stack ``i^p S[p]``: every coupling of the sweep within the rounding budget
     of order N."""
     m, obs, ks = sweep_model
-    row = ks.row(t)
+    row = ks.eigen_rows([t])[0]
     values = one_point_values(obs, order, SWEEP, ks, m.rho_b, row[None])[:, 0]
     stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(row)
     x = (np.asarray(SWEEP) / m.constants.hbar)[:, None, None]
@@ -340,18 +340,22 @@ def exponentials(monkeypatch):
 
 def test_time_within_rounding_of_a_grid_point_reads_its_row(exponentials):
     """``linspace(1.65, 7)`` holds 1.0999999999999999, not 1.1: both are the
-    grid row, with the bits of the grid time and no exponential."""
+    grid row, with the bits of the grid time and no exponential; 1.1 + 1e-13
+    lies off the grid and makes one."""
     m, obs = random_model(3, 2, 3)
     ks = compute_kernels(m, 3, TimeGrid.linspace(1.65, 7))
     grid_t = float(ks.grid.points[4])
-    assert grid_t != 1.1 and ks.grid.index(1.1) == 4 and ks.grid.index(1.1 + 1e-13) is None
+    assert grid_t != 1.1
     exponentials.clear()
+    assert np.array_equal(ks.eigen_rows([1.1])[0], ks.eigen_rows(ks.grid.points)[4])
     trunc = SeriesTruncation(2, 0.1)
     value = one_point_at(obs, trunc, ks, m.rho_b, 1.1)
     family = lift_at(value, trunc, ks, m.rho_b, 1.1)[1]
     assert not exponentials
     assert np.array_equal(value, one_point_at(obs, trunc, ks, m.rho_b, grid_t))
     assert np.array_equal(family.matrix, lift_at(value, trunc, ks, m.rho_b, grid_t)[1].matrix)
+    ks.eigen_rows([1.1 + 1e-13])
+    assert len(exponentials) == 1
 
 
 def test_kernel_set_is_read_only():
@@ -361,7 +365,7 @@ def test_kernel_set_is_read_only():
     ks = compute_kernels(m, 3, TimeGrid.linspace(1.65, 7))
     before = {k: (v, pickle.dumps(v)) for k, v in vars(ks).items()}
     values = lift_legs(m, obs, ks, 2, (0.44, 0.88, 1.1), DEFAULT_LAMBDAS)[0]
-    row = ks.row(1.1)
+    row = ks.eigen_rows([1.1])[0]
     partition_image(values[2, 0], 2, 0.1, ks, m.rho_b, row)
     rhs_fd_errors(obs, values[2, :2], 2, (0.1, 0.01), ks, m.rho_b, row, 1.1)
     trunc = SeriesTruncation(2, 0.1)

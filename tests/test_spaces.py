@@ -134,24 +134,3 @@ class TestValidation:
             TimeGrid(np.array([[0.0, 0.5]]))
         grid = TimeGrid.linspace(1.0, 5)
         assert len(grid) == 5 and grid.stop == 1.0
-
-
-def test_time_grid_index_is_the_first_point_within_1e14():
-    """`TimeGrid.index` equals a scan for the first point ``p`` with
-    ``t - 1e-14 <= p`` and ``p - t <= 1e-14``, on on-grid, within-window,
-    off-grid, pre-start, past-stop and NaN times."""
-    rng = np.random.default_rng(12)
-    grid = TimeGrid(np.concatenate(([0.0], np.cumsum(rng.random(40) + 1e-3))))
-    pts = grid.points.tolist()
-    on = rng.choice(pts, 20)
-    times = [
-        *on,
-        *(on + rng.uniform(-1e-14, 1e-14, 20)),
-        *(on + rng.choice([-1.0, 1.0], 20) * rng.uniform(2e-14, 1e-13, 20)),
-        *rng.uniform(0.0, grid.stop, 20),
-        -1e-15, -1e-13, -0.5, grid.stop + 1e-15, grid.stop + 1e-13, grid.stop + 1.0, float("nan"),
-    ]
-    for t in map(float, times):
-        scan = next((k for k, p in enumerate(pts) if t - 1e-14 <= p and p - t <= 1e-14), None)
-        assert grid.index(t) == scan
-    assert any(grid.index(float(t)) is None for t in times) and any(grid.index(float(t)) == 0 for t in times)

@@ -109,7 +109,7 @@ class TestSandwichConvention:
         hbar = 1.0
         from heisenbath.superop import _dressed
 
-        turns, kstack = 1j ** np.arange(ks.orders + 1)[:, None, None], ks.frame_stack(ks.row(t))
+        turns, kstack = 1j ** np.arange(ks.orders + 1)[:, None, None], ks.frame_stack(ks.eigen_rows([t])[0])
         b = ks.frame.enter(ks.frame.free_conjugate(obs, t))
         exact = to_image_family(
             heisenberg_evolve_exact(m.with_coupling(lam), system_operator(obs, (2, 3)), t)

@@ -13,6 +13,10 @@ package from its ``src`` and the benchmark inputs from its
   (`star_of_observables`) of the workload's observable and a second,
   distinct hermitian observable, legs ``(O, B, O)`` at the star times, a
   product of distinct observables that no shipped config runs;
+- ``offgrid_rows``: at the same seeds, the series observable's one-point
+  values (`one_point_values`) at kernel rows off the grid, which no
+  shipped config reaches: two offsets from three grid points each, times
+  within 1e-14 of a grid point, times past the stop, and -1e-13;
 - each column of each shipped config (``configs/*.yaml``) run to CSV and
   to JSON, at the config's ``truncation.order`` for the ``one_point`` and
   ``n_point`` runs and at order 0 for the others.
@@ -98,6 +102,19 @@ def star_mixed(hb, workloads, series, seed: int) -> np.ndarray:
     return star_of_observables(legs, series.trunc, ks, series.model.rho_b)
 
 
+def offgrid_rows(hb, series) -> np.ndarray:
+    """One-point values of the series observable at off-grid kernel rows (`KernelSet.eigen_rows`)."""
+    from heisenbath.superop import one_point_values
+
+    ks = hb.compute_kernels(series.model, series.trunc.order, series.grid)
+    pts = series.grid.points
+    h = pts[1]
+    near = [pts[3] + 5e-15, pts[6] - 5e-15, pts[-1] + 0.3 * h, pts[-1] + 2.2 * h, -1e-13]
+    times = np.concatenate([pts[1:4] + 0.37 * h, pts[5:8] + 0.61 * h, near])
+    rows = ks.eigen_rows(times)
+    return one_point_values(series.obs, series.trunc.order, (series.trunc.lam,), ks, series.model.rho_b, rows)
+
+
 def child(checkout: str, npz: str) -> None:
     """Save the output groups of ``checkout`` to ``npz`` and print their orders and the runs as JSON."""
     import yaml
@@ -134,6 +151,7 @@ def child(checkout: str, npz: str) -> None:
             series = workloads.build_series(seed, work)
             keep(f"series_4x8/seed{seed}", series.trunc.order, workloads.solve_series(series, None))
             keep(f"star_mixed/seed{seed}", series.trunc.order, star_mixed(heisenbath, workloads, series, seed))
+            keep(f"offgrid_rows/seed{seed}", series.trunc.order, offgrid_rows(heisenbath, series))
             keep(f"markov_lindblad/seed{seed}", 0, workloads.solve_markov(workloads.build_markov(seed, work), None))
         for seed in STATUS_SEEDS:
             seed_dir = os.path.join(work, f"validate{seed}")
