@@ -24,7 +24,7 @@ from heisenbath.superop import (
     one_point_operator,
     star_of_observables,
 )
-from helpers import heis_stack, lift_at, one_point_at, partition_term, random_hermitian
+from helpers import heis_stack, lift_at, one_point_at, partition_term, random_density, random_hermitian
 
 LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -244,6 +244,24 @@ class TestDecompose3pt:
         sites = itertools.product(range(m.dim_bath), repeat=3)
         loop = sum(x1[a, c] @ values[1] @ x3[c, b] * m.rho_b[b, a] for a, b, c in sites)
         assert np.max(np.abs(wired_31 - (loop - disc))) < 1e-13
+
+    @pytest.mark.parametrize("ds,db,lead", [(2, 3, ()), (2, 3, (4,)), (3, 5, (2, 3)), (4, 8, ())])
+    def test_wired_31_acts_with_the_identity_family_of_o2s(self, ds, db, lead):
+        """``wired_31 = (X1 (O2S (x) 1_B) X3)_S - disc`` with ``O2S (x) 1_B`` as
+        ``np.kron(O2S, eye(d_B))``, to 1e-14 relative, on random families with
+        leading axes: the column GEMM on a reshape keeps the family layout."""
+        rng = np.random.default_rng(ds * 100 + db)
+        d = ds * db
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        values, lifted, rho_b = cplx(3, *lead, ds, ds), cplx(3, *lead, d, d), random_density(rng, db)
+        disc, _, wired_31, _, _ = decompose_3pt_parts(values, lifted, rho_b)
+        for k in np.ndindex(*lead):
+            x1, x3, v2 = lifted[0][k], lifted[2][k], values[1][k]
+            ref = contract_with_bath(ImageFamily(x1 @ np.kron(v2, np.eye(db)) @ x3, db), rho_b) - disc[k]
+            assert np.max(np.abs(wired_31[k] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_two_qubit_irreducible_matches_oracle_formula(self, two_qubit_quarter):
         """Third cumulant against the same formula built from oracle quantities."""
