@@ -16,10 +16,13 @@ instead.
 A suite builds its kernels to order n + 1, fetches the kernel rows of its
 times ``(t1, t2, t)`` in one `KernelSet.eigen_rows` call, and lifts every
 order its rows read, 0..n+1, in one `superop.lift_observable` call per
-order for the whole sweep: one-point values, their series inversions and
-the image-family matrices they lift to, each ``(n_leg, n_lam, ...)`` with
-the leg axis first.  Each order's partition sum is expanded once, at `DEFECT_LAMBDA`,
-by `npoint.PartitionWords`.  The exact references are one `evolve_exact`
+order: one-point values, their series inversions and the image-family
+matrices they lift to, each ``(n_leg, n_lam, ...)`` with the leg axis
+first.  Orders 1 and n, which the slope rows read, are lifted at the three
+times and every coupling of the sweep; every other order only at ``(t,
+DEFECT_LAMBDA)``, the one point that its cancellation and dual-bookkeeping
+rows read.  Each order's partition sum is expanded once, at that point, by
+`npoint.PartitionWords`.  The exact references are one `evolve_exact`
 call for the sweep, its legs first as well, ``(n_leg, n_lam, D, D)``.
 Each ``*_errors`` and ``*_defect`` helper takes the arrays it compares,
 so each row is one array expression over the sweep, closed by one max-abs
@@ -161,11 +164,11 @@ def validation_suite(seed: int, d_s: int = 2, d_b: int = 3, order: int = 2, t: f
     rho_b, lams = m.rho_b, DEFAULT_LAMBDAS
     times = (0.4 * t, 0.8 * t, t)
     rows = ks.eigen_rows(times)
-    # every order a row reads, each (values, inversions, family matrices) with legs first
-    lifts = [lift_observable(obs, n, lams, ks, rho_b, rows) for n in range(order + 2)]
+    # the orders the slope rows read, at every leg and coupling: (values, inversions, family matrices), legs first
+    sweep = {n: lift_observable(obs, n, lams, ks, rho_b, rows) for n in sorted({1, order})}
     exact = evolve_exact(m, [obs], times, lams).swapaxes(0, 1)
-    values, inverses, mats = lifts[order]
-    star, free = lifts[1][2], ks.frame.free_conjugate(obs, t)
+    values, inverses, mats = sweep[order]
+    star, free = sweep[1][2], ks.frame.free_conjugate(obs, t)
     fd_errs = rhs_fd_errors(obs, values[2], order, lams, ks, rho_b, rows[2], t)
     c_fit = max(e / lam ** (order + 1) for e, lam in zip(fd_errs[:2], lams[:2]))
 
@@ -186,10 +189,16 @@ def validation_suite(seed: int, d_s: int = 2, d_b: int = 3, order: int = 2, t: f
     ]
     defects = []  # (check, defect, threshold)
     k = lams.index(DEFECT_LAMBDA)
-    for n, (values_n, _, mats_n) in enumerate(lifts):
-        image = PartitionWords(values_n[2, k], SeriesTruncation(n, DEFECT_LAMBDA), ks, rho_b, rows[2]).image(n)
-        defects.append((f"cancellation_n{n}", cancellation_defect(image, values_n[2, k], rho_b), 1e-12))
-        defects.append((f"dual_bookkeeping_n{n}", dual_bookkeeping_defect(image, mats_n[2, k]), 1e-12))
+    for n in range(order + 2):
+        if n in sweep:
+            values_n, _, mats_n = sweep[n]
+            value, mat = values_n[2, k], mats_n[2, k]
+        else:  # every other order is lifted only at (t, DEFECT_LAMBDA), the one point its rows read
+            values_n, _, mats_n = lift_observable(obs, n, (DEFECT_LAMBDA,), ks, rho_b, rows[2:])
+            value, mat = values_n[0, 0], mats_n[0, 0]
+        image = PartitionWords(value, SeriesTruncation(n, DEFECT_LAMBDA), ks, rho_b, rows[2]).image(n)
+        defects.append((f"cancellation_n{n}", cancellation_defect(image, value, rho_b), 1e-12))
+        defects.append((f"dual_bookkeeping_n{n}", dual_bookkeeping_defect(image, mat), 1e-12))
     defects.append(("decompose_3pt_sum", decomposition_sum_defect(values[:, k], mats[:, k], rho_b), 1e-12))
     defects.append((f"rhs_fd_order{order}", fd_errs[2], max(1e-6, 2.0 * c_fit * lams[2] ** (order + 1))))
     table = [

@@ -22,9 +22,14 @@ time.  The sandwiches are batched, never merged: all suffixes of one
 length are wrapped in one batched sandwich and one bath trace, and the
 open words of all first pairs in one more, so a sum through order n makes
 n + 1 calls, and each suffix and word keeps the bits of its lone
-sandwich.  Suffixes are deliberately not merged by total order: that sum is
-the super-operator series inversion itself, and the partition sum would
-then no longer be an independent check of it.  The words are formed on
+sandwich.  Which suffixes there are, and which partitions share them,
+depends on n alone: `_suffix_plan` builds that tree once per order, as
+index arrays (each length's first pairs and the index of each suffix's
+tail one length down, then the suffixes of each first pair), so an image
+does no dict or tuple work.  Suffixes are deliberately not merged by
+total order: that sum is the super-operator series inversion itself, and
+the partition sum would then no longer be an independent check of it.
+The words are formed on
 the kernels in the frame (`KernelSet.frame_stack`), whose index is
 bath-major with the system index last: a core acts as ``core (x) 1_B`` by a
 GEMM on a reshape of the kernel stack, a suffix is traced there
@@ -86,19 +91,61 @@ def _partitions(n: int, k_max: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(sorted(found))
 
 
+@dataclass(frozen=True)
+class _SuffixPlan:
+    """The suffix tree of the partitions of orders ``0..n_max`` as index arrays.
+
+    ``levels[L - 1]`` holds the suffixes of length L, in the order a walk of
+    every partition's suffixes from the longest down first meets them: each
+    one's first pair ``(k, 2)`` and the index of its tail, the suffix one pair
+    shorter, in level L - 1 (level 0 is the empty suffix alone).  ``firsts``
+    holds the distinct first pairs ``(n_first, 2)`` in order of first
+    appearance; ``suffixes`` the suffix of every partition, grouped by first
+    pair in that order and in partition order within a group, as an index
+    into levels 0..n_max concatenated, and ``ends`` where each group ends.
+    """
+
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    firsts: np.ndarray
+    suffixes: np.ndarray
+    ends: tuple[int, ...]
+
+
+@functools.cache
+def _suffix_plan(n_max: int) -> _SuffixPlan:
+    """The `_SuffixPlan` of orders ``0..n_max``, built once per order."""
+    follow: dict[tuple[int, int], list] = {}
+    for n in range(n_max + 1):
+        for p in _partitions(n, n + 1):
+            follow.setdefault(p[0], []).append(p[1:])
+    suffixes = [suffix for group in follow.values() for suffix in group]
+    by_length: dict[int, dict] = {0: {(): 0}}
+    for suffix in suffixes:
+        while suffix not in by_length.setdefault(len(suffix), {}):
+            by_length[len(suffix)][suffix] = len(by_length[len(suffix)])
+            suffix = suffix[1:]
+    offsets = np.cumsum([0] + [len(by_length[length]) for length in range(n_max + 1)]).tolist()
+    levels = tuple(
+        (np.array([s[0] for s in by_length[length]]), np.array([by_length[length - 1][s[1:]] for s in by_length[length]]))
+        for length in range(1, n_max + 1)
+    )
+    index = np.array([offsets[len(s)] + by_length[len(s)][s] for s in suffixes])
+    ends = tuple(np.cumsum([len(group) for group in follow.values()]).tolist())
+    return _SuffixPlan(levels, np.array(list(follow)), index, ends)
+
+
 class PartitionWords:
-    """Operator words of partitions at one time, each distinct inner chain evaluated once.
+    """The partition sum at one time, each distinct inner chain evaluated once.
 
     The inner value of a suffix (pairs 2..k) is the one-point value wrapped
     innermost first with kernel slot ``n_i`` on the left and the adjoint of
     slot ``m_i`` on the right, each pair contracted with ``rho_B[b_i, a_i]``
-    and weighted by ``-i^(n_i - m_i) (lam/hbar)^(n_i + m_i)``.  It depends on
-    nothing but the suffix, so it is held per suffix tuple for the life of
-    the object.  `wrap` forms the missing suffixes one length at a time,
-    each length in one batched sandwich and one `frame_trace`; `open_words`
-    applies pair 1, bath indices open, in full space, to every given first
-    pair in one batched sandwich.  Each suffix and word gets the bits of its
-    lone sandwich.
+    and weighted by ``-i^(n_i - m_i) (lam/hbar)^(n_i + m_i)``.  `image` reads
+    the suffix tree of its order from `_suffix_plan`, built once per order:
+    it wraps the suffixes one length at a time, each length in one batched
+    sandwich and one `frame_trace`, then applies pair 1, bath indices open,
+    in full space, to every first pair in one more batched sandwich.  Each
+    suffix and word gets the bits of its lone sandwich.
     """
 
     def __init__(
@@ -108,37 +155,19 @@ class PartitionWords:
         self.kstack = ks.frame_stack(row)
         self.rho = rho_b
         self.x = trunc.lam / ks.frame.constants.hbar
-        self.inner_values: dict[tuple[tuple[int, int], ...], np.ndarray] = {(): ks.frame.enter(value)}
+        self.core = ks.frame.enter(value)
 
-    def _pair_weights(self, pairs) -> np.ndarray:
-        return np.array([1j ** (n_i - m_i) * self.x ** (n_i + m_i) for n_i, m_i in pairs])[:, None, None]
+    def _weights(self, n_max: int) -> np.ndarray:
+        # i^(n_i - m_i) x^(n_i + m_i) at [n_i, m_i], each a Python complex (numpy's 1j ** array rounds otherwise)
+        return np.array([[1j ** (n_i - m_i) * self.x ** (n_i + m_i) for m_i in range(n_max + 1)] for n_i in range(n_max + 1)])
 
-    def _sandwiches(self, pairs, cores: np.ndarray) -> np.ndarray:
-        # K[n_i] (core_i (x) 1_B) K[m_i]^dag in the frame for every pair: a GEMM by the core on
-        # the reshaped stack (the system index is last), then one D x D GEMM apiece
-        n, m = np.array(pairs).T
+    def _sandwiches(self, pairs: np.ndarray, cores: np.ndarray) -> np.ndarray:
+        # K[n_i] (core_i (x) 1_B) K[m_i]^dag in the frame for every pair (n_i, m_i) of ``pairs`` (k, 2):
+        # a GEMM by the core on the reshaped stack (the system index is last), then one D x D GEMM apiece
+        n, m = pairs.T
         d, ds = self.kstack.shape[-1], cores.shape[-1]
         lifted = (self.kstack[n].reshape(len(n), -1, ds) @ cores).reshape(len(n), d, d)
         return lifted @ self.kstack[m].conj().swapaxes(-1, -2)
-
-    def wrap(self, suffixes) -> list[np.ndarray]:
-        """The inner values of ``suffixes``, forming each missing suffix and the
-        missing suffixes it ends with, shortest first."""
-        levels: dict[int, dict] = {}
-        for suffix in suffixes:
-            while suffix not in self.inner_values and suffix not in levels.get(len(suffix), ()):
-                levels.setdefault(len(suffix), {})[suffix] = None
-                suffix = suffix[1:]
-        for length in sorted(levels):
-            todo = list(levels[length])
-            firsts = [suffix[0] for suffix in todo]
-            cores = -self._pair_weights(firsts) * np.stack([self.inner_values[suffix[1:]] for suffix in todo])
-            self.inner_values.update(zip(todo, _blockops.frame_trace(self._sandwiches(firsts, cores), self.rho)))
-        return [self.inner_values[suffix] for suffix in suffixes]
-
-    def open_words(self, pairs, cores: np.ndarray) -> np.ndarray:
-        """Pair 1's word ``(n_1, m_1)`` on each core ``(n_pairs, d_S, d_S)``, in the frame."""
-        return self._sandwiches(pairs, self._pair_weights(pairs) * cores)
 
     def image(self, n_max: int) -> np.ndarray:
         """The partition sum over all orders ``n <= n_max``, out of the frame.
@@ -147,15 +176,17 @@ class PartitionWords:
         that start with it, in partition order, and the words are summed in
         order of first appearance.
         """
-        follow: dict[tuple[int, int], list] = {}
-        for n in range(n_max + 1):
-            for p in _partitions(n, n + 1):
-                follow.setdefault(p[0], []).append(p[1:])
-        inner = np.stack(self.wrap([suffix for suffixes in follow.values() for suffix in suffixes]))
-        ends = np.cumsum([len(suffixes) for suffixes in follow.values()]).tolist()
+        plan, weights = _suffix_plan(n_max), self._weights(n_max)
+        inner = [self.core[None]]
+        for pairs, tails in plan.levels:
+            cores = -weights[pairs[:, 0], pairs[:, 1], None, None] * inner[-1][tails]
+            inner.append(_blockops.frame_trace(self._sandwiches(pairs, cores), self.rho))
+        grouped = np.concatenate(inner)[plan.suffixes]
         # with d_S >= 2 a reduction over the leading axis adds its terms in order (`np.add.reduceat` does not)
-        cores = np.stack([np.add.reduce(inner[a:b]) for a, b in zip([0, *ends], ends)])
-        return self.frame.leave_open(np.add.reduce(self.open_words(list(follow), cores)))
+        cores = np.stack([np.add.reduce(grouped[a:b]) for a, b in zip((0, *plan.ends), plan.ends)])
+        firsts = plan.firsts
+        words = self._sandwiches(firsts, weights[firsts[:, 0], firsts[:, 1], None, None] * cores)
+        return self.frame.leave_open(np.add.reduce(words))
 
 
 def expand_image_by_partitions(

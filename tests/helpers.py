@@ -69,13 +69,38 @@ def rhs_at(traj, t, ks, rho_b):
 
 def partition_term(pairs, value, trunc, ks, rho_b, t):
     """The signed word of the partition ``pairs``, bath indices of pair 1 open, as
-    an image family: `PartitionWords.wrap` of its suffix, then `open_words` of its first pair."""
+    an image family, from lone `PartitionWords` sandwiches (`lone_partition_word`)."""
     from heisenbath.images import ImageFamily
     from heisenbath.npoint import PartitionWords
 
     words = PartitionWords(np.asarray(value, dtype=complex), trunc, ks, rho_b, ks.eigen_rows([t])[0])
-    word = words.open_words([pairs[0]], np.stack(words.wrap([pairs[1:]])))[0]
+    word = lone_partition_word(words, pairs[0], lone_inner_value(words, pairs[1:], {}))
     return ImageFamily(ks.frame.leave_open(word), ks.dim_bath, t)
+
+
+def _lone_weight(words, pair):
+    """``i^(n_i - m_i) x^(n_i + m_i)`` of one pair, as ``(1, 1, 1)``, formed as `PartitionWords` forms it."""
+    (n_i, m_i), x = pair, words.x
+    return np.array([1j ** (n_i - m_i) * x ** (n_i + m_i)])[:, None, None]
+
+
+def lone_inner_value(words, suffix, inner: dict):
+    """The inner value of ``suffix`` (pairs 2..k of a partition) in the frame,
+    wrapped innermost first, each pair by a lone sandwich of ``words`` and a
+    lone `frame_trace`; every suffix is formed once and held in ``inner``."""
+    from heisenbath import _blockops
+
+    if not suffix:
+        return words.core
+    if suffix not in inner:
+        core = -_lone_weight(words, suffix[0]) * lone_inner_value(words, suffix[1:], inner)[None]
+        inner[suffix] = _blockops.frame_trace(words._sandwiches(np.array(suffix[:1]), core), words.rho)[0]
+    return inner[suffix]
+
+
+def lone_partition_word(words, pair, core):
+    """Pair 1's word on ``core``, bath indices open, in the frame: one lone sandwich of ``words``."""
+    return words._sandwiches(np.array([pair]), _lone_weight(words, pair) * core[None])[0]
 
 
 # -- pointwise references with no program caller ---------------------------------
@@ -213,20 +238,19 @@ def recursive_partition_image(value, n_max, lam, ks, rho, t):
 
 def per_suffix_partition_image(value, n_max, lam, ks, rho, t):
     """The partition sum of `heisenbath.npoint.expand_image_by_partitions` from
-    lone calls of its `PartitionWords`: every suffix wrapped alone, shortest
-    first, and every first pair's word formed alone, summed in the same
-    order; the batched sum must reproduce it bit for bit."""
+    lone sandwiches of its `PartitionWords`: every suffix wrapped alone
+    (`lone_inner_value`), and every first pair's word formed alone
+    (`lone_partition_word`), summed in the same order; the batched sum must
+    reproduce it bit for bit."""
     from heisenbath.npoint import PartitionWords, _partitions
     from heisenbath.superop import SeriesTruncation
 
     words = PartitionWords(value, SeriesTruncation(n_max, lam), ks, rho, ks.eigen_rows([t])[0])
-    cores = {}
+    inner, cores = {}, {}
     for n in range(n_max + 1):
         for p in _partitions(n, n + 1):
-            for k in range(len(p) - 1, 0, -1):
-                words.wrap([p[k:]])
-            cores[p[0]] = cores.get(p[0], 0) + words.wrap([p[1:]])[0]
-    return ks.frame.leave_open(sum(words.open_words([pair], core[None])[0] for pair, core in cores.items()))
+            cores[p[0]] = cores.get(p[0], 0) + lone_inner_value(words, p[1:], inner)
+    return ks.frame.leave_open(sum(lone_partition_word(words, pair, core) for pair, core in cores.items()))
 
 
 # -- system-major sandwiches for the loop references -------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 from heisenbath import _blockops, diagnostics, dyson, npoint, superop
 from heisenbath.diagnostics import (
     DEFAULT_LAMBDAS,
+    DEFECT_LAMBDA,
     cancellation_defect,
     cumulant2_errors,
     decomposition_sum_defect,
@@ -47,10 +48,10 @@ def _record(monkeypatch, name, key):
 
 def test_validation_suite_lifts_each_point_once(monkeypatch):
     """Each ``(order, t)`` is lifted once, with every coupling of the sweep in
-    that one call, and so is each one-point series evaluation; no
-    one-coupling one-point value is left in a suite, the roundtrip row
-    reads the inversion the shared lift already ran (every `lift_values`
-    call is a shared lift's own), and the kernel row of each time is
+    that one call, or at `DEFECT_LAMBDA` alone, and so is each one-point
+    series evaluation; the roundtrip row reads the inversion the shared
+    lift already ran (every `lift_values` call is a lift's own), and the
+    kernel row of each time is
     fetched once, in two `eigen_rows` calls: the suite's three times and
     the RHS check's two.  The engine takes kernel rows, so a call is
     keyed by the bytes of its rows: equal bytes mean the same time."""
@@ -68,7 +69,7 @@ def test_validation_suite_lifts_each_point_once(monkeypatch):
     for calls in (lifts, values):
         repeated = {k: n for k, n in collections.Counter(calls).items() if n > 1}
         assert calls and not repeated
-        assert {lams for *_, lams in calls} == {DEFAULT_LAMBDAS}
+        assert {lams for *_, lams in calls} == {DEFAULT_LAMBDAS, (DEFECT_LAMBDA,)}
     times = [float(t) for call in fetches for t in call]
     assert len(fetches) == 2 and len(times) == len(set(times)) == 5
     assert inversions == lifts
@@ -84,22 +85,26 @@ def test_validation_suite_makes_five_exponentials(monkeypatch):
     assert len(calls) == 5
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3])
 def test_suite_lifts_each_order_once_for_the_sweep(monkeypatch, order):
-    """An order-N suite makes exactly N + 2 `lift_observable` calls, one per
-    order 0..N+1, each with the kernel rows of its three times and the four
-    couplings of `DEFAULT_LAMBDAS`."""
+    """An order-N suite makes exactly one `lift_observable` call per order
+    0..N+1.  Orders 1 and N, which its slope rows read, are lifted at the
+    kernel rows of its three times and the four couplings of
+    `DEFAULT_LAMBDAS`; every other order only at ``(t, DEFECT_LAMBDA)``, the
+    one point its cancellation and dual-bookkeeping rows read."""
     calls = _record(monkeypatch, "lift_observable", lambda o, n, lams, ks, rho_b, rows: (n, len(rows), lams))
     validation_suite(3, 2, 3, order=order)
-    assert sorted(calls) == [(n, 3, DEFAULT_LAMBDAS) for n in range(order + 2)]
+    swept = {1, order}
+    expected = [(n, 3, DEFAULT_LAMBDAS) if n in swept else (n, 1, (DEFECT_LAMBDA,)) for n in range(order + 2)]
+    assert sorted(calls) == expected
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_suite_times_lift_in_one_call(monkeypatch, order):
-    """The suite lifts its times (t1, t2, t) of an order in one engine call,
-    and each time's value, inversion and family equal the lone
-    `lift_observable` at that time bit for bit (an order-2 suite lifts
-    orders 0-3)."""
+    """An order-N suite lifts its times (t1, t2, t) in one engine call for
+    each of orders 1 and N, and each time's value, inversion and family equal
+    the lone `lift_observable` at that time bit for bit (every other order is
+    lifted at t alone)."""
     lifted, lift = [], superop.lift_observable
 
     def recorded(*args):
@@ -107,16 +112,15 @@ def test_suite_times_lift_in_one_call(monkeypatch, order):
         return lifted[-1][1]
 
     monkeypatch.setattr(diagnostics, "lift_observable", recorded)
-    validation_suite(4, 3, 2, order=2)
-    at_order = [(args, out) for args, out in lifted if args[1] == order]
-    calls = [len(args[-1]) for args, _ in at_order]
-    assert calls == [3]
-    (obs, _, lams, ks, rho_b, rows), out = at_order[0]
-    for row, values, inverses, families in zip(rows, *out):
-        lone = [x[0] for x in superop.lift_observable(obs, order, lams, ks, rho_b, row[None])]
-        assert np.array_equal(values, lone[0])
-        assert np.array_equal(inverses, lone[1])
-        assert np.array_equal(families, lone[2])
+    validation_suite(4, 3, 2, order=order)
+    swept = [(args, out) for args, out in lifted if len(args[-1]) == 3]
+    assert sorted(args[1] for args, _ in swept) == sorted({1, order})
+    for (obs, n, lams, ks, rho_b, rows), out in swept:
+        for row, values, inverses, families in zip(rows, *out):
+            lone = [x[0] for x in superop.lift_observable(obs, n, lams, ks, rho_b, row[None])]
+            assert np.array_equal(values, lone[0])
+            assert np.array_equal(inverses, lone[1])
+            assert np.array_equal(families, lone[2])
 
 
 @pytest.mark.parametrize("seed,d_s,d_b", [(3, 2, 3), (5, 3, 2)])

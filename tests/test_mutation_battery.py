@@ -46,7 +46,7 @@ MUTANTS = (
         "(1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(rows))",
         "((-1j) ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(rows))",
     ),
-    ("partition_sign", "npoint.py", "cores = -self._pair_weights(firsts)", "cores = self._pair_weights(firsts)"),
+    ("partition_sign", "npoint.py", "cores = -weights[pairs", "cores = weights[pairs"),
     ("frame_identity_order0", "dyson.py", "0, :, :] = np.eye(d)", "0, :, :] = row[..., 0, :, :]"),
     ("partition_weight_power", "npoint.py", "self.x ** (n_i + m_i)", "self.x**n_i"),
     ("bath_state_transpose", "superop.py", "(rho_b @ rows[:, p])", "(rho_b.T @ rows[:, p])"),
@@ -65,7 +65,12 @@ MUTANTS = (
     ("bath_trace_transpose", "_blockops.py", "rho.T.reshape(-1, 1)", "rho.reshape(-1, 1)"),
     ("cumulant_leg_order", "npoint.py", "- values[0] @ values[1]", "- values[1] @ values[0]"),
     ("dressing_bath_fold", "superop.py", "rho_b.conj().T @ rights", "rho_b.T @ rights"),
-    ("open_word_weights", "npoint.py", "self._sandwiches(pairs, self._pair_weights(pairs) * cores)", "self._sandwiches(pairs, cores)"),
+    (
+        "open_word_weights",
+        "npoint.py",
+        "self._sandwiches(firsts, weights[firsts[:, 0], firsts[:, 1], None, None] * cores)",
+        "self._sandwiches(firsts, cores)",
+    ),
 )
 
 # (seed, d_S, d_B, hbar, t) of each suite

@@ -16,7 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
-from heisenbath import _blockops, dyson, superop
+from heisenbath import _blockops, dyson, npoint, superop
 from heisenbath.diagnostics import DEFAULT_LAMBDAS, random_model, rhs_fd_errors, rounding_floor
 from heisenbath.dyson import compute_kernels
 from heisenbath.npoint import (
@@ -155,6 +155,30 @@ def test_partition_expansion_sandwich_count(engine_model, monkeypatch, n_max, sa
     monkeypatch.setattr(PartitionWords, "_sandwiches", counted)
     expand_image_by_partitions(traj, n_max, ks, m.rho_b, GRID_TIME)
     assert len(calls) == n_max + 1 and sum(calls) == sandwiches
+
+
+@pytest.mark.parametrize("d_s,d_b", [(2, 3), (3, 2)])
+def test_partition_plan_is_built_once_per_order(d_s, d_b):
+    """`PartitionWords.image` reads the suffix tree of its order from one plan,
+    built by the first image of that order: a second image, on new words,
+    builds nothing.  The plan's batches add up to the sandwich count, and
+    each image at orders 0-4 equals the lone-call oracle
+    `per_suffix_partition_image` bit for bit."""
+    m, obs = random_model(5, d_s, d_b)
+    ks = compute_kernels(m, 4, TimeGrid.linspace(1.5, 7))
+    value = one_point_at(obs, SeriesTruncation(4, LAM), ks, m.rho_b, GRID_TIME)
+    row = ks.eigen_rows([GRID_TIME])[0]
+    npoint._suffix_plan.cache_clear()
+    for n_max, sandwiches in zip(ORDERS, (1, 5, 15, 43, 130)):
+        first, second = (PartitionWords(value, SeriesTruncation(n_max, LAM), ks, m.rho_b, row) for _ in range(2))
+        image = first.image(n_max)
+        built = npoint._suffix_plan.cache_info().misses
+        assert built == n_max + 1
+        assert np.array_equal(second.image(n_max), image)
+        assert npoint._suffix_plan.cache_info().misses == built
+        plan = npoint._suffix_plan(n_max)
+        assert sum(len(pairs) for pairs, _ in plan.levels) + len(plan.firsts) == sandwiches
+        assert np.array_equal(image, per_suffix_partition_image(value, n_max, LAM, ks, m.rho_b, GRID_TIME))
 
 
 @pytest.mark.parametrize("t", [GRID_TIME, OFF_GRID_TIME])
