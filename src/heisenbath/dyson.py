@@ -118,26 +118,38 @@ _PADE = (
 )
 
 
-def toeplitz_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of block upper-triangular Toeplitz matrices, as first block rows.
+def toeplitz_mul(a: np.ndarray, b: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Product of block upper-triangular Toeplitz matrices of ``n`` blocks, as first block rows.
 
-    ``(AB)_k = sum_{m <= k} A_{k - m} B_m``.  In a row of two or more blocks,
-    block 0 of both factors is diagonal, so the end terms ``A_k B_0`` (block 0
-    of the product included) and ``A_0 B_k`` are column and row scalings, and
-    only the inner terms ``0 < m < k`` are matmuls, one batched matmul per
-    inner block of ``b``.  A one-block row is a dense matrix, and the blocks
-    of its ``a``, ``(1, r, D)``, may be rectangular: a block row stepped by
-    ``B``.
+    ``(AB)_k = sum_{m <= k} A_{k - m} B_m`` for ``k < n``.  A factor may hold
+    fewer than ``n`` blocks (by default ``n`` is the longer one's length): the
+    blocks past its end are zero, and no term reads them (`_nonzero_head`).
+    In a row of two or more blocks, block 0 of both factors is diagonal, so
+    the end terms ``A_k B_0`` (block 0 of the product included) and ``A_0
+    B_k`` are column and row scalings, and only the inner terms ``0 < m <
+    k`` are matmuls, one batched matmul per inner block of ``b``.  A
+    one-block row is a dense matrix, and the blocks of its ``a``, ``(1, r,
+    D)``, may be rectangular: a block row stepped by ``B``.
     """
-    n = len(b)
+    n = max(len(a), len(b)) if n is None else n
     if n == 1:
         return np.matmul(a, b[0])
     a0, b0 = np.diagonal(a[0]), np.diagonal(b[0])
-    out = a * b0
-    out[1:] += a0[:, None] * b[1:]
-    for m in range(1, n - 1):
-        out[m + 1 :] += np.matmul(a[1 : n - m], b[m])
+    out = np.empty((n, *a.shape[1:]), dtype=np.result_type(a, b))
+    np.multiply(a, b0, out=out[: len(a)])
+    out[len(a) :] = 0
+    out[1 : len(b)] += a0[:, None] * b[1:]
+    for m in range(1, min(len(b), n - 1)):
+        out[m + 1 : m + len(a)] += np.matmul(a[1 : n - m], b[m])
     return out
+
+
+def _nonzero_head(row: np.ndarray) -> np.ndarray:
+    """``row`` up to its last nonzero block, block 0 at least: the blocks past
+    it are zero, so a `toeplitz_mul` by it skips them.  The Van Loan
+    generator ``(iF, H_I, 0, ...)`` keeps two blocks."""
+    nonzero = np.flatnonzero(row.reshape(len(row), -1).any(axis=1))
+    return row[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
 def toeplitz_norm1(blocks: np.ndarray) -> float:
@@ -170,7 +182,10 @@ def toeplitz_expm(blocks: np.ndarray) -> np.ndarray:
     is the case ``n = 1``.  Pade scaling and squaring (Higham, SIAM J. Matrix
     Anal. Appl. 26 (2005) 1179, Algorithm 2.3): the lowest degree whose
     bound admits ``|A|_1``, else degree 13 on ``A / 2^s`` squared ``s``
-    times.  Every product is a `toeplitz_mul`.  Squaring raises the
+    times.  Every product is a `toeplitz_mul`, and the ones by ``A`` itself
+    read only its blocks up to the last nonzero one (`_nonzero_head`): for
+    the Van Loan generator ``(iF, H_I, 0, ...)``, ``A^2`` takes one inner
+    GEMM and ``A`` times the odd part n - 2.  Squaring raises the
     rounding of the Pade step to the power ``2^s``, so the result carries a
     relative error of about ``eps |A|_1``: unless ``eps |A|_1 <= sqrt(eps)``
     (a NaN or infinite entry fails too), fewer than half of its digits are
@@ -186,10 +201,10 @@ def toeplitz_expm(blocks: np.ndarray) -> np.ndarray:
         if norm <= theta:
             break
     s = 0 if norm <= theta else math.ceil(math.log2(norm / theta))
-    a = a / 2.0**s
     eye = np.zeros_like(a)
     eye[0] = np.eye(a.shape[1])
-    a2 = toeplitz_mul(a, a)
+    a = _nonzero_head(a / 2.0**s)  # a product by a zero block is never formed
+    a2 = toeplitz_mul(a, a, len(eye))
     if m == 13:
         a4 = toeplitz_mul(a2, a2)
         a6 = toeplitz_mul(a4, a2)
@@ -228,7 +243,7 @@ def propagate_rows(first: np.ndarray, gen: np.ndarray, points: np.ndarray) -> np
     h = float(np.sort(steps)[steps.size // 2])
     base = toeplitz_expm(h * gen)
     near = np.abs(steps - h) * toeplitz_norm1(gen) <= np.sqrt(np.finfo(float).eps)
-    slope = toeplitz_mul(base, gen) if np.any(near & (steps != h)) else None
+    slope = toeplitz_mul(base, _nonzero_head(gen)) if np.any(near & (steps != h)) else None
     cache: dict[float, np.ndarray] = {h: base}
     for k, (dt, first_order) in enumerate(zip(steps.tolist(), near.tolist()), start=1):
         if dt not in cache:

@@ -25,11 +25,13 @@ operators:
 
     sum_(p+q+k=N) x^(p+q) L[p] (A_k (x) 1_B) R[q]^dag ,   L = R = i^p S[p] ,
 
-one lift of each ``A_k`` against the left stack, ``X[q] = sum_(p+k=N-q)
-L[p] (x^(N-k) A_k (x) 1_B)``, and one product ``sum_q X[q] R[q]^dag``,
-returned open or bath-traced; the trace folds ``rho_B`` into the right
-factor and reads both factors with their rows system-major, so it forms no
-``D x D`` product.  The series inversion ``inv[m]`` is
+one GEMM per output block, ``X[q] = sum_(p+k=N-q) L[p] (x^(N-k) A_k (x)
+1_B)``, the left stack's blocks side by side against the operators stacked
+in reverse, and one product ``sum_q X[q] R[q]^dag``, returned open or
+bath-traced; the trace folds ``rho_B`` into the right factor and reads both
+factors with their rows system-major, so it forms no ``D x D`` product.
+A stack's two factors are formed once per lift (`_factors`) and read by
+every order of it.  The series inversion ``inv[m]`` is
 the one-point value minus the traced sum of ``inv[0..m-1]`` at order m,
 whose ``(0, 0)`` term is ``inv[m]`` itself; the image family is the open sum
 of ``inv[0..N]`` at order N, and the local RHS the traced sum of
@@ -102,54 +104,81 @@ class OnePointTrajectory:
     truncation: SeriesTruncation
 
 
-def _dressed(left, right, ops, n: int, rho_b=None, x=1.0) -> np.ndarray:
+def _factors(stack: np.ndarray, ds: int, rho_b=None) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right factors of `_dressed` for a frame stack ``(..., n + 1, D, D)``,
+    formed once and read by the sums of every order up to n.
+
+    The left factor puts the blocks side by side, ``(..., D d_B, (n + 1)
+    d_S)``: column block p is ``L[p]`` reshaped with the system index of its
+    columns last, so that ``L[p] (A (x) 1_B)`` is a GEMM by ``A`` on it, and
+    a sum of such products over p is one GEMM.  A row of it joins the row
+    ``(b, i)`` of ``L[p]`` and the bath part ``a`` of its column, ordered
+    ``(i, b, a)``, system-major, when the sum is traced (``rho_b`` given),
+    and ``(b, i, a)``, bath-major, when it is open.  The right factor is
+    ``R[q]^dag``, ``(..., n + 1, D, D)``, when open, and ``conj(F[q])^T``,
+    ``(..., n + 1, d_B D, d_S)``, when traced: the bath state folded in, ``F
+    = (1 (x) rho_B^dag) R``, read with its rows system-major.
+    """
+    *lead, n1, d, _ = stack.shape
+    db, k = d // ds, len(lead)
+    rows = (k + 2, k + 1) if rho_b is not None else (k + 1, k + 2)
+    blocks = stack.reshape(*lead, n1, db, ds, db, ds).transpose(*range(k), *rows, k + 3, k, k + 4)
+    left = blocks.reshape(*lead, d * db, n1 * ds)
+    if rho_b is None:
+        return left, stack.conj().swapaxes(-1, -2)
+    folded = rho_b.conj().T @ stack.reshape(*lead, n1, db, ds, d).swapaxes(-3, -2)
+    return left, folded.reshape(*lead, n1, ds, db * d).conj().swapaxes(-1, -2)
+
+
+def _dressed(left, right, ops, n: int, x=1.0) -> np.ndarray:
     """The total-order sandwich sum ``sum_(p+q+k=n) x^(p+q) L[p] (A_k (x) 1_B) R[q]^dag``.
 
-    ``left`` and ``right`` are frame stacks ``(..., n_max + 1, D, D)``, ``ops``
-    the operators ``A_0, A_1, ...`` ``(K, ..., d_S, d_S)`` with ``K <= n + 1``,
-    an ``A_k`` not given reading as zero, and ``x`` a weight ``(..., 1, 1)``
-    that rides on the operators, ``x^(n-k) A_k``; leading axes broadcast.
-    Each operator is lifted once, by GEMMs on a reshape of the stack, into
-    ``X[q] = sum_(p+k=n-q) L[p] (x^(n-k) A_k (x) 1_B)``; the sum ``sum_q X[q]
-    R[q]^dag`` is returned open, ``(..., D, D)``, or bath-traced with
-    ``rho_b``, ``(..., d_S, d_S)``.  The trace folds the bath state into the
-    right factor, ``sum_(a,z) X[q]_(a i, z) conj(F[q]_(a m, z))`` with ``F =
-    (1 (x) rho_B^dag) R``, both read with their rows system-major, so no ``D
-    x D`` product is formed.
+    ``left`` and ``right`` are the `_factors` of frame stacks with at least
+    n + 1 blocks, ``ops`` the operators ``A_0, A_1, ...`` ``(K, ..., d_S,
+    d_S)`` with ``K <= n + 1``, an ``A_k`` not given reading as zero, and
+    ``x`` a weight ``(..., 1, 1)`` that rides on the operators, ``x^(n-k)
+    A_k``; leading axes broadcast.  The weighted operators are stacked in
+    reverse, ``Arev = (x A_(K-1), ..., x^n A_0)``, so each output block is
+    one GEMM, ``X[q] = sum_(p+k=n-q) L[p] (x^(n-k) A_k (x) 1_B)`` a column
+    block of the left factor by a row block of ``Arev``, with no zero
+    block.  The sum ``sum_q X[q] R[q]^dag`` is returned open, ``(..., D,
+    D)``, or bath-traced, ``(..., d_S, d_S)``, as the right factor was
+    formed: traced, both factors are read with their rows system-major, so
+    each ``X[q]`` meets ``conj(F[q])^T`` in one GEMM and no ``D x D``
+    product is formed.
     """
     ops = np.asarray(ops)
-    ds, d = ops.shape[-1], left.shape[-1]
-    db = d // ds
-    lefts = left.reshape(*left.shape[:-2], -1, ds)  # (..., n_max + 1, D d_B, d_S)
-    lead = np.broadcast_shapes(left.shape[:-3], ops.shape[1:-2], np.shape(x)[:-2])
-    traced = rho_b is not None
-    # X[q], rows (i, a) when traced, written through the view with rows (a, i)
-    lifted = np.zeros((*lead, n + 1, *((ds, db) if traced else (db, ds)), d), dtype=complex)
-    framed = lifted.swapaxes(-3, -2) if traced else lifted
-    for k, a in enumerate(ops):  # X[q] collects L[n - k - q] (x^(n-k) A_k (x) 1_B)
-        term = lefts[..., n - k :: -1, :, :] @ (x ** (n - k) * a)[..., None, :, :]
-        framed[..., : n + 1 - k, :, :, :] += term.reshape(*term.shape[:-2], db, ds, d)
-    rights, rows = right[..., : n + 1, :, :], d
-    if traced:
-        rows, rights = ds, rho_b.conj().T @ rights.reshape(*rights.shape[:-2], db, ds, d).swapaxes(-3, -2)
-    rights = rights.reshape(*right.shape[:-3], n + 1, rows, -1).conj().swapaxes(-1, -2)
-    return (lifted.reshape(*lead, n + 1, rows, -1) @ rights).sum(-3)
+    n_ops, ds = len(ops), ops.shape[-1]
+    arev = np.empty((*np.broadcast_shapes(ops.shape[1:-2], np.shape(x)[:-2]), n_ops * ds, ds), dtype=complex)
+    for k, a in enumerate(ops):  # block n_ops - 1 - k of Arev
+        arev[..., (n_ops - 1 - k) * ds : (n_ops - k) * ds, :] = x ** (n - k) * a
+    lead = np.broadcast_shapes(left.shape[:-2], arev.shape[:-2])
+    lifted = np.empty((*lead, n + 1, left.shape[-2], ds), dtype=complex)
+    for q in range(n + 1):  # L[p] for p = n-q-w+1..n-q against A_(w-1)..A_0
+        w = min(n + 1 - q, n_ops)
+        cols, ops_w = left[..., (n + 1 - q - w) * ds : (n + 1 - q) * ds], arev[..., (n_ops - w) * ds :, :]
+        np.matmul(cols, ops_w, out=lifted[..., q, :, :])
+    rights = right[..., : n + 1, :, :]
+    return (lifted.reshape(*lead, n + 1, rights.shape[-1], -1) @ rights).sum(-3)
 
 
 def _inverted(values: np.ndarray, order: int, lams, ks: KernelSet, rho_b: np.ndarray, stack: np.ndarray):
-    """The series inversions ``inv[0..order]`` of one-point values, in the frame, and the weight ``lam/hbar``.
+    """The series inversions ``inv[0..order]`` of one-point values, in the frame, the weight
+    ``lam/hbar`` and the traced `_factors` of ``stack``.
 
     ``inv[m] = (1 + sum lam^n P_S[n])^{-1} value`` truncated at total order
     m: the value minus the bath-traced dressing of ``inv[<m]`` at order m on
     ``stack``, the ``i^p S[p]`` of the values' time, since the ``(0, 0)``
-    term of that dressing is ``inv[m]`` itself.
+    term of that dressing is ``inv[m]`` itself.  The factors are formed once,
+    for every step.
     """
     x = (np.asarray(lams, dtype=float) / ks.frame.constants.hbar)[:, None, None]
+    left, right = _factors(stack, ks.dim_system, rho_b)
     inv = np.empty((order + 1, *values.shape), dtype=complex)
     inv[0] = ks.frame.enter(values)
     for m in range(1, order + 1):
-        inv[m] = inv[0] - _dressed(stack, stack, inv[:m], m, rho_b, x)
-    return inv, x
+        inv[m] = inv[0] - _dressed(left, right, inv[:m], m, x)
+    return inv, x, (left, right)
 
 
 def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
@@ -157,8 +186,8 @@ def printed_sandwich_defect(n: int, a, t: float, ks: KernelSet) -> float:
     the dressing of ``A`` on the stack ``i^p S[p]`` and on ``i^p S[p]^dag``."""
     ks.check_order(n)
     kstack, turns = ks.frame_stack(ks.eigen_rows([t])[0]), 1j ** np.arange(ks.orders + 1)[:, None, None]
-    a = ks.frame.enter(system_matrix(a))
-    derived, printed = (_dressed(s, s, (a,), n) for s in (turns * kstack, turns * kstack.conj().swapaxes(-1, -2)))
+    a, stacks = ks.frame.enter(system_matrix(a)), (turns * kstack, turns * kstack.conj().swapaxes(-1, -2))
+    derived, printed = (_dressed(*_factors(s, ks.dim_system), (a,), n) for s in stacks)
     return float(np.max(np.abs(ks.frame.leave_open(derived - printed))))
 
 
@@ -235,10 +264,10 @@ def lift_values(
     factor; the order-by-order cancellation that returns the one-point value
     under bath contraction holds only with total-order truncation."""
     ks.check_order(order)
-    stack = (1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(rows))[:, None]  # for every coupling
-    inv, x = _inverted(values, order, lams, ks, rho_b, stack)
+    stack = (1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(rows))[:, None, : order + 1]
+    inv, x, _ = _inverted(values, order, lams, ks, rho_b, stack)  # the stack is shared by every coupling
     inverses = values - ks.frame.leave(inv[0] - inv[order])
-    return inverses, ks.frame.leave_open(_dressed(stack, stack, inv, order, None, x))
+    return inverses, ks.frame.leave_open(_dressed(*_factors(stack, ks.dim_system), inv, order, x))
 
 
 def lift_observable(
@@ -326,9 +355,10 @@ def local_rhs(
     """
     ks.check_order(order)
     stack, turns = ks.frame_stack(row), 1j ** np.arange(ks.orders + 1)[:, None, None]
-    cov, stack = turns * ks.frame_derivative(stack), turns * stack
+    cov, stack = (turns * ks.frame_derivative(stack))[: order + 1], (turns * stack)[: order + 1]
     # the RHS needs inv[0..order-1] only: the last inversion step is never formed
-    inv, x = _inverted(values, max(order - 1, 0), lams, ks, rho_b, stack)
-    dressed = _dressed(cov, stack, inv[:order], order, rho_b, x) + _dressed(stack, cov, inv[:order], order, rho_b, x)
+    inv, x, (left, right) = _inverted(values, max(order - 1, 0), lams, ks, rho_b, stack)
+    cov_left, cov_right = _factors(cov, ks.dim_system, rho_b)
+    dressed = _dressed(cov_left, right, inv[:order], order, x) + _dressed(left, cov_right, inv[:order], order, x)
     h0 = ks.model.h0.mat
     return (1j / ks.frame.constants.hbar) * (h0 @ values - values @ h0) + ks.frame.leave(dressed)

@@ -50,10 +50,10 @@ def dressing_at(n, a, t, ks, rho_b=None):
     """The order-n dressing ``P[n] A`` of a system operator: `_dressed` of ``(A,)`` on
     the stack ``i^p S[p]`` of ``t``.  Bath indices open, as a full-space ``(D, D)``
     matrix, or with ``rho_b`` contracted, ``(P[n] A)_ab rho_B[b, a]``, ``(d_S, d_S)``."""
-    from heisenbath.superop import _dressed
+    from heisenbath.superop import _dressed, _factors
 
     stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(ks.eigen_rows([t])[0])
-    dressed = _dressed(stack, stack, (ks.frame.enter(np.asarray(a, dtype=complex)),), n, rho_b)
+    dressed = _dressed(*_factors(stack, ks.dim_system, rho_b), (ks.frame.enter(np.asarray(a, dtype=complex)),), n)
     if rho_b is None:
         return ks.frame.leave_open(dressed)
     return ks.frame.leave(dressed)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import heisenbath as hb
+from heisenbath import dyson
 from heisenbath.dyson import (
     compute_kernels,
     dyson_propagator,
@@ -315,6 +316,32 @@ class TestToeplitzExponential:
     def test_jordan_block_matches_scipy(self, t):
         jordan = -0.5 * np.eye(4) + np.eye(4, k=1)
         _assert_matches_scipy_expm(t * jordan[None])
+
+    @pytest.mark.parametrize("norm,gemms", [(1.0, 15), (20.0, 24)])
+    def test_generator_row_multiplies_no_zero_block(self, monkeypatch, norm, gemms):
+        """One exponential of an order-3 Van Loan row ``(iF, H_I, 0, 0)``,
+        counted in inner GEMMs (`np.matmul` batch entries).  A full product
+        or the solve of 4 blocks takes 3; ``A^2`` takes 1 and ``A`` times the
+        odd part 2, since ``A``'s zero blocks are never read.  At |A|_1 = 1
+        (degree 9: A^2, three full powers, A times the odd part, the solve)
+        that is 15 against 18; at 20 (degree 13, two squarings: A^2, A^4,
+        A^6, two full products, A times the odd part, the solve, two squares)
+        24 against 27.  Reading the zero blocks changes no bit."""
+        gen = compute_kernels(_random_spec(9, 2, 3), 3, TimeGrid.linspace(1.0, 2))._gen
+        blocks = norm / toeplitz_norm1(gen) * gen
+        counts, matmul = [], np.matmul
+
+        def counted(a, b, *args, **kwargs):
+            counts.append(len(a) if a.ndim == 3 else 1)
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        row = toeplitz_expm(blocks)
+        assert sum(counts) == gemms
+        counts.clear()
+        monkeypatch.setattr(dyson, "_nonzero_head", lambda blocks: blocks)
+        assert np.array_equal(toeplitz_expm(blocks), row)
+        assert sum(counts) == gemms + 3
 
     def test_zero_gives_identity_row(self):
         got = toeplitz_expm(np.zeros((3, 4, 4)))

@@ -31,12 +31,12 @@ MUTANTS = (
         "np.asarray(lams, dtype=float)[:, None, None]",
     ),
     ("alpha_drop_hbar", "superop.py", "[:, None] / hbar) ** np.arange", "[:, None]) ** np.arange"),
-    ("inversion_index", "superop.py", "_dressed(stack, stack, inv[:m], m", "_dressed(stack, stack, inv[m - 1 :: -1], m"),
+    ("inversion_index", "superop.py", "_dressed(left, right, inv[:m], m", "_dressed(left, right, inv[m - 1 :: -1], m"),
     (
         "affine_inversion",
         "superop.py",
-        "inv[:m], m, rho_b, x)",
-        "inv[:m], m, rho_b if m == 1 else np.eye(len(rho_b)) / len(rho_b), x)",
+        "_dressed(left, right, inv[:m], m, x)",
+        "_dressed(*(_factors(stack, ks.dim_system, np.eye(len(rho_b)) / len(rho_b)) if m > 1 else (left, right)), inv[:m], m, x)",
     ),
     ("frame_deriv_phase", "dyson.py", "= self._bath_phase * stack[1:]", "= -self._bath_phase * stack[1:]"),
     ("rhs_h0_sign", "superop.py", "(h0 @ values - values @ h0)", "(values @ h0 - h0 @ values)"),
@@ -64,7 +64,7 @@ MUTANTS = (
     ("one_point_lift_transpose", "superop.py", "ds), o_eig, out=", "ds), o_eig.swapaxes(-1, -2), out="),
     ("bath_trace_transpose", "_blockops.py", "rho.T.reshape(-1, 1)", "rho.reshape(-1, 1)"),
     ("cumulant_leg_order", "npoint.py", "- values[0] @ values[1]", "- values[1] @ values[0]"),
-    ("dressing_bath_fold", "superop.py", "rho_b.conj().T @ rights", "rho_b.T @ rights"),
+    ("dressing_bath_fold", "superop.py", "rho_b.conj().T @ stack", "rho_b.T @ stack"),
     (
         "open_word_weights",
         "npoint.py",

@@ -31,6 +31,7 @@ from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
     SeriesTruncation,
     _dressed,
+    _factors,
     image_from_one_point,
     lift_observable,
     lift_values,
@@ -98,13 +99,14 @@ def test_sandwiches_match_einsum(engine_model, n, t):
     frame, kstack = ks.frame, ks.frame_stack(ks.eigen_rows([t])[0])
     turns = 1j ** np.arange(ks.orders + 1)[:, None, None]
     stack, adjoint = turns * kstack, turns * kstack.conj().swapaxes(-1, -2)
-    derived = frame.leave_open(_dressed(stack, stack, (frame.enter(a),), n))
+    ops, ds = (frame.enter(a),), ks.dim_system
+    derived = frame.leave_open(_dressed(*_factors(stack, ds), ops, n))
     assert _close(_blocks(ks, derived), einsum_P_blocks(n, a, fams))
-    printed = frame.leave_open(_dressed(adjoint, adjoint, (frame.enter(a),), n))
+    printed = frame.leave_open(_dressed(*_factors(adjoint, ds), ops, n))
     assert _close(_blocks(ks, printed), einsum_P_blocks_printed(n, a, fams))
     rho, cov_stack = m.rho_b, turns * ks.frame_derivative(kstack)
-    ops = (frame.enter(a),)
-    dressed = frame.leave(_dressed(cov_stack, stack, ops, n, rho) + _dressed(stack, cov_stack, ops, n, rho))
+    (left, right), (cov_left, cov_right) = _factors(stack, ds, rho), _factors(cov_stack, ds, rho)
+    dressed = frame.leave(_dressed(cov_left, right, ops, n) + _dressed(left, cov_right, ops, n))
     assert _close(dressed, einsum_DtP_S(n, a, fams, _blocks(ks, cov), rho))
 
 
@@ -282,7 +284,7 @@ def _written_out_inverse(value, order, lam, ks, rho_b, t):
     weight = (np.array([lam]) / hbar)[0, None, None]  # an array, so that ** is numpy's, as in the engine
     inv = [ks.frame.enter(value)]
     for m in range(1, order + 1):
-        inv.append(inv[0] - _dressed(stack, stack, inv, m, rho_b, weight))
+        inv.append(inv[0] - _dressed(*_factors(stack, ks.dim_system, rho_b), inv, m, weight))
     return value - ks.frame.leave(inv[0] - inv[order])
 
 
@@ -338,7 +340,7 @@ def test_one_point_values_are_the_traced_dressing_of_a_constant_sequence(sweep_m
     stack = 1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(row)
     x = (np.asarray(SWEEP) / m.constants.hbar)[:, None, None]
     b = ks.frame.enter(ks.frame.free_conjugate(obs, t))
-    dressed = ks.frame.leave(_dressed(stack, stack, (b,) * (order + 1), order, m.rho_b, x))
+    dressed = ks.frame.leave(_dressed(*_factors(stack, ks.dim_system, m.rho_b), (b,) * (order + 1), order, x))
     assert np.max(np.abs(dressed - values)) <= rounding_floor(order, values)
 
 

@@ -107,7 +107,7 @@ class TestSandwichConvention:
         assert defect > 1e-3  # genuinely different sandwiches
 
         hbar = 1.0
-        from heisenbath.superop import _dressed
+        from heisenbath.superop import _dressed, _factors
 
         turns, kstack = 1j ** np.arange(ks.orders + 1)[:, None, None], ks.frame_stack(ks.eigen_rows([t])[0])
         b = ks.frame.enter(ks.frame.free_conjugate(obs, t))
@@ -116,7 +116,7 @@ class TestSandwichConvention:
         ).matrix
         errs = {}
         for name, stack in (("derived", turns * kstack), ("printed", turns * kstack.conj().swapaxes(-1, -2))):
-            fam = ks.frame.leave_open(_dressed(stack, stack, (b,) * (order + 1), order, None, lam / hbar))
+            fam = ks.frame.leave_open(_dressed(*_factors(stack, ks.dim_system), (b,) * (order + 1), order, lam / hbar))
             errs[name] = np.max(np.abs(fam - exact))
         print(
             f"order-2 image error vs oracle: derived={errs['derived']:.3e} "
