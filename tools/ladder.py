@@ -14,6 +14,8 @@ these stages, each the median of `REPEATS` runs in this process:
   + 0.037``, off the grid, their kernel rows (`KernelSet.eigen_rows`) included;
 - ``image``: `image_from_one_point` at t = 1;
 - ``star3``: `star_of_observables` at t = 0.5, 1 and 1.5;
+- ``partitions``: `expand_image_by_partitions` of the trajectory at order 3,
+  t = 1, the partition sum whose suffix tree `npoint` builds once per order;
 - ``exact``: one `evolve_exact` call over the grid.
 
 Each row also holds ``ratio`` = (kernels + one_point) / exact, the cost of
@@ -50,7 +52,7 @@ STOP, POINTS = 2.0, 21
 OFFGRID_SHIFT = 0.037
 IMAGE_TIME = 1.0
 STAR_TIMES = (0.5, 1.0, 1.5)
-STAGES = ("model", "kernels", "one_point", "offgrid", "image", "star3", "exact")
+STAGES = ("model", "kernels", "one_point", "offgrid", "image", "star3", "partitions", "exact")
 
 
 def _timed_run(d_s: int, d_b: int) -> dict:
@@ -72,6 +74,7 @@ def _timed_run(d_s: int, d_b: int) -> dict:
     stage("offgrid", lambda: one_point_values(obs, ORDER, (LAM,), ks, m.rho_b, ks.eigen_rows(offgrid)))
     stage("image", hb.image_from_one_point, traj, ks, m.rho_b, IMAGE_TIME)
     stage("star3", star_of_observables, [(obs, t) for t in STAR_TIMES], trunc, ks, m.rho_b)
+    stage("partitions", hb.expand_image_by_partitions, traj, ORDER, ks, m.rho_b, IMAGE_TIME)
     stage("exact", hb.evolve_exact, m, [obs], grid.points)
     return times
 
