@@ -264,7 +264,7 @@ def lift_values(
     factor; the order-by-order cancellation that returns the one-point value
     under bath contraction holds only with total-order truncation."""
     ks.check_order(order)
-    stack = (1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(rows))[:, None, : order + 1]
+    stack = (1j ** np.arange(order + 1)[:, None, None] * ks.frame_stack(rows[:, : order + 1]))[:, None]
     inv, x, _ = _inverted(values, order, lams, ks, rho_b, stack)  # the stack is shared by every coupling
     inverses = values - ks.frame.leave(inv[0] - inv[order])
     return inverses, ks.frame.leave_open(_dressed(*_factors(stack, ks.dim_system), inv, order, x))
@@ -354,8 +354,8 @@ def local_rhs(
     kernel derivatives come from the recurrence, so no differencing enters.
     """
     ks.check_order(order)
-    stack, turns = ks.frame_stack(row), 1j ** np.arange(ks.orders + 1)[:, None, None]
-    cov, stack = (turns * ks.frame_derivative(stack))[: order + 1], (turns * stack)[: order + 1]
+    stack, turns = ks.frame_stack(row[: order + 1]), 1j ** np.arange(order + 1)[:, None, None]
+    cov, stack = turns * ks.frame_derivative(stack), turns * stack
     # the RHS needs inv[0..order-1] only: the last inversion step is never formed
     inv, x, (left, right) = _inverted(values, max(order - 1, 0), lams, ks, rho_b, stack)
     cov_left, cov_right = _factors(cov, ks.dim_system, rho_b)

@@ -43,8 +43,8 @@ MUTANTS = (
     (
         "padded_powers",
         "superop.py",
-        "(1j ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(rows))",
-        "((-1j) ** np.arange(ks.orders + 1)[:, None, None] * ks.frame_stack(rows))",
+        "(1j ** np.arange(order + 1)[:, None, None] * ks.frame_stack(rows[:, : order + 1]))",
+        "((-1j) ** np.arange(order + 1)[:, None, None] * ks.frame_stack(rows[:, : order + 1]))",
     ),
     ("partition_sign", "npoint.py", "cores = -weights[pairs", "cores = weights[pairs"),
     ("frame_identity_order0", "dyson.py", "0, :, :] = np.eye(d)", "0, :, :] = row[..., 0, :, :]"),
