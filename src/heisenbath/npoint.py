@@ -126,8 +126,8 @@ def _suffix_plan(n_max: int) -> _SuffixPlan:
             suffix = suffix[1:]
     offsets = np.cumsum([0] + [len(by_length[length]) for length in range(n_max + 1)]).tolist()
     levels = tuple(
-        (np.array([s[0] for s in by_length[length]]), np.array([by_length[length - 1][s[1:]] for s in by_length[length]]))
-        for length in range(1, n_max + 1)
+        (np.array([s[0] for s in by_length[k]]), np.array([by_length[k - 1][s[1:]] for s in by_length[k]]))
+        for k in range(1, n_max + 1)
     )
     index = np.array([offsets[len(s)] + by_length[len(s)][s] for s in suffixes])
     ends = tuple(np.cumsum([len(group) for group in follow.values()]).tolist())
@@ -159,7 +159,8 @@ class PartitionWords:
 
     def _weights(self, n_max: int) -> np.ndarray:
         # i^(n_i - m_i) x^(n_i + m_i) at [n_i, m_i], each a Python complex (numpy's 1j ** array rounds otherwise)
-        return np.array([[1j ** (n_i - m_i) * self.x ** (n_i + m_i) for m_i in range(n_max + 1)] for n_i in range(n_max + 1)])
+        orders = range(n_max + 1)
+        return np.array([[1j ** (n_i - m_i) * self.x ** (n_i + m_i) for m_i in orders] for n_i in orders])
 
     def _sandwiches(self, pairs: np.ndarray, cores: np.ndarray) -> np.ndarray:
         # K[n_i] (core_i (x) 1_B) K[m_i]^dag in the frame for every pair (n_i, m_i) of ``pairs`` (k, 2):

@@ -36,7 +36,8 @@ MUTANTS = (
         "affine_inversion",
         "superop.py",
         "_dressed(left, right, inv[:m], m, x)",
-        "_dressed(*(_factors(stack, ks.dim_system, np.eye(len(rho_b)) / len(rho_b)) if m > 1 else (left, right)), inv[:m], m, x)",
+        "_dressed(*(_factors(stack, ks.dim_system, np.eye(len(rho_b)) / len(rho_b)) if m > 1 else (left, right)),"
+        " inv[:m], m, x)",
     ),
     ("frame_deriv_phase", "dyson.py", "= self._bath_phase * stack[1:]", "= -self._bath_phase * stack[1:]"),
     ("rhs_h0_sign", "superop.py", "(h0 @ values - values @ h0)", "(values @ h0 - h0 @ values)"),
