@@ -25,7 +25,6 @@ from .oracle import (
 )
 from .images import (
     ImageFamily,
-    contract_with_bath,
     evolve_images_exact,
     to_image_family,
 )

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from . import _blockops
 from .diagnostics import validation_suite
 from .dyson import compute_kernels
 from .errors import (
@@ -49,7 +50,6 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .images import contract_with_bath, evolve_images_exact
 from .markov import (
     FIRST_MOMENT_THRESHOLD,
     J_TOLERANCE,
@@ -61,8 +61,9 @@ from .markov import (
     spectral_coefficients,
 )
 from .model import ModelSpec, make_model
+from .oracle import evolve_exact
 from .presets import PRESETS
-from .spaces import TimeGrid, check_density, herm_defect, system_matrix, system_operator
+from .spaces import HERM_TOL, TimeGrid, check_density, herm_defect, system_matrix
 from .superop import SeriesTruncation, one_point_values, star_of_observables
 
 FLOAT_FMT = "%.17g"
@@ -162,16 +163,24 @@ def _numbers(value, path: str, bound=None) -> list:
     return [_bounded(v, f"{path}[{k}]", float, bound) for k, v in enumerate(_sequence(value, path))]
 
 
+def _choice(value, path: str, choices):
+    """``value`` if it is a name (a string) among ``choices`` (None: any name), else a
+    ValidationError naming ``path``."""
+    if isinstance(value, str) and (choices is None or value in choices):
+        return value
+    want = "a name (a string)" if choices is None else f"one of {list(choices)}"
+    _fail(path, f"must be {want}, got {reprlib.repr(value)}")
+
+
 def _mapping(value, path: str, fields: tuple[str, ...] | None) -> dict:
-    """A config section that must be a mapping of the given ``fields`` (None: any
-    names); absent or null reads as empty."""
+    """A config section that must be a mapping whose keys are `_choice` of the
+    given ``fields`` (None: any names); absent or null reads as empty."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ParseError(f"{path}: expected a mapping, got {reprlib.repr(value)}")
     for key in value:
-        if fields is not None and key not in fields:
-            _fail(f"{path}.{key}" if path else str(key), f"unknown field; expected one of {list(fields)}")
+        _choice(key, f"{path}.{key}" if path else f"{key}", fields)
     return value
 
 
@@ -182,31 +191,25 @@ def _sequence(value, path: str) -> list:
 
 
 def _parse_entry(value, path: str) -> complex:
-    parts = [value, 0] if isinstance(value, (int, float)) else value
-    if isinstance(parts, (list, tuple)) and len(parts) == 2 and all(
-        isinstance(v, (int, float)) and math.isfinite(v) for v in parts
-    ):
-        return complex(parts[0], parts[1])
-    _fail(path, f"expected a finite number or [re, im] pair, got {reprlib.repr(value)}")
+    """A matrix entry: a number, or an ``[re, im]`` pair, each part by `parse_number`."""
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0)
+    return complex(*(parse_number(v, path) for v in parts))
 
 
 def parse_matrix(rows, path: str) -> np.ndarray:
-    if not isinstance(rows, (list, tuple)) or not rows:
+    """A square matrix: a non-empty list of rows, each a `_sequence` of as many entries."""
+    rows = _sequence(rows, path)
+    if not rows:
         _fail(path, "expected a non-empty nested list (row-major matrix)")
-    mat = np.array(
-        [[_parse_entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(r)] for i, r in enumerate(rows)],
-        dtype=complex,
-    )
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        _fail(path, f"matrix must be square, got shape {mat.shape}")
-    return mat
+    for i, row in enumerate(rows):
+        if len(_sequence(row, f"{path}[{i}]")) != len(rows):
+            _fail(f"{path}[{i}]", f"expected {len(rows)} entries (a square matrix), got {len(row)}")
+    return np.array([[_parse_entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(r)] for i, r in enumerate(rows)])
 
 
 def _build_model(section, path: str):
     if isinstance(section, dict) and "preset" in section:
-        name = section["preset"]
-        if name not in PRESETS:
-            _fail(f"{path}.preset", f"unknown preset {reprlib.repr(name)}; available: {sorted(PRESETS)}")
+        name = _choice(section["preset"], f"{path}.preset", PRESETS)
         params = {k: parse_number(v, f"{path}.{k}") for k, v in section.items() if k != "preset"}
         try:
             preset = PRESETS[name](**params)
@@ -222,7 +225,7 @@ def _build_model(section, path: str):
         _fail(path, f"missing fields {missing} (or use 'preset')")
     mats = {k: parse_matrix(section[k], f"{path}.{k}") for k in required}
     for k in ("h0", "hb", "hi"):
-        if herm_defect(mats[k]) > 1e-10:
+        if not herm_defect(mats[k]) <= HERM_TOL:  # a NaN defect fails too
             _fail(f"{path}.{k}", "not hermitian")
     for k in ("rho0", "rho_b"):
         try:
@@ -269,9 +272,7 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
             raw[name] = value
     _mapping(raw, "", FIELDS[""])
 
-    run = raw.get("run")
-    if run not in RUN_MODES:
-        _fail("run", f"must be one of {RUN_MODES}, got {reprlib.repr(run)}")
+    run = _choice(raw.get("run"), "run", RUN_MODES)
 
     model, preset_obs = _build_model(raw.get("model", {}), "model")
 
@@ -316,12 +317,10 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
         _fail("observables", "at least one observable is required for this run mode")
 
     out_raw = _mapping(raw.get("output"), "output", FIELDS["output"])
-    output_path = str(out_raw.get("path", "results.csv"))
-    if not output_path:
-        _fail("output.path", "must be a non-empty path")
-    output_format = str(out_raw.get("format", "csv"))
-    if output_format not in ("csv", "json"):
-        _fail("output.format", f"must be csv or json, got {reprlib.repr(output_format)}")
+    output_path = out_raw.get("path", "results.csv")
+    if not isinstance(output_path, str) or not output_path:
+        _fail("output.path", f"must be a non-empty path, got {reprlib.repr(output_path)}")
+    output_format = _choice(out_raw.get("format", "csv"), "output.format", ("csv", "json"))
 
     npoint_factors = []
     factors = _mapping(raw.get("npoint"), "npoint", FIELDS["npoint"]).get("factors")
@@ -329,9 +328,7 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
         _fail("npoint.factors", "n_point runs need a list of {observable, time} entries")
     for k, f in enumerate([] if factors is None else _sequence(factors, "npoint.factors")):
         f = _mapping(f, f"npoint.factors[{k}]", FIELDS["npoint.factors[k]"])
-        name = f.get("observable")
-        if name not in observables:
-            _fail(f"npoint.factors[{k}].observable", f"unknown observable {reprlib.repr(name)}")
+        name = _choice(f.get("observable"), f"npoint.factors[{k}].observable", observables)
         time = _bounded(f.get("time", 0.0), f"npoint.factors[{k}].time", float, (">=", 0))
         npoint_factors.append((name, time))
 
@@ -441,14 +438,13 @@ def _run_n_point(cfg: ExperimentConfig) -> list[dict]:
 
 def _run_image_exact(cfg: ExperimentConfig) -> list[dict]:
     rows: list[dict] = []
+    d_b, rho_b = cfg.model.dim_bath, cfg.model.rho_b
     for name, (mat, _) in sorted(cfg.observables.items()):
-        o_op = system_operator(mat, (cfg.model.dim_system, cfg.model.dim_bath))
-        traj = evolve_images_exact(cfg.model, o_op, cfg.grid)
-        for fam in traj:
-            for a in range(fam.dim_bath):
-                for b in range(fam.dim_bath):
-                    _matrix_rows(rows, fam.time, f"{name}[{a}][{b}]", fam.block(a, b))
-            _matrix_rows(rows, fam.time, f"{name}_S", contract_with_bath(fam, cfg.model.rho_b))
+        evolved = evolve_exact(cfg.model, [mat], cfg.grid.points)
+        for t, x, blocks in zip(cfg.grid.points, evolved, _blockops.block_view(evolved, d_b)):
+            for a, b in np.ndindex(d_b, d_b):
+                _matrix_rows(rows, t, f"{name}[{a}][{b}]", blocks[a, b])
+            _matrix_rows(rows, t, f"{name}_S", _blockops.bath_trace(x, rho_b))
     return rows
 
 

@@ -17,10 +17,6 @@ class InvalidDensityMatrix(HeisenbathError):
     """Density matrix fails hermiticity, unit trace or positivity checks."""
 
 
-class IndexOutOfRange(HeisenbathError):
-    """Bath index outside [0, d_B)."""
-
-
 class OrderExceedsKernels(HeisenbathError):
     """A series operation requested an order beyond the computed kernels."""
 

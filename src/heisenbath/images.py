@@ -3,8 +3,9 @@
 A full-space operator ``X`` is equivalent to the family of system-space
 blocks ``X_ab = T_a^dag X T_b`` indexed by bath states; the family of a
 product is the product of the full-space matrices, and contracting with the
-bath state recovers reduced operators.  A family is stored as its ``D x D``
-full-space matrix; the blocks are a view of it (`heisenbath._blockops`).
+bath state (`heisenbath._blockops.bath_trace`) recovers reduced operators.
+A family is stored as its ``D x D`` full-space matrix; the blocks are a view
+of it (`heisenbath._blockops`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blockops
-from .errors import DimensionError, IndexOutOfRange
+from .errors import DimensionError
 from .model import ModelSpec
 from .oracle import evolve_exact
 from .spaces import OperatorMatrix, TimeGrid, full_dims
@@ -44,22 +45,10 @@ class ImageFamily:
         """``(d_B, d_B, d_S, d_S)`` view of the matrix."""
         return _blockops.block_view(self.matrix, self.dim_bath)
 
-    def block(self, alpha: int, beta: int) -> np.ndarray:
-        if not (0 <= alpha < self.dim_bath and 0 <= beta < self.dim_bath):
-            raise IndexOutOfRange(f"bath indices ({alpha}, {beta}) outside [0, {self.dim_bath})")
-        return self.blocks[alpha, beta]
-
 
 def to_image_family(x: OperatorMatrix, time: float = 0.0) -> ImageFamily:
     """All blocks ``T_a^dag x T_b`` of a full-space operator."""
     return ImageFamily(x.mat, full_dims(x, "to_image_family")[1], time)
-
-
-def contract_with_bath(f: ImageFamily, rho_b: np.ndarray) -> np.ndarray:
-    """Reduced operator ``sum_ab blocks[a,b] rho_B[b,a]``."""
-    if np.shape(rho_b) != (f.dim_bath, f.dim_bath):
-        raise DimensionError("bath dimensions differ")
-    return _blockops.bath_trace(f.matrix, rho_b)
 
 
 def evolve_images_exact(m: ModelSpec, o0: OperatorMatrix, grid: TimeGrid) -> list[ImageFamily]:

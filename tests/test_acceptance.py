@@ -21,7 +21,8 @@ from heisenbath.diagnostics import (
     star_errors,
 )
 from heisenbath.dyson import compute_kernels
-from heisenbath.images import ImageFamily, contract_with_bath, evolve_images_exact
+from heisenbath._blockops import bath_trace
+from heisenbath.images import ImageFamily, evolve_images_exact
 from heisenbath.markov import (
     bohr_decompose_all,
     check_markov_assumptions,
@@ -75,7 +76,7 @@ def test_criterion_02_two_qubit_exact_law(c):
     worst = 0.0
     for fam in traj:
         t = fam.time
-        reduced = contract_with_bath(fam, preset.model.rho_b)
+        reduced = bath_trace(fam.matrix, preset.model.rho_b)
         off = 0.25 * (1 + np.cos(lam * t) + 1j * (1 - 2 * c) * np.sin(lam * t))
         expected = np.array([[0, off], [np.conj(off), 0]])
         worst = max(worst, float(np.max(np.abs(reduced - expected))))

@@ -14,7 +14,8 @@ import yaml
 from heisenbath import cli
 from heisenbath.dyson import compute_kernels
 from heisenbath.errors import NonFiniteResult, ParseError, ValidationError
-from heisenbath.images import contract_with_bath, evolve_images_exact
+from heisenbath._blockops import bath_trace
+from heisenbath.images import evolve_images_exact
 from heisenbath.markov import evolve_lindblad
 from heisenbath.model import make_model
 from heisenbath.spaces import TimeGrid, system_operator
@@ -298,7 +299,7 @@ class TestRunModes:
         grid = TimeGrid.linspace(1.0, 3)
         expected, free = (
             {(fam.time, i, j): v for fam in evolve_images_exact(m.with_coupling(lam), o_op, grid)
-             for (i, j), v in np.ndenumerate(contract_with_bath(fam, m.rho_b))}
+             for (i, j), v in np.ndenumerate(bath_trace(fam.matrix, m.rho_b))}
             for lam in (0.5, 0.0)
         )
         assert written == expected and written != free

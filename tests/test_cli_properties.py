@@ -1,4 +1,5 @@
-"""Property tests of the CLI exit-code contract on fuzzed shipped configs.
+"""Property tests of the CLI exit-code contract on fuzzed shipped configs and
+on an inline-model config, with any YAML value at any field.
 
 Every run exits 0 (finite results written), 2 (bad config, field named),
 3 (numerical failure) or 4 (validation defect); never 1, the code of an
@@ -7,6 +8,7 @@ validate run writes its table on exit 4), and exits 2 and 3 leave no file.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -30,29 +32,41 @@ def square_matrices(n: int):
     return st.lists(st.lists(numbers, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
+def _shipped(config: str) -> dict:
+    with open(os.path.join(CONFIGS, config)) as fh:
+        return yaml.safe_load(fh)
+
+
+def _execute(raw: dict) -> tuple[int, str, dict]:
+    """Run ``raw`` from a temporary working directory, where a relative or default
+    ``output.path`` lands too; (exit code, stderr, the text of each file the run
+    wrote there, by name)."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("exp.yaml", "w") as fh:
+                yaml.safe_dump(raw, fh, sort_keys=False)  # keys of mixed types do not sort
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(["run", "exp.yaml"])
+                except Exception:
+                    code = 1
+                    traceback.print_exc(file=err)
+            files = {}
+            for name in set(os.listdir()) - {"exp.yaml"}:
+                with open(name) as fh:
+                    files[name] = fh.read()
+        finally:
+            os.chdir(cwd)
+    return code, err.getvalue(), files
+
+
 def _run(config: str, **sections) -> tuple[int, str, list[dict] | None]:
     """Run a shipped config with ``sections`` replaced; (exit code, stderr, rows or None)."""
-    with open(os.path.join(CONFIGS, config)) as fh:
-        raw = yaml.safe_load(fh)
-    raw.update(sections)
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out.json")
-        raw["output"] = {"path": out, "format": "json"}
-        path = os.path.join(tmp, "exp.yaml")
-        with open(path, "w") as fh:
-            yaml.safe_dump(raw, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(["run", path])
-            except Exception:
-                code = 1
-                traceback.print_exc(file=err)
-        rows = None
-        if os.path.exists(out):
-            with open(out) as fh:
-                rows = json.load(fh)
-    return code, err.getvalue(), rows
+    code, err, files = _execute({**_shipped(config), **sections, "output": {"path": "out.json", "format": "json"}})
+    return code, err, json.loads(files["out.json"]) if "out.json" in files else None
 
 
 def _assert_contract(code: int, err: str, rows: list[dict] | None, finite: tuple[str, ...]) -> None:
@@ -192,3 +206,109 @@ def test_image_exact_exit_code_contract(stop, num, matrix):
         "two_qubit_one_point.yaml", run="image_exact", grid={"stop": stop, "num": num}, observables=observables
     )
     _assert_contract(code, err, rows, ("time", "re", "im"))
+
+
+# An inline-model n_point config: README's example model with a grid of points,
+# an observable with complex entries and times, and two star factors.
+INLINE = {
+    "model": {
+        "h0": [[0, 0], [0, 1.3]],
+        "hb": [[0, 0], [0, 0.8]],
+        "hi": [[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]],
+        "rho0": [[1, 0], [0, 0]],
+        "rho_b": [[0.6, 0], [0, 0.4]],
+        "hbar": 1.0,
+    },
+    "run": "n_point",
+    "truncation": {"order": 2, "lambda": 0.05},
+    "grid": {"points": [0.0, 0.5, 1.0]},
+    "observables": {"coherence": {"matrix": [[0, [0, -1]], [[0, 1], 0]], "times": [0.25, 1.5]}},
+    "npoint": {"factors": [{"observable": "coherence", "time": 0.9}, {"observable": "coherence", "time": 0.4}]},
+}
+
+# YAML values of every kind.  Numbers are small or enormous, never in between,
+# and text holds a digit only in the listed words: a mid-size count such as
+# `grid.num: 1e8` is a valid config that allocates for real, while an enormous
+# one is refused at once.
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=12)
+    | st.just(10**20)
+    | st.floats(min_value=-10.0, max_value=10.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324])
+)
+WORDS = st.text(alphabet="ab_.- ", max_size=3) | st.sampled_from(
+    ["s1x", "coherence", "two_qubit", "csv", "json", "validate", "image_exact", "1e-3"]
+)
+
+
+def yaml_values(scalars):
+    """Scalars from ``scalars``, and lists and mappings nested up to a few levels deep."""
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(WORDS | st.integers(0, 2), inner, max_size=2),
+        max_leaves=8,
+    )
+
+
+def _positions(node, path=()):
+    """The path of every field and list position under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*path, key)
+        yield from _positions(child, (*path, key))
+
+
+def _put(raw: dict, position: tuple, value) -> None:
+    for key in position[:-1]:
+        raw = raw[key]
+    raw[position[-1]] = value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("config", [*sorted(os.listdir(CONFIGS)), "inline"])
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_value_at_any_field(config, data):
+    """Any YAML value at any field or list position of a shipped config or of
+    `INLINE`, its output set to ``out.json``.  ``output.path`` takes no text,
+    so that every file a run writes lies in its temporary directory."""
+    raw = copy.deepcopy(INLINE) if config == "inline" else _shipped(config)
+    raw["output"] = {"path": "out.json", "format": "json"}
+    position = data.draw(st.sampled_from(list(_positions(raw))), label="position")
+    value = data.draw(yaml_values(SCALARS if position == ("output", "path") else SCALARS | WORDS), label="value")
+    _put(raw, position, value)
+    code, err, files = _execute(raw)
+    assert code in (0, 2, 3, 4), err[-2000:]
+    assert code != 2 or "config error: " in err
+    assert bool(files) == (code in (0, 4)), f"exit {code} left {sorted(files)}"
+
+
+MATRICES = {
+    "observable": ("observables", "coherence", "matrix"),
+    **{name: ("model", name) for name in ("h0", "hb", "hi", "rho0", "rho_b")},
+}
+# (position in `INLINE`, the value put there, the field the error names) of each
+# malformed value that once exited 1 or was accepted
+MALFORMED = {
+    "preset_list": (("model",), {"preset": [1]}, "model.preset"),
+    "factor_observable_list": (("npoint", "factors", 0, "observable"), [1], "npoint.factors[0].observable"),
+    "observable_name_number": (("observables", 1), {"matrix": [[1, 0], [0, 1]]}, "observables.1"),
+    "output_path_null": (("output", "path"), None, "output.path"),
+}
+for name, position in MATRICES.items():
+    field = ".".join(map(str, position))
+    MALFORMED[f"{name}_number_row"] = ((*position, 0), 1, f"{field}[0]")
+    MALFORMED[f"{name}_ragged"] = ((*position, 1), [0], f"{field}[1]")
+    MALFORMED[f"{name}_true_entry"] = ((*position, 0, 0), True, f"{field}[0][0]")
+
+
+@pytest.mark.parametrize("position,value,field", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_value_is_2(position, value, field):
+    """Exit 2 naming the field, and no file, for each malformed value."""
+    raw = {**copy.deepcopy(INLINE), "output": {"path": "out.json", "format": "json"}}
+    _put(raw, position, value)
+    code, err, files = _execute(raw)
+    assert code == 2 and f"config error: {field}: " in err, err[-2000:]
+    assert files == {}

@@ -53,8 +53,8 @@ class TestInteractionImages:
         for a in range(2):
             for b in range(2):
                 phase = np.exp(-1j * (m.bath_energies[a] - m.bath_energies[b]) * t)
-                expected = u0 @ hi_fam.block(a, b) @ u0.conj().T * phase
-                assert np.allclose(fam.block(a, b), expected, atol=1e-13)
+                expected = u0 @ hi_fam.blocks[a, b] @ u0.conj().T * phase
+                assert np.allclose(fam.blocks[a, b], expected, atol=1e-13)
 
 
 class TestKernels:
@@ -96,10 +96,10 @@ class TestKernels:
         _, ks = two_qubit_quarter
         t = 1.6
         k2 = ImageFamily(heis_stack(ks, t)[2], ks.dim_bath)
-        assert np.max(np.abs(k2.block(0, 0) - t**2 / 32 * np.diag([1, 5]))) < 1e-11
-        assert np.max(np.abs(k2.block(0, 1) - t**2 / 8 * np.array([[0, 0], [-1, 0]]))) < 1e-11
-        assert np.max(np.abs(k2.block(1, 0) - t**2 / 8 * np.array([[0, -1], [0, 0]]))) < 1e-11
-        assert np.max(np.abs(k2.block(1, 1) - t**2 / 32 * np.diag([5, 1]))) < 1e-11
+        assert np.max(np.abs(k2.blocks[0, 0] - t**2 / 32 * np.diag([1, 5]))) < 1e-11
+        assert np.max(np.abs(k2.blocks[0, 1] - t**2 / 8 * np.array([[0, 0], [-1, 0]]))) < 1e-11
+        assert np.max(np.abs(k2.blocks[1, 0] - t**2 / 8 * np.array([[0, -1], [0, 0]]))) < 1e-11
+        assert np.max(np.abs(k2.blocks[1, 1] - t**2 / 32 * np.diag([5, 1]))) < 1e-11
 
     @pytest.mark.parametrize("seed", [2, 8])
     def test_second_order_against_nested_quadrature(self, seed):

@@ -88,17 +88,18 @@ def _program_paths():
     return paths + [*(ROOT / "tools").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 
 
-def _program_references() -> set:
-    """Every name an `ast.Name` or `ast.Attribute` reads in the package, `tools/`
-    or `perfbench/`; the package's ``__init__`` imports are not reads."""
-    names = set()
+def _program_references() -> tuple[set, set]:
+    """The names that an `ast.Name` reads, and those that an `ast.Attribute` reads,
+    in the package, `tools/` or `perfbench/`; the package's ``__init__`` imports
+    are not reads."""
+    names, attributes = set(), set()
     for path in _program_paths():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attributes.add(node.attr)
+    return names, attributes
 
 
 def _annotated_class(annotation):
@@ -139,19 +140,24 @@ def _resolved_references() -> set:
 def test_every_public_name_has_a_program_caller():
     """A public function, class or method that only tests call is deleted,
     unless `KEPT` says why it stays; a kept name that gains a program caller
-    leaves `KEPT`.  A method whose bare name no other definition shares is
-    called when that name is read; one whose name is shared is called only
-    when a read resolves to its class (`_resolved_references`), or when
-    `SHARED_NAMES` says who reads it, so a dead method cannot hide behind a
-    live name.  An entry there that a read resolves leaves it."""
+    leaves `KEPT`.  A function or class is called when its name is read, bare
+    or as an attribute.  A method is called only through an attribute read
+    (``x.name``), so a local variable of the same name does not keep it: one
+    whose bare name no other definition shares is called when ``.name`` is
+    read; one whose name is shared is called only when a read resolves to its
+    class (`_resolved_references`), or when `SHARED_NAMES` says who reads it,
+    so a dead method cannot hide behind a live name.  An entry there that a
+    read resolves leaves it."""
     definitions = dict(_public_definitions())
     assert set(KEPT) <= set(definitions), set(KEPT) - set(definitions)
     assert set(SHARED_NAMES) <= set(definitions), set(SHARED_NAMES) - set(definitions)
-    called, resolved, counts = _program_references(), _resolved_references(), _definitions_per_name()
+    (names, attributes), resolved, counts = _program_references(), _resolved_references(), _definitions_per_name()
 
     def has_caller(full, name):
-        if full == name or counts[name] == 1:
-            return name in called
+        if full == name:
+            return name in names or name in attributes
+        if counts[name] == 1:
+            return name in attributes
         return full in resolved or full in SHARED_NAMES
 
     orphans = sorted(full for full, name in definitions.items() if not has_caller(full, name) and full not in KEPT)

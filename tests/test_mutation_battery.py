@@ -3,12 +3,15 @@
 Each mutant is one textual edit ``(name, file, old, new)`` of a module of the
 package.  It is applied to a copy of the package under ``tmp_path``, never
 to the source tree, and `diagnostics.validation_suite` runs on the copy in a
-subprocess, order 2, on the six suites of `SUITES`: seed 0 at (d_S, d_B) =
-(2, 3) and seed 1 at (3, 2), each at hbar = 1 and again at hbar = 1.3
-(``diagnostics.random_model`` bound to ``hbar``), at the default t = 1.1;
-and seed 0 at (2, 3), hbar = 1, and seed 1 at (3, 2), hbar = 1.3, at
-t = 4.0.  At t = 1.1 every Van Loan step meets a Pade bound unscaled, so
-only the t = 4.0 suites square in `dyson.toeplitz_expm`.  A mutant is
+subprocess, on the twelve suites of `SUITES`: six points, each at orders 2
+and 3.  The points are seed 0 at (d_S, d_B) = (2, 3) and seed 1 at (3, 2),
+each at hbar = 1 and again at hbar = 1.3 (``diagnostics.random_model``
+bound to ``hbar``), at the default t = 1.1; and seed 0 at (2, 3), hbar = 1,
+and seed 1 at (3, 2), hbar = 1.3, at t = 4.0.  At t = 1.1 every Van Loan
+step meets a Pade bound unscaled, so only the t = 4.0 suites square in
+`dyson.toeplitz_expm`.  At order 2 the order-3 kernel block feeds only rows
+that compare two sums built from the same kernels, so an error confined to
+it needs the order-3 suites.  A mutant is
 killed when it fails a row that the unmutated copy passes, or makes the
 suite raise.  The test prints the kill matrix: for each mutant, the rows it
 fails and in how many of the suites.
@@ -56,6 +59,13 @@ MUTANTS = (
     ("squaring_count", "dyson.py", "for _ in range(s):", "for _ in range(s - 1):"),
     ("star_chain_order", "superop.py", "reduce(np.matmul, mats)", "reduce(np.matmul, mats[::-1])"),
     ("toeplitz_mul_reversal", "dyson.py", "a[1 : n - m], b[m]", "a[n - m - 1 : 0 : -1], b[m]"),
+    # drops the inner terms m = 2, which only blocks 3 and up of a product hold
+    (
+        "toeplitz_mul_order3_block",
+        "dyson.py",
+        "for m in range(1, min(len(b), n - 1)):",
+        "for m in range(1, min(len(b), n - 1, 2)):",
+    ),
     ("toeplitz_mul_scale_axis", "dyson.py", "a0[:, None] * b", "a0[None, :] * b"),
     ("toeplitz_solve_sign", "dyson.py", "x = p - q * x0", "x = p + q * x0"),
     ("leave_open_conj", "dyson.py", "x.reshape(-1, ds) @ self.v0.conj().T", "x.reshape(-1, ds) @ self.v0.T"),
@@ -74,14 +84,18 @@ MUTANTS = (
     ),
 )
 
-# (seed, d_S, d_B, hbar, t) of each suite
-SUITES = (
-    (0, 2, 3, 1.0, 1.1),
-    (1, 3, 2, 1.0, 1.1),
-    (0, 2, 3, 1.3, 1.1),
-    (1, 3, 2, 1.3, 1.1),
-    (0, 2, 3, 1.0, 4.0),
-    (1, 3, 2, 1.3, 4.0),
+# (seed, d_S, d_B, hbar, t, order) of each suite: six points, each at orders 2 and 3
+SUITES = tuple(
+    (*point, order)
+    for order in (2, 3)
+    for point in (
+        (0, 2, 3, 1.0, 1.1),
+        (1, 3, 2, 1.0, 1.1),
+        (0, 2, 3, 1.3, 1.1),
+        (1, 3, 2, 1.3, 1.1),
+        (0, 2, 3, 1.0, 4.0),
+        (1, 3, 2, 1.3, 4.0),
+    )
 )
 
 SUITE_SCRIPT = """
@@ -91,14 +105,14 @@ from heisenbath import diagnostics
 assert diagnostics.__file__.startswith(sys.argv[1])
 random_model = diagnostics.random_model
 out = {}
-for seed, d_s, d_b, hbar, t in json.loads(sys.argv[2]):
+for seed, d_s, d_b, hbar, t, order in json.loads(sys.argv[2]):
     diagnostics.random_model = functools.partial(random_model, hbar=hbar)
     try:
-        rows = diagnostics.validation_suite(seed, d_s, d_b, order=2, t=t)
+        rows = diagnostics.validation_suite(seed, d_s, d_b, order=order, t=t)
         failed = [r["check"] for r in rows if r["status"] != "pass"]
     except Exception as exc:
         failed = ["raised " + type(exc).__name__]
-    out[f"seed {seed} ({d_s}, {d_b}) hbar {hbar} t {t}"] = failed
+    out[f"seed {seed} ({d_s}, {d_b}) hbar {hbar} t {t} order {order}"] = failed
 print(json.dumps(out))
 """
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from heisenbath.diagnostics import fit_slope
-from heisenbath.images import ImageFamily, contract_with_bath
+from heisenbath._blockops import bath_trace
+from heisenbath.images import ImageFamily
 from heisenbath.npoint import (
     _partitions,
     cumulant_2pt,
@@ -110,8 +111,8 @@ class TestAssembleTerm:
         for pairs in [((1, 0),), ((1, 1),), ((2, 0), (0, 1))]:
             base = partition_term(pairs, val, trunc, ks, m.rho_b, 1.1)
             prefixed = partition_term(((0, 0),) + pairs, val, trunc, ks, m.rho_b, 1.1)
-            lhs = contract_with_bath(base, m.rho_b)
-            rhs = contract_with_bath(prefixed, m.rho_b)
+            lhs = bath_trace(base.matrix, m.rho_b)
+            rhs = bath_trace(prefixed.matrix, m.rho_b)
             assert np.max(np.abs(lhs + rhs)) < 1e-14
 
 
@@ -144,7 +145,7 @@ class TestExpandByPartitions:
         )
         t = 0.8
         fam = expand_image_by_partitions(traj, order, ks, m.rho_b, t)
-        back = contract_with_bath(fam, m.rho_b)
+        back = bath_trace(fam.matrix, m.rho_b)
         assert np.max(np.abs(back - one_point_at(traj.observable, traj.truncation, ks, m.rho_b, t))) < 1e-13
 
 
@@ -214,7 +215,7 @@ class TestDecompose3pt:
         v1, v2, v3 = values
 
         def reduced(x):
-            return contract_with_bath(ImageFamily(x, m.dim_bath), m.rho_b)
+            return bath_trace(ImageFamily(x, m.dim_bath).matrix, m.rho_b)
 
         disc = v1 @ v2 @ v3
         wired_12 = reduced(x1 @ x2) @ v3 - disc
@@ -260,7 +261,7 @@ class TestDecompose3pt:
         disc, _, wired_31, _, _ = decompose_3pt_parts(values, lifted, rho_b)
         for k in np.ndindex(*lead):
             x1, x3, v2 = lifted[0][k], lifted[2][k], values[1][k]
-            ref = contract_with_bath(ImageFamily(x1 @ np.kron(v2, np.eye(db)) @ x3, db), rho_b) - disc[k]
+            ref = bath_trace(ImageFamily(x1 @ np.kron(v2, np.eye(db)) @ x3, db).matrix, rho_b) - disc[k]
             assert np.max(np.abs(wired_31[k] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_two_qubit_irreducible_matches_oracle_formula(self, two_qubit_quarter):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from heisenbath.diagnostics import random_model
 from heisenbath.dyson import compute_kernels
-from heisenbath.images import contract_with_bath
+from heisenbath._blockops import bath_trace
 from heisenbath.npoint import expand_image_by_partitions
 from heisenbath.spaces import TimeGrid
 from heisenbath.superop import (
@@ -81,7 +81,7 @@ def test_partition_sum_cancels_and_matches_the_superoperator_image(seed, d_s, d_
     traj = one_point_operator(obs, trunc, ks, m.rho_b, ks.grid)
     family = expand_image_by_partitions(traj, order, ks, m.rho_b, t)
     value = one_point_at(obs, trunc, ks, m.rho_b, t)
-    assert np.max(np.abs(contract_with_bath(family, m.rho_b) - value)) < 1e-12
+    assert np.max(np.abs(bath_trace(family.matrix, m.rho_b) - value)) < 1e-12
     assert np.max(np.abs(family.matrix - image_from_one_point(traj, ks, m.rho_b, t).matrix)) < 1e-12
 
 

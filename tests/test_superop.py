@@ -7,7 +7,8 @@ import heisenbath as hb
 from heisenbath.diagnostics import fit_slope
 from heisenbath.errors import DimensionError, OrderExceedsKernels
 from heisenbath.dyson import compute_kernels
-from heisenbath.images import ImageFamily, contract_with_bath, to_image_family
+from heisenbath._blockops import bath_trace
+from heisenbath.images import ImageFamily, to_image_family
 from heisenbath.oracle import heisenberg_evolve_exact, npoint_reduced_exact
 from heisenbath.spaces import TimeGrid, system_operator, weighted_bath_trace
 from heisenbath.superop import (
@@ -233,7 +234,7 @@ class TestImageFromOnePoint:
             trunc = SeriesTruncation(order, 0.1)
             val = one_point_at(obs, trunc, ks, m.rho_b, 1.3)
             fam = lift_at(val, trunc, ks, m.rho_b, 1.3)[1]
-            back = contract_with_bath(fam, m.rho_b)
+            back = bath_trace(fam.matrix, m.rho_b)
             assert np.max(np.abs(back - val)) < 1e-13
 
 
