@@ -15,10 +15,15 @@ fields of ``grid``, ``markov`` and ``validate`` are each one
 `MARKOV_SCALARS`, `VALIDATE_SCALARS`) read by `_scalars`, and `FIELDS`
 reads those sections' field names off the same rows.
 
-Operator trajectories are emitted as long-format rows
-``(time, observable, row, col, re, im)``; floats are written with 17
-significant digits so identical runs produce byte-identical files.  CSV
-fields are quoted where they need it: a label holding a comma, such as the
+A run's result is one table: a dict of equal-length numpy columns whose
+key order is the header.  Operator trajectories are the long-format table
+``(time, observable, row, col, re, im)``, built from the stacked matrices
+by `_operator_table`; the check modes have their own columns.  One
+`np.isfinite` over the float columns guards the write, and CSV rows are
+formatted as they are written, a chunk at a time, so memory grows with the
+arrays, not with per-row objects.  Floats are written with 17 significant
+digits so identical runs produce byte-identical files.  CSV fields are
+quoted where they need it: a label holding a comma, such as the
 ``J[i,j](omega=...)`` checks of a Markov report, is one quoted field.
 """
 
@@ -26,13 +31,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import reprlib
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +70,7 @@ from .spaces import HERM_TOL, TimeGrid, check_density, herm_defect, system_matri
 from .superop import SeriesTruncation, one_point_values, star_of_observables
 
 FLOAT_FMT = "%.17g"
+CHUNK = 4096  # rows a written table formats at a time
 KERNEL_CAP = 6  # highest truncation order a run may ask for
 # highest order a validate run may ask for: above it the four couplings of the
 # sweep leave too few errors between the asymptotic range and the rounding floor
@@ -361,34 +365,37 @@ def load_config(path: str, flags: dict | None = None) -> ExperimentConfig:
 # -- emission ------------------------------------------------------------------
 
 
-def _format_value(v):
-    if isinstance(v, float):
-        return FLOAT_FMT % v
-    return str(v)
+def _cells(table: dict, n: int):
+    """The ``n`` rows of a table, each a tuple of cells with floats as `FLOAT_FMT`
+    strings, formatted `CHUNK` rows at a time."""
+    for start in range(0, n, CHUNK):
+        columns = [c[start : start + CHUNK] for c in table.values()]
+        yield from zip(*([FLOAT_FMT % v for v in c.tolist()] if c.dtype.kind == "f" else c.tolist() for c in columns))
 
 
-def write_rows(rows: list[dict], path: str, fmt: str) -> None:
-    """Write rows atomically (temp file + rename), deterministically formatted."""
-    if fmt == "csv":
-        buf = io.StringIO()
-        if rows:
-            keys = list(rows[0].keys())
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(keys)
-            writer.writerows([_format_value(r[k]) for k in keys] for r in rows)
-        payload = buf.getvalue() or "\n"
-    else:
-        canon = [
-            {k: (_format_value(v) if isinstance(v, float) else v) for k, v in r.items()}
-            for r in rows
-        ]
-        payload = json.dumps(canon, sort_keys=True, indent=1) + "\n"
+def write_rows(table: dict, path: str, fmt: str) -> None:
+    """Write a table atomically (temp file + rename), deterministically formatted.
+
+    CSV rows are formatted as they are written, under a header of the
+    table's keys; JSON is a list of one object per row.  A table with no
+    rows is ``"\\n"`` (CSV) or ``"[]\\n"`` (JSON).  The file gets the mode a
+    plain ``open`` gives a new file, ``0o666`` less the umask.
+    """
+    n = len(next(iter(table.values())))
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
+            if fmt == "csv" and n:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(table)
+                writer.writerows(_cells(table, n))
+            else:
+                if fmt == "json":
+                    json.dump([dict(zip(table, cells)) for cells in _cells(table, n)], fh, sort_keys=True, indent=1)
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -396,113 +403,102 @@ def write_rows(rows: list[dict], path: str, fmt: str) -> None:
         raise
 
 
-def _matrix_rows(rows: list, time: float, label: str, mat: np.ndarray) -> None:
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            rows.append(
-                {
-                    "time": float(time),
-                    "observable": label,
-                    "row": i,
-                    "col": j,
-                    "re": float(mat[i, j].real),
-                    "im": float(mat[i, j].imag),
-                }
-            )
+def _operator_table(labels, times, values: np.ndarray) -> dict:
+    """The long-format table ``(time, observable, row, col, re, im)`` of the
+    matrices ``values`` ``(n, d, d)``, the k-th labelled ``labels[k]`` at ``times[k]``."""
+    n, d, _ = values.shape
+    return {
+        "time": np.repeat(np.asarray(times, dtype=float), d * d),
+        "observable": np.repeat(np.asarray(labels, dtype=object), d * d),
+        "row": np.tile(np.repeat(np.arange(d), d), n),
+        "col": np.tile(np.arange(d), n * d),
+        "re": values.real.ravel(),
+        "im": values.imag.ravel(),
+    }
 
 
 # -- run modes -----------------------------------------------------------------
 
 
-def _run_one_point(cfg: ExperimentConfig) -> list[dict]:
+def _run_one_point(cfg: ExperimentConfig) -> dict:
     ks = compute_kernels(cfg.model, cfg.truncation.order, cfg.grid)
-    rows: list[dict] = []
     order, lam = cfg.truncation.order, cfg.truncation.lam
+    labels, samples, values = [], [], []
     for name, (mat, times) in sorted(cfg.observables.items()):
         sample = cfg.grid.points if times is None else np.array(times, dtype=float)
-        values = one_point_values(system_matrix(mat), order, (lam,), ks, cfg.model.rho_b, ks.eigen_rows(sample))
-        for t, value in zip(sample, values[0]):
-            _matrix_rows(rows, t, name, value)
-    return rows
+        values.append(one_point_values(system_matrix(mat), order, (lam,), ks, cfg.model.rho_b, ks.eigen_rows(sample))[0])
+        labels += [name] * len(sample)
+        samples.append(sample)
+    return _operator_table(labels, np.concatenate(samples), np.concatenate(values))
 
 
-def _run_n_point(cfg: ExperimentConfig) -> list[dict]:
+def _run_n_point(cfg: ExperimentConfig) -> dict:
     ks = compute_kernels(cfg.model, cfg.truncation.order, cfg.grid)
     legs = [(cfg.observables[name][0], t) for name, t in cfg.npoint_factors]
     star = star_of_observables(legs, cfg.truncation, ks, cfg.model.rho_b)
     label = "star:" + "*".join(f"{name}@{FLOAT_FMT % t}" for name, t in cfg.npoint_factors)
-    rows: list[dict] = []
-    _matrix_rows(rows, max(t for _, t in legs), label, star)
-    return rows
+    return _operator_table([label], [max(t for _, t in legs)], star[None])
 
 
-def _run_image_exact(cfg: ExperimentConfig) -> list[dict]:
-    rows: list[dict] = []
-    d_b, rho_b = cfg.model.dim_bath, cfg.model.rho_b
+def _run_image_exact(cfg: ExperimentConfig) -> dict:
+    """Per observable and time, the ``d_B^2`` blocks ``name[a][b]``, then the reduced operator ``name_S``."""
+    m, points = cfg.model, cfg.grid.points
+    d_s, d_b = m.dim_system, m.dim_bath
+    labels, values = [], []
     for name, (mat, _) in sorted(cfg.observables.items()):
-        evolved = evolve_exact(cfg.model, [mat], cfg.grid.points)
-        for t, x, blocks in zip(cfg.grid.points, evolved, _blockops.block_view(evolved, d_b)):
-            for a, b in np.ndindex(d_b, d_b):
-                _matrix_rows(rows, t, f"{name}[{a}][{b}]", blocks[a, b])
-            _matrix_rows(rows, t, f"{name}_S", _blockops.bath_trace(x, rho_b))
-    return rows
+        evolved = evolve_exact(m, [mat], points)
+        blocks = _blockops.block_view(evolved, d_b).reshape(len(points), d_b * d_b, d_s, d_s)
+        reduced = np.stack([_blockops.bath_trace(x, m.rho_b) for x in evolved])  # one call per time: see `bath_trace`
+        values.append(np.concatenate([blocks, reduced[:, None]], axis=1).reshape(-1, d_s, d_s))
+        per_time = [f"{name}[{a}][{b}]" for a, b in np.ndindex(d_b, d_b)] + [f"{name}_S"]
+        labels.append(np.tile(np.array(per_time, dtype=object), len(points)))
+    times = np.tile(np.repeat(points, d_b * d_b + 1), len(labels))
+    return _operator_table(np.concatenate(labels), times, np.concatenate(values))
 
 
 def _markov_pipeline(cfg: ExperimentConfig):
-    m = cfg.model
-    p = cfg.markov
+    m, p = cfg.model, cfg.markov
     dec = decompose_interaction(m.hi)
     bd = bohr_decompose_all(dec, m.h0.mat, m.constants.hbar)
-    sc = spectral_coefficients(
-        m, dec, bd.frequencies, horizon=p["j_horizon"], tol=p["j_tolerance"], eta=p["eta"]
-    )
+    sc = spectral_coefficients(m, dec, bd.frequencies, horizon=p["j_horizon"], tol=p["j_tolerance"], eta=p["eta"])
     return dec, bd, sc
 
 
-def _run_lindblad(cfg: ExperimentConfig) -> list[dict]:
-    m = cfg.model
+def _run_lindblad(cfg: ExperimentConfig) -> dict:
+    m, points = cfg.model, cfg.grid.points
     _, bd, sc = _markov_pipeline(cfg)
     names = sorted(cfg.observables)
     stack = np.stack([cfg.observables[name][0] for name in names])
     trajectories = evolve_lindblad(stack, bd, sc, m.h0.mat, m.constants, cfg.grid)
-    rows: list[dict] = []
-    for name, values in zip(names, trajectories):
-        for t, val in zip(cfg.grid.points, values):
-            _matrix_rows(rows, t, name, val)
-    return rows
+    labels = np.repeat(np.array(names, dtype=object), len(points))
+    return _operator_table(labels, np.tile(points, len(names)), trajectories.reshape(-1, *trajectories.shape[-2:]))
 
 
-def _run_markov_report(cfg: ExperimentConfig) -> list[dict]:
+def _run_markov_report(cfg: ExperimentConfig) -> dict:
     dec, _, sc = _markov_pipeline(cfg)
     report = check_markov_assumptions(cfg.model, dec, cfg.markov["horizon"], cfg.markov["decay_threshold"])
     # no decay crossing within the horizon: the crossing time is beyond it
     crossing = report.decay_time if report.decay_time is not None else report.horizon
-    assumptions = (
+    checks, metrics, values, thresholds = zip(
         ("first_moment", "max_abs", report.first_moment_max, FIRST_MOMENT_THRESHOLD),
         ("stationarity", "max_abs_defect", report.stationarity_defect, STATIONARITY_THRESHOLD),
         ("decay", "crossing_time", crossing, report.decay_threshold),
     )
-    rows = [
-        {"check": check, "metric": metric, "value": value, "threshold": threshold,
-         "status": "pass" if report.passes[check] else "fail"}
-        for check, metric, value, threshold in assumptions
-    ]
-    for i, j, k in np.ndindex(sc.j.shape):
-        val = complex(sc.j[i, j, k])
-        rows.append(
-            {
-                "check": f"J[{i},{j}](omega={FLOAT_FMT % sc.frequencies[k]})",
-                "metric": "re_im",
-                "value": val.real,
-                "threshold": val.imag,
-                "status": "converged" if sc.defects[i, j, k] <= sc.tolerance else "unconverged",
-            }
-        )
-    return rows
+    entries = [f"J[{i},{j}](omega={FLOAT_FMT % sc.frequencies[k]})" for i, j, k in np.ndindex(sc.j.shape)]
+    status = ["pass" if report.passes[check] else "fail" for check in checks]
+    status += ["converged" if defect <= sc.tolerance else "unconverged" for defect in sc.defects.ravel()]
+    return {
+        "check": np.array([*checks, *entries]),
+        "metric": np.array([*metrics, *["re_im"] * len(entries)]),
+        "value": np.concatenate([values, sc.j.real.ravel()]),
+        "threshold": np.concatenate([thresholds, sc.j.imag.ravel()]),
+        "status": np.array(status),
+    }
 
 
-def _run_validate(cfg: ExperimentConfig) -> list[dict]:
-    return validation_suite(**cfg.validate, order=cfg.truncation.order)
+def _run_validate(cfg: ExperimentConfig) -> dict:
+    rows = validation_suite(**cfg.validate, order=cfg.truncation.order)
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
 RUNNERS = {
@@ -516,38 +512,42 @@ RUNNERS = {
 RUN_MODES = tuple(RUNNERS)
 
 
-def _describe_failure(row: dict) -> str:
-    """``cumulant2_order2 slope 3.62 < 3.8``: a failing row with its value and threshold."""
-    if "slope" in row["metric"]:
-        return f"{row['check']} slope {row['value']:.3g} < {row['threshold']:.3g}"
-    return f"{row['check']} defect {row['value']:.3g} > {row['threshold']:.3g}"
+def _describe_failure(table: dict, i: int) -> str:
+    """``cumulant2_order2 slope 3.62 < 3.8``: failing row ``i`` with its value and threshold."""
+    check, value, threshold = table["check"][i], table["value"][i], table["threshold"][i]
+    if "slope" in table["metric"][i]:
+        return f"{check} slope {value:.3g} < {threshold:.3g}"
+    return f"{check} defect {value:.3g} > {threshold:.3g}"
 
 
-def _check_finite(rows: list[dict]) -> None:
-    """Raise `NonFiniteResult` on the first row holding a NaN or an infinity."""
-    for row in rows:
-        if not all(math.isfinite(v) for v in row.values() if isinstance(v, float)):
-            raise NonFiniteResult(f"non-finite value in result row {row}; no output written")
+def _check_finite(table: dict) -> None:
+    """Raise `NonFiniteResult` naming the first row that holds a NaN or an infinity."""
+    finite = np.all([np.isfinite(c) for c in table.values() if c.dtype.kind == "f"], axis=0)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        row = {key: c[i : i + 1].tolist()[0] for key, c in table.items()}
+        raise NonFiniteResult(f"non-finite value in result row {row}; no output written")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes the artifact and returns the exit status.
 
-    Every row is checked for finite values before anything is written, so a
-    NaN or overflow is reported once, as exit 3, not as numpy warnings first.
-    A validation table with failing rows is written and names them on
-    stderr, as exit 4.
+    A run mode returns its result as one table: a dict of equal-length
+    columns whose key order is the header.  Every float column is checked
+    for finite values before anything is written, so a NaN or overflow is
+    reported once, as exit 3, not as numpy warnings first.  A validation
+    table with failing rows is written and names them on stderr, as exit 4.
     """
-    rows = RUNNERS[cfg.run](cfg)
-    failing = [r for r in rows if r["status"] != "pass"] if cfg.run == "validate" else []
-    _check_finite(rows)
+    table = RUNNERS[cfg.run](cfg)
+    failing = np.flatnonzero(table["status"] != "pass") if cfg.run == "validate" else ()
+    _check_finite(table)
     try:
-        write_rows(rows, cfg.output_path, cfg.output_format)
+        write_rows(table, cfg.output_path, cfg.output_format)
     except OSError as exc:  # a directory, or a path under a regular file
         _fail("output.path", f"could not write {cfg.output_path}: {exc.strerror}")
-    if failing:
-        detail = "; ".join(_describe_failure(r) for r in failing)
+    if len(failing):
+        detail = "; ".join(_describe_failure(table, i) for i in failing)
         print(f"validation defects exceeded thresholds: {detail}", file=sys.stderr)
         return 4
     return 0

@@ -19,7 +19,11 @@ package from its ``src`` and the benchmark inputs from its
   within 1e-14 of a grid point, times past the stop, and -1e-13;
 - each column of each shipped config (``configs/*.yaml``) run to CSV and
   to JSON, at the config's ``truncation.order`` for the ``one_point`` and
-  ``n_point`` runs and at order 0 for the others.
+  ``n_point`` runs and at order 0 for the others;
+- each column of the two run modes no shipped config runs (`MODE_RUNS`),
+  to CSV and to JSON at order 0: ``two_qubit_one_point.yaml`` with ``run:
+  image_exact`` and ``dephasing_lindblad.yaml`` with ``run:
+  markov_report``, groups ``configs/<config>:<mode>/<format>``.
 
 It also runs the validate_small configs of seeds 1-12 (288 suites) and the
 shipped ``validate`` config, and keeps each run's exit code and table rows;
@@ -60,6 +64,8 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 5)
 STATUS_SEEDS = range(1, 13)
+# (shipped config, run mode) of the modes no shipped config runs
+MODE_RUNS = (("two_qubit_one_point.yaml", "image_exact"), ("dephasing_lindblad.yaml", "markov_report"))
 
 
 def _leaves(prefix: str, obj):
@@ -158,11 +164,18 @@ def child(checkout: str, npz: str) -> None:
             os.makedirs(seed_dir)
             for config, output, _ in workloads.build_validate(seed, seed_dir).tasks:
                 run(f"validate_small/seed{seed}/{os.path.basename(config)}", config, output, "csv", True)
-        for config in sorted(glob.glob(os.path.join(checkout, "configs", "*.yaml"))):
+        shipped = [(config, None) for config in sorted(glob.glob(os.path.join(checkout, "configs", "*.yaml")))]
+        for config, mode in shipped + [(os.path.join(checkout, "configs", name), mode) for name, mode in MODE_RUNS]:
             with open(config) as fh:
                 spec = yaml.safe_load(fh)
+            name = os.path.basename(config)
+            if mode:
+                spec["run"], name = mode, f"{name}:{mode}"
+                config = os.path.join(work, f"{mode}.yaml")
+                with open(config, "w") as fh:
+                    yaml.safe_dump(spec, fh)
             for fmt in ("csv", "json"):
-                group = f"configs/{os.path.basename(config)}/{fmt}"
+                group = f"configs/{name}/{fmt}"
                 rows = run(group, config, os.path.join(work, f"config.{fmt}"), fmt, spec["run"] == "validate")
                 if spec["run"] != "validate":
                     order = spec["truncation"]["order"] if spec["run"] in ("one_point", "n_point") else 0
